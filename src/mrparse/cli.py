@@ -57,7 +57,7 @@ def _load_graphs(path: str) -> list[graph_mod.Graph]:
 
 
 def _framework_config(args) -> transform.FrameworkConfig:
-    if getattr(args, "config", None):
+    if args.config:
         try:
             return transform.load_framework_config(args.config)
         except (OSError, transform.TransformError) as exc:
@@ -307,27 +307,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     default_cache = os.environ.get("MRPARSE_CACHE_DIR") or None
 
-    def common(p, framework=False):
+    def common(p, *options, framework=False):
         p.add_argument("--input", required=True, help="JSONL path or - for stdin")
         p.add_argument("--output", default=None, help="output path, default stdout")
-        p.add_argument("--config", default=None, help="config file path")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--rule-table", dest="rule_table", default=None)
-        p.add_argument("--cache-dir", dest="cache_dir", default=default_cache,
-                       help="rule-set cache (default: MRPARSE_CACHE_DIR)")
-        p.add_argument("--jobs", type=int, default=1)
         if framework:
             p.add_argument("--framework", required=True,
                            choices=graph_mod.FRAMEWORKS)
+            p.add_argument("--config", default=None, help="framework config path")
+        if "rule_table" in options:
+            p.add_argument("--rule-table", dest="rule_table", default=None)
+        if "cache_dir" in options:
+            p.add_argument("--cache-dir", dest="cache_dir", default=default_cache,
+                           help="rule-set cache (default: MRPARSE_CACHE_DIR)")
+        return p
 
     common(sub.add_parser("validate", help="check graphs against the schema"))
-    common(sub.add_parser("preprocess", help="framework canonicalization"),
-           framework=True)
+    preprocess_p = common(sub.add_parser("preprocess", help="framework canonicalization"),
+                          "cache_dir", framework=True)
+    preprocess_p.add_argument("--jobs", type=int, default=1)
     common(sub.add_parser("rules-infer", help="solve the minimal rule set"),
-           framework=True)
+           "rule_table", "cache_dir", framework=True)
     common(sub.add_parser("rules-apply", help="encode nodes with a rule table"),
-           framework=True)
-    common(sub.add_parser("rules-stats", help="label/rule counts"), framework=True)
+           "rule_table", framework=True)
+    common(sub.add_parser("rules-stats", help="label/rule counts"),
+           "rule_table", framework=True)
     common(sub.add_parser("match", help="solve an assignment score matrix"))
 
     train_p = sub.add_parser("train-toy", help="train on the synthetic corpus")
@@ -339,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     train_p.add_argument("--rule-table", dest="rule_table", default=None)
     train_p.add_argument("--cache-dir", dest="cache_dir", default=default_cache)
     train_p.add_argument("--checkpoint", default=None)
-    train_p.add_argument("--jobs", type=int, default=1)
 
     predict_p = sub.add_parser("predict", help="parse plain-text sentences")
     common(predict_p)

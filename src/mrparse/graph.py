@@ -322,10 +322,3 @@ def read_graphs(lines: Iterable[str]) -> Iterator[Graph]:
 def load_graphs(path: str) -> list[Graph]:
     with open(path, encoding="utf-8") as handle:
         return list(read_graphs(handle))
-
-
-def dump_graphs(graphs: Iterable[Graph], path: str):
-    with open(path, "w", encoding="utf-8") as handle:
-        for g in graphs:
-            handle.write(serialize_graph(g))
-            handle.write("\n")

@@ -2,7 +2,8 @@
 
 Every head comes as a forward/backward pair with analytically derived
 gradients (checked against central finite differences in the test suite).
-All computation is double precision numpy; there is no autodiff engine.
+The label head and focal loss take stacks of rows; one query is a batch of
+one.  All computation is double precision numpy; there is no autodiff engine.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ def softplus(z: np.ndarray) -> np.ndarray:
 
 
 def _check_distribution(p: np.ndarray, name: str):
-    if p.ndim != 1 or (p < -1e-12).any() or abs(float(p.sum()) - 1.0) > 1e-6:
+    if (p.ndim not in (1, 2) or (p < -1e-12).any()
+            or (np.abs(p.sum(axis=-1) - 1.0) > 1e-6).any()):
         raise ValidationError(f"{name} is not a probability distribution")
 
 
@@ -59,10 +61,6 @@ class MoSParams:
     out_w: np.ndarray    # (D, V)
     out_b: np.ndarray    # (V,)
 
-    @property
-    def num_components(self) -> int:
-        return self.proj_w.shape[0]
-
 
 def init_mos(rng: np.random.Generator, dim: int, num_classes: int,
              components: int, scale: float = 0.1) -> MoSParams:
@@ -75,58 +73,13 @@ def init_mos(rng: np.random.Generator, dim: int, num_classes: int,
         out_b=np.zeros(num_classes))
 
 
-def mos_forward(h: np.ndarray, params: MoSParams):
-    """Mixture distribution for one query vector; returns (probs, cache).
-
-    Gates are sigmoid-normalized (each gate squashed independently, then
-    divided by the gate sum), not a softmax over gate logits.
-    """
-    x = np.tanh(np.einsum("kde,e->kd", params.proj_w, h) + params.proj_b)  # (K, D)
-    gate_logits = params.gate_w @ h + params.gate_b                        # (K,)
-    gates = sigmoid(gate_logits)
-    total = gates.sum()
-    if total < 1e-300:
-        raise HeadError("all mixture gates underflowed to zero")
-    weights = gates / total
-    logits = x @ params.out_w + params.out_b                               # (K, V)
-    components = softmax(logits, axis=-1)
-    probs = weights @ components
-    cache = (h, params, x, gates, weights, components)
-    return probs, cache
-
-
-def mos_backward(cache, dprobs: np.ndarray):
-    """Gradient of a scalar through the mixture; returns (grads, dh)."""
-    h, params, x, gates, weights, components = cache
-    dcomponents = weights[:, None] * dprobs[None, :]
-    dweights = components @ dprobs
-    dlogits = components * (dcomponents
-                            - (dcomponents * components).sum(axis=-1, keepdims=True))
-    dout_w = x.T @ dlogits
-    dout_b = dlogits.sum(axis=0)
-    dx = dlogits @ params.out_w.T
-    dpre = (1.0 - x * x) * dx
-    dproj_w = np.einsum("kd,e->kde", dpre, h)
-    dproj_b = dpre
-    dh = np.einsum("kde,kd->e", params.proj_w, dpre)
-    total = gates.sum()
-    dgates = (dweights - (dweights * weights).sum()) / total
-    dgate_logits = gates * (1.0 - gates) * dgates
-    dgate_w = dgate_logits[:, None] * h[None, :]
-    dgate_b = dgate_logits
-    dh = dh + params.gate_w.T @ dgate_logits
-    grads = MoSParams(proj_w=dproj_w, proj_b=dproj_b, gate_w=dgate_w,
-                      gate_b=dgate_b, out_w=dout_w, out_b=dout_b)
-    return grads, dh
-
-
-def mos_distribution(h: np.ndarray, params: MoSParams) -> np.ndarray:
-    probs, _ = mos_forward(h, params)
-    return probs
-
-
 def mos_forward_batch(h: np.ndarray, params: MoSParams):
-    """mos_forward over a stack of query vectors; returns (probs (N, V), cache)."""
+    """Mixture distributions for a stack of query vectors (N, D).
+
+    Returns (probs (N, V), cache).  Gates are sigmoid-normalized (each gate
+    squashed independently, then divided by the gate sum), not a softmax
+    over gate logits.
+    """
     x = np.tanh(np.einsum("kde,ne->nkd", params.proj_w, h) + params.proj_b)
     gate_logits = h @ params.gate_w.T + params.gate_b
     gates = sigmoid(gate_logits)
@@ -141,7 +94,7 @@ def mos_forward_batch(h: np.ndarray, params: MoSParams):
 
 
 def mos_backward_batch(cache, dprobs: np.ndarray):
-    """Batched counterpart of mos_backward; returns (grads, dh)."""
+    """Gradient of a scalar through the mixture; returns (grads summed over rows, dh)."""
     h, params, x, gates, weights, components = cache
     dcomponents = weights[:, :, None] * dprobs[:, None, :]
     dweights = np.einsum("nkv,nv->nk", components, dprobs)
@@ -165,39 +118,49 @@ def mos_backward_batch(cache, dprobs: np.ndarray):
     return grads, dh
 
 
+def mos_distribution(h: np.ndarray, params: MoSParams) -> np.ndarray:
+    probs, _ = mos_forward_batch(h[None, :], params)
+    return probs[0]
+
+
 # ---------------------------------------------------------------------------
 # focal label loss
 
 def label_loss(pred: np.ndarray, target: np.ndarray, gamma: float):
-    """Focal-weighted cross-entropy between distributions.
+    """Focal-weighted cross-entropy between distributions, row by row.
 
     loss = (1 - p_t)^gamma * H(target, pred) with p_t the predicted mass on
     the target distribution; gamma = 0 recovers the plain (smoothed)
-    cross-entropy.  Returns (loss, dloss/dpred).
+    cross-entropy.  pred and target are (N, V) rows or one (V,) row.
+    Returns (mean loss over rows, per-row dloss/dpred not divided by N).
     """
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     _check_distribution(pred, "pred")
     _check_distribution(target, "target")
-    safe_pred = np.maximum(pred, 1e-300)
-    entropy = float(-(target * np.log(safe_pred)).sum())
-    p_t = float((target * pred).sum())
-    one_minus = max(1.0 - p_t, 0.0)
+    rows, targets = np.atleast_2d(pred, target)
+    safe = np.maximum(rows, 1e-300)
+    entropy = -(targets * np.log(safe)).sum(axis=-1)
+    p_t = (targets * rows).sum(axis=-1)
+    one_minus = np.maximum(1.0 - p_t, 0.0)
     factor = one_minus ** gamma
-    loss = factor * entropy
-    dpred = -factor * target / safe_pred
-    if gamma > 0.0 and one_minus > 0.0:
-        dpred = dpred - gamma * one_minus ** (gamma - 1.0) * entropy * target
-    return loss, dpred
+    loss = float((factor * entropy).sum()) / rows.shape[0]
+    dpred = -factor[:, None] * targets / safe
+    if gamma > 0.0:
+        slope = np.zeros_like(one_minus)
+        positive = one_minus > 0.0
+        slope[positive] = gamma * one_minus[positive] ** (gamma - 1.0) * entropy[positive]
+        dpred = dpred - slope[:, None] * targets
+    return loss, dpred.reshape(pred.shape)
 
 
 def label_head_loss(h: np.ndarray, params: MoSParams, target: np.ndarray,
                     gamma: float):
     """Focal label loss through the mixture head; grads wrt h and params."""
-    probs, cache = mos_forward(h, params)
+    probs, cache = mos_forward_batch(h[None, :], params)
     loss, dprobs = label_loss(probs, target, gamma)
-    grads, dh = mos_backward(cache, dprobs)
-    return loss, dh, grads
+    grads, dh = mos_backward_batch(cache, dprobs)
+    return loss, dh[0], grads
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +314,6 @@ def property_loss(node_states: np.ndarray, w: np.ndarray, b: float,
     db = float(dlogits.sum())
     dstates = dlogits[:, None] * w[None, :]
     return loss, dw, db, dstates
-
-
-def property_head_multiclass(node_states: np.ndarray,
-                             families: Sequence[tuple[np.ndarray, np.ndarray]]):
-    """One softmax family per attribute type (flavor used by PTG graphs)."""
-    return [softmax(node_states @ w + b, axis=-1) for w, b in families]
 
 
 def top_head(node_states: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:

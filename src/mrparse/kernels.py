@@ -1,76 +1,20 @@
-"""Hot numeric kernels: dense linear-sum assignment.
+"""Hot numeric kernel: dense linear-sum assignment.
 
 The solver is the O(n^3) shortest-augmenting-path algorithm with row/column
-potentials (Kuhn-Munkres family).  Two interchangeable lanes exist: a numba
-@njit-compiled scalar loop (default) and a vectorized pure-numpy fallback.
-Set MRPARSE_DISABLE_NUMBA=1 to force the numpy lane; the lanes produce
-identical assignments.
+potentials (Kuhn-Munkres family), with the inner column scan vectorized in
+numpy.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = os.environ.get("MRPARSE_DISABLE_NUMBA", "") not in ("", "0")
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled by MRPARSE_DISABLE_NUMBA")
-    from numba import njit
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-
-def _assignment_loops(cost):
-    """Scalar shortest-augmenting-path assignment; minimizes total cost."""
-    n = cost.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    col_row = np.full(n + 1, -1, dtype=np.int64)  # row matched to each column
-    way = np.zeros(n + 1, dtype=np.int64)
-    for i in range(n):
-        col_row[n] = i
-        j0 = n
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=np.bool_)
-        while True:
-            used[j0] = True
-            i0 = col_row[j0]
-            delta = np.inf
-            j1 = -1
-            for j in range(n):
-                if not used[j]:
-                    cur = cost[i0, j] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[col_row[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if col_row[j0] == -1:
-                break
-        while j0 != n:
-            j1 = way[j0]
-            col_row[j0] = col_row[j1]
-            j0 = j1
-    row_col = np.empty(n, dtype=np.int64)
-    for j in range(n):
-        row_col[col_row[j]] = j
-    return row_col
+# perfbench/run.py reads this to record the solver lane; numpy is the only lane.
+HAS_NUMBA = False
 
 
 def _assignment_numpy(cost):
-    """Vectorized variant of the same algorithm; identical results."""
+    """Shortest-augmenting-path assignment; minimizes total cost."""
     n = cost.shape[0]
     u = np.zeros(n + 1)
     v = np.zeros(n + 1)
@@ -108,12 +52,6 @@ def _assignment_numpy(cost):
     return row_col
 
 
-if HAS_NUMBA:
-    _assignment_jit = njit(cache=True)(_assignment_loops)
-else:
-    _assignment_jit = None
-
-
 def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     """Row-to-column permutation minimizing the total cost of a square matrix."""
     cost = np.ascontiguousarray(cost, dtype=np.float64)
@@ -123,8 +61,6 @@ def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
         raise ValueError("cost matrix entries must be finite")
     if cost.shape[0] == 0:
         return np.empty(0, dtype=np.int64)
-    if _assignment_jit is not None:
-        return _assignment_jit(cost)
     return _assignment_numpy(cost)
 
 

@@ -58,18 +58,17 @@ class MatchConfig:
     max_tie_combinations: int = 5040
 
 
-def geomean_anchor(probs: Sequence[float]) -> float:
+def geomean_anchor(probs) -> float | np.ndarray:
     """Geometric mean of per-token anchor probabilities, in log space.
 
-    Keeps the anchor score magnitude independent of the token count; inputs
-    are floored at a tiny positive constant before the log.
+    Reduces over the last axis, so a (queries, tokens) matrix gives one
+    score per query; an empty row scores 1.  Keeps the anchor score
+    magnitude independent of the token count; inputs are floored at
+    ANCHOR_PROB_FLOOR before the log.
     """
-    arr = np.asarray(probs, dtype=np.float64)
-    if arr.size == 0:
-        return 1.0
-    if (arr <= 0).any():
-        arr = np.maximum(arr, ANCHOR_PROB_FLOOR)
-    return float(np.exp(np.mean(np.log(arr))))
+    arr = np.maximum(np.asarray(probs, dtype=np.float64), ANCHOR_PROB_FLOOR)
+    score = np.exp(np.log(arr).sum(axis=-1) / max(arr.shape[-1], 1))
+    return float(score) if score.ndim == 0 else score
 
 
 def match_score(label_score: np.ndarray, anchor_score: np.ndarray) -> np.ndarray:
@@ -209,13 +208,12 @@ def build_problem(predictions: PredictionSpec,
                 observed[:, t] = predictions.anchor_probs[:, t]
             else:
                 observed[:, t] = 1.0 - predictions.anchor_probs[:, t]
-        floored = np.maximum(observed, ANCHOR_PROB_FLOOR)
-        anchor_score[:, j] = np.exp(np.mean(np.log(floored), axis=1))
+        anchor_score[:, j] = geomean_anchor(observed)
         if config.use_anchor_mask:
             permitted = np.isin(predictions.source_tokens,
                                 sorted(target.anchor_tokens))
-            anchor_score[:, j] = np.where(permitted, anchor_score[:, j],
-                                          config.mask_epsilon)
+            anchor_score[:, j] = apply_anchor_mask(anchor_score[:, j], permitted,
+                                                   config.mask_epsilon)
     return MatchProblem(label_score=label_score, anchor_score=anchor_score,
                         num_real_targets=len(targets))
 

@@ -280,15 +280,6 @@ def minimal_rule_set(problem: RuleSetProblem,
     return solution
 
 
-def brute_force_min_rule_set(problem: RuleSetProblem) -> tuple[int, ...]:
-    """Verification oracle: subset enumeration, universes of at most 20 rules."""
-    for i, subset in enumerate(problem.per_node):
-        if not subset:
-            name = problem.node_names[i] if i < len(problem.node_names) else f"node {i}"
-            raise InfeasibleEncodingError(f"{name} has no applicable rules")
-    return hitting.brute_force_min_hitting_set(problem.per_node, len(problem.universe))
-
-
 # ---------------------------------------------------------------------------
 # rule tables
 

@@ -399,24 +399,6 @@ def _edge_targets(edges, node_pos, m: int, multilabel: bool):
     return presence, pairs, labels
 
 
-def _focal_loss_rows(probs: np.ndarray, targets: np.ndarray, gamma: float):
-    """Row-wise focal cross-entropy, averaged; same math as heads.label_loss."""
-    safe = np.maximum(probs, 1e-300)
-    entropy = -(targets * np.log(safe)).sum(axis=-1)
-    p_t = (targets * probs).sum(axis=-1)
-    one_minus = np.maximum(1.0 - p_t, 0.0)
-    factor = one_minus ** gamma
-    n = probs.shape[0]
-    loss = float((factor * entropy).sum()) / n
-    dprobs = -factor[:, None] * targets / safe
-    if gamma > 0.0:
-        slope = np.zeros_like(one_minus)
-        positive = one_minus > 0.0
-        slope[positive] = gamma * one_minus[positive] ** (gamma - 1.0) * entropy[positive]
-        dprobs = dprobs - slope[:, None] * targets
-    return loss, dprobs
-
-
 @dataclass
 class SentenceGrads:
     dec: dict[str, dict[str, np.ndarray]]      # per task, decoder block grads
@@ -456,7 +438,7 @@ def sentence_losses(params: dict, config: TrainConfig, example: Example,
                                           config.label_smoothing, is_null=True)
     target_matrix = np.stack([node.target_smoothed if node is not None else null_target
                               for _, node in pairing])
-    loss_label, dprob_matrix = _focal_loss_rows(fwd.label_probs, target_matrix,
+    loss_label, dprob_matrix = heads.label_loss(fwd.label_probs, target_matrix,
                                                 config.focal_gamma)
     losses["label"] = loss_label
     if compute_grads:

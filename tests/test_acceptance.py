@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from mrparse import balance, cli, corpus, heads, hitting, kernels, model, rules
+from mrparse import balance, cli, corpus, heads, hitting, model, rules
 from mrparse import matcher, scorer, trainer, transform
 from mrparse.graph import Anchor, Graph, Node, load_graphs, parse_graph, serialize_graph
 from conftest import fixture_path
@@ -22,7 +22,6 @@ def report(number, text):
 
 
 def test_criterion_01_assignment_oracle():
-    kernels.max_score_assignment(np.zeros((2, 2)))  # load the compiled kernel
     start = time.time()
     rng = np.random.default_rng(2020)
     for _ in range(100):

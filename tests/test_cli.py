@@ -217,6 +217,16 @@ class TestUsage:
     def test_missing_required_flag(self, capsys):
         assert cli.run(["validate"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--seed", "1"],
+        ["match", "--jobs", "2"],
+        ["rules-stats", "--framework", "eds", "--cache-dir", "cache"],
+        ["evaluate", "--gold", fixture_path("eds.jsonl"), "--rule-table", "t"],
+        ["train-toy", "--jobs", "2"],
+    ])
+    def test_ignored_flag_rejected(self, argv, capsys):
+        assert cli.run(argv + ["--input", fixture_path("eds.jsonl")]) == 1
+
     def test_missing_file_is_clean_data_error(self, capsys):
         code, _, err = run_cli(["validate", "--input", "/nonexistent.jsonl"],
                                capsys)

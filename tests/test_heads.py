@@ -69,26 +69,24 @@ class TestMoS:
             numeric = finite_difference(loss_at, getattr(params, field))
             assert relative_error(getattr(grads, field), numeric) < TOLERANCE
 
-    def test_batch_matches_single(self):
+    def test_batch_backward_finite_difference(self):
+        # parameter gradients are sums over the rows of the batch
         rng = np.random.default_rng(4)
         params = heads.init_mos(rng, DIM, CLASSES, COMPONENTS, 0.5)
         h = rng.normal(size=(6, DIM))
-        batch, cache = heads.mos_forward_batch(h, params)
-        for i in range(6):
-            single, _ = heads.mos_forward(h[i], params)
-            assert np.abs(batch[i] - single).max() < 1e-14
-        dprobs = rng.normal(size=batch.shape)
-        grads_b, dh_b = heads.mos_backward_batch(cache, dprobs)
-        total = {f: np.zeros_like(getattr(params, f)) for f in
-                 ("proj_w", "proj_b", "gate_w", "gate_b", "out_w", "out_b")}
-        for i in range(6):
-            _, c = heads.mos_forward(h[i], params)
-            g, dh_i = heads.mos_backward(c, dprobs[i])
-            assert np.abs(dh_b[i] - dh_i).max() < 1e-12
-            for f in total:
-                total[f] += getattr(g, f)
-        for f in total:
-            assert np.abs(total[f] - getattr(grads_b, f)).max() < 1e-12
+        probs, cache = heads.mos_forward_batch(h, params)
+        dprobs = rng.normal(size=probs.shape)
+        grads, dh = heads.mos_backward_batch(cache, dprobs)
+
+        def scalar(h_, params_=params):
+            return float((heads.mos_forward_batch(h_, params_)[0] * dprobs).sum())
+
+        assert relative_error(dh, finite_difference(scalar, h)) < TOLERANCE
+        for field in ("proj_w", "proj_b", "gate_w", "gate_b", "out_w", "out_b"):
+            numeric = finite_difference(
+                lambda v: scalar(h, dataclasses.replace(params, **{field: v})),
+                getattr(params, field))
+            assert relative_error(getattr(grads, field), numeric) < TOLERANCE
 
 
 class TestLabelLoss:
@@ -126,12 +124,27 @@ class TestLabelLoss:
             numeric = finite_difference(lambda p: _raw_focal(p, target, 2.0), pred)
             assert relative_error(dpred, numeric) < TOLERANCE
 
+    def test_rows_average_single_row_losses(self):
+        rng = np.random.default_rng(7)
+        pred = rng.dirichlet(np.ones(CLASSES), size=5)
+        target = rng.dirichlet(np.ones(CLASSES), size=5)
+        loss, dpred = heads.label_loss(pred, target, 2.0)
+        singles = [heads.label_loss(p, t, 2.0) for p, t in zip(pred, target)]
+        assert loss == pytest.approx(np.mean([single for single, _ in singles]),
+                                     abs=1e-12)
+        assert np.abs(dpred - np.stack([d for _, d in singles])).max() < 1e-12
+
     def test_validation_errors(self):
         good = np.full(4, 0.25)
         with pytest.raises(heads.ValidationError):
             heads.label_loss(np.array([0.5, 0.9]), np.array([0.5, 0.5]), 0.0)
         with pytest.raises(heads.ValidationError):
             heads.label_loss(good, np.array([0.7, 0.7, -0.2, -0.2]), 0.0)
+        rows = np.full((3, 4), 0.25)
+        bad_row = rows.copy()
+        bad_row[1] = [0.7, 0.7, -0.2, -0.2]
+        with pytest.raises(heads.ValidationError):
+            heads.label_loss(rows, bad_row, 0.0)
 
 
 def _raw_focal(pred, target, gamma):
@@ -263,17 +276,6 @@ class TestPropertyHead:
                 lambda x: heads.property_loss(states, w, float(x), targets)[0],
                 np.array(b))
             assert relative_error(np.array(db), numeric_b) < TOLERANCE
-
-    def test_multiclass_families(self):
-        rng = np.random.default_rng(11)
-        states = rng.normal(size=(3, DIM))
-        families = [(rng.normal(size=(DIM, k)), rng.normal(size=k))
-                    for k in (2, 3, 5)]
-        out = heads.property_head_multiclass(states, families)
-        assert len(out) == 3
-        for probs, (_, b) in zip(out, families):
-            assert probs.shape == (3, len(b))
-            assert np.abs(probs.sum(axis=-1) - 1.0).max() < 1e-12
 
 
 class TestTopHead:

@@ -29,18 +29,6 @@ def test_negative_costs_supported():
     assert kernels.min_cost_assignment(cost).tolist() == [0, 1]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
-def test_lanes_agree(n):
-    rng = np.random.default_rng(n)
-    for _ in range(20):
-        cost = rng.normal(size=(n, n))
-        via_numpy = kernels._assignment_numpy(cost)
-        via_loops = kernels._assignment_loops(cost)
-        assert (via_numpy == via_loops).all()
-        if kernels.HAS_NUMBA:
-            assert (kernels._assignment_jit(cost) == via_loops).all()
-
-
 def test_matches_brute_force_costs():
     rng = np.random.default_rng(99)
     for _ in range(60):

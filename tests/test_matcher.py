@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrparse.matcher import (CapacityError, MatchConfig, MatchError,
+from mrparse.matcher import (ANCHOR_PROB_FLOOR, CapacityError, MatchConfig, MatchError,
                              MatchProblem, PredictionSpec, TargetSpec,
                              align_targets, apply_anchor_mask, break_ties,
                              geomean_anchor, match_score, optimal_assignment)
@@ -44,6 +44,15 @@ class TestGeomean:
 
     def test_zero_floored(self):
         assert geomean_anchor([0.0]) > 0.0
+        assert geomean_anchor([1e-20]) == pytest.approx(ANCHOR_PROB_FLOOR, rel=1e-9, abs=0.0)
+
+    def test_rows_match_single_rows(self):
+        rng = np.random.default_rng(3)
+        probs = rng.random((4, 6))
+        probs[1, 2] = 0.0
+        out = geomean_anchor(probs)
+        assert out.shape == (4,)
+        assert out.tolist() == [geomean_anchor(row) for row in probs]
 
 
 class TestAnchorMask:
