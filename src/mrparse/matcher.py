@@ -200,20 +200,24 @@ def build_problem(predictions: PredictionSpec,
                             f"increase the per-token query budget")
     label_score = np.zeros((num_queries, num_queries))
     anchor_score = np.ones((num_queries, num_queries))
-    for j, target in enumerate(targets):
-        label_score[:, j] = predictions.label_probs @ target.label_target
-        observed = np.empty((num_queries, num_tokens))
-        for t in range(num_tokens):
-            if t in target.anchor_tokens:
-                observed[:, t] = predictions.anchor_probs[:, t]
-            else:
-                observed[:, t] = 1.0 - predictions.anchor_probs[:, t]
-        anchor_score[:, j] = geomean_anchor(observed)
+    n = len(targets)
+    if n:
+        # anchored[j, t]: target j is anchored to token t
+        anchored = np.zeros((n, num_tokens), dtype=bool)
+        for j, target in enumerate(targets):
+            anchored[j, list(target.anchor_tokens)] = True
+        # a stack of matrix-vector products: one matrix-matrix product would
+        # round differently from scoring each target on its own
+        label_targets = np.stack([target.label_target for target in targets])
+        label_score[:, :n] = (predictions.label_probs
+                              @ label_targets[:, :, None])[:, :, 0].T
+        probs = predictions.anchor_probs
+        anchor_score[:, :n] = geomean_anchor(
+            np.where(anchored[:, None, :], probs, 1.0 - probs)).T
         if config.use_anchor_mask:
-            permitted = np.isin(predictions.source_tokens,
-                                sorted(target.anchor_tokens))
-            anchor_score[:, j] = apply_anchor_mask(anchor_score[:, j], permitted,
-                                                   config.mask_epsilon)
+            anchor_score[:, :n] = apply_anchor_mask(
+                anchor_score[:, :n], anchored[:, predictions.source_tokens].T,
+                config.mask_epsilon)
     return MatchProblem(label_score=label_score, anchor_score=anchor_score,
                         num_real_targets=len(targets))
 

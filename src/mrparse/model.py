@@ -10,6 +10,7 @@ into the token embeddings.  Parameters live in a flat name->array dict.
 from __future__ import annotations
 
 import io
+import math
 import struct
 from typing import Optional
 
@@ -48,9 +49,15 @@ def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
 
 
 def layer_norm_backward(cache, dy: np.ndarray):
+    """Returns (dx, dgain, dbias) for 2-D rows.
+
+    dy may carry extra leading axes over the cached [rows, dim] forward
+    (one per independent downstream gradient); dgain and dbias then keep
+    those axes and reduce over rows only.
+    """
     normed, inv, gain = cache
-    dgain = (dy * normed).sum(axis=tuple(range(dy.ndim - 1)))
-    dbias = dy.sum(axis=tuple(range(dy.ndim - 1)))
+    dgain = (dy * normed).sum(axis=-2)
+    dbias = dy.sum(axis=-2)
     dnormed = dy * gain
     dx = inv * (dnormed - dnormed.mean(axis=-1, keepdims=True)
                 - normed * (dnormed * normed).mean(axis=-1, keepdims=True))
@@ -86,19 +93,19 @@ def attention_backward(params: dict, cache, dout: np.ndarray, grads: dict):
     wq, wk, wv, wo = (params[f"{prefix}.wq"], params[f"{prefix}.wk"],
                       params[f"{prefix}.wv"], params[f"{prefix}.wo"])
     add_grad(grads, f"{prefix}.wo", mixed.T @ dout)
-    add_grad(grads, f"{prefix}.bo", dout.sum(axis=0))
+    add_grad(grads, f"{prefix}.bo", dout.sum(axis=-2))
     dmixed = dout @ wo.T
     dweights = dmixed @ v.T
     dv = weights.T @ dmixed
     dscores = weights * (dweights - (dweights * weights).sum(axis=-1, keepdims=True))
     dq = dscores @ k * scale
-    dk = dscores.T @ q * scale
+    dk = np.swapaxes(dscores, -1, -2) @ q * scale
     add_grad(grads, f"{prefix}.wq", queries_in.T @ dq)
-    add_grad(grads, f"{prefix}.bq", dq.sum(axis=0))
+    add_grad(grads, f"{prefix}.bq", dq.sum(axis=-2))
     add_grad(grads, f"{prefix}.wk", keys_in.T @ dk)
-    add_grad(grads, f"{prefix}.bk", dk.sum(axis=0))
+    add_grad(grads, f"{prefix}.bk", dk.sum(axis=-2))
     add_grad(grads, f"{prefix}.wv", keys_in.T @ dv)
-    add_grad(grads, f"{prefix}.bv", dv.sum(axis=0))
+    add_grad(grads, f"{prefix}.bv", dv.sum(axis=-2))
     dqueries_in = dq @ wq.T
     dkeys_in = dk @ wk.T + dv @ wv.T
     return dqueries_in, dkeys_in
@@ -131,16 +138,24 @@ def block_forward(params: dict, prefix: str, x: np.ndarray,
 
 def block_backward(params: dict, prefix: str, cache, dy: np.ndarray,
                    grads: dict):
-    """Returns (dx, dmemory); parameter grads accumulate into grads."""
+    """Returns (dx, dmemory); parameter grads accumulate into grads.
+
+    The backward is linear in dy given the cache, so dy may stack several
+    independent output gradients on a leading axis, [tasks, queries, dim]
+    against a [queries, dim] forward.  Every result then keeps that axis:
+    dx is [tasks, queries, dim], dmemory [tasks, tokens, dim] and each
+    parameter grad [tasks, *param.shape], row t equal to the 2-D call on
+    dy[t].
+    """
     c_ln1, c_self, c_ln2, c_cross, c_ln3, ln3, hidden, has_cross = cache
     dh = dy.copy()
     dffn_out = dy
     add_grad(grads, f"{prefix}.ffn.w2", hidden.T @ dffn_out)
-    add_grad(grads, f"{prefix}.ffn.b2", dffn_out.sum(axis=0))
+    add_grad(grads, f"{prefix}.ffn.b2", dffn_out.sum(axis=-2))
     dhidden = dffn_out @ params[f"{prefix}.ffn.w2"].T
     dpre = (1.0 - hidden * hidden) * dhidden
     add_grad(grads, f"{prefix}.ffn.w1", ln3.T @ dpre)
-    add_grad(grads, f"{prefix}.ffn.b1", dpre.sum(axis=0))
+    add_grad(grads, f"{prefix}.ffn.b1", dpre.sum(axis=-2))
     dln3 = dpre @ params[f"{prefix}.ffn.w1"].T
     dx3, dgain, dbias = layer_norm_backward(c_ln3, dln3)
     add_grad(grads, f"{prefix}.ln3.gain", dgain)
@@ -305,27 +320,40 @@ def save_params(params: dict, path: str):
             handle.write(array.tobytes())
 
 
+def _read_exact(stream: io.BytesIO, size: int, what: str) -> bytes:
+    data = stream.read(size)
+    if len(data) != size:
+        raise CheckpointError(f"truncated checkpoint: {what} needs {size} bytes, "
+                              f"{len(data)} left")
+    return data
+
+
 def load_params(path: str) -> dict:
+    """Read a save_params checkpoint; malformed files raise CheckpointError."""
     with open(path, "rb") as handle:
         data = handle.read()
     stream = io.BytesIO(data)
     magic = stream.read(4)
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad checkpoint magic {magic!r}")
-    version, count = struct.unpack("<II", stream.read(8))
+    version, count = struct.unpack("<II", _read_exact(stream, 8, "header"))
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     params = {}
     for _ in range(count):
-        (name_len,) = struct.unpack("<H", stream.read(2))
-        name = stream.read(name_len).decode("utf-8")
-        (ndim,) = struct.unpack("<B", stream.read(1))
-        shape = tuple(struct.unpack("<Q", stream.read(8))[0] for _ in range(ndim))
-        numel = int(np.prod(shape)) if shape else 1
-        raw = stream.read(numel * 8)
-        if len(raw) != numel * 8:
-            raise CheckpointError(f"truncated array {name!r}")
+        (name_len,) = struct.unpack("<H", _read_exact(stream, 2, "name length"))
+        name = _read_exact(stream, name_len, "name").decode("utf-8")
+        if name in params:
+            raise CheckpointError(f"duplicate array {name!r}")
+        (ndim,) = struct.unpack("<B", _read_exact(stream, 1, f"rank of {name!r}"))
+        shape = struct.unpack(f"<{ndim}Q", _read_exact(stream, 8 * ndim,
+                                                       f"shape of {name!r}"))
+        numel = math.prod(shape)
+        raw = _read_exact(stream, numel * 8, f"array {name!r}")
         params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    trailing = len(data) - stream.tell()
+    if trailing:
+        raise CheckpointError(f"{trailing} trailing bytes after the last array")
     return params
 
 

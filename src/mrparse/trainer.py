@@ -401,11 +401,21 @@ def _edge_targets(edges, node_pos, m: int, multilabel: bool):
 
 @dataclass
 class SentenceGrads:
-    dec: dict[str, dict[str, np.ndarray]]      # per task, decoder block grads
+    """Per-task gradients of one sentence.
+
+    The decoder block runs one backward on the stacked [tasks, queries, dim]
+    output gradient, tasks in config.active_tasks() order; a task without a
+    loss on this sentence has a zero row.  dec, dquery and dmemory keep that
+    leading task axis, so row t is exactly what a backward on task t alone
+    would give; the anchor row of dmemory also carries the anchor head's own
+    gradient with respect to the embeddings.
+    """
+
+    dec: dict[str, np.ndarray]                 # decoder key -> [tasks, *shape]
     head: dict[str, dict[str, np.ndarray]]     # per task, head parameter grads
     dhidden: dict[str, np.ndarray]             # per task, grad wrt decoder output
-    dquery: dict[str, np.ndarray]              # per task, grad wrt query states
-    dmemory: dict[str, np.ndarray]             # per task, grad wrt embeddings
+    dquery: np.ndarray                         # [tasks, queries, dim]
+    dmemory: np.ndarray                        # [tasks, tokens, dim]
 
 
 def sentence_losses(params: dict, config: TrainConfig, example: Example,
@@ -429,8 +439,8 @@ def sentence_losses(params: dict, config: TrainConfig, example: Example,
 
     losses: dict[str, float] = {}
     dh: dict[str, np.ndarray] = {}
-    grads = (SentenceGrads(dec={}, head={}, dhidden=dh, dquery={}, dmemory={})
-             if compute_grads else None)
+    head: dict[str, dict[str, np.ndarray]] = {}
+    anchor_dmemory = None
     active = set(config.active_tasks())
 
     # label loss over every query (null queries get the null class target)
@@ -445,9 +455,9 @@ def sentence_losses(params: dict, config: TrainConfig, example: Example,
         mos_grads, dlabel = heads.mos_backward_batch(fwd.mos_cache,
                                                      dprob_matrix / num_queries)
         dh["label"] = dlabel
-        grads.head["label"] = {f"label.{n}": getattr(mos_grads, n)
-                               for n in ("proj_w", "proj_b", "gate_w", "gate_b",
-                                         "out_w", "out_b")}
+        head["label"] = {f"label.{n}": getattr(mos_grads, n)
+                         for n in ("proj_w", "proj_b", "gate_w", "gate_b",
+                                   "out_w", "out_b")}
 
     # anchor loss over queries matched to real nodes
     if "anchor" in active:
@@ -461,8 +471,8 @@ def sentence_losses(params: dict, config: TrainConfig, example: Example,
         losses["anchor"] = loss
         if compute_grads:
             dh["anchor"] = dx
-            grads.head["anchor"] = {"anchor.u": du}
-            grads.dmemory["anchor"] = dy
+            head["anchor"] = {"anchor.u": du}
+            anchor_dmemory = dy
 
     order = sorted(matched)
     sel = [matched[j] for j in order]
@@ -472,8 +482,7 @@ def sentence_losses(params: dict, config: TrainConfig, example: Example,
 
     def scatter(dstates: np.ndarray) -> np.ndarray:
         out = np.zeros_like(fwd.hidden)
-        for k, query in enumerate(sel):
-            out[query] += dstates[k]
+        out[sel] = dstates  # sel has no repeats
         return out
 
     if "edge_presence" in active:
@@ -484,7 +493,7 @@ def sentence_losses(params: dict, config: TrainConfig, example: Example,
         losses["edge_presence"] = loss
         if compute_grads:
             dh["edge_presence"] = scatter(dstates)
-            grads.head["edge_presence"] = {"edgep.u": du}
+            head["edge_presence"] = {"edgep.u": du}
 
         l_logits, l_cache = heads.biaffine_forward(states, states, params["edgel.u"])
         loss, du, dstates = heads.edge_label_loss(l_logits, l_cache, pairs, labels,
@@ -492,7 +501,7 @@ def sentence_losses(params: dict, config: TrainConfig, example: Example,
         losses["edge_label"] = loss
         if compute_grads:
             dh["edge_label"] = scatter(dstates)
-            grads.head["edge_label"] = {"edgel.u": du}
+            head["edge_label"] = {"edgel.u": du}
 
         if "edge_attribute" in active:
             # toy gold edges carry no attributes: every pair targets class 0
@@ -502,7 +511,7 @@ def sentence_losses(params: dict, config: TrainConfig, example: Example,
             losses["edge_attribute"] = loss
             if compute_grads:
                 dh["edge_attribute"] = scatter(dstates)
-                grads.head["edge_attribute"] = {"edgea.u": du}
+                head["edge_attribute"] = {"edgea.u": du}
 
     if "property" in active:
         prop_targets = np.array([1.0 if example.targets[j].is_property else 0.0
@@ -512,7 +521,7 @@ def sentence_losses(params: dict, config: TrainConfig, example: Example,
         losses["property"] = loss
         if compute_grads:
             dh["property"] = scatter(dstates)
-            grads.head["property"] = {"prop.w": dw, "prop.b": np.array(db)}
+            head["property"] = {"prop.w": dw, "prop.b": np.array(db)}
 
     if "top" in active and example.top_index is not None and m > 0:
         gold = node_pos[example.top_index]
@@ -521,20 +530,19 @@ def sentence_losses(params: dict, config: TrainConfig, example: Example,
         losses["top"] = loss
         if compute_grads:
             dh["top"] = scatter(dstates)
-            grads.head["top"] = {"top.w": dw, "top.b": np.array(db)}
+            head["top"] = {"top.w": dw, "top.b": np.array(db)}
 
-    if compute_grads:
-        for task, dhidden in dh.items():
-            task_grads: dict[str, np.ndarray] = {}
-            dq, dmem = model.block_backward(params, "dec", fwd.dec_cache, dhidden,
-                                            task_grads)
-            grads.dec[task] = {k: v for k, v in task_grads.items()
-                               if k.startswith("dec.")}
-            grads.dquery[task] = dq
-            if task in grads.dmemory:
-                grads.dmemory[task] = grads.dmemory[task] + dmem
-            else:
-                grads.dmemory[task] = dmem
+    if not compute_grads:
+        return losses, None, pairing
+    tasks = config.active_tasks()
+    zeros = np.zeros_like(fwd.hidden)
+    dec: dict[str, np.ndarray] = {}
+    dquery, dmemory = model.block_backward(
+        params, "dec", fwd.dec_cache, np.stack([dh.get(t, zeros) for t in tasks]), dec)
+    if anchor_dmemory is not None:
+        dmemory[tasks.index("anchor")] += anchor_dmemory
+    grads = SentenceGrads(dec=dec, head=head, dhidden=dh, dquery=dquery,
+                          dmemory=dmemory)
     return losses, grads, pairing
 
 
@@ -671,6 +679,7 @@ def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
     tasks = config.active_tasks()
     state = balance.BalanceState.uniform(tasks)
     metrics: list[dict] = []
+    dec_accum: dict[str, np.ndarray] = {}  # decoder key -> [tasks, *shape], per batch
     step = 0
     for epoch in range(config.epochs):
         order = rng.permutation(len(examples))
@@ -680,30 +689,30 @@ def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
             batch = [examples[i] for i in order[start:start + config.batch_size]]
             total_grads: dict[str, np.ndarray] = {}
             task_losses = {t: 0.0 for t in tasks}
-            task_dec_norm_sq = {t: 0.0 for t in tasks}
             scale = 1.0 / len(batch)
-            dec_accum: dict[str, dict[str, np.ndarray]] = {t: {} for t in tasks}
+            for accum in dec_accum.values():
+                accum.fill(0.0)
             for example in batch:
                 fwd = forward_sentence(params, config, example.token_ids,
                                        rng=rng, train=True)
                 _, assignment = match_queries(config, fwd, example, params)
                 losses, grads, _ = sentence_losses(params, config, example, fwd,
                                                    assignment)
+                if not dec_accum:
+                    dec_accum = {key: np.zeros_like(g) for key, g in grads.dec.items()}
+                for key, grad in grads.dec.items():
+                    dec_accum[key] += scale * grad
                 dquery_total = np.zeros_like(fwd.query_states)
                 dmemory_total = np.zeros_like(fwd.embeddings)
-                for task in tasks:
+                for row, task in enumerate(tasks):
                     if task not in losses:
                         continue
                     task_losses[task] += losses[task] * scale
                     weight = state.weights[task]
                     for key, grad in grads.head.get(task, {}).items():
                         model.add_grad(total_grads, key, weight * scale * grad)
-                    for key, grad in grads.dec.get(task, {}).items():
-                        model.add_grad(dec_accum[task], key, scale * grad)
-                    if task in grads.dquery:
-                        dquery_total += weight * grads.dquery[task]
-                    if task in grads.dmemory:
-                        dmemory_total += weight * grads.dmemory[task]
+                    dquery_total += weight * grads.dquery[row]
+                    dmemory_total += weight * grads.dmemory[row]
                 query_grads: dict[str, np.ndarray] = {}
                 de = model.queries_backward(params, fwd.query_cache,
                                             scale * dquery_total, query_grads)
@@ -711,11 +720,15 @@ def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
                     model.add_grad(total_grads, key, grad)
                 model.encode_backward(params, fwd.enc_cache,
                                       de + scale * dmemory_total, total_grads)
-            for task in tasks:
-                norm_sq = sum(float((g * g).sum()) for g in dec_accum[task].values())
-                task_dec_norm_sq[task] = norm_sq
-                for key, grad in dec_accum[task].items():
-                    model.add_grad(total_grads, key, state.weights[task] * grad)
+            task_dec_norm_sq = {t: sum(float((g[row] * g[row]).sum())
+                                       for g in dec_accum.values())
+                                for row, t in enumerate(tasks)}
+            for key, accum in dec_accum.items():
+                # task order, one term at a time: a tensordot would round differently
+                total = state.weights[tasks[0]] * accum[0]
+                for row in range(1, len(tasks)):
+                    total += state.weights[tasks[row]] * accum[row]
+                total_grads[key] = total
             if not all(np.isfinite(v).all() for v in total_grads.values()):
                 raise DivergenceError(f"non-finite gradients at step {step}")
             lr_encoder, lr_rest = lr_schedule(step, config)

@@ -3,7 +3,8 @@
 These implementations deliberately avoid the production code paths: the
 gradient checker uses central finite differences, the assignment oracle
 enumerates permutations, and the rule-space oracle re-derives applicable
-rules from scratch via apply_rule over a brute-force candidate sweep.
+rules from scratch via apply_rule over a brute-force candidate sweep, and
+the match-problem reference builds one target column and one token at a time.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import itertools
 
 import numpy as np
 
+from mrparse.matcher import MatchProblem, apply_anchor_mask, geomean_anchor
 from mrparse.rules import (AbsoluteRule, LemmaRule, NumberRule, RuleSpaceBounds,
                            TokenRule, apply_rule, words_to_number)
 
@@ -45,6 +47,30 @@ def brute_force_assignment(scores: np.ndarray) -> tuple[tuple[int, ...], float]:
             best = total
             best_perm = perm
     return best_perm, float(best)
+
+
+def reference_build_problem(predictions, targets, config) -> MatchProblem:
+    """matcher.build_problem written one target column and one token at a time."""
+    num_queries = predictions.label_probs.shape[0]
+    num_tokens = predictions.anchor_probs.shape[1]
+    label_score = np.zeros((num_queries, num_queries))
+    anchor_score = np.ones((num_queries, num_queries))
+    for j, target in enumerate(targets):
+        label_score[:, j] = predictions.label_probs @ target.label_target
+        observed = np.empty((num_queries, num_tokens))
+        for t in range(num_tokens):
+            if t in target.anchor_tokens:
+                observed[:, t] = predictions.anchor_probs[:, t]
+            else:
+                observed[:, t] = 1.0 - predictions.anchor_probs[:, t]
+        anchor_score[:, j] = geomean_anchor(observed)
+        if config.use_anchor_mask:
+            permitted = np.isin(predictions.source_tokens,
+                                sorted(target.anchor_tokens))
+            anchor_score[:, j] = apply_anchor_mask(anchor_score[:, j], permitted,
+                                                   config.mask_epsilon)
+    return MatchProblem(label_score=label_score, anchor_score=anchor_score,
+                        num_real_targets=len(targets))
 
 
 def enumerate_rules_oracle(tokens, lemmas, label,

@@ -209,6 +209,17 @@ class TestTrainPredict:
         assert code == 1
         assert json.loads(err)["error"] == "usage"
 
+    def test_predict_truncated_checkpoint(self, tmp_path, capsys):
+        ckpt = tmp_path / "short.ckpt"
+        ckpt.write_bytes(b"MRP0\x01\x00")
+        sentences = tmp_path / "s.txt"
+        sentences.write_text("hello\n")
+        code, _, err = run_cli(["predict", "--checkpoint", str(ckpt),
+                                "--input", str(sentences)], capsys)
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "data"
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):

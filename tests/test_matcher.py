@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrparse.matcher import (ANCHOR_PROB_FLOOR, CapacityError, MatchConfig, MatchError,
                              MatchProblem, PredictionSpec, TargetSpec,
                              align_targets, apply_anchor_mask, break_ties,
-                             geomean_anchor, match_score, optimal_assignment)
-from oracles import brute_force_assignment
+                             build_problem, geomean_anchor, match_score,
+                             optimal_assignment)
+from oracles import brute_force_assignment, reference_build_problem
 
 
 class TestMatchScore:
@@ -275,3 +276,34 @@ def test_assignment_permutation_invariance_property(n, seed):
     order = rng.permutation(n)
     moved = optimal_assignment(scores[:, order])
     assert moved.score == pytest.approx(base.score, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=3),
+       st.booleans(), st.integers(min_value=0, max_value=24),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@example(num_tokens=3, queries_per_token=2, use_mask=True, num_targets=0, seed=0)
+@example(num_tokens=3, queries_per_token=2, use_mask=False, num_targets=6, seed=1)
+@example(num_tokens=4, queries_per_token=2, use_mask=True, num_targets=8, seed=2)
+def test_build_problem_matches_reference(num_tokens, queries_per_token, use_mask,
+                                         num_targets, seed):
+    num_queries = num_tokens * queries_per_token
+    num_targets = min(num_targets, num_queries)
+    rng = np.random.default_rng(seed)
+    num_classes = int(rng.integers(2, 6))
+    predictions = _prediction(rng.dirichlet(np.ones(num_classes), size=num_queries),
+                              rng.uniform(0.0, 1.0, (num_queries, num_tokens)),
+                              np.repeat(np.arange(num_tokens), queries_per_token))
+    # anchor sets of every size, the empty set (no anchor tokens) included
+    targets = [TargetSpec(rng.dirichlet(np.ones(num_classes)),
+                          frozenset(np.flatnonzero(rng.random(num_tokens)
+                                                   < rng.random()).tolist()))
+               for _ in range(num_targets)]
+    if num_targets:
+        targets[0] = TargetSpec(targets[0].label_target, frozenset())
+    config = MatchConfig(use_anchor_mask=use_mask, mask_epsilon=1e-8)
+    built = build_problem(predictions, targets, config)
+    expected = reference_build_problem(predictions, targets, config)
+    assert built.num_real_targets == expected.num_real_targets == num_targets
+    assert np.array_equal(built.label_score, expected.label_score)
+    assert np.array_equal(built.anchor_score, expected.anchor_score)

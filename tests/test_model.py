@@ -67,6 +67,45 @@ class TestBlock:
                 assert relative_error(grads[key],
                                       finite_difference(loss_at, base)) < 1e-5
 
+    @pytest.mark.parametrize("cross", [False, True])
+    @pytest.mark.parametrize("tasks", [1, 3, 6])
+    def test_stacked_backward_equals_separate_calls(self, tasks, cross):
+        rng = np.random.default_rng(20 + tasks)
+        params = make_block(rng, cross=cross)
+        x = rng.normal(size=(5, DIM))
+        memory = rng.normal(size=(3, DIM)) if cross else None
+        _, cache = model.block_forward(params, "blk", x, memory)
+        dy = rng.normal(size=(tasks, 5, DIM))
+        stacked = {}
+        dx, dmem = model.block_backward(params, "blk", cache, dy, stacked)
+        assert dx.shape == (tasks, 5, DIM)
+        assert set(stacked) == {k for k in params if k.startswith("blk.")}
+        for t in range(tasks):
+            single = {}
+            dx_t, dmem_t = model.block_backward(params, "blk", cache, dy[t], single)
+            assert np.array_equal(dx[t], dx_t)
+            if cross:
+                assert np.array_equal(dmem[t], dmem_t)
+            else:
+                assert dmem is None and dmem_t is None
+            assert list(single) == list(stacked)
+            for key, grad in single.items():
+                assert stacked[key].shape == (tasks,) + params[key].shape
+                assert np.array_equal(stacked[key][t], grad), key
+
+    def test_layer_norm_backward_leading_axis(self):
+        rng = np.random.default_rng(30)
+        _, cache = model.layer_norm_forward(rng.normal(size=(4, DIM)),
+                                            rng.normal(size=DIM), rng.normal(size=DIM))
+        dy = rng.normal(size=(3, 4, DIM))
+        dx, dgain, dbias = model.layer_norm_backward(cache, dy)
+        assert dgain.shape == dbias.shape == (3, DIM)
+        for t in range(3):
+            dx_t, dgain_t, dbias_t = model.layer_norm_backward(cache, dy[t])
+            assert np.array_equal(dx[t], dx_t)
+            assert np.array_equal(dgain[t], dgain_t)
+            assert np.array_equal(dbias[t], dbias_t)
+
 
 class TestEncoder:
     def make(self, rng, vocab=11, layers=2):
@@ -201,6 +240,32 @@ class TestCheckpoint:
         with open(path, "wb") as handle:
             handle.write(data[:-16])
         with pytest.raises(model.CheckpointError):
+            model.load_params(path)
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "short.ckpt"
+        path.write_bytes(b"MRP0\x01\x00")
+        with pytest.raises(model.CheckpointError, match="truncated"):
+            model.load_params(str(path))
+
+    def test_trailing_bytes(self, tmp_path):
+        path = str(tmp_path / "model.ckpt")
+        model.save_params({"w": np.ones(3)}, path)
+        with open(path, "ab") as handle:
+            handle.write(b"\x00")
+        with pytest.raises(model.CheckpointError, match="trailing"):
+            model.load_params(path)
+
+    def test_duplicate_name(self, tmp_path):
+        path = str(tmp_path / "model.ckpt")
+        model.save_params({"w": np.ones(3)}, path)
+        with open(path, "rb") as handle:
+            data = bytearray(handle.read())
+        entry = data[12:]
+        data[8:12] = (2).to_bytes(4, "little")
+        with open(path, "wb") as handle:
+            handle.write(bytes(data) + bytes(entry))
+        with pytest.raises(model.CheckpointError, match="duplicate"):
             model.load_params(path)
 
     def test_text_packing(self):

@@ -5,6 +5,7 @@ import pytest
 
 from mrparse import corpus, trainer
 from mrparse.graph import serialize_graph
+from conftest import fixture_path
 
 GOLDEN_SEED1_SIZE1 = (
     '{"id":"toy-0","flavor":1,"framework":"eds","input":"sixty seven frogs are '
@@ -171,6 +172,21 @@ class TestTraining:
         _, first = trainer.train(config)
         _, second = trainer.train(config)
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+    def test_seed1_records_match_golden(self):
+        # recorded before the task-stacked decoder backward; any change to the
+        # training arithmetic beyond rounding noise shows up here
+        with open(fixture_path("train_seed1_records.json")) as handle:
+            expected = json.load(handle)
+        _, records = trainer.train(trainer.TrainConfig(seed=1, epochs=3,
+                                                       corpus_size=150))
+        assert [r["epoch"] for r in records] == [r["epoch"] for r in expected]
+        for got, want in zip(records, expected):
+            for field in ("losses", "weights", "f1"):
+                assert list(got[field]) == list(want[field])
+                for name, value in want[field].items():
+                    assert got[field][name] == pytest.approx(value, rel=0.0, abs=1e-9), \
+                        (got["epoch"], field, name)
 
     def test_balancing_disabled_runs(self):
         config = tiny_config(balance_losses=False)
