@@ -1,8 +1,13 @@
 """Hot numeric kernel: dense linear-sum assignment.
 
-The solver is the O(n^3) shortest-augmenting-path algorithm with row/column
+The solver is the shortest-augmenting-path algorithm with row/column
 potentials (Kuhn-Munkres family), with the inner column scan vectorized in
-numpy.
+numpy.  It takes any matrix with rows <= columns and assigns every row a
+distinct column: one augmentation per row, each scanning all columns, so k
+rows over n columns cost O(k^2 n) work (O(n^3) for a square matrix).  A
+k x n rectangle is the square problem padded with n - k rows of zeros, solved
+without the padding (Crouse 2016, "On implementing 2D rectangular assignment
+algorithms", IEEE TAES).
 """
 
 from __future__ import annotations
@@ -14,26 +19,29 @@ HAS_NUMBA = False
 
 
 def _assignment_numpy(cost):
-    """Shortest-augmenting-path assignment; minimizes total cost."""
-    n = cost.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    col_row = np.full(n + 1, -1, dtype=np.int64)
-    way = np.zeros(n + 1, dtype=np.int64)
+    """Shortest-augmenting-path assignment of n rows to m >= n columns.
+
+    Column m is the virtual start column of each augmentation.
+    """
+    n, m = cost.shape
+    u = np.zeros(n)
+    v = np.zeros(m + 1)
+    col_row = np.full(m + 1, -1, dtype=np.int64)
+    way = np.zeros(m + 1, dtype=np.int64)
     for i in range(n):
-        col_row[n] = i
-        j0 = n
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
+        col_row[m] = i
+        j0 = m
+        minv = np.full(m + 1, np.inf)
+        used = np.zeros(m + 1, dtype=bool)
         while True:
             used[j0] = True
             i0 = col_row[j0]
-            free = ~used[:n]
-            cur = cost[i0, :n] - u[i0] - v[:n]
-            better = free & (cur < minv[:n])
-            minv[:n] = np.where(better, cur, minv[:n])
-            way[:n][better] = j0
-            masked = np.where(free, minv[:n], np.inf)
+            free = ~used[:m]
+            cur = cost[i0] - u[i0] - v[:m]
+            better = free & (cur < minv[:m])
+            minv[:m] = np.where(better, cur, minv[:m])
+            way[:m][better] = j0
+            masked = np.where(free, minv[:m], np.inf)
             j1 = int(np.argmin(masked))
             delta = masked[j1]
             u[col_row[used]] += delta
@@ -42,21 +50,24 @@ def _assignment_numpy(cost):
             j0 = j1
             if col_row[j0] == -1:
                 break
-        while j0 != n:
+        while j0 != m:
             j1 = way[j0]
             col_row[j0] = col_row[j1]
             j0 = j1
     row_col = np.empty(n, dtype=np.int64)
-    for j in range(n):
-        row_col[col_row[j]] = j
+    assigned = np.flatnonzero(col_row[:m] >= 0)
+    row_col[col_row[assigned]] = assigned
     return row_col
 
 
 def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
-    """Row-to-column permutation minimizing the total cost of a square matrix."""
+    """Distinct column per row minimizing the total cost; needs rows <= columns.
+
+    A square matrix gives a row-to-column permutation.
+    """
     cost = np.ascontiguousarray(cost, dtype=np.float64)
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-        raise ValueError(f"cost matrix must be square, got shape {cost.shape}")
+    if cost.ndim != 2 or cost.shape[0] > cost.shape[1]:
+        raise ValueError(f"cost matrix must have rows <= columns, got shape {cost.shape}")
     if cost.size and not np.isfinite(cost).all():
         raise ValueError("cost matrix entries must be finite")
     if cost.shape[0] == 0:
@@ -65,6 +76,6 @@ def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
 
 
 def max_score_assignment(scores: np.ndarray) -> np.ndarray:
-    """Row-to-column permutation maximizing the total score."""
+    """Distinct column per row maximizing the total score; needs rows <= columns."""
     scores = np.asarray(scores, dtype=np.float64)
     return min_cost_assignment(-scores)

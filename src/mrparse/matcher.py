@@ -2,8 +2,10 @@
 
 Queries are matched to target nodes by maximizing the summed match score
 (label score times geometric-mean anchor score) over all permutations, with
-targets padded by null columns up to the query count.  Ties between
-interchangeable targets are broken by the edge loss across their
+targets padded by null columns up to the query count.  A null column scores
+zero for every query, so the solver sees only the real-target columns and the
+leftover queries take the null targets in ascending query order.  Ties
+between interchangeable targets are broken by the edge loss across their
 within-group permutations.
 """
 
@@ -30,7 +32,13 @@ class CapacityError(MatchError):
 
 @dataclass(frozen=True)
 class MatchProblem:
-    """Score matrices of a padded square matching instance."""
+    """Score matrices of a padded square matching instance.
+
+    Columns from num_real_targets on are null targets: label score 0 and
+    anchor score 1, so their match score is 0 for every query.  align_targets
+    hands only the first num_real_targets columns of match_matrix() to the
+    solver.
+    """
 
     label_score: np.ndarray   # [queries x targets], null columns zero
     anchor_score: np.ndarray  # [queries x targets]
@@ -95,27 +103,53 @@ def apply_anchor_mask(scores: np.ndarray, anchoring: np.ndarray,
 
 
 def optimal_assignment(scores: np.ndarray) -> Assignment:
-    """Permutation maximizing the summed score of a square matrix."""
+    """Query-to-target assignment maximizing the summed score.
+
+    scores is [queries x targets] with queries >= targets; every target gets
+    its own query.  The result is an optimum of the matrix padded with
+    zero-score null columns up to a square: perm[query] is the query's target,
+    and the queries left over take the null targets k, k+1, ... (k targets) in
+    ascending query order.  A non-square matrix is solved as its transposed
+    targets x queries problem, k augmentations instead of one per query; a
+    square one goes to the kernel as it is.  score is the row-order sum of the
+    per-query gains, zero on the null queries, which is the padded matrix's
+    sum.
+    """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
-        raise MatchError(f"score matrix must be square, got shape {scores.shape}")
+    if scores.ndim != 2 or scores.shape[0] < scores.shape[1]:
+        raise MatchError(f"score matrix must be [queries x targets] with queries >= "
+                         f"targets, got shape {scores.shape}")
     if scores.size and not np.isfinite(scores).all():
         raise MatchError("score matrix entries must be finite")
-    perm = kernels.max_score_assignment(scores)
-    total = float(scores[np.arange(len(perm)), perm].sum()) if len(perm) else 0.0
-    return Assignment(perm=tuple(int(j) for j in perm), score=total)
+    num_queries, num_targets = scores.shape
+    if num_queries == num_targets:
+        perm = kernels.max_score_assignment(scores)
+    else:
+        query_of_target = kernels.max_score_assignment(scores.T)
+        perm = np.full(num_queries, -1, dtype=np.int64)
+        perm[query_of_target] = np.arange(num_targets)
+        perm[perm < 0] = np.arange(num_targets, num_queries)
+    gains = np.zeros(num_queries)
+    real = np.flatnonzero(perm < num_targets)
+    gains[real] = scores[real, perm[real]]
+    return Assignment(perm=tuple(perm.tolist()), score=float(gains.sum()))
 
 
 def _tie_groups(problem: MatchProblem, tolerance: float) -> list[list[int]]:
-    """Group real targets whose label and anchor columns coincide."""
+    """Group real targets whose label and anchor columns coincide.
+
+    Each target joins the first group whose first member it matches within
+    tolerance in both matrices, or starts a new group.
+    """
+    k = problem.num_real_targets
+    # label rows over anchor rows: one max covers both matrices
+    columns = np.concatenate((problem.label_score[:, :k], problem.anchor_score[:, :k]))
+    same = (np.abs(columns[:, :, None] - columns[:, None, :]).max(axis=0, initial=0.0)
+            <= tolerance).tolist()
     groups: list[list[int]] = []
-    for j in range(problem.num_real_targets):
+    for j in range(k):
         for group in groups:
-            k = group[0]
-            if (np.abs(problem.label_score[:, j] - problem.label_score[:, k]).max(initial=0.0)
-                    <= tolerance
-                    and np.abs(problem.anchor_score[:, j]
-                               - problem.anchor_score[:, k]).max(initial=0.0) <= tolerance):
+            if same[j][group[0]]:
                 group.append(j)
                 break
         else:
@@ -229,10 +263,11 @@ def align_targets(predictions: PredictionSpec, targets: Sequence[TargetSpec],
     """Pad targets with nulls, solve the matching, break ties.
 
     Returns the built problem and the (tie-broken) optimal assignment; perm
-    entries >= len(targets) denote null matches.
+    entries >= len(targets) denote null matches, numbered in ascending query
+    order.  The solver sees only the real-target columns.
     """
     problem = build_problem(predictions, targets, config)
-    assignment = optimal_assignment(problem.match_matrix())
+    assignment = optimal_assignment(problem.match_matrix()[:, :problem.num_real_targets])
     if edge_loglik is not None:
         assignment = break_ties(problem, assignment, edge_loglik, config)
     return problem, assignment

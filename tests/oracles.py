@@ -3,8 +3,9 @@
 These implementations deliberately avoid the production code paths: the
 gradient checker uses central finite differences, the assignment oracle
 enumerates permutations, and the rule-space oracle re-derives applicable
-rules from scratch via apply_rule over a brute-force candidate sweep, and
-the match-problem reference builds one target column and one token at a time.
+rules from scratch via apply_rule over a brute-force candidate sweep, the
+match-problem reference builds one target column and one token at a time, and
+the tie-group reference compares one pair of target columns at a time.
 """
 
 from __future__ import annotations
@@ -37,11 +38,14 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def brute_force_assignment(scores: np.ndarray) -> tuple[tuple[int, ...], float]:
-    """Exhaustive argmax over permutations of the score-sum objective."""
-    n = scores.shape[0]
+    """Exhaustive argmax of the score sum over distinct columns per row.
+
+    Needs rows <= columns; a square matrix enumerates its permutations.
+    """
+    n, m = scores.shape
     best_perm = None
     best = -np.inf
-    for perm in itertools.permutations(range(n)):
+    for perm in itertools.permutations(range(m), n):
         total = sum(scores[i, perm[i]] for i in range(n))
         if total > best:
             best = total
@@ -71,6 +75,23 @@ def reference_build_problem(predictions, targets, config) -> MatchProblem:
                                                    config.mask_epsilon)
     return MatchProblem(label_score=label_score, anchor_score=anchor_score,
                         num_real_targets=len(targets))
+
+
+def reference_tie_groups(problem: MatchProblem, tolerance: float) -> list[list[int]]:
+    """matcher._tie_groups written as one column comparison at a time."""
+    groups: list[list[int]] = []
+    for j in range(problem.num_real_targets):
+        for group in groups:
+            k = group[0]
+            if (np.abs(problem.label_score[:, j] - problem.label_score[:, k]).max(initial=0.0)
+                    <= tolerance
+                    and np.abs(problem.anchor_score[:, j]
+                               - problem.anchor_score[:, k]).max(initial=0.0) <= tolerance):
+                group.append(j)
+                break
+        else:
+            groups.append([j])
+    return [g for g in groups if len(g) > 1]
 
 
 def enumerate_rules_oracle(tokens, lemmas, label,

@@ -135,6 +135,21 @@ class TestMatch:
         assert lines[0] == "1 0"
         assert lines[1] == "score 1.8"
 
+    @pytest.mark.parametrize("text, expected", [
+        ("3\n0 0 0\n0 0 0\n0 0 0\n", "0 1 2\nscore 0\n"),
+        ("4\n2 1 1 1\n2 1 1 1\n1 1 1 1\n2 2 0 1\n", "0 3 2 1\nscore 6\n"),
+        ("5\n2 1 1 2 1\n1 0 1 2 0\n0 2 1 2 0\n2 0 1 2 0\n1 2 1 0 1\n",
+         "0 3 1 2 4\nscore 8\n"),
+    ])
+    def test_square_ties_keep_permutation(self, tmp_path, capsys, text, expected):
+        # tie-laden matrices with several optimal permutations; solving the
+        # transpose of either integer one picks another optimum
+        matrix = tmp_path / "scores.txt"
+        matrix.write_text(text)
+        code, out, _ = run_cli(["match", "--input", str(matrix)], capsys)
+        assert code == 0
+        assert out == expected
+
     def test_bad_matrix_exit_two(self, tmp_path, capsys):
         matrix = tmp_path / "scores.txt"
         matrix.write_text("3\n0.1 0.9\n")

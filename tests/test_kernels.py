@@ -11,8 +11,10 @@ def test_identity_dominant():
 
 
 def test_rejects_non_square():
+    # rows <= columns is solved; more rows than columns has no assignment
+    assert sorted(kernels.min_cost_assignment(np.zeros((2, 3))).tolist()) == [0, 1]
     with pytest.raises(ValueError):
-        kernels.min_cost_assignment(np.zeros((2, 3)))
+        kernels.min_cost_assignment(np.zeros((3, 2)))
 
 
 def test_rejects_non_finite():
@@ -36,5 +38,22 @@ def test_matches_brute_force_costs():
         scores = rng.random((n, n))
         perm = kernels.max_score_assignment(scores)
         total = float(scores[np.arange(n), perm].sum())
+        _, oracle_total = brute_force_assignment(scores)
+        assert total == oracle_total
+
+
+def test_rectangular_matches_brute_force():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        m = int(rng.integers(0, 8))
+        n = int(rng.integers(0, m + 1))
+        scores = rng.random((n, m))
+        if rng.random() < 0.3:
+            scores = np.floor(scores * 3)  # tie-laden
+        cols = kernels.max_score_assignment(scores)
+        assert cols.shape == (n,)
+        assert len(set(cols.tolist())) == n
+        assert all(0 <= j < m for j in cols.tolist())
+        total = float(scores[np.arange(n), cols].sum())
         _, oracle_total = brute_force_assignment(scores)
         assert total == oracle_total

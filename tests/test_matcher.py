@@ -3,12 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mrparse import matcher
 from mrparse.matcher import (ANCHOR_PROB_FLOOR, CapacityError, MatchConfig, MatchError,
                              MatchProblem, PredictionSpec, TargetSpec,
                              align_targets, apply_anchor_mask, break_ties,
                              build_problem, geomean_anchor, match_score,
                              optimal_assignment)
-from oracles import brute_force_assignment, reference_build_problem
+from oracles import brute_force_assignment, reference_build_problem, reference_tie_groups
 
 
 class TestMatchScore:
@@ -101,6 +102,19 @@ class TestOptimalAssignment:
     def test_non_square_rejected(self):
         with pytest.raises(MatchError):
             optimal_assignment(np.ones((2, 3)))
+
+    def test_queries_by_targets(self):
+        scores = np.array([[0.1, 0.2], [0.9, 0.0], [0.0, 0.0], [0.3, 0.8]])
+        result = optimal_assignment(scores)
+        # targets 0 and 1 go to queries 1 and 3; nulls 2, 3 follow query order
+        assert result.perm == (2, 0, 3, 1)
+        assert result.score == 0.9 + 0.8
+
+    def test_no_targets(self):
+        result = optimal_assignment(np.zeros((3, 0)))
+        assert result.perm == (0, 1, 2)
+        assert result.score == 0.0
+        assert optimal_assignment(np.zeros((0, 0))).perm == ()
 
 
 def _problem(label, anchor, real):
@@ -307,3 +321,61 @@ def test_build_problem_matches_reference(num_tokens, queries_per_token, use_mask
     assert built.num_real_targets == expected.num_real_targets == num_targets
     assert np.array_equal(built.label_score, expected.label_score)
     assert np.array_equal(built.anchor_score, expected.anchor_score)
+
+
+def _real_mapping(perm, num_targets):
+    return {target: query for query, target in enumerate(perm) if target < num_targets}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=9),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@example(num_queries=0, num_targets=0, seed=0)
+@example(num_queries=6, num_targets=0, seed=1)
+@example(num_queries=6, num_targets=6, seed=2)
+@example(num_queries=1, num_targets=1, seed=3)
+def test_rectangular_matches_padded_square(num_queries, num_targets, seed):
+    # the [queries x targets] solve equals the square solve of the matrix
+    # padded with zero-score null columns: same score bit for bit, same real
+    # targets on the same queries; nulls go k, k+1, ... in query order
+    num_targets = min(num_targets, num_queries)
+    rng = np.random.default_rng(seed)
+    scores = rng.random((num_queries, num_targets))
+    padded = np.zeros((num_queries, num_queries))
+    padded[:, :num_targets] = scores
+    ours = optimal_assignment(scores)
+    square = optimal_assignment(padded)
+    assert ours.score == square.score
+    assert _real_mapping(ours.perm, num_targets) == _real_mapping(square.perm, num_targets)
+    assert sorted(ours.perm) == list(range(num_queries))
+    null_targets = [t for t in ours.perm if t >= num_targets]
+    assert null_targets == list(range(num_targets, num_queries))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=8),
+       st.sampled_from([0.0, 2.0 ** -20, 1e-12]),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@example(num_queries=1, num_targets=0, tolerance=1e-12, seed=0)
+@example(num_queries=6, num_targets=6, tolerance=2.0 ** -20, seed=1)
+def test_tie_groups_match_reference(num_queries, num_targets, tolerance, seed):
+    # each target copies one of three prototype column pairs, and half of them
+    # move one entry by 0, tolerance / 2, tolerance, the next float past it or
+    # 2 * tolerance, so pairs sit on both sides of the tolerance edge (eighths
+    # plus multiples of 2^-20 add exactly)
+    num_targets = min(num_targets, num_queries)
+    rng = np.random.default_rng(seed)
+    offsets = [0.0, tolerance / 2, tolerance, np.nextafter(tolerance, 1.0), 2 * tolerance]
+    label = np.zeros((num_queries, num_queries))
+    anchor = np.ones((num_queries, num_queries))
+    picks = rng.integers(0, 3, num_targets)
+    label[:, :num_targets] = (rng.integers(0, 8, (num_queries, 3)) / 8.0)[:, picks]
+    anchor[:, :num_targets] = (rng.integers(1, 9, (num_queries, 3)) / 8.0)[:, picks]
+    for j in range(num_targets):
+        if rng.random() < 0.5:
+            scores = label if rng.random() < 0.5 else anchor
+            scores[rng.integers(num_queries), j] += offsets[rng.integers(len(offsets))]
+    problem = MatchProblem(label_score=label, anchor_score=anchor,
+                           num_real_targets=num_targets)
+    assert (matcher._tie_groups(problem, tolerance)
+            == reference_tie_groups(problem, tolerance))
