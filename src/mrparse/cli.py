@@ -133,22 +133,8 @@ def cmd_preprocess(args) -> int:
 
 
 def _corpus_items(graphs, framework, config):
-    items = []
-    names = []
-    for g in graphs:
-        pre, _ = transform.preprocess(framework, g, config)
-        tokens = pre.tokens if pre.tokens is not None else \
-            graph_mod.whitespace_tokens(pre.input)
-        for node in pre.nodes:
-            if node.label is None:
-                continue
-            anchored = [i for i, t in enumerate(tokens)
-                        if any(t.start < a.end and a.start < t.end
-                               for a in node.anchors)]
-            items.append(([tokens[i].form for i in anchored],
-                          [tokens[i].lemma for i in anchored], node.label))
-            names.append(f"graph {g.id} node {node.id}")
-    return items, names
+    return rules.label_items([transform.preprocess(framework, g, config)[0]
+                              for g in graphs])
 
 
 def cmd_rules_infer(args) -> int:

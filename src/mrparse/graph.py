@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 FRAMEWORKS = ("amr", "drg", "eds", "ptg", "ucca")
 
@@ -123,6 +123,22 @@ def whitespace_tokens(text: str) -> tuple[Token, ...]:
         tokens.append(Token(form=form, start=start, end=end, lemma=form.lower()))
         pos = end
     return tuple(tokens)
+
+
+def graph_tokens(g: Graph) -> tuple[Token, ...]:
+    """The graph's tokens, or the whitespace tokens of its input if it has none."""
+    return g.tokens if g.tokens is not None else whitespace_tokens(g.input)
+
+
+def anchored_token_indices(node: Node, tokens: Sequence[Token]) -> list[int]:
+    """Indices of the tokens whose span overlaps one of the node's anchors."""
+    hit = []
+    for i, token in enumerate(tokens):
+        for anchor in node.anchors:
+            if token.start < anchor.end and anchor.start < token.end:
+                hit.append(i)
+                break
+    return hit
 
 
 def _require(condition: bool, message: str, field_name: str):

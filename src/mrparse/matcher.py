@@ -1,12 +1,11 @@
 """Permutation-invariant query/node alignment.
 
 Queries are matched to target nodes by maximizing the summed match score
-(label score times geometric-mean anchor score) over all permutations, with
-targets padded by null columns up to the query count.  A null column scores
-zero for every query, so the solver sees only the real-target columns and the
-leftover queries take the null targets in ascending query order.  Ties
-between interchangeable targets are broken by the edge loss across their
-within-group permutations.
+(label score times geometric-mean anchor score) over the [queries x targets]
+block; every target gets its own query and the leftover queries are null
+nodes, numbered after the targets in ascending query order.  Ties between
+interchangeable targets are broken by the edge loss across their within-group
+permutations.
 """
 
 from __future__ import annotations
@@ -32,17 +31,14 @@ class CapacityError(MatchError):
 
 @dataclass(frozen=True)
 class MatchProblem:
-    """Score matrices of a padded square matching instance.
+    """Label and anchor score matrices of a matching instance, [queries x targets]."""
 
-    Columns from num_real_targets on are null targets: label score 0 and
-    anchor score 1, so their match score is 0 for every query.  align_targets
-    hands only the first num_real_targets columns of match_matrix() to the
-    solver.
-    """
+    label_score: np.ndarray
+    anchor_score: np.ndarray
 
-    label_score: np.ndarray   # [queries x targets], null columns zero
-    anchor_score: np.ndarray  # [queries x targets]
-    num_real_targets: int
+    @property
+    def num_real_targets(self) -> int:
+        return self.label_score.shape[1]
 
     def match_matrix(self) -> np.ndarray:
         return match_score(self.label_score, self.anchor_score)
@@ -143,7 +139,7 @@ def _tie_groups(problem: MatchProblem, tolerance: float) -> list[list[int]]:
     """
     k = problem.num_real_targets
     # label rows over anchor rows: one max covers both matrices
-    columns = np.concatenate((problem.label_score[:, :k], problem.anchor_score[:, :k]))
+    columns = np.concatenate((problem.label_score, problem.anchor_score))
     same = (np.abs(columns[:, :, None] - columns[:, None, :]).max(axis=0, initial=0.0)
             <= tolerance).tolist()
     groups: list[list[int]] = []
@@ -226,48 +222,41 @@ class PredictionSpec:
 def build_problem(predictions: PredictionSpec,
                   targets: Sequence[TargetSpec],
                   config: MatchConfig = MatchConfig()) -> MatchProblem:
-    """Assemble the padded square match problem from head outputs."""
-    num_queries = predictions.label_probs.shape[0]
+    """Score every query against every target: [queries x targets] matrices."""
+    num_queries, num_classes = predictions.label_probs.shape
     num_tokens = predictions.anchor_probs.shape[1]
     if len(targets) > num_queries:
         raise CapacityError(f"{len(targets)} target nodes exceed {num_queries} queries; "
                             f"increase the per-token query budget")
-    label_score = np.zeros((num_queries, num_queries))
-    anchor_score = np.ones((num_queries, num_queries))
-    n = len(targets)
-    if n:
-        # anchored[j, t]: target j is anchored to token t
-        anchored = np.zeros((n, num_tokens), dtype=bool)
-        for j, target in enumerate(targets):
-            anchored[j, list(target.anchor_tokens)] = True
-        # a stack of matrix-vector products: one matrix-matrix product would
-        # round differently from scoring each target on its own
-        label_targets = np.stack([target.label_target for target in targets])
-        label_score[:, :n] = (predictions.label_probs
-                              @ label_targets[:, :, None])[:, :, 0].T
-        probs = predictions.anchor_probs
-        anchor_score[:, :n] = geomean_anchor(
-            np.where(anchored[:, None, :], probs, 1.0 - probs)).T
-        if config.use_anchor_mask:
-            anchor_score[:, :n] = apply_anchor_mask(
-                anchor_score[:, :n], anchored[:, predictions.source_tokens].T,
-                config.mask_epsilon)
-    return MatchProblem(label_score=label_score, anchor_score=anchor_score,
-                        num_real_targets=len(targets))
+    # anchored[j, t]: target j is anchored to token t
+    anchored = np.zeros((len(targets), num_tokens), dtype=bool)
+    label_targets = np.empty((len(targets), num_classes))
+    for j, target in enumerate(targets):
+        anchored[j, list(target.anchor_tokens)] = True
+        label_targets[j] = target.label_target
+    # a stack of matrix-vector products: one matrix-matrix product would
+    # round differently from scoring each target on its own
+    label_score = (predictions.label_probs @ label_targets[:, :, None])[:, :, 0].T
+    probs = predictions.anchor_probs
+    anchor_score = geomean_anchor(np.where(anchored[:, None, :], probs, 1.0 - probs)).T
+    if config.use_anchor_mask:
+        anchor_score = apply_anchor_mask(anchor_score,
+                                         anchored[:, predictions.source_tokens].T,
+                                         config.mask_epsilon)
+    return MatchProblem(label_score=label_score, anchor_score=anchor_score)
 
 
 def align_targets(predictions: PredictionSpec, targets: Sequence[TargetSpec],
                   config: MatchConfig = MatchConfig(),
                   edge_loglik: Callable[[tuple[int, ...]], float] | None = None,
-                  ) -> tuple[MatchProblem, Assignment]:
-    """Pad targets with nulls, solve the matching, break ties.
+                  ) -> Assignment:
+    """Solve the matching of queries to targets, then break ties.
 
-    Returns the built problem and the (tie-broken) optimal assignment; perm
-    entries >= len(targets) denote null matches, numbered in ascending query
-    order.  The solver sees only the real-target columns.
+    Returns the (tie-broken) optimal assignment; perm entries >= len(targets)
+    denote null matches, numbered in ascending query order.
     """
     problem = build_problem(predictions, targets, config)
-    assignment = optimal_assignment(problem.match_matrix()[:, :problem.num_real_targets])
+    assignment = optimal_assignment(problem.match_matrix())
     if edge_loglik is not None:
         assignment = break_ties(problem, assignment, edge_loglik, config)
-    return problem, assignment
+    return assignment

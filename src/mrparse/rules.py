@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import hitting
-from .graph import Anchor, Graph, whitespace_tokens
+from .graph import Anchor, Graph, anchored_token_indices, graph_tokens
 
 
 class RuleError(Exception):
@@ -226,6 +226,23 @@ class RuleSetProblem:
     node_names: tuple[str, ...] = ()
 
 
+def label_items(graphs: Sequence[Graph]) -> tuple[list[tuple], list[str]]:
+    """(anchored forms, anchored lemmas, label) of every labelled node of
+    preprocessed graphs, and each node's "graph <id> node <id>" name."""
+    items = []
+    names = []
+    for g in graphs:
+        tokens = graph_tokens(g)
+        for node in g.nodes:
+            if node.label is None:
+                continue
+            indices = anchored_token_indices(node, tokens)
+            items.append(([tokens[i].form for i in indices],
+                          [tokens[i].lemma for i in indices], node.label))
+            names.append(f"graph {g.id} node {node.id}")
+    return items, names
+
+
 def build_problem(items: Sequence[tuple[Sequence[str], Sequence[str], str]],
                   bounds: RuleSpaceBounds = RuleSpaceBounds(),
                   names: Sequence[str] | None = None) -> RuleSetProblem:
@@ -413,7 +430,7 @@ def anchor_flavor2_corpus(graphs: Sequence[Graph],
     all_rules: set[RelativeRule] = set()
     per_graph_tokens = []
     for gi, g in enumerate(graphs):
-        tokens = g.tokens if g.tokens is not None else whitespace_tokens(g.input)
+        tokens = graph_tokens(g)
         per_graph_tokens.append(tokens)
         for ni, node in enumerate(g.nodes):
             if node.label is None:

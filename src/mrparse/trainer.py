@@ -18,10 +18,15 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import balance, heads, matcher, model, rules, scorer, transform
-from .graph import Anchor, Edge, Graph, Node, Token, whitespace_tokens
+from .graph import (Anchor, Edge, Graph, Node, Token, anchored_token_indices,
+                    graph_tokens, whitespace_tokens)
 from .corpus import synth_corpus
 
 UNK_TOKEN = "<unk>"
+# the held-out F1 metrics evaluate() reports, which stop_when may name
+EVAL_METRICS = ("tops", "labels", "properties", "anchors", "edges")
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 class TrainError(Exception):
@@ -83,8 +88,23 @@ class TrainConfig:
         return tuple(active)
 
 
+def _parse_stop_when(text: str, where: str) -> dict:
+    value = json.loads(text)
+    # type() rather than isinstance(): a JSON true is not a threshold
+    if not isinstance(value, dict) or not all(
+            name in EVAL_METRICS and type(threshold) in (int, float)
+            and np.isfinite(threshold) for name, threshold in value.items()):
+        raise TrainError(f"{where}: stop_when must be a JSON object mapping "
+                         f"{'/'.join(EVAL_METRICS)} to finite numbers, got {text}")
+    return value
+
+
 def load_train_config(path: str) -> TrainConfig:
-    """Key-value config file: one ``name = value`` per line, # comments."""
+    """Key-value config file: one ``name = value`` per line, # comments.
+
+    Booleans are 1/0/true/false/yes/no/on/off in any case; stop_when is a JSON
+    object mapping evaluate() metric names to thresholds.
+    """
     values = {}
     fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
     with open(path, encoding="utf-8") as handle:
@@ -99,15 +119,16 @@ def load_train_config(path: str) -> TrainConfig:
                 raise TrainError(f"{path}:{lineno}: unknown option {name!r}")
             kind = fields[name].type
             if kind == "bool":
-                values[name] = text.lower() in ("1", "true", "yes", "on")
+                if text.lower() not in _BOOLEANS:
+                    raise TrainError(f"{path}:{lineno}: {name} must be one of "
+                                     f"{'/'.join(_BOOLEANS)}, got {text!r}")
+                values[name] = _BOOLEANS[text.lower()]
             elif kind == "int":
                 values[name] = int(text)
             elif kind == "float":
                 values[name] = float(text)
-            elif name == "stop_when":
-                values[name] = json.loads(text)
-            else:
-                values[name] = text
+            else:  # stop_when, the one non-scalar option
+                values[name] = _parse_stop_when(text, f"{path}:{lineno}")
     return TrainConfig(**values)
 
 
@@ -129,15 +150,11 @@ def lr_schedule(step: int, config: TrainConfig) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # example preparation
 
-@dataclass
-class NodeTarget:
-    label: str
-    tokens: tuple[str, ...]
-    lemmas: tuple[str, ...]
-    rule_indices: tuple[int, ...]          # applicable retained rules
-    target_plain: np.ndarray               # unsmoothed distribution
+@dataclass(frozen=True)
+class NodeTarget(matcher.TargetSpec):
+    """A gold node: what the matcher scores plus the per-task loss targets."""
+
     target_smoothed: np.ndarray
-    anchor_tokens: frozenset[int]
     anchor_vector: np.ndarray
     is_property: bool
     is_top: bool
@@ -166,16 +183,6 @@ class ModelMeta:
     inverted_labels: tuple[str, ...] = ()
 
 
-def _anchored_token_indices(node: Node, tokens: Sequence[Token]) -> list[int]:
-    hit = []
-    for i, token in enumerate(tokens):
-        for anchor in node.anchors:
-            if token.start < anchor.end and anchor.start < token.end:
-                hit.append(i)
-                break
-    return hit
-
-
 def preprocess_gold(g: Graph, config: TrainConfig) -> tuple[Graph, transform.TransformTrace]:
     """Nodeify, optionally de-invert, and merge anchors; merged trace."""
     pre, trace = transform.preprocess("eds", g)
@@ -191,18 +198,7 @@ def compile_rule_table(graphs: Sequence[Graph], config: TrainConfig,
                        cache_dir: str | None = None,
                        ) -> tuple[tuple[rules.RelativeRule, ...], rules.RuleSetProblem]:
     """Solve the minimal encoding rule set over the preprocessed corpus."""
-    items = []
-    names = []
-    for g in graphs:
-        pre, _ = preprocess_gold(g, config)
-        tokens = pre.tokens if pre.tokens is not None else whitespace_tokens(pre.input)
-        for node in pre.nodes:
-            if node.label is None:
-                continue
-            indices = _anchored_token_indices(node, tokens)
-            items.append(([tokens[i].form for i in indices],
-                          [tokens[i].lemma for i in indices], node.label))
-            names.append(f"graph {g.id} node {node.id}")
+    items, names = rules.label_items([preprocess_gold(g, config)[0] for g in graphs])
     problem = rules.build_problem(items, names=names)
     solution = rules.minimal_rule_set(problem, cache_dir=cache_dir)
     table = tuple(problem.universe[i] for i in solution)
@@ -212,8 +208,7 @@ def compile_rule_table(graphs: Sequence[Graph], config: TrainConfig,
 def build_vocab(graphs: Sequence[Graph]) -> dict[str, int]:
     vocab = {UNK_TOKEN: 0}
     for g in graphs:
-        tokens = g.tokens if g.tokens is not None else whitespace_tokens(g.input)
-        for token in tokens:
+        for token in graph_tokens(g):
             if token.form not in vocab:
                 vocab[token.form] = len(vocab)
     return vocab
@@ -223,14 +218,14 @@ def build_example(g: Graph, meta: ModelMeta) -> Example:
     config = meta.config
     pre, trace = preprocess_gold(g, config)
     property_ids = {node_id for _, _, node_id in trace.nodeified}
-    tokens = pre.tokens if pre.tokens is not None else whitespace_tokens(pre.input)
+    tokens = graph_tokens(pre)
     token_ids = np.array([meta.vocab.get(t.form, meta.vocab[UNK_TOKEN]) for t in tokens],
                          dtype=np.int64)
     targets = []
     index_of = {}
     for node in pre.nodes:
         index_of[node.id] = len(targets)
-        anchored = _anchored_token_indices(node, tokens)
+        anchored = anchored_token_indices(node, tokens)
         forms = tuple(tokens[i].form for i in anchored)
         lemmas = tuple(tokens[i].lemma for i in anchored)
         label = node.label or ""
@@ -242,9 +237,8 @@ def build_example(g: Graph, meta: ModelMeta) -> Example:
         vector = np.zeros(len(tokens))
         vector[anchored] = 1.0
         targets.append(NodeTarget(
-            label=label, tokens=forms, lemmas=lemmas, rule_indices=applicable,
-            target_plain=plain, target_smoothed=smoothed,
-            anchor_tokens=frozenset(anchored), anchor_vector=vector,
+            label_target=plain, anchor_tokens=frozenset(anchored),
+            target_smoothed=smoothed, anchor_vector=vector,
             is_property=node.id in property_ids, is_top=node.is_top,
             signature=(label, tuple(sorted(anchored)))))
     label_index = {l: i for i, l in enumerate(meta.edge_labels)}
@@ -340,11 +334,8 @@ def forward_sentence(params: dict, config: TrainConfig, token_ids: np.ndarray,
 
 
 def match_queries(config: TrainConfig, fwd: ForwardPass, example: Example,
-                  params: dict) -> tuple[matcher.MatchProblem, matcher.Assignment]:
+                  params: dict) -> matcher.Assignment:
     """Align queries to gold nodes, breaking ties by the edge loss."""
-    specs = [matcher.TargetSpec(label_target=t.target_plain,
-                                anchor_tokens=t.anchor_tokens)
-             for t in example.targets]
     predictions = matcher.PredictionSpec(label_probs=fwd.label_probs,
                                          anchor_probs=fwd.anchor_probs,
                                          source_tokens=fwd.source_tokens)
@@ -370,7 +361,7 @@ def match_queries(config: TrainConfig, fwd: ForwardPass, example: Example,
                                              config.edge_multilabel)
         return loss_p + loss_l
 
-    return matcher.align_targets(predictions, specs, match_config, edge_nll)
+    return matcher.align_targets(predictions, example.targets, match_config, edge_nll)
 
 
 def _edge_targets(edges, node_pos, m: int, multilabel: bool):
@@ -551,7 +542,7 @@ def sentence_total_loss(params: dict, config: TrainConfig, example: Example,
                         ) -> tuple[float, list]:
     """Forward-only total loss of one sentence; used by invariance checks."""
     fwd = forward_sentence(params, config, example.token_ids)
-    _, assignment = match_queries(config, fwd, example, params)
+    assignment = match_queries(config, fwd, example, params)
     losses, _, pairing = sentence_losses(params, config, example, fwd, assignment,
                                          compute_grads=False)
     weights = weights or {t: 1.0 for t in losses}
@@ -620,8 +611,6 @@ class TrainedModel:
     def load(cls, path: str) -> "TrainedModel":
         payload = model.load_params(path)
         config_obj = json.loads(model.unpack_text(payload.pop("meta.config_json")))
-        if config_obj.get("stop_when") is not None:
-            config_obj["stop_when"] = dict(config_obj["stop_when"])
         vocab = json.loads(model.unpack_text(payload.pop("meta.vocab_json")))
         table = tuple(rules.rule_from_line(line) for line in
                       model.unpack_text(payload.pop("meta.rules_text")).splitlines()
@@ -660,11 +649,7 @@ def evaluate(trained: TrainedModel, graphs: Sequence[Graph]) -> dict[str, float]
     """Held-out F1 per metric under the anchored-tuple scorer."""
     reports = [scorer.score_pair(g, predict(trained, g.input)) for g in graphs]
     total = scorer.aggregate(reports)
-    return {"tops": total.metrics["tops"].f1,
-            "labels": total.metrics["labels"].f1,
-            "properties": total.metrics["properties"].f1,
-            "anchors": total.metrics["anchors"].f1,
-            "edges": total.metrics["edges"].f1}
+    return {name: total.metrics[name].f1 for name in EVAL_METRICS}
 
 
 def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
@@ -695,7 +680,7 @@ def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
             for example in batch:
                 fwd = forward_sentence(params, config, example.token_ids,
                                        rng=rng, train=True)
-                _, assignment = match_queries(config, fwd, example, params)
+                assignment = match_queries(config, fwd, example, params)
                 losses, grads, _ = sentence_losses(params, config, example, fwd,
                                                    assignment)
                 if not dec_accum:

@@ -57,8 +57,8 @@ def reference_build_problem(predictions, targets, config) -> MatchProblem:
     """matcher.build_problem written one target column and one token at a time."""
     num_queries = predictions.label_probs.shape[0]
     num_tokens = predictions.anchor_probs.shape[1]
-    label_score = np.zeros((num_queries, num_queries))
-    anchor_score = np.ones((num_queries, num_queries))
+    label_score = np.zeros((num_queries, len(targets)))
+    anchor_score = np.ones((num_queries, len(targets)))
     for j, target in enumerate(targets):
         label_score[:, j] = predictions.label_probs @ target.label_target
         observed = np.empty((num_queries, num_tokens))
@@ -73,8 +73,7 @@ def reference_build_problem(predictions, targets, config) -> MatchProblem:
                                 sorted(target.anchor_tokens))
             anchor_score[:, j] = apply_anchor_mask(anchor_score[:, j], permitted,
                                                    config.mask_epsilon)
-    return MatchProblem(label_score=label_score, anchor_score=anchor_score,
-                        num_real_targets=len(targets))
+    return MatchProblem(label_score=label_score, anchor_score=anchor_score)
 
 
 def reference_tie_groups(problem: MatchProblem, tolerance: float) -> list[list[int]]:

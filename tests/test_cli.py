@@ -217,6 +217,20 @@ class TestTrainPredict:
         assert len(graphs) == 1
         assert graphs[0].input == "the cat is diving"
 
+    @pytest.mark.parametrize("line", ["stop_when = 3", 'stop_when = {"f1": 0.9}',
+                                      "use_anchor_mask = flase"])
+    def test_malformed_config_rejected_before_training(self, line, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("dim = 16\nffn_dim = 24\ncorpus_size = 16\nepochs = 1\n"
+                          f"{line}\n")
+        out_path = tmp_path / "m.jsonl"
+        code, _, err = run_cli(["train-toy", "--config", str(config),
+                                "--output", str(out_path)], capsys)
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "config"
+        assert not out_path.exists()
+
     def test_predict_requires_checkpoint(self, tmp_path, capsys):
         sentences = tmp_path / "s.txt"
         sentences.write_text("hello\n")

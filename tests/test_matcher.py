@@ -117,22 +117,21 @@ class TestOptimalAssignment:
         assert optimal_assignment(np.zeros((0, 0))).perm == ()
 
 
-def _problem(label, anchor, real):
+def _problem(label, anchor):
     return MatchProblem(label_score=np.asarray(label, dtype=float),
-                        anchor_score=np.asarray(anchor, dtype=float),
-                        num_real_targets=real)
+                        anchor_score=np.asarray(anchor, dtype=float))
 
 
 class TestBreakTies:
     def test_no_ties_unchanged(self):
-        problem = _problem([[0.9, 0.1], [0.1, 0.9]], np.ones((2, 2)), 2)
+        problem = _problem([[0.9, 0.1], [0.1, 0.9]], np.ones((2, 2)))
         assignment = optimal_assignment(problem.match_matrix())
         out = break_ties(problem, assignment, lambda perm: 0.0)
         assert out.perm == assignment.perm
 
     def test_swap_when_edge_loss_prefers(self):
         # two identical targets; edge loss prefers the swapped pairing
-        problem = _problem([[0.5, 0.5], [0.5, 0.5]], np.ones((2, 2)), 2)
+        problem = _problem([[0.5, 0.5], [0.5, 0.5]], np.ones((2, 2)))
         assignment = optimal_assignment(problem.match_matrix())
 
         def edge_loss(perm):
@@ -142,7 +141,7 @@ class TestBreakTies:
         assert out.perm == (1, 0)
 
     def test_group_of_three_evaluates_all(self):
-        problem = _problem(np.full((3, 3), 0.4), np.ones((3, 3)), 3)
+        problem = _problem(np.full((3, 3), 0.4), np.ones((3, 3)))
         assignment = optimal_assignment(problem.match_matrix())
         seen = []
 
@@ -156,7 +155,7 @@ class TestBreakTies:
 
     def test_oversized_group_falls_back_with_warning(self):
         n = 8
-        problem = _problem(np.full((n, n), 0.4), np.ones((n, n)), n)
+        problem = _problem(np.full((n, n), 0.4), np.ones((n, n)))
         assignment = optimal_assignment(problem.match_matrix())
         out = break_ties(problem, assignment, lambda perm: 0.0,
                          MatchConfig(max_tie_group=6))
@@ -168,7 +167,7 @@ class TestBreakTies:
         label = np.zeros((8, 8))
         label[:, :4] = 0.5
         label[:, 4:] = 0.3
-        problem = _problem(label, np.ones((8, 8)), 8)
+        problem = _problem(label, np.ones((8, 8)))
         assignment = optimal_assignment(problem.match_matrix())
         out = break_ties(problem, assignment, lambda perm: 0.0,
                          MatchConfig(max_tie_group=6, max_tie_combinations=100))
@@ -189,11 +188,20 @@ class TestAlignTargets:
             np.full((3, 2), 0.5), [0, 0, 1])
         targets = [TargetSpec(np.array([1.0, 0.0, 0.0]), frozenset({0})),
                    TargetSpec(np.array([0.0, 1.0, 0.0]), frozenset({0}))]
-        problem, assignment = align_targets(predictions, targets,
-                                            MatchConfig(use_anchor_mask=False))
+        assignment = align_targets(predictions, targets, MatchConfig(use_anchor_mask=False))
         assert sorted(assignment.perm) == [0, 1, 2]
         null_queries = [q for q, t in enumerate(assignment.perm) if t >= 2]
         assert len(null_queries) == 1
+
+    def test_no_targets(self):
+        predictions = _prediction([[0.8, 0.2], [0.3, 0.7], [0.5, 0.5]],
+                                  np.full((3, 2), 0.5), [0, 0, 1])
+        problem = build_problem(predictions, [])
+        assert problem.label_score.shape == problem.anchor_score.shape == (3, 0)
+        assert problem.num_real_targets == 0
+        assignment = align_targets(predictions, [], edge_loglik=lambda perm: 0.0)
+        assert assignment.perm == (0, 1, 2)
+        assert assignment.score == 0.0
 
     def test_capacity_error(self):
         predictions = _prediction([[1.0, 0.0]], np.full((1, 1), 0.5), [0])
@@ -213,8 +221,8 @@ class TestAlignTargets:
             dist = np.zeros(num_classes)
             dist[j % num_classes] = 1.0
             targets.append(TargetSpec(dist, frozenset({j % num_tokens})))
-        _, assignment = align_targets(predictions, targets,
-                                      MatchConfig(use_anchor_mask=False))
+        assignment = align_targets(predictions, targets,
+                                   MatchConfig(use_anchor_mask=False))
         nulls = [q for q, t in enumerate(assignment.perm) if t >= 4]
         assert len(nulls) == 2
 
@@ -226,7 +234,7 @@ class TestAlignTargets:
         predictions = _prediction(label_probs, anchor_probs, [0, 0, 1, 1])
         targets = [TargetSpec(np.array([1.0, 0.0, 0.0]), frozenset({0})),
                    TargetSpec(np.array([0.0, 1.0, 0.0]), frozenset({1}))]
-        _, assignment = align_targets(predictions, targets, MatchConfig())
+        assignment = align_targets(predictions, targets, MatchConfig())
         for query, target in enumerate(assignment.perm):
             if target < 2:
                 assert predictions.source_tokens[query] in targets[target].anchor_tokens
@@ -241,13 +249,13 @@ class TestAlignTargets:
         for j in range(4):
             dist = rng.dirichlet(np.ones(num_classes))
             targets.append(TargetSpec(dist, frozenset({int(rng.integers(num_tokens))})))
-        _, base = align_targets(predictions, targets,
-                                MatchConfig(use_anchor_mask=False))
+        base = align_targets(predictions, targets,
+                             MatchConfig(use_anchor_mask=False))
         base_pairs = {(q, t) for q, t in enumerate(base.perm) if t < 4}
         order = [2, 0, 3, 1]
         shuffled = [targets[j] for j in order]
-        _, moved = align_targets(predictions, shuffled,
-                                 MatchConfig(use_anchor_mask=False))
+        moved = align_targets(predictions, shuffled,
+                              MatchConfig(use_anchor_mask=False))
         moved_pairs = {(q, order[t]) for q, t in enumerate(moved.perm) if t < 4}
         assert moved_pairs == base_pairs
         assert moved.score == pytest.approx(base.score, abs=1e-12)
@@ -273,9 +281,8 @@ def test_mask_soundness_property(seed):
         dist[j] = 1.0
         targets.append(TargetSpec(dist, frozenset({j})))
     predictions = _prediction(label_probs, anchor_probs, source)
-    _, assignment = align_targets(predictions, targets,
-                                  MatchConfig(use_anchor_mask=True,
-                                              mask_epsilon=1e-8))
+    assignment = align_targets(predictions, targets,
+                               MatchConfig(use_anchor_mask=True, mask_epsilon=1e-8))
     for query, target in enumerate(assignment.perm):
         if target < num_targets:
             assert int(source[query]) in targets[target].anchor_tokens
@@ -319,6 +326,7 @@ def test_build_problem_matches_reference(num_tokens, queries_per_token, use_mask
     built = build_problem(predictions, targets, config)
     expected = reference_build_problem(predictions, targets, config)
     assert built.num_real_targets == expected.num_real_targets == num_targets
+    assert built.label_score.shape == built.anchor_score.shape == (num_queries, num_targets)
     assert np.array_equal(built.label_score, expected.label_score)
     assert np.array_equal(built.anchor_score, expected.anchor_score)
 
@@ -366,16 +374,13 @@ def test_tie_groups_match_reference(num_queries, num_targets, tolerance, seed):
     num_targets = min(num_targets, num_queries)
     rng = np.random.default_rng(seed)
     offsets = [0.0, tolerance / 2, tolerance, np.nextafter(tolerance, 1.0), 2 * tolerance]
-    label = np.zeros((num_queries, num_queries))
-    anchor = np.ones((num_queries, num_queries))
     picks = rng.integers(0, 3, num_targets)
-    label[:, :num_targets] = (rng.integers(0, 8, (num_queries, 3)) / 8.0)[:, picks]
-    anchor[:, :num_targets] = (rng.integers(1, 9, (num_queries, 3)) / 8.0)[:, picks]
+    label = (rng.integers(0, 8, (num_queries, 3)) / 8.0)[:, picks]
+    anchor = (rng.integers(1, 9, (num_queries, 3)) / 8.0)[:, picks]
     for j in range(num_targets):
         if rng.random() < 0.5:
             scores = label if rng.random() < 0.5 else anchor
             scores[rng.integers(num_queries), j] += offsets[rng.integers(len(offsets))]
-    problem = MatchProblem(label_score=label, anchor_score=anchor,
-                           num_real_targets=num_targets)
+    problem = MatchProblem(label_score=label, anchor_score=anchor)
     assert (matcher._tie_groups(problem, tolerance)
             == reference_tie_groups(problem, tolerance))

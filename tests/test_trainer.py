@@ -102,7 +102,7 @@ class TestSentencePass:
         config, meta, examples, params = tiny_setup
         example = examples[0]
         fwd = trainer.forward_sentence(params, config, example.token_ids)
-        _, assignment = trainer.match_queries(config, fwd, example, params)
+        assignment = trainer.match_queries(config, fwd, example, params)
         losses, grads, pairing = trainer.sentence_losses(params, config, example,
                                                          fwd, assignment)
         for value in losses.values():
@@ -113,7 +113,7 @@ class TestSentencePass:
         config, meta, examples, params = tiny_setup
         example = examples[0]
         fwd = trainer.forward_sentence(params, config, example.token_ids)
-        _, assignment = trainer.match_queries(config, fwd, example, params)
+        assignment = trainer.match_queries(config, fwd, example, params)
         losses, grads, pairing = trainer.sentence_losses(params, config, example,
                                                          fwd, assignment)
         null_queries = [q for q, node in pairing if node is None]
@@ -252,6 +252,41 @@ class TestConfigFile:
         path.write_text("banana = 1\n")
         with pytest.raises(trainer.TrainError):
             trainer.load_train_config(str(path))
+
+    @pytest.mark.parametrize("text,expected", [
+        ("1", True), ("ON", True), ("Yes", True), ("true", True),
+        ("0", False), ("off", False), ("NO", False), ("False", False)])
+    def test_boolean_spellings(self, tmp_path, text, expected):
+        path = tmp_path / "toy.cfg"
+        path.write_text(f"use_anchor_mask = {text}\n")
+        assert trainer.load_train_config(str(path)).use_anchor_mask is expected
+
+    @pytest.mark.parametrize("line", [
+        "use_anchor_mask = flase",
+        "balance_losses = 2",
+        "use_top_head =",
+        "stop_when = 3",
+        "stop_when = [0.9]",
+        "stop_when = null",
+        'stop_when = {"bleu": 0.9}',
+        'stop_when = {"labels": "0.9"}',
+        'stop_when = {"labels": true}',
+        'stop_when = {"labels": NaN}',
+    ])
+    def test_malformed_values_rejected(self, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"epochs = 1\n{line}\n")
+        with pytest.raises(trainer.TrainError, match=r"bad\.cfg:2: "):
+            trainer.load_train_config(str(path))
+
+    def test_stop_when_names_every_evaluate_metric(self, tiny_setup, tmp_path):
+        config, meta, examples, params = tiny_setup
+        reported = trainer.evaluate(trainer.TrainedModel(params=params, meta=meta),
+                                    [examples[0].gold])
+        thresholds = {name: 0.5 for name in reported}
+        path = tmp_path / "toy.cfg"
+        path.write_text(f"stop_when = {json.dumps(thresholds)}\n")
+        assert trainer.load_train_config(str(path)).stop_when == thresholds
 
 
 class TestCapacity:
