@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -246,12 +246,15 @@ def label_items(graphs: Sequence[Graph]) -> tuple[list[tuple], list[str]]:
 def build_problem(items: Sequence[tuple[Sequence[str], Sequence[str], str]],
                   bounds: RuleSpaceBounds = RuleSpaceBounds(),
                   names: Sequence[str] | None = None) -> RuleSetProblem:
-    """Enumerate per-node rule sets and index the shared universe."""
-    per_node_rules = [enumerate_applicable_rules(tokens, lemmas, label, bounds)
-                      for tokens, lemmas, label in items]
-    universe = sorted({r for rules in per_node_rules for r in rules}, key=rule_sort_key)
+    """Enumerate the rule set of each distinct item once and index the shared
+    universe; rule_sort_key is a total order, so the universe does not depend
+    on which items repeat."""
+    keys = [(tuple(tokens), tuple(lemmas), label) for tokens, lemmas, label in items]
+    found = {key: enumerate_applicable_rules(*key, bounds) for key in dict.fromkeys(keys)}
+    universe = sorted(set().union(*found.values()), key=rule_sort_key)
     index = {rule: i for i, rule in enumerate(universe)}
-    per_node = tuple(frozenset(index[r] for r in rules) for rules in per_node_rules)
+    indexed = {key: frozenset(index[r] for r in rules) for key, rules in found.items()}
+    per_node = tuple(indexed[key] for key in keys)
     node_names = tuple(names) if names is not None else tuple(
         f"node {i}" for i in range(len(items)))
     return RuleSetProblem(universe=tuple(universe), per_node=per_node,
@@ -423,55 +426,49 @@ def anchor_flavor2_corpus(graphs: Sequence[Graph],
 
     For every node, each single token of the sentence is a candidate anchor;
     a candidate contributes the non-absolute rules deriving the label from
-    that token alone.  The minimal rule set is solved over the union sets and
-    anchors keep exactly the candidates compatible with it.
+    that token alone, enumerated once per distinct (form, lemma, label).  The
+    minimal rule set is solved over the union sets and anchors keep exactly
+    the candidates compatible with it.
     """
-    entries = []  # (graph idx, node idx, per-candidate rule sets, union set)
-    all_rules: set[RelativeRule] = set()
+    entries = []  # (graph idx, node idx, per-candidate (form, lemma, label) keys)
     per_graph_tokens = []
     for gi, g in enumerate(graphs):
         tokens = graph_tokens(g)
         per_graph_tokens.append(tokens)
         for ni, node in enumerate(g.nodes):
-            if node.label is None:
-                continue
-            candidates = []
-            for token in tokens:
-                rules_here = {
-                    r for r in enumerate_applicable_rules([token.form], [token.lemma],
-                                                          node.label, bounds)
-                    if not isinstance(r, AbsoluteRule)}
-                candidates.append(rules_here)
-                all_rules |= rules_here
-            all_rules.add(AbsoluteRule(node.label))
-            entries.append((gi, ni, candidates))
-
-    universe = sorted(all_rules, key=rule_sort_key)
+            if node.label is not None:
+                entries.append((gi, ni, [(t.form, t.lemma, node.label) for t in tokens]))
+    candidates = {
+        (form, lemma, label): frozenset(
+            r for r in enumerate_applicable_rules([form], [lemma], label, bounds)
+            if not isinstance(r, AbsoluteRule))
+        for form, lemma, label in dict.fromkeys(k for _, _, keys in entries for k in keys)}
+    absolute = {AbsoluteRule(graphs[gi].nodes[ni].label) for gi, ni, _ in entries}
+    universe = sorted(absolute.union(*candidates.values()), key=rule_sort_key)
     index = {rule: i for i, rule in enumerate(universe)}
+    indexed = {found: frozenset(index[r] for r in found)
+               for found in set(candidates.values())}
     per_node = []
     names = []
     candidate_indices = []
-    for gi, ni, candidates in entries:
-        indexed = [frozenset(index[r] for r in c) for c in candidates]
-        union = frozenset().union(*indexed) if indexed else frozenset()
-        label = graphs[gi].nodes[ni].label
-        union |= {index[AbsoluteRule(label)]}
-        per_node.append(union)
-        names.append(f"graph {graphs[gi].id} node {graphs[gi].nodes[ni].id}")
-        candidate_indices.append(indexed)
+    for gi, ni, keys in entries:
+        node = graphs[gi].nodes[ni]
+        sets = [indexed[candidates[key]] for key in keys]
+        per_node.append(frozenset().union(*sets) | {index[AbsoluteRule(node.label)]})
+        names.append(f"graph {graphs[gi].id} node {node.id}")
+        candidate_indices.append(sets)
 
     problem = RuleSetProblem(universe=tuple(universe), per_node=tuple(per_node),
                              node_names=tuple(names))
     solution = minimal_rule_set(problem, cache_dir=cache_dir)
     kept = assign_artificial_anchors(candidate_indices, solution)
 
-    from dataclasses import replace as _replace
     out = list(graphs)
     for (gi, ni, _), kept_candidates in zip(entries, kept):
         tokens = per_graph_tokens[gi]
         anchors = tuple(Anchor(tokens[a].start, tokens[a].end) for a in kept_candidates)
         g = out[gi]
         nodes = list(g.nodes)
-        nodes[ni] = _replace(nodes[ni], anchors=anchors)
-        out[gi] = _replace(g, nodes=tuple(nodes))
+        nodes[ni] = replace(nodes[ni], anchors=anchors)
+        out[gi] = replace(g, nodes=tuple(nodes))
     return out, problem, solution

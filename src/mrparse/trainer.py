@@ -89,7 +89,10 @@ class TrainConfig:
 
 
 def _parse_stop_when(text: str, where: str) -> dict:
-    value = json.loads(text)
+    try:
+        value = json.loads(text)
+    except ValueError:
+        value = None  # reported below with the other malformed values
     # type() rather than isinstance(): a JSON true is not a threshold
     if not isinstance(value, dict) or not all(
             name in EVAL_METRICS and type(threshold) in (int, float)
@@ -123,10 +126,13 @@ def load_train_config(path: str) -> TrainConfig:
                     raise TrainError(f"{path}:{lineno}: {name} must be one of "
                                      f"{'/'.join(_BOOLEANS)}, got {text!r}")
                 values[name] = _BOOLEANS[text.lower()]
-            elif kind == "int":
-                values[name] = int(text)
-            elif kind == "float":
-                values[name] = float(text)
+            elif kind in ("int", "float"):
+                try:
+                    values[name] = int(text) if kind == "int" else float(text)
+                except ValueError:
+                    noun = "an integer" if kind == "int" else "a number"
+                    raise TrainError(f"{path}:{lineno}: {name} must be {noun}, "
+                                     f"got {text!r}") from None
             else:  # stop_when, the one non-scalar option
                 values[name] = _parse_stop_when(text, f"{path}:{lineno}")
     return TrainConfig(**values)
@@ -194,11 +200,10 @@ def preprocess_gold(g: Graph, config: TrainConfig) -> tuple[Graph, transform.Tra
     return pre, trace
 
 
-def compile_rule_table(graphs: Sequence[Graph], config: TrainConfig,
-                       cache_dir: str | None = None,
+def compile_rule_table(pre_graphs: Sequence[Graph], cache_dir: str | None = None,
                        ) -> tuple[tuple[rules.RelativeRule, ...], rules.RuleSetProblem]:
-    """Solve the minimal encoding rule set over the preprocessed corpus."""
-    items, names = rules.label_items([preprocess_gold(g, config)[0] for g in graphs])
+    """Solve the minimal encoding rule set over preprocessed gold graphs."""
+    items, names = rules.label_items(pre_graphs)
     problem = rules.build_problem(items, names=names)
     solution = rules.minimal_rule_set(problem, cache_dir=cache_dir)
     table = tuple(problem.universe[i] for i in solution)
@@ -214,9 +219,11 @@ def build_vocab(graphs: Sequence[Graph]) -> dict[str, int]:
     return vocab
 
 
-def build_example(g: Graph, meta: ModelMeta) -> Example:
+def build_example(g: Graph, pre: Graph, trace: transform.TransformTrace,
+                  meta: ModelMeta, applicable: dict) -> Example:
+    """Targets of one preprocessed gold graph; applicable maps each
+    (forms, lemmas, label) to its retained rules and is shared across calls."""
     config = meta.config
-    pre, trace = preprocess_gold(g, config)
     property_ids = {node_id for _, _, node_id in trace.nodeified}
     tokens = graph_tokens(pre)
     token_ids = np.array([meta.vocab.get(t.form, meta.vocab[UNK_TOKEN]) for t in tokens],
@@ -229,10 +236,12 @@ def build_example(g: Graph, meta: ModelMeta) -> Example:
         forms = tuple(tokens[i].form for i in anchored)
         lemmas = tuple(tokens[i].lemma for i in anchored)
         label = node.label or ""
-        applicable = tuple(k for k, rule in enumerate(meta.rule_table)
-                           if rules.apply_rule(rule, forms, lemmas) == label)
-        plain = rules.build_rule_target(applicable, len(meta.rule_table), 0.0)
-        smoothed = rules.build_rule_target(applicable, len(meta.rule_table),
+        key = (forms, lemmas, label)
+        if key not in applicable:
+            applicable[key] = tuple(k for k, rule in enumerate(meta.rule_table)
+                                    if rules.apply_rule(rule, forms, lemmas) == label)
+        plain = rules.build_rule_target(applicable[key], len(meta.rule_table), 0.0)
+        smoothed = rules.build_rule_target(applicable[key], len(meta.rule_table),
                                            config.label_smoothing)
         vector = np.zeros(len(tokens))
         vector[anchored] = 1.0
@@ -249,13 +258,13 @@ def build_example(g: Graph, meta: ModelMeta) -> Example:
                    targets=targets, edges=edges, top_index=top_index)
 
 
-def edge_label_vocab(graphs: Sequence[Graph], config: TrainConfig,
+def edge_label_vocab(gold: Sequence[tuple[Graph, transform.TransformTrace]],
                      ) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Edge-label inventory plus the labels produced by de-inversion."""
+    """Edge-label inventory plus the labels produced by de-inversion, over
+    preprocess_gold results."""
     labels = set()
     inverted = set()
-    for g in graphs:
-        pre, trace = preprocess_gold(g, config)
+    for pre, trace in gold:
         labels.update(e.label for e in pre.edges)
         inverted.update(pre.edges[i].label for i in trace.deinverted)
     return tuple(sorted(labels)), tuple(sorted(inverted))
@@ -636,12 +645,15 @@ def prepare(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
     if graphs is None:
         graphs = synth_corpus(config.seed, config.corpus_size)
     train_graphs, eval_graphs = split_corpus(graphs, config.eval_fraction)
-    table, problem = compile_rule_table(train_graphs, config, cache_dir=cache_dir)
-    edge_labels, inverted_labels = edge_label_vocab(train_graphs, config)
+    gold = [preprocess_gold(g, config) for g in train_graphs]
+    table, problem = compile_rule_table([pre for pre, _ in gold], cache_dir=cache_dir)
+    edge_labels, inverted_labels = edge_label_vocab(gold)
     meta = ModelMeta(vocab=build_vocab(train_graphs), rule_table=table,
                      edge_labels=edge_labels, config=config,
                      inverted_labels=inverted_labels)
-    examples = [build_example(g, meta) for g in train_graphs]
+    applicable = {}
+    examples = [build_example(g, pre, trace, meta, applicable)
+                for g, (pre, trace) in zip(train_graphs, gold)]
     return meta, examples, train_graphs, eval_graphs, problem
 
 

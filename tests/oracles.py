@@ -4,19 +4,25 @@ These implementations deliberately avoid the production code paths: the
 gradient checker uses central finite differences, the assignment oracle
 enumerates permutations, and the rule-space oracle re-derives applicable
 rules from scratch via apply_rule over a brute-force candidate sweep, the
-match-problem reference builds one target column and one token at a time, and
-the tie-group reference compares one pair of target columns at a time.
+match-problem reference builds one target column and one token at a time,
+the tie-group reference compares one pair of target columns at a time, and the
+rule-problem and flavor-2 anchoring references enumerate rules once per node
+and once per (node, token) candidate, with no sharing between equal items.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
+from mrparse.graph import Anchor, graph_tokens
 from mrparse.matcher import MatchProblem, apply_anchor_mask, geomean_anchor
-from mrparse.rules import (AbsoluteRule, LemmaRule, NumberRule, RuleSpaceBounds,
-                           TokenRule, apply_rule, words_to_number)
+from mrparse.rules import (AbsoluteRule, LemmaRule, NumberRule, RuleSetProblem,
+                           RuleSpaceBounds, TokenRule, apply_rule,
+                           assign_artificial_anchors, enumerate_applicable_rules,
+                           minimal_rule_set, rule_sort_key, words_to_number)
 
 
 def finite_difference(fn, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -121,3 +127,70 @@ def enumerate_rules_oracle(tokens, lemmas, label,
                                     if apply_rule(rule, tokens, lemmas) == label:
                                         found.add(rule)
     return found
+
+
+def reference_rule_problem(items, bounds: RuleSpaceBounds = RuleSpaceBounds(),
+                           names=None) -> RuleSetProblem:
+    """rules.build_problem with one rule enumeration per item."""
+    per_node_rules = [enumerate_applicable_rules(tokens, lemmas, label, bounds)
+                      for tokens, lemmas, label in items]
+    universe = sorted({r for rules in per_node_rules for r in rules}, key=rule_sort_key)
+    index = {rule: i for i, rule in enumerate(universe)}
+    per_node = tuple(frozenset(index[r] for r in rules) for rules in per_node_rules)
+    node_names = tuple(names) if names is not None else tuple(
+        f"node {i}" for i in range(len(items)))
+    return RuleSetProblem(universe=tuple(universe), per_node=per_node,
+                          node_names=node_names)
+
+
+def reference_anchor_flavor2_corpus(graphs, bounds: RuleSpaceBounds = RuleSpaceBounds(),
+                                    cache_dir=None):
+    """rules.anchor_flavor2_corpus with one rule enumeration per (node, token)."""
+    entries = []
+    all_rules = set()
+    per_graph_tokens = []
+    for gi, g in enumerate(graphs):
+        tokens = graph_tokens(g)
+        per_graph_tokens.append(tokens)
+        for ni, node in enumerate(g.nodes):
+            if node.label is None:
+                continue
+            candidates = []
+            for token in tokens:
+                rules_here = {
+                    r for r in enumerate_applicable_rules([token.form], [token.lemma],
+                                                          node.label, bounds)
+                    if not isinstance(r, AbsoluteRule)}
+                candidates.append(rules_here)
+                all_rules |= rules_here
+            all_rules.add(AbsoluteRule(node.label))
+            entries.append((gi, ni, candidates))
+
+    universe = sorted(all_rules, key=rule_sort_key)
+    index = {rule: i for i, rule in enumerate(universe)}
+    per_node = []
+    names = []
+    candidate_indices = []
+    for gi, ni, candidates in entries:
+        indexed = [frozenset(index[r] for r in c) for c in candidates]
+        union = frozenset().union(*indexed) if indexed else frozenset()
+        label = graphs[gi].nodes[ni].label
+        union |= {index[AbsoluteRule(label)]}
+        per_node.append(union)
+        names.append(f"graph {graphs[gi].id} node {graphs[gi].nodes[ni].id}")
+        candidate_indices.append(indexed)
+
+    problem = RuleSetProblem(universe=tuple(universe), per_node=tuple(per_node),
+                             node_names=tuple(names))
+    solution = minimal_rule_set(problem, cache_dir=cache_dir)
+    kept = assign_artificial_anchors(candidate_indices, solution)
+
+    out = list(graphs)
+    for (gi, ni, _), kept_candidates in zip(entries, kept):
+        tokens = per_graph_tokens[gi]
+        anchors = tuple(Anchor(tokens[a].start, tokens[a].end) for a in kept_candidates)
+        g = out[gi]
+        nodes = list(g.nodes)
+        nodes[ni] = replace(nodes[ni], anchors=anchors)
+        out[gi] = replace(g, nodes=tuple(nodes))
+    return out, problem, solution

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -57,6 +58,15 @@ class TestPreprocess:
         dive = [n for n in graphs[1].nodes if n.label == "dive"]
         assert dive and dive[0].anchors
 
+    def test_amr_output_bytes_pinned(self, tmp_path, capsys):
+        out_path = tmp_path / "amr.jsonl"
+        code, _, _ = run_cli(["preprocess", "--framework", "amr",
+                              "--input", fixture_path("amr.jsonl"),
+                              "--output", str(out_path)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+            "52f308b60148eb098f77232e321acf40288a8f0df851c2c870c2280c0ad36fc3")
+
     def test_byte_identical_runs(self, tmp_path, capsys):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         for path in (a, b):
@@ -90,6 +100,17 @@ class TestRules:
         assert table.exists()
         from mrparse.rules import load_rule_table
         assert len(load_rule_table(str(table))) == stats["rules"]
+
+    def test_infer_bytes_pinned(self, tmp_path, capsys):
+        table = tmp_path / "rules.txt"
+        code, out, _ = run_cli(["rules-infer", "--framework", "eds",
+                                "--input", fixture_path("eds.jsonl"),
+                                "--rule-table", str(table)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "1606d8bddf1d5a3eeff6678a7f138929f2608235d55f929fa308b919f0d86c5b")
+        assert hashlib.sha256(table.read_bytes()).hexdigest() == (
+            "eda7a5d7f3ecf5b762418269c1b96a814c80e51f1a32c384d818c707e2f34335")
 
     def test_apply_encodes_each_node(self, tmp_path, capsys):
         table = tmp_path / "rules.txt"
@@ -218,7 +239,8 @@ class TestTrainPredict:
         assert graphs[0].input == "the cat is diving"
 
     @pytest.mark.parametrize("line", ["stop_when = 3", 'stop_when = {"f1": 0.9}',
-                                      "use_anchor_mask = flase"])
+                                      "use_anchor_mask = flase", "epochs = three",
+                                      "lr_rest = fast", "stop_when = {labels: 0.9}"])
     def test_malformed_config_rejected_before_training(self, line, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("dim = 16\nffn_dim = 24\ncorpus_size = 16\nepochs = 1\n"
@@ -228,7 +250,9 @@ class TestTrainPredict:
                                 "--output", str(out_path)], capsys)
         assert code == 2
         assert len(err.splitlines()) == 1
-        assert json.loads(err)["error"] == "config"
+        record = json.loads(err)
+        assert record["error"] == "config"
+        assert f"{config}:5: " in record["message"]
         assert not out_path.exists()
 
     def test_predict_requires_checkpoint(self, tmp_path, capsys):

@@ -10,7 +10,8 @@ from mrparse.rules import (AbsoluteRule, DecodeError, InfeasibleEncodingError,
                            decode_label, enumerate_applicable_rules,
                            load_rule_table, rule_from_line, rule_to_line,
                            save_rule_table, words_to_number)
-from oracles import enumerate_rules_oracle
+from oracles import (enumerate_rules_oracle, reference_anchor_flavor2_corpus,
+                     reference_rule_problem)
 
 
 class TestApplyRule:
@@ -214,6 +215,63 @@ class TestMinimalRuleSet:
             assert decode_label(target, tokens, lemmas, table) == label
 
 
+_WORDS = st.sampled_from(["diving", "cats", "forty", "two", "ab", "taking"])
+_ITEM_POOL = st.lists(
+    st.tuples(st.lists(_WORDS, max_size=3), st.lists(_WORDS, max_size=3),
+              st.sampled_from(["dive", "_cat_n", "42", "ab", "take", "x"])),
+    min_size=1, max_size=4)
+_BOUNDS = st.builds(RuleSpaceBounds, max_token_drop=st.integers(0, 2),
+                    max_char_strip=st.integers(0, 4),
+                    separators=st.sampled_from([("",), ("", "+"), ("", "+", "-", "_", " ")]),
+                    max_affix_len=st.integers(0, 6), number_rule=st.booleans())
+
+
+def _assert_same_problem(got, expected):
+    assert got.universe == expected.universe
+    assert got.per_node == expected.per_node
+    assert got.node_names == expected.node_names
+    assert rules._problem_digest(got) == rules._problem_digest(expected)
+
+
+class TestBuildProblem:
+    @settings(max_examples=40, deadline=None)
+    @given(pool=_ITEM_POOL, picks=st.lists(st.integers(0, 3), max_size=10),
+           bounds=_BOUNDS, named=st.booleans())
+    def test_matches_per_item_reference(self, pool, picks, bounds, named):
+        # items drawn with repetition from a small pool; lists and tuples mix
+        items = [pool[k % len(pool)] for k in picks]
+        items = [(tuple(f), l, label) if k % 2 else (f, l, label)
+                 for k, (f, l, label) in enumerate(items)]
+        names = [f"n{k}" for k in range(len(items))] if named else None
+        _assert_same_problem(build_problem(items, bounds, names),
+                             reference_rule_problem(items, bounds, names))
+
+    def test_empty_corpus(self):
+        _assert_same_problem(build_problem([]), reference_rule_problem([]))
+        assert build_problem([]).universe == ()
+
+    def test_one_enumeration_per_distinct_item(self, monkeypatch):
+        items = [(["diving"], ["diving"], "dive"), (("diving",), ("diving",), "dive"),
+                 ([], [], "x"), ([], [], "x"), (["cats"], ["cat"], "_cat_n"),
+                 (["diving"], ["diving"], "dive")]
+        calls = []
+        original = rules.enumerate_applicable_rules
+
+        def counted(*args):
+            calls.append(args[:3])
+            return original(*args)
+
+        monkeypatch.setattr(rules, "enumerate_applicable_rules", counted)
+        assert build_problem(items) == reference_rule_problem(items)
+        assert len(calls) == len(set(calls)) == 3
+        # a second call enumerates again under its own bounds: the memo is call-local
+        narrow = RuleSpaceBounds(max_token_drop=0, max_char_strip=1,
+                                 separators=("",), max_affix_len=1)
+        assert build_problem(items, narrow) == reference_rule_problem(items, narrow)
+        assert len(calls) == 6
+        assert reference_rule_problem(items, narrow) != reference_rule_problem(items)
+
+
 class TestArtificialAnchoring:
     def test_assign_keeps_compatible_candidates(self):
         sets = [[frozenset({0}), frozenset({1})],
@@ -252,6 +310,24 @@ class TestArtificialAnchoring:
             for node in g.nodes:
                 for anchor in node.anchors:
                     assert (anchor.start, anchor.end) in token_spans
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_flavor2_corpus_matches_per_token_reference(self, seed):
+        from dataclasses import replace
+        from mrparse.corpus import synth_corpus
+        graphs = [replace(g, framework="amr", flavor=2,
+                          nodes=tuple(replace(n, anchors=()) for n in g.nodes))
+                  for g in synth_corpus(seed, 20)]
+        got = rules.anchor_flavor2_corpus(graphs)
+        assert got == reference_anchor_flavor2_corpus(graphs)
+
+    def test_amr_fixture_matches_per_token_reference(self):
+        from mrparse import transform
+        from mrparse.graph import load_graphs
+        from conftest import fixture_path
+        graphs = [transform.preprocess("amr", g)[0]
+                  for g in load_graphs(fixture_path("amr.jsonl"))]
+        assert rules.anchor_flavor2_corpus(graphs) == reference_anchor_flavor2_corpus(graphs)
 
 
 @settings(max_examples=40, deadline=None)

@@ -63,11 +63,9 @@ class TestCorpus:
     def test_size_500_vocabulary_and_compression(self):
         graphs = corpus.synth_corpus(1, 500)
         config = trainer.TrainConfig()
-        table, problem = trainer.compile_rule_table(graphs, config)
-        labels = set()
-        for g in graphs:
-            pre, _ = trainer.preprocess_gold(g, config)
-            labels.update(n.label for n in pre.nodes if n.label is not None)
+        pre_graphs = [trainer.preprocess_gold(g, config)[0] for g in graphs]
+        table, problem = trainer.compile_rule_table(pre_graphs)
+        labels = {n.label for pre in pre_graphs for n in pre.nodes if n.label is not None}
         assert len(labels) > 50
         assert len(table) < len(labels) / 5
 
@@ -272,6 +270,9 @@ class TestConfigFile:
         'stop_when = {"labels": "0.9"}',
         'stop_when = {"labels": true}',
         'stop_when = {"labels": NaN}',
+        "epochs = three",
+        "lr_rest = fast",
+        "stop_when = {labels: 0.9}",
     ])
     def test_malformed_values_rejected(self, tmp_path, line):
         path = tmp_path / "bad.cfg"
