@@ -365,6 +365,10 @@ def run(argv) -> int:
         return exc.code
     except BrokenPipeError:
         return 0
+    except UnicodeDecodeError as exc:
+        print(json.dumps({"error": "data", "message": f"not UTF-8 text: {exc}"}),
+              file=sys.stderr)
+        return EXIT_DATA
     except OSError as exc:
         print(json.dumps({"error": "io", "message": str(exc)}), file=sys.stderr)
         return EXIT_DATA

@@ -1,8 +1,15 @@
 """Exact minimum hitting set over indexed rule sets.
 
-The solver is a branch-and-bound on the hitting-set formulation with unit
-propagation of forced singletons and dominance pruning, followed by a
-lexicographic refinement pass so the returned index set is the
+The input is first reduced to coverage classes: duplicate sets and sets
+containing another set are dropped, and elements lying in exactly the same
+remaining sets form one class (elements in none of them are never useful).
+A minimum hitting set never holds two members of one class, and the
+lexicographically smallest one takes each class's smallest member, so the
+search runs on bitmasks over classes, a few hundred bits where the universe
+has thousands of elements.  The solver is a branch-and-bound on the
+hitting-set formulation with unit propagation of forced singletons and
+dominance pruning, followed by a lexicographic refinement pass over classes
+in order of their smallest member, so the returned index set is the
 lexicographically smallest among all minimum-cardinality solutions.  A brute
 force enumerator doubles as the verification oracle for small universes.
 """
@@ -176,18 +183,51 @@ def _min_size(masks: list[int], allowed: int, budget: int) -> int | None:
     return None if best is None else n_forced + best
 
 
+def _coverage_classes(sets: Sequence[frozenset[int]],
+                      universe_size: int) -> tuple[list[int], list[int]]:
+    """Constraint masks over coverage classes, and each class's smallest member.
+
+    Distinct sets that contain no other set are the kept constraints; elements
+    lying in exactly the same kept constraints form one class.  Classes are
+    numbered in increasing order of their smallest member.
+    """
+    distinct = dict.fromkeys(sets)
+    if frozenset() in distinct:
+        raise InfeasibleError(list(sets).index(frozenset()))
+    kept: list[frozenset[int]] = []
+    for s in sorted(distinct, key=len):
+        if not any(k <= s for k in kept):
+            kept.append(s)
+    cover: dict[int, int] = {}
+    for j, s in enumerate(kept):
+        bit = 1 << j
+        for e in s:
+            cover[e] = cover.get(e, 0) | bit
+    first: dict[int, int] = {}
+    for e, constraints in cover.items():
+        if e < first.get(constraints, universe_size):
+            first[constraints] = e
+    members = sorted(first.values())
+    masks = [0] * len(kept)
+    for c, e in enumerate(members):
+        for j in _bits(cover[e]):
+            masks[j] |= 1 << c
+    return masks, members
+
+
 def minimal_hitting_set(sets: Sequence[frozenset[int]],
                         universe_size: int) -> tuple[int, ...]:
     """Lexicographically smallest minimum-cardinality hitting set.
 
     Every returned index set intersects all input sets; cardinality is
     provably minimum (branch-and-bound with propagation and dominance
-    pruning, cross-checked against brute force in the test suite).
+    pruning, cross-checked against brute force in the test suite).  The
+    search runs over coverage classes and returns each picked class's
+    smallest member.
     """
-    masks = _to_masks(sets)
-    masks = _dedupe_and_prune(masks)
-    full = (1 << universe_size) - 1
-    optimum = _min_size(masks, full, universe_size)
+    masks, members = _coverage_classes(sets, universe_size)
+    full = (1 << len(members)) - 1
+    optimum = _min_size(masks, full, len(members))
     assert optimum is not None
 
     chosen: list[int] = []
@@ -198,16 +238,16 @@ def minimal_hitting_set(sets: Sequence[frozenset[int]],
         useful = 0
         for m in remaining:
             useful |= m
-        for e in _bits(allowed & useful):
-            bit = 1 << e
+        for c in _bits(allowed & useful):
+            bit = 1 << c
             rest = [m for m in remaining if not m & bit]
-            higher = allowed & ~((bit << 1) - 1)  # indices strictly above e
+            higher = allowed & ~((bit << 1) - 1)  # classes whose minimum is above
             if not rest:
                 sub = 0
             else:
                 sub = _min_size(rest, higher, need - 1)
             if sub is not None and sub <= need - 1:
-                chosen.append(e)
+                chosen.append(members[c])
                 remaining = rest
                 allowed = higher
                 break

@@ -268,13 +268,32 @@ def _problem_digest(problem: RuleSetProblem) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def _cached_solution(path: str, problem: RuleSetProblem) -> tuple[int, ...] | None:
+    """The entry at path if it is strictly increasing in-range rule indices
+    hitting every node's applicable set, else None."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            cached = json.load(handle)
+    except (OSError, ValueError):
+        return None
+    if not isinstance(cached, list) or any(type(i) is not int for i in cached):
+        return None
+    solution = tuple(cached)
+    bounded = zip((-1,) + solution, solution + (len(problem.universe),))
+    if all(a < b for a, b in bounded) and not any(
+            subset.isdisjoint(solution) for subset in set(problem.per_node)):
+        return solution
+    return None
+
+
 def minimal_rule_set(problem: RuleSetProblem,
                      cache_dir: str | None = None) -> tuple[int, ...]:
     """Exact minimum rule subset hitting every node's applicable set.
 
     Deterministic: ties between minimum-cardinality solutions break to the
     lexicographically smallest index set.  Solutions are cached per problem
-    content hash when cache_dir is given.
+    content hash when cache_dir is given; an unreadable cache entry, or one
+    that is not a hitting set of this problem, is solved again and replaced.
     """
     for i, subset in enumerate(problem.per_node):
         if not subset:
@@ -284,9 +303,9 @@ def minimal_rule_set(problem: RuleSetProblem,
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)
         cache_path = os.path.join(cache_dir, _problem_digest(problem) + ".json")
-        if os.path.exists(cache_path):
-            with open(cache_path, encoding="utf-8") as handle:
-                return tuple(json.load(handle))
+        cached = _cached_solution(cache_path, problem)
+        if cached is not None:
+            return cached
     try:
         solution = hitting.minimal_hitting_set(problem.per_node, len(problem.universe))
     except hitting.InfeasibleError as exc:

@@ -7,17 +7,20 @@ rules from scratch via apply_rule over a brute-force candidate sweep, the
 match-problem reference builds one target column and one token at a time,
 the tie-group reference compares one pair of target columns at a time, and the
 rule-problem and flavor-2 anchoring references enumerate rules once per node
-and once per (node, token) candidate, with no sharing between equal items.
+and once per (node, token) candidate, with no sharing between equal items,
+and the hitting-set reference solves on bitmasks over the whole universe.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 
 from mrparse.graph import Anchor, graph_tokens
+from mrparse.hitting import InfeasibleError
 from mrparse.matcher import MatchProblem, apply_anchor_mask, geomean_anchor
 from mrparse.rules import (AbsoluteRule, LemmaRule, NumberRule, RuleSetProblem,
                            RuleSpaceBounds, TokenRule, apply_rule,
@@ -194,3 +197,177 @@ def reference_anchor_flavor2_corpus(graphs, bounds: RuleSpaceBounds = RuleSpaceB
         nodes[ni] = replace(nodes[ni], anchors=anchors)
         out[gi] = replace(g, nodes=tuple(nodes))
     return out, problem, solution
+
+
+# ---------------------------------------------------------------------------
+# hitting set over element masks
+
+def _ref_to_masks(sets: Sequence[frozenset[int]]) -> list[int]:
+    masks = []
+    for i, s in enumerate(sets):
+        if not s:
+            raise InfeasibleError(i)
+        mask = 0
+        for e in s:
+            mask |= 1 << e
+        masks.append(mask)
+    return masks
+
+
+def _ref_bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _ref_dedupe_and_prune(masks: list[int]) -> list[int]:
+    # drop duplicate constraints and supersets of other constraints
+    unique = sorted(set(masks), key=lambda m: (bin(m).count("1"), m))
+    kept: list[int] = []
+    for mask in unique:
+        if not any(k & mask == k for k in kept):
+            kept.append(mask)
+    return kept
+
+
+def _ref_greedy_cover(masks: list[int]) -> list[int]:
+    remaining = list(masks)
+    chosen = []
+    while remaining:
+        counts: dict[int, int] = {}
+        for mask in remaining:
+            for e in _ref_bits(mask):
+                counts[e] = counts.get(e, 0) + 1
+        best = max(sorted(counts), key=lambda e: counts[e])
+        chosen.append(best)
+        bit = 1 << best
+        remaining = [m for m in remaining if not m & bit]
+    return chosen
+
+
+def _ref_packing_bound(masks: list[int]) -> int:
+    # pairwise-disjoint constraints each need their own element
+    packed = 0
+    count = 0
+    for mask in sorted(masks, key=lambda m: (bin(m).count("1"), m)):
+        if not mask & packed:
+            packed |= mask
+            count += 1
+    return count
+
+
+def _ref_min_size(masks: list[int], allowed: int, budget: int) -> int | None:
+    """Smallest hitting set size within budget using allowed elements, else None."""
+    masks = [m & allowed for m in masks]
+    if any(m == 0 for m in masks):
+        return None
+    masks = _ref_dedupe_and_prune(masks)
+    if not masks:
+        return 0
+    if budget <= 0 or _ref_packing_bound(masks) > budget:
+        return None
+
+    # forced singletons
+    forced = 0
+    while True:
+        singles = [m for m in masks if bin(m).count("1") == 1]
+        if not singles:
+            break
+        for m in singles:
+            forced |= m
+        masks = [m for m in masks if not m & forced]
+        if not masks:
+            break
+    n_forced = bin(forced).count("1")
+    if n_forced > budget:
+        return None
+    if not masks:
+        return n_forced
+
+    # element dominance: drop e when its constraint set is a subset of f's
+    coverage: dict[int, int] = {}
+    for i, mask in enumerate(masks):
+        for e in _ref_bits(mask):
+            coverage[e] = coverage.get(e, 0) | (1 << i)
+    elems = sorted(coverage)
+    dominated = set()
+    for e in elems:
+        for f in elems:
+            if f == e or f in dominated:
+                continue
+            if coverage[e] != coverage[f]:
+                if coverage[e] & coverage[f] == coverage[e]:
+                    dominated.add(e)
+                    break
+            elif f < e:
+                dominated.add(e)
+                break
+    keep = [e for e in elems if e not in dominated]
+    allowed_mask = 0
+    for e in keep:
+        allowed_mask |= 1 << e
+    masks = [m & allowed_mask for m in masks]
+
+    best: int | None = None
+    upper = len(_ref_greedy_cover(masks))
+    if n_forced + min(upper, budget + 1) <= budget:
+        best = upper
+
+    def search(current: list[int], used: int) -> None:
+        nonlocal best
+        if not current:
+            if best is None or used < best:
+                best = used
+            return
+        limit = budget - n_forced if best is None else min(best - 1, budget - n_forced)
+        if used + _ref_packing_bound(current) > limit:
+            return
+        pivot = min(current, key=lambda m: (bin(m).count("1"), m))
+        bit_gain = {e: sum(1 for m in current if m & (1 << e)) for e in _ref_bits(pivot)}
+        for e in sorted(bit_gain, key=lambda e: (-bit_gain[e], e)):
+            bit = 1 << e
+            search([m for m in current if not m & bit], used + 1)
+
+    search(masks, 0)
+    return None if best is None else n_forced + best
+
+
+def reference_minimal_hitting_set(sets: Sequence[frozenset[int]],
+                        universe_size: int) -> tuple[int, ...]:
+    """hitting.minimal_hitting_set with bitmasks over the whole universe.
+
+    Every input set becomes a mask before any deduplication, and the
+    branch-and-bound and the lexicographic refinement run on those
+    element masks, with no grouping of elements into coverage classes.
+    """
+    masks = _ref_to_masks(sets)
+    masks = _ref_dedupe_and_prune(masks)
+    full = (1 << universe_size) - 1
+    optimum = _ref_min_size(masks, full, universe_size)
+    assert optimum is not None
+
+    chosen: list[int] = []
+    remaining = masks
+    allowed = full
+    while remaining:
+        need = optimum - len(chosen)
+        useful = 0
+        for m in remaining:
+            useful |= m
+        for e in _ref_bits(allowed & useful):
+            bit = 1 << e
+            rest = [m for m in remaining if not m & bit]
+            higher = allowed & ~((bit << 1) - 1)  # indices strictly above e
+            if not rest:
+                sub = 0
+            else:
+                sub = _ref_min_size(rest, higher, need - 1)
+            if sub is not None and sub <= need - 1:
+                chosen.append(e)
+                remaining = rest
+                allowed = higher
+                break
+        else:  # pragma: no cover - optimum guarantees progress
+            raise AssertionError("lexicographic refinement failed")
+    return tuple(chosen)

@@ -145,6 +145,23 @@ class TestRules:
         assert code == 0
         assert list(cache.glob("*.json"))
 
+    @pytest.mark.parametrize("entry", ["[1, 2", "[999999]", "[0]"])
+    def test_corrupt_cache_entry_is_solved_again(self, entry, tmp_path, capsys):
+        def infer(cache, table):
+            code, out, _ = run_cli(["rules-infer", "--framework", "eds",
+                                    "--input", fixture_path("eds.jsonl"),
+                                    "--cache-dir", str(cache),
+                                    "--rule-table", str(table)], capsys)
+            assert code == 0
+            return out, table.read_bytes()
+
+        cold = infer(tmp_path / "cold", tmp_path / "cold.txt")
+        (entry_path,) = (tmp_path / "cold").glob("*.json")
+        solved = entry_path.read_text()
+        entry_path.write_text(entry)
+        assert infer(tmp_path / "cold", tmp_path / "warm.txt") == cold
+        assert entry_path.read_text() == solved
+
 
 class TestMatch:
     def test_solves_matrix(self, tmp_path, capsys):
@@ -296,3 +313,26 @@ class TestUsage:
                                capsys)
         assert code == 2
         assert json.loads(err)["error"] == "io"
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--input", "BAD"],
+        ["preprocess", "--framework", "eds", "--input", "BAD"],
+        ["rules-infer", "--framework", "eds", "--input", "BAD"],
+        ["evaluate", "--input", "BAD", "--gold", fixture_path("eds.jsonl")],
+        ["evaluate", "--input", fixture_path("eds.jsonl"), "--gold", "BAD"],
+        ["rules-apply", "--framework", "eds", "--input", fixture_path("eds.jsonl"),
+         "--rule-table", "BAD"],
+        ["rules-stats", "--framework", "eds", "--input", fixture_path("eds.jsonl"),
+         "--rule-table", "BAD"],
+        ["preprocess", "--framework", "eds", "--input", fixture_path("eds.jsonl"),
+         "--config", "BAD"],
+    ], ids=["validate-input", "preprocess-input", "rules-infer-input",
+            "evaluate-input", "evaluate-gold", "rules-apply-table",
+            "rules-stats-table", "preprocess-config"])
+    def test_non_utf8_file_is_clean_data_error(self, argv, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe{}\n")
+        code, _, err = run_cli([str(bad) if a == "BAD" else a for a in argv], capsys)
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "data"

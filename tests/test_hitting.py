@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrparse.hitting import (InfeasibleError, UniverseTooLargeError,
                              brute_force_min_hitting_set, minimal_hitting_set)
+from oracles import reference_minimal_hitting_set
 
 
 def random_instance(rng, max_rules=12, max_nodes=8):
@@ -32,6 +35,10 @@ def test_empty_set_infeasible():
     with pytest.raises(InfeasibleError) as err:
         minimal_hitting_set([frozenset({0}), frozenset()], 2)
     assert err.value.constraint_index == 1
+    # the reported index is the input position, not a position after dedupe
+    with pytest.raises(InfeasibleError) as err:
+        minimal_hitting_set([frozenset({0}), frozenset({0}), frozenset()], 2)
+    assert err.value.constraint_index == 2
 
 
 def test_brute_force_universe_cap():
@@ -67,3 +74,43 @@ def test_solution_hits_every_set_property():
         sets, n = random_instance(rng, max_rules=16, max_nodes=12)
         solution = set(minimal_hitting_set(sets, n))
         assert all(solution & s for s in sets)
+
+
+def test_class_with_members_around_earlier_pick():
+    # 0 and 5 lie in the same sets and so form one class, with members on
+    # both sides of the forced pick 1
+    sets = [frozenset({1}), frozenset({0, 3, 5}), frozenset({3})]
+    assert minimal_hitting_set(sets, 6) == brute_force_min_hitting_set(sets, 6) == (1, 3)
+
+
+@st.composite
+def class_instances(draw):
+    """Sets built from a few coverage classes, then duplicated, widened
+    and mixed with arbitrary sets, over universes brute force cannot reach."""
+    universe = draw(st.integers(1, 200))
+    num_classes = draw(st.integers(1, 16))
+    class_of = draw(st.lists(st.integers(0, num_classes - 1),
+                             min_size=universe, max_size=universe))
+    element = st.integers(0, universe - 1)
+    sets = []
+    for chosen in draw(st.lists(st.sets(st.integers(0, num_classes - 1),
+                                        min_size=1, max_size=3), max_size=25)):
+        members = frozenset(e for e in range(universe) if class_of[e] in chosen)
+        if members:
+            sets.append(members)
+    sets += draw(st.lists(st.frozensets(element, min_size=1, max_size=8), max_size=10))
+    if sets:
+        for i, extra in draw(st.lists(st.tuples(st.integers(0, len(sets) - 1),
+                                                st.frozensets(element, max_size=3)),
+                                      max_size=10)):
+            sets.append(sets[i] | extra)  # a duplicate when extra is empty
+    order = draw(st.permutations(range(len(sets))))
+    return [sets[i] for i in order][:40], universe
+
+
+@settings(max_examples=150, deadline=None)
+@given(class_instances())
+def test_matches_element_mask_reference(instance):
+    sets, universe = instance
+    assert minimal_hitting_set(sets, universe) == reference_minimal_hitting_set(
+        sets, universe)

@@ -200,6 +200,16 @@ class TestMinimalRuleSet:
             rules.minimal_rule_set(problem)
         assert "graph g9 node 3" in str(err.value)
 
+    def test_seed1_solution_pinned(self):
+        # recorded with the element-mask solver (tests/oracles.py reference)
+        from mrparse import trainer
+        problem = trainer.prepare(trainer.TrainConfig(seed=1, corpus_size=500))[-1]
+        assert (len(problem.per_node), len(problem.universe)) == (1439, 4547)
+        assert rules._problem_digest(problem) == (
+            "fc6a1be680f18b0fc336294cf7a58becdd1a349d1ac777087aa56e2a3ceb926d")
+        assert rules.minimal_rule_set(problem) == (
+            0, 1, 2, 44, 45, 4450, 4532, 4533, 4534)
+
     def test_encode_decode_consistency(self):
         items = [(["diving"], ["diving"], "dive"),
                  (["cats"], ["cat"], "_cat_n"),
@@ -320,6 +330,18 @@ class TestArtificialAnchoring:
                   for g in synth_corpus(seed, 20)]
         got = rules.anchor_flavor2_corpus(graphs)
         assert got == reference_anchor_flavor2_corpus(graphs)
+
+    def test_flavor2_solution_pinned(self):
+        # recorded with the element-mask solver (tests/oracles.py reference)
+        from dataclasses import replace
+        from mrparse.corpus import synth_corpus
+        graphs = [replace(g, framework="amr", flavor=2,
+                          nodes=tuple(replace(n, anchors=()) for n in g.nodes))
+                  for g in synth_corpus(3, 60)]
+        _, problem, solution = rules.anchor_flavor2_corpus(graphs)
+        assert (len(problem.per_node), len(problem.universe)) == (205, 6181)
+        assert solution == (0, 1, 11, 66, 67, 137, 218,
+                            6135, 6136, 6137, 6138, 6139, 6140)
 
     def test_amr_fixture_matches_per_token_reference(self):
         from mrparse import transform
