@@ -9,6 +9,7 @@ record on stderr.  Identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -34,10 +35,24 @@ def _fail(kind: str, message: str, code: int):
     raise CliError(json.dumps({"error": kind, "message": message}), code)
 
 
+@contextlib.contextmanager
+def _decoding(path: str):
+    """Report a file that is not UTF-8 text as a data error naming the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        name = "stdin" if path == "-" else path
+        _fail("data", f"{name}: not UTF-8 text: {exc}", EXIT_DATA)
+
+
+@contextlib.contextmanager
 def _open_input(path: str):
-    if path == "-":
-        return sys.stdin
-    return open(path, encoding="utf-8")
+    with _decoding(path):
+        if path == "-":
+            yield sys.stdin
+        else:
+            with open(path, encoding="utf-8") as handle:
+                yield handle
 
 
 def _open_output(path: str | None):
@@ -59,10 +74,19 @@ def _load_graphs(path: str) -> list[graph_mod.Graph]:
 def _framework_config(args) -> transform.FrameworkConfig:
     if args.config:
         try:
-            return transform.load_framework_config(args.config)
+            with _decoding(args.config):
+                return transform.load_framework_config(args.config)
         except (OSError, transform.TransformError) as exc:
             _fail("config", str(exc), EXIT_DATA)
     return transform.FrameworkConfig()
+
+
+def _load_rule_table(path: str) -> tuple[rules.RelativeRule, ...]:
+    try:
+        with _decoding(path):
+            return rules.load_rule_table(path)
+    except (OSError, rules.RuleError) as exc:
+        _fail("data", f"rule table: {exc}", EXIT_DATA)
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +184,7 @@ def cmd_rules_infer(args) -> int:
 def cmd_rules_apply(args) -> int:
     if not args.rule_table:
         _fail("usage", "--rule-table is required", EXIT_USAGE)
-    try:
-        table = rules.load_rule_table(args.rule_table)
-    except (OSError, rules.RuleError, json.JSONDecodeError) as exc:
-        _fail("data", f"rule table: {exc}", EXIT_DATA)
+    table = _load_rule_table(args.rule_table)
     config = _framework_config(args)
     graphs = _load_graphs(args.input)
     items, names = _corpus_items(graphs, args.framework, config)
@@ -188,10 +209,7 @@ def cmd_rules_stats(args) -> int:
     labels = {label for _, _, label in items}
     payload = {"labels": len(labels), "nodes": len(items)}
     if args.rule_table:
-        try:
-            payload["rules"] = len(rules.load_rule_table(args.rule_table))
-        except (OSError, rules.RuleError, json.JSONDecodeError) as exc:
-            _fail("data", f"rule table: {exc}", EXIT_DATA)
+        payload["rules"] = len(_load_rule_table(args.rule_table))
     out = _open_output(args.output)
     print(json.dumps(payload), file=out)
     return 0
@@ -221,7 +239,8 @@ def cmd_train_toy(args) -> int:
     config = trainer.TrainConfig()
     if args.config:
         try:
-            config = trainer.load_train_config(args.config)
+            with _decoding(args.config):
+                config = trainer.load_train_config(args.config)
         except (OSError, trainer.TrainError, ValueError) as exc:
             _fail("config", str(exc), EXIT_DATA)
     if args.seed is not None:
@@ -365,10 +384,6 @@ def run(argv) -> int:
         return exc.code
     except BrokenPipeError:
         return 0
-    except UnicodeDecodeError as exc:
-        print(json.dumps({"error": "data", "message": f"not UTF-8 text: {exc}"}),
-              file=sys.stderr)
-        return EXIT_DATA
     except OSError as exc:
         print(json.dumps({"error": "io", "message": str(exc)}), file=sys.stderr)
         return EXIT_DATA

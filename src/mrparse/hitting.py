@@ -76,7 +76,10 @@ def _dedupe_and_prune(masks: list[int]) -> list[int]:
     unique = sorted(set(masks), key=lambda m: (bin(m).count("1"), m))
     kept: list[int] = []
     for mask in unique:
-        if not any(k & mask == k for k in kept):
+        for k in kept:
+            if k & mask == k:
+                break
+        else:
             kept.append(mask)
     return kept
 

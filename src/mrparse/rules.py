@@ -179,10 +179,22 @@ def enumerate_applicable_rules(tokens: Sequence[str], lemmas: Sequence[str],
 
     The absolute rule for the label is always included; the number rule is
     included when the tokens parse to exactly the label.
+
+    With M = len(label) and A = max_affix_len, a core of length c fits only
+    at positions max(0, M - A - c) .. A, so strip pairs whose core length
+    lies outside [M - 2A, M] are skipped and the label is searched only in
+    that window.  A call-local memo keeps the (strip_left, strip_right,
+    prefix, suffix) matches of each distinct joined string; every (kind,
+    drops, separator) that joins to it reuses them.
     """
     found: set[RelativeRule] = {AbsoluteRule(label)}
-    if bounds.number_rule and tokens and words_to_number(tokens) == label:
+    if (bounds.number_rule and tokens and label.isdigit()
+            and words_to_number(tokens) == label):
         found.add(NumberRule())
+    size = len(label)
+    affix = bounds.max_affix_len
+    strip = bounds.max_char_strip
+    matches: dict[str, list[tuple[int, int, str, str]]] = {}
     for kind, source in ((TokenRule, tokens), (LemmaRule, lemmas)):
         if not source:
             continue
@@ -192,25 +204,31 @@ def enumerate_applicable_rules(tokens: Sequence[str], lemmas: Sequence[str],
                 surviving = source[drop_left:n - drop_right]
                 for sep in bounds.separators:
                     joined = sep.join(surviving)
-                    max_left = min(bounds.max_char_strip, len(joined) - 1)
-                    for strip_left in range(max_left + 1):
-                        max_right = min(bounds.max_char_strip,
-                                        len(joined) - 1 - strip_left)
-                        for strip_right in range(max_right + 1):
-                            core = joined[strip_left:len(joined) - strip_right]
-                            start = 0
-                            while True:
-                                pos = label.find(core, start)
+                    hits = matches.get(joined)
+                    if hits is None:
+                        hits = matches[joined] = []
+                        for strip_left in range(min(strip, len(joined) - 1) + 1):
+                            rest = len(joined) - strip_left
+                            # core length c = rest - strip_right, shortest first:
+                            # a core absent from label[:A + c] is a prefix of every
+                            # longer core, so those are absent too
+                            c = max(rest - strip, 1, size - 2 * affix)
+                            while c <= rest and c <= size:
+                                core = joined[strip_left:strip_left + c]
+                                end = affix + c
+                                pos = label.find(core, 0, end)
                                 if pos < 0:
                                     break
-                                prefix = label[:pos]
-                                suffix = label[pos + len(core):]
-                                if (len(prefix) <= bounds.max_affix_len
-                                        and len(suffix) <= bounds.max_affix_len):
-                                    found.add(kind(drop_left, drop_right, sep,
-                                                   strip_left, strip_right,
-                                                   prefix, suffix))
-                                start = pos + 1
+                                if pos < size - affix - c:
+                                    pos = label.find(core, size - affix - c, end)
+                                while pos >= 0:
+                                    hits.append((strip_left, rest - c,
+                                                 label[:pos], label[pos + c:]))
+                                    pos = label.find(core, pos + 1, end)
+                                c += 1
+                    for strip_left, strip_right, prefix, suffix in hits:
+                        found.add(kind(drop_left, drop_right, sep,
+                                       strip_left, strip_right, prefix, suffix))
     return found
 
 
@@ -340,20 +358,30 @@ def rule_to_line(rule: RelativeRule) -> str:
 
 
 def rule_from_line(line: str) -> RelativeRule:
+    """Inverse of rule_to_line; counts must be non-negative JSON integers and
+    separators, affixes and labels JSON strings."""
     parts = line.rstrip("\n").split("\t")
-    kind, fields = parts[0], [json.loads(p) for p in parts[1:]]
+    kind = parts[0]
+    try:
+        fields = [json.loads(p) for p in parts[1:]]
+    except json.JSONDecodeError as exc:
+        raise RuleError(f"bad JSON field: {exc}") from None
+    types = [type(f) for f in fields]
     if kind in ("token", "lemma"):
         cls = TokenRule if kind == "token" else LemmaRule
         if len(fields) != 7:
             raise RuleError(f"{kind} rule needs 7 fields, got {len(fields)}")
-        return cls(int(fields[0]), int(fields[1]), str(fields[2]),
-                   int(fields[3]), int(fields[4]), str(fields[5]), str(fields[6]))
+        counts = (fields[0], fields[1], fields[3], fields[4])
+        if types != [int, int, str, int, int, str, str] or min(counts) < 0:
+            raise RuleError(f"{kind} rule needs non-negative integer counts and "
+                            "a string separator and affixes")
+        return cls(*fields)
     if kind == "number":
         return NumberRule()
     if kind == "absolute":
-        if len(fields) != 1:
-            raise RuleError("absolute rule needs exactly 1 field")
-        return AbsoluteRule(str(fields[0]))
+        if types != [str]:
+            raise RuleError("absolute rule needs exactly 1 string field")
+        return AbsoluteRule(fields[0])
     raise RuleError(f"unknown rule kind {kind!r}")
 
 
@@ -365,8 +393,15 @@ def save_rule_table(rules: Sequence[RelativeRule], path: str):
 
 
 def load_rule_table(path: str) -> tuple[RelativeRule, ...]:
+    table = []
     with open(path, encoding="utf-8") as handle:
-        return tuple(rule_from_line(line) for line in handle if line.strip())
+        for lineno, line in enumerate(handle, start=1):
+            if line.strip():
+                try:
+                    table.append(rule_from_line(line))
+                except RuleError as exc:
+                    raise RuleError(f"{path}:{lineno}: {exc}") from None
+    return tuple(table)
 
 
 # ---------------------------------------------------------------------------

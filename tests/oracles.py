@@ -8,7 +8,8 @@ match-problem reference builds one target column and one token at a time,
 the tie-group reference compares one pair of target columns at a time, and the
 rule-problem and flavor-2 anchoring references enumerate rules once per node
 and once per (node, token) candidate, with no sharing between equal items,
-and the hitting-set reference solves on bitmasks over the whole universe.
+the hitting-set reference solves on bitmasks over the whole universe, and the
+enumerator reference searches the whole label for every strip pair.
 """
 
 from __future__ import annotations
@@ -129,6 +130,45 @@ def enumerate_rules_oracle(tokens, lemmas, label,
                                                 prefix, suffix)
                                     if apply_rule(rule, tokens, lemmas) == label:
                                         found.add(rule)
+    return found
+
+
+def reference_enumerate_applicable_rules(tokens, lemmas, label,
+                                         bounds: RuleSpaceBounds = RuleSpaceBounds()):
+    """rules.enumerate_applicable_rules searching the whole label once per
+    (kind, drops, separator, strip pair), with no sharing between equal
+    joined strings and no affix window."""
+    found = {AbsoluteRule(label)}
+    if bounds.number_rule and tokens and words_to_number(tokens) == label:
+        found.add(NumberRule())
+    for kind, source in ((TokenRule, tokens), (LemmaRule, lemmas)):
+        if not source:
+            continue
+        n = len(source)
+        for drop_left in range(min(bounds.max_token_drop, n - 1) + 1):
+            for drop_right in range(min(bounds.max_token_drop, n - 1 - drop_left) + 1):
+                surviving = source[drop_left:n - drop_right]
+                for sep in bounds.separators:
+                    joined = sep.join(surviving)
+                    max_left = min(bounds.max_char_strip, len(joined) - 1)
+                    for strip_left in range(max_left + 1):
+                        max_right = min(bounds.max_char_strip,
+                                        len(joined) - 1 - strip_left)
+                        for strip_right in range(max_right + 1):
+                            core = joined[strip_left:len(joined) - strip_right]
+                            start = 0
+                            while True:
+                                pos = label.find(core, start)
+                                if pos < 0:
+                                    break
+                                prefix = label[:pos]
+                                suffix = label[pos + len(core):]
+                                if (len(prefix) <= bounds.max_affix_len
+                                        and len(suffix) <= bounds.max_affix_len):
+                                    found.add(kind(drop_left, drop_right, sep,
+                                                   strip_left, strip_right,
+                                                   prefix, suffix))
+                                start = pos + 1
     return found
 
 

@@ -130,6 +130,26 @@ class TestRules:
         assert code == 1
         assert json.loads(err)["error"] == "usage"
 
+    @pytest.mark.parametrize("command", ["rules-apply", "rules-stats"])
+    @pytest.mark.parametrize("line", [
+        'token\t"a"\t0\t""\t0\t0\t""\t""',
+        'token\t1.7\t0\t""\t0\t0\t""\t""',
+        'lemma\ttrue\t0\t""\t0\t0\t""\t""',
+        'token\t0\t0\t[1]\t0\t0\t""\t""',
+        'absolute\t{x',
+    ], ids=["string-count", "float-count", "bool-count", "list-separator", "bad-json"])
+    def test_malformed_table_field_is_data_error(self, command, line, tmp_path, capsys):
+        table = tmp_path / "rules.txt"
+        table.write_text('absolute\t"x"\n' + line + "\n", encoding="utf-8")
+        code, out, err = run_cli([command, "--framework", "eds",
+                                  "--input", fixture_path("eds.jsonl"),
+                                  "--rule-table", str(table)], capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["error"] == "data"
+        assert error["message"].startswith(f"rule table: {table}:2: ")
+
     def test_stats(self, capsys):
         code, out, _ = run_cli(["rules-stats", "--framework", "eds",
                                 "--input", fixture_path("eds.jsonl")], capsys)
@@ -279,6 +299,25 @@ class TestTrainPredict:
         assert code == 1
         assert json.loads(err)["error"] == "usage"
 
+    @pytest.mark.parametrize("line", ['token\t"a"\t0\t""\t0\t0\t""\t""',
+                                      'token\t1.7\t0\t""\t0\t0\t""\t""'])
+    def test_predict_malformed_rules_text(self, line, tmp_path, capsys):
+        import dataclasses
+        from mrparse import model, trainer
+        meta = {"config_json": json.dumps(dataclasses.asdict(trainer.TrainConfig())),
+                "vocab_json": "{}", "rules_text": 'absolute\t"x"\n' + line,
+                "edge_labels_json": "[]", "inverted_labels_json": "[]"}
+        ckpt = tmp_path / "bad.ckpt"
+        model.save_params({f"meta.{k}": model.pack_text(v) for k, v in meta.items()},
+                          str(ckpt))
+        sentences = tmp_path / "s.txt"
+        sentences.write_text("hello\n")
+        code, out, err = run_cli(["predict", "--checkpoint", str(ckpt),
+                                  "--input", str(sentences)], capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "data"
+
     def test_predict_truncated_checkpoint(self, tmp_path, capsys):
         ckpt = tmp_path / "short.ckpt"
         ckpt.write_bytes(b"MRP0\x01\x00")
@@ -326,13 +365,19 @@ class TestUsage:
          "--rule-table", "BAD"],
         ["preprocess", "--framework", "eds", "--input", fixture_path("eds.jsonl"),
          "--config", "BAD"],
+        ["train-toy", "--config", "BAD"],
+        ["match", "--input", "BAD"],
     ], ids=["validate-input", "preprocess-input", "rules-infer-input",
             "evaluate-input", "evaluate-gold", "rules-apply-table",
-            "rules-stats-table", "preprocess-config"])
+            "rules-stats-table", "preprocess-config", "train-toy-config",
+            "match-input"])
     def test_non_utf8_file_is_clean_data_error(self, argv, tmp_path, capsys):
+        # the message names the failing file, so evaluate's --input and --gold
+        # differ, and a bad --config is the same error in preprocess and train-toy
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"\xff\xfe{}\n")
         code, _, err = run_cli([str(bad) if a == "BAD" else a for a in argv], capsys)
         assert code == 2
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "data"
+        assert json.loads(err)["message"].startswith(f"{bad}: not UTF-8 text: ")

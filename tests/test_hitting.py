@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrparse import hitting
 from mrparse.hitting import (InfeasibleError, UniverseTooLargeError,
                              brute_force_min_hitting_set, minimal_hitting_set)
-from oracles import reference_minimal_hitting_set
+from oracles import _ref_dedupe_and_prune, reference_minimal_hitting_set
 
 
 def random_instance(rng, max_rules=12, max_nodes=8):
@@ -114,3 +115,11 @@ def test_matches_element_mask_reference(instance):
     sets, universe = instance
     assert minimal_hitting_set(sets, universe) == reference_minimal_hitting_set(
         sets, universe)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, (1 << 12) - 1), max_size=40))
+def test_prune_keeps_minimal_constraints_in_order(masks):
+    kept = hitting._dedupe_and_prune(masks)
+    assert kept == _ref_dedupe_and_prune(masks)
+    assert not any(k & m == k for i, m in enumerate(kept) for k in kept[:i])

@@ -11,7 +11,7 @@ from mrparse.rules import (AbsoluteRule, DecodeError, InfeasibleEncodingError,
                            load_rule_table, rule_from_line, rule_to_line,
                            save_rule_table, words_to_number)
 from oracles import (enumerate_rules_oracle, reference_anchor_flavor2_corpus,
-                     reference_rule_problem)
+                     reference_enumerate_applicable_rules, reference_rule_problem)
 
 
 class TestApplyRule:
@@ -103,6 +103,105 @@ class TestEnumerate:
         oracle = enumerate_rules_oracle(tokens, lemmas, label, bounds)
         assert ours == oracle
 
+    def test_matches_at_both_window_edges(self):
+        # "ab" fits "xxxxxxab" (prefix of exactly max_affix_len) and
+        # "abxxxxxx" (suffix of exactly max_affix_len), not one character further
+        bounds = RuleSpaceBounds(max_affix_len=6)
+        assert TokenRule(0, 0, "", 0, 0, "x" * 6, "") in \
+            enumerate_applicable_rules(["ab"], ["ab"], "x" * 6 + "ab", bounds)
+        assert TokenRule(0, 0, "", 0, 0, "", "x" * 6) in \
+            enumerate_applicable_rules(["ab"], ["ab"], "ab" + "x" * 6, bounds)
+        assert enumerate_applicable_rules(["ab"], ["ab"], "x" * 7 + "ab", bounds) == \
+            {AbsoluteRule("x" * 7 + "ab")}
+        # the occurrence at 0 leaves an 8-character suffix; the one at 2 fits
+        assert {r for r in enumerate_applicable_rules(["ab"], ["ab"], "abab" + "x" * 6,
+                                                      bounds)
+                if isinstance(r, TokenRule) and r.separator == ""
+                and r.strip_left == r.strip_right == 0} == \
+            {TokenRule(0, 0, "", 0, 0, "ab", "x" * 6)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_reference_under_default_bounds(self, data):
+        tokens, lemmas, label = data.draw(_enumeration_cases(affix_room=8))
+        assert enumerate_applicable_rules(tokens, lemmas, label) == \
+            reference_enumerate_applicable_rules(tokens, lemmas, label)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_under_small_bounds(self, data):
+        bounds = data.draw(_small_bounds())
+        tokens, lemmas, label = data.draw(
+            _enumeration_cases(affix_room=bounds.max_affix_len + 2))
+        assert enumerate_applicable_rules(tokens, lemmas, label, bounds) == \
+            enumerate_rules_oracle(tokens, lemmas, label, bounds)
+
+    def test_fixture_items_match_reference(self):
+        from mrparse import transform
+        from mrparse.corpus import synth_corpus
+        from mrparse.graph import graph_tokens, load_graphs
+        from conftest import fixture_path
+        items = []
+        for name in ("eds", "amr", "ucca"):
+            graphs = [transform.preprocess(name, g)[0]
+                      for g in load_graphs(fixture_path(f"{name}.jsonl"))]
+            items += rules.label_items(graphs)[0]
+            # the single-token candidates of flavor-2 anchoring
+            items += [([t.form], [t.lemma], node.label) for g in graphs
+                      for t in graph_tokens(g) for node in g.nodes
+                      if node.label is not None]
+        synth = [transform.preprocess("eds", g)[0] for g in synth_corpus(1, 500)]
+        items += rules.label_items(synth)[0]
+        distinct = dict.fromkeys((tuple(t), tuple(l), label) for t, l, label in items)
+        assert len(distinct) > 100
+        for tokens, lemmas, label in distinct:
+            assert enumerate_applicable_rules(tokens, lemmas, label) == \
+                reference_enumerate_applicable_rules(tokens, lemmas, label)
+
+
+_PIECE = st.text(alphabet="abé", max_size=4)
+
+
+@st.composite
+def _enumeration_cases(draw, affix_room):
+    """(tokens, lemmas, label): 0-3 tokens from a small pool, so tokens repeat;
+    lemmas equal to the forms or not; the label free text, an overlapping
+    repeat, or a slice of a joined string between affixes of up to
+    affix_room characters."""
+    pool = draw(st.lists(_PIECE, min_size=1, max_size=3))
+    tokens = draw(st.lists(st.sampled_from(pool), max_size=3))
+    if draw(st.booleans()):
+        lemmas = list(tokens)
+    else:
+        lemmas = draw(st.lists(st.one_of(st.sampled_from(pool), _PIECE), max_size=3))
+    shape = draw(st.sampled_from(["free", "repeat", "around"]))
+    if shape == "free":
+        label = draw(st.text(alphabet="abé+", max_size=24))
+    elif shape == "repeat":
+        label = draw(st.text(alphabet="ab", min_size=1, max_size=2)) * \
+            draw(st.integers(1, 8))
+    else:
+        source = draw(st.sampled_from([tokens, lemmas]))
+        joined = draw(st.sampled_from(["", "+", "a", " "])).join(source)
+        start = draw(st.integers(0, len(joined)))
+        core = joined[start:draw(st.integers(start, len(joined)))]
+        affix = st.text(alphabet="abé", max_size=affix_room)
+        label = draw(affix) + core + draw(affix)
+    return tokens, lemmas, label
+
+
+@st.composite
+def _small_bounds(draw):
+    """Bounds small enough for the exhaustive oracle, zeros and duplicate
+    separators included."""
+    return RuleSpaceBounds(
+        max_token_drop=draw(st.integers(0, 1)),
+        max_char_strip=draw(st.integers(0, 2)),
+        separators=tuple(draw(st.lists(st.sampled_from(["", "+", "a", "é"]),
+                                       min_size=1, max_size=3))),
+        max_affix_len=draw(st.integers(0, 2)),
+        number_rule=draw(st.booleans()))
+
 
 class TestRuleTable:
     def test_line_round_trip(self):
@@ -122,6 +221,31 @@ class TestRuleTable:
     def test_bad_kind(self):
         with pytest.raises(rules.RuleError):
             rule_from_line('banana\t"x"')
+
+    @pytest.mark.parametrize("line", [
+        'token\t"a"\t0\t""\t0\t0\t""\t""',
+        'token\t1.7\t0\t""\t0\t0\t""\t""',
+        'lemma\t0\ttrue\t""\t0\t0\t""\t""',
+        'token\t0\t0\t""\t-1\t0\t""\t""',
+        'token\t0\t0\t""\t0\tnull\t""\t""',
+        'token\t0\t0\t[1]\t0\t0\t""\t""',
+        'lemma\t0\t0\t""\t0\t0\t1\t""',
+        'token\t0\t0\t""\t0\t0\t""\tfalse',
+        'absolute\t7',
+        'absolute\t{"x": 1}',
+        'absolute\t"unterminated',
+    ])
+    def test_field_types_enforced(self, line):
+        with pytest.raises(rules.RuleError):
+            rule_from_line(line)
+
+    def test_load_names_path_and_line(self, tmp_path):
+        path = tmp_path / "rules.txt"
+        path.write_text('absolute\t"a"\n\ntoken\t1.7\t0\t""\t0\t0\t""\t""\n',
+                        encoding="utf-8")
+        with pytest.raises(rules.RuleError) as excinfo:
+            load_rule_table(str(path))
+        assert str(excinfo.value).startswith(f"{path}:3: token rule needs")
 
 
 class TestRuleTarget:
