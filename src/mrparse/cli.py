@@ -13,7 +13,6 @@ import contextlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -117,42 +116,21 @@ def cmd_validate(args) -> int:
     return 0 if violations == 0 else EXIT_DATA
 
 
-def _preprocess_one(payload):
-    framework, line, config = payload
-    g = graph_mod.parse_graph(line)
-    out, _ = transform.preprocess(framework, g, config)
-    return graph_mod.serialize_graph(out)
-
-
 def cmd_preprocess(args) -> int:
     config = _framework_config(args)
     graphs = _load_graphs(args.input)
     try:
+        processed = [transform.preprocess(args.framework, g, config)[0] for g in graphs]
         if args.framework == "amr":
-            processed = []
-            for g in graphs:
-                out, _ = transform.preprocess("amr", g, config)
-                processed.append(out)
-            anchored, _, _ = rules.anchor_flavor2_corpus(processed,
-                                                         cache_dir=args.cache_dir)
-            results = [graph_mod.serialize_graph(g) for g in anchored]
-        elif args.jobs > 1:
-            payloads = [(args.framework, graph_mod.serialize_graph(g), config)
-                        for g in graphs]
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_preprocess_one, payloads))
-        else:
-            results = []
-            for g in graphs:
-                out, _ = transform.preprocess(args.framework, g, config)
-                results.append(graph_mod.serialize_graph(out))
+            processed, _, _ = rules.anchor_flavor2_corpus(processed,
+                                                          cache_dir=args.cache_dir)
     except transform.TransformError as exc:
         _fail("data", str(exc), EXIT_DATA)
     except rules.InfeasibleEncodingError as exc:
         _fail("infeasible", str(exc), EXIT_INFEASIBLE)
     out = _open_output(args.output)
-    for line in results:
-        print(line, file=out)
+    for g in processed:
+        print(graph_mod.serialize_graph(g), file=out)
     return 0
 
 
@@ -327,9 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     common(sub.add_parser("validate", help="check graphs against the schema"))
-    preprocess_p = common(sub.add_parser("preprocess", help="framework canonicalization"),
-                          "cache_dir", framework=True)
-    preprocess_p.add_argument("--jobs", type=int, default=1)
+    common(sub.add_parser("preprocess", help="framework canonicalization"),
+           "cache_dir", framework=True)
     common(sub.add_parser("rules-infer", help="solve the minimal rule set"),
            "rule_table", "cache_dir", framework=True)
     common(sub.add_parser("rules-apply", help="encode nodes with a rule table"),

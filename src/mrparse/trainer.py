@@ -23,6 +23,8 @@ from .graph import (Anchor, Edge, Graph, Node, Token, anchored_token_indices,
 from .corpus import synth_corpus
 
 UNK_TOKEN = "<unk>"
+# the mixture-of-softmaxes parameters, stored as "label.<name>"
+MOS_FIELDS = tuple(f.name for f in dataclasses.fields(heads.MoSParams))
 # the held-out F1 metrics evaluate() reports, which stop_when may name
 EVAL_METRICS = ("tops", "labels", "properties", "anchors", "edges")
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
@@ -188,6 +190,11 @@ class ModelMeta:
     config: TrainConfig
     inverted_labels: tuple[str, ...] = ()
 
+    def token_ids(self, tokens: Sequence[Token]) -> np.ndarray:
+        """Vocabulary ids of the token forms; unseen forms map to <unk>."""
+        unk = self.vocab[UNK_TOKEN]
+        return np.array([self.vocab.get(t.form, unk) for t in tokens], dtype=np.int64)
+
 
 def preprocess_gold(g: Graph, config: TrainConfig) -> tuple[Graph, transform.TransformTrace]:
     """Nodeify, optionally de-invert, and merge anchors; merged trace."""
@@ -226,8 +233,7 @@ def build_example(g: Graph, pre: Graph, trace: transform.TransformTrace,
     config = meta.config
     property_ids = {node_id for _, _, node_id in trace.nodeified}
     tokens = graph_tokens(pre)
-    token_ids = np.array([meta.vocab.get(t.form, meta.vocab[UNK_TOKEN]) for t in tokens],
-                         dtype=np.int64)
+    token_ids = meta.token_ids(tokens)
     targets = []
     index_of = {}
     for node in pre.nodes:
@@ -284,12 +290,7 @@ def init_model(meta: ModelMeta, rng: np.random.Generator) -> dict:
                      scale=config.init_scale)
     num_classes = len(meta.rule_table) + 1
     mos = heads.init_mos(rng, dim, num_classes, config.mos_components, config.init_scale)
-    params["label.proj_w"] = mos.proj_w
-    params["label.proj_b"] = mos.proj_b
-    params["label.gate_w"] = mos.gate_w
-    params["label.gate_b"] = mos.gate_b
-    params["label.out_w"] = mos.out_w
-    params["label.out_b"] = mos.out_b
+    params.update({f"label.{name}": getattr(mos, name) for name in MOS_FIELDS})
     params["anchor.u"] = heads.init_biaffine(rng, 1, dim, dim, config.init_scale)
     params["edgep.u"] = heads.init_biaffine(rng, 1, dim, dim, config.init_scale)
     params["edgel.u"] = heads.init_biaffine(rng, max(len(meta.edge_labels), 1),
@@ -304,9 +305,7 @@ def init_model(meta: ModelMeta, rng: np.random.Generator) -> dict:
 
 
 def mos_params_view(params: dict) -> heads.MoSParams:
-    return heads.MoSParams(proj_w=params["label.proj_w"], proj_b=params["label.proj_b"],
-                           gate_w=params["label.gate_w"], gate_b=params["label.gate_b"],
-                           out_w=params["label.out_w"], out_b=params["label.out_b"])
+    return heads.MoSParams(**{name: params[f"label.{name}"] for name in MOS_FIELDS})
 
 
 @dataclass
@@ -344,7 +343,8 @@ def forward_sentence(params: dict, config: TrainConfig, token_ids: np.ndarray,
 
 def match_queries(config: TrainConfig, fwd: ForwardPass, example: Example,
                   params: dict) -> matcher.Assignment:
-    """Align queries to gold nodes, breaking ties by the edge loss."""
+    """Align queries to gold nodes, breaking ties by the edge loss: the
+    edge-presence plus edge-label loss sentence_losses computes for a perm."""
     predictions = matcher.PredictionSpec(label_probs=fwd.label_probs,
                                          anchor_probs=fwd.anchor_probs,
                                          source_tokens=fwd.source_tokens)
@@ -352,25 +352,22 @@ def match_queries(config: TrainConfig, fwd: ForwardPass, example: Example,
                                        mask_epsilon=config.mask_epsilon)
 
     def edge_nll(perm: tuple[int, ...]) -> float:
-        query_for_node = {}
-        for query, target in enumerate(perm):
-            if target < len(example.targets):
-                query_for_node[target] = query
-        order = sorted(query_for_node)
-        sel = [query_for_node[j] for j in order]
-        states = fwd.hidden[sel]
-        m = len(sel)
-        node_pos = {j: k for k, j in enumerate(order)}
-        presence, pairs, labels = _edge_targets(example.edges, node_pos, m,
-                                                config.edge_multilabel)
-        p_logits, p_cache = heads.biaffine_forward(states, states, params["edgep.u"])
-        loss_p, _, _ = heads.edge_presence_loss(p_logits, p_cache, presence)
-        l_logits, l_cache = heads.biaffine_forward(states, states, params["edgel.u"])
-        loss_l, _, _ = heads.edge_label_loss(l_logits, l_cache, pairs, labels,
-                                             config.edge_multilabel)
-        return loss_p + loss_l
+        _, sel, node_pos = _matched_nodes(perm, len(example.targets))
+        edge = _edge_losses(params, config, example, fwd.hidden[sel], node_pos)
+        return edge["edge_presence"][0] + edge["edge_label"][0]
 
     return matcher.align_targets(predictions, example.targets, match_config, edge_nll)
+
+
+def _matched_nodes(perm: Sequence[int], num_targets: int,
+                   ) -> tuple[list[int], list[int], dict[int, int]]:
+    """Matched targets in ascending order, the query matched to each, and each
+    matched target's position in that order; perm entries >= num_targets are
+    null matches."""
+    query_for = {target: query for query, target in enumerate(perm)
+                 if target < num_targets}
+    order = sorted(query_for)
+    return order, [query_for[j] for j in order], {j: k for k, j in enumerate(order)}
 
 
 def _edge_targets(edges, node_pos, m: int, multilabel: bool):
@@ -399,6 +396,30 @@ def _edge_targets(edges, node_pos, m: int, multilabel: bool):
     return presence, pairs, labels
 
 
+def _edge_losses(params: dict, config: TrainConfig, example: Example,
+                 states: np.ndarray, node_pos: dict[int, int],
+                 ) -> dict[str, tuple[float, dict[str, np.ndarray], np.ndarray]]:
+    """Edge losses over the matched node states, as task -> (loss, head
+    parameter grads, grad wrt states): presence, label and, when that head
+    is active, attribute."""
+    presence, pairs, labels = _edge_targets(example.edges, node_pos, len(states),
+                                            config.edge_multilabel)
+    p_logits, p_cache = heads.biaffine_forward(states, states, params["edgep.u"])
+    loss, du, dstates = heads.edge_presence_loss(p_logits, p_cache, presence)
+    out = {"edge_presence": (loss, {"edgep.u": du}, dstates)}
+    l_logits, l_cache = heads.biaffine_forward(states, states, params["edgel.u"])
+    loss, du, dstates = heads.edge_label_loss(l_logits, l_cache, pairs, labels,
+                                              config.edge_multilabel)
+    out["edge_label"] = (loss, {"edgel.u": du}, dstates)
+    if config.use_attribute_head:
+        # toy gold edges carry no attributes: every pair targets class 0
+        a_logits, a_cache = heads.biaffine_forward(states, states, params["edgea.u"])
+        loss, du, dstates = heads.edge_attribute_loss(a_logits, a_cache, pairs,
+                                                      [0] * len(pairs))
+        out["edge_attribute"] = (loss, {"edgea.u": du}, dstates)
+    return out
+
+
 @dataclass
 class SentenceGrads:
     """Per-task gradients of one sentence.
@@ -420,27 +441,21 @@ class SentenceGrads:
 
 def sentence_losses(params: dict, config: TrainConfig, example: Example,
                     fwd: ForwardPass, assignment: matcher.Assignment,
-                    compute_grads: bool = True,
-                    ) -> tuple[dict[str, float], Optional[SentenceGrads], list]:
-    """Per-task losses for one sentence given the query/node assignment.
+                    ) -> tuple[dict[str, float], SentenceGrads, list]:
+    """Per-task losses and gradients for one sentence given the query/node
+    assignment.
 
     Queries matched to null targets contribute only the label loss.  Returns
     (losses, grads, pairing) where pairing lists (query, NodeTarget or None).
     """
     num_queries = fwd.hidden.shape[0]
     num_targets = len(example.targets)
-    matched = {}
-    pairing = []
-    for query, target in enumerate(assignment.perm):
-        node = example.targets[target] if target < num_targets else None
-        if node is not None:
-            matched[target] = query
-        pairing.append((query, node))
+    pairing = [(query, example.targets[target] if target < num_targets else None)
+               for query, target in enumerate(assignment.perm)]
 
     losses: dict[str, float] = {}
     dh: dict[str, np.ndarray] = {}
     head: dict[str, dict[str, np.ndarray]] = {}
-    anchor_dmemory = None
     active = set(config.active_tasks())
 
     # label loss over every query (null queries get the null class target)
@@ -451,32 +466,22 @@ def sentence_losses(params: dict, config: TrainConfig, example: Example,
     loss_label, dprob_matrix = heads.label_loss(fwd.label_probs, target_matrix,
                                                 config.focal_gamma)
     losses["label"] = loss_label
-    if compute_grads:
-        mos_grads, dlabel = heads.mos_backward_batch(fwd.mos_cache,
-                                                     dprob_matrix / num_queries)
-        dh["label"] = dlabel
-        head["label"] = {f"label.{n}": getattr(mos_grads, n)
-                         for n in ("proj_w", "proj_b", "gate_w", "gate_b",
-                                   "out_w", "out_b")}
+    mos_grads, dh["label"] = heads.mos_backward_batch(fwd.mos_cache,
+                                                      dprob_matrix / num_queries)
+    head["label"] = {f"label.{name}": getattr(mos_grads, name) for name in MOS_FIELDS}
 
     # anchor loss over queries matched to real nodes
-    if "anchor" in active:
-        anchor_targets = np.zeros_like(fwd.anchor_probs)
-        mask = np.zeros(num_queries, dtype=bool)
-        for query, node in pairing:
-            if node is not None:
-                mask[query] = True
-                anchor_targets[query] = node.anchor_vector
-        loss, du, dx, dy = heads.anchor_loss(fwd.anchor_cache, anchor_targets, mask)
-        losses["anchor"] = loss
-        if compute_grads:
-            dh["anchor"] = dx
-            head["anchor"] = {"anchor.u": du}
-            anchor_dmemory = dy
+    anchor_targets = np.zeros_like(fwd.anchor_probs)
+    mask = np.zeros(num_queries, dtype=bool)
+    for query, node in pairing:
+        if node is not None:
+            mask[query] = True
+            anchor_targets[query] = node.anchor_vector
+    losses["anchor"], du, dh["anchor"], anchor_dmemory = heads.anchor_loss(
+        fwd.anchor_cache, anchor_targets, mask)
+    head["anchor"] = {"anchor.u": du}
 
-    order = sorted(matched)
-    sel = [matched[j] for j in order]
-    node_pos = {j: k for k, j in enumerate(order)}
+    order, sel, node_pos = _matched_nodes(assignment.perm, num_targets)
     states = fwd.hidden[sel]
     m = len(sel)
 
@@ -485,33 +490,11 @@ def sentence_losses(params: dict, config: TrainConfig, example: Example,
         out[sel] = dstates  # sel has no repeats
         return out
 
-    if "edge_presence" in active:
-        presence, pairs, labels = _edge_targets(example.edges, node_pos, m,
-                                                config.edge_multilabel)
-        p_logits, p_cache = heads.biaffine_forward(states, states, params["edgep.u"])
-        loss, du, dstates = heads.edge_presence_loss(p_logits, p_cache, presence)
-        losses["edge_presence"] = loss
-        if compute_grads:
-            dh["edge_presence"] = scatter(dstates)
-            head["edge_presence"] = {"edgep.u": du}
-
-        l_logits, l_cache = heads.biaffine_forward(states, states, params["edgel.u"])
-        loss, du, dstates = heads.edge_label_loss(l_logits, l_cache, pairs, labels,
-                                                  config.edge_multilabel)
-        losses["edge_label"] = loss
-        if compute_grads:
-            dh["edge_label"] = scatter(dstates)
-            head["edge_label"] = {"edgel.u": du}
-
-        if "edge_attribute" in active:
-            # toy gold edges carry no attributes: every pair targets class 0
-            a_logits, a_cache = heads.biaffine_forward(states, states, params["edgea.u"])
-            loss, du, dstates = heads.edge_attribute_loss(
-                a_logits, a_cache, pairs, [0] * len(pairs))
-            losses["edge_attribute"] = loss
-            if compute_grads:
-                dh["edge_attribute"] = scatter(dstates)
-                head["edge_attribute"] = {"edgea.u": du}
+    for task, (loss, grads, dstates) in _edge_losses(params, config, example, states,
+                                                     node_pos).items():
+        losses[task] = loss
+        dh[task] = scatter(dstates)
+        head[task] = grads
 
     if "property" in active:
         prop_targets = np.array([1.0 if example.targets[j].is_property else 0.0
@@ -519,28 +502,23 @@ def sentence_losses(params: dict, config: TrainConfig, example: Example,
         loss, dw, db, dstates = heads.property_loss(states, params["prop.w"],
                                                     float(params["prop.b"]), prop_targets)
         losses["property"] = loss
-        if compute_grads:
-            dh["property"] = scatter(dstates)
-            head["property"] = {"prop.w": dw, "prop.b": np.array(db)}
+        dh["property"] = scatter(dstates)
+        head["property"] = {"prop.w": dw, "prop.b": np.array(db)}
 
     if "top" in active and example.top_index is not None and m > 0:
         gold = node_pos[example.top_index]
         loss, dw, db, dstates = heads.top_loss(states, params["top.w"],
                                                float(params["top.b"]), gold)
         losses["top"] = loss
-        if compute_grads:
-            dh["top"] = scatter(dstates)
-            head["top"] = {"top.w": dw, "top.b": np.array(db)}
+        dh["top"] = scatter(dstates)
+        head["top"] = {"top.w": dw, "top.b": np.array(db)}
 
-    if not compute_grads:
-        return losses, None, pairing
     tasks = config.active_tasks()
     zeros = np.zeros_like(fwd.hidden)
     dec: dict[str, np.ndarray] = {}
     dquery, dmemory = model.block_backward(
         params, "dec", fwd.dec_cache, np.stack([dh.get(t, zeros) for t in tasks]), dec)
-    if anchor_dmemory is not None:
-        dmemory[tasks.index("anchor")] += anchor_dmemory
+    dmemory[tasks.index("anchor")] += anchor_dmemory
     grads = SentenceGrads(dec=dec, head=head, dhidden=dh, dquery=dquery,
                           dmemory=dmemory)
     return losses, grads, pairing
@@ -549,11 +527,10 @@ def sentence_losses(params: dict, config: TrainConfig, example: Example,
 def sentence_total_loss(params: dict, config: TrainConfig, example: Example,
                         weights: Optional[dict[str, float]] = None,
                         ) -> tuple[float, list]:
-    """Forward-only total loss of one sentence; used by invariance checks."""
+    """Total loss of one sentence, gradients discarded; used by invariance checks."""
     fwd = forward_sentence(params, config, example.token_ids)
     assignment = match_queries(config, fwd, example, params)
-    losses, _, pairing = sentence_losses(params, config, example, fwd, assignment,
-                                         compute_grads=False)
+    losses, _, pairing = sentence_losses(params, config, example, fwd, assignment)
     weights = weights or {t: 1.0 for t in losses}
     total = heads.total_loss(heads.LossBundle(losses=losses, weights=weights))
     return total, pairing
@@ -628,8 +605,19 @@ class TrainedModel:
             payload.pop("meta.edge_labels_json"))))
         inverted = tuple(json.loads(model.unpack_text(
             payload.pop("meta.inverted_labels_json"))))
+        if not isinstance(vocab, dict) or UNK_TOKEN not in vocab \
+                or sorted(vocab.values()) != list(range(len(vocab))):
+            raise model.CheckpointError(f"vocabulary must number its tokens 0..n-1 "
+                                        f"and contain {UNK_TOKEN}")
         meta = ModelMeta(vocab=vocab, rule_table=table, edge_labels=edge_labels,
                          config=TrainConfig(**config_obj), inverted_labels=inverted)
+        expected = {k: v.shape for k, v in init_model(meta, np.random.default_rng(0)).items()}
+        found = {k: v.shape for k, v in payload.items()}
+        if found != expected:
+            wrong = sorted(k for k in expected.keys() | found.keys()
+                           if expected.get(k) != found.get(k))
+            raise model.CheckpointError(f"parameters differ from what the stored "
+                                        f"config builds: {', '.join(wrong)}")
         return cls(params=payload, meta=meta)
 
 
@@ -772,9 +760,7 @@ def predict(trained: TrainedModel, sentence: str) -> Graph:
     if not tokens:
         return Graph(id="pred-0", framework="eds", flavor=1, input=sentence,
                      tokens=tokens)
-    token_ids = np.array([meta.vocab.get(t.form, meta.vocab[UNK_TOKEN])
-                          for t in tokens], dtype=np.int64)
-    fwd = forward_sentence(params, config, token_ids)
+    fwd = forward_sentence(params, config, meta.token_ids(tokens))
     null_class = len(meta.rule_table)
     candidates = [q for q in range(fwd.hidden.shape[0])
                   if int(np.argmax(fwd.label_probs[q])) != null_class]

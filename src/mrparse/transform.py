@@ -238,12 +238,9 @@ def ucca_augment(g: Graph) -> Graph:
             return anchors[node_id]
         state[node_id] = 1
         node = g.node_by_id(node_id)
-        if not children[node_id]:
-            result = frozenset(node.anchors)
-        else:
-            result = frozenset(node.anchors)
-            for child in children[node_id]:
-                result |= collect(child)
+        result = frozenset(node.anchors)
+        for child in children[node_id]:
+            result |= collect(child)
         state[node_id] = 2
         anchors[node_id] = result
         return result

@@ -75,17 +75,6 @@ class TestPreprocess:
                      "--output", str(path)], capsys)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_parallel_jobs_preserve_order(self, tmp_path, capsys):
-        serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
-        run_cli(["preprocess", "--framework", "eds",
-                 "--input", fixture_path("eds.jsonl"),
-                 "--output", str(serial)], capsys)
-        code, _, _ = run_cli(["preprocess", "--framework", "eds",
-                              "--input", fixture_path("eds.jsonl"),
-                              "--output", str(parallel), "--jobs", "2"], capsys)
-        assert code == 0
-        assert serial.read_bytes() == parallel.read_bytes()
-
 
 class TestRules:
     def test_infer_writes_table_and_stats(self, tmp_path, capsys):
@@ -318,6 +307,27 @@ class TestTrainPredict:
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "data"
 
+    @pytest.mark.parametrize("vocab, missing", [({"cat": 0}, None),
+                                                 ({"<unk>": 0, "cat": 2}, None),
+                                                 ({"<unk>": 0, "cat": 1}, "query.w")])
+    def test_predict_checkpoint_inconsistent_with_meta(self, vocab, missing,
+                                                        tmp_path, capsys):
+        import numpy as np
+        from mrparse import trainer
+        meta = trainer.ModelMeta(vocab=vocab, rule_table=(), edge_labels=("ARG1",),
+                                 config=trainer.TrainConfig(dim=8, ffn_dim=8))
+        params = trainer.init_model(meta, np.random.default_rng(0))
+        params.pop(missing, None)
+        ckpt = tmp_path / "bad.ckpt"
+        trainer.TrainedModel(params=params, meta=meta).save(str(ckpt))
+        sentences = tmp_path / "s.txt"
+        sentences.write_text("the cat\n")
+        code, out, err = run_cli(["predict", "--checkpoint", str(ckpt),
+                                  "--input", str(sentences)], capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "data"
+
     def test_predict_truncated_checkpoint(self, tmp_path, capsys):
         ckpt = tmp_path / "short.ckpt"
         ckpt.write_bytes(b"MRP0\x01\x00")
@@ -343,6 +353,7 @@ class TestUsage:
         ["rules-stats", "--framework", "eds", "--cache-dir", "cache"],
         ["evaluate", "--gold", fixture_path("eds.jsonl"), "--rule-table", "t"],
         ["train-toy", "--jobs", "2"],
+        ["preprocess", "--framework", "eds", "--jobs", "2"],
     ])
     def test_ignored_flag_rejected(self, argv, capsys):
         assert cli.run(argv + ["--input", fixture_path("eds.jsonl")]) == 1

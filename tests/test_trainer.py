@@ -138,6 +138,41 @@ class TestSentencePass:
             assert pairing_signatures(base_pairs) == pairing_signatures(moved_pairs)
 
 
+    @pytest.mark.parametrize("multilabel", [False, True])
+    def test_tie_break_scores_perms_with_sentence_edge_losses(self, tiny_setup,
+                                                              multilabel, monkeypatch):
+        import dataclasses
+        from mrparse import matcher
+        config, meta, examples, params = tiny_setup
+        config = dataclasses.replace(config, edge_multilabel=multilabel)
+        example = examples[0]
+        # a copy of target 0 is interchangeable with it for the match score;
+        # an extra edge from the copy makes the two orderings differ in edge loss
+        copy = len(example.targets)
+        tied = trainer.Example(
+            gold=example.gold, pre=example.pre, tokens=example.tokens,
+            token_ids=example.token_ids, targets=example.targets + [example.targets[0]],
+            edges=example.edges + [(copy, 1, 0)], top_index=example.top_index)
+        seen = {}
+        align_targets = matcher.align_targets
+
+        def capture(predictions, targets, config, edge_loglik):
+            def recorded(perm):
+                seen[perm] = edge_loglik(perm)
+                return seen[perm]
+            return align_targets(predictions, targets, config, recorded)
+
+        monkeypatch.setattr(matcher, "align_targets", capture)
+        fwd = trainer.forward_sentence(params, config, tied.token_ids)
+        kept = trainer.match_queries(config, fwd, tied, params)
+        assert len(set(seen.values())) >= 2
+        for perm, loss in seen.items():
+            losses, _, _ = trainer.sentence_losses(
+                params, config, tied, fwd, matcher.Assignment(perm, kept.score))
+            assert loss == losses["edge_presence"] + losses["edge_label"]
+        assert seen[kept.perm] == min(seen.values()) < max(seen.values())
+
+
 def shuffle_example(example, rng):
     order = rng.permutation(len(example.targets)).tolist()
     inverse = {old: new for new, old in enumerate(order)}
