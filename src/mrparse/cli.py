@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -54,10 +55,13 @@ def _open_input(path: str):
                 yield handle
 
 
+@contextlib.contextmanager
 def _open_output(path: str | None):
     if path is None or path == "-":
-        return sys.stdout
-    return open(path, "w", encoding="utf-8")
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
 
 
 def _load_graphs(path: str) -> list[graph_mod.Graph]:
@@ -109,10 +113,10 @@ def cmd_validate(args) -> int:
             for v in graph_mod.validate(g):
                 violations += 1
                 lines.append(f"line {lineno}: {v.subject}: {v.rule}: {v.message}")
-    out = _open_output(args.output)
-    for line in lines:
-        print(line, file=out)
-    print(f"validated {graphs} graphs, {violations} violations", file=out)
+    with _open_output(args.output) as out:
+        for line in lines:
+            print(line, file=out)
+        print(f"validated {graphs} graphs, {violations} violations", file=out)
     return 0 if violations == 0 else EXIT_DATA
 
 
@@ -128,9 +132,9 @@ def cmd_preprocess(args) -> int:
         _fail("data", str(exc), EXIT_DATA)
     except rules.InfeasibleEncodingError as exc:
         _fail("infeasible", str(exc), EXIT_INFEASIBLE)
-    out = _open_output(args.output)
-    for g in processed:
-        print(graph_mod.serialize_graph(g), file=out)
+    with _open_output(args.output) as out:
+        for g in processed:
+            print(graph_mod.serialize_graph(g), file=out)
     return 0
 
 
@@ -166,17 +170,17 @@ def cmd_rules_apply(args) -> int:
     config = _framework_config(args)
     graphs = _load_graphs(args.input)
     items, names = _corpus_items(graphs, args.framework, config)
-    out = _open_output(args.output)
-    records = []
-    for (tokens, lemmas, label), name in zip(items, names):
-        applicable = [i for i, rule in enumerate(table)
-                      if rules.apply_rule(rule, tokens, lemmas) == label]
-        if not applicable:
-            _fail("infeasible", f"{name}: no retained rule encodes {label!r}",
-                  EXIT_INFEASIBLE)
-        records.append({"node": name, "label": label, "rules": applicable})
-    for record in records:
-        print(json.dumps(record, ensure_ascii=False), file=out)
+    with _open_output(args.output) as out:
+        records = []
+        for (tokens, lemmas, label), name in zip(items, names):
+            applicable = [i for i, rule in enumerate(table)
+                          if rules.apply_rule(rule, tokens, lemmas) == label]
+            if not applicable:
+                _fail("infeasible", f"{name}: no retained rule encodes {label!r}",
+                      EXIT_INFEASIBLE)
+            records.append({"node": name, "label": label, "rules": applicable})
+        for record in records:
+            print(json.dumps(record, ensure_ascii=False), file=out)
     return 0
 
 
@@ -188,8 +192,8 @@ def cmd_rules_stats(args) -> int:
     payload = {"labels": len(labels), "nodes": len(items)}
     if args.rule_table:
         payload["rules"] = len(_load_rule_table(args.rule_table))
-    out = _open_output(args.output)
-    print(json.dumps(payload), file=out)
+    with _open_output(args.output) as out:
+        print(json.dumps(payload), file=out)
     return 0
 
 
@@ -207,9 +211,9 @@ def cmd_match(args) -> int:
         assignment = matcher.optimal_assignment(matrix)
     except matcher.MatchError as exc:
         _fail("data", str(exc), EXIT_DATA)
-    out = _open_output(args.output)
-    print(" ".join(str(j) for j in assignment.perm), file=out)
-    print(f"score {assignment.score:.12g}", file=out)
+    with _open_output(args.output) as out:
+        print(" ".join(str(j) for j in assignment.perm), file=out)
+        print(f"score {assignment.score:.12g}", file=out)
     return 0
 
 
@@ -224,18 +228,18 @@ def cmd_train_toy(args) -> int:
     if args.seed is not None:
         config.seed = args.seed
     graphs = _load_graphs(args.input) if args.input else None
-    out = _open_output(args.output)
+    with _open_output(args.output) as out:
 
-    def emit(record):
-        print(json.dumps(record, sort_keys=True), file=out, flush=True)
+        def emit(record):
+            print(json.dumps(record, sort_keys=True), file=out, flush=True)
 
-    try:
-        trained, _ = trainer.train(config, graphs=graphs, on_epoch=emit,
-                                   cache_dir=args.cache_dir)
-    except rules.InfeasibleEncodingError as exc:
-        _fail("infeasible", str(exc), EXIT_INFEASIBLE)
-    except trainer.TrainError as exc:
-        _fail("data", str(exc), EXIT_DATA)
+        try:
+            trained, _ = trainer.train(config, graphs=graphs, on_epoch=emit,
+                                       cache_dir=args.cache_dir)
+        except rules.InfeasibleEncodingError as exc:
+            _fail("infeasible", str(exc), EXIT_INFEASIBLE)
+        except trainer.TrainError as exc:
+            _fail("data", str(exc), EXIT_DATA)
     if args.checkpoint:
         trained.save(args.checkpoint)
     if args.rule_table:
@@ -253,14 +257,12 @@ def cmd_predict(args) -> int:
     except (model.CheckpointError, KeyError, ValueError, TypeError,
             json.JSONDecodeError, rules.RuleError) as exc:
         _fail("data", f"checkpoint: {exc}", EXIT_DATA)
-    out = _open_output(args.output)
-    with _open_input(args.input) as handle:
-        for line in handle:
-            sentence = line.rstrip("\n")
-            if not sentence.strip():
-                continue
-            g = trainer.predict(trained, sentence)
-            print(graph_mod.serialize_graph(g), file=out)
+    with _open_output(args.output) as out, _open_input(args.input) as handle:
+        sentences = (line.rstrip("\n") for line in handle if line.strip())
+        # one chunk at a time, so output streams as the input is read
+        while chunk := list(itertools.islice(sentences, trained.meta.config.batch_size)):
+            for g in trainer.predict_batch(trained, chunk):
+                print(graph_mod.serialize_graph(g), file=out)
     return 0
 
 
@@ -275,8 +277,8 @@ def cmd_evaluate(args) -> int:
     except scorer.ScoreError as exc:
         _fail("data", str(exc), EXIT_DATA)
     total = scorer.aggregate(reports)
-    out = _open_output(args.output)
-    print(json.dumps(scorer.report_to_json(total), sort_keys=True), file=out)
+    with _open_output(args.output) as out:
+        print(json.dumps(scorer.report_to_json(total), sort_keys=True), file=out)
     return 0
 
 

@@ -78,18 +78,19 @@ def mos_forward_batch(h: np.ndarray, params: MoSParams):
 
     Returns (probs (N, V), cache).  Gates are sigmoid-normalized (each gate
     squashed independently, then divided by the gate sum), not a softmax
-    over gate logits.
+    over gate logits.  h may carry leading sentence axes, which every
+    result keeps; each stack is computed exactly as on its own.
     """
-    x = np.tanh(np.einsum("kde,ne->nkd", params.proj_w, h) + params.proj_b)
+    x = np.tanh(np.einsum("kde,...ne->...nkd", params.proj_w, h) + params.proj_b)
     gate_logits = h @ params.gate_w.T + params.gate_b
     gates = sigmoid(gate_logits)
     totals = gates.sum(axis=-1)
     if (totals < 1e-300).any():
         raise HeadError("all mixture gates underflowed to zero")
-    weights = gates / totals[:, None]
+    weights = gates / totals[..., None]
     logits = x @ params.out_w + params.out_b
     components = softmax(logits, axis=-1)
-    probs = np.einsum("nk,nkv->nv", weights, components)
+    probs = np.einsum("...nk,...nkv->...nv", weights, components)
     return probs, (h, params, x, gates, weights, components)
 
 
@@ -172,7 +173,7 @@ def init_biaffine(rng: np.random.Generator, num_classes: int, dim_x: int,
 
 
 def _augment(x: np.ndarray) -> np.ndarray:
-    return np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
+    return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
 
 
 def biaffine_forward(x: np.ndarray, y: np.ndarray, u: np.ndarray):
@@ -180,12 +181,13 @@ def biaffine_forward(x: np.ndarray, y: np.ndarray, u: np.ndarray):
 
     x: (Nx, Dx), y: (Ny, Dy), u: (C, Dx+1, Dy+1); the appended constant 1
     lets the bilinear form subsume the linear and bias terms.  Returns
-    (logits (C, Nx, Ny), cache).
+    (logits (C, Nx, Ny), cache).  x and y may share leading sentence axes,
+    which the logits and the cached inputs keep.
     """
     xa = _augment(x)
     ya = _augment(y)
-    uy = u @ ya.T                 # (C, Dx+1, Ny)
-    logits = xa @ uy              # (C, Nx, Ny)
+    uy = u @ np.swapaxes(ya, -1, -2)[..., None, :, :]    # (C, Dx+1, Ny)
+    logits = xa[..., None, :, :] @ uy                    # (C, Nx, Ny)
     return logits, (xa, ya, u)
 
 
@@ -204,9 +206,11 @@ def biaffine_backward(cache, dlogits: np.ndarray):
 
 def anchor_head(query_states: np.ndarray, token_states: np.ndarray,
                 u: np.ndarray):
-    """Anchor presence probability for every (query, token) pair."""
+    """Anchor presence probability for every (query, token) pair; the states
+    may share leading sentence axes."""
     logits, cache = biaffine_forward(query_states, token_states, u)
-    return sigmoid(logits[0]), (logits[0], cache)
+    logits = logits[..., 0, :, :]
+    return sigmoid(logits), (logits, cache)
 
 
 def anchor_loss(head_cache, targets: np.ndarray,

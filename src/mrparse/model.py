@@ -36,13 +36,32 @@ def add_grad(grads: dict, key: str, value: np.ndarray):
         grads[key] = value
 
 
+def _add_grad(grads: dict, key: str, value: np.ndarray, scale: Optional[float]):
+    """add_grad, or with a scale grads[key] += scale * value in place (from
+    zeros), the product formed in value's buffer: it rounds as scale * value
+    does and allocates nothing."""
+    if scale is None:
+        add_grad(grads, key, value)
+    else:
+        value *= scale
+        if key not in grads:
+            grads[key] = np.zeros_like(value)
+        grads[key] += value
+
+
 # ---------------------------------------------------------------------------
 # layer norm
 
 def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
-    mean = x.mean(axis=-1, keepdims=True)
+    """Normalize the last axis of x, any leading axes; returns (y, cache).
+
+    Means are add.reduce over the last axis divided by its size, the same
+    sum and division ndarray.mean makes without its Python-level wrapper.
+    """
+    dim = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1, keepdims=True) / dim
     centered = x - mean
-    variance = (centered * centered).mean(axis=-1, keepdims=True)
+    variance = np.add.reduce(centered * centered, axis=-1, keepdims=True) / dim
     inv = 1.0 / np.sqrt(variance + LN_EPS)
     normed = centered * inv
     return gain * normed + bias, (normed, inv, gain)
@@ -56,11 +75,13 @@ def layer_norm_backward(cache, dy: np.ndarray):
     those axes and reduce over rows only.
     """
     normed, inv, gain = cache
+    dim = dy.shape[-1]
     dgain = (dy * normed).sum(axis=-2)
     dbias = dy.sum(axis=-2)
     dnormed = dy * gain
-    dx = inv * (dnormed - dnormed.mean(axis=-1, keepdims=True)
-                - normed * (dnormed * normed).mean(axis=-1, keepdims=True))
+    dx = inv * (dnormed - np.add.reduce(dnormed, axis=-1, keepdims=True) / dim
+                - normed * (np.add.reduce(dnormed * normed, axis=-1, keepdims=True)
+                            / dim))
     return dx, dgain, dbias
 
 
@@ -69,7 +90,11 @@ def layer_norm_backward(cache, dy: np.ndarray):
 
 def attention_forward(params: dict, prefix: str, queries_in: np.ndarray,
                       keys_in: np.ndarray):
-    """Scaled dot-product attention; returns (out, cache)."""
+    """Scaled dot-product attention; returns (out, cache).
+
+    Inputs may share leading axes (one per sentence of a group); each
+    slice is computed exactly as the 2-D call on that slice.
+    """
     wq, bq = params[f"{prefix}.wq"], params[f"{prefix}.bq"]
     wk, bk = params[f"{prefix}.wk"], params[f"{prefix}.bk"]
     wv, bv = params[f"{prefix}.wv"], params[f"{prefix}.bv"]
@@ -78,7 +103,7 @@ def attention_forward(params: dict, prefix: str, queries_in: np.ndarray,
     q = queries_in @ wq + bq
     k = keys_in @ wk + bk
     v = keys_in @ wv + bv
-    scores = (q @ k.T) * scale
+    scores = (q @ np.swapaxes(k, -1, -2)) * scale
     shifted = scores - scores.max(axis=-1, keepdims=True)
     weights = np.exp(shifted)
     weights /= weights.sum(axis=-1, keepdims=True)
@@ -88,24 +113,25 @@ def attention_forward(params: dict, prefix: str, queries_in: np.ndarray,
     return out, cache
 
 
-def attention_backward(params: dict, cache, dout: np.ndarray, grads: dict):
+def attention_backward(params: dict, cache, dout: np.ndarray, grads: dict,
+                       grad_scale: Optional[float] = None):
     queries_in, keys_in, q, k, v, weights, mixed, scale, prefix = cache
     wq, wk, wv, wo = (params[f"{prefix}.wq"], params[f"{prefix}.wk"],
                       params[f"{prefix}.wv"], params[f"{prefix}.wo"])
-    add_grad(grads, f"{prefix}.wo", mixed.T @ dout)
-    add_grad(grads, f"{prefix}.bo", dout.sum(axis=-2))
+    _add_grad(grads, f"{prefix}.wo", mixed.T @ dout, grad_scale)
+    _add_grad(grads, f"{prefix}.bo", dout.sum(axis=-2), grad_scale)
     dmixed = dout @ wo.T
     dweights = dmixed @ v.T
     dv = weights.T @ dmixed
     dscores = weights * (dweights - (dweights * weights).sum(axis=-1, keepdims=True))
     dq = dscores @ k * scale
     dk = np.swapaxes(dscores, -1, -2) @ q * scale
-    add_grad(grads, f"{prefix}.wq", queries_in.T @ dq)
-    add_grad(grads, f"{prefix}.bq", dq.sum(axis=-2))
-    add_grad(grads, f"{prefix}.wk", keys_in.T @ dk)
-    add_grad(grads, f"{prefix}.bk", dk.sum(axis=-2))
-    add_grad(grads, f"{prefix}.wv", keys_in.T @ dv)
-    add_grad(grads, f"{prefix}.bv", dv.sum(axis=-2))
+    _add_grad(grads, f"{prefix}.wq", queries_in.T @ dq, grad_scale)
+    _add_grad(grads, f"{prefix}.bq", dq.sum(axis=-2), grad_scale)
+    _add_grad(grads, f"{prefix}.wk", keys_in.T @ dk, grad_scale)
+    _add_grad(grads, f"{prefix}.bk", dk.sum(axis=-2), grad_scale)
+    _add_grad(grads, f"{prefix}.wv", keys_in.T @ dv, grad_scale)
+    _add_grad(grads, f"{prefix}.bv", dv.sum(axis=-2), grad_scale)
     dqueries_in = dq @ wq.T
     dkeys_in = dk @ wk.T + dv @ wv.T
     return dqueries_in, dkeys_in
@@ -116,6 +142,7 @@ def attention_backward(params: dict, cache, dout: np.ndarray, grads: dict):
 
 def block_forward(params: dict, prefix: str, x: np.ndarray,
                   memory: Optional[np.ndarray] = None):
+    """Returns (y, cache); x [rows, dim] and memory may share leading axes."""
     ln1, c_ln1 = layer_norm_forward(x, params[f"{prefix}.ln1.gain"],
                                     params[f"{prefix}.ln1.bias"])
     self_out, c_self = attention_forward(params, f"{prefix}.self", ln1, ln1)
@@ -137,7 +164,7 @@ def block_forward(params: dict, prefix: str, x: np.ndarray,
 
 
 def block_backward(params: dict, prefix: str, cache, dy: np.ndarray,
-                   grads: dict):
+                   grads: dict, grad_scale: Optional[float] = None):
     """Returns (dx, dmemory); parameter grads accumulate into grads.
 
     The backward is linear in dy given the cache, so dy may stack several
@@ -145,38 +172,41 @@ def block_backward(params: dict, prefix: str, cache, dy: np.ndarray,
     against a [queries, dim] forward.  Every result then keeps that axis:
     dx is [tasks, queries, dim], dmemory [tasks, tokens, dim] and each
     parameter grad [tasks, *param.shape], row t equal to the 2-D call on
-    dy[t].
+    dy[t].  With grad_scale, each parameter grad is multiplied by grad_scale
+    and added in place into grads[key] (zeros at first), one key at a time.
     """
     c_ln1, c_self, c_ln2, c_cross, c_ln3, ln3, hidden, has_cross = cache
     dh = dy.copy()
     dffn_out = dy
-    add_grad(grads, f"{prefix}.ffn.w2", hidden.T @ dffn_out)
-    add_grad(grads, f"{prefix}.ffn.b2", dffn_out.sum(axis=-2))
+    _add_grad(grads, f"{prefix}.ffn.w2", hidden.T @ dffn_out, grad_scale)
+    _add_grad(grads, f"{prefix}.ffn.b2", dffn_out.sum(axis=-2), grad_scale)
     dhidden = dffn_out @ params[f"{prefix}.ffn.w2"].T
     dpre = (1.0 - hidden * hidden) * dhidden
-    add_grad(grads, f"{prefix}.ffn.w1", ln3.T @ dpre)
-    add_grad(grads, f"{prefix}.ffn.b1", dpre.sum(axis=-2))
+    _add_grad(grads, f"{prefix}.ffn.w1", ln3.T @ dpre, grad_scale)
+    _add_grad(grads, f"{prefix}.ffn.b1", dpre.sum(axis=-2), grad_scale)
     dln3 = dpre @ params[f"{prefix}.ffn.w1"].T
     dx3, dgain, dbias = layer_norm_backward(c_ln3, dln3)
-    add_grad(grads, f"{prefix}.ln3.gain", dgain)
-    add_grad(grads, f"{prefix}.ln3.bias", dbias)
+    _add_grad(grads, f"{prefix}.ln3.gain", dgain, grad_scale)
+    _add_grad(grads, f"{prefix}.ln3.bias", dbias, grad_scale)
     dh = dh + dx3
 
     dmemory = None
     if has_cross:
         dcross_out = dh
-        dln2, dmemory = attention_backward(params, c_cross, dcross_out, grads)
+        dln2, dmemory = attention_backward(params, c_cross, dcross_out, grads,
+                                            grad_scale)
         dx2, dgain, dbias = layer_norm_backward(c_ln2, dln2)
-        add_grad(grads, f"{prefix}.ln2.gain", dgain)
-        add_grad(grads, f"{prefix}.ln2.bias", dbias)
+        _add_grad(grads, f"{prefix}.ln2.gain", dgain, grad_scale)
+        _add_grad(grads, f"{prefix}.ln2.bias", dbias, grad_scale)
         dh = dh + dx2
 
     dself_out = dh
-    dln1_q, dln1_kv = attention_backward(params, c_self, dself_out, grads)
+    dln1_q, dln1_kv = attention_backward(params, c_self, dself_out, grads,
+                                         grad_scale)
     dln1 = dln1_q + dln1_kv
     dx1, dgain, dbias = layer_norm_backward(c_ln1, dln1)
-    add_grad(grads, f"{prefix}.ln1.gain", dgain)
-    add_grad(grads, f"{prefix}.ln1.bias", dbias)
+    _add_grad(grads, f"{prefix}.ln1.gain", dgain, grad_scale)
+    _add_grad(grads, f"{prefix}.ln1.bias", dbias, grad_scale)
     dx = dh + dx1
     return dx, dmemory
 
@@ -204,15 +234,25 @@ def init_block(rng: np.random.Generator, params: dict, prefix: str, dim: int,
 # ---------------------------------------------------------------------------
 # encoder: embeddings, self-attention layers, layer mixing
 
+def draw_layer_dropout(rng: np.random.Generator, num_states: int,
+                       rate: float) -> np.ndarray:
+    """Mask of the mixing logits to drop, each with the given probability;
+    redrawn until at least one layer survives."""
+    while True:
+        dropped = rng.random(num_states) < rate
+        if not dropped.all():
+            return dropped
+
+
 def encode_forward(params: dict, token_ids: np.ndarray, num_layers: int,
-                   rng: Optional[np.random.Generator] = None,
-                   layer_dropout: float = 0.0):
+                   dropped: Optional[np.ndarray] = None):
     """Per-token embeddings mixed across layers; returns (e, cache).
 
     Layer outputs (embedding included) are combined by softmax-normalized
-    logits and layer-normalized.  During training each mixing logit is
-    dropped (set to -inf) with the given probability; at least one layer
-    always survives.
+    logits and layer-normalized.  During training the mixing logits marked
+    in dropped (see draw_layer_dropout) are set to -inf.  token_ids may carry
+    leading axes (one per sentence of a group), and dropped then one mask
+    per sentence; each sentence is computed exactly as on its own.
     """
     states = [params["emb"][token_ids]]
     block_caches = []
@@ -220,17 +260,14 @@ def encode_forward(params: dict, token_ids: np.ndarray, num_layers: int,
         out, cache = block_forward(params, f"enc{layer}", states[-1])
         states.append(out)
         block_caches.append(cache)
-    logits = params["mix"].astype(np.float64).copy()
-    if rng is not None and layer_dropout > 0.0:
-        while True:
-            dropped = rng.random(len(logits)) < layer_dropout
-            if not dropped.all():
-                break
+    mix = params["mix"]
+    logits = np.broadcast_to(mix, token_ids.shape[:-1] + mix.shape).copy()
+    if dropped is not None:
         logits[dropped] = -np.inf
-    shifted = logits - logits.max()
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     alpha = np.exp(shifted)
-    alpha /= alpha.sum()
-    mixed = sum(a * s for a, s in zip(alpha, states))
+    alpha /= alpha.sum(axis=-1, keepdims=True)
+    mixed = sum(alpha[..., k, None, None] * state for k, state in enumerate(states))
     e, c_ln = layer_norm_forward(mixed, params["encln.gain"], params["encln.bias"])
     cache = (token_ids, states, block_caches, alpha, c_ln)
     return e, cache
@@ -261,14 +298,14 @@ def queries_forward(params: dict, e: np.ndarray):
     """Map each token embedding onto Q queries: tanh(W_t e + b_t).
 
     Queries are ordered token-major: query index i*Q + t has source token i
-    and slot t.  Returns (query states, source token indices, cache).
+    and slot t.  e may carry leading sentence axes, which the states keep.
+    Returns (query states, source token indices, cache).
     """
     w, b = params["query.w"], params["query.b"]
     num_slots = w.shape[0]
-    num_tokens = e.shape[0]
-    pre = np.einsum("tde,ne->ntd", w, e) + b[None, :, :]
-    q = np.tanh(pre)
-    states = q.reshape(num_tokens * num_slots, -1)
+    num_tokens = e.shape[-2]
+    q = np.tanh(np.einsum("tde,...ne->...ntd", w, e) + b)
+    states = q.reshape(e.shape[:-2] + (num_tokens * num_slots, -1))
     source = np.repeat(np.arange(num_tokens), num_slots)
     return states, source, (e, q)
 

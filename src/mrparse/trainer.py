@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -310,6 +310,13 @@ def mos_params_view(params: dict) -> heads.MoSParams:
 
 @dataclass
 class ForwardPass:
+    """Everything one forward leaves for matching, the losses and the backward.
+
+    A forward over a group of equal-length sentences gives every array a
+    leading sentence axis (source_tokens, the same for all, excepted);
+    sentences() splits it into one pass per sentence.
+    """
+
     embeddings: np.ndarray
     enc_cache: tuple
     query_states: np.ndarray
@@ -322,23 +329,110 @@ class ForwardPass:
     anchor_probs: np.ndarray
     anchor_cache: tuple
 
+    def sentences(self, params: dict) -> list["ForwardPass"]:
+        """Per-sentence views of a group pass: each array split on its
+        sentence axis, except source_tokens and the parameters the caches
+        hold."""
+        shared = {id(value) for value in params.values()} | {id(self.source_tokens)}
+        count = self.hidden.shape[0]
+
+        def split(tree) -> list:
+            # one walk per group; zip builds every sentence's tuples at once
+            kind = type(tree)
+            if kind is np.ndarray and id(tree) not in shared:
+                return list(tree)
+            if (kind is tuple or kind is list) and tree:
+                return [kind(parts) for parts in zip(*map(split, tree))]
+            return [tree] * count
+
+        fields = tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+        return [ForwardPass(*row) for row in split(fields)]
+
+    def nbytes(self, params: dict) -> int:
+        """Bytes of the memory the pass's arrays hold, parameters excluded."""
+        shared = {id(value) for value in params.values()}
+        owners = {}
+        stack = [getattr(self, f.name) for f in dataclasses.fields(self)]
+        while stack:
+            item = stack.pop()
+            if type(item) is np.ndarray and id(item) not in shared:
+                owner = item if item.base is None else item.base
+                owners[id(owner)] = owner.nbytes
+            elif type(item) is tuple or type(item) is list:
+                stack.extend(item)
+        return sum(owners.values())
+
 
 def forward_sentence(params: dict, config: TrainConfig, token_ids: np.ndarray,
-                     rng: Optional[np.random.Generator] = None,
-                     train: bool = False) -> ForwardPass:
-    e, enc_cache = model.encode_forward(
-        params, token_ids, config.encoder_layers,
-        rng=rng if train else None,
-        layer_dropout=config.layer_dropout if train else 0.0)
+                     dropped: Optional[np.ndarray] = None) -> ForwardPass:
+    """Encoder, queries, decoder block and the label and anchor heads.
+
+    token_ids is one sentence [tokens], or a group of equal-length sentences
+    [sentences, tokens] run once with a leading sentence axis throughout;
+    each sentence's slice equals its own forward bit for bit.  dropped holds
+    the layer-dropout masks of a training forward (model.draw_layer_dropout),
+    one per sentence; None is the evaluation forward.
+    """
+    single = token_ids.ndim == 1
+    if single:
+        token_ids = token_ids[None]
+        dropped = None if dropped is None else dropped[None]
+    e, enc_cache = model.encode_forward(params, token_ids, config.encoder_layers,
+                                        dropped)
     qstates, source, q_cache = model.queries_forward(params, e)
     hidden, dec_cache = model.block_forward(params, "dec", qstates, memory=e)
     label_probs, mos_cache = heads.mos_forward_batch(hidden, mos_params_view(params))
     anchor_probs, anchor_cache = heads.anchor_head(hidden, e, params["anchor.u"])
-    return ForwardPass(embeddings=e, enc_cache=enc_cache, query_states=qstates,
-                       source_tokens=source, query_cache=q_cache, hidden=hidden,
-                       dec_cache=dec_cache, label_probs=label_probs,
-                       mos_cache=mos_cache, anchor_probs=anchor_probs,
-                       anchor_cache=anchor_cache)
+    fwd = ForwardPass(embeddings=e, enc_cache=enc_cache, query_states=qstates,
+                      source_tokens=source, query_cache=q_cache, hidden=hidden,
+                      dec_cache=dec_cache, label_probs=label_probs,
+                      mos_cache=mos_cache, anchor_probs=anchor_probs,
+                      anchor_cache=anchor_cache)
+    return fwd.sentences(params)[0] if single else fwd
+
+
+def _length_groups(lengths: Sequence[int]) -> dict[int, list[int]]:
+    """Length -> the positions of that length, in order."""
+    groups: dict[int, list[int]] = {}
+    for position, length in enumerate(lengths):
+        groups.setdefault(length, []).append(position)
+    return groups
+
+
+def _batch_passes(params: dict, config: TrainConfig, batch: Sequence[Example],
+                  dropped: Optional[Sequence[np.ndarray]], max_tokens: float,
+                  ) -> Iterator[ForwardPass]:
+    """The forward pass of each sentence of a training batch, in batch order.
+
+    When a sentence comes up without a pass, it is forwarded together with
+    the later sentences of its length, as many as keep the waiting caches
+    within max_tokens tokens (at least itself).  dropped holds each
+    sentence's layer-dropout mask, or is None.
+    """
+    groups = _length_groups([len(example.token_ids) for example in batch])
+    pending: dict[int, ForwardPass] = {}
+    for position, example in enumerate(batch):
+        if position not in pending:
+            length = len(example.token_ids)
+            waiting = sum(len(batch[p].token_ids) for p in pending)
+            room = max(int((max_tokens - waiting) // length), 1)
+            group = [p for p in groups[length] if p >= position][:room]
+            pending.update(zip(group, forward_sentence(
+                params, config, np.stack([batch[p].token_ids for p in group]),
+                None if dropped is None else np.stack([dropped[p] for p in group]),
+            ).sentences(params)))
+        yield pending.pop(position)
+
+
+def _cache_token_budget(params: dict, config: TrainConfig, token_ids: np.ndarray,
+                        ) -> float:
+    """Tokens of forward caches that take the bytes of one sentence's per-task
+    decoder grads ([tasks, *shape] for every decoder parameter), at the cache
+    bytes per token of token_ids's forward."""
+    decoder = len(config.active_tasks()) * sum(
+        value.nbytes for key, value in params.items() if key.startswith("dec."))
+    cache = forward_sentence(params, config, token_ids).nbytes(params)
+    return decoder * len(token_ids) / cache
 
 
 def match_queries(config: TrainConfig, fwd: ForwardPass, example: Example,
@@ -426,13 +520,13 @@ class SentenceGrads:
 
     The decoder block runs one backward on the stacked [tasks, queries, dim]
     output gradient, tasks in config.active_tasks() order; a task without a
-    loss on this sentence has a zero row.  dec, dquery and dmemory keep that
+    loss on this sentence has a zero row.  dquery and dmemory keep that
     leading task axis, so row t is exactly what a backward on task t alone
     would give; the anchor row of dmemory also carries the anchor head's own
-    gradient with respect to the embeddings.
+    gradient with respect to the embeddings.  The decoder parameter grads go
+    straight into the caller's sums (see sentence_losses).
     """
 
-    dec: dict[str, np.ndarray]                 # decoder key -> [tasks, *shape]
     head: dict[str, dict[str, np.ndarray]]     # per task, head parameter grads
     dhidden: dict[str, np.ndarray]             # per task, grad wrt decoder output
     dquery: np.ndarray                         # [tasks, queries, dim]
@@ -441,11 +535,14 @@ class SentenceGrads:
 
 def sentence_losses(params: dict, config: TrainConfig, example: Example,
                     fwd: ForwardPass, assignment: matcher.Assignment,
+                    dec_sums: dict[str, np.ndarray], scale: float,
                     ) -> tuple[dict[str, float], SentenceGrads, list]:
     """Per-task losses and gradients for one sentence given the query/node
     assignment.
 
-    Queries matched to null targets contribute only the label loss.  Returns
+    Queries matched to null targets contribute only the label loss.  The
+    decoder parameter grads, [tasks, *shape] per key and times scale, are
+    added into dec_sums in place (see model.block_backward).  Returns
     (losses, grads, pairing) where pairing lists (query, NodeTarget or None).
     """
     num_queries = fwd.hidden.shape[0]
@@ -515,12 +612,11 @@ def sentence_losses(params: dict, config: TrainConfig, example: Example,
 
     tasks = config.active_tasks()
     zeros = np.zeros_like(fwd.hidden)
-    dec: dict[str, np.ndarray] = {}
     dquery, dmemory = model.block_backward(
-        params, "dec", fwd.dec_cache, np.stack([dh.get(t, zeros) for t in tasks]), dec)
+        params, "dec", fwd.dec_cache, np.stack([dh.get(t, zeros) for t in tasks]),
+        dec_sums, scale)
     dmemory[tasks.index("anchor")] += anchor_dmemory
-    grads = SentenceGrads(dec=dec, head=head, dhidden=dh, dquery=dquery,
-                          dmemory=dmemory)
+    grads = SentenceGrads(head=head, dhidden=dh, dquery=dquery, dmemory=dmemory)
     return losses, grads, pairing
 
 
@@ -530,7 +626,8 @@ def sentence_total_loss(params: dict, config: TrainConfig, example: Example,
     """Total loss of one sentence, gradients discarded; used by invariance checks."""
     fwd = forward_sentence(params, config, example.token_ids)
     assignment = match_queries(config, fwd, example, params)
-    losses, _, pairing = sentence_losses(params, config, example, fwd, assignment)
+    losses, _, pairing = sentence_losses(params, config, example, fwd, assignment,
+                                         {}, 1.0)
     weights = weights or {t: 1.0 for t in losses}
     total = heads.total_loss(heads.LossBundle(losses=losses, weights=weights))
     return total, pairing
@@ -647,7 +744,8 @@ def prepare(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
 
 def evaluate(trained: TrainedModel, graphs: Sequence[Graph]) -> dict[str, float]:
     """Held-out F1 per metric under the anchored-tuple scorer."""
-    reports = [scorer.score_pair(g, predict(trained, g.input)) for g in graphs]
+    predictions = predict_batch(trained, [g.input for g in graphs])
+    reports = [scorer.score_pair(g, p) for g, p in zip(graphs, predictions)]
     total = scorer.aggregate(reports)
     return {name: total.metrics[name].f1 for name in EVAL_METRICS}
 
@@ -665,6 +763,10 @@ def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
     state = balance.BalanceState.uniform(tasks)
     metrics: list[dict] = []
     dec_accum: dict[str, np.ndarray] = {}  # decoder key -> [tasks, *shape], per batch
+    # waiting forward caches may take what one sentence's per-task decoder
+    # grads took before they were added into dec_accum key by key
+    max_tokens = _cache_token_budget(params, config, examples[0].token_ids) \
+        if examples else 0.0
     step = 0
     for epoch in range(config.epochs):
         order = rng.permutation(len(examples))
@@ -677,16 +779,15 @@ def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
             scale = 1.0 / len(batch)
             for accum in dec_accum.values():
                 accum.fill(0.0)
-            for example in batch:
-                fwd = forward_sentence(params, config, example.token_ids,
-                                       rng=rng, train=True)
+            # masks in batch order, as the rng stream had them one sentence at a time
+            masks = [model.draw_layer_dropout(rng, config.encoder_layers + 1,
+                                              config.layer_dropout)
+                     for _ in batch] if config.layer_dropout > 0.0 else None
+            for example, fwd in zip(batch, _batch_passes(params, config, batch, masks,
+                                                         max_tokens)):
                 assignment = match_queries(config, fwd, example, params)
                 losses, grads, _ = sentence_losses(params, config, example, fwd,
-                                                   assignment)
-                if not dec_accum:
-                    dec_accum = {key: np.zeros_like(g) for key, g in grads.dec.items()}
-                for key, grad in grads.dec.items():
-                    dec_accum[key] += scale * grad
+                                                   assignment, dec_accum, scale)
                 dquery_total = np.zeros_like(fwd.query_states)
                 dmemory_total = np.zeros_like(fwd.embeddings)
                 for row, task in enumerate(tasks):
@@ -753,17 +854,45 @@ def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
 
 def predict(trained: TrainedModel, sentence: str) -> Graph:
     """Parse one sentence into a semantic graph with the trained model."""
+    return predict_batch(trained, [sentence])[0]
+
+
+def predict_batch(trained: TrainedModel, sentences: Sequence[str]) -> list[Graph]:
+    """Parse sentences in chunks of config.batch_size, running the forward of
+    a chunk once per group of equal token count; each graph equals what
+    predict gives for its sentence alone."""
+    config = trained.meta.config
+    graphs: list[Optional[Graph]] = []
+    for start in range(0, len(sentences), config.batch_size):
+        chunk = sentences[start:start + config.batch_size]
+        tokens = [whitespace_tokens(sentence) for sentence in chunk]
+        parsed: list[Optional[Graph]] = [None] * len(chunk)
+        for length, group in _length_groups([len(t) for t in tokens]).items():
+            if length == 0:
+                for position in group:
+                    parsed[position] = Graph(id="pred-0", framework="eds", flavor=1,
+                                             input=chunk[position], tokens=tokens[position])
+                continue
+            fwd = forward_sentence(trained.params, config, np.stack(
+                [trained.meta.token_ids(tokens[p]) for p in group]))
+            for row, position in enumerate(group):
+                parsed[position] = _decode(trained, chunk[position], tokens[position],
+                                           fwd.hidden[row], fwd.label_probs[row],
+                                           fwd.anchor_probs[row])
+        graphs.extend(parsed)
+    return graphs
+
+
+def _decode(trained: TrainedModel, sentence: str, tokens: tuple[Token, ...],
+            hidden: np.ndarray, label_probs: np.ndarray,
+            anchor_probs: np.ndarray) -> Graph:
+    """The graph of one sentence from its decoder states and head outputs."""
     params = trained.params
     meta = trained.meta
     config = meta.config
-    tokens = whitespace_tokens(sentence)
-    if not tokens:
-        return Graph(id="pred-0", framework="eds", flavor=1, input=sentence,
-                     tokens=tokens)
-    fwd = forward_sentence(params, config, meta.token_ids(tokens))
     null_class = len(meta.rule_table)
-    candidates = [q for q in range(fwd.hidden.shape[0])
-                  if int(np.argmax(fwd.label_probs[q])) != null_class]
+    candidates = [q for q in range(hidden.shape[0])
+                  if int(np.argmax(label_probs[q])) != null_class]
 
     # decode labels/anchors, dropping duplicate (label, anchors) realizations
     accepted = []
@@ -771,10 +900,10 @@ def predict(trained: TrainedModel, sentence: str) -> Graph:
     seen = set()
     for query in candidates:
         anchored = [t for t in range(len(tokens))
-                    if fwd.anchor_probs[query, t] >= 0.5]
+                    if anchor_probs[query, t] >= 0.5]
         forms = [tokens[t].form for t in anchored]
         lemmas = [tokens[t].lemma for t in anchored]
-        label = rules.decode_label(fwd.label_probs[query], forms, lemmas,
+        label = rules.decode_label(label_probs[query], forms, lemmas,
                                    meta.rule_table)
         anchors = ()
         if anchored:
@@ -790,9 +919,9 @@ def predict(trained: TrainedModel, sentence: str) -> Graph:
     nodes = []
     property_flags = set()
     if accepted:
-        prop_probs, _ = heads.property_head(fwd.hidden[accepted], params["prop.w"],
+        prop_probs, _ = heads.property_head(hidden[accepted], params["prop.w"],
                                             float(params["prop.b"]))
-        top_probs = heads.top_head(fwd.hidden[accepted], params["top.w"],
+        top_probs = heads.top_head(hidden[accepted], params["top.w"],
                                    float(params["top.b"])) if config.use_top_head else None
     for position, (label, anchors) in enumerate(decoded):
         is_top = bool(config.use_top_head and top_probs is not None
@@ -803,7 +932,7 @@ def predict(trained: TrainedModel, sentence: str) -> Graph:
 
     edges = []
     if accepted:
-        states = fwd.hidden[accepted]
+        states = hidden[accepted]
         p_logits, _ = heads.biaffine_forward(states, states, params["edgep.u"])
         presence = heads.sigmoid(p_logits[0])
         l_logits, _ = heads.biaffine_forward(states, states, params["edgel.u"])

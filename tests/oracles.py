@@ -8,8 +8,9 @@ match-problem reference builds one target column and one token at a time,
 the tie-group reference compares one pair of target columns at a time, and the
 rule-problem and flavor-2 anchoring references enumerate rules once per node
 and once per (node, token) candidate, with no sharing between equal items,
-the hitting-set reference solves on bitmasks over the whole universe, and the
-enumerator reference searches the whole label for every strip pair.
+the hitting-set reference solves on bitmasks over the whole universe, the
+enumerator reference searches the whole label for every strip pair, and the
+layer-norm reference takes its means with ndarray.mean.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from mrparse.graph import Anchor, graph_tokens
 from mrparse.hitting import InfeasibleError
 from mrparse.matcher import MatchProblem, apply_anchor_mask, geomean_anchor
+from mrparse.model import LN_EPS
 from mrparse.rules import (AbsoluteRule, LemmaRule, NumberRule, RuleSetProblem,
                            RuleSpaceBounds, TokenRule, apply_rule,
                            assign_artificial_anchors, enumerate_applicable_rules,
@@ -45,6 +47,28 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     num = np.linalg.norm(np.asarray(analytic) - np.asarray(numeric))
     den = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-12)
     return float(num / den)
+
+
+def reference_layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Layer norm over the last axis, means by ndarray.mean."""
+    mean = x.mean(axis=-1, keepdims=True)
+    centered = x - mean
+    variance = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(variance + LN_EPS)
+    normed = centered * inv
+    return gain * normed + bias, (normed, inv, gain)
+
+
+def reference_layer_norm_backward(cache, dy: np.ndarray):
+    """(dx, dgain, dbias) of reference_layer_norm_forward, dgain and dbias
+    summed over the rows axis only."""
+    normed, inv, gain = cache
+    dgain = (dy * normed).sum(axis=-2)
+    dbias = dy.sum(axis=-2)
+    dnormed = dy * gain
+    dx = inv * (dnormed - dnormed.mean(axis=-1, keepdims=True)
+                - normed * (dnormed * normed).mean(axis=-1, keepdims=True))
+    return dx, dgain, dbias
 
 
 def brute_force_assignment(scores: np.ndarray) -> tuple[tuple[int, ...], float]:

@@ -264,6 +264,56 @@ class TestTrainPredict:
         assert len(graphs) == 1
         assert graphs[0].input == "the cat is diving"
 
+    def test_predict_groups_equal_per_sentence_predict(self, short_config, tmp_path,
+                                                       capsys):
+        from mrparse import graph, trainer
+        ckpt = tmp_path / "model.ckpt"
+        code, _, _ = run_cli(["train-toy", "--seed", "3", "--config", short_config,
+                              "--checkpoint", str(ckpt),
+                              "--output", str(tmp_path / "m.jsonl")], capsys)
+        assert code == 0
+        # more lines than batch_size (8), mixed lengths, a one-token and a blank line
+        lines = ["the cat is diving", "dog", "Alice is taking the box", "",
+                 "forty two birds are singing", "the dog of Carol is jumping",
+                 "the cat is diving", "Dave is walking near Paris", "frogs",
+                 "sixty seven frogs are diving", "Bob sings"]
+        sentences = tmp_path / "sentences.txt"
+        sentences.write_text("".join(line + "\n" for line in lines))
+        out_path = tmp_path / "pred.jsonl"
+        code, _, _ = run_cli(["predict", "--checkpoint", str(ckpt),
+                              "--input", str(sentences),
+                              "--output", str(out_path)], capsys)
+        assert code == 0
+        trained = trainer.TrainedModel.load(str(ckpt))
+        expected = "".join(graph.serialize_graph(trainer.predict(trained, line)) + "\n"
+                           for line in lines if line)
+        assert out_path.read_text() == expected
+
+    def test_train_predict_bytes_pinned(self, tmp_path, capsys):
+        # recorded before the length-grouped forward: the training arithmetic,
+        # the checkpoint bytes and decoding, each pinned on its own
+        config = tmp_path / "pin.cfg"
+        config.write_text("corpus_size = 150\nepochs = 2\n")
+        paths = {name: tmp_path / name for name in ("m.jsonl", "model.ckpt", "pred.jsonl")}
+        code, _, _ = run_cli(["train-toy", "--seed", "1", "--config", str(config),
+                              "--checkpoint", str(paths["model.ckpt"]),
+                              "--output", str(paths["m.jsonl"])], capsys)
+        assert code == 0
+        sentences = tmp_path / "sentences.txt"
+        sentences.write_text("the cat is diving\nAlice is taking the box\n"
+                             "forty two birds are singing\n"
+                             "the dog of Carol is jumping\nDave is walking near Paris\n")
+        code, _, _ = run_cli(["predict", "--checkpoint", str(paths["model.ckpt"]),
+                              "--input", str(sentences),
+                              "--output", str(paths["pred.jsonl"])], capsys)
+        assert code == 0
+        digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for name, path in paths.items()}
+        assert digests == {
+            "m.jsonl": "f71137ae056fe6a5191eb982f33483df93ea2c1cfb703a295d0304fd9d715915",
+            "model.ckpt": "b35234e6df7d5cdf30310f8424d9e9a7ce0d7a346cf5d3fd6eebe2d9ff71434f",
+            "pred.jsonl": "beebe0086cb674d7315d080a15347b58987a7b28dc5cc9dd4188b309c2fc033f"}
+
     @pytest.mark.parametrize("line", ["stop_when = 3", 'stop_when = {"f1": 0.9}',
                                       "use_anchor_mask = flase", "epochs = three",
                                       "lr_rest = fast", "stop_when = {labels: 0.9}"])

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrparse import model
-from oracles import finite_difference, relative_error
+from oracles import (finite_difference, reference_layer_norm_backward,
+                     reference_layer_norm_forward, relative_error)
 
 DIM, FFN = 6, 9
 
@@ -107,6 +110,26 @@ class TestBlock:
             assert np.array_equal(dbias[t], dbias_t)
 
 
+class TestLayerNorm:
+    @settings(max_examples=150, deadline=None)
+    @given(lead=st.lists(st.integers(1, 4), max_size=2), rows=st.integers(1, 9),
+           dim=st.integers(1, 70), task_axis=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_mean_reference_bit_for_bit(self, lead, rows, dim, task_axis, seed):
+        rng = np.random.default_rng(seed)
+        shape = tuple(lead) + (rows, dim)
+        x = rng.normal(size=shape) * rng.uniform(0.01, 100.0) + rng.normal()
+        gain, bias = rng.normal(size=dim), rng.normal(size=dim)
+        y, cache = model.layer_norm_forward(x, gain, bias)
+        want_y, want_cache = reference_layer_norm_forward(x, gain, bias)
+        assert np.array_equal(y, want_y)
+        assert all(np.array_equal(a, b) for a, b in zip(cache, want_cache))
+        dy = rng.normal(size=((3,) if task_axis else ()) + shape)
+        for got, want in zip(model.layer_norm_backward(cache, dy),
+                             reference_layer_norm_backward(want_cache, dy)):
+            assert np.array_equal(got, want)
+
+
 class TestEncoder:
     def make(self, rng, vocab=11, layers=2):
         params = {}
@@ -135,9 +158,8 @@ class TestEncoder:
     def test_layer_dropout_renormalizes(self):
         rng = np.random.default_rng(5)
         params = self.make(rng)
-        drop_rng = np.random.default_rng(12)
-        _, cache = model.encode_forward(params, np.array([0, 1]), 2,
-                                        rng=drop_rng, layer_dropout=0.9)
+        dropped = model.draw_layer_dropout(np.random.default_rng(12), 3, 0.9)
+        _, cache = model.encode_forward(params, np.array([0, 1]), 2, dropped)
         alpha = cache[3]
         assert abs(alpha.sum() - 1.0) < 1e-12
         assert (alpha == 0.0).any()  # at least one layer dropped at rate 0.9
