@@ -84,7 +84,7 @@ def _framework_config(args) -> transform.FrameworkConfig:
     return transform.FrameworkConfig()
 
 
-def _load_rule_table(path: str) -> tuple[rules.RelativeRule, ...]:
+def _load_rule_table(path: str) -> tuple[rules.Rule, ...]:
     try:
         with _decoding(path):
             return rules.load_rule_table(path)

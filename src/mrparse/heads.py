@@ -338,24 +338,3 @@ def top_loss(node_states: np.ndarray, w: np.ndarray, b: float, gold: int):
     db = float(dlogits.sum())
     dstates = dlogits[:, None] * w[None, :]
     return loss, dw, db, dstates
-
-
-# ---------------------------------------------------------------------------
-# loss bundle
-
-@dataclass
-class LossBundle:
-    """Per-task losses and their adaptive weights."""
-
-    losses: dict[str, float]
-    weights: dict[str, float]
-
-    def __post_init__(self):
-        missing = set(self.losses) - set(self.weights)
-        if missing:
-            raise HeadError(f"weights missing for tasks {sorted(missing)}")
-
-
-def total_loss(bundle: LossBundle) -> float:
-    """Weighted sum of the partial task losses."""
-    return float(sum(bundle.weights[t] * loss for t, loss in sorted(bundle.losses.items())))

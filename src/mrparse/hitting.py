@@ -10,13 +10,11 @@ has thousands of elements.  The solver is a branch-and-bound on the
 hitting-set formulation with unit propagation of forced singletons and
 dominance pruning, followed by a lexicographic refinement pass over classes
 in order of their smallest member, so the returned index set is the
-lexicographically smallest among all minimum-cardinality solutions.  A brute
-force enumerator doubles as the verification oracle for small universes.
+lexicographically smallest among all minimum-cardinality solutions.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Sequence
 
 
@@ -26,10 +24,6 @@ class InfeasibleError(Exception):
     def __init__(self, constraint_index: int):
         super().__init__(f"constraint {constraint_index} has no candidate elements")
         self.constraint_index = constraint_index
-
-
-class UniverseTooLargeError(Exception):
-    pass
 
 
 def _to_masks(sets: Sequence[frozenset[int]]) -> list[int]:
@@ -49,26 +43,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def brute_force_min_hitting_set(sets: Sequence[frozenset[int]],
-                                universe_size: int) -> tuple[int, ...]:
-    """Exact minimum by subset enumeration in increasing cardinality.
-
-    Ties break to the lexicographically smallest index set.  Only valid for
-    universes of at most 20 elements.
-    """
-    if universe_size > 20:
-        raise UniverseTooLargeError(f"universe size {universe_size} exceeds 20")
-    masks = _to_masks(sets)
-    for size in range(universe_size + 1):
-        for combo in combinations(range(universe_size), size):
-            chosen = 0
-            for e in combo:
-                chosen |= 1 << e
-            if all(mask & chosen for mask in masks):
-                return combo
-    raise InfeasibleError(0)  # unreachable: every nonempty set is hittable
 
 
 def _dedupe_and_prune(masks: list[int]) -> list[int]:

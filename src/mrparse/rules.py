@@ -4,8 +4,12 @@ A node label is encoded not as an atomic class but as a transformation rule
 applied to the node's anchored tokens.  Four rule kinds exist: token rules
 and lemma rules (seven-tuples: drop counts, separator, strip counts,
 affixes), a number rule turning word numerals into digits, and absolute
-fallback rules that emit a fixed label.  The retained rule inventory is the
-exact minimum subset hitting every node's applicable-rule set.
+fallback rules that emit a fixed label.  Every rule is one Rule tuple: the
+kind rank (TOKEN, LEMMA, NUMBER, ABSOLUTE), the seven-tuple fields, then the
+absolute label, with 0 or "" where a kind has no field, so plain tuple order
+is the canonical order that indexes the classifier output.  The retained
+rule inventory is the exact minimum subset hitting every node's
+applicable-rule set.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,10 +38,10 @@ class DecodeError(RuleError):
     pass
 
 
-@dataclass(frozen=True)
-class TokenRule:
-    """Drop tokens, join with a separator, strip characters, add affixes."""
+class Rule(NamedTuple):
+    """A rule of any kind; plain tuple order is the canonical rule order."""
 
+    kind: int
     drop_left: int
     drop_right: int
     separator: str
@@ -45,48 +49,33 @@ class TokenRule:
     strip_right: int
     prefix: str
     suffix: str
-
-
-@dataclass(frozen=True)
-class LemmaRule:
-    """As TokenRule but applied to the lemma sequence."""
-
-    drop_left: int
-    drop_right: int
-    separator: str
-    strip_left: int
-    strip_right: int
-    prefix: str
-    suffix: str
-
-
-@dataclass(frozen=True)
-class NumberRule:
-    """Transform an English word-numeral phrase into its digit string."""
-
-
-@dataclass(frozen=True)
-class AbsoluteRule:
-    """Emit a fixed label regardless of the anchored tokens."""
-
     label: str
 
 
-RelativeRule = Union[TokenRule, LemmaRule, NumberRule, AbsoluteRule]
+TOKEN, LEMMA, NUMBER, ABSOLUTE = range(4)
+KIND_NAMES = ("token", "lemma", "number", "absolute")
 
-_KIND_ORDER = {TokenRule: 0, LemmaRule: 1, NumberRule: 2, AbsoluteRule: 3}
+_new = tuple.__new__
 
 
-def rule_sort_key(rule: RelativeRule):
-    """Canonical total order over rules; fixes classifier output indexing."""
-    if isinstance(rule, (TokenRule, LemmaRule)):
-        fields = (rule.drop_left, rule.drop_right, rule.separator,
-                  rule.strip_left, rule.strip_right, rule.prefix, rule.suffix)
-    elif isinstance(rule, AbsoluteRule):
-        fields = (rule.label,)
-    else:
-        fields = ()
-    return (_KIND_ORDER[type(rule)], fields)
+def TokenRule(drop_left: int, drop_right: int, separator: str, strip_left: int,
+              strip_right: int, prefix: str, suffix: str) -> Rule:
+    return _new(Rule, (TOKEN, drop_left, drop_right, separator, strip_left,
+                       strip_right, prefix, suffix, ""))
+
+
+def LemmaRule(drop_left: int, drop_right: int, separator: str, strip_left: int,
+              strip_right: int, prefix: str, suffix: str) -> Rule:
+    return _new(Rule, (LEMMA, drop_left, drop_right, separator, strip_left,
+                       strip_right, prefix, suffix, ""))
+
+
+def NumberRule() -> Rule:
+    return _new(Rule, (NUMBER, 0, 0, "", 0, 0, "", "", ""))
+
+
+def AbsoluteRule(label: str) -> Rule:
+    return _new(Rule, (ABSOLUTE, 0, 0, "", 0, 0, "", "", label))
 
 
 @dataclass(frozen=True)
@@ -148,7 +137,7 @@ def words_to_number(tokens: Sequence[str]) -> Optional[str]:
 # ---------------------------------------------------------------------------
 # rule application
 
-def apply_rule(rule: RelativeRule, tokens: Sequence[str],
+def apply_rule(rule: Rule, tokens: Sequence[str],
                lemmas: Sequence[str]) -> Optional[str]:
     """Apply a rule to anchored tokens/lemmas; None when inapplicable.
 
@@ -156,25 +145,26 @@ def apply_rule(rule: RelativeRule, tokens: Sequence[str],
     when the strip counts do not leave at least one character of the joined
     string.
     """
-    if isinstance(rule, AbsoluteRule):
-        return rule.label
-    if isinstance(rule, NumberRule):
+    (kind, drop_left, drop_right, separator, strip_left, strip_right,
+     prefix, suffix, label) = rule
+    if kind == ABSOLUTE:
+        return label
+    if kind == NUMBER:
         return words_to_number(tokens)
-    source = lemmas if isinstance(rule, LemmaRule) else tokens
-    end = len(source) - rule.drop_right
-    if rule.drop_left >= end:
+    source = lemmas if kind == LEMMA else tokens
+    end = len(source) - drop_right
+    if drop_left >= end:
         return None
-    joined = rule.separator.join(source[rule.drop_left:end])
-    if rule.strip_left + rule.strip_right >= len(joined):
+    joined = separator.join(source[drop_left:end])
+    if strip_left + strip_right >= len(joined):
         return None
-    core = joined[rule.strip_left:len(joined) - rule.strip_right]
-    return rule.prefix + core + rule.suffix
+    return prefix + joined[strip_left:len(joined) - strip_right] + suffix
 
 
 def enumerate_applicable_rules(tokens: Sequence[str], lemmas: Sequence[str],
                                label: str,
                                bounds: RuleSpaceBounds = RuleSpaceBounds(),
-                               ) -> set[RelativeRule]:
+                               ) -> set[Rule]:
     """All rules within bounds that map the anchoring onto the label.
 
     The absolute rule for the label is always included; the number rule is
@@ -187,15 +177,15 @@ def enumerate_applicable_rules(tokens: Sequence[str], lemmas: Sequence[str],
     prefix, suffix) matches of each distinct joined string; every (kind,
     drops, separator) that joins to it reuses them.
     """
-    found: set[RelativeRule] = {AbsoluteRule(label)}
+    found: set[Rule] = {AbsoluteRule(label)}
     if (bounds.number_rule and tokens and label.isdigit()
             and words_to_number(tokens) == label):
         found.add(NumberRule())
     size = len(label)
     affix = bounds.max_affix_len
     strip = bounds.max_char_strip
-    matches: dict[str, list[tuple[int, int, str, str]]] = {}
-    for kind, source in ((TokenRule, tokens), (LemmaRule, lemmas)):
+    matches: dict[str, list[tuple[int, int, str, str, str]]] = {}
+    for kind, source in ((TOKEN, tokens), (LEMMA, lemmas)):
         if not source:
             continue
         n = len(source)
@@ -222,13 +212,14 @@ def enumerate_applicable_rules(tokens: Sequence[str], lemmas: Sequence[str],
                                 if pos < size - affix - c:
                                     pos = label.find(core, size - affix - c, end)
                                 while pos >= 0:
+                                    # Rule fields after kind, drops, separator
                                     hits.append((strip_left, rest - c,
-                                                 label[:pos], label[pos + c:]))
+                                                 label[:pos], label[pos + c:], ""))
                                     pos = label.find(core, pos + 1, end)
                                 c += 1
-                    for strip_left, strip_right, prefix, suffix in hits:
-                        found.add(kind(drop_left, drop_right, sep,
-                                       strip_left, strip_right, prefix, suffix))
+                    head = (kind, drop_left, drop_right, sep)
+                    for hit in hits:
+                        found.add(_new(Rule, head + hit))
     return found
 
 
@@ -239,7 +230,7 @@ def enumerate_applicable_rules(tokens: Sequence[str], lemmas: Sequence[str],
 class RuleSetProblem:
     """Indexed rule universe plus each node's applicable subset."""
 
-    universe: tuple[RelativeRule, ...]
+    universe: tuple[Rule, ...]
     per_node: tuple[frozenset[int], ...]
     node_names: tuple[str, ...] = ()
 
@@ -265,13 +256,14 @@ def build_problem(items: Sequence[tuple[Sequence[str], Sequence[str], str]],
                   bounds: RuleSpaceBounds = RuleSpaceBounds(),
                   names: Sequence[str] | None = None) -> RuleSetProblem:
     """Enumerate the rule set of each distinct item once and index the shared
-    universe; rule_sort_key is a total order, so the universe does not depend
-    on which items repeat."""
+    universe; rules are tuples in canonical order, a total order, so the
+    universe does not depend on which items repeat."""
     keys = [(tuple(tokens), tuple(lemmas), label) for tokens, lemmas, label in items]
     found = {key: enumerate_applicable_rules(*key, bounds) for key in dict.fromkeys(keys)}
-    universe = sorted(set().union(*found.values()), key=rule_sort_key)
+    universe = sorted(set().union(*found.values()))
     index = {rule: i for i, rule in enumerate(universe)}
-    indexed = {key: frozenset(index[r] for r in rules) for key, rules in found.items()}
+    indexed = {key: frozenset(map(index.__getitem__, rules))
+               for key, rules in found.items()}
     per_node = tuple(indexed[key] for key in keys)
     node_names = tuple(names) if names is not None else tuple(
         f"node {i}" for i in range(len(items)))
@@ -340,24 +332,20 @@ def minimal_rule_set(problem: RuleSetProblem,
 # ---------------------------------------------------------------------------
 # rule tables
 
-_KIND_NAMES = {TokenRule: "token", LemmaRule: "lemma",
-               NumberRule: "number", AbsoluteRule: "absolute"}
-
-
-def rule_to_line(rule: RelativeRule) -> str:
+def rule_to_line(rule: Rule) -> str:
     """One rule per line: kind tag plus JSON-encoded fields, tab-separated."""
-    kind = _KIND_NAMES[type(rule)]
-    if isinstance(rule, (TokenRule, LemmaRule)):
-        fields = [rule.drop_left, rule.drop_right, rule.separator,
-                  rule.strip_left, rule.strip_right, rule.prefix, rule.suffix]
-    elif isinstance(rule, AbsoluteRule):
+    kind = rule.kind
+    if kind == ABSOLUTE:
         fields = [rule.label]
-    else:
+    elif kind == NUMBER:
         fields = []
-    return "\t".join([kind] + [json.dumps(f, ensure_ascii=False) for f in fields])
+    else:
+        fields = rule[1:8]
+    return "\t".join([KIND_NAMES[kind]] + [json.dumps(f, ensure_ascii=False)
+                                            for f in fields])
 
 
-def rule_from_line(line: str) -> RelativeRule:
+def rule_from_line(line: str) -> Rule:
     """Inverse of rule_to_line; counts must be non-negative JSON integers and
     separators, affixes and labels JSON strings."""
     parts = line.rstrip("\n").split("\t")
@@ -377,6 +365,8 @@ def rule_from_line(line: str) -> RelativeRule:
                             "a string separator and affixes")
         return cls(*fields)
     if kind == "number":
+        if fields:
+            raise RuleError(f"number rule takes no fields, got {len(fields)}")
         return NumberRule()
     if kind == "absolute":
         if types != [str]:
@@ -385,14 +375,14 @@ def rule_from_line(line: str) -> RelativeRule:
     raise RuleError(f"unknown rule kind {kind!r}")
 
 
-def save_rule_table(rules: Sequence[RelativeRule], path: str):
+def save_rule_table(rules: Sequence[Rule], path: str):
     with open(path, "w", encoding="utf-8") as handle:
         for rule in rules:
             handle.write(rule_to_line(rule))
             handle.write("\n")
 
 
-def load_rule_table(path: str) -> tuple[RelativeRule, ...]:
+def load_rule_table(path: str) -> tuple[Rule, ...]:
     table = []
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -431,7 +421,7 @@ def build_rule_target(applicable_retained: Iterable[int], num_rules: int,
 
 def decode_label(rule_probs: np.ndarray, tokens: Sequence[str],
                  lemmas: Sequence[str],
-                 rules: Sequence[RelativeRule]) -> Optional[str]:
+                 rules: Sequence[Rule]) -> Optional[str]:
     """Invert the encoding: best applicable rule wins, None when null wins.
 
     Inapplicable rules are skipped in probability order; when every rule is
@@ -449,7 +439,7 @@ def decode_label(rule_probs: np.ndarray, tokens: Sequence[str],
         if label is not None:
             return label
     for index in order:
-        if index != len(rules) and isinstance(rules[index], AbsoluteRule):
+        if index != len(rules) and rules[index].kind == ABSOLUTE:
             return rules[index].label
     raise DecodeError("no applicable rule and no absolute fallback")
 
@@ -494,13 +484,13 @@ def anchor_flavor2_corpus(graphs: Sequence[Graph],
                 entries.append((gi, ni, [(t.form, t.lemma, node.label) for t in tokens]))
     candidates = {
         (form, lemma, label): frozenset(
-            r for r in enumerate_applicable_rules([form], [lemma], label, bounds)
-            if not isinstance(r, AbsoluteRule))
+            enumerate_applicable_rules([form], [lemma], label, bounds)
+            - {AbsoluteRule(label)})
         for form, lemma, label in dict.fromkeys(k for _, _, keys in entries for k in keys)}
     absolute = {AbsoluteRule(graphs[gi].nodes[ni].label) for gi, ni, _ in entries}
-    universe = sorted(absolute.union(*candidates.values()), key=rule_sort_key)
+    universe = sorted(absolute.union(*candidates.values()))
     index = {rule: i for i, rule in enumerate(universe)}
-    indexed = {found: frozenset(index[r] for r in found)
+    indexed = {found: frozenset(map(index.__getitem__, found))
                for found in set(candidates.values())}
     per_node = []
     names = []
@@ -517,12 +507,15 @@ def anchor_flavor2_corpus(graphs: Sequence[Graph],
     solution = minimal_rule_set(problem, cache_dir=cache_dir)
     kept = assign_artificial_anchors(candidate_indices, solution)
 
-    out = list(graphs)
+    anchored: dict[int, list] = {}  # graph idx -> its nodes, anchored ones replaced
     for (gi, ni, _), kept_candidates in zip(entries, kept):
         tokens = per_graph_tokens[gi]
-        anchors = tuple(Anchor(tokens[a].start, tokens[a].end) for a in kept_candidates)
-        g = out[gi]
-        nodes = list(g.nodes)
-        nodes[ni] = replace(nodes[ni], anchors=anchors)
-        out[gi] = replace(g, nodes=tuple(nodes))
+        nodes = anchored.get(gi)
+        if nodes is None:
+            nodes = anchored[gi] = list(graphs[gi].nodes)
+        nodes[ni] = replace(nodes[ni], anchors=tuple(
+            Anchor(tokens[a].start, tokens[a].end) for a in kept_candidates))
+    out = list(graphs)
+    for gi, nodes in anchored.items():
+        out[gi] = replace(graphs[gi], nodes=tuple(nodes))
     return out, problem, solution

@@ -185,7 +185,7 @@ class ModelMeta:
     """Everything besides parameters needed to run the model."""
 
     vocab: dict[str, int]
-    rule_table: tuple[rules.RelativeRule, ...]
+    rule_table: tuple[rules.Rule, ...]
     edge_labels: tuple[str, ...]
     config: TrainConfig
     inverted_labels: tuple[str, ...] = ()
@@ -208,7 +208,7 @@ def preprocess_gold(g: Graph, config: TrainConfig) -> tuple[Graph, transform.Tra
 
 
 def compile_rule_table(pre_graphs: Sequence[Graph], cache_dir: str | None = None,
-                       ) -> tuple[tuple[rules.RelativeRule, ...], rules.RuleSetProblem]:
+                       ) -> tuple[tuple[rules.Rule, ...], rules.RuleSetProblem]:
     """Solve the minimal encoding rule set over preprocessed gold graphs."""
     items, names = rules.label_items(pre_graphs)
     problem = rules.build_problem(items, names=names)
@@ -618,19 +618,6 @@ def sentence_losses(params: dict, config: TrainConfig, example: Example,
     dmemory[tasks.index("anchor")] += anchor_dmemory
     grads = SentenceGrads(head=head, dhidden=dh, dquery=dquery, dmemory=dmemory)
     return losses, grads, pairing
-
-
-def sentence_total_loss(params: dict, config: TrainConfig, example: Example,
-                        weights: Optional[dict[str, float]] = None,
-                        ) -> tuple[float, list]:
-    """Total loss of one sentence, gradients discarded; used by invariance checks."""
-    fwd = forward_sentence(params, config, example.token_ids)
-    assignment = match_queries(config, fwd, example, params)
-    losses, _, pairing = sentence_losses(params, config, example, fwd, assignment,
-                                         {}, 1.0)
-    weights = weights or {t: 1.0 for t in losses}
-    total = heads.total_loss(heads.LossBundle(losses=losses, weights=weights))
-    return total, pairing
 
 
 # ---------------------------------------------------------------------------

