@@ -26,18 +26,6 @@ class InfeasibleError(Exception):
         self.constraint_index = constraint_index
 
 
-def _to_masks(sets: Sequence[frozenset[int]]) -> list[int]:
-    masks = []
-    for i, s in enumerate(sets):
-        if not s:
-            raise InfeasibleError(i)
-        mask = 0
-        for e in s:
-            mask |= 1 << e
-        masks.append(mask)
-    return masks
-
-
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -47,7 +35,7 @@ def _bits(mask: int):
 
 def _dedupe_and_prune(masks: list[int]) -> list[int]:
     # drop duplicate constraints and supersets of other constraints
-    unique = sorted(set(masks), key=lambda m: (bin(m).count("1"), m))
+    unique = sorted(set(masks), key=lambda m: (m.bit_count(), m))
     kept: list[int] = []
     for mask in unique:
         for k in kept:
@@ -77,7 +65,7 @@ def _packing_bound(masks: list[int]) -> int:
     # pairwise-disjoint constraints each need their own element
     packed = 0
     count = 0
-    for mask in sorted(masks, key=lambda m: (bin(m).count("1"), m)):
+    for mask in sorted(masks, key=lambda m: (m.bit_count(), m)):
         if not mask & packed:
             packed |= mask
             count += 1
@@ -98,7 +86,7 @@ def _min_size(masks: list[int], allowed: int, budget: int) -> int | None:
     # forced singletons
     forced = 0
     while True:
-        singles = [m for m in masks if bin(m).count("1") == 1]
+        singles = [m for m in masks if m.bit_count() == 1]
         if not singles:
             break
         for m in singles:
@@ -106,7 +94,7 @@ def _min_size(masks: list[int], allowed: int, budget: int) -> int | None:
         masks = [m for m in masks if not m & forced]
         if not masks:
             break
-    n_forced = bin(forced).count("1")
+    n_forced = forced.bit_count()
     if n_forced > budget:
         return None
     if not masks:
@@ -150,7 +138,7 @@ def _min_size(masks: list[int], allowed: int, budget: int) -> int | None:
         limit = budget - n_forced if best is None else min(best - 1, budget - n_forced)
         if used + _packing_bound(current) > limit:
             return
-        pivot = min(current, key=lambda m: (bin(m).count("1"), m))
+        pivot = min(current, key=lambda m: (m.bit_count(), m))
         bit_gain = {e: sum(1 for m in current if m & (1 << e)) for e in _bits(pivot)}
         for e in sorted(bit_gain, key=lambda e: (-bit_gain[e], e)):
             bit = 1 << e

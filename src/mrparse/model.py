@@ -29,24 +29,17 @@ class CheckpointError(ModelError):
     pass
 
 
-def add_grad(grads: dict, key: str, value: np.ndarray):
+def add_grad(grads: dict, key: str, value: np.ndarray,
+             scale: Optional[float] = None):
+    """grads[key] += value in place; with a scale, value is first multiplied by
+    it in its own buffer, which rounds as scale * value does.  The first value
+    stored under a key becomes that key's sum, so value must be a fresh array."""
+    if scale is not None:
+        value *= scale
     if key in grads:
-        grads[key] = grads[key] + value
+        grads[key] += value
     else:
         grads[key] = value
-
-
-def _add_grad(grads: dict, key: str, value: np.ndarray, scale: Optional[float]):
-    """add_grad, or with a scale grads[key] += scale * value in place (from
-    zeros), the product formed in value's buffer: it rounds as scale * value
-    does and allocates nothing."""
-    if scale is None:
-        add_grad(grads, key, value)
-    else:
-        value *= scale
-        if key not in grads:
-            grads[key] = np.zeros_like(value)
-        grads[key] += value
 
 
 # ---------------------------------------------------------------------------
@@ -118,20 +111,20 @@ def attention_backward(params: dict, cache, dout: np.ndarray, grads: dict,
     queries_in, keys_in, q, k, v, weights, mixed, scale, prefix = cache
     wq, wk, wv, wo = (params[f"{prefix}.wq"], params[f"{prefix}.wk"],
                       params[f"{prefix}.wv"], params[f"{prefix}.wo"])
-    _add_grad(grads, f"{prefix}.wo", mixed.T @ dout, grad_scale)
-    _add_grad(grads, f"{prefix}.bo", dout.sum(axis=-2), grad_scale)
+    add_grad(grads, f"{prefix}.wo", mixed.T @ dout, grad_scale)
+    add_grad(grads, f"{prefix}.bo", dout.sum(axis=-2), grad_scale)
     dmixed = dout @ wo.T
     dweights = dmixed @ v.T
     dv = weights.T @ dmixed
     dscores = weights * (dweights - (dweights * weights).sum(axis=-1, keepdims=True))
     dq = dscores @ k * scale
     dk = np.swapaxes(dscores, -1, -2) @ q * scale
-    _add_grad(grads, f"{prefix}.wq", queries_in.T @ dq, grad_scale)
-    _add_grad(grads, f"{prefix}.bq", dq.sum(axis=-2), grad_scale)
-    _add_grad(grads, f"{prefix}.wk", keys_in.T @ dk, grad_scale)
-    _add_grad(grads, f"{prefix}.bk", dk.sum(axis=-2), grad_scale)
-    _add_grad(grads, f"{prefix}.wv", keys_in.T @ dv, grad_scale)
-    _add_grad(grads, f"{prefix}.bv", dv.sum(axis=-2), grad_scale)
+    add_grad(grads, f"{prefix}.wq", queries_in.T @ dq, grad_scale)
+    add_grad(grads, f"{prefix}.bq", dq.sum(axis=-2), grad_scale)
+    add_grad(grads, f"{prefix}.wk", keys_in.T @ dk, grad_scale)
+    add_grad(grads, f"{prefix}.bk", dk.sum(axis=-2), grad_scale)
+    add_grad(grads, f"{prefix}.wv", keys_in.T @ dv, grad_scale)
+    add_grad(grads, f"{prefix}.bv", dv.sum(axis=-2), grad_scale)
     dqueries_in = dq @ wq.T
     dkeys_in = dk @ wk.T + dv @ wv.T
     return dqueries_in, dkeys_in
@@ -173,21 +166,21 @@ def block_backward(params: dict, prefix: str, cache, dy: np.ndarray,
     dx is [tasks, queries, dim], dmemory [tasks, tokens, dim] and each
     parameter grad [tasks, *param.shape], row t equal to the 2-D call on
     dy[t].  With grad_scale, each parameter grad is multiplied by grad_scale
-    and added in place into grads[key] (zeros at first), one key at a time.
+    before it is added into grads[key] (see add_grad), one key at a time.
     """
     c_ln1, c_self, c_ln2, c_cross, c_ln3, ln3, hidden, has_cross = cache
     dh = dy.copy()
     dffn_out = dy
-    _add_grad(grads, f"{prefix}.ffn.w2", hidden.T @ dffn_out, grad_scale)
-    _add_grad(grads, f"{prefix}.ffn.b2", dffn_out.sum(axis=-2), grad_scale)
+    add_grad(grads, f"{prefix}.ffn.w2", hidden.T @ dffn_out, grad_scale)
+    add_grad(grads, f"{prefix}.ffn.b2", dffn_out.sum(axis=-2), grad_scale)
     dhidden = dffn_out @ params[f"{prefix}.ffn.w2"].T
     dpre = (1.0 - hidden * hidden) * dhidden
-    _add_grad(grads, f"{prefix}.ffn.w1", ln3.T @ dpre, grad_scale)
-    _add_grad(grads, f"{prefix}.ffn.b1", dpre.sum(axis=-2), grad_scale)
+    add_grad(grads, f"{prefix}.ffn.w1", ln3.T @ dpre, grad_scale)
+    add_grad(grads, f"{prefix}.ffn.b1", dpre.sum(axis=-2), grad_scale)
     dln3 = dpre @ params[f"{prefix}.ffn.w1"].T
     dx3, dgain, dbias = layer_norm_backward(c_ln3, dln3)
-    _add_grad(grads, f"{prefix}.ln3.gain", dgain, grad_scale)
-    _add_grad(grads, f"{prefix}.ln3.bias", dbias, grad_scale)
+    add_grad(grads, f"{prefix}.ln3.gain", dgain, grad_scale)
+    add_grad(grads, f"{prefix}.ln3.bias", dbias, grad_scale)
     dh = dh + dx3
 
     dmemory = None
@@ -196,8 +189,8 @@ def block_backward(params: dict, prefix: str, cache, dy: np.ndarray,
         dln2, dmemory = attention_backward(params, c_cross, dcross_out, grads,
                                             grad_scale)
         dx2, dgain, dbias = layer_norm_backward(c_ln2, dln2)
-        _add_grad(grads, f"{prefix}.ln2.gain", dgain, grad_scale)
-        _add_grad(grads, f"{prefix}.ln2.bias", dbias, grad_scale)
+        add_grad(grads, f"{prefix}.ln2.gain", dgain, grad_scale)
+        add_grad(grads, f"{prefix}.ln2.bias", dbias, grad_scale)
         dh = dh + dx2
 
     dself_out = dh
@@ -205,8 +198,8 @@ def block_backward(params: dict, prefix: str, cache, dy: np.ndarray,
                                          grad_scale)
     dln1 = dln1_q + dln1_kv
     dx1, dgain, dbias = layer_norm_backward(c_ln1, dln1)
-    _add_grad(grads, f"{prefix}.ln1.gain", dgain, grad_scale)
-    _add_grad(grads, f"{prefix}.ln1.bias", dbias, grad_scale)
+    add_grad(grads, f"{prefix}.ln1.gain", dgain, grad_scale)
+    add_grad(grads, f"{prefix}.ln1.bias", dbias, grad_scale)
     dx = dh + dx1
     return dx, dmemory
 

@@ -516,34 +516,26 @@ def _edge_losses(params: dict, config: TrainConfig, example: Example,
 
 @dataclass
 class SentenceGrads:
-    """Per-task gradients of one sentence.
+    """Per-task gradients of one sentence, tasks in config.active_tasks() order.
 
-    The decoder block runs one backward on the stacked [tasks, queries, dim]
-    output gradient, tasks in config.active_tasks() order; a task without a
-    loss on this sentence has a zero row.  dquery and dmemory keep that
-    leading task axis, so row t is exactly what a backward on task t alone
-    would give; the anchor row of dmemory also carries the anchor head's own
-    gradient with respect to the embeddings.  The decoder parameter grads go
-    straight into the caller's sums (see sentence_losses).
+    A task without a loss on this sentence has no head grads and a zero row
+    of dhidden.
     """
 
     head: dict[str, dict[str, np.ndarray]]     # per task, head parameter grads
-    dhidden: dict[str, np.ndarray]             # per task, grad wrt decoder output
-    dquery: np.ndarray                         # [tasks, queries, dim]
-    dmemory: np.ndarray                        # [tasks, tokens, dim]
+    dhidden: np.ndarray                        # [tasks, queries, dim], wrt decoder out
+    anchor_dmemory: np.ndarray                 # anchor head's own grad wrt embeddings
 
 
 def sentence_losses(params: dict, config: TrainConfig, example: Example,
                     fwd: ForwardPass, assignment: matcher.Assignment,
-                    dec_sums: dict[str, np.ndarray], scale: float,
                     ) -> tuple[dict[str, float], SentenceGrads, list]:
-    """Per-task losses and gradients for one sentence given the query/node
-    assignment.
+    """Per-task losses and head gradients for one sentence given the
+    query/node assignment.
 
-    Queries matched to null targets contribute only the label loss.  The
-    decoder parameter grads, [tasks, *shape] per key and times scale, are
-    added into dec_sums in place (see model.block_backward).  Returns
-    (losses, grads, pairing) where pairing lists (query, NodeTarget or None).
+    Queries matched to null targets contribute only the label loss.  Returns
+    (losses, grads, pairing) where pairing lists (query, NodeTarget or None);
+    backward_sentence takes grads on through the network.
     """
     num_queries = fwd.hidden.shape[0]
     num_targets = len(example.targets)
@@ -551,9 +543,9 @@ def sentence_losses(params: dict, config: TrainConfig, example: Example,
                for query, target in enumerate(assignment.perm)]
 
     losses: dict[str, float] = {}
-    dh: dict[str, np.ndarray] = {}
     head: dict[str, dict[str, np.ndarray]] = {}
-    active = set(config.active_tasks())
+    row = {task: k for k, task in enumerate(config.active_tasks())}
+    dhidden = np.zeros((len(row),) + fwd.hidden.shape)
 
     # label loss over every query (null queries get the null class target)
     null_target = rules.build_rule_target((), len(fwd.label_probs[0]) - 1,
@@ -563,8 +555,8 @@ def sentence_losses(params: dict, config: TrainConfig, example: Example,
     loss_label, dprob_matrix = heads.label_loss(fwd.label_probs, target_matrix,
                                                 config.focal_gamma)
     losses["label"] = loss_label
-    mos_grads, dh["label"] = heads.mos_backward_batch(fwd.mos_cache,
-                                                      dprob_matrix / num_queries)
+    mos_grads, dhidden[row["label"]] = heads.mos_backward_batch(
+        fwd.mos_cache, dprob_matrix / num_queries)
     head["label"] = {f"label.{name}": getattr(mos_grads, name) for name in MOS_FIELDS}
 
     # anchor loss over queries matched to real nodes
@@ -574,50 +566,69 @@ def sentence_losses(params: dict, config: TrainConfig, example: Example,
         if node is not None:
             mask[query] = True
             anchor_targets[query] = node.anchor_vector
-    losses["anchor"], du, dh["anchor"], anchor_dmemory = heads.anchor_loss(
+    losses["anchor"], du, dhidden[row["anchor"]], anchor_dmemory = heads.anchor_loss(
         fwd.anchor_cache, anchor_targets, mask)
     head["anchor"] = {"anchor.u": du}
 
+    # the other heads see only the matched queries, sel (no repeats)
     order, sel, node_pos = _matched_nodes(assignment.perm, num_targets)
     states = fwd.hidden[sel]
     m = len(sel)
 
-    def scatter(dstates: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(fwd.hidden)
-        out[sel] = dstates  # sel has no repeats
-        return out
-
     for task, (loss, grads, dstates) in _edge_losses(params, config, example, states,
                                                      node_pos).items():
         losses[task] = loss
-        dh[task] = scatter(dstates)
+        dhidden[row[task], sel] = dstates
         head[task] = grads
 
-    if "property" in active:
+    if "property" in row:
         prop_targets = np.array([1.0 if example.targets[j].is_property else 0.0
                                  for j in order])
         loss, dw, db, dstates = heads.property_loss(states, params["prop.w"],
                                                     float(params["prop.b"]), prop_targets)
         losses["property"] = loss
-        dh["property"] = scatter(dstates)
+        dhidden[row["property"], sel] = dstates
         head["property"] = {"prop.w": dw, "prop.b": np.array(db)}
 
-    if "top" in active and example.top_index is not None and m > 0:
+    if "top" in row and example.top_index is not None and m > 0:
         gold = node_pos[example.top_index]
         loss, dw, db, dstates = heads.top_loss(states, params["top.w"],
                                                float(params["top.b"]), gold)
         losses["top"] = loss
-        dh["top"] = scatter(dstates)
+        dhidden[row["top"], sel] = dstates
         head["top"] = {"top.w": dw, "top.b": np.array(db)}
 
-    tasks = config.active_tasks()
-    zeros = np.zeros_like(fwd.hidden)
-    dquery, dmemory = model.block_backward(
-        params, "dec", fwd.dec_cache, np.stack([dh.get(t, zeros) for t in tasks]),
-        dec_sums, scale)
-    dmemory[tasks.index("anchor")] += anchor_dmemory
-    grads = SentenceGrads(head=head, dhidden=dh, dquery=dquery, dmemory=dmemory)
+    grads = SentenceGrads(head=head, dhidden=dhidden, anchor_dmemory=anchor_dmemory)
     return losses, grads, pairing
+
+
+def backward_sentence(params: dict, config: TrainConfig, fwd: ForwardPass,
+                      grads: SentenceGrads, weights: dict[str, float], scale: float,
+                      total_grads: dict[str, np.ndarray],
+                      dec_sums: dict[str, np.ndarray]):
+    """The backward of forward_sentence from one sentence's sentence_losses
+    grads.  The decoder parameter grads, [tasks, *shape] per key and times
+    scale, are added into dec_sums unweighted (see model.block_backward); the
+    head, query and encoder grads, task by task times weight and scale, into
+    total_grads."""
+    dquery, dmemory = model.block_backward(params, "dec", fwd.dec_cache, grads.dhidden,
+                                           dec_sums, scale)
+    tasks = config.active_tasks()
+    dmemory[tasks.index("anchor")] += grads.anchor_dmemory
+    dquery_total = np.zeros_like(fwd.query_states)
+    dmemory_total = np.zeros_like(fwd.embeddings)
+    for row, task in enumerate(tasks):
+        if task not in grads.head:  # no loss on this sentence
+            continue
+        weight = weights[task]
+        for key, grad in grads.head[task].items():
+            model.add_grad(total_grads, key, weight * scale * grad)
+        dquery_total += weight * dquery[row]
+        dmemory_total += weight * dmemory[row]
+    de = model.queries_backward(params, fwd.query_cache, scale * dquery_total,
+                                total_grads)
+    model.encode_backward(params, fwd.enc_cache, de + scale * dmemory_total,
+                          total_grads)
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +653,7 @@ class AdamW:
 
     def step(self, params: dict, grads: dict, lr_encoder: float, lr_rest: float,
              weight_decay: float):
+        """In place, in the out-of-place operation order, so it rounds the same."""
         self.t += 1
         bias1 = 1.0 - self.beta1 ** self.t
         bias2 = 1.0 - self.beta2 ** self.t
@@ -649,10 +661,13 @@ class AdamW:
             lr = lr_encoder if self.group(key) == "encoder" else lr_rest
             if lr == 0.0:
                 continue
-            self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * grad
-            self.v[key] = self.beta2 * self.v[key] + (1.0 - self.beta2) * grad * grad
-            update = (self.m[key] / bias1) / (np.sqrt(self.v[key] / bias2) + self.eps)
-            params[key] = params[key] - lr * (update + weight_decay * params[key])
+            m, v, param = self.m[key], self.v[key], params[key]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * grad * grad
+            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            param -= lr * (update + weight_decay * param)
 
 
 # ---------------------------------------------------------------------------
@@ -774,25 +789,11 @@ def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
                                                          max_tokens)):
                 assignment = match_queries(config, fwd, example, params)
                 losses, grads, _ = sentence_losses(params, config, example, fwd,
-                                                   assignment, dec_accum, scale)
-                dquery_total = np.zeros_like(fwd.query_states)
-                dmemory_total = np.zeros_like(fwd.embeddings)
-                for row, task in enumerate(tasks):
-                    if task not in losses:
-                        continue
-                    task_losses[task] += losses[task] * scale
-                    weight = state.weights[task]
-                    for key, grad in grads.head.get(task, {}).items():
-                        model.add_grad(total_grads, key, weight * scale * grad)
-                    dquery_total += weight * grads.dquery[row]
-                    dmemory_total += weight * grads.dmemory[row]
-                query_grads: dict[str, np.ndarray] = {}
-                de = model.queries_backward(params, fwd.query_cache,
-                                            scale * dquery_total, query_grads)
-                for key, grad in query_grads.items():
-                    model.add_grad(total_grads, key, grad)
-                model.encode_backward(params, fwd.enc_cache,
-                                      de + scale * dmemory_total, total_grads)
+                                                   assignment)
+                backward_sentence(params, config, fwd, grads, state.weights, scale,
+                                  total_grads, dec_accum)
+                for task, loss in losses.items():
+                    task_losses[task] += loss * scale
             task_dec_norm_sq = {t: sum(float((g[row] * g[row]).sum())
                                        for g in dec_accum.values())
                                 for row, t in enumerate(tasks)}

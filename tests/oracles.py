@@ -513,7 +513,7 @@ def sentence_total_loss(params: dict, config, example,
     fwd = trainer.forward_sentence(params, config, example.token_ids)
     assignment = trainer.match_queries(config, fwd, example, params)
     losses, _, pairing = trainer.sentence_losses(params, config, example, fwd,
-                                                 assignment, {}, 1.0)
+                                                 assignment)
     weights = weights or {t: 1.0 for t in losses}
     total = total_loss(LossBundle(losses=losses, weights=weights))
     return total, pairing

@@ -104,7 +104,7 @@ class TestSentencePass:
         fwd = trainer.forward_sentence(params, config, example.token_ids)
         assignment = trainer.match_queries(config, fwd, example, params)
         losses, grads, pairing = trainer.sentence_losses(params, config, example,
-                                                         fwd, assignment, {}, 1.0)
+                                                         fwd, assignment)
         for value in losses.values():
             assert np.isfinite(value) and value >= 0.0
         assert grads is not None
@@ -115,18 +115,19 @@ class TestSentencePass:
         fwd = trainer.forward_sentence(params, config, example.token_ids)
         assignment = trainer.match_queries(config, fwd, example, params)
         losses, grads, pairing = trainer.sentence_losses(params, config, example,
-                                                         fwd, assignment, {}, 1.0)
+                                                         fwd, assignment)
         null_queries = [q for q, node in pairing if node is None]
         assert null_queries, "expected more queries than gold nodes"
         # every head except the label head must have exactly zero gradient
         # on the hidden states of null-matched queries
+        tasks = config.active_tasks()
         for task in ("anchor", "edge_presence", "edge_label", "property", "top"):
-            dhidden = grads.dhidden.get(task)
-            assert dhidden is not None
+            assert task in losses
+            dhidden = grads.dhidden[tasks.index(task)]
             for q in null_queries:
                 assert np.abs(dhidden[q]).max() == 0.0, task
         # the label head does push null queries (toward the null class)
-        assert any(np.abs(grads.dhidden["label"][q]).max() > 0.0
+        assert any(np.abs(grads.dhidden[tasks.index("label")][q]).max() > 0.0
                    for q in null_queries)
 
     def test_permutation_invariance_small(self, tiny_setup):
@@ -170,9 +171,60 @@ class TestSentencePass:
         assert len(set(seen.values())) >= 2
         for perm, loss in seen.items():
             losses, _, _ = trainer.sentence_losses(
-                params, config, tied, fwd, matcher.Assignment(perm, kept.score), {}, 1.0)
+                params, config, tied, fwd, matcher.Assignment(perm, kept.score))
             assert loss == losses["edge_presence"] + losses["edge_label"]
         assert seen[kept.perm] == min(seen.values()) < max(seen.values())
+
+    def test_sentence_backward_matches_finite_differences(self):
+        # the composition train runs: sentence_losses then backward_sentence,
+        # against central differences of sum_t w_t loss_t over the fixed
+        # assignment, on the evaluation forward
+        config = tiny_config(dim=8, ffn_dim=12, use_attribute_head=True)
+        meta, examples, _, _, _ = trainer.prepare(
+            config, corpus.synth_corpus(2, config.corpus_size))
+        params = trainer.init_model(meta, np.random.default_rng(0))
+        example = next(e for e in examples if e.top_index is not None)
+        tasks = config.active_tasks()
+        rng = np.random.default_rng(41)
+        weights = {t: float(rng.uniform(0.5, 2.0)) for t in tasks}
+        fwd = trainer.forward_sentence(params, config, example.token_ids)
+        assignment = trainer.match_queries(config, fwd, example, params)
+        losses, grads, _ = trainer.sentence_losses(params, config, example, fwd,
+                                                   assignment)
+        assert set(losses) == set(tasks)
+        total_grads, dec_sums = {}, {}
+        trainer.backward_sentence(params, config, fwd, grads, weights, 1.0,
+                                  total_grads, dec_sums)
+        for key, stacked in dec_sums.items():
+            total_grads[key] = sum(weights[t] * stacked[row]
+                                   for row, t in enumerate(tasks))
+        assert set(total_grads) == set(params)
+
+        def weighted_loss(key, value):
+            moved = {**params, key: value}
+            fwd = trainer.forward_sentence(moved, config, example.token_ids)
+            losses, _, _ = trainer.sentence_losses(moved, config, example, fwd,
+                                                   assignment)
+            return sum(weights[t] * losses[t] for t in tasks)
+
+        step = 1e-5
+        for key, base in params.items():
+            analytic = np.asarray(total_grads[key])
+            # the largest entry, so every key checks a nonzero gradient when it
+            # has one (most emb rows belong to other tokens), plus random ones
+            sampled = {np.unravel_index(np.abs(analytic).argmax(), base.shape)}
+            sampled |= {tuple(int(rng.integers(n)) for n in base.shape)
+                        for _ in range(3)}
+            for idx in sampled:
+                plus, minus = base.copy(), base.copy()
+                plus[idx] += step
+                minus[idx] -= step
+                numeric = (weighted_loss(key, plus)
+                           - weighted_loss(key, minus)) / (2.0 * step)
+                # top.b's analytic grad is exactly 0: the node softmax is
+                # shift-invariant, so numeric there is rounding noise
+                assert abs(analytic[idx] - numeric) <= 1e-8 + 1e-5 * abs(numeric), \
+                    (key, idx, analytic[idx], numeric)
 
 
 def assert_bit_equal(got, want, where="pass"):
