@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import os
@@ -285,12 +286,11 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mrparse",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    default_cache = os.environ.get("MRPARSE_CACHE_DIR") or None
 
     def common(p, *options, framework=False):
         p.add_argument("--input", required=True, help="JSONL path or - for stdin")
@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         if "rule_table" in options:
             p.add_argument("--rule-table", dest="rule_table", default=None)
         if "cache_dir" in options:
-            p.add_argument("--cache-dir", dest="cache_dir", default=default_cache,
+            p.add_argument("--cache-dir", dest="cache_dir", default=None,
                            help="rule-set cache (default: MRPARSE_CACHE_DIR)")
         return p
 
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     train_p.add_argument("--config", default=None)
     train_p.add_argument("--seed", type=int, default=None)
     train_p.add_argument("--rule-table", dest="rule_table", default=None)
-    train_p.add_argument("--cache-dir", dest="cache_dir", default=default_cache)
+    train_p.add_argument("--cache-dir", dest="cache_dir", default=None)
     train_p.add_argument("--checkpoint", default=None)
 
     predict_p = sub.add_parser("predict", help="parse plain-text sentences")
@@ -351,11 +351,12 @@ _COMMANDS = {
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    if "cache_dir" in vars(args) and args.cache_dir is None:
+        args.cache_dir = os.environ.get("MRPARSE_CACHE_DIR") or None
     try:
         return _COMMANDS[args.command](args)
     except CliError as exc:

@@ -473,6 +473,14 @@ def anchor_flavor2_corpus(graphs: Sequence[Graph],
     that token alone, enumerated once per distinct (form, lemma, label).  The
     minimal rule set is solved over the union sets and anchors keep exactly
     the candidates compatible with it.
+
+    Candidates use only the smallest separator of bounds: a separator never
+    changes what a rule derives from one token, so its variants lie in the
+    same sets and form one coverage class whose minimum is the
+    smallest-separator variant (the fourth tuple field).  The lexicographically
+    smallest minimum hitting set takes only class minima (see hitting), which
+    dropping the other variants keeps in order, so the chosen rules and
+    anchors are unchanged; the universe, its indices and cache keys shrink.
     """
     entries = []  # (graph idx, node idx, per-candidate (form, lemma, label) keys)
     per_graph_tokens = []
@@ -482,9 +490,10 @@ def anchor_flavor2_corpus(graphs: Sequence[Graph],
         for ni, node in enumerate(g.nodes):
             if node.label is not None:
                 entries.append((gi, ni, [(t.form, t.lemma, node.label) for t in tokens]))
+    one_separator = replace(bounds, separators=tuple(sorted(bounds.separators))[:1])
     candidates = {
         (form, lemma, label): frozenset(
-            enumerate_applicable_rules([form], [lemma], label, bounds)
+            enumerate_applicable_rules([form], [lemma], label, one_separator)
             - {AbsoluteRule(label)})
         for form, lemma, label in dict.fromkeys(k for _, _, keys in entries for k in keys)}
     absolute = {AbsoluteRule(graphs[gi].nodes[ni].label) for gi, ni, _ in entries}

@@ -149,12 +149,23 @@ class TestRules:
         assert stats["labels"] > 0 and stats["nodes"] >= stats["labels"]
 
     def test_cache_dir_env_key(self, tmp_path, capsys, monkeypatch):
+        # the variable is read per run, not when the parser is first built
+        infer = ["rules-infer", "--framework", "eds", "--input", fixture_path("eds.jsonl")]
+        monkeypatch.delenv("MRPARSE_CACHE_DIR", raising=False)
+        assert run_cli(infer, capsys)[0] == 0
         cache = tmp_path / "cache"
         monkeypatch.setenv("MRPARSE_CACHE_DIR", str(cache))
-        code, _, _ = run_cli(["rules-infer", "--framework", "eds",
-                              "--input", fixture_path("eds.jsonl")], capsys)
-        assert code == 0
+        assert run_cli(infer, capsys)[0] == 0
         assert list(cache.glob("*.json"))
+
+    def test_explicit_cache_dir_beats_env(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MRPARSE_CACHE_DIR", str(tmp_path / "env"))
+        code, _, _ = run_cli(["rules-infer", "--framework", "eds",
+                              "--input", fixture_path("eds.jsonl"),
+                              "--cache-dir", str(tmp_path / "flag")], capsys)
+        assert code == 0
+        assert list((tmp_path / "flag").glob("*.json"))
+        assert not (tmp_path / "env").exists()
 
     @pytest.mark.parametrize("entry", ["[1, 2", "[999999]", "[0]"])
     def test_corrupt_cache_entry_is_solved_again(self, entry, tmp_path, capsys):
@@ -398,6 +409,14 @@ class TestUsage:
 
     def test_missing_required_flag(self, capsys):
         assert cli.run(["validate"]) == 1
+
+    def test_runs_share_one_parser(self, capsys):
+        cli.build_parser()
+        before = cli.build_parser.cache_info()
+        for _ in range(2):
+            assert cli.run(["validate", "--input", fixture_path("eds.jsonl")]) == 0
+        after = cli.build_parser.cache_info()
+        assert (after.misses, after.hits) == (before.misses, before.hits + 2)
 
     @pytest.mark.parametrize("argv", [
         ["validate", "--seed", "1"],

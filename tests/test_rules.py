@@ -433,6 +433,38 @@ class TestBuildProblem:
         assert reference_rule_problem(items, narrow) != reference_rule_problem(items)
 
 
+def assert_matches_all_separator_reference(graphs, bounds=RuleSpaceBounds()):
+    # The reference enumerates every separator; the anchoring keeps only
+    # the smallest one for token and lemma rules, which changes indices
+    # but not the anchors, the chosen rules or the node sets.
+    anchored, problem, solution = rules.anchor_flavor2_corpus(graphs, bounds)
+    ref_anchored, ref_problem, ref_solution = reference_anchor_flavor2_corpus(
+        graphs, bounds)
+    kept_separators = sorted(bounds.separators)[:1]
+
+    def project(found):
+        return [r for r in found if r.kind not in (rules.TOKEN, rules.LEMMA)
+                or r.separator in kept_separators]
+
+    assert anchored == ref_anchored
+    assert ([problem.universe[i] for i in solution]
+            == [ref_problem.universe[i] for i in ref_solution])
+    assert problem.universe == tuple(project(ref_problem.universe))
+    assert problem.node_names == ref_problem.node_names
+    assert ([{problem.universe[i] for i in s} for s in problem.per_node]
+            == [set(project(ref_problem.universe[i] for i in s))
+                for s in ref_problem.per_node])
+    return problem
+
+
+def flavor2_synth(seed, size):
+    from dataclasses import replace
+    from mrparse.corpus import synth_corpus
+    return [replace(g, framework="amr", flavor=2,
+                    nodes=tuple(replace(n, anchors=()) for n in g.nodes))
+            for g in synth_corpus(seed, size)]
+
+
 class TestArtificialAnchoring:
     def test_assign_keeps_compatible_candidates(self):
         sets = [[frozenset({0}), frozenset({1})],
@@ -474,25 +506,32 @@ class TestArtificialAnchoring:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_flavor2_corpus_matches_per_token_reference(self, seed):
-        from dataclasses import replace
-        from mrparse.corpus import synth_corpus
-        graphs = [replace(g, framework="amr", flavor=2,
-                          nodes=tuple(replace(n, anchors=()) for n in g.nodes))
-                  for g in synth_corpus(seed, 20)]
-        got = rules.anchor_flavor2_corpus(graphs)
-        assert got == reference_anchor_flavor2_corpus(graphs)
+        assert_matches_all_separator_reference(flavor2_synth(seed, 20))
+
+    def test_flavor2_without_separators_matches_reference(self):
+        # no separator: only number and absolute rules exist
+        bounds = RuleSpaceBounds(separators=())
+        problem = assert_matches_all_separator_reference(
+            flavor2_synth(1, 20), bounds)
+        assert {r.kind for r in problem.universe} <= {rules.NUMBER, rules.ABSOLUTE}
 
     def test_flavor2_solution_pinned(self):
-        # recorded with the element-mask solver (tests/oracles.py reference)
-        from dataclasses import replace
-        from mrparse.corpus import synth_corpus
-        graphs = [replace(g, framework="amr", flavor=2,
-                          nodes=tuple(replace(n, anchors=()) for n in g.nodes))
-                  for g in synth_corpus(3, 60)]
+        # the same 13 rules the element-mask solver (tests/oracles.py
+        # reference) chose over the all-separator universe of 6181 rules
+        graphs = flavor2_synth(3, 60)
         _, problem, solution = rules.anchor_flavor2_corpus(graphs)
-        assert (len(problem.per_node), len(problem.universe)) == (205, 6181)
+        assert (len(problem.per_node), len(problem.universe)) == (205, 1273)
         assert solution == (0, 1, 11, 66, 67, 137, 218,
-                            6135, 6136, 6137, 6138, 6139, 6140)
+                            1227, 1228, 1229, 1230, 1231, 1232)
+        assert [rule_to_line(problem.universe[i]) for i in solution] == [
+            'token\t0\t0\t""\t0\t0\t"_"\t"_n"',
+            'token\t0\t0\t""\t0\t0\t"_"\t"_q"',
+            'token\t0\t0\t""\t0\t1\t"_"\t"_n"',
+            'token\t0\t0\t""\t0\t3\t""\t""',
+            'token\t0\t0\t""\t0\t3\t""\t"e"',
+            'token\t0\t0\t""\t1\t0\t"per"\t"on"',
+            'token\t0\t0\t""\t1\t2\t"plac"\t""',
+        ] + [f'absolute\t"{n}"' for n in ("27", "54", "58", "62", "77", "99")]
 
     def test_amr_fixture_matches_per_token_reference(self):
         from mrparse import transform
@@ -500,7 +539,28 @@ class TestArtificialAnchoring:
         from conftest import fixture_path
         graphs = [transform.preprocess("amr", g)[0]
                   for g in load_graphs(fixture_path("amr.jsonl"))]
-        assert rules.anchor_flavor2_corpus(graphs) == reference_anchor_flavor2_corpus(graphs)
+        assert_matches_all_separator_reference(graphs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="abcé-", min_size=1, max_size=6)
+           | st.sampled_from(["one", "twelve", "twenty-one"]),
+           st.text(alphabet="abcé-", min_size=1, max_size=6),
+           st.text(alphabet="abcé-_ 12", min_size=1, max_size=10)
+           | st.sampled_from(["1", "12", "21"]),
+           st.lists(st.sampled_from(["", "+", "-", "_", " ", "ab"]), max_size=4))
+    def test_separator_never_matters_for_one_token(self, form, lemma, label,
+                                                   separators):
+        # the premise of the one-separator anchoring: expanding each token or
+        # lemma rule to every separator gives the all-separator enumeration
+        bounds = RuleSpaceBounds(separators=tuple(separators))
+        one = enumerate_applicable_rules(
+            [form], [lemma], label,
+            RuleSpaceBounds(separators=tuple(sorted(separators))[:1]))
+        expanded = {r._replace(separator=sep) if r.kind in (rules.TOKEN, rules.LEMMA)
+                    else r for r in one for sep in separators or [""]}
+        if not separators:
+            assert all(r.kind in (rules.NUMBER, rules.ABSOLUTE) for r in one)
+        assert expanded == enumerate_applicable_rules([form], [lemma], label, bounds)
 
 
 @settings(max_examples=40, deadline=None)
