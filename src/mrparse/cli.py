@@ -239,7 +239,7 @@ def cmd_train_toy(args) -> int:
                                        cache_dir=args.cache_dir)
         except rules.InfeasibleEncodingError as exc:
             _fail("infeasible", str(exc), EXIT_INFEASIBLE)
-        except trainer.TrainError as exc:
+        except (trainer.TrainError, matcher.MatchError) as exc:
             _fail("data", str(exc), EXIT_DATA)
     if args.checkpoint:
         trained.save(args.checkpoint)
@@ -355,8 +355,10 @@ def run(argv) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if "cache_dir" in vars(args) and args.cache_dir is None:
-        args.cache_dir = os.environ.get("MRPARSE_CACHE_DIR") or None
+    if "cache_dir" in vars(args):
+        # an empty directory, from the flag or the environment, means no cache
+        flag = args.cache_dir
+        args.cache_dir = (os.environ.get("MRPARSE_CACHE_DIR") if flag is None else flag) or None
     try:
         return _COMMANDS[args.command](args)
     except CliError as exc:

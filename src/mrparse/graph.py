@@ -146,6 +146,13 @@ def _require(condition: bool, message: str, field_name: str):
         raise GraphSchemaError(message, field_name)
 
 
+def _integer(value: Any, field_name: str) -> int:
+    """value, which must be a JSON integer: not a boolean, float or string."""
+    if type(value) is not int:
+        raise GraphSchemaError("must be an integer", field_name)
+    return value
+
+
 def _pairs_from_parallel(obj: dict, names_key: str, values_key: str, where: str):
     names = obj.get(names_key)
     values = obj.get(values_key)
@@ -165,27 +172,26 @@ _GRAPH_KEYS = {"id", "flavor", "framework", "input", "tops", "nodes", "edges", "
 
 def _parse_node(obj: Any, tops: set[int]) -> Node:
     _require(isinstance(obj, dict), "node must be an object", "nodes")
-    _require("id" in obj and isinstance(obj["id"], int), "node id must be an integer", "nodes.id")
+    node_id = _integer(obj.get("id"), "nodes.id")
     anchors = []
     for a in obj.get("anchors") or ():
         _require(isinstance(a, dict) and "from" in a and "to" in a,
                  "anchor must carry 'from' and 'to'", "nodes.anchors")
-        anchors.append(Anchor(int(a["from"]), int(a["to"])))
+        anchors.append(Anchor(_integer(a["from"], "nodes.anchors.from"),
+                              _integer(a["to"], "nodes.anchors.to")))
     label = obj.get("label")
     _require(label is None or isinstance(label, str), "label must be text", "nodes.label")
     properties = tuple((k, str(v)) for k, v in
                        _pairs_from_parallel(obj, "properties", "values", "nodes.properties"))
     extras = tuple(sorted((k, v) for k, v in obj.items() if k not in _NODE_KEYS))
-    return Node(id=obj["id"], label=label, properties=properties,
-                anchors=tuple(anchors), is_top=obj["id"] in tops, extras=extras)
+    return Node(id=node_id, label=label, properties=properties,
+                anchors=tuple(anchors), is_top=node_id in tops, extras=extras)
 
 
 def _parse_edge(obj: Any, node_ids: set[int]) -> Edge:
     _require(isinstance(obj, dict), "edge must be an object", "edges")
     for endpoint in ("source", "target"):
-        _require(endpoint in obj and isinstance(obj[endpoint], int),
-                 f"edge {endpoint} must be an integer node id", f"edges.{endpoint}")
-        if obj[endpoint] not in node_ids:
+        if _integer(obj.get(endpoint), f"edges.{endpoint}") not in node_ids:
             raise GraphSchemaError(f"edge cites nonexistent node id {obj[endpoint]}",
                                    f"edges.{endpoint}")
     label = obj.get("label")
@@ -199,8 +205,8 @@ def _parse_edge(obj: Any, node_ids: set[int]) -> Edge:
 def _parse_token(obj: Any) -> Token:
     _require(isinstance(obj, dict) and "form" in obj, "token must carry 'form'", "tokens")
     form = str(obj["form"])
-    start = int(obj.get("from", 0))
-    end = int(obj.get("to", start + len(form)))
+    start = _integer(obj["from"], "tokens.from") if "from" in obj else 0
+    end = _integer(obj["to"], "tokens.to") if "to" in obj else start + len(form)
     lemma = str(obj.get("lemma", form.lower()))
     return Token(form=form, start=start, end=end, lemma=lemma)
 
@@ -222,7 +228,7 @@ def parse_graph(line: str) -> Graph:
     framework = obj.get("framework")
     _require(framework in FRAMEWORKS, f"framework must be one of {FRAMEWORKS}", "framework")
     flavor = obj.get("flavor")
-    _require(flavor in (1, 2), "flavor must be 1 or 2", "flavor")
+    _require(_integer(flavor, "flavor") in (1, 2), "flavor must be 1 or 2", "flavor")
     text = obj.get("input")
     _require(isinstance(text, str), "input sentence required", "input")
 
@@ -230,8 +236,7 @@ def parse_graph(line: str) -> Graph:
     _require(isinstance(tops_raw, (list, tuple)), "tops must be an array", "tops")
     tops = set()
     for t in tops_raw:
-        _require(isinstance(t, int), "top must be an integer node id", "tops")
-        tops.add(t)
+        tops.add(_integer(t, "tops"))
 
     nodes_raw = obj.get("nodes") or ()
     _require(isinstance(nodes_raw, (list, tuple)), "nodes must be an array", "nodes")

@@ -41,6 +41,20 @@ def softplus(z: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, z)
 
 
+def bce(logits: np.ndarray, targets: np.ndarray):
+    """Binary cross-entropy on logits: (summed loss, dloss/dlogits)."""
+    loss = float((softplus(logits) - targets * logits).sum())
+    return loss, sigmoid(logits) - targets
+
+
+def nll(logits: np.ndarray, gold: int):
+    """Softmax cross-entropy of one gold class: (loss, dloss/dlogits)."""
+    probs = softmax(logits)
+    loss = float(-np.log(max(probs[gold], 1e-300)))
+    probs[gold] -= 1.0
+    return loss, probs
+
+
 def _check_distribution(p: np.ndarray, name: str):
     if (p.ndim not in (1, 2) or (p < -1e-12).any()
             or (np.abs(p.sum(axis=-1) - 1.0) > 1e-6).any()):
@@ -119,11 +133,6 @@ def mos_backward_batch(cache, dprobs: np.ndarray):
     return grads, dh
 
 
-def mos_distribution(h: np.ndarray, params: MoSParams) -> np.ndarray:
-    probs, _ = mos_forward_batch(h[None, :], params)
-    return probs[0]
-
-
 # ---------------------------------------------------------------------------
 # focal label loss
 
@@ -153,15 +162,6 @@ def label_loss(pred: np.ndarray, target: np.ndarray, gamma: float):
         slope[positive] = gamma * one_minus[positive] ** (gamma - 1.0) * entropy[positive]
         dpred = dpred - slope[:, None] * targets
     return loss, dpred.reshape(pred.shape)
-
-
-def label_head_loss(h: np.ndarray, params: MoSParams, target: np.ndarray,
-                    gamma: float):
-    """Focal label loss through the mixture head; grads wrt h and params."""
-    probs, cache = mos_forward_batch(h[None, :], params)
-    loss, dprobs = label_loss(probs, target, gamma)
-    grads, dh = mos_backward_batch(cache, dprobs)
-    return loss, dh[0], grads
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +227,11 @@ def anchor_loss(head_cache, targets: np.ndarray,
     if count == 0:
         zero = np.zeros_like
         return 0.0, zero(cache[2]), zero(cache[0][:, :-1]), zero(cache[1][:, :-1])
-    bce = softplus(logits) - targets * logits
-    loss = float(bce[mask].sum()) / count
-    dlogits = np.where(mask[:, None], (sigmoid(logits) - targets) / count, 0.0)
+    loss, dmasked = bce(logits[mask], targets[mask])
+    dlogits = np.zeros_like(logits)
+    dlogits[mask] = dmasked / count
     du, dx, dy = biaffine_backward(cache, dlogits[None, :, :])
-    return loss, du, dx, dy
+    return loss / count, du, dx, dy
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +244,9 @@ def edge_presence_loss(head_logits: np.ndarray, cache, targets: np.ndarray):
     count = n * n
     if count == 0:
         return 0.0, np.zeros_like(cache[2]), np.zeros((0, cache[0].shape[1] - 1))
-    bce = softplus(logits) - targets * logits
-    loss = float(bce.sum()) / count
-    dlogits = (sigmoid(logits) - targets) / count
-    du, dx, dy = biaffine_backward(cache, dlogits[None, :, :])
-    return loss, du, dx + dy
+    loss, dlogits = bce(logits, targets)
+    du, dx, dy = biaffine_backward(cache, dlogits[None, :, :] / count)
+    return loss / count, du, dx + dy
 
 
 def edge_label_loss(head_logits: np.ndarray, cache,
@@ -267,36 +265,30 @@ def edge_label_loss(head_logits: np.ndarray, cache,
         if multilabel:
             count = len(gold_pairs) * num_classes
             for (a, b), labels in zip(gold_pairs, gold_labels):
-                z = head_logits[:, a, b]
                 t = np.zeros(num_classes)
                 t[list(labels)] = 1.0
-                loss += float((softplus(z) - t * z).sum())
-                dlogits[:, a, b] = (sigmoid(z) - t) / count
+                pair_loss, grad = bce(head_logits[:, a, b], t)
+                loss += pair_loss
+                dlogits[:, a, b] = grad / count
             loss /= count
         else:
             count = len(gold_pairs)
             for (a, b), label in zip(gold_pairs, gold_labels):
-                z = head_logits[:, a, b]
-                p = softmax(z)
-                loss += float(-np.log(max(p[label], 1e-300)))
-                grad = p.copy()
-                grad[label] -= 1.0
+                pair_loss, grad = nll(head_logits[:, a, b], label)
+                loss += pair_loss
                 dlogits[:, a, b] = grad / count
             loss /= count
     du, dx, dy = biaffine_backward(cache, dlogits)
     return loss, du, dx + dy
 
 
-def edge_attribute_loss(head_logits: np.ndarray, cache,
-                        gold_pairs: Sequence[tuple[int, int]],
-                        gold_attributes: Sequence[int]):
-    """Multi-class attribute cross-entropy on the gold pairs."""
-    return edge_label_loss(head_logits, cache, gold_pairs, gold_attributes,
-                           multilabel=False)
-
-
 # ---------------------------------------------------------------------------
 # property and top heads
+
+def _linear_backward(node_states: np.ndarray, w: np.ndarray, dlogits: np.ndarray):
+    """(dw, db, dstates) of the linear logits node_states @ w + b."""
+    return node_states.T @ dlogits, float(dlogits.sum()), dlogits[:, None] * w[None, :]
+
 
 def property_head(node_states: np.ndarray, w: np.ndarray, b: float):
     """Per-node probability of being folded back into a property."""
@@ -311,13 +303,8 @@ def property_loss(node_states: np.ndarray, w: np.ndarray, b: float,
     n = len(logits)
     if n == 0:
         return 0.0, np.zeros_like(w), 0.0, np.zeros_like(node_states)
-    bce = softplus(logits) - targets * logits
-    loss = float(bce.sum()) / n
-    dlogits = (sigmoid(logits) - targets) / n
-    dw = node_states.T @ dlogits
-    db = float(dlogits.sum())
-    dstates = dlogits[:, None] * w[None, :]
-    return loss, dw, db, dstates
+    loss, dlogits = bce(logits, targets)
+    return (loss / n,) + _linear_backward(node_states, w, dlogits / n)
 
 
 def top_head(node_states: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
@@ -329,12 +316,5 @@ def top_head(node_states: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
 
 def top_loss(node_states: np.ndarray, w: np.ndarray, b: float, gold: int):
     """Cross-entropy against the gold top node; returns (loss, dw, db, dstates)."""
-    logits = node_states @ w + b
-    probs = softmax(logits)
-    loss = float(-np.log(max(probs[gold], 1e-300)))
-    dlogits = probs.copy()
-    dlogits[gold] -= 1.0
-    dw = node_states.T @ dlogits
-    db = float(dlogits.sum())
-    dstates = dlogits[:, None] * w[None, :]
-    return loss, dw, db, dstates
+    loss, dlogits = nll(node_states @ w + b, gold)
+    return (loss,) + _linear_backward(node_states, w, dlogits)

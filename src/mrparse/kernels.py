@@ -60,22 +60,18 @@ def _assignment_numpy(cost):
     return row_col
 
 
-def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
-    """Distinct column per row minimizing the total cost; needs rows <= columns.
-
-    A square matrix gives a row-to-column permutation.
-    """
-    cost = np.ascontiguousarray(cost, dtype=np.float64)
-    if cost.ndim != 2 or cost.shape[0] > cost.shape[1]:
-        raise ValueError(f"cost matrix must have rows <= columns, got shape {cost.shape}")
-    if cost.size and not np.isfinite(cost).all():
-        raise ValueError("cost matrix entries must be finite")
-    if cost.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
-    return _assignment_numpy(cost)
-
-
 def max_score_assignment(scores: np.ndarray) -> np.ndarray:
-    """Distinct column per row maximizing the total score; needs rows <= columns."""
+    """Distinct column per row maximizing the total score; needs rows <= columns.
+
+    A square matrix gives a row-to-column permutation.  Minimizing a cost
+    matrix is maximizing its negation.
+    """
     scores = np.asarray(scores, dtype=np.float64)
-    return min_cost_assignment(-scores)
+    if scores.ndim != 2 or scores.shape[0] > scores.shape[1]:
+        raise ValueError(f"score matrix must have rows <= columns, got shape {scores.shape}")
+    if scores.size and not np.isfinite(scores).all():
+        raise ValueError("score matrix entries must be finite")
+    if scores.shape[0] == 0:
+        return np.empty(0, dtype=np.int64)
+    # the negation, in C order since the solver scans whole rows
+    return _assignment_numpy(np.negative(scores, order="C"))

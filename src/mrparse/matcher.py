@@ -40,9 +40,6 @@ class MatchProblem:
     def num_real_targets(self) -> int:
         return self.label_score.shape[1]
 
-    def match_matrix(self) -> np.ndarray:
-        return match_score(self.label_score, self.anchor_score)
-
 
 @dataclass(frozen=True)
 class Assignment:
@@ -73,15 +70,6 @@ def geomean_anchor(probs) -> float | np.ndarray:
     arr = np.maximum(np.asarray(probs, dtype=np.float64), ANCHOR_PROB_FLOOR)
     score = np.exp(np.log(arr).sum(axis=-1) / max(arr.shape[-1], 1))
     return float(score) if score.ndim == 0 else score
-
-
-def match_score(label_score: np.ndarray, anchor_score: np.ndarray) -> np.ndarray:
-    """Elementwise product of label and anchor scores."""
-    label_score = np.asarray(label_score, dtype=np.float64)
-    anchor_score = np.asarray(anchor_score, dtype=np.float64)
-    if label_score.shape != anchor_score.shape:
-        raise MatchError(f"shape mismatch {label_score.shape} vs {anchor_score.shape}")
-    return label_score * anchor_score
 
 
 def apply_anchor_mask(scores: np.ndarray, anchoring: np.ndarray,
@@ -256,7 +244,7 @@ def align_targets(predictions: PredictionSpec, targets: Sequence[TargetSpec],
     denote null matches, numbered in ascending query order.
     """
     problem = build_problem(predictions, targets, config)
-    assignment = optimal_assignment(problem.match_matrix())
+    assignment = optimal_assignment(problem.label_score * problem.anchor_score)
     if edge_loglik is not None:
         assignment = break_ties(problem, assignment, edge_loglik, config)
     return assignment

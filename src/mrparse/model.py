@@ -16,6 +16,8 @@ from typing import Optional
 
 import numpy as np
 
+from . import heads
+
 CHECKPOINT_MAGIC = b"MRP0"
 CHECKPOINT_VERSION = 1
 LN_EPS = 1e-5
@@ -96,10 +98,7 @@ def attention_forward(params: dict, prefix: str, queries_in: np.ndarray,
     q = queries_in @ wq + bq
     k = keys_in @ wk + bk
     v = keys_in @ wv + bv
-    scores = (q @ np.swapaxes(k, -1, -2)) * scale
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    weights = np.exp(shifted)
-    weights /= weights.sum(axis=-1, keepdims=True)
+    weights = heads.softmax((q @ np.swapaxes(k, -1, -2)) * scale)
     mixed = weights @ v
     out = mixed @ wo + bo
     cache = (queries_in, keys_in, q, k, v, weights, mixed, scale, prefix)
@@ -257,9 +256,7 @@ def encode_forward(params: dict, token_ids: np.ndarray, num_layers: int,
     logits = np.broadcast_to(mix, token_ids.shape[:-1] + mix.shape).copy()
     if dropped is not None:
         logits[dropped] = -np.inf
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    alpha = np.exp(shifted)
-    alpha /= alpha.sum(axis=-1, keepdims=True)
+    alpha = heads.softmax(logits)
     mixed = sum(alpha[..., k, None, None] * state for k, state in enumerate(states))
     e, c_ln = layer_norm_forward(mixed, params["encln.gain"], params["encln.bias"])
     cache = (token_ids, states, block_caches, alpha, c_ln)

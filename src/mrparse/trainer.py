@@ -508,8 +508,8 @@ def _edge_losses(params: dict, config: TrainConfig, example: Example,
     if config.use_attribute_head:
         # toy gold edges carry no attributes: every pair targets class 0
         a_logits, a_cache = heads.biaffine_forward(states, states, params["edgea.u"])
-        loss, du, dstates = heads.edge_attribute_loss(a_logits, a_cache, pairs,
-                                                      [0] * len(pairs))
+        loss, du, dstates = heads.edge_label_loss(a_logits, a_cache, pairs,
+                                                  [0] * len(pairs))
         out["edge_attribute"] = (loss, {"edgea.u": du}, dstates)
     return out
 

@@ -12,8 +12,8 @@ the hitting-set reference solves on bitmasks over the whole universe, the
 enumerator reference searches the whole label for every strip pair, and the
 layer-norm reference takes its means with ndarray.mean.  The rule-order key
 spells the canonical order out field by field instead of comparing tuples.
-The brute-force hitting set, the loss bundle and the sentence total loss
-serve only the tests.
+The brute-force hitting set, the loss bundle, the sentence total loss and
+the one-query label head loss serve only the tests.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from mrparse import trainer
+from mrparse import heads, trainer
 from mrparse.graph import Anchor, graph_tokens
 from mrparse.heads import HeadError
 from mrparse.hitting import InfeasibleError
@@ -517,3 +517,12 @@ def sentence_total_loss(params: dict, config, example,
     weights = weights or {t: 1.0 for t in losses}
     total = total_loss(LossBundle(losses=losses, weights=weights))
     return total, pairing
+
+
+def label_head_loss(h: np.ndarray, params, target: np.ndarray, gamma: float):
+    """Focal label loss of one query through the mixture head, composed from
+    the batch forward, the loss and the batch backward: (loss, dh, grads)."""
+    probs, cache = heads.mos_forward_batch(h[None, :], params)
+    loss, dprobs = heads.label_loss(probs, target, gamma)
+    grads, dh = heads.mos_backward_batch(cache, dprobs)
+    return loss, dh[0], grads

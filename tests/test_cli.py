@@ -76,6 +76,44 @@ class TestPreprocess:
         assert a.read_bytes() == b.read_bytes()
 
 
+def graph_line(node: str, extra: str = "") -> str:
+    return ('{"id":"x","flavor":1,"framework":"eds","input":"a b",'
+            f'"nodes":[{node}],"edges":[]{extra}}}\n')
+
+
+MALFORMED_FIELDS = [
+    pytest.param(graph_line('{"id":0,"anchors":[{"from":"x","to":1}]}'),
+                 "nodes.anchors.from", id="text-anchor-offset"),
+    pytest.param(graph_line('{"id":0}', ',"tokens":[{"form":"a","from":null}]'),
+                 "tokens.from", id="null-token-offset"),
+    pytest.param(graph_line('{"id":true,"label":"a"},{"id":1,"label":"b"}'),
+                 "nodes.id", id="boolean-node-id"),
+]
+
+
+class TestMalformedFields:
+    @pytest.mark.parametrize("line, field", MALFORMED_FIELDS)
+    def test_preprocess_is_data_error(self, line, field, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(line)
+        code, out, err = run_cli(["preprocess", "--framework", "eds",
+                                  "--input", str(bad)], capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error["error"] == "data"
+        assert field in error["message"]
+
+    @pytest.mark.parametrize("line, field", MALFORMED_FIELDS)
+    def test_validate_reports_parse_violation(self, line, field, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(line)
+        code, out, err = run_cli(["validate", "--input", str(bad)], capsys)
+        assert (code, err) == (2, "")
+        assert out.splitlines() == [f"line 1: parse: {field}: must be an integer",
+                                    "validated 0 graphs, 1 violations"]
+
+
 class TestRules:
     def test_infer_writes_table_and_stats(self, tmp_path, capsys):
         table = tmp_path / "rules.txt"
@@ -166,6 +204,16 @@ class TestRules:
         assert code == 0
         assert list((tmp_path / "flag").glob("*.json"))
         assert not (tmp_path / "env").exists()
+
+    def test_empty_cache_dir_flag_disables_cache(self, tmp_path, capsys, monkeypatch):
+        # as MRPARSE_CACHE_DIR="" does, and the flag beats the variable
+        monkeypatch.setenv("MRPARSE_CACHE_DIR", str(tmp_path / "env"))
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(["rules-infer", "--framework", "eds",
+                                "--input", fixture_path("eds.jsonl"),
+                                "--cache-dir", ""], capsys)
+        assert (code, err) == (0, "")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("entry", ["[1, 2", "[999999]", "[0]"])
     def test_corrupt_cache_entry_is_solved_again(self, entry, tmp_path, capsys):
@@ -343,6 +391,23 @@ class TestTrainPredict:
         assert record["error"] == "config"
         assert f"{config}:5: " in record["message"]
         assert not out_path.exists()
+
+    def test_nodes_over_query_capacity_is_data_error(self, tmp_path, capsys):
+        # 5 nodes on a 2-token input, whose 2 x 2 queries cannot hold them
+        node = '{{"id":{},"label":"n{}","anchors":[{{"from":0,"to":1}}]}}'
+        line = graph_line(",".join(node.format(i, i) for i in range(5)))
+        corpus = tmp_path / "crowded.jsonl"
+        corpus.write_text(line * 2)
+        config = tmp_path / "toy.cfg"
+        config.write_text("dim = 16\nffn_dim = 24\nepochs = 1\n")
+        code, _, err = run_cli(["train-toy", "--input", str(corpus),
+                                "--config", str(config),
+                                "--output", str(tmp_path / "m.jsonl")], capsys)
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)
+        assert error == {"error": "data", "message": "5 target nodes exceed 4 queries; "
+                                                     "increase the per-token query budget"}
 
     def test_predict_requires_checkpoint(self, tmp_path, capsys):
         sentences = tmp_path / "s.txt"

