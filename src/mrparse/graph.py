@@ -174,7 +174,10 @@ def _parse_node(obj: Any, tops: set[int]) -> Node:
     _require(isinstance(obj, dict), "node must be an object", "nodes")
     node_id = _integer(obj.get("id"), "nodes.id")
     anchors = []
-    for a in obj.get("anchors") or ():
+    anchors_raw = obj.get("anchors")
+    _require(anchors_raw is None or isinstance(anchors_raw, list),
+             "anchors must be an array", "nodes.anchors")
+    for a in anchors_raw or ():
         _require(isinstance(a, dict) and "from" in a and "to" in a,
                  "anchor must carry 'from' and 'to'", "nodes.anchors")
         anchors.append(Anchor(_integer(a["from"], "nodes.anchors.from"),
@@ -224,7 +227,7 @@ def parse_graph(line: str) -> Graph:
         byte_offset = len(line[:exc.pos].encode("utf-8"))
         raise GraphParseError(exc.msg, byte_offset) from None
     _require(isinstance(obj, dict), "top-level value must be an object", "<root>")
-    _require(isinstance(obj.get("id"), (str, int)), "graph id required", "id")
+    _require(type(obj.get("id")) in (str, int), "graph id required", "id")
     framework = obj.get("framework")
     _require(framework in FRAMEWORKS, f"framework must be one of {FRAMEWORKS}", "framework")
     flavor = obj.get("flavor")

@@ -6,11 +6,14 @@ remaining sets form one class (elements in none of them are never useful).
 A minimum hitting set never holds two members of one class, and the
 lexicographically smallest one takes each class's smallest member, so the
 search runs on bitmasks over classes, a few hundred bits where the universe
-has thousands of elements.  The solver is a branch-and-bound on the
-hitting-set formulation with unit propagation of forced singletons and
-dominance pruning, followed by a lexicographic refinement pass over classes
-in order of their smallest member, so the returned index set is the
-lexicographically smallest among all minimum-cardinality solutions.
+has thousands of elements.  Constraints sharing a class form one connected
+component, and each component, a few dozen constraints where the problem has
+over a hundred, is solved on its own: a branch-and-bound on the hitting-set
+formulation with unit propagation of forced singletons and dominance
+pruning, followed by a lexicographic refinement pass over the component's
+classes in order of their smallest member.  The sorted union of the
+component answers is the lexicographically smallest among all
+minimum-cardinality solutions.
 """
 
 from __future__ import annotations
@@ -180,24 +183,28 @@ def _coverage_classes(sets: Sequence[frozenset[int]],
     return masks, members
 
 
-def minimal_hitting_set(sets: Sequence[frozenset[int]],
-                        universe_size: int) -> tuple[int, ...]:
-    """Lexicographically smallest minimum-cardinality hitting set.
+def _components(masks: list[int]) -> list[tuple[list[int], int]]:
+    """Constraints grouped by shared classes, each group with its class union."""
+    groups: list[tuple[list[int], int]] = []
+    for mask in masks:
+        # group unions are disjoint, so a group joins this one iff it meets mask
+        joined, union, apart = [mask], mask, []
+        for group in groups:
+            if group[1] & mask:
+                joined += group[0]
+                union |= group[1]
+            else:
+                apart.append(group)
+        groups = apart + [(joined, union)]
+    return groups
 
-    Every returned index set intersects all input sets; cardinality is
-    provably minimum (branch-and-bound with propagation and dominance
-    pruning, cross-checked against brute force in the test suite).  The
-    search runs over coverage classes and returns each picked class's
-    smallest member.
-    """
-    masks, members = _coverage_classes(sets, universe_size)
-    full = (1 << len(members)) - 1
-    optimum = _min_size(masks, full, len(members))
+
+def _lexicographic_min(masks: list[int], allowed: int) -> list[int]:
+    """Lexicographically smallest minimum set of allowed classes hitting masks."""
+    optimum = _min_size(masks, allowed, allowed.bit_count())
     assert optimum is not None
-
     chosen: list[int] = []
     remaining = masks
-    allowed = full
     while remaining:
         need = optimum - len(chosen)
         useful = 0
@@ -212,10 +219,29 @@ def minimal_hitting_set(sets: Sequence[frozenset[int]],
             else:
                 sub = _min_size(rest, higher, need - 1)
             if sub is not None and sub <= need - 1:
-                chosen.append(members[c])
+                chosen.append(c)
                 remaining = rest
                 allowed = higher
                 break
         else:  # pragma: no cover - optimum guarantees progress
             raise AssertionError("lexicographic refinement failed")
-    return tuple(chosen)
+    return chosen
+
+
+def minimal_hitting_set(sets: Sequence[frozenset[int]],
+                        universe_size: int) -> tuple[int, ...]:
+    """Lexicographically smallest minimum-cardinality hitting set.
+
+    Every returned index set intersects all input sets; cardinality is
+    provably minimum (branch-and-bound with propagation and dominance
+    pruning, cross-checked against brute force in the test suite).  The
+    search runs over coverage classes, one connected component at a time,
+    and returns each picked class's smallest member.  The union of the
+    component answers is the answer: every minimum hitting set is a union of
+    component minima, and of two equal-size sets the one holding the
+    smallest element of their symmetric difference sorts first; that element
+    lies in one component, whose lexicographically smallest minimum wins.
+    """
+    masks, members = _coverage_classes(sets, universe_size)
+    return tuple(sorted(members[c] for group, union in _components(masks)
+                        for c in _lexicographic_min(group, union)))

@@ -90,9 +90,18 @@ MALFORMED_FIELDS = [
                  "nodes.id", id="boolean-node-id"),
 ]
 
+MALFORMED_STRUCTURE = [
+    pytest.param(graph_line('{"id":0,"anchors":5}'), "nodes.anchors: anchors must be an array",
+                 id="number-anchors"),
+    pytest.param(graph_line('{"id":0,"anchors":"ab"}'), "nodes.anchors: anchors must be an array",
+                 id="text-anchors"),
+    pytest.param(graph_line('{"id":0}').replace('"id":"x"', '"id":true'),
+                 "id: graph id required", id="boolean-graph-id"),
+]
+
 
 class TestMalformedFields:
-    @pytest.mark.parametrize("line, field", MALFORMED_FIELDS)
+    @pytest.mark.parametrize("line, field", MALFORMED_FIELDS + MALFORMED_STRUCTURE)
     def test_preprocess_is_data_error(self, line, field, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(line)

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrparse import cli
 from mrparse.graph import (Anchor, Edge, Graph, GraphError, GraphParseError,
                            GraphSchemaError, Node, parse_graph, serialize_graph,
                            validate, whitespace_tokens)
@@ -196,3 +199,57 @@ def test_integer_fields_parse_or_raise_graph_error(field, value):
         return
     assert type(value) is int
     assert parse_graph(serialize_graph(g)) == g
+
+
+_structural_fields = {
+    "anchors": lambda obj, v: obj["nodes"][0].update(anchors=v),
+    "graph id": lambda obj, v: obj.update(id=v),
+    "properties": lambda obj, v: obj["nodes"][0].update(properties=v),
+    "values": lambda obj, v: obj["nodes"][0].update(values=v),
+    "tokens": lambda obj, v: obj.update(tokens=v),
+}
+_well_formed = st.sampled_from([None, 7, "g", [], ["q"], [{"from": 0, "to": 2}],
+                                [{"form": "ab", "from": 0, "to": 2}]])
+
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_structural_fields)), _json_values | _well_formed)
+def test_structural_fields_parse_or_exit_two(tmp_path_factory, field, value):
+    obj = {"id": "g", "flavor": 1, "framework": "eds", "input": "ab", "tops": [0],
+           "nodes": [{"id": 0, "label": "x", "anchors": [{"from": 0, "to": 2}],
+                      "properties": ["p"], "values": ["v"]}],
+           "edges": [], "tokens": [{"form": "ab", "from": 0, "to": 2}]}
+    _structural_fields[field](obj, value)
+    line = json.dumps(obj)
+    try:
+        g = parse_graph(line)
+    except GraphError as exc:
+        error = str(exc)
+    else:
+        error = None
+        assert parse_graph(serialize_graph(g)) == g
+    if field == "graph id":
+        assert (error is None) == (type(value) in (str, int))
+    elif field in ("anchors", "tokens") and error is None:
+        assert value is None or isinstance(value, list)
+    path = tmp_path_factory.getbasetemp() / "structural.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    code, out, err = _cli(["validate", "--input", str(path)])
+    assert code in (0, 2) and err == ""
+    if error is not None:
+        assert out.splitlines() == [f"line 1: parse: {error}",
+                                    "validated 0 graphs, 1 violations"]
+    code, out, err = _cli(["preprocess", "--framework", "eds", "--input", str(path),
+                           "--output", str(path.with_suffix(".out"))])
+    assert code == (0 if error is None else 2)
+    if code:
+        assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "data"
+    else:
+        assert err == ""

@@ -85,10 +85,11 @@ def test_class_with_members_around_earlier_pick():
 
 
 @st.composite
-def class_instances(draw):
+def class_instances(draw, max_universe=200):
     """Sets built from a few coverage classes, then duplicated, widened
-    and mixed with arbitrary sets, over universes brute force cannot reach."""
-    universe = draw(st.integers(1, 200))
+    and mixed with arbitrary sets, over universes of up to max_universe
+    elements, by default beyond the reach of brute force."""
+    universe = draw(st.integers(1, max_universe))
     num_classes = draw(st.integers(1, 16))
     class_of = draw(st.lists(st.integers(0, num_classes - 1),
                              min_size=universe, max_size=universe))
@@ -115,6 +116,64 @@ def test_matches_element_mask_reference(instance):
     sets, universe = instance
     assert minimal_hitting_set(sets, universe) == reference_minimal_hitting_set(
         sets, universe)
+
+
+@st.composite
+def component_instances(draw):
+    """Two to five class_instances blocks over disjoint element ranges, their
+    sets shuffled together, so each block holds one or more components;
+    blocks of at most 4 elements keep many instances within brute force."""
+    block_universe = draw(st.sampled_from([4, 200]))
+    sets, offset = [], 0
+    for block, universe in draw(st.lists(class_instances(block_universe),
+                                         min_size=2, max_size=5)):
+        sets += [frozenset(e + offset for e in s) for s in block]
+        offset += universe
+    order = draw(st.permutations(range(len(sets))))
+    return [sets[i] for i in order], offset
+
+
+@settings(max_examples=100, deadline=None)
+@given(component_instances())
+def test_components_match_element_mask_reference(instance):
+    sets, universe = instance
+    result = minimal_hitting_set(sets, universe)
+    assert result == reference_minimal_hitting_set(sets, universe)
+    if universe <= 20:
+        assert result == brute_force_min_hitting_set(sets, universe)
+
+
+def test_disjoint_tie_breaks_each_take_their_smallest():
+    tie = [frozenset({0, 1}), frozenset({0, 2}), frozenset({3, 1}), frozenset({3, 2})]
+    sets = [frozenset(e + offset for e in s) for offset in (8, 0, 4) for s in tie]
+    assert minimal_hitting_set(sets, 12) == (0, 3, 4, 7, 8, 11)
+
+
+# {0, 5} and {2, 3} are the smallest minima of two separate components
+INTERLEAVED = [frozenset({0, 6}), frozenset({2, 8}), frozenset({0, 7}), frozenset({3, 8}),
+               frozenset({5, 6}), frozenset({2, 9}), frozenset({5, 7}), frozenset({3, 9})]
+
+
+def test_interleaved_components_are_merged_in_order():
+    assert minimal_hitting_set(INTERLEAVED, 10) == brute_force_min_hitting_set(
+        INTERLEAVED, 10) == (0, 2, 3, 5)
+
+
+def test_each_component_searches_only_its_own_classes(monkeypatch):
+    masks, _ = hitting._coverage_classes(INTERLEAVED, 10)
+    unions = [union for _, union in hitting._components(masks)]
+    assert len(unions) == 2
+    allowed_seen = []
+    min_size = hitting._min_size
+
+    def spy(masks, allowed, budget):
+        allowed_seen.append(allowed)
+        return min_size(masks, allowed, budget)
+
+    monkeypatch.setattr(hitting, "_min_size", spy)
+    assert minimal_hitting_set(INTERLEAVED, 10) == (0, 2, 3, 5)
+    assert allowed_seen
+    assert all(any(allowed & ~union == 0 for union in unions) for allowed in allowed_seen)
 
 
 @settings(max_examples=200, deadline=None)
