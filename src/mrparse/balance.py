@@ -1,15 +1,16 @@
 """Adaptive multi-task loss weights balancing gradient magnitudes.
 
-Each task's gradient norm over the shared parameters is steered toward the
-mean norm scaled by the task's relative inverse training rate: tasks whose
-loss ratio drops fastest get their weight reduced to leave room for the
-others.  Weights are renormalized to sum to the task count after every
-update.
+Each task's gradient norm on the last shared layer of weights is steered
+toward the mean norm scaled by the task's relative inverse training rate:
+tasks whose loss ratio drops fastest get their weight reduced to leave room
+for the others.  Taking the norms on that one layer rather than on all the
+shared parameters is GradNorm's choice (Chen et al., ICML 2018).  Weights
+are renormalized to sum to the task count after every update.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MIN_WEIGHT = 1e-4
 
@@ -20,7 +21,6 @@ class BalanceState:
 
     weights: dict[str, float]
     initial_losses: dict[str, float] | None = None
-    warnings: list[str] = field(default_factory=list)
 
     @classmethod
     def uniform(cls, tasks) -> "BalanceState":
@@ -33,8 +33,8 @@ def update_loss_weights(grad_norms: dict[str, float], losses: dict[str, float],
                         lr: float) -> tuple[dict[str, float], list[str]]:
     """One balancing step; returns (new weights, warnings).
 
-    grad_norms[t] is the norm of the gradient of w_t * loss_t over the shared
-    parameters.  Tasks with zero initial loss are excluded from balancing
+    grad_norms[t] is the norm of the gradient of w_t * loss_t on the last
+    shared layer.  Tasks with zero initial loss are excluded from balancing
     (their weight only participates in the renormalization).  The new weights
     are clamped positive and renormalized so they sum to the task count.
     """

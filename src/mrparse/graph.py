@@ -4,6 +4,10 @@ The wire format is the MRP 2020 graph interchange format: one JSON object per
 line with the fields ``id``, ``flavor``, ``framework``, ``input``, ``tops``,
 ``nodes`` and ``edges``.  Character offsets count Unicode scalar values.
 Unknown fields are preserved opaquely so that parse/serialize round-trips.
+Text fields must be JSON strings: labels, property names and values, edge
+attribute names, token forms and lemmas; anything else is a GraphSchemaError
+naming the field.  Edge attribute values may be any JSON value (UCCA's
+``remote`` is ``true``) and are written back as they were read.
 """
 
 from __future__ import annotations
@@ -153,7 +157,15 @@ def _integer(value: Any, field_name: str) -> int:
     return value
 
 
+def _text(value: Any, field_name: str) -> str:
+    """value, which must be a JSON string."""
+    if type(value) is not str:
+        raise GraphSchemaError("must be text", field_name)
+    return value
+
+
 def _pairs_from_parallel(obj: dict, names_key: str, values_key: str, where: str):
+    """(name, value) pairs of two parallel arrays; names must be text."""
     names = obj.get(names_key)
     values = obj.get(values_key)
     if names is None and values is None:
@@ -162,7 +174,7 @@ def _pairs_from_parallel(obj: dict, names_key: str, values_key: str, where: str)
              f"{names_key}/{values_key} must be parallel arrays", where)
     _require(len(names) == len(values),
              f"{names_key} and {values_key} differ in length", where)
-    return tuple((str(n), v) for n, v in zip(names, values))
+    return tuple((_text(n, where), v) for n, v in zip(names, values))
 
 
 _NODE_KEYS = {"id", "label", "properties", "values", "anchors"}
@@ -184,7 +196,7 @@ def _parse_node(obj: Any, tops: set[int]) -> Node:
                               _integer(a["to"], "nodes.anchors.to")))
     label = obj.get("label")
     _require(label is None or isinstance(label, str), "label must be text", "nodes.label")
-    properties = tuple((k, str(v)) for k, v in
+    properties = tuple((k, _text(v, "nodes.values")) for k, v in
                        _pairs_from_parallel(obj, "properties", "values", "nodes.properties"))
     extras = tuple(sorted((k, v) for k, v in obj.items() if k not in _NODE_KEYS))
     return Node(id=node_id, label=label, properties=properties,
@@ -207,10 +219,10 @@ def _parse_edge(obj: Any, node_ids: set[int]) -> Edge:
 
 def _parse_token(obj: Any) -> Token:
     _require(isinstance(obj, dict) and "form" in obj, "token must carry 'form'", "tokens")
-    form = str(obj["form"])
+    form = _text(obj["form"], "tokens.form")
     start = _integer(obj["from"], "tokens.from") if "from" in obj else 0
     end = _integer(obj["to"], "tokens.to") if "to" in obj else start + len(form)
-    lemma = str(obj.get("lemma", form.lower()))
+    lemma = _text(obj["lemma"], "tokens.lemma") if "lemma" in obj else form.lower()
     return Token(form=form, start=start, end=end, lemma=lemma)
 
 

@@ -63,12 +63,8 @@ def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
 
 
 def layer_norm_backward(cache, dy: np.ndarray):
-    """Returns (dx, dgain, dbias) for 2-D rows.
-
-    dy may carry extra leading axes over the cached [rows, dim] forward
-    (one per independent downstream gradient); dgain and dbias then keep
-    those axes and reduce over rows only.
-    """
+    """Returns (dx, dgain, dbias); dy has the forward's shape, and dgain and
+    dbias sum over its rows axis."""
     normed, inv, gain = cache
     dim = dy.shape[-1]
     dgain = (dy * normed).sum(axis=-2)
@@ -105,25 +101,24 @@ def attention_forward(params: dict, prefix: str, queries_in: np.ndarray,
     return out, cache
 
 
-def attention_backward(params: dict, cache, dout: np.ndarray, grads: dict,
-                       grad_scale: Optional[float] = None):
+def attention_backward(params: dict, cache, dout: np.ndarray, grads: dict):
     queries_in, keys_in, q, k, v, weights, mixed, scale, prefix = cache
     wq, wk, wv, wo = (params[f"{prefix}.wq"], params[f"{prefix}.wk"],
                       params[f"{prefix}.wv"], params[f"{prefix}.wo"])
-    add_grad(grads, f"{prefix}.wo", mixed.T @ dout, grad_scale)
-    add_grad(grads, f"{prefix}.bo", dout.sum(axis=-2), grad_scale)
+    add_grad(grads, f"{prefix}.wo", mixed.T @ dout)
+    add_grad(grads, f"{prefix}.bo", dout.sum(axis=-2))
     dmixed = dout @ wo.T
     dweights = dmixed @ v.T
     dv = weights.T @ dmixed
     dscores = weights * (dweights - (dweights * weights).sum(axis=-1, keepdims=True))
     dq = dscores @ k * scale
-    dk = np.swapaxes(dscores, -1, -2) @ q * scale
-    add_grad(grads, f"{prefix}.wq", queries_in.T @ dq, grad_scale)
-    add_grad(grads, f"{prefix}.bq", dq.sum(axis=-2), grad_scale)
-    add_grad(grads, f"{prefix}.wk", keys_in.T @ dk, grad_scale)
-    add_grad(grads, f"{prefix}.bk", dk.sum(axis=-2), grad_scale)
-    add_grad(grads, f"{prefix}.wv", keys_in.T @ dv, grad_scale)
-    add_grad(grads, f"{prefix}.bv", dv.sum(axis=-2), grad_scale)
+    dk = dscores.T @ q * scale
+    add_grad(grads, f"{prefix}.wq", queries_in.T @ dq)
+    add_grad(grads, f"{prefix}.bq", dq.sum(axis=-2))
+    add_grad(grads, f"{prefix}.wk", keys_in.T @ dk)
+    add_grad(grads, f"{prefix}.bk", dk.sum(axis=-2))
+    add_grad(grads, f"{prefix}.wv", keys_in.T @ dv)
+    add_grad(grads, f"{prefix}.bv", dv.sum(axis=-2))
     dqueries_in = dq @ wq.T
     dkeys_in = dk @ wk.T + dv @ wv.T
     return dqueries_in, dkeys_in
@@ -155,50 +150,47 @@ def block_forward(params: dict, prefix: str, x: np.ndarray,
     return y, cache
 
 
-def block_backward(params: dict, prefix: str, cache, dy: np.ndarray,
-                   grads: dict, grad_scale: Optional[float] = None):
-    """Returns (dx, dmemory); parameter grads accumulate into grads.
+def ffn_out_grads(prefix: str, cache, dy: np.ndarray) -> dict:
+    """Grads of the block's last layer, ffn.w2 and ffn.b2, from the gradient
+    dy wrt the block output.  dy may stack several output gradients on
+    leading axes over the [rows, dim] forward; each grad then keeps them."""
+    hidden = cache[6]  # the tanh layer's output, see block_forward
+    return {f"{prefix}.ffn.w2": hidden.T @ dy, f"{prefix}.ffn.b2": dy.sum(axis=-2)}
 
-    The backward is linear in dy given the cache, so dy may stack several
-    independent output gradients on a leading axis, [tasks, queries, dim]
-    against a [queries, dim] forward.  Every result then keeps that axis:
-    dx is [tasks, queries, dim], dmemory [tasks, tokens, dim] and each
-    parameter grad [tasks, *param.shape], row t equal to the 2-D call on
-    dy[t].  With grad_scale, each parameter grad is multiplied by grad_scale
-    before it is added into grads[key] (see add_grad), one key at a time.
-    """
+
+def block_backward(params: dict, prefix: str, cache, dy: np.ndarray, grads: dict):
+    """Returns (dx, dmemory) for dy [rows, dim]; parameter grads accumulate
+    into grads."""
     c_ln1, c_self, c_ln2, c_cross, c_ln3, ln3, hidden, has_cross = cache
     dh = dy.copy()
     dffn_out = dy
-    add_grad(grads, f"{prefix}.ffn.w2", hidden.T @ dffn_out, grad_scale)
-    add_grad(grads, f"{prefix}.ffn.b2", dffn_out.sum(axis=-2), grad_scale)
+    for key, grad in ffn_out_grads(prefix, cache, dffn_out).items():
+        add_grad(grads, key, grad)
     dhidden = dffn_out @ params[f"{prefix}.ffn.w2"].T
     dpre = (1.0 - hidden * hidden) * dhidden
-    add_grad(grads, f"{prefix}.ffn.w1", ln3.T @ dpre, grad_scale)
-    add_grad(grads, f"{prefix}.ffn.b1", dpre.sum(axis=-2), grad_scale)
+    add_grad(grads, f"{prefix}.ffn.w1", ln3.T @ dpre)
+    add_grad(grads, f"{prefix}.ffn.b1", dpre.sum(axis=-2))
     dln3 = dpre @ params[f"{prefix}.ffn.w1"].T
     dx3, dgain, dbias = layer_norm_backward(c_ln3, dln3)
-    add_grad(grads, f"{prefix}.ln3.gain", dgain, grad_scale)
-    add_grad(grads, f"{prefix}.ln3.bias", dbias, grad_scale)
+    add_grad(grads, f"{prefix}.ln3.gain", dgain)
+    add_grad(grads, f"{prefix}.ln3.bias", dbias)
     dh = dh + dx3
 
     dmemory = None
     if has_cross:
         dcross_out = dh
-        dln2, dmemory = attention_backward(params, c_cross, dcross_out, grads,
-                                            grad_scale)
+        dln2, dmemory = attention_backward(params, c_cross, dcross_out, grads)
         dx2, dgain, dbias = layer_norm_backward(c_ln2, dln2)
-        add_grad(grads, f"{prefix}.ln2.gain", dgain, grad_scale)
-        add_grad(grads, f"{prefix}.ln2.bias", dbias, grad_scale)
+        add_grad(grads, f"{prefix}.ln2.gain", dgain)
+        add_grad(grads, f"{prefix}.ln2.bias", dbias)
         dh = dh + dx2
 
     dself_out = dh
-    dln1_q, dln1_kv = attention_backward(params, c_self, dself_out, grads,
-                                         grad_scale)
+    dln1_q, dln1_kv = attention_backward(params, c_self, dself_out, grads)
     dln1 = dln1_q + dln1_kv
     dx1, dgain, dbias = layer_norm_backward(c_ln1, dln1)
-    add_grad(grads, f"{prefix}.ln1.gain", dgain, grad_scale)
-    add_grad(grads, f"{prefix}.ln1.bias", dbias, grad_scale)
+    add_grad(grads, f"{prefix}.ln1.gain", dgain)
+    add_grad(grads, f"{prefix}.ln1.bias", dbias)
     dx = dh + dx1
     return dx, dmemory
 

@@ -3,9 +3,9 @@
 Every batch runs encoder -> queries -> decoder block -> heads, aligns the
 queries to the gold nodes with the permutation-invariant matcher, computes
 the per-task losses against the permuted targets, balances the task weights
-by gradient norms over the decoder block (the shared parameters) and takes a
-decoupled-weight-decay adaptive step with a two-group inverse-square-root
-learning rate schedule.
+by each task's gradient norm on the last shared layer (the decoder block's
+ffn.w2 and ffn.b2) and takes a decoupled-weight-decay adaptive step with a
+two-group inverse-square-root learning rate schedule.
 """
 
 from __future__ import annotations
@@ -426,13 +426,14 @@ def _batch_passes(params: dict, config: TrainConfig, batch: Sequence[Example],
 
 def _cache_token_budget(params: dict, config: TrainConfig, token_ids: np.ndarray,
                         ) -> float:
-    """Tokens of forward caches that take the bytes of one sentence's per-task
-    decoder grads ([tasks, *shape] for every decoder parameter), at the cache
-    bytes per token of token_ids's forward."""
-    decoder = len(config.active_tasks()) * sum(
-        value.nbytes for key, value in params.items() if key.startswith("dec."))
+    """Tokens of forward caches that take the bytes of AdamW's two moments,
+    twice the parameters, at the cache bytes per token of token_ids's
+    forward.  A training step holds the parameters, their gradient sum and
+    the moments anyway, so caches within the budget add at most half to
+    those arrays."""
+    moments = 2 * sum(value.nbytes for value in params.values())
     cache = forward_sentence(params, config, token_ids).nbytes(params)
-    return decoder * len(token_ids) / cache
+    return moments * len(token_ids) / cache
 
 
 def match_queries(config: TrainConfig, fwd: ForwardPass, example: Example,
@@ -605,30 +606,25 @@ def sentence_losses(params: dict, config: TrainConfig, example: Example,
 def backward_sentence(params: dict, config: TrainConfig, fwd: ForwardPass,
                       grads: SentenceGrads, weights: dict[str, float], scale: float,
                       total_grads: dict[str, np.ndarray],
-                      dec_sums: dict[str, np.ndarray]):
+                      task_sums: dict[str, np.ndarray]):
     """The backward of forward_sentence from one sentence's sentence_losses
-    grads.  The decoder parameter grads, [tasks, *shape] per key and times
-    scale, are added into dec_sums unweighted (see model.block_backward); the
-    head, query and encoder grads, task by task times weight and scale, into
-    total_grads."""
-    dquery, dmemory = model.block_backward(params, "dec", fwd.dec_cache, grads.dhidden,
-                                           dec_sums, scale)
-    tasks = config.active_tasks()
-    dmemory[tasks.index("anchor")] += grads.anchor_dmemory
-    dquery_total = np.zeros_like(fwd.query_states)
-    dmemory_total = np.zeros_like(fwd.embeddings)
-    for row, task in enumerate(tasks):
-        if task not in grads.head:  # no loss on this sentence
-            continue
-        weight = weights[task]
-        for key, grad in grads.head[task].items():
-            model.add_grad(total_grads, key, weight * scale * grad)
-        dquery_total += weight * dquery[row]
-        dmemory_total += weight * dmemory[row]
-    de = model.queries_backward(params, fwd.query_cache, scale * dquery_total,
-                                total_grads)
-    model.encode_backward(params, fwd.enc_cache, de + scale * dmemory_total,
-                          total_grads)
+    grads: every parameter grad of sum_t weights[t] * loss_t, times scale,
+    into total_grads, through one decoder backward on the weighted sum of the
+    task gradients.  Each task's unweighted grads of the last shared layer
+    (model.ffn_out_grads, [tasks, *shape] per key), times scale, go into
+    task_sums for the balance norms."""
+    for key, grad in model.ffn_out_grads("dec", fwd.dec_cache, grads.dhidden).items():
+        model.add_grad(task_sums, key, grad, scale)
+    dy = sum(weights[task] * grads.dhidden[row]
+             for row, task in enumerate(config.active_tasks()))
+    dquery, dmemory = model.block_backward(params, "dec", fwd.dec_cache, scale * dy,
+                                           total_grads)
+    dmemory += (scale * weights["anchor"]) * grads.anchor_dmemory
+    for task, head in grads.head.items():
+        for key, grad in head.items():
+            model.add_grad(total_grads, key, weights[task] * scale * grad)
+    de = model.queries_backward(params, fwd.query_cache, dquery, total_grads)
+    model.encode_backward(params, fwd.enc_cache, de + dmemory, total_grads)
 
 
 # ---------------------------------------------------------------------------
@@ -764,23 +760,20 @@ def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
     tasks = config.active_tasks()
     state = balance.BalanceState.uniform(tasks)
     metrics: list[dict] = []
-    dec_accum: dict[str, np.ndarray] = {}  # decoder key -> [tasks, *shape], per batch
-    # waiting forward caches may take what one sentence's per-task decoder
-    # grads took before they were added into dec_accum key by key
     max_tokens = _cache_token_budget(params, config, examples[0].token_ids) \
         if examples else 0.0
     step = 0
     for epoch in range(config.epochs):
         order = rng.permutation(len(examples))
         epoch_losses = {t: 0.0 for t in tasks}
+        epoch_warnings: set[str] = set()  # balance and tie-break fallbacks
         num_batches = 0
         for start in range(0, len(order), config.batch_size):
             batch = [examples[i] for i in order[start:start + config.batch_size]]
             total_grads: dict[str, np.ndarray] = {}
+            task_sums: dict[str, np.ndarray] = {}
             task_losses = {t: 0.0 for t in tasks}
             scale = 1.0 / len(batch)
-            for accum in dec_accum.values():
-                accum.fill(0.0)
             # masks in batch order, as the rng stream had them one sentence at a time
             masks = [model.draw_layer_dropout(rng, config.encoder_layers + 1,
                                               config.layer_dropout)
@@ -788,21 +781,13 @@ def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
             for example, fwd in zip(batch, _batch_passes(params, config, batch, masks,
                                                          max_tokens)):
                 assignment = match_queries(config, fwd, example, params)
+                epoch_warnings.update(assignment.warnings)
                 losses, grads, _ = sentence_losses(params, config, example, fwd,
                                                    assignment)
                 backward_sentence(params, config, fwd, grads, state.weights, scale,
-                                  total_grads, dec_accum)
+                                  total_grads, task_sums)
                 for task, loss in losses.items():
                     task_losses[task] += loss * scale
-            task_dec_norm_sq = {t: sum(float((g[row] * g[row]).sum())
-                                       for g in dec_accum.values())
-                                for row, t in enumerate(tasks)}
-            for key, accum in dec_accum.items():
-                # task order, one term at a time: a tensordot would round differently
-                total = state.weights[tasks[0]] * accum[0]
-                for row in range(1, len(tasks)):
-                    total += state.weights[tasks[row]] * accum[row]
-                total_grads[key] = total
             if not all(np.isfinite(v).all() for v in total_grads.values()):
                 raise DivergenceError(f"non-finite gradients at step {step}")
             lr_encoder, lr_rest = lr_schedule(step, config)
@@ -813,12 +798,13 @@ def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
             if state.initial_losses is None:
                 state.initial_losses = dict(task_losses)
             if config.balance_losses:
-                grad_norms = {t: state.weights[t] * float(np.sqrt(task_dec_norm_sq[t]))
-                              for t in tasks}
-                state.weights, warn = balance.update_loss_weights(
+                grad_norms = {t: state.weights[t] * float(np.sqrt(sum(
+                    (g[row] * g[row]).sum() for g in task_sums.values())))
+                    for row, t in enumerate(tasks)}
+                state.weights, warnings = balance.update_loss_weights(
                     grad_norms, task_losses, state.initial_losses, state.weights,
                     config.balance_alpha, config.balance_lr)
-                state.warnings.extend(warn)
+                epoch_warnings.update(warnings)
             for t in tasks:
                 epoch_losses[t] += task_losses[t]
             num_batches += 1
@@ -827,7 +813,8 @@ def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
         record = {"epoch": epoch + 1,
                   "losses": {t: epoch_losses[t] / max(num_batches, 1) for t in tasks},
                   "weights": {t: state.weights[t] for t in tasks},
-                  "f1": f1}
+                  "f1": f1,
+                  "warnings": sorted(epoch_warnings)}
         metrics.append(record)
         if on_epoch is not None:
             on_epoch(record)

@@ -10,8 +10,10 @@ rule-problem and flavor-2 anchoring references enumerate rules once per node
 and once per (node, token) candidate, with no sharing between equal items,
 the hitting-set reference solves on bitmasks over the whole universe, the
 enumerator reference searches the whole label for every strip pair, and the
-layer-norm reference takes its means with ndarray.mean.  The rule-order key
-spells the canonical order out field by field instead of comparing tuples.
+layer-norm reference takes its means with ndarray.mean, and the sentence
+backward reference runs the decoder block backward once per task and sums
+the weighted results.  The rule-order key spells the canonical order out
+field by field instead of comparing tuples.
 The brute-force hitting set, the loss bundle, the sentence total loss and
 the one-query label head loss serve only the tests.
 """
@@ -24,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from mrparse import heads, trainer
+from mrparse import heads, model, trainer
 from mrparse.graph import Anchor, graph_tokens
 from mrparse.heads import HeadError
 from mrparse.hitting import InfeasibleError
@@ -526,3 +528,33 @@ def label_head_loss(h: np.ndarray, params, target: np.ndarray, gamma: float):
     loss, dprobs = heads.label_loss(probs, target, gamma)
     grads, dh = heads.mos_backward_batch(cache, dprobs)
     return loss, dh[0], grads
+
+
+def reference_backward_sentence(params: dict, config, fwd, grads, weights: dict,
+                                scale: float) -> tuple[dict, list[dict]]:
+    """trainer.backward_sentence with one 2-D decoder backward per task.
+
+    Each task's output gradient goes through model.block_backward on its own,
+    into its own grads; the total is sum_t weights[t] * scale * grad_t over
+    the tasks in config.active_tasks() order.  Returns (total grads, the
+    unweighted decoder grads of each task in that order).
+    """
+    total: dict = {}
+    per_task = []
+    dquery_total = np.zeros_like(fwd.query_states)
+    dmemory_total = np.zeros_like(fwd.embeddings)
+    for row, task in enumerate(config.active_tasks()):
+        decoder: dict = {}
+        dquery, dmemory = model.block_backward(params, "dec", fwd.dec_cache,
+                                               grads.dhidden[row], decoder)
+        if task == "anchor":
+            dmemory = dmemory + grads.anchor_dmemory
+        per_task.append(decoder)
+        weight = weights[task]
+        for key, grad in {**decoder, **grads.head.get(task, {})}.items():
+            model.add_grad(total, key, weight * scale * grad)
+        dquery_total += weight * dquery
+        dmemory_total += weight * dmemory
+    de = model.queries_backward(params, fwd.query_cache, scale * dquery_total, total)
+    model.encode_backward(params, fwd.enc_cache, de + scale * dmemory_total, total)
+    return total, per_task

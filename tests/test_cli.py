@@ -313,7 +313,7 @@ class TestTrainPredict:
             outputs.append(out_path.read_bytes())
         assert outputs[0] == outputs[1]
         record = json.loads(outputs[0].decode().splitlines()[0])
-        assert set(record) == {"epoch", "f1", "losses", "weights"}
+        assert set(record) == {"epoch", "f1", "losses", "warnings", "weights"}
 
     def test_train_then_predict(self, short_config, tmp_path, capsys):
         ckpt = tmp_path / "model.ckpt"
@@ -360,8 +360,9 @@ class TestTrainPredict:
         assert out_path.read_text() == expected
 
     def test_train_predict_bytes_pinned(self, tmp_path, capsys):
-        # recorded before the length-grouped forward: the training arithmetic,
-        # the checkpoint bytes and decoding, each pinned on its own
+        # recorded with the balance norms on the last shared layer and one
+        # decoder backward per sentence: the training arithmetic, the
+        # checkpoint bytes and decoding, each pinned on its own
         config = tmp_path / "pin.cfg"
         config.write_text("corpus_size = 150\nepochs = 2\n")
         paths = {name: tmp_path / name for name in ("m.jsonl", "model.ckpt", "pred.jsonl")}
@@ -380,9 +381,9 @@ class TestTrainPredict:
         digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                    for name, path in paths.items()}
         assert digests == {
-            "m.jsonl": "f71137ae056fe6a5191eb982f33483df93ea2c1cfb703a295d0304fd9d715915",
-            "model.ckpt": "b35234e6df7d5cdf30310f8424d9e9a7ce0d7a346cf5d3fd6eebe2d9ff71434f",
-            "pred.jsonl": "beebe0086cb674d7315d080a15347b58987a7b28dc5cc9dd4188b309c2fc033f"}
+            "m.jsonl": "b2e4f3da6647dea2efb392f24e7cfe203a9b04bcc135861f17a513f76f284b60",
+            "model.ckpt": "d75d1b3c39d085d0093d5dfc4986b54455be111647f6a5c3642e2c65951be32e",
+            "pred.jsonl": "075bd7cdd054e5c5777fc14cc69c869f510e6503a78625cbf06e1270aff95d43"}
 
     @pytest.mark.parametrize("line", ["stop_when = 3", 'stop_when = {"f1": 0.9}',
                                       "use_anchor_mask = flase", "epochs = three",

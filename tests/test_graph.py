@@ -207,6 +207,10 @@ _structural_fields = {
     "properties": lambda obj, v: obj["nodes"][0].update(properties=v),
     "values": lambda obj, v: obj["nodes"][0].update(values=v),
     "tokens": lambda obj, v: obj.update(tokens=v),
+    "token form": lambda obj, v: obj["tokens"][0].update(form=v),
+    "token lemma": lambda obj, v: obj["tokens"][0].update(lemma=v),
+    "edge attributes": lambda obj, v: obj["edges"][0].update(attributes=v),
+    "edge values": lambda obj, v: obj["edges"][0].update(values=v),
 }
 _well_formed = st.sampled_from([None, 7, "g", [], ["q"], [{"from": 0, "to": 2}],
                                 [{"form": "ab", "from": 0, "to": 2}]])
@@ -225,7 +229,9 @@ def test_structural_fields_parse_or_exit_two(tmp_path_factory, field, value):
     obj = {"id": "g", "flavor": 1, "framework": "eds", "input": "ab", "tops": [0],
            "nodes": [{"id": 0, "label": "x", "anchors": [{"from": 0, "to": 2}],
                       "properties": ["p"], "values": ["v"]}],
-           "edges": [], "tokens": [{"form": "ab", "from": 0, "to": 2}]}
+           "edges": [{"source": 0, "target": 0, "label": "r",
+                      "attributes": ["remote"], "values": [True]}],
+           "tokens": [{"form": "ab", "from": 0, "to": 2, "lemma": "ab"}]}
     _structural_fields[field](obj, value)
     line = json.dumps(obj)
     try:
@@ -239,6 +245,15 @@ def test_structural_fields_parse_or_exit_two(tmp_path_factory, field, value):
         assert (error is None) == (type(value) in (str, int))
     elif field in ("anchors", "tokens") and error is None:
         assert value is None or isinstance(value, list)
+    elif field in ("token form", "token lemma"):
+        assert (error is None) == (type(value) is str)
+    elif field in ("properties", "values", "edge attributes"):
+        # text names and property values, parallel to one given entry
+        assert (error is None) == (type(value) is list and len(value) == 1
+                                   and type(value[0]) is str)
+    elif field == "edge values":
+        # any JSON value, written back as it was read
+        assert (error is None) == (type(value) is list and len(value) == 1)
     path = tmp_path_factory.getbasetemp() / "structural.jsonl"
     path.write_text(line + "\n", encoding="utf-8")
     code, out, err = _cli(["validate", "--input", str(path)])

@@ -70,52 +70,12 @@ class TestBlock:
                 assert relative_error(grads[key],
                                       finite_difference(loss_at, base)) < 1e-5
 
-    @pytest.mark.parametrize("cross", [False, True])
-    @pytest.mark.parametrize("tasks", [1, 3, 6])
-    def test_stacked_backward_equals_separate_calls(self, tasks, cross):
-        rng = np.random.default_rng(20 + tasks)
-        params = make_block(rng, cross=cross)
-        x = rng.normal(size=(5, DIM))
-        memory = rng.normal(size=(3, DIM)) if cross else None
-        _, cache = model.block_forward(params, "blk", x, memory)
-        dy = rng.normal(size=(tasks, 5, DIM))
-        stacked = {}
-        dx, dmem = model.block_backward(params, "blk", cache, dy, stacked)
-        assert dx.shape == (tasks, 5, DIM)
-        assert set(stacked) == {k for k in params if k.startswith("blk.")}
-        for t in range(tasks):
-            single = {}
-            dx_t, dmem_t = model.block_backward(params, "blk", cache, dy[t], single)
-            assert np.array_equal(dx[t], dx_t)
-            if cross:
-                assert np.array_equal(dmem[t], dmem_t)
-            else:
-                assert dmem is None and dmem_t is None
-            assert list(single) == list(stacked)
-            for key, grad in single.items():
-                assert stacked[key].shape == (tasks,) + params[key].shape
-                assert np.array_equal(stacked[key][t], grad), key
-
-    def test_layer_norm_backward_leading_axis(self):
-        rng = np.random.default_rng(30)
-        _, cache = model.layer_norm_forward(rng.normal(size=(4, DIM)),
-                                            rng.normal(size=DIM), rng.normal(size=DIM))
-        dy = rng.normal(size=(3, 4, DIM))
-        dx, dgain, dbias = model.layer_norm_backward(cache, dy)
-        assert dgain.shape == dbias.shape == (3, DIM)
-        for t in range(3):
-            dx_t, dgain_t, dbias_t = model.layer_norm_backward(cache, dy[t])
-            assert np.array_equal(dx[t], dx_t)
-            assert np.array_equal(dgain[t], dgain_t)
-            assert np.array_equal(dbias[t], dbias_t)
-
 
 class TestLayerNorm:
     @settings(max_examples=150, deadline=None)
     @given(lead=st.lists(st.integers(1, 4), max_size=2), rows=st.integers(1, 9),
-           dim=st.integers(1, 70), task_axis=st.booleans(),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_equals_mean_reference_bit_for_bit(self, lead, rows, dim, task_axis, seed):
+           dim=st.integers(1, 70), seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_mean_reference_bit_for_bit(self, lead, rows, dim, seed):
         rng = np.random.default_rng(seed)
         shape = tuple(lead) + (rows, dim)
         x = rng.normal(size=shape) * rng.uniform(0.01, 100.0) + rng.normal()
@@ -124,7 +84,7 @@ class TestLayerNorm:
         want_y, want_cache = reference_layer_norm_forward(x, gain, bias)
         assert np.array_equal(y, want_y)
         assert all(np.array_equal(a, b) for a, b in zip(cache, want_cache))
-        dy = rng.normal(size=((3,) if task_axis else ()) + shape)
+        dy = rng.normal(size=shape)
         for got, want in zip(model.layer_norm_backward(cache, dy),
                              reference_layer_norm_backward(want_cache, dy)):
             assert np.array_equal(got, want)

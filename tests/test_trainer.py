@@ -192,12 +192,9 @@ class TestSentencePass:
         losses, grads, _ = trainer.sentence_losses(params, config, example, fwd,
                                                    assignment)
         assert set(losses) == set(tasks)
-        total_grads, dec_sums = {}, {}
+        total_grads = {}
         trainer.backward_sentence(params, config, fwd, grads, weights, 1.0,
-                                  total_grads, dec_sums)
-        for key, stacked in dec_sums.items():
-            total_grads[key] = sum(weights[t] * stacked[row]
-                                   for row, t in enumerate(tasks))
+                                  total_grads, {})
         assert set(total_grads) == set(params)
 
         def weighted_loss(key, value):
@@ -225,6 +222,41 @@ class TestSentencePass:
                 # shift-invariant, so numeric there is rounding noise
                 assert abs(analytic[idx] - numeric) <= 1e-8 + 1e-5 * abs(numeric), \
                     (key, idx, analytic[idx], numeric)
+
+    def test_one_decoder_backward_matches_per_task_reference(self):
+        # fixed weights: the weighted sum through one decoder backward equals
+        # the weighted sum of per-task decoder backwards up to rounding, and
+        # the balance sums are each task's own last-layer grads
+        config = tiny_config(use_attribute_head=True)
+        meta, examples, _, _, _ = trainer.prepare(
+            config, corpus.synth_corpus(2, config.corpus_size))
+        params = trainer.init_model(meta, np.random.default_rng(0))
+        tasks = config.active_tasks()
+        rng = np.random.default_rng(43)
+        weights = {t: float(rng.uniform(0.5, 2.0)) for t in tasks}
+        scale = 0.25
+        for example in examples[:6]:
+            fwd = trainer.forward_sentence(params, config, example.token_ids)
+            assignment = trainer.match_queries(config, fwd, example, params)
+            _, grads, _ = trainer.sentence_losses(params, config, example, fwd,
+                                                  assignment)
+            total_grads, task_sums = {}, {}
+            trainer.backward_sentence(params, config, fwd, grads, weights, scale,
+                                      total_grads, task_sums)
+            want, per_task = oracles.reference_backward_sentence(
+                params, config, fwd, grads, weights, scale)
+            assert set(total_grads) == set(want) == set(params)
+            # the key biases' grads are zero up to rounding (softmax is
+            # shift-invariant), so they are held to the largest entry
+            largest = max(np.abs(grad).max() for grad in want.values())
+            for key, grad in want.items():
+                np.testing.assert_allclose(total_grads[key], grad, rtol=1e-12,
+                                           atol=1e-12 * largest, err_msg=key)
+            assert set(task_sums) == {"dec.ffn.w2", "dec.ffn.b2"}
+            for key, sums in task_sums.items():
+                assert sums.shape == (len(tasks),) + params[key].shape
+                for row in range(len(tasks)):
+                    assert np.array_equal(sums[row], scale * per_task[row][key]), key
 
 
 def assert_bit_equal(got, want, where="pass"):
@@ -302,7 +334,8 @@ class TestTraining:
         trained, metrics = trainer.train(config)
         assert len(metrics) == 1
         record = metrics[0]
-        assert set(record) == {"epoch", "losses", "weights", "f1"}
+        assert set(record) == {"epoch", "losses", "weights", "f1", "warnings"}
+        assert record["warnings"] == []
         assert all(np.isfinite(v) for v in record["losses"].values())
         assert abs(sum(record["weights"].values())
                    - len(config.active_tasks())) < 1e-9
@@ -314,8 +347,9 @@ class TestTraining:
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
     def test_seed1_records_match_golden(self):
-        # recorded before the task-stacked decoder backward; training is
-        # bit-identical since, so any change to its arithmetic shows up here
+        # recorded with the balance norms on the last shared layer and one
+        # decoder backward per sentence; any change to the training
+        # arithmetic shows up here
         with open(fixture_path("train_seed1_records.json")) as handle:
             expected = json.load(handle)
         _, records = trainer.train(trainer.TrainConfig(seed=1, epochs=3,
@@ -370,6 +404,32 @@ class TestTraining:
         _, records = trainer.train(tiny_config(corpus_size=40), graphs=graphs)
         assert counts["tied sentences"] > 0 and counts["edge losses"] > 0
         assert all(np.isfinite(loss) for loss in records[-1]["losses"].values())
+
+    def test_record_lists_zero_initial_loss_warning(self):
+        # without tops the top loss is zero from the first step on, so the
+        # balancing leaves that task out, and each epoch's record says so once
+        graphs = [dataclasses.replace(g, nodes=tuple(
+                      dataclasses.replace(n, is_top=False) for n in g.nodes))
+                  for g in corpus.synth_corpus(2, 24)]
+        _, records = trainer.train(tiny_config(epochs=2), graphs=graphs)
+        for record in records:
+            assert record["warnings"] == [
+                "task 'top' has zero initial loss; excluded from balancing"]
+
+    def test_record_lists_tie_group_fallback(self):
+        from mrparse import matcher
+        # node 0 and its copies have equal label and anchor columns: one tie
+        # group larger than the bound, so the matcher keeps its first optimum
+        bound = matcher.MatchConfig.max_tie_group
+        graphs = []
+        for g in corpus.synth_corpus(3, 24):
+            twins = tuple(dataclasses.replace(g.nodes[0], id=g.next_node_id() + k,
+                                              is_top=False) for k in range(bound))
+            graphs.append(dataclasses.replace(g, nodes=g.nodes + twins))
+        _, records = trainer.train(tiny_config(queries_per_token=5), graphs=graphs)
+        assert records[0]["warnings"] == sorted(set(records[0]["warnings"]))
+        assert (f"tie group of {bound + 1} targets exceeds bound {bound}; "
+                f"keeping first optimum") in records[0]["warnings"]
 
     def test_attribute_head_and_multilabel_modes_run(self):
         config = tiny_config(use_attribute_head=True, edge_multilabel=True)
