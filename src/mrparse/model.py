@@ -154,7 +154,7 @@ def ffn_out_grads(prefix: str, cache, dy: np.ndarray) -> dict:
     """Grads of the block's last layer, ffn.w2 and ffn.b2, from the gradient
     dy wrt the block output.  dy may stack several output gradients on
     leading axes over the [rows, dim] forward; each grad then keeps them."""
-    hidden = cache[6]  # the tanh layer's output, see block_forward
+    *_, hidden, _ = cache
     return {f"{prefix}.ffn.w2": hidden.T @ dy, f"{prefix}.ffn.b2": dy.sum(axis=-2)}
 
 

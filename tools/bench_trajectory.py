@@ -7,10 +7,10 @@ Usage, from the root of the repository:
 
 The base revision is extracted with ``git archive`` into a temporary
 directory; the change is the working tree (tracked files and untracked files
-that are not ignored), copied into another, or ``--change <revision>``.  For
-each workload the script runs ``perfbench/run.py --trace 0`` in both
-checkouts as subprocesses, ``--pairs`` times, the base first in odd pairs and
-the change first in even ones, reads each run's
+that are not ignored), copied into another.  For each workload the script
+runs ``perfbench/run.py --seed 1 --seconds 15 --trace 0`` in both checkouts
+as subprocesses, ``PAIRS`` times, the base first in odd pairs and the change
+first in even ones, reads each run's
 ``.perfbench_out/report-*.json`` and appends one row to
 ``BENCH_<workload>.json``: both revisions, every run's end-to-end metrics,
 calibration readings and checks (on ``short`` also its epochs to target and
@@ -19,7 +19,7 @@ with the number of pairs in which the change was better.
 
 It then runs the acceptance configuration (500 synthetic sentences, stop at
 held-out labels/anchors F1 >= 0.95 and edges >= 0.90, at most 30 epochs) for
-each ``--acceptance-seeds`` seed in both checkouts, again alternating the
+each of ``ACCEPTANCE_SEEDS`` in both checkouts, again alternating the
 order, and appends one row to ``BENCH_acceptance.json`` with the epochs, the
 wall seconds, the calibration readings around the run and all five final F1
 of each run.
@@ -43,6 +43,11 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHORT_FIGURES = ("epochs_to_target", "f1_labels", "f1_anchors", "f1_edges")
+WORKLOADS = ("short", "long", "rules")
+PAIRS = 5
+SEED = 1
+SECONDS = 15
+ACCEPTANCE_SEEDS = (1, 2, 3, 4, 5)
 
 # Runs inside a checkout: train with the acceptance config and print one JSON
 # line.  The calibration loop is perfbench's, so the wall seconds can be set
@@ -115,16 +120,16 @@ def _environment() -> dict:
     return env
 
 
-def _perfbench_run(side: dict, workload: str, seed: int, seconds: float) -> dict:
+def _perfbench_run(side: dict, workload: str) -> dict:
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+               "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"]
     done = subprocess.run(command, cwd=side["path"], env=_environment(),
                           capture_output=True, text=True)
     if done.returncode:
-        raise SystemExit(f"{side['label']} {workload} seed {seed} exited "
+        raise SystemExit(f"{side['label']} {workload} exited "
                          f"{done.returncode}: {done.stderr.strip()}")
     path = os.path.join(side["path"], ".perfbench_out",
-                        f"report-{workload}-seed{seed}-trace0.json")
+                        f"report-{workload}-seed{SEED}-trace0.json")
     with open(path) as handle:
         report = json.load(handle)
     result = report["result"]
@@ -194,57 +199,41 @@ def _host() -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="the parent revision")
-    parser.add_argument("--change", help="a revision; the working tree if omitted")
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=1,
-                        help="the perfbench seed of every pair")
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--workloads", default="short,long,rules")
-    parser.add_argument("--acceptance-seeds", default="1,2,3,4,5",
-                        help="comma-separated; empty skips the acceptance runs")
-    parser.add_argument("--out-dir", default=ROOT)
-    parser.add_argument("--work-dir", help="where the two checkouts go "
-                                           "(a new temporary directory if omitted)")
     args = parser.parse_args()
-    if args.pairs < 1:
-        parser.error("--pairs must be positive")
 
-    work = tempfile.mkdtemp(prefix="bench-trajectory-", dir=args.work_dir)
+    work = tempfile.mkdtemp(prefix="bench-trajectory-")
     try:
         base = _side("base", args.base, work)
-        change = _side("change", args.change, work)
+        change = _side("change", None, work)
         with open(os.path.join(change["path"], "BENCHMARK.json")) as handle:
             metrics = json.load(handle)["end_to_end"]
         revisions = {side["label"]: side["revision"] for side in (base, change)}
         started = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
-        for workload in filter(None, args.workloads.split(",")):
+        for workload in WORKLOADS:
             pairs = []
-            for k in range(args.pairs):
+            for k in range(PAIRS):
                 order = (base, change) if k % 2 == 0 else (change, base)
-                pair = {"seed": args.seed, "first": order[0]["label"]}
+                pair = {"seed": SEED, "first": order[0]["label"]}
                 for side in order:
-                    pair[side["label"]] = _perfbench_run(side, workload, args.seed,
-                                                         args.seconds)
+                    pair[side["label"]] = _perfbench_run(side, workload)
                 pairs.append(pair)
-            _append(os.path.join(args.out_dir, f"BENCH_{workload}.json"), {
+            _append(os.path.join(ROOT, f"BENCH_{workload}.json"), {
                 "revisions": revisions, "started": started, "host": _host(),
-                "command": f"perfbench/run.py --workload {workload} --seed {args.seed} "
-                           f"--seconds {args.seconds:g} --trace 0",
+                "command": f"perfbench/run.py --workload {workload} --seed {SEED} "
+                           f"--seconds {SECONDS} --trace 0",
                 "summary": _summary(pairs, metrics), "pairs": pairs})
-        seeds = [int(s) for s in args.acceptance_seeds.split(",") if s.strip()]
-        if seeds:
-            runs = []
-            for k, seed in enumerate(seeds):
-                order = (base, change) if k % 2 == 0 else (change, base)
-                run = {"seed": seed, "first": order[0]["label"]}
-                for side in order:
-                    run[side["label"]] = _acceptance_run(side, seed)
-                runs.append(run)
-            _append(os.path.join(args.out_dir, "BENCH_acceptance.json"), {
-                "revisions": revisions, "started": started, "host": _host(),
-                "config": "TrainConfig(seed=s, epochs=30, corpus_size=500, stop_when="
-                          "{labels: 0.95, anchors: 0.95, edges: 0.90})",
-                "runs": runs})
+        runs = []
+        for k, seed in enumerate(ACCEPTANCE_SEEDS):
+            order = (base, change) if k % 2 == 0 else (change, base)
+            run = {"seed": seed, "first": order[0]["label"]}
+            for side in order:
+                run[side["label"]] = _acceptance_run(side, seed)
+            runs.append(run)
+        _append(os.path.join(ROOT, "BENCH_acceptance.json"), {
+            "revisions": revisions, "started": started, "host": _host(),
+            "config": "TrainConfig(seed=s, epochs=30, corpus_size=500, stop_when="
+                      "{labels: 0.95, anchors: 0.95, edges: 0.90})",
+            "runs": runs})
     finally:
         shutil.rmtree(work, ignore_errors=True)
     return 0
