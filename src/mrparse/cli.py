@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import itertools
 import json
@@ -220,14 +221,14 @@ def cmd_match(args) -> int:
 
 def cmd_train_toy(args) -> int:
     config = trainer.TrainConfig()
-    if args.config:
-        try:
+    try:
+        if args.config:
             with _decoding(args.config):
                 config = trainer.load_train_config(args.config)
-        except (OSError, trainer.TrainError, ValueError) as exc:
-            _fail("config", str(exc), EXIT_DATA)
-    if args.seed is not None:
-        config.seed = args.seed
+        if args.seed is not None:
+            config = dataclasses.replace(config, seed=args.seed)
+    except (OSError, trainer.TrainError, ValueError) as exc:
+        _fail("config", str(exc), EXIT_DATA)
     graphs = _load_graphs(args.input) if args.input else None
     with _open_output(args.output) as out:
 
@@ -256,7 +257,7 @@ def cmd_predict(args) -> int:
     except OSError as exc:
         _fail("io", str(exc), EXIT_DATA)
     except (model.CheckpointError, KeyError, ValueError, TypeError,
-            json.JSONDecodeError, rules.RuleError) as exc:
+            json.JSONDecodeError, rules.RuleError, trainer.TrainError) as exc:
         _fail("data", f"checkpoint: {exc}", EXIT_DATA)
     with _open_output(args.output) as out, _open_input(args.input) as handle:
         sentences = (line.rstrip("\n") for line in handle if line.strip())

@@ -71,8 +71,11 @@ class Node:
     extras: tuple[tuple[str, Any], ...] = ()
 
     def __post_init__(self):
-        # canonical order: anchors behave as a set, emitted sorted by span
-        object.__setattr__(self, "anchors", tuple(sorted(self.anchors)))
+        # canonical order: anchors behave as a set, emitted sorted by span; a
+        # tuple of at most one anchor is already in that order
+        anchors = self.anchors
+        if type(anchors) is not tuple or len(anchors) > 1:
+            object.__setattr__(self, "anchors", tuple(sorted(anchors)))
 
 
 @dataclass(frozen=True)
@@ -145,36 +148,45 @@ def anchored_token_indices(node: Node, tokens: Sequence[Token]) -> list[int]:
     return hit
 
 
-def _require(condition: bool, message: str, field_name: str):
-    if not condition:
-        raise GraphSchemaError(message, field_name)
-
-
-def _integer(value: Any, field_name: str) -> int:
-    """value, which must be a JSON integer: not a boolean, float or string."""
-    if type(value) is not int:
-        raise GraphSchemaError("must be an integer", field_name)
+def _array(value: Any, name: str) -> list:
+    """value, which must be a JSON array or absent (None, read as empty)."""
+    if value is None:
+        return []
+    if type(value) is not list:
+        raise GraphSchemaError(f"{name} must be an array", name)
     return value
 
 
-def _text(value: Any, field_name: str) -> str:
-    """value, which must be a JSON string."""
-    if type(value) is not str:
-        raise GraphSchemaError("must be text", field_name)
-    return value
+def _pairs_from_parallel(obj: dict, names_key: str, where: str,
+                         values_where: str | None = None) -> tuple:
+    """(name, value) pairs of the parallel arrays names_key and "values".
 
-
-def _pairs_from_parallel(obj: dict, names_key: str, values_key: str, where: str):
-    """(name, value) pairs of two parallel arrays; names must be text."""
+    Names must be text, all of them checked before any value; values must be
+    text too when values_where names their field.
+    """
     names = obj.get(names_key)
-    values = obj.get(values_key)
+    values = obj.get("values")
     if names is None and values is None:
         return ()
-    _require(isinstance(names, list) and isinstance(values, list),
-             f"{names_key}/{values_key} must be parallel arrays", where)
-    _require(len(names) == len(values),
-             f"{names_key} and {values_key} differ in length", where)
-    return tuple((_text(n, where), v) for n, v in zip(names, values))
+    if not (isinstance(names, list) and isinstance(values, list)):
+        raise GraphSchemaError(f"{names_key}/values must be parallel arrays", where)
+    if len(names) != len(values):
+        raise GraphSchemaError(f"{names_key} and values differ in length", where)
+    for name in names:
+        if type(name) is not str:
+            raise GraphSchemaError("must be text", where)
+    if values_where is not None:
+        for value in values:
+            if type(value) is not str:
+                raise GraphSchemaError("must be text", values_where)
+    return tuple(zip(names, values))
+
+
+def _extras(obj: dict, known: set[str]) -> tuple[tuple[str, Any], ...]:
+    """The fields outside known, sorted by name."""
+    if obj.keys() <= known:
+        return ()
+    return tuple(sorted((k, v) for k, v in obj.items() if k not in known))
 
 
 _NODE_KEYS = {"id", "label", "properties", "values", "anchors"}
@@ -182,97 +194,123 @@ _EDGE_KEYS = {"source", "target", "label", "attributes", "values"}
 _GRAPH_KEYS = {"id", "flavor", "framework", "input", "tops", "nodes", "edges", "tokens"}
 
 
-def _parse_node(obj: Any, tops: set[int]) -> Node:
-    _require(isinstance(obj, dict), "node must be an object", "nodes")
-    node_id = _integer(obj.get("id"), "nodes.id")
-    anchors = []
-    anchors_raw = obj.get("anchors")
-    _require(anchors_raw is None or isinstance(anchors_raw, list),
-             "anchors must be an array", "nodes.anchors")
-    for a in anchors_raw or ():
-        _require(isinstance(a, dict) and "from" in a and "to" in a,
-                 "anchor must carry 'from' and 'to'", "nodes.anchors")
-        anchors.append(Anchor(_integer(a["from"], "nodes.anchors.from"),
-                              _integer(a["to"], "nodes.anchors.to")))
-    label = obj.get("label")
-    _require(label is None or isinstance(label, str), "label must be text", "nodes.label")
-    properties = tuple((k, _text(v, "nodes.values")) for k, v in
-                       _pairs_from_parallel(obj, "properties", "values", "nodes.properties"))
-    extras = tuple(sorted((k, v) for k, v in obj.items() if k not in _NODE_KEYS))
-    return Node(id=node_id, label=label, properties=properties,
-                anchors=tuple(anchors), is_top=node_id in tops, extras=extras)
-
-
-def _parse_edge(obj: Any, node_ids: set[int]) -> Edge:
-    _require(isinstance(obj, dict), "edge must be an object", "edges")
-    for endpoint in ("source", "target"):
-        if _integer(obj.get(endpoint), f"edges.{endpoint}") not in node_ids:
-            raise GraphSchemaError(f"edge cites nonexistent node id {obj[endpoint]}",
-                                   f"edges.{endpoint}")
-    label = obj.get("label")
-    _require(isinstance(label, str), "edge label must be text", "edges.label")
-    attributes = _pairs_from_parallel(obj, "attributes", "values", "edges.attributes")
-    extras = tuple(sorted((k, v) for k, v in obj.items() if k not in _EDGE_KEYS))
-    return Edge(source=obj["source"], target=obj["target"], label=label,
-                attributes=attributes, extras=extras)
-
-
-def _parse_token(obj: Any) -> Token:
-    _require(isinstance(obj, dict) and "form" in obj, "token must carry 'form'", "tokens")
-    form = _text(obj["form"], "tokens.form")
-    start = _integer(obj["from"], "tokens.from") if "from" in obj else 0
-    end = _integer(obj["to"], "tokens.to") if "to" in obj else start + len(form)
-    lemma = _text(obj["lemma"], "tokens.lemma") if "lemma" in obj else form.lower()
-    return Token(form=form, start=start, end=end, lemma=lemma)
-
-
 def parse_graph(line: str) -> Graph:
     """Parse one JSON Lines object into a Graph.
 
     Raises GraphParseError (with byte offset) on malformed JSON and
     GraphSchemaError (naming the field) on schema violations, including edges
-    citing nonexistent node ids.
+    citing nonexistent node ids.  tops, nodes and edges must be arrays when
+    present; an absent or null one is empty.  The checks run in field order:
+    graph fields, tops, then each node, edge and token in one pass.  The
+    dataclasses are built with positional arguments, which cost less per
+    call than keywords.
     """
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         byte_offset = len(line[:exc.pos].encode("utf-8"))
         raise GraphParseError(exc.msg, byte_offset) from None
-    _require(isinstance(obj, dict), "top-level value must be an object", "<root>")
-    _require(type(obj.get("id")) in (str, int), "graph id required", "id")
+    if not isinstance(obj, dict):
+        raise GraphSchemaError("top-level value must be an object", "<root>")
+    if type(obj.get("id")) not in (str, int):
+        raise GraphSchemaError("graph id required", "id")
     framework = obj.get("framework")
-    _require(framework in FRAMEWORKS, f"framework must be one of {FRAMEWORKS}", "framework")
+    if framework not in FRAMEWORKS:
+        raise GraphSchemaError(f"framework must be one of {FRAMEWORKS}", "framework")
     flavor = obj.get("flavor")
-    _require(_integer(flavor, "flavor") in (1, 2), "flavor must be 1 or 2", "flavor")
+    if type(flavor) is not int:
+        raise GraphSchemaError("must be an integer", "flavor")
+    if flavor not in (1, 2):
+        raise GraphSchemaError("flavor must be 1 or 2", "flavor")
     text = obj.get("input")
-    _require(isinstance(text, str), "input sentence required", "input")
+    if not isinstance(text, str):
+        raise GraphSchemaError("input sentence required", "input")
 
-    tops_raw = obj.get("tops") or ()
-    _require(isinstance(tops_raw, (list, tuple)), "tops must be an array", "tops")
     tops = set()
-    for t in tops_raw:
-        tops.add(_integer(t, "tops"))
+    for t in _array(obj.get("tops"), "tops"):
+        if type(t) is not int:
+            raise GraphSchemaError("must be an integer", "tops")
+        tops.add(t)
 
-    nodes_raw = obj.get("nodes") or ()
-    _require(isinstance(nodes_raw, (list, tuple)), "nodes must be an array", "nodes")
-    nodes = tuple(_parse_node(n, tops) for n in nodes_raw)
-    node_ids = {n.id for n in nodes}
+    nodes = []
+    node_ids = set()
+    for n in _array(obj.get("nodes"), "nodes"):
+        if not isinstance(n, dict):
+            raise GraphSchemaError("node must be an object", "nodes")
+        node_id = n.get("id")
+        if type(node_id) is not int:
+            raise GraphSchemaError("must be an integer", "nodes.id")
+        anchors = []
+        anchors_raw = n.get("anchors")
+        if anchors_raw is not None:
+            if not isinstance(anchors_raw, list):
+                raise GraphSchemaError("anchors must be an array", "nodes.anchors")
+            for a in anchors_raw:
+                if not (isinstance(a, dict) and "from" in a and "to" in a):
+                    raise GraphSchemaError("anchor must carry 'from' and 'to'",
+                                           "nodes.anchors")
+                start, end = a["from"], a["to"]
+                if type(start) is not int:
+                    raise GraphSchemaError("must be an integer", "nodes.anchors.from")
+                if type(end) is not int:
+                    raise GraphSchemaError("must be an integer", "nodes.anchors.to")
+                anchors.append(Anchor(start, end))
+        label = n.get("label")
+        if not (label is None or isinstance(label, str)):
+            raise GraphSchemaError("label must be text", "nodes.label")
+        properties = _pairs_from_parallel(n, "properties", "nodes.properties",
+                                          "nodes.values")
+        nodes.append(Node(node_id, label, properties, tuple(anchors), node_id in tops,
+                          _extras(n, _NODE_KEYS)))
+        node_ids.add(node_id)
     for t in tops:
         if t not in node_ids:
             raise GraphSchemaError(f"top cites nonexistent node id {t}", "tops")
 
-    edges_raw = obj.get("edges") or ()
-    _require(isinstance(edges_raw, (list, tuple)), "edges must be an array", "edges")
-    edges = tuple(_parse_edge(e, node_ids) for e in edges_raw)
+    edges = []
+    for e in _array(obj.get("edges"), "edges"):
+        if not isinstance(e, dict):
+            raise GraphSchemaError("edge must be an object", "edges")
+        source, target = e.get("source"), e.get("target")
+        for endpoint, node_id in (("source", source), ("target", target)):
+            if type(node_id) is not int:
+                raise GraphSchemaError("must be an integer", f"edges.{endpoint}")
+            if node_id not in node_ids:
+                raise GraphSchemaError(f"edge cites nonexistent node id {node_id}",
+                                       f"edges.{endpoint}")
+        label = e.get("label")
+        if not isinstance(label, str):
+            raise GraphSchemaError("edge label must be text", "edges.label")
+        edges.append(Edge(source, target, label,
+                          _pairs_from_parallel(e, "attributes", "edges.attributes"),
+                          _extras(e, _EDGE_KEYS)))
 
     tokens = None
-    if obj.get("tokens") is not None:
-        _require(isinstance(obj["tokens"], list), "tokens must be an array", "tokens")
-        tokens = tuple(_parse_token(t) for t in obj["tokens"])
+    tokens_raw = obj.get("tokens")
+    if tokens_raw is not None:
+        if not isinstance(tokens_raw, list):
+            raise GraphSchemaError("tokens must be an array", "tokens")
+        tokens = []
+        for t in tokens_raw:
+            if not (isinstance(t, dict) and "form" in t):
+                raise GraphSchemaError("token must carry 'form'", "tokens")
+            form = t["form"]
+            if type(form) is not str:
+                raise GraphSchemaError("must be text", "tokens.form")
+            start = t.get("from", 0)
+            if type(start) is not int:
+                raise GraphSchemaError("must be an integer", "tokens.from")
+            end = t["to"] if "to" in t else start + len(form)
+            if type(end) is not int:
+                raise GraphSchemaError("must be an integer", "tokens.to")
+            lemma = t["lemma"] if "lemma" in t else form.lower()
+            if type(lemma) is not str:
+                raise GraphSchemaError("must be text", "tokens.lemma")
+            tokens.append(Token(form, start, end, lemma))
+        tokens = tuple(tokens)
 
-    extras = tuple(sorted((k, v) for k, v in obj.items() if k not in _GRAPH_KEYS))
-    return Graph(id=str(obj["id"]), framework=framework, flavor=flavor, input=text,
-                 nodes=nodes, edges=edges, tokens=tokens, extras=extras)
+    return Graph(str(obj["id"]), framework, flavor, text, tuple(nodes), tuple(edges),
+                 tokens, _extras(obj, _GRAPH_KEYS))
 
 
 def _node_to_obj(node: Node) -> dict:
@@ -341,6 +379,15 @@ def validate(g: Graph) -> list[Violation]:
             if endpoint not in node_ids:
                 violations.append(Violation("edge endpoints exist", subject,
                                             f"unknown node id {endpoint}"))
+    # token spans follow the anchor rules, but a token may be empty
+    for i, token in enumerate(g.tokens or ()):
+        if not (0 <= token.start <= token.end):
+            violations.append(Violation("token range", f"token {i}",
+                                        f"bad token span [{token.start},{token.end})"))
+        elif g.flavor == 1 and token.end > len(g.input):
+            violations.append(Violation("token range", f"token {i}",
+                                        f"token [{token.start},{token.end}) "
+                                        f"exceeds input length {len(g.input)}"))
     return violations
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -37,6 +38,21 @@ class TrainError(Exception):
 
 class DivergenceError(TrainError):
     pass
+
+
+# (option, lowest accepted value, first value past the range or None): a
+# value outside crashes a run, hangs it (layer_dropout 1 redraws the dropout
+# mask forever) or trains a model of nothing (dim 0, eval_fraction past 1)
+_CONFIG_RANGES = (
+    ("dim", 1, None), ("ffn_dim", 1, None), ("queries_per_token", 1, None),
+    ("encoder_layers", 0, None), ("mos_components", 1, None), ("seed", 0, None),
+    ("epochs", 0, None), ("batch_size", 1, None), ("corpus_size", 1, None),
+    ("eval_fraction", 0.0, 1.0), ("lr_encoder", 0.0, None), ("lr_rest", 0.0, None),
+    ("warmup_steps", 1, None), ("freeze_steps", 0, None), ("weight_decay", 0.0, None),
+    ("focal_gamma", 0.0, None), ("label_smoothing", 0.0, 1.0),
+    ("mask_epsilon", 0.0, None), ("layer_dropout", 0.0, 1.0),
+    ("balance_alpha", 0.0, None), ("balance_lr", 0.0, None), ("init_scale", 0.0, None),
+)
 
 
 @dataclass
@@ -78,6 +94,14 @@ class TrainConfig:
     edge_multilabel: bool = False
     init_scale: float = 0.1
     stop_when: Optional[dict] = None
+
+    def __post_init__(self):
+        for name, low, high in _CONFIG_RANGES:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and low <= value
+                    and (high is None or value < high)):
+                bounds = f"at least {low}" if high is None else f"in [{low}, {high})"
+                raise TrainError(f"{name} must be {bounds}, got {value}")
 
     def active_tasks(self) -> tuple[str, ...]:
         active = ["label", "anchor", "edge_presence", "edge_label"]
@@ -137,7 +161,10 @@ def load_train_config(path: str) -> TrainConfig:
                                      f"got {text!r}") from None
             else:  # stop_when, the one non-scalar option
                 values[name] = _parse_stop_when(text, f"{path}:{lineno}")
-    return TrainConfig(**values)
+    try:
+        return TrainConfig(**values)
+    except TrainError as exc:
+        raise TrainError(f"{path}: {exc}") from None
 
 
 def lr_schedule(step: int, config: TrainConfig) -> tuple[float, float]:

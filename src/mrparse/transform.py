@@ -91,8 +91,10 @@ def nodeify_properties(g: Graph) -> tuple[Graph, TransformTrace]:
 
     The new node takes the value as its label and a copy of the parent's
     anchors, and is connected by a parent->child edge labeled with the
-    attribute.
+    attribute.  A graph without properties is returned as it is.
     """
+    if not any(node.properties for node in g.nodes):
+        return g, TransformTrace()
     nodes = []
     new_nodes = []
     new_edges = []
@@ -141,7 +143,8 @@ def normalize_inverted_edges(g: Graph, suffix: str = DEFAULT_INVERSION_SUFFIX,
 
     An edge a->b labeled "X-of" becomes b->a labeled "X".  When known_labels
     is given, labels whose stripped form is not in it are left alone and
-    flagged in the trace instead of being reversed.
+    flagged in the trace instead of being reversed.  A graph with no edge to
+    reverse is returned as it is.
     """
     if not suffix:
         raise TransformError("inversion suffix must be nonempty")
@@ -162,7 +165,7 @@ def normalize_inverted_edges(g: Graph, suffix: str = DEFAULT_INVERSION_SUFFIX,
             deinverted.append(i)
         else:
             edges.append(edge)
-    out = replace(g, edges=tuple(edges))
+    out = replace(g, edges=tuple(edges)) if deinverted else g
     return out, TransformTrace(deinverted=tuple(deinverted), flagged=tuple(flagged))
 
 
@@ -176,7 +179,8 @@ def reinvert_edges_for_top(g: Graph, suffix: str = DEFAULT_INVERSION_SUFFIX,
     with the suffix appended (or its alias when the inverted label has one).
     invertible_labels limits eligibility to labels that were de-inverted
     during preprocessing (None means every label is eligible, the fully
-    top-rooted case).  Other edges keep their normalized direction.
+    top-rooted case).  Other edges keep their normalized direction, and a
+    graph with no edge to reverse is returned as it is.
     """
     aliases = DEFAULT_ALIASES if aliases is None else aliases
     inverse_alias = {inverted: plain for plain, inverted in aliases.items()}
@@ -204,6 +208,8 @@ def reinvert_edges_for_top(g: Graph, suffix: str = DEFAULT_INVERSION_SUFFIX,
                 if (invertible_labels is None
                         or g.edges[i].label in invertible_labels):
                     to_invert.add(i)
+    if not to_invert:
+        return g
 
     edges = []
     for i, edge in enumerate(g.edges):
@@ -282,9 +288,15 @@ def drg_reduce_binary_relations(g: Graph, relation_labels: frozenset[str] | set[
 
 
 def eds_merge_anchors(g: Graph) -> Graph:
-    """Collapse every node's anchor set to its single continuous hull."""
+    """Collapse every node's anchor set to its single continuous hull.
+
+    A node with at most one anchor is already its own hull and is kept as it
+    is, and so is a graph of such nodes.
+    """
+    if all(len(node.anchors) <= 1 for node in g.nodes):
+        return g
     nodes = tuple(
-        node if not node.anchors else
+        node if len(node.anchors) <= 1 else
         replace(node, anchors=(Anchor(min(a.start for a in node.anchors),
                                       max(a.end for a in node.anchors)),))
         for node in g.nodes)
@@ -325,7 +337,8 @@ def fold_property_nodes(g: Graph, property_node_ids: set[int]) -> Graph:
 
     Each flagged node with exactly one incoming edge is folded back into a
     property of that edge's source (attribute = edge label, value = node
-    label); flagged nodes with any other in-degree are kept as nodes.
+    label); flagged nodes with any other in-degree are kept as nodes.  A
+    graph with nothing to fold is returned as it is.
     """
     incoming: dict[int, list[Edge]] = {}
     for edge in g.edges:
@@ -335,6 +348,8 @@ def fold_property_nodes(g: Graph, property_node_ids: set[int]) -> Graph:
         parents = incoming.get(node_id, [])
         if len(parents) == 1:
             foldable[node_id] = parents[0]
+    if not foldable:
+        return g
     added: dict[int, list[tuple[str, str]]] = {}
     for node_id, edge in foldable.items():
         value = g.node_by_id(node_id).label

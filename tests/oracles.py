@@ -13,7 +13,9 @@ enumerator reference searches the whole label for every strip pair, and the
 layer-norm reference takes its means with ndarray.mean, and the sentence
 backward reference runs the decoder block backward once per task and sums
 the weighted results.  The rule-order key spells the canonical order out
-field by field instead of comparing tuples.
+field by field instead of comparing tuples.  The reference graph parser is
+the per-node, per-edge and per-token helper version that preceded the
+one-pass parse_graph, kept as it was.
 The brute-force hitting set, the loss bundle, the sentence total loss and
 the one-query label head loss serve only the tests.
 """
@@ -21,13 +23,15 @@ the one-query label head loss serve only the tests.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from mrparse import heads, model, trainer
-from mrparse.graph import Anchor, graph_tokens
+from mrparse.graph import (FRAMEWORKS, Anchor, Edge, Graph, GraphParseError,
+                           GraphSchemaError, Node, Token, graph_tokens)
 from mrparse.heads import HeadError
 from mrparse.hitting import InfeasibleError
 from mrparse.matcher import MatchProblem, apply_anchor_mask, geomean_anchor
@@ -485,6 +489,139 @@ def brute_force_min_hitting_set(sets: Sequence[frozenset[int]],
             if all(mask & chosen for mask in masks):
                 return combo
     raise InfeasibleError(0)  # unreachable: every nonempty set is hittable
+
+
+# ---------------------------------------------------------------------------
+# graph parsing: one helper per node, edge and token, each check a call
+
+def _ref_require(condition: bool, message: str, field_name: str):
+    if not condition:
+        raise GraphSchemaError(message, field_name)
+
+
+def _ref_integer(value, field_name: str) -> int:
+    if type(value) is not int:
+        raise GraphSchemaError("must be an integer", field_name)
+    return value
+
+
+def _ref_text(value, field_name: str) -> str:
+    if type(value) is not str:
+        raise GraphSchemaError("must be text", field_name)
+    return value
+
+
+def _ref_pairs_from_parallel(obj: dict, names_key: str, values_key: str, where: str):
+    names = obj.get(names_key)
+    values = obj.get(values_key)
+    if names is None and values is None:
+        return ()
+    _ref_require(isinstance(names, list) and isinstance(values, list),
+                 f"{names_key}/{values_key} must be parallel arrays", where)
+    _ref_require(len(names) == len(values),
+                 f"{names_key} and {values_key} differ in length", where)
+    return tuple((_ref_text(n, where), v) for n, v in zip(names, values))
+
+
+_REF_NODE_KEYS = {"id", "label", "properties", "values", "anchors"}
+_REF_EDGE_KEYS = {"source", "target", "label", "attributes", "values"}
+_REF_GRAPH_KEYS = {"id", "flavor", "framework", "input", "tops", "nodes", "edges",
+                   "tokens"}
+
+
+def _ref_parse_node(obj, tops: set[int]) -> Node:
+    _ref_require(isinstance(obj, dict), "node must be an object", "nodes")
+    node_id = _ref_integer(obj.get("id"), "nodes.id")
+    anchors = []
+    anchors_raw = obj.get("anchors")
+    _ref_require(anchors_raw is None or isinstance(anchors_raw, list),
+                 "anchors must be an array", "nodes.anchors")
+    for a in anchors_raw or ():
+        _ref_require(isinstance(a, dict) and "from" in a and "to" in a,
+                     "anchor must carry 'from' and 'to'", "nodes.anchors")
+        anchors.append(Anchor(_ref_integer(a["from"], "nodes.anchors.from"),
+                              _ref_integer(a["to"], "nodes.anchors.to")))
+    label = obj.get("label")
+    _ref_require(label is None or isinstance(label, str), "label must be text",
+                 "nodes.label")
+    properties = tuple((k, _ref_text(v, "nodes.values")) for k, v in
+                       _ref_pairs_from_parallel(obj, "properties", "values",
+                                                "nodes.properties"))
+    extras = tuple(sorted((k, v) for k, v in obj.items() if k not in _REF_NODE_KEYS))
+    return Node(id=node_id, label=label, properties=properties,
+                anchors=tuple(anchors), is_top=node_id in tops, extras=extras)
+
+
+def _ref_parse_edge(obj, node_ids: set[int]) -> Edge:
+    _ref_require(isinstance(obj, dict), "edge must be an object", "edges")
+    for endpoint in ("source", "target"):
+        if _ref_integer(obj.get(endpoint), f"edges.{endpoint}") not in node_ids:
+            raise GraphSchemaError(f"edge cites nonexistent node id {obj[endpoint]}",
+                                   f"edges.{endpoint}")
+    label = obj.get("label")
+    _ref_require(isinstance(label, str), "edge label must be text", "edges.label")
+    attributes = _ref_pairs_from_parallel(obj, "attributes", "values", "edges.attributes")
+    extras = tuple(sorted((k, v) for k, v in obj.items() if k not in _REF_EDGE_KEYS))
+    return Edge(source=obj["source"], target=obj["target"], label=label,
+                attributes=attributes, extras=extras)
+
+
+def _ref_parse_token(obj) -> Token:
+    _ref_require(isinstance(obj, dict) and "form" in obj, "token must carry 'form'",
+                 "tokens")
+    form = _ref_text(obj["form"], "tokens.form")
+    start = _ref_integer(obj["from"], "tokens.from") if "from" in obj else 0
+    end = _ref_integer(obj["to"], "tokens.to") if "to" in obj else start + len(form)
+    lemma = _ref_text(obj["lemma"], "tokens.lemma") if "lemma" in obj else form.lower()
+    return Token(form=form, start=start, end=end, lemma=lemma)
+
+
+def reference_parse_graph(line: str) -> Graph:
+    """The graph parser before the one-pass rewrite.  It differs from
+    parse_graph only in reading a falsy non-array tops, nodes or edges (0,
+    "", false, {}) as empty."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        byte_offset = len(line[:exc.pos].encode("utf-8"))
+        raise GraphParseError(exc.msg, byte_offset) from None
+    _ref_require(isinstance(obj, dict), "top-level value must be an object", "<root>")
+    _ref_require(type(obj.get("id")) in (str, int), "graph id required", "id")
+    framework = obj.get("framework")
+    _ref_require(framework in FRAMEWORKS, f"framework must be one of {FRAMEWORKS}",
+                 "framework")
+    flavor = obj.get("flavor")
+    _ref_require(_ref_integer(flavor, "flavor") in (1, 2), "flavor must be 1 or 2",
+                 "flavor")
+    text = obj.get("input")
+    _ref_require(isinstance(text, str), "input sentence required", "input")
+
+    tops_raw = obj.get("tops") or ()
+    _ref_require(isinstance(tops_raw, (list, tuple)), "tops must be an array", "tops")
+    tops = set()
+    for t in tops_raw:
+        tops.add(_ref_integer(t, "tops"))
+
+    nodes_raw = obj.get("nodes") or ()
+    _ref_require(isinstance(nodes_raw, (list, tuple)), "nodes must be an array", "nodes")
+    nodes = tuple(_ref_parse_node(n, tops) for n in nodes_raw)
+    node_ids = {n.id for n in nodes}
+    for t in tops:
+        if t not in node_ids:
+            raise GraphSchemaError(f"top cites nonexistent node id {t}", "tops")
+
+    edges_raw = obj.get("edges") or ()
+    _ref_require(isinstance(edges_raw, (list, tuple)), "edges must be an array", "edges")
+    edges = tuple(_ref_parse_edge(e, node_ids) for e in edges_raw)
+
+    tokens = None
+    if obj.get("tokens") is not None:
+        _ref_require(isinstance(obj["tokens"], list), "tokens must be an array", "tokens")
+        tokens = tuple(_ref_parse_token(t) for t in obj["tokens"])
+
+    extras = tuple(sorted((k, v) for k, v in obj.items() if k not in _REF_GRAPH_KEYS))
+    return Graph(id=str(obj["id"]), framework=framework, flavor=flavor, input=text,
+                 nodes=nodes, edges=edges, tokens=tokens, extras=extras)
 
 
 # ---------------------------------------------------------------------------

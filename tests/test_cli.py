@@ -402,6 +402,51 @@ class TestTrainPredict:
         assert f"{config}:5: " in record["message"]
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("line", ["batch_size = 0", "queries_per_token = 0",
+                                      "encoder_layers = -1", "warmup_steps = 0",
+                                      "mos_components = 0", "layer_dropout = 1.0",
+                                      "dim = 0", "eval_fraction = 1.5", "seed = -1",
+                                      "corpus_size = 0", "lr_rest = inf",
+                                      "label_smoothing = nan"])
+    def test_out_of_range_config_rejected_before_training(self, line, tmp_path,
+                                                          capsys):
+        config = tmp_path / "range.cfg"
+        config.write_text(f"corpus_size = 16\nepochs = 1\n{line}\n")
+        out_path = tmp_path / "m.jsonl"
+        code, _, err = run_cli(["train-toy", "--config", str(config),
+                                "--output", str(out_path)], capsys)
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        record = json.loads(err)
+        assert record["error"] == "config"
+        assert record["message"].startswith(f"{config}: {line.split()[0]} must be ")
+        assert not out_path.exists()
+
+    def test_negative_seed_rejected(self, short_config, tmp_path, capsys):
+        code, _, err = run_cli(["train-toy", "--seed", "-1", "--config", short_config,
+                                "--output", str(tmp_path / "m.jsonl")], capsys)
+        assert code == 2
+        assert json.loads(err) == {"error": "config", "message": "seed must be at least 0, "
+                                                                "got -1"}
+
+    def test_predict_out_of_range_stored_config(self, tmp_path, capsys):
+        import dataclasses
+        from mrparse import model, trainer
+        config = dict(dataclasses.asdict(trainer.TrainConfig()), layer_dropout=1.0)
+        meta = {"config_json": json.dumps(config), "vocab_json": '{"<unk>": 0}',
+                "rules_text": 'absolute\t"x"', "edge_labels_json": "[]",
+                "inverted_labels_json": "[]"}
+        ckpt = tmp_path / "range.ckpt"
+        model.save_params({f"meta.{k}": model.pack_text(v) for k, v in meta.items()},
+                          str(ckpt))
+        sentences = tmp_path / "s.txt"
+        sentences.write_text("hello\n")
+        code, out, err = run_cli(["predict", "--checkpoint", str(ckpt),
+                                  "--input", str(sentences)], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "data", "message": "checkpoint: layer_dropout "
+                                                              "must be in [0.0, 1.0), got 1.0"}
+
     def test_nodes_over_query_capacity_is_data_error(self, tmp_path, capsys):
         # 5 nodes on a 2-token input, whose 2 x 2 queries cannot hold them
         node = '{{"id":{},"label":"n{}","anchors":[{{"from":0,"to":1}}]}}'

@@ -3,13 +3,14 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrparse import cli
 from mrparse.graph import (Anchor, Edge, Graph, GraphError, GraphParseError,
-                           GraphSchemaError, Node, parse_graph, serialize_graph,
+                           GraphSchemaError, Node, Token, parse_graph, serialize_graph,
                            validate, whitespace_tokens)
+from oracles import reference_parse_graph
 
 
 def test_minimal_graph():
@@ -76,6 +77,16 @@ def test_fixture_round_trip(all_fixture_graphs):
 def test_anchors_emitted_sorted():
     node = Node(0, "x", anchors=(Anchor(5, 9), Anchor(0, 2)))
     assert node.anchors == (Anchor(0, 2), Anchor(5, 9))
+    assert Node(0, anchors=[Anchor(1, 2)]).anchors == (Anchor(1, 2),)
+
+
+@pytest.mark.parametrize("field", ["tops", "nodes", "edges"])
+@pytest.mark.parametrize("value", [0, "", False, {}, 7, "x", True, {"id": 0}])
+def test_non_array_tops_nodes_edges_rejected(field, value):
+    obj = {"id": "g", "flavor": 1, "framework": "eds", "input": "ab",
+           "nodes": [{"id": 0}], field: value}
+    with pytest.raises(GraphSchemaError, match=f"^{field}: {field} must be an array$"):
+        parse_graph(json.dumps(obj))
 
 
 def test_validate_ok(all_fixture_graphs):
@@ -115,6 +126,17 @@ def test_validate_dangling_edge():
     assert [v.rule for v in validate(g)] == ["edge endpoints exist"]
 
 
+@pytest.mark.parametrize("flavor, start, end, ok", [
+    (1, 0, 2, True), (1, 2, 2, True), (1, 0, 0, True), (1, 5, 2, False),
+    (1, -1, 1, False), (1, 0, 3, False), (2, 0, 3, True), (2, 5, 2, False)])
+def test_validate_token_range(flavor, start, end, ok):
+    g = Graph(id="g", framework="eds", flavor=flavor, input="ab",
+              tokens=(Token("ab", 0, 2, "ab"), Token("x", start, end, "x")))
+    violations = validate(g)
+    assert [(v.rule, v.subject) for v in violations] == ([] if ok else
+                                                          [("token range", "token 1")])
+
+
 def test_whitespace_tokens_spans_and_lemmas():
     tokens = whitespace_tokens("The cat  sat")
     assert [(t.form, t.start, t.end, t.lemma) for t in tokens] == [
@@ -122,6 +144,9 @@ def test_whitespace_tokens_spans_and_lemmas():
 
 
 _labels = st.one_of(st.none(), st.text(min_size=1, max_size=6))
+# unknown fields, kept opaquely: at most one, named outside every known key
+_extras = st.dictionaries(st.sampled_from(["note", "x"]), st.integers(0, 3),
+                          max_size=1).map(lambda d: tuple(d.items()))
 
 
 @st.composite
@@ -141,15 +166,18 @@ def graphs(draw):
             max_size=2, unique_by=lambda kv: kv[0]))
         nodes.append(Node(id=i, label=draw(_labels), properties=tuple(props),
                           anchors=tuple(anchors),
-                          is_top=draw(st.booleans())))
+                          is_top=draw(st.booleans()), extras=draw(_extras)))
     edges = []
     if n:
         for _ in range(draw(st.integers(0, 4))):
             edges.append(Edge(draw(st.integers(0, n - 1)),
                               draw(st.integers(0, n - 1)),
-                              draw(st.sampled_from(["A", "B-of", "mod"]))))
+                              draw(st.sampled_from(["A", "B-of", "mod"])),
+                              extras=draw(_extras)))
+    tokens = draw(st.sampled_from([None, whitespace_tokens(text)]))
     return Graph(id=draw(st.text(min_size=1, max_size=4)), framework="eds",
-                 flavor=1, input=text, nodes=tuple(nodes), edges=tuple(edges))
+                 flavor=1, input=text, nodes=tuple(nodes), edges=tuple(edges),
+                 tokens=tokens, extras=draw(_extras))
 
 
 @settings(max_examples=60, deadline=None)
@@ -183,16 +211,20 @@ _integer_fields = {
 }
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(sorted(_integer_fields)), _json_values)
-def test_integer_fields_parse_or_raise_graph_error(field, value):
+def _integer_field_line(field, value) -> str:
     obj = {"id": "g", "flavor": 1, "framework": "eds", "input": "ab", "tops": [0],
            "nodes": [{"id": 0, "anchors": [{"from": 0, "to": 2}]}, {"id": 1}],
            "edges": [{"source": 0, "target": 1, "label": "L"}],
            "tokens": [{"form": "ab", "from": 0, "to": 2}]}
     _integer_fields[field](obj, value)
+    return json.dumps(obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_integer_fields)), _json_values)
+def test_integer_fields_parse_or_raise_graph_error(field, value):
     try:
-        g = parse_graph(json.dumps(obj))
+        g = parse_graph(_integer_field_line(field, value))
     except GraphError:
         assert type(value) is not int or field in ("node id", "top", "edge source",
                                                    "edge target", "flavor")
@@ -206,14 +238,31 @@ _structural_fields = {
     "graph id": lambda obj, v: obj.update(id=v),
     "properties": lambda obj, v: obj["nodes"][0].update(properties=v),
     "values": lambda obj, v: obj["nodes"][0].update(values=v),
+    "property pairs": lambda obj, v: obj["nodes"][0].update(properties=v, values=v),
     "tokens": lambda obj, v: obj.update(tokens=v),
     "token form": lambda obj, v: obj["tokens"][0].update(form=v),
     "token lemma": lambda obj, v: obj["tokens"][0].update(lemma=v),
     "edge attributes": lambda obj, v: obj["edges"][0].update(attributes=v),
     "edge values": lambda obj, v: obj["edges"][0].update(values=v),
+    "tops": lambda obj, v: obj.update(tops=v),
+    "nodes": lambda obj, v: obj.update(nodes=v),
+    "edges": lambda obj, v: obj.update(edges=v),
 }
-_well_formed = st.sampled_from([None, 7, "g", [], ["q"], [{"from": 0, "to": 2}],
-                                [{"form": "ab", "from": 0, "to": 2}]])
+_well_formed = st.sampled_from([None, 7, "g", [], [0], ["q"], [{"from": 0, "to": 2}],
+                                [{"form": "ab", "from": 0, "to": 2}], [{"form": "Ab"}],
+                                [{"form": "ab", "from": 1}], [{"id": 0}],
+                                [{"source": 0, "target": 0, "label": "r"}]])
+
+
+def _structural_field_line(field, value) -> str:
+    obj = {"id": "g", "flavor": 1, "framework": "eds", "input": "ab", "tops": [0],
+           "nodes": [{"id": 0, "label": "x", "anchors": [{"from": 0, "to": 2}],
+                      "properties": ["p"], "values": ["v"]}],
+           "edges": [{"source": 0, "target": 0, "label": "r",
+                      "attributes": ["remote"], "values": [True]}],
+           "tokens": [{"form": "ab", "from": 0, "to": 2, "lemma": "ab"}]}
+    _structural_fields[field](obj, value)
+    return json.dumps(obj)
 
 
 def _cli(argv):
@@ -226,14 +275,7 @@ def _cli(argv):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(sorted(_structural_fields)), _json_values | _well_formed)
 def test_structural_fields_parse_or_exit_two(tmp_path_factory, field, value):
-    obj = {"id": "g", "flavor": 1, "framework": "eds", "input": "ab", "tops": [0],
-           "nodes": [{"id": 0, "label": "x", "anchors": [{"from": 0, "to": 2}],
-                      "properties": ["p"], "values": ["v"]}],
-           "edges": [{"source": 0, "target": 0, "label": "r",
-                      "attributes": ["remote"], "values": [True]}],
-           "tokens": [{"form": "ab", "from": 0, "to": 2, "lemma": "ab"}]}
-    _structural_fields[field](obj, value)
-    line = json.dumps(obj)
+    line = _structural_field_line(field, value)
     try:
         g = parse_graph(line)
     except GraphError as exc:
@@ -243,10 +285,17 @@ def test_structural_fields_parse_or_exit_two(tmp_path_factory, field, value):
         assert parse_graph(serialize_graph(g)) == g
     if field == "graph id":
         assert (error is None) == (type(value) in (str, int))
-    elif field in ("anchors", "tokens") and error is None:
+    elif field in ("tops", "nodes", "edges") and not (value is None
+                                                     or isinstance(value, list)):
+        assert error == f"{field}: {field} must be an array"
+    elif field in ("anchors", "tokens", "tops", "nodes", "edges") and error is None:
         assert value is None or isinstance(value, list)
     elif field in ("token form", "token lemma"):
         assert (error is None) == (type(value) is str)
+    elif field == "property pairs":
+        # names and values both text, checked names first
+        assert (error is None) == (value is None or (type(value) is list and all(
+            type(v) is str for v in value)))
     elif field in ("properties", "values", "edge attributes"):
         # text names and property values, parallel to one given entry
         assert (error is None) == (type(value) is list and len(value) == 1
@@ -268,3 +317,42 @@ def test_structural_fields_parse_or_exit_two(tmp_path_factory, field, value):
         assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "data"
     else:
         assert err == ""
+
+
+def _outcome(parse, line):
+    """The parsed graph, or the type and message of the GraphError raised."""
+    try:
+        return parse(line)
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+def _strict_array_error(line):
+    """The outcome parse_graph owes a line whose tops, nodes or edges is
+    present, not null and not an array, which the reference parser read as
+    empty when falsy; None for any other line."""
+    obj = json.loads(line)
+    for field in ("tops", "nodes", "edges"):
+        if obj.get(field) is not None and not isinstance(obj[field], list):
+            return GraphSchemaError, f"{field}: {field} must be an array"
+    return None
+
+
+_HEAD = '{"id":"g","flavor":1,"framework":"eds","input":"ab cd",'
+
+
+@settings(max_examples=300, deadline=None)
+@example(_HEAD + '"tokens":[{"form":"Ab","from":3},{"form":"cd"},{"form":"x","to":1}]}')
+@example(_HEAD + '"nodes":[{"id":0,"properties":[1],"values":[2]}]}')
+@example(_HEAD + '"nodes":[{"id":0,"note":1,"a":2}],"edges":[{"source":0,"target":0,'
+         '"label":"r","z":[]}],"b":3}')
+@example(_HEAD + '"tops":[5,3],"nodes":[]}')
+@given(st.one_of(
+    graphs().map(serialize_graph),
+    st.builds(_integer_field_line, st.sampled_from(sorted(_integer_fields)),
+              _json_values),
+    st.builds(_structural_field_line, st.sampled_from(sorted(_structural_fields)),
+              _json_values | _well_formed)))
+def test_parse_graph_matches_reference(line):
+    expected = _strict_array_error(line) or _outcome(reference_parse_graph, line)
+    assert _outcome(parse_graph, line) == expected

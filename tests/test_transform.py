@@ -258,3 +258,32 @@ def test_fold_property_nodes():
     assert len(out.nodes) == 1
     assert out.nodes[0].properties == (("num", "pl"),)
     assert out.edges == ()
+
+
+# a graph none of the five transforms below has anything to change in: no
+# properties, no inverted label, every node reached along its edges from the
+# top, no node with more than one anchor, and no foldable property node
+_UNCHANGED = Graph(id="g", framework="eds", flavor=1, input="ab cd",
+                   nodes=(Node(0, "x", anchors=(Anchor(0, 2),), is_top=True),
+                          Node(1, "y", anchors=(Anchor(3, 5),)), Node(2, "z")),
+                   edges=(Edge(0, 1, "ARG1"), Edge(1, 2, "flag-of")))
+
+
+@pytest.mark.parametrize("transform", [
+    lambda g: nodeify_properties(g)[0],
+    lambda g: normalize_inverted_edges(g, known_labels={"ARG1"})[0],
+    eds_merge_anchors,
+    reinvert_edges_for_top,
+    lambda g: fold_property_nodes(g, {0}),
+], ids=["nodeify", "deinvert", "eds_merge", "reinvert", "fold"])
+def test_nothing_to_change_returns_the_input(transform):
+    assert transform(_UNCHANGED) is _UNCHANGED
+
+
+def test_eds_merge_keeps_single_anchor_nodes():
+    g = Graph(id="g", framework="eds", flavor=1, input="abcdefghi",
+              nodes=(Node(0, "x", anchors=(Anchor(0, 2), Anchor(5, 9))),
+                     Node(1, "y", anchors=(Anchor(1, 3),)), Node(2, "z")))
+    out = eds_merge_anchors(g)
+    assert out.nodes[0] != g.nodes[0]
+    assert out.nodes[1] is g.nodes[1] and out.nodes[2] is g.nodes[2]
