@@ -44,6 +44,15 @@ def add_grad(grads: dict, key: str, value: np.ndarray,
         grads[key] = value
 
 
+def _add_affine_grads(grads: dict, w_key: str, b_key: str, x: np.ndarray,
+                      dy: np.ndarray):
+    """The grads of w and b in y = x @ w + b into grads, each summed over the
+    rows of every leading axis in one reduction."""
+    dy_rows = dy.reshape(-1, dy.shape[-1])
+    add_grad(grads, w_key, x.reshape(-1, x.shape[-1]).T @ dy_rows)
+    add_grad(grads, b_key, dy_rows.sum(axis=0))
+
+
 # ---------------------------------------------------------------------------
 # layer norm
 
@@ -64,11 +73,11 @@ def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
 
 def layer_norm_backward(cache, dy: np.ndarray):
     """Returns (dx, dgain, dbias); dy has the forward's shape, and dgain and
-    dbias sum over its rows axis."""
+    dbias sum over every axis but the last."""
     normed, inv, gain = cache
     dim = dy.shape[-1]
-    dgain = (dy * normed).sum(axis=-2)
-    dbias = dy.sum(axis=-2)
+    dgain = (dy * normed).reshape(-1, dim).sum(axis=0)
+    dbias = dy.reshape(-1, dim).sum(axis=0)
     dnormed = dy * gain
     dx = inv * (dnormed - np.add.reduce(dnormed, axis=-1, keepdims=True) / dim
                 - normed * (np.add.reduce(dnormed * normed, axis=-1, keepdims=True)
@@ -102,23 +111,21 @@ def attention_forward(params: dict, prefix: str, queries_in: np.ndarray,
 
 
 def attention_backward(params: dict, cache, dout: np.ndarray, grads: dict):
+    """Returns (dqueries_in, dkeys_in); with leading sentence axes, each
+    parameter grad sums over all of them."""
     queries_in, keys_in, q, k, v, weights, mixed, scale, prefix = cache
     wq, wk, wv, wo = (params[f"{prefix}.wq"], params[f"{prefix}.wk"],
                       params[f"{prefix}.wv"], params[f"{prefix}.wo"])
-    add_grad(grads, f"{prefix}.wo", mixed.T @ dout)
-    add_grad(grads, f"{prefix}.bo", dout.sum(axis=-2))
+    _add_affine_grads(grads, f"{prefix}.wo", f"{prefix}.bo", mixed, dout)
     dmixed = dout @ wo.T
-    dweights = dmixed @ v.T
-    dv = weights.T @ dmixed
+    dweights = dmixed @ np.swapaxes(v, -1, -2)
+    dv = np.swapaxes(weights, -1, -2) @ dmixed
     dscores = weights * (dweights - (dweights * weights).sum(axis=-1, keepdims=True))
     dq = dscores @ k * scale
-    dk = dscores.T @ q * scale
-    add_grad(grads, f"{prefix}.wq", queries_in.T @ dq)
-    add_grad(grads, f"{prefix}.bq", dq.sum(axis=-2))
-    add_grad(grads, f"{prefix}.wk", keys_in.T @ dk)
-    add_grad(grads, f"{prefix}.bk", dk.sum(axis=-2))
-    add_grad(grads, f"{prefix}.wv", keys_in.T @ dv)
-    add_grad(grads, f"{prefix}.bv", dv.sum(axis=-2))
+    dk = np.swapaxes(dscores, -1, -2) @ q * scale
+    _add_affine_grads(grads, f"{prefix}.wq", f"{prefix}.bq", queries_in, dq)
+    _add_affine_grads(grads, f"{prefix}.wk", f"{prefix}.bk", keys_in, dk)
+    _add_affine_grads(grads, f"{prefix}.wv", f"{prefix}.bv", keys_in, dv)
     dqueries_in = dq @ wq.T
     dkeys_in = dk @ wk.T + dv @ wv.T
     return dqueries_in, dkeys_in
@@ -152,15 +159,19 @@ def block_forward(params: dict, prefix: str, x: np.ndarray,
 
 def ffn_out_grads(prefix: str, cache, dy: np.ndarray) -> dict:
     """Grads of the block's last layer, ffn.w2 and ffn.b2, from the gradient
-    dy wrt the block output.  dy may stack several output gradients on
-    leading axes over the [rows, dim] forward; each grad then keeps them."""
+    dy wrt the block output, summed over its rows and sentence axes.  dy may
+    stack several output gradients on axes before those of the forward;
+    each grad then keeps them."""
     *_, hidden, _ = cache
-    return {f"{prefix}.ffn.w2": hidden.T @ dy, f"{prefix}.ffn.b2": dy.sum(axis=-2)}
+    rows = hidden.reshape(-1, hidden.shape[-1])
+    dy = dy.reshape(dy.shape[:dy.ndim - hidden.ndim] + (len(rows), dy.shape[-1]))
+    return {f"{prefix}.ffn.w2": rows.T @ dy, f"{prefix}.ffn.b2": dy.sum(axis=-2)}
 
 
 def block_backward(params: dict, prefix: str, cache, dy: np.ndarray, grads: dict):
-    """Returns (dx, dmemory) for dy [rows, dim]; parameter grads accumulate
-    into grads."""
+    """Returns (dx, dmemory) for dy of the forward's shape, [rows, dim] with
+    any leading sentence axes; parameter grads, summed over those axes,
+    accumulate into grads."""
     c_ln1, c_self, c_ln2, c_cross, c_ln3, ln3, hidden, has_cross = cache
     dh = dy.copy()
     dffn_out = dy
@@ -168,8 +179,7 @@ def block_backward(params: dict, prefix: str, cache, dy: np.ndarray, grads: dict
         add_grad(grads, key, grad)
     dhidden = dffn_out @ params[f"{prefix}.ffn.w2"].T
     dpre = (1.0 - hidden * hidden) * dhidden
-    add_grad(grads, f"{prefix}.ffn.w1", ln3.T @ dpre)
-    add_grad(grads, f"{prefix}.ffn.b1", dpre.sum(axis=-2))
+    _add_affine_grads(grads, f"{prefix}.ffn.w1", f"{prefix}.ffn.b1", ln3, dpre)
     dln3 = dpre @ params[f"{prefix}.ffn.w1"].T
     dx3, dgain, dbias = layer_norm_backward(c_ln3, dln3)
     add_grad(grads, f"{prefix}.ln3.gain", dgain)
@@ -256,14 +266,19 @@ def encode_forward(params: dict, token_ids: np.ndarray, num_layers: int,
 
 
 def encode_backward(params: dict, cache, de: np.ndarray, grads: dict):
+    """Parameter grads of encode_forward from de, the gradient wrt its output;
+    with leading sentence axes, the mixing logits' grad goes through each
+    sentence's own mixing weights."""
     token_ids, states, block_caches, alpha, c_ln = cache
     dmixed, dgain, dbias = layer_norm_backward(c_ln, de)
     add_grad(grads, "encln.gain", dgain)
     add_grad(grads, "encln.bias", dbias)
-    dalpha = np.array([float((dmixed * s).sum()) for s in states])
-    dlogits = alpha * (dalpha - float((dalpha * alpha).sum()))
-    add_grad(grads, "mix", dlogits)
-    dstates = [a * dmixed for a in alpha]
+    per_sentence = token_ids.shape[:-1] + (-1,)
+    dalpha = np.stack([(dmixed * s).reshape(per_sentence).sum(axis=-1) for s in states],
+                      axis=-1)
+    dlogits = alpha * (dalpha - (dalpha * alpha).sum(axis=-1, keepdims=True))
+    add_grad(grads, "mix", dlogits.reshape(-1, len(states)).sum(axis=0))
+    dstates = [alpha[..., k, None, None] * dmixed for k in range(len(states))]
     for layer in range(len(block_caches) - 1, -1, -1):
         dx, _ = block_backward(params, f"enc{layer}", block_caches[layer],
                                dstates[layer + 1], grads)
@@ -293,15 +308,15 @@ def queries_forward(params: dict, e: np.ndarray):
 
 
 def queries_backward(params: dict, cache, dstates: np.ndarray, grads: dict):
+    """Returns the gradient wrt the token embeddings; the parameter grads sum
+    over the tokens of every sentence."""
     e, q = cache
     w = params["query.w"]
-    num_tokens, num_slots, dim = q.shape
-    dq = dstates.reshape(num_tokens, num_slots, dim)
-    dpre = (1.0 - q * q) * dq
-    add_grad(grads, "query.w", np.einsum("ntd,ne->tde", dpre, e))
-    add_grad(grads, "query.b", dpre.sum(axis=0))
-    de = np.einsum("ntd,tde->ne", dpre, w)
-    return de
+    dpre = (1.0 - q * q) * dstates.reshape(q.shape)
+    rows = dpre.reshape((-1,) + q.shape[-2:])
+    add_grad(grads, "query.w", np.einsum("ntd,ne->tde", rows, e.reshape(-1, e.shape[-1])))
+    add_grad(grads, "query.b", rows.sum(axis=0))
+    return np.einsum("...ntd,tde->...ne", dpre, w)
 
 
 # ---------------------------------------------------------------------------

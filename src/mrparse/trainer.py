@@ -1,11 +1,14 @@
 """End-to-end toy training: encode, query, match, learn, decode.
 
-Every batch runs encoder -> queries -> decoder block -> heads, aligns the
-queries to the gold nodes with the permutation-invariant matcher, computes
-the per-task losses against the permuted targets, balances the task weights
-by each task's gradient norm on the last shared layer (the decoder block's
-ffn.w2 and ffn.b2) and takes a decoupled-weight-decay adaptive step with a
-two-group inverse-square-root learning rate schedule.
+Every batch is worked through one group of equal-length sentences at a time:
+the group runs encoder -> queries -> decoder block -> heads once, each of
+its sentences aligns its queries to the gold nodes with the
+permutation-invariant matcher and computes the per-task losses against the
+permuted targets, and one backward takes the group's gradients back through
+the network.  The batch then balances the task weights by each task's
+gradient norm on the last shared layer (the decoder block's ffn.w2 and
+ffn.b2) and takes a decoupled-weight-decay adaptive step with a two-group
+inverse-square-root learning rate schedule.
 """
 
 from __future__ import annotations
@@ -426,29 +429,13 @@ def _length_groups(lengths: Sequence[int]) -> dict[int, list[int]]:
     return groups
 
 
-def _batch_passes(params: dict, config: TrainConfig, batch: Sequence[Example],
-                  dropped: Optional[Sequence[np.ndarray]], max_tokens: float,
-                  ) -> Iterator[ForwardPass]:
-    """The forward pass of each sentence of a training batch, in batch order.
-
-    When a sentence comes up without a pass, it is forwarded together with
-    the later sentences of its length, as many as keep the waiting caches
-    within max_tokens tokens (at least itself).  dropped holds each
-    sentence's layer-dropout mask, or is None.
-    """
-    groups = _length_groups([len(example.token_ids) for example in batch])
-    pending: dict[int, ForwardPass] = {}
-    for position, example in enumerate(batch):
-        if position not in pending:
-            length = len(example.token_ids)
-            waiting = sum(len(batch[p].token_ids) for p in pending)
-            room = max(int((max_tokens - waiting) // length), 1)
-            group = [p for p in groups[length] if p >= position][:room]
-            pending.update(zip(group, forward_sentence(
-                params, config, np.stack([batch[p].token_ids for p in group]),
-                None if dropped is None else np.stack([dropped[p] for p in group]),
-            ).sentences(params)))
-        yield pending.pop(position)
+def _length_chunks(lengths: Sequence[int], max_tokens: float) -> Iterator[list[int]]:
+    """The positions of each length group, in order, in chunks of as many
+    sentences as keep a chunk within max_tokens tokens (at least one)."""
+    for length, positions in _length_groups(lengths).items():
+        room = max(int(max_tokens // length), 1)
+        for first in range(0, len(positions), room):
+            yield positions[first:first + room]
 
 
 def _cache_token_budget(params: dict, config: TrainConfig, token_ids: np.ndarray,
@@ -456,8 +443,8 @@ def _cache_token_budget(params: dict, config: TrainConfig, token_ids: np.ndarray
     """Tokens of forward caches that take the bytes of AdamW's two moments,
     twice the parameters, at the cache bytes per token of token_ids's
     forward.  A training step holds the parameters, their gradient sum and
-    the moments anyway, so caches within the budget add at most half to
-    those arrays."""
+    the moments anyway, so one group chunk's caches, and the gradients its
+    backward forms from them, stay about that size."""
     moments = 2 * sum(value.nbytes for value in params.values())
     cache = forward_sentence(params, config, token_ids).nbytes(params)
     return moments * len(token_ids) / cache
@@ -563,7 +550,8 @@ def sentence_losses(params: dict, config: TrainConfig, example: Example,
 
     Queries matched to null targets contribute only the label loss.  Returns
     (losses, grads, pairing) where pairing lists (query, NodeTarget or None);
-    backward_sentence takes grads on through the network.
+    add_head_grads sums grads.head and backward_sentence takes grads.dhidden
+    and grads.anchor_dmemory on through the network.
     """
     num_queries = fwd.hidden.shape[0]
     num_targets = len(example.targets)
@@ -630,26 +618,38 @@ def sentence_losses(params: dict, config: TrainConfig, example: Example,
     return losses, grads, pairing
 
 
-def backward_sentence(params: dict, config: TrainConfig, fwd: ForwardPass,
-                      grads: SentenceGrads, weights: dict[str, float], scale: float,
-                      total_grads: dict[str, np.ndarray],
-                      task_sums: dict[str, np.ndarray]):
-    """The backward of forward_sentence from one sentence's sentence_losses
-    grads: every parameter grad of sum_t weights[t] * loss_t, times scale,
-    into total_grads, through one decoder backward on the weighted sum of the
-    task gradients.  Each task's unweighted grads of the last shared layer
-    (model.ffn_out_grads, [tasks, *shape] per key), times scale, go into
-    task_sums for the balance norms."""
-    for key, grad in model.ffn_out_grads("dec", fwd.dec_cache, grads.dhidden).items():
-        model.add_grad(task_sums, key, grad, scale)
-    dy = sum(weights[task] * grads.dhidden[row]
-             for row, task in enumerate(config.active_tasks()))
-    dquery, dmemory = model.block_backward(params, "dec", fwd.dec_cache, scale * dy,
-                                           total_grads)
-    dmemory += (scale * weights["anchor"]) * grads.anchor_dmemory
+def add_head_grads(grads: SentenceGrads, weights: dict[str, float], scale: float,
+                   total_grads: dict[str, np.ndarray]):
+    """weights[t] * scale times each head-parameter grad of task t, into
+    total_grads."""
     for task, head in grads.head.items():
         for key, grad in head.items():
             model.add_grad(total_grads, key, weights[task] * scale * grad)
+
+
+def backward_sentence(params: dict, config: TrainConfig, fwd: ForwardPass,
+                      dhidden: np.ndarray, anchor_dmemory: np.ndarray,
+                      weights: dict[str, float], scale: float,
+                      total_grads: dict[str, np.ndarray],
+                      task_sums: dict[str, np.ndarray]):
+    """The backward of forward_sentence below the heads: every parameter
+    grad of sum_t weights[t] * loss_t that is not a head's own, times scale,
+    into total_grads, through one decoder backward on the weighted sum of
+    the task gradients.
+
+    fwd is one sentence's pass or a group pass.  dhidden, [tasks, queries,
+    dim] a sentence, and anchor_dmemory, [tokens, dim] a sentence (the
+    SentenceGrads fields), carry the pass's sentence axis after the task
+    axis, and every grad sums over the sentences.  Each task's unweighted
+    grads of the last shared layer (model.ffn_out_grads, [tasks, *shape]
+    per key), times scale, go into task_sums for the balance norms."""
+    for key, grad in model.ffn_out_grads("dec", fwd.dec_cache, dhidden).items():
+        model.add_grad(task_sums, key, grad, scale)
+    dy = sum(weights[task] * dhidden[row]
+             for row, task in enumerate(config.active_tasks()))
+    dquery, dmemory = model.block_backward(params, "dec", fwd.dec_cache, scale * dy,
+                                           total_grads)
+    dmemory += (scale * weights["anchor"]) * anchor_dmemory
     de = model.queries_backward(params, fwd.query_cache, dquery, total_grads)
     model.encode_backward(params, fwd.enc_cache, de + dmemory, total_grads)
 
@@ -755,6 +755,9 @@ def prepare(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
     if graphs is None:
         graphs = synth_corpus(config.seed, config.corpus_size)
     train_graphs, eval_graphs = split_corpus(graphs, config.eval_fraction)
+    if not train_graphs:
+        raise TrainError(f"eval_fraction {config.eval_fraction} holds out every graph "
+                         f"of a {len(graphs)}-graph corpus, leaving none to train on")
     gold = [preprocess_gold(g, config) for g in train_graphs]
     table, problem = compile_rule_table([pre for pre, _ in gold], cache_dir=cache_dir)
     edge_labels, inverted_labels = edge_label_vocab(gold)
@@ -787,8 +790,7 @@ def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
     tasks = config.active_tasks()
     state = balance.BalanceState.uniform(tasks)
     metrics: list[dict] = []
-    max_tokens = _cache_token_budget(params, config, examples[0].token_ids) \
-        if examples else 0.0
+    max_tokens = _cache_token_budget(params, config, examples[0].token_ids)
     step = 0
     for epoch in range(config.epochs):
         order = rng.permutation(len(examples))
@@ -805,16 +807,30 @@ def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
             masks = [model.draw_layer_dropout(rng, config.encoder_layers + 1,
                                               config.layer_dropout)
                      for _ in batch] if config.layer_dropout > 0.0 else None
-            for example, fwd in zip(batch, _batch_passes(params, config, batch, masks,
-                                                         max_tokens)):
-                assignment = match_queries(config, fwd, example, params)
-                epoch_warnings.update(assignment.warnings)
-                losses, grads, _ = sentence_losses(params, config, example, fwd,
-                                                   assignment)
-                backward_sentence(params, config, fwd, grads, state.weights, scale,
-                                  total_grads, task_sums)
-                for task, loss in losses.items():
-                    task_losses[task] += loss * scale
+            for chunk in _length_chunks([len(e.token_ids) for e in batch], max_tokens):
+                fwd = forward_sentence(
+                    params, config, np.stack([batch[p].token_ids for p in chunk]),
+                    None if masks is None else np.stack([masks[p] for p in chunk]))
+                # the heads' grads are summed as each sentence gives them, so a
+                # group does not hold them all at once (peak memory); only the
+                # grads wrt the decoder output and embeddings wait for the
+                # group backward
+                dhidden = np.empty((len(tasks),) + fwd.hidden.shape)
+                anchor_dmemory = np.empty_like(fwd.embeddings)
+                for row, (position, sentence) in enumerate(zip(chunk,
+                                                               fwd.sentences(params))):
+                    example = batch[position]
+                    assignment = match_queries(config, sentence, example, params)
+                    epoch_warnings.update(assignment.warnings)
+                    losses, grads, _ = sentence_losses(params, config, example, sentence,
+                                                       assignment)
+                    add_head_grads(grads, state.weights, scale, total_grads)
+                    dhidden[:, row] = grads.dhidden
+                    anchor_dmemory[row] = grads.anchor_dmemory
+                    for task, loss in losses.items():
+                        task_losses[task] += loss * scale
+                backward_sentence(params, config, fwd, dhidden, anchor_dmemory,
+                                  state.weights, scale, total_grads, task_sums)
             if not all(np.isfinite(v).all() for v in total_grads.values()):
                 raise DivergenceError(f"non-finite gradients at step {step}")
             lr_encoder, lr_rest = lr_schedule(step, config)

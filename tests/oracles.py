@@ -12,8 +12,10 @@ the hitting-set reference solves on bitmasks over the whole universe, the
 enumerator reference searches the whole label for every strip pair, and the
 layer-norm reference takes its means with ndarray.mean, and the sentence
 backward reference runs the decoder block backward once per task and sums
-the weighted results.  The rule-order key spells the canonical order out
-field by field instead of comparing tuples.  The reference graph parser is
+the weighted results, and the group backward reference runs the
+per-sentence backward that preceded it once per sentence of the group.
+The rule-order key spells the canonical order out field by field instead
+of comparing tuples.  The reference graph parser is
 the per-node, per-edge and per-token helper version that preceded the
 one-pass parse_graph, kept as it was.
 The brute-force hitting set, the loss bundle, the sentence total loss and
@@ -73,10 +75,11 @@ def reference_layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarr
 
 def reference_layer_norm_backward(cache, dy: np.ndarray):
     """(dx, dgain, dbias) of reference_layer_norm_forward, dgain and dbias
-    summed over the rows axis only."""
+    summed over every axis but the last in one multi-axis reduction."""
     normed, inv, gain = cache
-    dgain = (dy * normed).sum(axis=-2)
-    dbias = dy.sum(axis=-2)
+    leading = tuple(range(dy.ndim - 1))
+    dgain = (dy * normed).sum(axis=leading)
+    dbias = dy.sum(axis=leading)
     dnormed = dy * gain
     dx = inv * (dnormed - dnormed.mean(axis=-1, keepdims=True)
                 - normed * (dnormed * normed).mean(axis=-1, keepdims=True))
@@ -695,3 +698,37 @@ def reference_backward_sentence(params: dict, config, fwd, grads, weights: dict,
     de = model.queries_backward(params, fwd.query_cache, scale * dquery_total, total)
     model.encode_backward(params, fwd.enc_cache, de + scale * dmemory_total, total)
     return total, per_task
+
+
+def per_sentence_backward(params: dict, config, fwd, grads, weights: dict, scale: float,
+                          total_grads: dict, task_sums: dict):
+    """trainer.backward_sentence as it was before the group backward: one
+    sentence's 2-D pass and sentence_losses grads, head grads included."""
+    for key, grad in model.ffn_out_grads("dec", fwd.dec_cache, grads.dhidden).items():
+        model.add_grad(task_sums, key, grad, scale)
+    dy = sum(weights[task] * grads.dhidden[row]
+             for row, task in enumerate(config.active_tasks()))
+    dquery, dmemory = model.block_backward(params, "dec", fwd.dec_cache, scale * dy,
+                                           total_grads)
+    dmemory += (scale * weights["anchor"]) * grads.anchor_dmemory
+    for task, head in grads.head.items():
+        for key, grad in head.items():
+            model.add_grad(total_grads, key, weights[task] * scale * grad)
+    de = model.queries_backward(params, fwd.query_cache, dquery, total_grads)
+    model.encode_backward(params, fwd.enc_cache, de + dmemory, total_grads)
+
+
+def reference_group_backward(params: dict, config, fwd, dhidden: np.ndarray,
+                             anchor_dmemory: np.ndarray, weights: dict,
+                             scale: float) -> tuple[dict, dict]:
+    """The group backward as per_sentence_backward summed over the group's
+    sentences in group order; dhidden is [tasks, sentences, queries, dim] and
+    anchor_dmemory [sentences, tokens, dim].  Returns (total grads, task sums)."""
+    total: dict = {}
+    task_sums: dict = {}
+    for row, sentence in enumerate(fwd.sentences(params)):
+        grads = trainer.SentenceGrads(head={}, dhidden=dhidden[:, row],
+                                      anchor_dmemory=anchor_dmemory[row])
+        per_sentence_backward(params, config, sentence, grads, weights, scale,
+                              total, task_sums)
+    return total, task_sums

@@ -361,8 +361,8 @@ class TestTrainPredict:
 
     def test_train_predict_bytes_pinned(self, tmp_path, capsys):
         # recorded with the balance norms on the last shared layer and one
-        # decoder backward per sentence: the training arithmetic, the
-        # checkpoint bytes and decoding, each pinned on its own
+        # backward per length group: the training arithmetic, the checkpoint
+        # bytes and decoding, each pinned on its own
         config = tmp_path / "pin.cfg"
         config.write_text("corpus_size = 150\nepochs = 2\n")
         paths = {name: tmp_path / name for name in ("m.jsonl", "model.ckpt", "pred.jsonl")}
@@ -381,8 +381,8 @@ class TestTrainPredict:
         digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                    for name, path in paths.items()}
         assert digests == {
-            "m.jsonl": "b2e4f3da6647dea2efb392f24e7cfe203a9b04bcc135861f17a513f76f284b60",
-            "model.ckpt": "d75d1b3c39d085d0093d5dfc4986b54455be111647f6a5c3642e2c65951be32e",
+            "m.jsonl": "592d3d9b8c7ae30bf8a1472e3e79ae471f63eeb65b369310d86a07fca48b098d",
+            "model.ckpt": "aa781af1a86e903d6dcd1706265aed73b4423fbddc0439842048cd953fcc2c5c",
             "pred.jsonl": "075bd7cdd054e5c5777fc14cc69c869f510e6503a78625cbf06e1270aff95d43"}
 
     @pytest.mark.parametrize("line", ["stop_when = 3", 'stop_when = {"f1": 0.9}',
@@ -463,6 +463,20 @@ class TestTrainPredict:
         error = json.loads(err)
         assert error == {"error": "data", "message": "5 target nodes exceed 4 queries; "
                                                      "increase the per-token query budget"}
+
+    def test_empty_training_split_is_data_error(self, tmp_path, capsys):
+        # the one graph of the corpus is held out for evaluation
+        config = tmp_path / "toy.cfg"
+        config.write_text("dim = 16\nffn_dim = 24\ncorpus_size = 1\nepochs = 1\n")
+        out_path = tmp_path / "m.jsonl"
+        code, out, err = run_cli(["train-toy", "--config", str(config),
+                                  "--output", str(out_path)], capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "data", "message": "eval_fraction 0.2 holds out every graph of a "
+                                        "1-graph corpus, leaving none to train on"}
+        assert out_path.read_text() == ""
 
     def test_predict_requires_checkpoint(self, tmp_path, capsys):
         sentences = tmp_path / "s.txt"

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -176,9 +177,9 @@ class TestSentencePass:
         assert seen[kept.perm] == min(seen.values()) < max(seen.values())
 
     def test_sentence_backward_matches_finite_differences(self):
-        # the composition train runs: sentence_losses then backward_sentence,
-        # against central differences of sum_t w_t loss_t over the fixed
-        # assignment, on the evaluation forward
+        # the composition train runs: sentence_losses, then add_head_grads and
+        # backward_sentence, against central differences of sum_t w_t loss_t
+        # over the fixed assignment, on the evaluation forward
         config = tiny_config(dim=8, ffn_dim=12, use_attribute_head=True)
         meta, examples, _, _, _ = trainer.prepare(
             config, corpus.synth_corpus(2, config.corpus_size))
@@ -193,8 +194,9 @@ class TestSentencePass:
                                                    assignment)
         assert set(losses) == set(tasks)
         total_grads = {}
-        trainer.backward_sentence(params, config, fwd, grads, weights, 1.0,
-                                  total_grads, {})
+        trainer.add_head_grads(grads, weights, 1.0, total_grads)
+        trainer.backward_sentence(params, config, fwd, grads.dhidden,
+                                  grads.anchor_dmemory, weights, 1.0, total_grads, {})
         assert set(total_grads) == set(params)
 
         def weighted_loss(key, value):
@@ -241,7 +243,9 @@ class TestSentencePass:
             _, grads, _ = trainer.sentence_losses(params, config, example, fwd,
                                                   assignment)
             total_grads, task_sums = {}, {}
-            trainer.backward_sentence(params, config, fwd, grads, weights, scale,
+            trainer.add_head_grads(grads, weights, scale, total_grads)
+            trainer.backward_sentence(params, config, fwd, grads.dhidden,
+                                      grads.anchor_dmemory, weights, scale,
                                       total_grads, task_sums)
             want, per_task = oracles.reference_backward_sentence(
                 params, config, fwd, grads, weights, scale)
@@ -297,6 +301,56 @@ class TestGroupForward:
                 assert fwd.hidden.shape == (length * config.queries_per_token, config.dim)
                 assert_bit_equal(fwd, alone, f"size {size} length {length} row {i}")
 
+    @pytest.mark.parametrize("train", [False, True])
+    def test_group_backward_equals_per_sentence_sum(self, train):
+        # one backward over a group pass against the backward that preceded
+        # it, run on each sentence's view and summed in group order
+        config = tiny_config(use_attribute_head=True)
+        meta, examples, _, _, _ = trainer.prepare(
+            config, corpus.synth_corpus(2, config.corpus_size))
+        params = trainer.init_model(meta, np.random.default_rng(0))
+        tasks = config.active_tasks()
+        rng = np.random.default_rng(47 + train)
+        weights = {t: float(rng.uniform(0.5, 2.0)) for t in tasks}
+        scale = 0.25
+        for size in range(1, 14):
+            length = int(rng.integers(1, 9))
+            token_ids = np.stack([
+                np.resize(examples[int(rng.integers(len(examples)))].token_ids, length)
+                for _ in range(size)])
+            dropped = np.stack([model.draw_layer_dropout(
+                rng, config.encoder_layers + 1, 0.5) for _ in range(size)]) if train else None
+            fwd = trainer.forward_sentence(params, config, token_ids, dropped)
+            # the backward is linear in these, so any values check it
+            dhidden = rng.normal(size=(len(tasks),) + fwd.hidden.shape)
+            anchor_dmemory = rng.normal(size=fwd.embeddings.shape)
+            total_grads, task_sums = {}, {}
+            trainer.backward_sentence(params, config, fwd, dhidden, anchor_dmemory,
+                                      weights, scale, total_grads, task_sums)
+            want, want_sums = oracles.reference_group_backward(
+                params, config, fwd, dhidden, anchor_dmemory, weights, scale)
+            # every parameter but the heads', whose grads add_head_grads sums
+            assert set(total_grads) == set(want) == {
+                k for k in params if k.startswith(("emb", "mix", "enc", "query", "dec"))}
+            assert set(task_sums) == set(want_sums) == {"dec.ffn.w2", "dec.ffn.b2"}
+            # the key biases' grads are zero up to rounding, as in
+            # test_one_decoder_backward_matches_per_task_reference
+            for got, expected in ((total_grads, want), (task_sums, want_sums)):
+                largest = max(np.abs(grad).max() for grad in expected.values())
+                for key, grad in expected.items():
+                    np.testing.assert_allclose(got[key], grad, rtol=1e-12,
+                                               atol=1e-12 * largest,
+                                               err_msg=f"size {size} length {length} {key}")
+            if size == 1:
+                # a group of one is the 2-D call on its one sentence, bit for bit
+                alone, alone_sums = {}, {}
+                trainer.backward_sentence(params, config, fwd.sentences(params)[0],
+                                          dhidden[:, 0], anchor_dmemory[0], weights,
+                                          scale, alone, alone_sums)
+                for got, expected in ((total_grads, alone), (task_sums, alone_sums)):
+                    assert set(got) == set(expected)
+                    assert all(np.array_equal(got[key], expected[key]) for key in got)
+
     def test_grouped_predict_and_evaluate_equal_per_sentence(self):
         trained, _ = trainer.train(tiny_config())
         graphs = corpus.synth_corpus(4, 20)
@@ -340,6 +394,20 @@ class TestTraining:
         assert abs(sum(record["weights"].values())
                    - len(config.active_tasks())) < 1e-9
 
+    @pytest.mark.parametrize("size,fraction,given", [(1, 0.2, False), (4, 0.9, False),
+                                                     (1, 0.0, True)])
+    def test_empty_training_split_rejected(self, size, fraction, given):
+        # the held-out share rounds to whole graphs and is at least one; given
+        # passes the corpus in, as train-toy --input does
+        config = tiny_config(corpus_size=size, eval_fraction=fraction)
+        graphs = corpus.synth_corpus(5, size) if given else None
+        message = re.escape(f"eval_fraction {fraction} holds out every graph of a "
+                            f"{size}-graph corpus, leaving none to train on")
+        with pytest.raises(trainer.TrainError, match=message):
+            trainer.prepare(config, graphs)
+        with pytest.raises(trainer.TrainError, match=message):
+            trainer.train(config, graphs)
+
     def test_determinism(self):
         config = tiny_config()
         _, first = trainer.train(config)
@@ -348,8 +416,8 @@ class TestTraining:
 
     def test_seed1_records_match_golden(self):
         # recorded with the balance norms on the last shared layer and one
-        # decoder backward per sentence; any change to the training
-        # arithmetic shows up here
+        # backward per length group; any change to the training arithmetic
+        # shows up here
         with open(fixture_path("train_seed1_records.json")) as handle:
             expected = json.load(handle)
         _, records = trainer.train(trainer.TrainConfig(seed=1, epochs=3,
