@@ -42,9 +42,8 @@ def softplus(z: np.ndarray) -> np.ndarray:
 
 
 def bce(logits: np.ndarray, targets: np.ndarray):
-    """Binary cross-entropy on logits: (summed loss, dloss/dlogits)."""
-    loss = float((softplus(logits) - targets * logits).sum())
-    return loss, sigmoid(logits) - targets
+    """Binary cross-entropy on logits, entry by entry: (loss, dloss/dlogits)."""
+    return softplus(logits) - targets * logits, sigmoid(logits) - targets
 
 
 def nll(logits: np.ndarray, gold: int):
@@ -109,8 +108,17 @@ def mos_forward_batch(h: np.ndarray, params: MoSParams):
 
 
 def mos_backward_batch(cache, dprobs: np.ndarray):
-    """Gradient of a scalar through the mixture; returns (grads summed over rows, dh)."""
+    """Gradient of a scalar through the mixture; returns (grads summed over rows, dh).
+
+    The cache and dprobs may carry the forward's leading sentence axes: every
+    sentence's rows then go through as one stack, the grads sum over all of
+    them, and dh keeps the axes.
+    """
+    lead = dprobs.shape[:-1]
     h, params, x, gates, weights, components = cache
+    h, x, gates, weights, components, dprobs = (
+        a.reshape((-1,) + a.shape[len(lead):])
+        for a in (h, x, gates, weights, components, dprobs))
     dcomponents = weights[:, :, None] * dprobs[:, None, :]
     dweights = np.einsum("nkv,nv->nk", components, dprobs)
     dlogits = components * (dcomponents
@@ -130,7 +138,7 @@ def mos_backward_batch(cache, dprobs: np.ndarray):
     dh = dh + dgate_logits @ params.gate_w
     grads = MoSParams(proj_w=dproj_w, proj_b=dproj_b, gate_w=dgate_w,
                       gate_b=dgate_b, out_w=dout_w, out_b=dout_b)
-    return grads, dh
+    return grads, dh.reshape(lead + dh.shape[-1:])
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +200,18 @@ def biaffine_forward(x: np.ndarray, y: np.ndarray, u: np.ndarray):
 
 
 def biaffine_backward(cache, dlogits: np.ndarray):
-    """Returns (du, dx, dy) for upstream gradients on the logits."""
+    """Returns (du, dx, dy) for upstream gradients on the logits.
+
+    With the forward's leading sentence axes, dx and dy keep them and du is
+    the sum over the sentences of each sentence's du, formed as on its own.
+    """
     xa, ya, u = cache
-    dy_side = dlogits @ ya                       # (C, Nx, Dy+1)
-    du = xa.T @ dy_side                          # (C, Dx+1, Dy+1)
-    dxa = (dy_side @ u.transpose(0, 2, 1)).sum(axis=0)
-    dya = (dlogits.transpose(0, 2, 1) @ (xa @ u)).sum(axis=0)
-    return du, dxa[:, :-1], dya[:, :-1]
+    dy_side = dlogits @ ya[..., None, :, :]      # (..., C, Nx, Dy+1)
+    du = (np.swapaxes(xa, -1, -2)[..., None, :, :] @ dy_side
+          ).reshape((-1,) + u.shape).sum(axis=0)  # (C, Dx+1, Dy+1)
+    dxa = (dy_side @ u.transpose(0, 2, 1)).sum(axis=-3)
+    dya = (np.swapaxes(dlogits, -1, -2) @ (xa[..., None, :, :] @ u)).sum(axis=-3)
+    return du, dxa[..., :-1], dya[..., :-1]
 
 
 # ---------------------------------------------------------------------------
@@ -218,20 +231,22 @@ def anchor_loss(head_cache, targets: np.ndarray,
     """Mean binary cross-entropy over the (masked) query/token grid.
 
     Returns (loss, du, dquery_states, dtoken_states).  query_mask selects the
-    rows that participate (queries matched to real nodes).
+    rows that participate (queries matched to real nodes).  The grid may
+    carry the forward's leading sentence axes: each sentence then takes the
+    mean over its own masked rows, a sentence without one gives 0, the loss
+    and du sum over the sentences, and the state grads keep the axes.
     """
     logits, cache = head_cache
     targets = np.asarray(targets, dtype=np.float64)
-    mask = np.ones(logits.shape[0], dtype=bool) if query_mask is None else query_mask
-    count = int(mask.sum()) * logits.shape[1]
-    if count == 0:
-        zero = np.zeros_like
-        return 0.0, zero(cache[2]), zero(cache[0][:, :-1]), zero(cache[1][:, :-1])
+    mask = np.ones(logits.shape[:-1], dtype=bool) if query_mask is None else query_mask
+    # each masked row's divisor: its sentence's masked entries
+    counts = np.broadcast_to(mask.sum(axis=-1, keepdims=True) * logits.shape[-1],
+                             mask.shape)[mask]
     loss, dmasked = bce(logits[mask], targets[mask])
     dlogits = np.zeros_like(logits)
-    dlogits[mask] = dmasked / count
-    du, dx, dy = biaffine_backward(cache, dlogits[None, :, :])
-    return loss / count, du, dx, dy
+    dlogits[mask] = dmasked / counts[:, None]
+    du, dx, dy = biaffine_backward(cache, dlogits[..., None, :, :])
+    return float((loss.sum(axis=-1) / counts).sum()), du, dx, dy
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +261,7 @@ def edge_presence_loss(head_logits: np.ndarray, cache, targets: np.ndarray):
         return 0.0, np.zeros_like(cache[2]), np.zeros((0, cache[0].shape[1] - 1))
     loss, dlogits = bce(logits, targets)
     du, dx, dy = biaffine_backward(cache, dlogits[None, :, :] / count)
-    return loss / count, du, dx + dy
+    return float(loss.sum()) / count, du, dx + dy
 
 
 def edge_label_loss(head_logits: np.ndarray, cache,
@@ -268,7 +283,7 @@ def edge_label_loss(head_logits: np.ndarray, cache,
                 t = np.zeros(num_classes)
                 t[list(labels)] = 1.0
                 pair_loss, grad = bce(head_logits[:, a, b], t)
-                loss += pair_loss
+                loss += float(pair_loss.sum())
                 dlogits[:, a, b] = grad / count
             loss /= count
         else:
@@ -304,7 +319,7 @@ def property_loss(node_states: np.ndarray, w: np.ndarray, b: float,
     if n == 0:
         return 0.0, np.zeros_like(w), 0.0, np.zeros_like(node_states)
     loss, dlogits = bce(logits, targets)
-    return (loss / n,) + _linear_backward(node_states, w, dlogits / n)
+    return (float(loss.sum()) / n,) + _linear_backward(node_states, w, dlogits / n)
 
 
 def top_head(node_states: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:

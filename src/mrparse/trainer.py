@@ -3,9 +3,9 @@
 Every batch is worked through one group of equal-length sentences at a time:
 the group runs encoder -> queries -> decoder block -> heads once, each of
 its sentences aligns its queries to the gold nodes with the
-permutation-invariant matcher and computes the per-task losses against the
-permuted targets, and one backward takes the group's gradients back through
-the network.  The batch then balances the task weights by each task's
+permutation-invariant matcher, the per-task losses are taken against the
+permuted targets (the label and anchor heads' once for the group), and one
+backward takes the group's gradients back through the network.  The batch then balances the task weights by each task's
 gradient norm on the last shared layer (the decoder block's ffn.w2 and
 ffn.b2) and takes a decoupled-weight-decay adaptive step with a two-group
 inverse-square-root learning rate schedule.
@@ -343,8 +343,7 @@ class ForwardPass:
     """Everything one forward leaves for matching, the losses and the backward.
 
     A forward over a group of equal-length sentences gives every array a
-    leading sentence axis (source_tokens, the same for all, excepted);
-    sentences() splits it into one pass per sentence.
+    leading sentence axis (source_tokens, the same for all, excepted).
     """
 
     embeddings: np.ndarray
@@ -358,25 +357,6 @@ class ForwardPass:
     mos_cache: tuple
     anchor_probs: np.ndarray
     anchor_cache: tuple
-
-    def sentences(self, params: dict) -> list["ForwardPass"]:
-        """Per-sentence views of a group pass: each array split on its
-        sentence axis, except source_tokens and the parameters the caches
-        hold."""
-        shared = {id(value) for value in params.values()} | {id(self.source_tokens)}
-        count = self.hidden.shape[0]
-
-        def split(tree) -> list:
-            # one walk per group; zip builds every sentence's tuples at once
-            kind = type(tree)
-            if kind is np.ndarray and id(tree) not in shared:
-                return list(tree)
-            if (kind is tuple or kind is list) and tree:
-                return [kind(parts) for parts in zip(*map(split, tree))]
-            return [tree] * count
-
-        fields = tuple(getattr(self, f.name) for f in dataclasses.fields(self))
-        return [ForwardPass(*row) for row in split(fields)]
 
     def nbytes(self, params: dict) -> int:
         """Bytes of the memory the pass's arrays hold, parameters excluded."""
@@ -397,28 +377,23 @@ def forward_sentence(params: dict, config: TrainConfig, token_ids: np.ndarray,
                      dropped: Optional[np.ndarray] = None) -> ForwardPass:
     """Encoder, queries, decoder block and the label and anchor heads.
 
-    token_ids is one sentence [tokens], or a group of equal-length sentences
-    [sentences, tokens] run once with a leading sentence axis throughout;
-    each sentence's slice equals its own forward bit for bit.  dropped holds
-    the layer-dropout masks of a training forward (model.draw_layer_dropout),
+    token_ids is a group of equal-length sentences [sentences, tokens], run
+    once with a leading sentence axis throughout; each sentence's slice
+    equals its forward as a group of one bit for bit.  dropped holds the
+    layer-dropout masks of a training forward (model.draw_layer_dropout),
     one per sentence; None is the evaluation forward.
     """
-    single = token_ids.ndim == 1
-    if single:
-        token_ids = token_ids[None]
-        dropped = None if dropped is None else dropped[None]
     e, enc_cache = model.encode_forward(params, token_ids, config.encoder_layers,
                                         dropped)
     qstates, source, q_cache = model.queries_forward(params, e)
     hidden, dec_cache = model.block_forward(params, "dec", qstates, memory=e)
     label_probs, mos_cache = heads.mos_forward_batch(hidden, mos_params_view(params))
     anchor_probs, anchor_cache = heads.anchor_head(hidden, e, params["anchor.u"])
-    fwd = ForwardPass(embeddings=e, enc_cache=enc_cache, query_states=qstates,
-                      source_tokens=source, query_cache=q_cache, hidden=hidden,
-                      dec_cache=dec_cache, label_probs=label_probs,
-                      mos_cache=mos_cache, anchor_probs=anchor_probs,
-                      anchor_cache=anchor_cache)
-    return fwd.sentences(params)[0] if single else fwd
+    return ForwardPass(embeddings=e, enc_cache=enc_cache, query_states=qstates,
+                       source_tokens=source, query_cache=q_cache, hidden=hidden,
+                       dec_cache=dec_cache, label_probs=label_probs,
+                       mos_cache=mos_cache, anchor_probs=anchor_probs,
+                       anchor_cache=anchor_cache)
 
 
 def _length_groups(lengths: Sequence[int]) -> dict[int, list[int]]:
@@ -441,28 +416,30 @@ def _length_chunks(lengths: Sequence[int], max_tokens: float) -> Iterator[list[i
 def _cache_token_budget(params: dict, config: TrainConfig, token_ids: np.ndarray,
                         ) -> float:
     """Tokens of forward caches that take the bytes of AdamW's two moments,
-    twice the parameters, at the cache bytes per token of token_ids's
-    forward.  A training step holds the parameters, their gradient sum and
-    the moments anyway, so one group chunk's caches, and the gradients its
-    backward forms from them, stay about that size."""
+    twice the parameters, at the cache bytes per token of the forward of
+    token_ids, one sentence.  A training step holds the parameters, their
+    gradient sum and the moments anyway, so one group chunk's caches, and
+    the gradients its backward forms from them, stay about that size."""
     moments = 2 * sum(value.nbytes for value in params.values())
-    cache = forward_sentence(params, config, token_ids).nbytes(params)
+    cache = forward_sentence(params, config, token_ids[None]).nbytes(params)
     return moments * len(token_ids) / cache
 
 
-def match_queries(config: TrainConfig, fwd: ForwardPass, example: Example,
+def match_queries(config: TrainConfig, fwd: ForwardPass, row: int, example: Example,
                   params: dict) -> matcher.Assignment:
-    """Align queries to gold nodes, breaking ties by the edge loss: the
-    edge-presence plus edge-label loss sentence_losses computes for a perm."""
-    predictions = matcher.PredictionSpec(label_probs=fwd.label_probs,
-                                         anchor_probs=fwd.anchor_probs,
+    """Align the queries of sentence row of the group pass to its gold
+    nodes, breaking ties by the edge loss: the edge-presence plus edge-label
+    loss sentence_losses computes for a perm."""
+    hidden = fwd.hidden[row]
+    predictions = matcher.PredictionSpec(label_probs=fwd.label_probs[row],
+                                         anchor_probs=fwd.anchor_probs[row],
                                          source_tokens=fwd.source_tokens)
     match_config = matcher.MatchConfig(use_anchor_mask=config.use_anchor_mask,
                                        mask_epsilon=config.mask_epsilon)
 
     def edge_nll(perm: tuple[int, ...]) -> float:
         _, sel, node_pos = _matched_nodes(perm, len(example.targets))
-        edge = _edge_losses(params, config, example, fwd.hidden[sel], node_pos)
+        edge = _edge_losses(params, config, example, hidden[sel], node_pos)
         return edge["edge_presence"][0] + edge["edge_label"][0]
 
     return matcher.align_targets(predictions, example.targets, match_config, edge_nll)
@@ -531,91 +508,99 @@ def _edge_losses(params: dict, config: TrainConfig, example: Example,
 
 @dataclass
 class SentenceGrads:
-    """Per-task gradients of one sentence, tasks in config.active_tasks() order.
+    """Per-task gradients of a group pass, tasks in config.active_tasks() order.
 
-    A task without a loss on this sentence has no head grads and a zero row
-    of dhidden.
+    Each head grad sums over the group's sentences; a task without a loss on
+    any of them has no head grads, and one without a loss on a sentence a
+    zero row of dhidden there.
     """
 
     head: dict[str, dict[str, np.ndarray]]     # per task, head parameter grads
-    dhidden: np.ndarray                        # [tasks, queries, dim], wrt decoder out
-    anchor_dmemory: np.ndarray                 # anchor head's own grad wrt embeddings
+    dhidden: np.ndarray                        # [tasks, sentences, queries, dim],
+                                               # wrt decoder out
+    anchor_dmemory: np.ndarray                 # [sentences, tokens, dim], the anchor
+                                               # head's own grad wrt embeddings
 
 
-def sentence_losses(params: dict, config: TrainConfig, example: Example,
-                    fwd: ForwardPass, assignment: matcher.Assignment,
-                    ) -> tuple[dict[str, float], SentenceGrads, list]:
-    """Per-task losses and head gradients for one sentence given the
-    query/node assignment.
+def sentence_losses(params: dict, config: TrainConfig, examples: Sequence[Example],
+                    fwd: ForwardPass, assignments: Sequence[matcher.Assignment],
+                    ) -> tuple[dict[str, float], SentenceGrads]:
+    """Per-task losses, each summed over the sentences of a group pass, and
+    their gradients, given each sentence's query/node assignment.
 
-    Queries matched to null targets contribute only the label loss.  Returns
-    (losses, grads, pairing) where pairing lists (query, NodeTarget or None);
-    add_head_grads sums grads.head and backward_sentence takes grads.dhidden
-    and grads.anchor_dmemory on through the network.
+    examples and assignments follow the pass's sentence axis.  Queries
+    matched to null targets contribute only the label loss.  The label and
+    anchor heads take their losses and backward once for the group, each
+    sentence keeping its own mean; the edge, property and top losses are
+    taken sentence by sentence.  add_head_grads sums grads.head and
+    backward_sentence takes grads.dhidden and grads.anchor_dmemory on
+    through the network.
     """
-    num_queries = fwd.hidden.shape[0]
-    num_targets = len(example.targets)
-    pairing = [(query, example.targets[target] if target < num_targets else None)
-               for query, target in enumerate(assignment.perm)]
-
+    num_sentences, num_queries = fwd.hidden.shape[:2]
     losses: dict[str, float] = {}
     head: dict[str, dict[str, np.ndarray]] = {}
     row = {task: k for k, task in enumerate(config.active_tasks())}
     dhidden = np.zeros((len(row),) + fwd.hidden.shape)
 
-    # label loss over every query (null queries get the null class target)
-    null_target = rules.build_rule_target((), len(fwd.label_probs[0]) - 1,
-                                          config.label_smoothing, is_null=True)
-    target_matrix = np.stack([node.target_smoothed if node is not None else null_target
-                              for _, node in pairing])
-    loss_label, dprob_matrix = heads.label_loss(fwd.label_probs, target_matrix,
-                                                config.focal_gamma)
-    losses["label"] = loss_label
+    # every query's targets: a matched query takes its node's, a null query
+    # the null class and no anchor loss
+    num_classes = fwd.label_probs.shape[-1]
+    label_targets = np.empty_like(fwd.label_probs)
+    label_targets[...] = rules.build_rule_target((), num_classes - 1,
+                                                 config.label_smoothing, is_null=True)
+    anchor_targets = np.zeros_like(fwd.anchor_probs)
+    mask = np.zeros((num_sentences, num_queries), dtype=bool)
+    for s, (example, assignment) in enumerate(zip(examples, assignments)):
+        for query, target in enumerate(assignment.perm):
+            if target < len(example.targets):
+                node = example.targets[target]
+                mask[s, query] = True
+                label_targets[s, query] = node.target_smoothed
+                anchor_targets[s, query] = node.anchor_vector
+
+    # label loss over every query: every sentence has num_queries rows, so the
+    # mean over the group's rows times the sentences sums each sentence's mean
+    loss, dprobs = heads.label_loss(fwd.label_probs.reshape(-1, num_classes),
+                                    label_targets.reshape(-1, num_classes),
+                                    config.focal_gamma)
+    losses["label"] = loss * num_sentences
     mos_grads, dhidden[row["label"]] = heads.mos_backward_batch(
-        fwd.mos_cache, dprob_matrix / num_queries)
+        fwd.mos_cache, dprobs.reshape(fwd.label_probs.shape) / num_queries)
     head["label"] = {f"label.{name}": getattr(mos_grads, name) for name in MOS_FIELDS}
 
     # anchor loss over queries matched to real nodes
-    anchor_targets = np.zeros_like(fwd.anchor_probs)
-    mask = np.zeros(num_queries, dtype=bool)
-    for query, node in pairing:
-        if node is not None:
-            mask[query] = True
-            anchor_targets[query] = node.anchor_vector
     losses["anchor"], du, dhidden[row["anchor"]], anchor_dmemory = heads.anchor_loss(
         fwd.anchor_cache, anchor_targets, mask)
     head["anchor"] = {"anchor.u": du}
 
-    # the other heads see only the matched queries, sel (no repeats)
-    order, sel, node_pos = _matched_nodes(assignment.perm, num_targets)
-    states = fwd.hidden[sel]
-    m = len(sel)
+    # the other heads see only a sentence's matched queries, sel (no repeats)
+    def add(task: str, s: int, sel: list[int], loss: float, grads: dict,
+            dstates: np.ndarray):
+        losses[task] = losses.get(task, 0.0) + loss
+        dhidden[row[task], s, sel] = dstates
+        for key, grad in grads.items():
+            model.add_grad(head.setdefault(task, {}), key, grad)
 
-    for task, (loss, grads, dstates) in _edge_losses(params, config, example, states,
-                                                     node_pos).items():
-        losses[task] = loss
-        dhidden[row[task], sel] = dstates
-        head[task] = grads
+    for s, (example, assignment) in enumerate(zip(examples, assignments)):
+        order, sel, node_pos = _matched_nodes(assignment.perm, len(example.targets))
+        states = fwd.hidden[s, sel]
+        for task, (loss, grads, dstates) in _edge_losses(params, config, example,
+                                                         states, node_pos).items():
+            add(task, s, sel, loss, grads, dstates)
+        if "property" in row:
+            prop_targets = np.array([1.0 if example.targets[j].is_property else 0.0
+                                     for j in order])
+            loss, dw, db, dstates = heads.property_loss(
+                states, params["prop.w"], float(params["prop.b"]), prop_targets)
+            add("property", s, sel, loss, {"prop.w": dw, "prop.b": np.array(db)},
+                dstates)
+        if "top" in row and example.top_index is not None and sel:
+            loss, dw, db, dstates = heads.top_loss(states, params["top.w"],
+                                                   float(params["top.b"]),
+                                                   node_pos[example.top_index])
+            add("top", s, sel, loss, {"top.w": dw, "top.b": np.array(db)}, dstates)
 
-    if "property" in row:
-        prop_targets = np.array([1.0 if example.targets[j].is_property else 0.0
-                                 for j in order])
-        loss, dw, db, dstates = heads.property_loss(states, params["prop.w"],
-                                                    float(params["prop.b"]), prop_targets)
-        losses["property"] = loss
-        dhidden[row["property"], sel] = dstates
-        head["property"] = {"prop.w": dw, "prop.b": np.array(db)}
-
-    if "top" in row and example.top_index is not None and m > 0:
-        gold = node_pos[example.top_index]
-        loss, dw, db, dstates = heads.top_loss(states, params["top.w"],
-                                               float(params["top.b"]), gold)
-        losses["top"] = loss
-        dhidden[row["top"], sel] = dstates
-        head["top"] = {"top.w": dw, "top.b": np.array(db)}
-
-    grads = SentenceGrads(head=head, dhidden=dhidden, anchor_dmemory=anchor_dmemory)
-    return losses, grads, pairing
+    return losses, SentenceGrads(head=head, dhidden=dhidden, anchor_dmemory=anchor_dmemory)
 
 
 def add_head_grads(grads: SentenceGrads, weights: dict[str, float], scale: float,
@@ -637,12 +622,12 @@ def backward_sentence(params: dict, config: TrainConfig, fwd: ForwardPass,
     into total_grads, through one decoder backward on the weighted sum of
     the task gradients.
 
-    fwd is one sentence's pass or a group pass.  dhidden, [tasks, queries,
-    dim] a sentence, and anchor_dmemory, [tokens, dim] a sentence (the
-    SentenceGrads fields), carry the pass's sentence axis after the task
-    axis, and every grad sums over the sentences.  Each task's unweighted
-    grads of the last shared layer (model.ffn_out_grads, [tasks, *shape]
-    per key), times scale, go into task_sums for the balance norms."""
+    fwd is a group pass (or one sentence's 2-D slice of one).  dhidden and
+    anchor_dmemory (the SentenceGrads fields) carry the pass's sentence axis
+    after the task axis, and every grad sums over the sentences.  Each
+    task's unweighted grads of the last shared layer (model.ffn_out_grads,
+    [tasks, *shape] per key), times scale, go into task_sums for the balance
+    norms."""
     for key, grad in model.ffn_out_grads("dec", fwd.dec_cache, dhidden).items():
         model.add_grad(task_sums, key, grad, scale)
     dy = sum(weights[task] * dhidden[row]
@@ -767,6 +752,10 @@ def prepare(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
     applicable = {}
     examples = [build_example(g, pre, trace, meta, applicable)
                 for g, (pre, trace) in zip(train_graphs, gold)]
+    for example in examples:
+        if not len(example.token_ids):
+            raise TrainError(f"training graph {example.gold.id} has no tokens, so no "
+                             f"queries to train on")
     return meta, examples, train_graphs, eval_graphs, problem
 
 
@@ -808,28 +797,19 @@ def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
                                               config.layer_dropout)
                      for _ in batch] if config.layer_dropout > 0.0 else None
             for chunk in _length_chunks([len(e.token_ids) for e in batch], max_tokens):
+                group = [batch[p] for p in chunk]
                 fwd = forward_sentence(
-                    params, config, np.stack([batch[p].token_ids for p in chunk]),
+                    params, config, np.stack([e.token_ids for e in group]),
                     None if masks is None else np.stack([masks[p] for p in chunk]))
-                # the heads' grads are summed as each sentence gives them, so a
-                # group does not hold them all at once (peak memory); only the
-                # grads wrt the decoder output and embeddings wait for the
-                # group backward
-                dhidden = np.empty((len(tasks),) + fwd.hidden.shape)
-                anchor_dmemory = np.empty_like(fwd.embeddings)
-                for row, (position, sentence) in enumerate(zip(chunk,
-                                                               fwd.sentences(params))):
-                    example = batch[position]
-                    assignment = match_queries(config, sentence, example, params)
+                assignments = [match_queries(config, fwd, row, example, params)
+                               for row, example in enumerate(group)]
+                for assignment in assignments:
                     epoch_warnings.update(assignment.warnings)
-                    losses, grads, _ = sentence_losses(params, config, example, sentence,
-                                                       assignment)
-                    add_head_grads(grads, state.weights, scale, total_grads)
-                    dhidden[:, row] = grads.dhidden
-                    anchor_dmemory[row] = grads.anchor_dmemory
-                    for task, loss in losses.items():
-                        task_losses[task] += loss * scale
-                backward_sentence(params, config, fwd, dhidden, anchor_dmemory,
+                losses, grads = sentence_losses(params, config, group, fwd, assignments)
+                add_head_grads(grads, state.weights, scale, total_grads)
+                for task, loss in losses.items():
+                    task_losses[task] += loss * scale
+                backward_sentence(params, config, fwd, grads.dhidden, grads.anchor_dmemory,
                                   state.weights, scale, total_grads, task_sums)
             if not all(np.isfinite(v).all() for v in total_grads.values()):
                 raise DivergenceError(f"non-finite gradients at step {step}")

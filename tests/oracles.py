@@ -13,25 +13,28 @@ enumerator reference searches the whole label for every strip pair, and the
 layer-norm reference takes its means with ndarray.mean, and the sentence
 backward reference runs the decoder block backward once per task and sums
 the weighted results, and the group backward reference runs the
-per-sentence backward that preceded it once per sentence of the group.
+per-sentence backward that preceded it once per sentence of the group, and
+the sentence-loss reference takes the label and anchor losses and their
+backward one sentence at a time, as the trainer did before the group losses.
 The rule-order key spells the canonical order out field by field instead
 of comparing tuples.  The reference graph parser is
 the per-node, per-edge and per-token helper version that preceded the
 one-pass parse_graph, kept as it was.
-The brute-force hitting set, the loss bundle, the sentence total loss and
-the one-query label head loss serve only the tests.
+The brute-force hitting set, the loss bundle, the sentence total loss, the
+one-query label head loss and the per-sentence views of a group pass serve
+only the tests.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from mrparse import heads, model, trainer
+from mrparse import heads, model, rules, trainer
 from mrparse.graph import (FRAMEWORKS, Anchor, Edge, Graph, GraphParseError,
                            GraphSchemaError, Node, Token, graph_tokens)
 from mrparse.heads import HeadError
@@ -648,17 +651,115 @@ def total_loss(bundle: LossBundle) -> float:
     return float(sum(bundle.weights[t] * loss for t, loss in sorted(bundle.losses.items())))
 
 
+def pairing(example, assignment) -> list:
+    """(query, NodeTarget or None) for every query of one sentence."""
+    num_targets = len(example.targets)
+    return [(query, example.targets[target] if target < num_targets else None)
+            for query, target in enumerate(assignment.perm)]
+
+
 def sentence_total_loss(params: dict, config, example,
                         weights: Optional[dict[str, float]] = None,
                         ) -> tuple[float, list]:
-    """Total loss of one sentence, gradients discarded; used by invariance checks."""
-    fwd = trainer.forward_sentence(params, config, example.token_ids)
-    assignment = trainer.match_queries(config, fwd, example, params)
-    losses, _, pairing = trainer.sentence_losses(params, config, example, fwd,
-                                                 assignment)
+    """Total loss of one sentence through a group of one, gradients
+    discarded; used by invariance checks."""
+    fwd = trainer.forward_sentence(params, config, example.token_ids[None])
+    assignment = trainer.match_queries(config, fwd, 0, example, params)
+    losses, _ = trainer.sentence_losses(params, config, [example], fwd, [assignment])
     weights = weights or {t: 1.0 for t in losses}
     total = total_loss(LossBundle(losses=losses, weights=weights))
-    return total, pairing
+    return total, pairing(example, assignment)
+
+
+def sentence_passes(fwd, params: dict) -> list:
+    """Per-sentence views of a group pass: each array split on its sentence
+    axis, except source_tokens and the parameters the caches hold."""
+    shared = {id(value) for value in params.values()} | {id(fwd.source_tokens)}
+    count = fwd.hidden.shape[0]
+
+    def split(tree) -> list:
+        kind = type(tree)
+        if kind is np.ndarray and id(tree) not in shared:
+            return list(tree)
+        if (kind is tuple or kind is list) and tree:
+            return [kind(parts) for parts in zip(*map(split, tree))]
+        return [tree] * count
+
+    arrays = tuple(getattr(fwd, f.name) for f in fields(fwd))
+    return [trainer.ForwardPass(*row) for row in split(arrays)]
+
+
+def reference_sentence_losses(params: dict, config, example, fwd, assignment,
+                              ) -> tuple[dict[str, float], trainer.SentenceGrads, list]:
+    """trainer.sentence_losses as it was before the group losses: one
+    sentence's 2-D pass (a sentence_passes view), its label and anchor
+    losses and their backward taken on their own.  Returns (losses, grads,
+    pairing), grads.dhidden [tasks, queries, dim]."""
+    num_queries = fwd.hidden.shape[0]
+    num_targets = len(example.targets)
+    pairing = [(query, example.targets[target] if target < num_targets else None)
+               for query, target in enumerate(assignment.perm)]
+
+    losses: dict[str, float] = {}
+    head: dict[str, dict[str, np.ndarray]] = {}
+    row = {task: k for k, task in enumerate(config.active_tasks())}
+    dhidden = np.zeros((len(row),) + fwd.hidden.shape)
+
+    # label loss over every query (null queries get the null class target)
+    null_target = rules.build_rule_target((), len(fwd.label_probs[0]) - 1,
+                                          config.label_smoothing, is_null=True)
+    target_matrix = np.stack([node.target_smoothed if node is not None else null_target
+                              for _, node in pairing])
+    loss_label, dprob_matrix = heads.label_loss(fwd.label_probs, target_matrix,
+                                                config.focal_gamma)
+    losses["label"] = loss_label
+    mos_grads, dhidden[row["label"]] = heads.mos_backward_batch(
+        fwd.mos_cache, dprob_matrix / num_queries)
+    head["label"] = {f"label.{name}": getattr(mos_grads, name)
+                     for name in trainer.MOS_FIELDS}
+
+    # anchor loss over queries matched to real nodes
+    anchor_targets = np.zeros_like(fwd.anchor_probs)
+    mask = np.zeros(num_queries, dtype=bool)
+    for query, node in pairing:
+        if node is not None:
+            mask[query] = True
+            anchor_targets[query] = node.anchor_vector
+    losses["anchor"], du, dhidden[row["anchor"]], anchor_dmemory = heads.anchor_loss(
+        fwd.anchor_cache, anchor_targets, mask)
+    head["anchor"] = {"anchor.u": du}
+
+    # the other heads see only the matched queries, sel (no repeats)
+    order, sel, node_pos = trainer._matched_nodes(assignment.perm, num_targets)
+    states = fwd.hidden[sel]
+    m = len(sel)
+
+    for task, (loss, grads, dstates) in trainer._edge_losses(
+            params, config, example, states, node_pos).items():
+        losses[task] = loss
+        dhidden[row[task], sel] = dstates
+        head[task] = grads
+
+    if "property" in row:
+        prop_targets = np.array([1.0 if example.targets[j].is_property else 0.0
+                                 for j in order])
+        loss, dw, db, dstates = heads.property_loss(states, params["prop.w"],
+                                                    float(params["prop.b"]), prop_targets)
+        losses["property"] = loss
+        dhidden[row["property"], sel] = dstates
+        head["property"] = {"prop.w": dw, "prop.b": np.array(db)}
+
+    if "top" in row and example.top_index is not None and m > 0:
+        gold = node_pos[example.top_index]
+        loss, dw, db, dstates = heads.top_loss(states, params["top.w"],
+                                               float(params["top.b"]), gold)
+        losses["top"] = loss
+        dhidden[row["top"], sel] = dstates
+        head["top"] = {"top.w": dw, "top.b": np.array(db)}
+
+    grads = trainer.SentenceGrads(head=head, dhidden=dhidden,
+                                  anchor_dmemory=anchor_dmemory)
+    return losses, grads, pairing
 
 
 def label_head_loss(h: np.ndarray, params, target: np.ndarray, gamma: float):
@@ -726,7 +827,7 @@ def reference_group_backward(params: dict, config, fwd, dhidden: np.ndarray,
     anchor_dmemory [sentences, tokens, dim].  Returns (total grads, task sums)."""
     total: dict = {}
     task_sums: dict = {}
-    for row, sentence in enumerate(fwd.sentences(params)):
+    for row, sentence in enumerate(sentence_passes(fwd, params)):
         grads = trainer.SentenceGrads(head={}, dhidden=dhidden[:, row],
                                       anchor_dmemory=anchor_dmemory[row])
         per_sentence_backward(params, config, sentence, grads, weights, scale,

@@ -360,9 +360,10 @@ class TestTrainPredict:
         assert out_path.read_text() == expected
 
     def test_train_predict_bytes_pinned(self, tmp_path, capsys):
-        # recorded with the balance norms on the last shared layer and one
-        # backward per length group: the training arithmetic, the checkpoint
-        # bytes and decoding, each pinned on its own
+        # recorded with the balance norms on the last shared layer, one
+        # backward and one label and anchor head pass per length group: the
+        # training arithmetic, the checkpoint bytes and decoding, each pinned
+        # on its own
         config = tmp_path / "pin.cfg"
         config.write_text("corpus_size = 150\nepochs = 2\n")
         paths = {name: tmp_path / name for name in ("m.jsonl", "model.ckpt", "pred.jsonl")}
@@ -381,8 +382,8 @@ class TestTrainPredict:
         digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                    for name, path in paths.items()}
         assert digests == {
-            "m.jsonl": "592d3d9b8c7ae30bf8a1472e3e79ae471f63eeb65b369310d86a07fca48b098d",
-            "model.ckpt": "aa781af1a86e903d6dcd1706265aed73b4423fbddc0439842048cd953fcc2c5c",
+            "m.jsonl": "aef2f7dc15c6dd778a7b1dba9ea88477c202ef8c3ad4f6baf0a37b0d0eca46f0",
+            "model.ckpt": "4ac5a92e477ab7bdde39227ed5599048c9138e6b0bf20e186ceb99327476f339",
             "pred.jsonl": "075bd7cdd054e5c5777fc14cc69c869f510e6503a78625cbf06e1270aff95d43"}
 
     @pytest.mark.parametrize("line", ["stop_when = 3", 'stop_when = {"f1": 0.9}',
@@ -476,6 +477,28 @@ class TestTrainPredict:
         assert json.loads(err) == {
             "error": "data", "message": "eval_fraction 0.2 holds out every graph of a "
                                         "1-graph corpus, leaving none to train on"}
+        assert out_path.read_text() == ""
+
+    def test_graph_without_tokens_is_data_error(self, tmp_path, capsys):
+        # validate accepts the empty graph; training cannot use it
+        from mrparse.corpus import synth_corpus
+        from mrparse.graph import serialize_graph
+        empty = '{"id":"no-tokens","flavor":1,"framework":"eds","input":"","nodes":[],"edges":[]}'
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join([empty] + [serialize_graph(g)
+                                               for g in synth_corpus(5, 11)]) + "\n")
+        code, out, _ = run_cli(["validate", "--input", str(corpus)], capsys)
+        assert code == 0 and "validated 12 graphs, 0 violations" in out
+        config = tmp_path / "toy.cfg"
+        config.write_text("dim = 16\nffn_dim = 24\nepochs = 1\n")
+        out_path = tmp_path / "m.jsonl"
+        code, out, err = run_cli(["train-toy", "--input", str(corpus),
+                                  "--config", str(config), "--output", str(out_path)],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "data", "message": "training graph no-tokens "
+                                   "has no tokens, so no queries to train on"}
         assert out_path.read_text() == ""
 
     def test_predict_requires_checkpoint(self, tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mrparse import corpus, model, scorer, trainer
-from mrparse.graph import serialize_graph
+from mrparse.graph import Graph, serialize_graph
 from conftest import fixture_path
 import oracles
 
@@ -98,14 +98,58 @@ def tiny_setup():
     return config, meta, examples, params
 
 
+def assert_group_matches_finite_differences(config, params, group, rng):
+    """sentence_losses, add_head_grads and backward_sentence on the
+    evaluation forward of group against central differences of the weighted
+    total loss sum_t w_t loss_t, at fixed assignments."""
+    tasks = config.active_tasks()
+    weights = {t: float(rng.uniform(0.5, 2.0)) for t in tasks}
+    token_ids = np.stack([e.token_ids for e in group])
+    fwd = trainer.forward_sentence(params, config, token_ids)
+    assignments = [trainer.match_queries(config, fwd, row, example, params)
+                   for row, example in enumerate(group)]
+    losses, grads = trainer.sentence_losses(params, config, group, fwd, assignments)
+    assert set(losses) == set(tasks)
+    total_grads = {}
+    trainer.add_head_grads(grads, weights, 1.0, total_grads)
+    trainer.backward_sentence(params, config, fwd, grads.dhidden,
+                              grads.anchor_dmemory, weights, 1.0, total_grads, {})
+    assert set(total_grads) == set(params)
+
+    def weighted_loss(key, value):
+        moved = {**params, key: value}
+        fwd = trainer.forward_sentence(moved, config, token_ids)
+        losses, _ = trainer.sentence_losses(moved, config, group, fwd, assignments)
+        return sum(weights[t] * losses[t] for t in tasks)
+
+    step = 1e-5
+    for key, base in params.items():
+        analytic = np.asarray(total_grads[key])
+        # the largest entry, so every key checks a nonzero gradient when it
+        # has one (most emb rows belong to other tokens), plus random ones
+        sampled = {np.unravel_index(np.abs(analytic).argmax(), base.shape)}
+        sampled |= {tuple(int(rng.integers(n)) for n in base.shape)
+                    for _ in range(3)}
+        for idx in sampled:
+            plus, minus = base.copy(), base.copy()
+            plus[idx] += step
+            minus[idx] -= step
+            numeric = (weighted_loss(key, plus)
+                       - weighted_loss(key, minus)) / (2.0 * step)
+            # top.b's analytic grad is exactly 0: the node softmax is
+            # shift-invariant, so numeric there is rounding noise
+            assert abs(analytic[idx] - numeric) <= 1e-8 + 1e-5 * abs(numeric), \
+                (key, idx, analytic[idx], numeric)
+
+
 class TestSentencePass:
     def test_loss_reasonable_and_finite(self, tiny_setup):
         config, meta, examples, params = tiny_setup
         example = examples[0]
-        fwd = trainer.forward_sentence(params, config, example.token_ids)
-        assignment = trainer.match_queries(config, fwd, example, params)
-        losses, grads, pairing = trainer.sentence_losses(params, config, example,
-                                                         fwd, assignment)
+        fwd = trainer.forward_sentence(params, config, example.token_ids[None])
+        assignment = trainer.match_queries(config, fwd, 0, example, params)
+        losses, grads = trainer.sentence_losses(params, config, [example], fwd,
+                                                [assignment])
         for value in losses.values():
             assert np.isfinite(value) and value >= 0.0
         assert grads is not None
@@ -113,22 +157,23 @@ class TestSentencePass:
     def test_null_queries_only_contribute_label_loss(self, tiny_setup):
         config, meta, examples, params = tiny_setup
         example = examples[0]
-        fwd = trainer.forward_sentence(params, config, example.token_ids)
-        assignment = trainer.match_queries(config, fwd, example, params)
-        losses, grads, pairing = trainer.sentence_losses(params, config, example,
-                                                         fwd, assignment)
-        null_queries = [q for q, node in pairing if node is None]
+        fwd = trainer.forward_sentence(params, config, example.token_ids[None])
+        assignment = trainer.match_queries(config, fwd, 0, example, params)
+        losses, grads = trainer.sentence_losses(params, config, [example], fwd,
+                                                [assignment])
+        null_queries = [q for q, node in oracles.pairing(example, assignment)
+                        if node is None]
         assert null_queries, "expected more queries than gold nodes"
         # every head except the label head must have exactly zero gradient
         # on the hidden states of null-matched queries
         tasks = config.active_tasks()
         for task in ("anchor", "edge_presence", "edge_label", "property", "top"):
             assert task in losses
-            dhidden = grads.dhidden[tasks.index(task)]
+            dhidden = grads.dhidden[tasks.index(task), 0]
             for q in null_queries:
                 assert np.abs(dhidden[q]).max() == 0.0, task
         # the label head does push null queries (toward the null class)
-        assert any(np.abs(grads.dhidden[tasks.index("label")][q]).max() > 0.0
+        assert any(np.abs(grads.dhidden[tasks.index("label"), 0][q]).max() > 0.0
                    for q in null_queries)
 
     def test_permutation_invariance_small(self, tiny_setup):
@@ -167,63 +212,40 @@ class TestSentencePass:
             return align_targets(predictions, targets, config, recorded)
 
         monkeypatch.setattr(matcher, "align_targets", capture)
-        fwd = trainer.forward_sentence(params, config, tied.token_ids)
-        kept = trainer.match_queries(config, fwd, tied, params)
+        fwd = trainer.forward_sentence(params, config, tied.token_ids[None])
+        kept = trainer.match_queries(config, fwd, 0, tied, params)
         assert len(set(seen.values())) >= 2
         for perm, loss in seen.items():
-            losses, _, _ = trainer.sentence_losses(
-                params, config, tied, fwd, matcher.Assignment(perm, kept.score))
+            losses, _ = trainer.sentence_losses(
+                params, config, [tied], fwd, [matcher.Assignment(perm, kept.score)])
             assert loss == losses["edge_presence"] + losses["edge_label"]
         assert seen[kept.perm] == min(seen.values()) < max(seen.values())
 
     def test_sentence_backward_matches_finite_differences(self):
         # the composition train runs: sentence_losses, then add_head_grads and
         # backward_sentence, against central differences of sum_t w_t loss_t
-        # over the fixed assignment, on the evaluation forward
+        # over the fixed assignment, on the evaluation forward of a group of one
         config = tiny_config(dim=8, ffn_dim=12, use_attribute_head=True)
         meta, examples, _, _, _ = trainer.prepare(
             config, corpus.synth_corpus(2, config.corpus_size))
         params = trainer.init_model(meta, np.random.default_rng(0))
         example = next(e for e in examples if e.top_index is not None)
-        tasks = config.active_tasks()
-        rng = np.random.default_rng(41)
-        weights = {t: float(rng.uniform(0.5, 2.0)) for t in tasks}
-        fwd = trainer.forward_sentence(params, config, example.token_ids)
-        assignment = trainer.match_queries(config, fwd, example, params)
-        losses, grads, _ = trainer.sentence_losses(params, config, example, fwd,
-                                                   assignment)
-        assert set(losses) == set(tasks)
-        total_grads = {}
-        trainer.add_head_grads(grads, weights, 1.0, total_grads)
-        trainer.backward_sentence(params, config, fwd, grads.dhidden,
-                                  grads.anchor_dmemory, weights, 1.0, total_grads, {})
-        assert set(total_grads) == set(params)
+        assert_group_matches_finite_differences(config, params, [example],
+                                                np.random.default_rng(41))
 
-        def weighted_loss(key, value):
-            moved = {**params, key: value}
-            fwd = trainer.forward_sentence(moved, config, example.token_ids)
-            losses, _, _ = trainer.sentence_losses(moved, config, example, fwd,
-                                                   assignment)
-            return sum(weights[t] * losses[t] for t in tasks)
-
-        step = 1e-5
-        for key, base in params.items():
-            analytic = np.asarray(total_grads[key])
-            # the largest entry, so every key checks a nonzero gradient when it
-            # has one (most emb rows belong to other tokens), plus random ones
-            sampled = {np.unravel_index(np.abs(analytic).argmax(), base.shape)}
-            sampled |= {tuple(int(rng.integers(n)) for n in base.shape)
-                        for _ in range(3)}
-            for idx in sampled:
-                plus, minus = base.copy(), base.copy()
-                plus[idx] += step
-                minus[idx] -= step
-                numeric = (weighted_loss(key, plus)
-                           - weighted_loss(key, minus)) / (2.0 * step)
-                # top.b's analytic grad is exactly 0: the node softmax is
-                # shift-invariant, so numeric there is rounding noise
-                assert abs(analytic[idx] - numeric) <= 1e-8 + 1e-5 * abs(numeric), \
-                    (key, idx, analytic[idx], numeric)
+    def test_group_of_three_matches_finite_differences(self):
+        # the same check on a group, so the sentence axis of the group losses
+        # is held to numbers, not only to the per-sentence reference
+        config = tiny_config(dim=8, ffn_dim=12, use_attribute_head=True)
+        meta, examples, _, _, _ = trainer.prepare(
+            config, corpus.synth_corpus(2, config.corpus_size))
+        params = trainer.init_model(meta, np.random.default_rng(0))
+        lengths = [len(e.token_ids) for e in examples]
+        length = max(set(lengths), key=lengths.count)
+        group = [e for e in examples if len(e.token_ids) == length][:3]
+        assert len(group) == 3 and any(e.top_index is not None for e in group)
+        assert_group_matches_finite_differences(config, params, group,
+                                                np.random.default_rng(45))
 
     def test_one_decoder_backward_matches_per_task_reference(self):
         # fixed weights: the weighted sum through one decoder backward equals
@@ -238,17 +260,21 @@ class TestSentencePass:
         weights = {t: float(rng.uniform(0.5, 2.0)) for t in tasks}
         scale = 0.25
         for example in examples[:6]:
-            fwd = trainer.forward_sentence(params, config, example.token_ids)
-            assignment = trainer.match_queries(config, fwd, example, params)
-            _, grads, _ = trainer.sentence_losses(params, config, example, fwd,
-                                                  assignment)
+            fwd = trainer.forward_sentence(params, config, example.token_ids[None])
+            assignment = trainer.match_queries(config, fwd, 0, example, params)
+            _, grads = trainer.sentence_losses(params, config, [example], fwd,
+                                               [assignment])
             total_grads, task_sums = {}, {}
             trainer.add_head_grads(grads, weights, scale, total_grads)
             trainer.backward_sentence(params, config, fwd, grads.dhidden,
                                       grads.anchor_dmemory, weights, scale,
                                       total_grads, task_sums)
+            # the reference takes the sentence's 2-D pass and grads
+            sentence = oracles.sentence_passes(fwd, params)[0]
             want, per_task = oracles.reference_backward_sentence(
-                params, config, fwd, grads, weights, scale)
+                params, config, sentence, trainer.SentenceGrads(
+                    head=grads.head, dhidden=grads.dhidden[:, 0],
+                    anchor_dmemory=grads.anchor_dmemory[0]), weights, scale)
             assert set(total_grads) == set(want) == set(params)
             # the key biases' grads are zero up to rounding (softmax is
             # shift-invariant), so they are held to the largest entry
@@ -292,12 +318,13 @@ class TestGroupForward:
             # drawn in sentence order, at a rate that drops layers often
             dropped = np.stack([model.draw_layer_dropout(
                 rng, config.encoder_layers + 1, 0.5) for _ in range(size)]) if train else None
-            passes = trainer.forward_sentence(params, config, token_ids,
-                                              dropped).sentences(params)
+            passes = oracles.sentence_passes(
+                trainer.forward_sentence(params, config, token_ids, dropped), params)
             assert len(passes) == size
             for i, fwd in enumerate(passes):
-                alone = trainer.forward_sentence(
-                    params, config, token_ids[i], None if dropped is None else dropped[i])
+                alone = oracles.sentence_passes(trainer.forward_sentence(
+                    params, config, token_ids[i:i + 1],
+                    None if dropped is None else dropped[i:i + 1]), params)[0]
                 assert fwd.hidden.shape == (length * config.queries_per_token, config.dim)
                 assert_bit_equal(fwd, alone, f"size {size} length {length} row {i}")
 
@@ -344,12 +371,66 @@ class TestGroupForward:
             if size == 1:
                 # a group of one is the 2-D call on its one sentence, bit for bit
                 alone, alone_sums = {}, {}
-                trainer.backward_sentence(params, config, fwd.sentences(params)[0],
+                trainer.backward_sentence(params, config,
+                                          oracles.sentence_passes(fwd, params)[0],
                                           dhidden[:, 0], anchor_dmemory[0], weights,
                                           scale, alone, alone_sums)
                 for got, expected in ((total_grads, alone), (task_sums, alone_sums)):
                     assert set(got) == set(expected)
                     assert all(np.array_equal(got[key], expected[key]) for key in got)
+
+    @pytest.mark.parametrize("multilabel", [False, True])
+    def test_group_losses_equal_per_sentence_reference(self, multilabel):
+        # one head pass over a group against the per-sentence losses that
+        # preceded it, run on each sentence's view and summed in group order
+        config = tiny_config(use_attribute_head=True, edge_multilabel=multilabel)
+        meta, examples, _, _, _ = trainer.prepare(
+            config, corpus.synth_corpus(2, config.corpus_size))
+        params = trainer.init_model(meta, np.random.default_rng(0))
+        rng = np.random.default_rng(53 + multilabel)
+        for size in range(1, 14):
+            length = int(rng.integers(1, 9))
+            group = [resized_example(examples[int(rng.integers(len(examples)))], length)
+                     for _ in range(size)]
+            if size % 2:
+                # a sentence with no matched query: label loss only
+                group[int(rng.integers(size))] = resized_example(examples[0], length, 0)
+            fwd = trainer.forward_sentence(params, config,
+                                           np.stack([e.token_ids for e in group]))
+            assignments = [trainer.match_queries(config, fwd, row, example, params)
+                           for row, example in enumerate(group)]
+            losses, grads = trainer.sentence_losses(params, config, group, fwd,
+                                                    assignments)
+            want_losses, want_head = {}, {}
+            want_dhidden = np.zeros_like(grads.dhidden)
+            want_dmemory = np.zeros_like(grads.anchor_dmemory)
+            for row, sentence in enumerate(oracles.sentence_passes(fwd, params)):
+                one_losses, one_grads, _ = oracles.reference_sentence_losses(
+                    params, config, group[row], sentence, assignments[row])
+                for task, loss in one_losses.items():
+                    want_losses[task] = want_losses.get(task, 0.0) + loss
+                for task, head in one_grads.head.items():
+                    for key, grad in head.items():
+                        model.add_grad(want_head.setdefault(task, {}), key, grad.copy())
+                want_dhidden[:, row] = one_grads.dhidden
+                want_dmemory[row] = one_grads.anchor_dmemory
+            where = f"size {size} length {length}"
+            assert set(losses) == set(want_losses), where
+            for task, want in want_losses.items():
+                assert abs(losses[task] - want) <= 1e-12 * abs(want), (where, task)
+            assert {t: set(h) for t, h in grads.head.items()} == \
+                {t: set(h) for t, h in want_head.items()}, where
+            # each array held to its own largest entry, as in
+            # test_group_backward_equals_per_sentence_sum
+            arrays = [(f"{task} {key}", grads.head[task][key], want)
+                      for task, head in want_head.items() for key, want in head.items()]
+            arrays += [(f"dhidden {task}", grads.dhidden[row], want_dhidden[row])
+                       for row, task in enumerate(config.active_tasks())]
+            arrays.append(("anchor_dmemory", grads.anchor_dmemory, want_dmemory))
+            for name, got, want in arrays:
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12 * np.abs(want).max(),
+                                           err_msg=f"{where} {name}")
 
     def test_grouped_predict_and_evaluate_equal_per_sentence(self):
         trained, _ = trainer.train(tiny_config())
@@ -364,6 +445,26 @@ class TestGroupForward:
                                  for g in graphs)
         assert trainer.evaluate(trained, graphs) == \
             {name: total.metrics[name].f1 for name in trainer.EVAL_METRICS}
+
+
+def resized_example(example, length, num_targets=None):
+    """example with its tokens cut or repeated to length, keeping its first
+    num_targets targets (by default as many as the two queries a token of
+    tiny_config hold), their anchor vectors resized alike, and the edges and
+    top among them."""
+    vectors = [np.resize(t.anchor_vector, length) for t in example.targets]
+    keep = min(len(vectors), 2 * length) if num_targets is None else num_targets
+    targets = [dataclasses.replace(t, anchor_vector=v,
+                                   anchor_tokens=frozenset(np.flatnonzero(v).tolist()))
+               for t, v in zip(example.targets[:keep], vectors)]
+    top = example.top_index if example.top_index is not None \
+        and example.top_index < keep else None
+    return trainer.Example(gold=example.gold, pre=example.pre, tokens=example.tokens,
+                           token_ids=np.resize(example.token_ids, length),
+                           targets=targets,
+                           edges=[(a, b, l) for a, b, l in example.edges
+                                  if a < keep and b < keep],
+                           top_index=top)
 
 
 def shuffle_example(example, rng):
@@ -408,6 +509,19 @@ class TestTraining:
         with pytest.raises(trainer.TrainError, match=message):
             trainer.train(config, graphs)
 
+    @pytest.mark.parametrize("position", [0, 4])
+    def test_training_graph_without_tokens_rejected(self, position):
+        # first in the training split, and inside it
+        graphs = corpus.synth_corpus(5, 11)
+        graphs.insert(position, Graph(id="no-tokens", framework="eds", flavor=1,
+                                      input=""))
+        config = tiny_config(corpus_size=len(graphs))
+        message = "training graph no-tokens has no tokens, so no queries to train on"
+        with pytest.raises(trainer.TrainError, match=message):
+            trainer.prepare(config, graphs)
+        with pytest.raises(trainer.TrainError, match=message):
+            trainer.train(config, graphs)
+
     def test_determinism(self):
         config = tiny_config()
         _, first = trainer.train(config)
@@ -415,9 +529,9 @@ class TestTraining:
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
     def test_seed1_records_match_golden(self):
-        # recorded with the balance norms on the last shared layer and one
-        # backward per length group; any change to the training arithmetic
-        # shows up here
+        # recorded with the balance norms on the last shared layer, one
+        # backward and one label and anchor head pass per length group; any
+        # change to the training arithmetic shows up here
         with open(fixture_path("train_seed1_records.json")) as handle:
             expected = json.load(handle)
         _, records = trainer.train(trainer.TrainConfig(seed=1, epochs=3,
@@ -597,6 +711,6 @@ class TestCapacity:
             gold=example.gold, pre=example.pre, tokens=example.tokens,
             token_ids=example.token_ids, targets=example.targets * 5,
             edges=example.edges, top_index=example.top_index)
-        fwd = trainer.forward_sentence(params, config, crowded.token_ids)
+        fwd = trainer.forward_sentence(params, config, crowded.token_ids[None])
         with pytest.raises(CapacityError):
-            trainer.match_queries(config, fwd, crowded, params)
+            trainer.match_queries(config, fwd, 0, crowded, params)
