@@ -33,6 +33,12 @@ MOS_FIELDS = tuple(f.name for f in dataclasses.fields(heads.MoSParams))
 EVAL_METRICS = ("tops", "labels", "properties", "anchors", "edges")
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
+# the heads' tasks, in the order backward_sentence sums their weighted grads
+TASKS = ("label", "anchor", "edge_presence", "edge_label", "property", "top")
+# a scalar option's annotation -> the exact types it takes (bool is an int, but
+# not a count or a rate) and how a message names them
+_KINDS = {"bool": ((bool,), "a boolean"), "int": ((int,), "an integer"),
+          "float": ((int, float), "a number")}
 
 
 class TrainError(Exception):
@@ -90,31 +96,22 @@ class TrainConfig:
     balance_alpha: float = 1.5
     balance_lr: float = 0.025
     balance_losses: bool = True
-    deinvert_edges: bool = True
-    use_top_head: bool = True
-    use_property_head: bool = True
-    use_attribute_head: bool = False
     edge_multilabel: bool = False
     init_scale: float = 0.1
     stop_when: Optional[dict] = None
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if field.type in _KINDS and type(value) not in _KINDS[field.type][0]:
+                raise TrainError(f"{field.name} must be {_KINDS[field.type][1]}, "
+                                 f"got {value!r}")
         for name, low, high in _CONFIG_RANGES:
             value = getattr(self, name)
             if not (math.isfinite(value) and low <= value
                     and (high is None or value < high)):
                 bounds = f"at least {low}" if high is None else f"in [{low}, {high})"
                 raise TrainError(f"{name} must be {bounds}, got {value}")
-
-    def active_tasks(self) -> tuple[str, ...]:
-        active = ["label", "anchor", "edge_presence", "edge_label"]
-        if self.use_attribute_head:
-            active.append("edge_attribute")
-        if self.use_property_head:
-            active.append("property")
-        if self.use_top_head:
-            active.append("top")
-        return tuple(active)
 
 
 def _parse_stop_when(text: str, where: str) -> dict:
@@ -159,9 +156,8 @@ def load_train_config(path: str) -> TrainConfig:
                 try:
                     values[name] = int(text) if kind == "int" else float(text)
                 except ValueError:
-                    noun = "an integer" if kind == "int" else "a number"
-                    raise TrainError(f"{path}:{lineno}: {name} must be {noun}, "
-                                     f"got {text!r}") from None
+                    raise TrainError(f"{path}:{lineno}: {name} must be "
+                                     f"{_KINDS[kind][1]}, got {text!r}") from None
             else:  # stop_when, the one non-scalar option
                 values[name] = _parse_stop_when(text, f"{path}:{lineno}")
     try:
@@ -226,15 +222,12 @@ class ModelMeta:
         return np.array([self.vocab.get(t.form, unk) for t in tokens], dtype=np.int64)
 
 
-def preprocess_gold(g: Graph, config: TrainConfig) -> tuple[Graph, transform.TransformTrace]:
-    """Nodeify, optionally de-invert, and merge anchors; merged trace."""
+def preprocess_gold(g: Graph) -> tuple[Graph, transform.TransformTrace]:
+    """Nodeify, de-invert, and merge anchors; merged trace."""
     pre, trace = transform.preprocess("eds", g)
-    if config.deinvert_edges:
-        pre, inv = transform.normalize_inverted_edges(pre)
-        trace = transform.TransformTrace(nodeified=trace.nodeified,
-                                         deinverted=inv.deinverted,
-                                         flagged=inv.flagged)
-    return pre, trace
+    pre, inv = transform.normalize_inverted_edges(pre)
+    return pre, transform.TransformTrace(nodeified=trace.nodeified,
+                                         deinverted=inv.deinverted, flagged=inv.flagged)
 
 
 def compile_rule_table(pre_graphs: Sequence[Graph], cache_dir: str | None = None,
@@ -325,8 +318,6 @@ def init_model(meta: ModelMeta, rng: np.random.Generator) -> dict:
     params["edgep.u"] = heads.init_biaffine(rng, 1, dim, dim, config.init_scale)
     params["edgel.u"] = heads.init_biaffine(rng, max(len(meta.edge_labels), 1),
                                             dim, dim, config.init_scale)
-    if config.use_attribute_head:
-        params["edgea.u"] = heads.init_biaffine(rng, 1, dim, dim, config.init_scale)
     params["prop.w"] = rng.normal(0.0, config.init_scale, dim)
     params["prop.b"] = np.zeros(())
     params["top.w"] = rng.normal(0.0, config.init_scale, dim)
@@ -486,8 +477,7 @@ def _edge_losses(params: dict, config: TrainConfig, example: Example,
                  states: np.ndarray, node_pos: dict[int, int],
                  ) -> dict[str, tuple[float, dict[str, np.ndarray], np.ndarray]]:
     """Edge losses over the matched node states, as task -> (loss, head
-    parameter grads, grad wrt states): presence, label and, when that head
-    is active, attribute."""
+    parameter grads, grad wrt states): presence and label."""
     presence, pairs, labels = _edge_targets(example.edges, node_pos, len(states),
                                             config.edge_multilabel)
     p_logits, p_cache = heads.biaffine_forward(states, states, params["edgep.u"])
@@ -497,18 +487,12 @@ def _edge_losses(params: dict, config: TrainConfig, example: Example,
     loss, du, dstates = heads.edge_label_loss(l_logits, l_cache, pairs, labels,
                                               config.edge_multilabel)
     out["edge_label"] = (loss, {"edgel.u": du}, dstates)
-    if config.use_attribute_head:
-        # toy gold edges carry no attributes: every pair targets class 0
-        a_logits, a_cache = heads.biaffine_forward(states, states, params["edgea.u"])
-        loss, du, dstates = heads.edge_label_loss(a_logits, a_cache, pairs,
-                                                  [0] * len(pairs))
-        out["edge_attribute"] = (loss, {"edgea.u": du}, dstates)
     return out
 
 
 @dataclass
 class SentenceGrads:
-    """Per-task gradients of a group pass, tasks in config.active_tasks() order.
+    """Per-task gradients of a group pass, tasks in TASKS order.
 
     Each head grad sums over the group's sentences; a task without a loss on
     any of them has no head grads, and one without a loss on a sentence a
@@ -539,8 +523,8 @@ def sentence_losses(params: dict, config: TrainConfig, examples: Sequence[Exampl
     num_sentences, num_queries = fwd.hidden.shape[:2]
     losses: dict[str, float] = {}
     head: dict[str, dict[str, np.ndarray]] = {}
-    row = {task: k for k, task in enumerate(config.active_tasks())}
-    dhidden = np.zeros((len(row),) + fwd.hidden.shape)
+    row = {task: k for k, task in enumerate(TASKS)}
+    dhidden = np.zeros((len(TASKS),) + fwd.hidden.shape)
 
     # every query's targets: a matched query takes its node's, a null query
     # the null class and no anchor loss
@@ -587,14 +571,12 @@ def sentence_losses(params: dict, config: TrainConfig, examples: Sequence[Exampl
         for task, (loss, grads, dstates) in _edge_losses(params, config, example,
                                                          states, node_pos).items():
             add(task, s, sel, loss, grads, dstates)
-        if "property" in row:
-            prop_targets = np.array([1.0 if example.targets[j].is_property else 0.0
-                                     for j in order])
-            loss, dw, db, dstates = heads.property_loss(
-                states, params["prop.w"], float(params["prop.b"]), prop_targets)
-            add("property", s, sel, loss, {"prop.w": dw, "prop.b": np.array(db)},
-                dstates)
-        if "top" in row and example.top_index is not None and sel:
+        prop_targets = np.array([1.0 if example.targets[j].is_property else 0.0
+                                 for j in order])
+        loss, dw, db, dstates = heads.property_loss(
+            states, params["prop.w"], float(params["prop.b"]), prop_targets)
+        add("property", s, sel, loss, {"prop.w": dw, "prop.b": np.array(db)}, dstates)
+        if example.top_index is not None and sel:
             loss, dw, db, dstates = heads.top_loss(states, params["top.w"],
                                                    float(params["top.b"]),
                                                    node_pos[example.top_index])
@@ -612,9 +594,8 @@ def add_head_grads(grads: SentenceGrads, weights: dict[str, float], scale: float
             model.add_grad(total_grads, key, weights[task] * scale * grad)
 
 
-def backward_sentence(params: dict, config: TrainConfig, fwd: ForwardPass,
-                      dhidden: np.ndarray, anchor_dmemory: np.ndarray,
-                      weights: dict[str, float], scale: float,
+def backward_sentence(params: dict, fwd: ForwardPass, dhidden: np.ndarray,
+                      anchor_dmemory: np.ndarray, weights: dict[str, float], scale: float,
                       total_grads: dict[str, np.ndarray],
                       task_sums: dict[str, np.ndarray]):
     """The backward of forward_sentence below the heads: every parameter
@@ -630,8 +611,7 @@ def backward_sentence(params: dict, config: TrainConfig, fwd: ForwardPass,
     norms."""
     for key, grad in model.ffn_out_grads("dec", fwd.dec_cache, dhidden).items():
         model.add_grad(task_sums, key, grad, scale)
-    dy = sum(weights[task] * dhidden[row]
-             for row, task in enumerate(config.active_tasks()))
+    dy = sum(weights[task] * dhidden[row] for row, task in enumerate(TASKS))
     dquery, dmemory = model.block_backward(params, "dec", fwd.dec_cache, scale * dy,
                                            total_grads)
     dmemory += (scale * weights["anchor"]) * anchor_dmemory
@@ -743,7 +723,7 @@ def prepare(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
     if not train_graphs:
         raise TrainError(f"eval_fraction {config.eval_fraction} holds out every graph "
                          f"of a {len(graphs)}-graph corpus, leaving none to train on")
-    gold = [preprocess_gold(g, config) for g in train_graphs]
+    gold = [preprocess_gold(g) for g in train_graphs]
     table, problem = compile_rule_table([pre for pre, _ in gold], cache_dir=cache_dir)
     edge_labels, inverted_labels = edge_label_vocab(gold)
     meta = ModelMeta(vocab=build_vocab(train_graphs), rule_table=table,
@@ -776,21 +756,20 @@ def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
     params = init_model(meta, rng)
     trained = TrainedModel(params=params, meta=meta)
     optimizer = AdamW(params)
-    tasks = config.active_tasks()
-    state = balance.BalanceState.uniform(tasks)
+    state = balance.BalanceState.uniform(TASKS)
     metrics: list[dict] = []
     max_tokens = _cache_token_budget(params, config, examples[0].token_ids)
     step = 0
     for epoch in range(config.epochs):
         order = rng.permutation(len(examples))
-        epoch_losses = {t: 0.0 for t in tasks}
+        epoch_losses = {t: 0.0 for t in TASKS}
         epoch_warnings: set[str] = set()  # balance and tie-break fallbacks
         num_batches = 0
         for start in range(0, len(order), config.batch_size):
             batch = [examples[i] for i in order[start:start + config.batch_size]]
             total_grads: dict[str, np.ndarray] = {}
             task_sums: dict[str, np.ndarray] = {}
-            task_losses = {t: 0.0 for t in tasks}
+            task_losses = {t: 0.0 for t in TASKS}
             scale = 1.0 / len(batch)
             # masks in batch order, as the rng stream had them one sentence at a time
             masks = [model.draw_layer_dropout(rng, config.encoder_layers + 1,
@@ -809,7 +788,7 @@ def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
                 add_head_grads(grads, state.weights, scale, total_grads)
                 for task, loss in losses.items():
                     task_losses[task] += loss * scale
-                backward_sentence(params, config, fwd, grads.dhidden, grads.anchor_dmemory,
+                backward_sentence(params, fwd, grads.dhidden, grads.anchor_dmemory,
                                   state.weights, scale, total_grads, task_sums)
             if not all(np.isfinite(v).all() for v in total_grads.values()):
                 raise DivergenceError(f"non-finite gradients at step {step}")
@@ -823,19 +802,19 @@ def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
             if config.balance_losses:
                 grad_norms = {t: state.weights[t] * float(np.sqrt(sum(
                     (g[row] * g[row]).sum() for g in task_sums.values())))
-                    for row, t in enumerate(tasks)}
+                    for row, t in enumerate(TASKS)}
                 state.weights, warnings = balance.update_loss_weights(
                     grad_norms, task_losses, state.initial_losses, state.weights,
                     config.balance_alpha, config.balance_lr)
                 epoch_warnings.update(warnings)
-            for t in tasks:
+            for t in TASKS:
                 epoch_losses[t] += task_losses[t]
             num_batches += 1
             step += 1
         f1 = evaluate(trained, eval_graphs)
         record = {"epoch": epoch + 1,
-                  "losses": {t: epoch_losses[t] / max(num_batches, 1) for t in tasks},
-                  "weights": {t: state.weights[t] for t in tasks},
+                  "losses": {t: epoch_losses[t] / max(num_batches, 1) for t in TASKS},
+                  "weights": {t: state.weights[t] for t in TASKS},
                   "f1": f1,
                   "warnings": sorted(epoch_warnings)}
         metrics.append(record)
@@ -919,13 +898,12 @@ def _decode(trained: TrainedModel, sentence: str, tokens: tuple[Token, ...],
     if accepted:
         prop_probs, _ = heads.property_head(hidden[accepted], params["prop.w"],
                                             float(params["prop.b"]))
-        top_probs = heads.top_head(hidden[accepted], params["top.w"],
-                                   float(params["top.b"])) if config.use_top_head else None
+        top = int(np.argmax(heads.top_head(hidden[accepted], params["top.w"],
+                                           float(params["top.b"]))))
     for position, (label, anchors) in enumerate(decoded):
-        is_top = bool(config.use_top_head and top_probs is not None
-                      and position == int(np.argmax(top_probs)))
-        nodes.append(Node(id=position, label=label, anchors=anchors, is_top=is_top))
-        if config.use_property_head and prop_probs[position] >= 0.5:
+        nodes.append(Node(id=position, label=label, anchors=anchors,
+                          is_top=position == top))
+        if prop_probs[position] >= 0.5:
             property_flags.add(position)
 
     edges = []
@@ -952,7 +930,7 @@ def _decode(trained: TrainedModel, sentence: str, tokens: tuple[Token, ...],
                 nodes=tuple(nodes), edges=tuple(edges), tokens=tokens)
     if property_flags:
         out = transform.fold_property_nodes(out, property_flags)
-    if config.deinvert_edges and meta.inverted_labels:
+    if meta.inverted_labels:
         out = transform.reinvert_edges_for_top(
             out, invertible_labels=set(meta.inverted_labels))
     return transform.eds_merge_anchors(out)

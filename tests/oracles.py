@@ -702,8 +702,8 @@ def reference_sentence_losses(params: dict, config, example, fwd, assignment,
 
     losses: dict[str, float] = {}
     head: dict[str, dict[str, np.ndarray]] = {}
-    row = {task: k for k, task in enumerate(config.active_tasks())}
-    dhidden = np.zeros((len(row),) + fwd.hidden.shape)
+    row = {task: k for k, task in enumerate(trainer.TASKS)}
+    dhidden = np.zeros((len(trainer.TASKS),) + fwd.hidden.shape)
 
     # label loss over every query (null queries get the null class target)
     null_target = rules.build_rule_target((), len(fwd.label_probs[0]) - 1,
@@ -740,16 +740,15 @@ def reference_sentence_losses(params: dict, config, example, fwd, assignment,
         dhidden[row[task], sel] = dstates
         head[task] = grads
 
-    if "property" in row:
-        prop_targets = np.array([1.0 if example.targets[j].is_property else 0.0
-                                 for j in order])
-        loss, dw, db, dstates = heads.property_loss(states, params["prop.w"],
-                                                    float(params["prop.b"]), prop_targets)
-        losses["property"] = loss
-        dhidden[row["property"], sel] = dstates
-        head["property"] = {"prop.w": dw, "prop.b": np.array(db)}
+    prop_targets = np.array([1.0 if example.targets[j].is_property else 0.0
+                             for j in order])
+    loss, dw, db, dstates = heads.property_loss(states, params["prop.w"],
+                                                float(params["prop.b"]), prop_targets)
+    losses["property"] = loss
+    dhidden[row["property"], sel] = dstates
+    head["property"] = {"prop.w": dw, "prop.b": np.array(db)}
 
-    if "top" in row and example.top_index is not None and m > 0:
+    if example.top_index is not None and m > 0:
         gold = node_pos[example.top_index]
         loss, dw, db, dstates = heads.top_loss(states, params["top.w"],
                                                float(params["top.b"]), gold)
@@ -771,20 +770,20 @@ def label_head_loss(h: np.ndarray, params, target: np.ndarray, gamma: float):
     return loss, dh[0], grads
 
 
-def reference_backward_sentence(params: dict, config, fwd, grads, weights: dict,
+def reference_backward_sentence(params: dict, fwd, grads, weights: dict,
                                 scale: float) -> tuple[dict, list[dict]]:
     """trainer.backward_sentence with one 2-D decoder backward per task.
 
     Each task's output gradient goes through model.block_backward on its own,
     into its own grads; the total is sum_t weights[t] * scale * grad_t over
-    the tasks in config.active_tasks() order.  Returns (total grads, the
+    the tasks in trainer.TASKS order.  Returns (total grads, the
     unweighted decoder grads of each task in that order).
     """
     total: dict = {}
     per_task = []
     dquery_total = np.zeros_like(fwd.query_states)
     dmemory_total = np.zeros_like(fwd.embeddings)
-    for row, task in enumerate(config.active_tasks()):
+    for row, task in enumerate(trainer.TASKS):
         decoder: dict = {}
         dquery, dmemory = model.block_backward(params, "dec", fwd.dec_cache,
                                                grads.dhidden[row], decoder)
@@ -801,14 +800,13 @@ def reference_backward_sentence(params: dict, config, fwd, grads, weights: dict,
     return total, per_task
 
 
-def per_sentence_backward(params: dict, config, fwd, grads, weights: dict, scale: float,
+def per_sentence_backward(params: dict, fwd, grads, weights: dict, scale: float,
                           total_grads: dict, task_sums: dict):
     """trainer.backward_sentence as it was before the group backward: one
     sentence's 2-D pass and sentence_losses grads, head grads included."""
     for key, grad in model.ffn_out_grads("dec", fwd.dec_cache, grads.dhidden).items():
         model.add_grad(task_sums, key, grad, scale)
-    dy = sum(weights[task] * grads.dhidden[row]
-             for row, task in enumerate(config.active_tasks()))
+    dy = sum(weights[task] * grads.dhidden[row] for row, task in enumerate(trainer.TASKS))
     dquery, dmemory = model.block_backward(params, "dec", fwd.dec_cache, scale * dy,
                                            total_grads)
     dmemory += (scale * weights["anchor"]) * grads.anchor_dmemory
@@ -819,7 +817,7 @@ def per_sentence_backward(params: dict, config, fwd, grads, weights: dict, scale
     model.encode_backward(params, fwd.enc_cache, de + dmemory, total_grads)
 
 
-def reference_group_backward(params: dict, config, fwd, dhidden: np.ndarray,
+def reference_group_backward(params: dict, fwd, dhidden: np.ndarray,
                              anchor_dmemory: np.ndarray, weights: dict,
                              scale: float) -> tuple[dict, dict]:
     """The group backward as per_sentence_backward summed over the group's
@@ -830,6 +828,6 @@ def reference_group_backward(params: dict, config, fwd, dhidden: np.ndarray,
     for row, sentence in enumerate(sentence_passes(fwd, params)):
         grads = trainer.SentenceGrads(head={}, dhidden=dhidden[:, row],
                                       anchor_dmemory=anchor_dmemory[row])
-        per_sentence_backward(params, config, sentence, grads, weights, scale,
+        per_sentence_backward(params, sentence, grads, weights, scale,
                               total, task_sums)
     return total, task_sums

@@ -338,7 +338,7 @@ def test_criterion_09_toy_end_to_end(trained_toy):
                                            config.eval_fraction)
     labels = set()
     for g in train_graphs:
-        pre, _ = trainer.preprocess_gold(g, config)
+        pre, _ = trainer.preprocess_gold(g)
         labels.update(n.label for n in pre.nodes if n.label is not None)
     assert len(trained.meta.rule_table) <= len(labels) / 5
     report(9, f"seed-1 run: {len(metrics)} epochs in {elapsed:.0f}s, label F1 "

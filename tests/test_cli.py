@@ -7,10 +7,38 @@ from mrparse import cli
 from conftest import fixture_path
 
 
+# TrainConfig options that have been taken out of the code
+REMOVED_SWITCHES = ("use_attribute_head", "use_top_head", "use_property_head",
+                    "deinvert_edges")
+
+
 def run_cli(args, capsys):
     code = cli.run(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def predict_with_stored_config(changes, tmp_path, capsys):
+    """predict on a parameterless checkpoint whose stored config is the
+    default one with changes; asserts the one-line data error and returns its
+    message."""
+    import dataclasses
+    from mrparse import model, trainer
+    config = {**dataclasses.asdict(trainer.TrainConfig()), **changes}
+    meta = {"config_json": json.dumps(config), "vocab_json": '{"<unk>": 0}',
+            "rules_text": 'absolute\t"x"', "edge_labels_json": "[]",
+            "inverted_labels_json": "[]"}
+    ckpt = tmp_path / "stored.ckpt"
+    model.save_params({f"meta.{k}": model.pack_text(v) for k, v in meta.items()},
+                      str(ckpt))
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("hello\n")
+    code, out, err = run_cli(["predict", "--checkpoint", str(ckpt),
+                              "--input", str(sentences)], capsys)
+    assert (code, out, len(err.splitlines())) == (2, "", 1)
+    error = json.loads(err)
+    assert error["error"] == "data"
+    return error["message"]
 
 
 class TestValidate:
@@ -363,7 +391,8 @@ class TestTrainPredict:
         # recorded with the balance norms on the last shared layer, one
         # backward and one label and anchor head pass per length group: the
         # training arithmetic, the checkpoint bytes and decoding, each pinned
-        # on its own
+        # on its own; model.ckpt re-recorded when REMOVED_SWITCHES left the
+        # stored config, every parameter array byte-equal to before
         config = tmp_path / "pin.cfg"
         config.write_text("corpus_size = 150\nepochs = 2\n")
         paths = {name: tmp_path / name for name in ("m.jsonl", "model.ckpt", "pred.jsonl")}
@@ -383,7 +412,7 @@ class TestTrainPredict:
                    for name, path in paths.items()}
         assert digests == {
             "m.jsonl": "aef2f7dc15c6dd778a7b1dba9ea88477c202ef8c3ad4f6baf0a37b0d0eca46f0",
-            "model.ckpt": "4ac5a92e477ab7bdde39227ed5599048c9138e6b0bf20e186ceb99327476f339",
+            "model.ckpt": "ccd772e2bc70d21b522793b06950eb1e52f246d4c4cbc216aece7272d28502b7",
             "pred.jsonl": "075bd7cdd054e5c5777fc14cc69c869f510e6503a78625cbf06e1270aff95d43"}
 
     @pytest.mark.parametrize("line", ["stop_when = 3", 'stop_when = {"f1": 0.9}',
@@ -431,22 +460,36 @@ class TestTrainPredict:
                                                                 "got -1"}
 
     def test_predict_out_of_range_stored_config(self, tmp_path, capsys):
-        import dataclasses
-        from mrparse import model, trainer
-        config = dict(dataclasses.asdict(trainer.TrainConfig()), layer_dropout=1.0)
-        meta = {"config_json": json.dumps(config), "vocab_json": '{"<unk>": 0}',
-                "rules_text": 'absolute\t"x"', "edge_labels_json": "[]",
-                "inverted_labels_json": "[]"}
-        ckpt = tmp_path / "range.ckpt"
-        model.save_params({f"meta.{k}": model.pack_text(v) for k, v in meta.items()},
-                          str(ckpt))
-        sentences = tmp_path / "s.txt"
-        sentences.write_text("hello\n")
-        code, out, err = run_cli(["predict", "--checkpoint", str(ckpt),
-                                  "--input", str(sentences)], capsys)
-        assert (code, out) == (2, "")
-        assert json.loads(err) == {"error": "data", "message": "checkpoint: layer_dropout "
-                                                              "must be in [0.0, 1.0), got 1.0"}
+        assert predict_with_stored_config({"layer_dropout": 1.0}, tmp_path, capsys) == \
+            "checkpoint: layer_dropout must be in [0.0, 1.0), got 1.0"
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("edge_multilabel", "false", "edge_multilabel must be a boolean, got 'false'"),
+        ("dim", True, "dim must be an integer, got True"),
+        ("queries_per_token", 2.5, "queries_per_token must be an integer, got 2.5"),
+        ("lr_rest", "0.003", "lr_rest must be a number, got '0.003'")])
+    def test_predict_wrongly_typed_stored_config(self, name, value, message, tmp_path,
+                                                 capsys):
+        assert predict_with_stored_config({name: value}, tmp_path, capsys) == \
+            f"checkpoint: {message}"
+
+    @pytest.mark.parametrize("name", REMOVED_SWITCHES)
+    def test_predict_stored_config_with_removed_switch(self, name, tmp_path, capsys):
+        # a checkpoint saved while the switch was an option stores its value
+        message = predict_with_stored_config({name: False}, tmp_path, capsys)
+        assert message.startswith("checkpoint: ") and repr(name) in message
+
+    @pytest.mark.parametrize("name", REMOVED_SWITCHES)
+    def test_config_with_removed_switch_rejected(self, name, tmp_path, capsys):
+        config = tmp_path / "old.cfg"
+        config.write_text(f"epochs = 1\n{name} = true\n")
+        out_path = tmp_path / "m.jsonl"
+        code, _, err = run_cli(["train-toy", "--config", str(config),
+                                "--output", str(out_path)], capsys)
+        assert code == 2
+        assert json.loads(err) == {"error": "config",
+                                   "message": f"{config}:2: unknown option {name!r}"}
+        assert not out_path.exists()
 
     def test_nodes_over_query_capacity_is_data_error(self, tmp_path, capsys):
         # 5 nodes on a 2-token input, whose 2 x 2 queries cannot hold them

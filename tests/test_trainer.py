@@ -65,8 +65,7 @@ class TestCorpus:
 
     def test_size_500_vocabulary_and_compression(self):
         graphs = corpus.synth_corpus(1, 500)
-        config = trainer.TrainConfig()
-        pre_graphs = [trainer.preprocess_gold(g, config)[0] for g in graphs]
+        pre_graphs = [trainer.preprocess_gold(g)[0] for g in graphs]
         table, problem = trainer.compile_rule_table(pre_graphs)
         labels = {n.label for pre in pre_graphs for n in pre.nodes if n.label is not None}
         assert len(labels) > 50
@@ -102,7 +101,7 @@ def assert_group_matches_finite_differences(config, params, group, rng):
     """sentence_losses, add_head_grads and backward_sentence on the
     evaluation forward of group against central differences of the weighted
     total loss sum_t w_t loss_t, at fixed assignments."""
-    tasks = config.active_tasks()
+    tasks = trainer.TASKS
     weights = {t: float(rng.uniform(0.5, 2.0)) for t in tasks}
     token_ids = np.stack([e.token_ids for e in group])
     fwd = trainer.forward_sentence(params, config, token_ids)
@@ -112,8 +111,8 @@ def assert_group_matches_finite_differences(config, params, group, rng):
     assert set(losses) == set(tasks)
     total_grads = {}
     trainer.add_head_grads(grads, weights, 1.0, total_grads)
-    trainer.backward_sentence(params, config, fwd, grads.dhidden,
-                              grads.anchor_dmemory, weights, 1.0, total_grads, {})
+    trainer.backward_sentence(params, fwd, grads.dhidden, grads.anchor_dmemory,
+                              weights, 1.0, total_grads, {})
     assert set(total_grads) == set(params)
 
     def weighted_loss(key, value):
@@ -166,7 +165,7 @@ class TestSentencePass:
         assert null_queries, "expected more queries than gold nodes"
         # every head except the label head must have exactly zero gradient
         # on the hidden states of null-matched queries
-        tasks = config.active_tasks()
+        tasks = trainer.TASKS
         for task in ("anchor", "edge_presence", "edge_label", "property", "top"):
             assert task in losses
             dhidden = grads.dhidden[tasks.index(task), 0]
@@ -225,7 +224,7 @@ class TestSentencePass:
         # the composition train runs: sentence_losses, then add_head_grads and
         # backward_sentence, against central differences of sum_t w_t loss_t
         # over the fixed assignment, on the evaluation forward of a group of one
-        config = tiny_config(dim=8, ffn_dim=12, use_attribute_head=True)
+        config = tiny_config(dim=8, ffn_dim=12)
         meta, examples, _, _, _ = trainer.prepare(
             config, corpus.synth_corpus(2, config.corpus_size))
         params = trainer.init_model(meta, np.random.default_rng(0))
@@ -236,7 +235,7 @@ class TestSentencePass:
     def test_group_of_three_matches_finite_differences(self):
         # the same check on a group, so the sentence axis of the group losses
         # is held to numbers, not only to the per-sentence reference
-        config = tiny_config(dim=8, ffn_dim=12, use_attribute_head=True)
+        config = tiny_config(dim=8, ffn_dim=12)
         meta, examples, _, _, _ = trainer.prepare(
             config, corpus.synth_corpus(2, config.corpus_size))
         params = trainer.init_model(meta, np.random.default_rng(0))
@@ -251,11 +250,11 @@ class TestSentencePass:
         # fixed weights: the weighted sum through one decoder backward equals
         # the weighted sum of per-task decoder backwards up to rounding, and
         # the balance sums are each task's own last-layer grads
-        config = tiny_config(use_attribute_head=True)
+        config = tiny_config()
         meta, examples, _, _, _ = trainer.prepare(
             config, corpus.synth_corpus(2, config.corpus_size))
         params = trainer.init_model(meta, np.random.default_rng(0))
-        tasks = config.active_tasks()
+        tasks = trainer.TASKS
         rng = np.random.default_rng(43)
         weights = {t: float(rng.uniform(0.5, 2.0)) for t in tasks}
         scale = 0.25
@@ -266,13 +265,12 @@ class TestSentencePass:
                                                [assignment])
             total_grads, task_sums = {}, {}
             trainer.add_head_grads(grads, weights, scale, total_grads)
-            trainer.backward_sentence(params, config, fwd, grads.dhidden,
-                                      grads.anchor_dmemory, weights, scale,
-                                      total_grads, task_sums)
+            trainer.backward_sentence(params, fwd, grads.dhidden, grads.anchor_dmemory,
+                                      weights, scale, total_grads, task_sums)
             # the reference takes the sentence's 2-D pass and grads
             sentence = oracles.sentence_passes(fwd, params)[0]
             want, per_task = oracles.reference_backward_sentence(
-                params, config, sentence, trainer.SentenceGrads(
+                params, sentence, trainer.SentenceGrads(
                     head=grads.head, dhidden=grads.dhidden[:, 0],
                     anchor_dmemory=grads.anchor_dmemory[0]), weights, scale)
             assert set(total_grads) == set(want) == set(params)
@@ -332,11 +330,11 @@ class TestGroupForward:
     def test_group_backward_equals_per_sentence_sum(self, train):
         # one backward over a group pass against the backward that preceded
         # it, run on each sentence's view and summed in group order
-        config = tiny_config(use_attribute_head=True)
+        config = tiny_config()
         meta, examples, _, _, _ = trainer.prepare(
             config, corpus.synth_corpus(2, config.corpus_size))
         params = trainer.init_model(meta, np.random.default_rng(0))
-        tasks = config.active_tasks()
+        tasks = trainer.TASKS
         rng = np.random.default_rng(47 + train)
         weights = {t: float(rng.uniform(0.5, 2.0)) for t in tasks}
         scale = 0.25
@@ -352,10 +350,10 @@ class TestGroupForward:
             dhidden = rng.normal(size=(len(tasks),) + fwd.hidden.shape)
             anchor_dmemory = rng.normal(size=fwd.embeddings.shape)
             total_grads, task_sums = {}, {}
-            trainer.backward_sentence(params, config, fwd, dhidden, anchor_dmemory,
+            trainer.backward_sentence(params, fwd, dhidden, anchor_dmemory,
                                       weights, scale, total_grads, task_sums)
             want, want_sums = oracles.reference_group_backward(
-                params, config, fwd, dhidden, anchor_dmemory, weights, scale)
+                params, fwd, dhidden, anchor_dmemory, weights, scale)
             # every parameter but the heads', whose grads add_head_grads sums
             assert set(total_grads) == set(want) == {
                 k for k in params if k.startswith(("emb", "mix", "enc", "query", "dec"))}
@@ -371,8 +369,7 @@ class TestGroupForward:
             if size == 1:
                 # a group of one is the 2-D call on its one sentence, bit for bit
                 alone, alone_sums = {}, {}
-                trainer.backward_sentence(params, config,
-                                          oracles.sentence_passes(fwd, params)[0],
+                trainer.backward_sentence(params, oracles.sentence_passes(fwd, params)[0],
                                           dhidden[:, 0], anchor_dmemory[0], weights,
                                           scale, alone, alone_sums)
                 for got, expected in ((total_grads, alone), (task_sums, alone_sums)):
@@ -383,7 +380,7 @@ class TestGroupForward:
     def test_group_losses_equal_per_sentence_reference(self, multilabel):
         # one head pass over a group against the per-sentence losses that
         # preceded it, run on each sentence's view and summed in group order
-        config = tiny_config(use_attribute_head=True, edge_multilabel=multilabel)
+        config = tiny_config(edge_multilabel=multilabel)
         meta, examples, _, _, _ = trainer.prepare(
             config, corpus.synth_corpus(2, config.corpus_size))
         params = trainer.init_model(meta, np.random.default_rng(0))
@@ -425,7 +422,7 @@ class TestGroupForward:
             arrays = [(f"{task} {key}", grads.head[task][key], want)
                       for task, head in want_head.items() for key, want in head.items()]
             arrays += [(f"dhidden {task}", grads.dhidden[row], want_dhidden[row])
-                       for row, task in enumerate(config.active_tasks())]
+                       for row, task in enumerate(trainer.TASKS)]
             arrays.append(("anchor_dmemory", grads.anchor_dmemory, want_dmemory))
             for name, got, want in arrays:
                 np.testing.assert_allclose(got, want, rtol=1e-12,
@@ -493,7 +490,7 @@ class TestTraining:
         assert record["warnings"] == []
         assert all(np.isfinite(v) for v in record["losses"].values())
         assert abs(sum(record["weights"].values())
-                   - len(config.active_tasks())) < 1e-9
+                   - len(trainer.TASKS)) < 1e-9
 
     @pytest.mark.parametrize("size,fraction,given", [(1, 0.2, False), (4, 0.9, False),
                                                      (1, 0.0, True)])
@@ -548,15 +545,6 @@ class TestTraining:
         _, metrics = trainer.train(config)
         weights = metrics[-1]["weights"]
         assert all(w == 1.0 for w in weights.values())
-
-    def test_head_flags_select_active_tasks(self):
-        config = tiny_config(use_top_head=False, use_property_head=False)
-        assert "top" not in config.active_tasks()
-        assert "property" not in config.active_tasks()
-        trained, metrics = trainer.train(config)
-        assert set(metrics[-1]["losses"]) == set(config.active_tasks())
-        out = trainer.predict(trained, "the cat is diving")
-        assert not any(n.is_top for n in out.nodes)
 
     def test_tie_break_runs_inside_training(self, monkeypatch):
         from mrparse import matcher
@@ -613,11 +601,10 @@ class TestTraining:
         assert (f"tie group of {bound + 1} targets exceeds bound {bound}; "
                 f"keeping first optimum") in records[0]["warnings"]
 
-    def test_attribute_head_and_multilabel_modes_run(self):
-        config = tiny_config(use_attribute_head=True, edge_multilabel=True)
-        _, metrics = trainer.train(config)
-        assert "edge_attribute" in metrics[-1]["losses"]
-        assert np.isfinite(metrics[-1]["losses"]["edge_attribute"])
+    def test_multilabel_mode_runs(self):
+        _, metrics = trainer.train(tiny_config(edge_multilabel=True))
+        assert set(metrics[-1]["losses"]) == set(trainer.TASKS)
+        assert all(np.isfinite(loss) for loss in metrics[-1]["losses"].values())
 
     def test_predict_untrained_no_crash(self, tiny_setup):
         config, meta, examples, params = tiny_setup
@@ -674,7 +661,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("line", [
         "use_anchor_mask = flase",
         "balance_losses = 2",
-        "use_top_head =",
+        "edge_multilabel =",
         "stop_when = 3",
         "stop_when = [0.9]",
         "stop_when = null",
@@ -691,6 +678,20 @@ class TestConfigFile:
         path.write_text(f"epochs = 1\n{line}\n")
         with pytest.raises(trainer.TrainError, match=r"bad\.cfg:2: "):
             trainer.load_train_config(str(path))
+
+    @pytest.mark.parametrize("name,value,noun", [
+        ("edge_multilabel", "false", "a boolean"), ("use_anchor_mask", 1, "a boolean"),
+        ("dim", True, "an integer"), ("queries_per_token", 2.5, "an integer"),
+        ("seed", "1", "an integer"), ("lr_rest", False, "a number"),
+        ("eval_fraction", None, "a number")])
+    def test_wrongly_typed_values_rejected(self, name, value, noun):
+        message = re.escape(f"{name} must be {noun}, got {value!r}")
+        with pytest.raises(trainer.TrainError, match=f"^{message}$"):
+            trainer.TrainConfig(**{name: value})
+
+    def test_integer_taken_for_number(self):
+        config = trainer.TrainConfig(lr_rest=1, eval_fraction=0)
+        assert (config.lr_rest, config.eval_fraction) == (1, 0)
 
     def test_stop_when_names_every_evaluate_metric(self, tiny_setup, tmp_path):
         config, meta, examples, params = tiny_setup
