@@ -6,19 +6,30 @@ block; every target gets its own query and the leftover queries are null
 nodes, numbered after the targets in ascending query order.  Ties between
 interchangeable targets are broken by the edge loss across their within-group
 permutations.
+
+Both sides come in as arrays: the heads' label_probs [queries, classes] and
+anchor_probs [queries, tokens] with each query's source token, and the
+targets' label_targets [targets, classes] (unsmoothed rule distributions)
+with anchored [targets, tokens], True where a target is anchored to a token.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import kernels
 
 ANCHOR_PROB_FLOOR = 1e-12
+# tie-break bounds: two targets tie when their label and anchor columns agree
+# within TIE_TOLERANCE; a larger group than MAX_TIE_GROUP, or more
+# within-group permutations than MAX_TIE_COMBINATIONS, keeps the first optimum
+TIE_TOLERANCE = 1e-12
+MAX_TIE_GROUP = 6
+MAX_TIE_COMBINATIONS = 5040
 
 
 class MatchError(Exception):
@@ -48,15 +59,6 @@ class Assignment:
     perm: tuple[int, ...]
     score: float
     warnings: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class MatchConfig:
-    use_anchor_mask: bool = True
-    mask_epsilon: float = 1e-8
-    tie_tolerance: float = 1e-12
-    max_tie_group: int = 6
-    max_tie_combinations: int = 5040
 
 
 def geomean_anchor(probs) -> float | np.ndarray:
@@ -142,8 +144,7 @@ def _tie_groups(problem: MatchProblem, tolerance: float) -> list[list[int]]:
 
 
 def break_ties(problem: MatchProblem, assignment: Assignment,
-               edge_loglik: Callable[[tuple[int, ...]], float],
-               config: MatchConfig = MatchConfig()) -> Assignment:
+               edge_loglik: Callable[[tuple[int, ...]], float]) -> Assignment:
     """Among score-equivalent assignments, minimize the edge loss.
 
     Targets with identical label and anchor columns are interchangeable for
@@ -152,22 +153,22 @@ def break_ties(problem: MatchProblem, assignment: Assignment,
     it wins.  Oversized tie groups fall back to the first optimum with a
     warning record.
     """
-    groups = _tie_groups(problem, config.tie_tolerance)
+    groups = _tie_groups(problem, TIE_TOLERANCE)
     if not groups:
         return assignment
     for group in groups:
-        if len(group) > config.max_tie_group:
+        if len(group) > MAX_TIE_GROUP:
             warning = (f"tie group of {len(group)} targets exceeds bound "
-                       f"{config.max_tie_group}; keeping first optimum")
+                       f"{MAX_TIE_GROUP}; keeping first optimum")
             return Assignment(assignment.perm, assignment.score,
                               assignment.warnings + (warning,))
     total = 1
     for group in groups:
         for k in range(2, len(group) + 1):
             total *= k
-    if total > config.max_tie_combinations:
+    if total > MAX_TIE_COMBINATIONS:
         warning = (f"{total} tie permutations exceed bound "
-                   f"{config.max_tie_combinations}; keeping first optimum")
+                   f"{MAX_TIE_COMBINATIONS}; keeping first optimum")
         return Assignment(assignment.perm, assignment.score,
                           assignment.warnings + (warning,))
 
@@ -190,61 +191,41 @@ def break_ties(problem: MatchProblem, assignment: Assignment,
     return Assignment(best_perm, assignment.score, assignment.warnings)
 
 
-@dataclass(frozen=True)
-class TargetSpec:
-    """One gold node as seen by the matcher."""
-
-    label_target: np.ndarray        # unsmoothed distribution over rule classes
-    anchor_tokens: frozenset[int]   # token indices the node is anchored to
-
-
-@dataclass(frozen=True)
-class PredictionSpec:
-    """Per-query head outputs needed for matching."""
-
-    label_probs: np.ndarray    # [queries x classes]
-    anchor_probs: np.ndarray   # [queries x tokens]
-    source_tokens: np.ndarray  # [queries] source token index per query
-
-
-def build_problem(predictions: PredictionSpec,
-                  targets: Sequence[TargetSpec],
-                  config: MatchConfig = MatchConfig()) -> MatchProblem:
+def build_problem(label_probs: np.ndarray, anchor_probs: np.ndarray,
+                  source_tokens: np.ndarray, label_targets: np.ndarray,
+                  anchored: np.ndarray, *, use_anchor_mask: bool = True,
+                  mask_epsilon: float = 1e-8) -> MatchProblem:
     """Score every query against every target: [queries x targets] matrices."""
-    num_queries, num_classes = predictions.label_probs.shape
-    num_tokens = predictions.anchor_probs.shape[1]
-    if len(targets) > num_queries:
-        raise CapacityError(f"{len(targets)} target nodes exceed {num_queries} queries; "
-                            f"increase the per-token query budget")
-    # anchored[j, t]: target j is anchored to token t
-    anchored = np.zeros((len(targets), num_tokens), dtype=bool)
-    label_targets = np.empty((len(targets), num_classes))
-    for j, target in enumerate(targets):
-        anchored[j, list(target.anchor_tokens)] = True
-        label_targets[j] = target.label_target
+    num_queries = label_probs.shape[0]
+    if len(label_targets) > num_queries:
+        raise CapacityError(f"{len(label_targets)} target nodes exceed {num_queries} "
+                            f"queries; increase the per-token query budget")
     # a stack of matrix-vector products: one matrix-matrix product would
     # round differently from scoring each target on its own
-    label_score = (predictions.label_probs @ label_targets[:, :, None])[:, :, 0].T
-    probs = predictions.anchor_probs
-    anchor_score = geomean_anchor(np.where(anchored[:, None, :], probs, 1.0 - probs)).T
-    if config.use_anchor_mask:
-        anchor_score = apply_anchor_mask(anchor_score,
-                                         anchored[:, predictions.source_tokens].T,
-                                         config.mask_epsilon)
+    label_score = (label_probs @ label_targets[:, :, None])[:, :, 0].T
+    anchor_score = geomean_anchor(np.where(anchored[:, None, :], anchor_probs,
+                                           1.0 - anchor_probs)).T
+    if use_anchor_mask:
+        anchor_score = apply_anchor_mask(anchor_score, anchored[:, source_tokens].T,
+                                         mask_epsilon)
     return MatchProblem(label_score=label_score, anchor_score=anchor_score)
 
 
-def align_targets(predictions: PredictionSpec, targets: Sequence[TargetSpec],
-                  config: MatchConfig = MatchConfig(),
+def align_targets(label_probs: np.ndarray, anchor_probs: np.ndarray,
+                  source_tokens: np.ndarray, label_targets: np.ndarray,
+                  anchored: np.ndarray, *, use_anchor_mask: bool = True,
+                  mask_epsilon: float = 1e-8,
                   edge_loglik: Callable[[tuple[int, ...]], float] | None = None,
                   ) -> Assignment:
     """Solve the matching of queries to targets, then break ties.
 
-    Returns the (tie-broken) optimal assignment; perm entries >= len(targets)
-    denote null matches, numbered in ascending query order.
+    Returns the (tie-broken) optimal assignment; perm entries >=
+    len(label_targets) denote null matches, numbered in ascending query order.
     """
-    problem = build_problem(predictions, targets, config)
+    problem = build_problem(label_probs, anchor_probs, source_tokens, label_targets,
+                            anchored, use_anchor_mask=use_anchor_mask,
+                            mask_epsilon=mask_epsilon)
     assignment = optimal_assignment(problem.label_score * problem.anchor_score)
     if edge_loglik is not None:
-        assignment = break_ties(problem, assignment, edge_loglik, config)
+        assignment = break_ties(problem, assignment, edge_loglik)
     return assignment

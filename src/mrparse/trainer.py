@@ -112,20 +112,20 @@ class TrainConfig:
                     and (high is None or value < high)):
                 bounds = f"at least {low}" if high is None else f"in [{low}, {high})"
                 raise TrainError(f"{name} must be {bounds}, got {value}")
+        if self.stop_when is not None:
+            _check_stop_when(self.stop_when, repr(self.stop_when))
 
 
-def _parse_stop_when(text: str, where: str) -> dict:
-    try:
-        value = json.loads(text)
-    except ValueError:
-        value = None  # reported below with the other malformed values
-    # type() rather than isinstance(): a JSON true is not a threshold
+def _check_stop_when(value, shown: str, where: str = ""):
+    """Raise TrainError unless value maps evaluate() metric names to finite
+    thresholds; the message quotes the value as shown, after where."""
+    # type() rather than isinstance(): a JSON true is not a threshold; an
+    # integer too large for a float still compares with inf
     if not isinstance(value, dict) or not all(
             name in EVAL_METRICS and type(threshold) in (int, float)
-            and np.isfinite(threshold) for name, threshold in value.items()):
-        raise TrainError(f"{where}: stop_when must be a JSON object mapping "
-                         f"{'/'.join(EVAL_METRICS)} to finite numbers, got {text}")
-    return value
+            and abs(threshold) < math.inf for name, threshold in value.items()):
+        raise TrainError(f"{where}stop_when must be a JSON object mapping "
+                         f"{'/'.join(EVAL_METRICS)} to finite numbers, got {shown}")
 
 
 def load_train_config(path: str) -> TrainConfig:
@@ -159,7 +159,11 @@ def load_train_config(path: str) -> TrainConfig:
                     raise TrainError(f"{path}:{lineno}: {name} must be "
                                      f"{_KINDS[kind][1]}, got {text!r}") from None
             else:  # stop_when, the one non-scalar option
-                values[name] = _parse_stop_when(text, f"{path}:{lineno}")
+                try:
+                    values[name] = json.loads(text)
+                except ValueError:
+                    values[name] = None  # reported with the other malformed values
+                _check_stop_when(values[name], text, f"{path}:{lineno}: ")
     try:
         return TrainConfig(**values)
     except TrainError as exc:
@@ -184,24 +188,25 @@ def lr_schedule(step: int, config: TrainConfig) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # example preparation
 
-@dataclass(frozen=True)
-class NodeTarget(matcher.TargetSpec):
-    """A gold node: what the matcher scores plus the per-task loss targets."""
-
-    target_smoothed: np.ndarray
-    anchor_vector: np.ndarray
-    is_property: bool
-    is_top: bool
-    signature: tuple                        # content identity for invariance
-
-
 @dataclass
 class Example:
+    """A training sentence and its gold targets, row j for node j of pre.
+
+    label_targets [k, classes] holds each node's unsmoothed rule
+    distribution, which the matcher scores, and smoothed_targets the one
+    the label loss takes; anchored [k, tokens] is True where a node is
+    anchored to a token, and is_property [k] marks the nodes made from
+    properties.
+    """
+
     gold: Graph
     pre: Graph
     tokens: tuple[Token, ...]
     token_ids: np.ndarray
-    targets: list[NodeTarget]
+    label_targets: np.ndarray
+    smoothed_targets: np.ndarray
+    anchored: np.ndarray
+    is_property: np.ndarray
     edges: list[tuple[int, int, int]]       # (source node idx, target node idx, label id)
     top_index: Optional[int]
 
@@ -227,7 +232,7 @@ def preprocess_gold(g: Graph) -> tuple[Graph, transform.TransformTrace]:
     pre, trace = transform.preprocess("eds", g)
     pre, inv = transform.normalize_inverted_edges(pre)
     return pre, transform.TransformTrace(nodeified=trace.nodeified,
-                                         deinverted=inv.deinverted, flagged=inv.flagged)
+                                         deinverted=inv.deinverted)
 
 
 def compile_rule_table(pre_graphs: Sequence[Graph], cache_dir: str | None = None,
@@ -253,38 +258,36 @@ def build_example(g: Graph, pre: Graph, trace: transform.TransformTrace,
                   meta: ModelMeta, applicable: dict) -> Example:
     """Targets of one preprocessed gold graph; applicable maps each
     (forms, lemmas, label) to its retained rules and is shared across calls."""
-    config = meta.config
+    num_rules = len(meta.rule_table)
     property_ids = {node_id for _, _, node_id in trace.nodeified}
     tokens = graph_tokens(pre)
-    token_ids = meta.token_ids(tokens)
-    targets = []
-    index_of = {}
-    for node in pre.nodes:
-        index_of[node.id] = len(targets)
-        anchored = anchored_token_indices(node, tokens)
-        forms = tuple(tokens[i].form for i in anchored)
-        lemmas = tuple(tokens[i].lemma for i in anchored)
+    k = len(pre.nodes)
+    label_targets = np.empty((k, num_rules + 1))
+    smoothed_targets = np.empty((k, num_rules + 1))
+    anchored = np.zeros((k, len(tokens)), dtype=bool)
+    for j, node in enumerate(pre.nodes):
+        indices = anchored_token_indices(node, tokens)
+        anchored[j, indices] = True
+        forms = tuple(tokens[i].form for i in indices)
+        lemmas = tuple(tokens[i].lemma for i in indices)
         label = node.label or ""
         key = (forms, lemmas, label)
         if key not in applicable:
-            applicable[key] = tuple(k for k, rule in enumerate(meta.rule_table)
+            applicable[key] = tuple(r for r, rule in enumerate(meta.rule_table)
                                     if rules.apply_rule(rule, forms, lemmas) == label)
-        plain = rules.build_rule_target(applicable[key], len(meta.rule_table), 0.0)
-        smoothed = rules.build_rule_target(applicable[key], len(meta.rule_table),
-                                           config.label_smoothing)
-        vector = np.zeros(len(tokens))
-        vector[anchored] = 1.0
-        targets.append(NodeTarget(
-            label_target=plain, anchor_tokens=frozenset(anchored),
-            target_smoothed=smoothed, anchor_vector=vector,
-            is_property=node.id in property_ids, is_top=node.is_top,
-            signature=(label, tuple(sorted(anchored)))))
+        label_targets[j] = rules.build_rule_target(applicable[key], num_rules, 0.0)
+        smoothed_targets[j] = rules.build_rule_target(applicable[key], num_rules,
+                                                      meta.config.label_smoothing)
+    index_of = {node.id: j for j, node in enumerate(pre.nodes)}
     label_index = {l: i for i, l in enumerate(meta.edge_labels)}
     edges = [(index_of[e.source], index_of[e.target], label_index[e.label])
              for e in pre.edges]
-    top_index = next((i for i, t in enumerate(targets) if t.is_top), None)
-    return Example(gold=g, pre=pre, tokens=tuple(tokens), token_ids=token_ids,
-                   targets=targets, edges=edges, top_index=top_index)
+    is_property = np.array([n.id in property_ids for n in pre.nodes], dtype=bool)
+    top_index = next((j for j, n in enumerate(pre.nodes) if n.is_top), None)
+    return Example(gold=g, pre=pre, tokens=tuple(tokens), token_ids=meta.token_ids(tokens),
+                   label_targets=label_targets, smoothed_targets=smoothed_targets,
+                   anchored=anchored, is_property=is_property, edges=edges,
+                   top_index=top_index)
 
 
 def edge_label_vocab(gold: Sequence[tuple[Graph, transform.TransformTrace]],
@@ -422,32 +425,26 @@ def match_queries(config: TrainConfig, fwd: ForwardPass, row: int, example: Exam
     nodes, breaking ties by the edge loss: the edge-presence plus edge-label
     loss sentence_losses computes for a perm."""
     hidden = fwd.hidden[row]
-    predictions = matcher.PredictionSpec(label_probs=fwd.label_probs[row],
-                                         anchor_probs=fwd.anchor_probs[row],
-                                         source_tokens=fwd.source_tokens)
-    match_config = matcher.MatchConfig(use_anchor_mask=config.use_anchor_mask,
-                                       mask_epsilon=config.mask_epsilon)
 
     def edge_nll(perm: tuple[int, ...]) -> float:
-        _, sel, node_pos = _matched_nodes(perm, len(example.targets))
-        edge = _edge_losses(params, config, example, hidden[sel], node_pos)
+        sel = _target_queries(perm, len(example.label_targets))
+        edge = _edge_losses(params, config, example, hidden[sel])
         return edge["edge_presence"][0] + edge["edge_label"][0]
 
-    return matcher.align_targets(predictions, example.targets, match_config, edge_nll)
+    return matcher.align_targets(fwd.label_probs[row], fwd.anchor_probs[row],
+                                 fwd.source_tokens, example.label_targets,
+                                 example.anchored, use_anchor_mask=config.use_anchor_mask,
+                                 mask_epsilon=config.mask_epsilon, edge_loglik=edge_nll)
 
 
-def _matched_nodes(perm: Sequence[int], num_targets: int,
-                   ) -> tuple[list[int], list[int], dict[int, int]]:
-    """Matched targets in ascending order, the query matched to each, and each
-    matched target's position in that order; perm entries >= num_targets are
-    null matches."""
-    query_for = {target: query for query, target in enumerate(perm)
-                 if target < num_targets}
-    order = sorted(query_for)
-    return order, [query_for[j] for j in order], {j: k for k, j in enumerate(order)}
+def _target_queries(perm: Sequence[int], num_targets: int) -> np.ndarray:
+    """The query matched to each target.  perm permutes the queries, so every
+    target has one (build_problem refuses more targets than queries); perm
+    entries >= num_targets are null matches."""
+    return np.argsort(perm)[:num_targets]
 
 
-def _edge_targets(edges, node_pos, m: int, multilabel: bool):
+def _edge_targets(edges, m: int, multilabel: bool):
     """Presence matrix plus per-pair label targets.
 
     Multi-class mode yields one (pair, label id) entry per gold edge;
@@ -457,28 +454,26 @@ def _edge_targets(edges, node_pos, m: int, multilabel: bool):
     if multilabel:
         grouped: dict[tuple[int, int], set] = {}
         for a, b, label_id in edges:
-            pair = (node_pos[a], node_pos[b])
-            presence[pair] = 1.0
-            grouped.setdefault(pair, set()).add(label_id)
+            presence[a, b] = 1.0
+            grouped.setdefault((a, b), set()).add(label_id)
         pairs = sorted(grouped)
         labels = [grouped[p] for p in pairs]
     else:
         pairs = []
         labels = []
         for a, b, label_id in edges:
-            pair = (node_pos[a], node_pos[b])
-            presence[pair] = 1.0
-            pairs.append(pair)
+            presence[a, b] = 1.0
+            pairs.append((a, b))
             labels.append(label_id)
     return presence, pairs, labels
 
 
 def _edge_losses(params: dict, config: TrainConfig, example: Example,
-                 states: np.ndarray, node_pos: dict[int, int],
+                 states: np.ndarray,
                  ) -> dict[str, tuple[float, dict[str, np.ndarray], np.ndarray]]:
-    """Edge losses over the matched node states, as task -> (loss, head
-    parameter grads, grad wrt states): presence and label."""
-    presence, pairs, labels = _edge_targets(example.edges, node_pos, len(states),
+    """Edge losses over the gold nodes' matched states, one row per target, as
+    task -> (loss, head parameter grads, grad wrt states): presence and label."""
+    presence, pairs, labels = _edge_targets(example.edges, len(states),
                                             config.edge_multilabel)
     p_logits, p_cache = heads.biaffine_forward(states, states, params["edgep.u"])
     loss, du, dstates = heads.edge_presence_loss(p_logits, p_cache, presence)
@@ -526,21 +521,20 @@ def sentence_losses(params: dict, config: TrainConfig, examples: Sequence[Exampl
     row = {task: k for k, task in enumerate(TASKS)}
     dhidden = np.zeros((len(TASKS),) + fwd.hidden.shape)
 
-    # every query's targets: a matched query takes its node's, a null query
-    # the null class and no anchor loss
+    # every query's targets: the query of target j takes row j of its
+    # sentence's, a null query the null class and no anchor loss
+    sels = [_target_queries(assignment.perm, len(example.label_targets))
+            for example, assignment in zip(examples, assignments)]
     num_classes = fwd.label_probs.shape[-1]
     label_targets = np.empty_like(fwd.label_probs)
     label_targets[...] = rules.build_rule_target((), num_classes - 1,
                                                  config.label_smoothing, is_null=True)
     anchor_targets = np.zeros_like(fwd.anchor_probs)
     mask = np.zeros((num_sentences, num_queries), dtype=bool)
-    for s, (example, assignment) in enumerate(zip(examples, assignments)):
-        for query, target in enumerate(assignment.perm):
-            if target < len(example.targets):
-                node = example.targets[target]
-                mask[s, query] = True
-                label_targets[s, query] = node.target_smoothed
-                anchor_targets[s, query] = node.anchor_vector
+    for s, (example, sel) in enumerate(zip(examples, sels)):
+        mask[s, sel] = True
+        label_targets[s, sel] = example.smoothed_targets
+        anchor_targets[s, sel] = example.anchored
 
     # label loss over every query: every sentence has num_queries rows, so the
     # mean over the group's rows times the sentences sums each sentence's mean
@@ -558,28 +552,26 @@ def sentence_losses(params: dict, config: TrainConfig, examples: Sequence[Exampl
     head["anchor"] = {"anchor.u": du}
 
     # the other heads see only a sentence's matched queries, sel (no repeats)
-    def add(task: str, s: int, sel: list[int], loss: float, grads: dict,
+    def add(task: str, s: int, sel: np.ndarray, loss: float, grads: dict,
             dstates: np.ndarray):
         losses[task] = losses.get(task, 0.0) + loss
         dhidden[row[task], s, sel] = dstates
         for key, grad in grads.items():
             model.add_grad(head.setdefault(task, {}), key, grad)
 
-    for s, (example, assignment) in enumerate(zip(examples, assignments)):
-        order, sel, node_pos = _matched_nodes(assignment.perm, len(example.targets))
+    for s, (example, sel) in enumerate(zip(examples, sels)):
         states = fwd.hidden[s, sel]
         for task, (loss, grads, dstates) in _edge_losses(params, config, example,
-                                                         states, node_pos).items():
+                                                         states).items():
             add(task, s, sel, loss, grads, dstates)
-        prop_targets = np.array([1.0 if example.targets[j].is_property else 0.0
-                                 for j in order])
         loss, dw, db, dstates = heads.property_loss(
-            states, params["prop.w"], float(params["prop.b"]), prop_targets)
+            states, params["prop.w"], float(params["prop.b"]),
+            example.is_property.astype(np.float64))
         add("property", s, sel, loss, {"prop.w": dw, "prop.b": np.array(db)}, dstates)
-        if example.top_index is not None and sel:
+        if example.top_index is not None:
             loss, dw, db, dstates = heads.top_loss(states, params["top.w"],
                                                    float(params["top.b"]),
-                                                   node_pos[example.top_index])
+                                                   example.top_index)
             add("top", s, sel, loss, {"top.w": dw, "top.b": np.array(db)}, dstates)
 
     return losses, SentenceGrads(head=head, dhidden=dhidden, anchor_dmemory=anchor_dmemory)

@@ -34,13 +34,11 @@ class TransformTrace:
 
     nodeified: (parent node id, attribute, created node id) per converted
     property; deinverted: indices of edges (in the transformed graph) whose
-    label had the inversion suffix stripped; flagged: indices of edges whose
-    label carries the suffix but was left untouched (unknown stripped form).
+    label had the inversion suffix stripped.
     """
 
     nodeified: tuple[tuple[int, str, int], ...] = ()
     deinverted: tuple[int, ...] = ()
-    flagged: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -137,36 +135,28 @@ def denodeify_properties(g: Graph, trace: TransformTrace) -> Graph:
 
 def normalize_inverted_edges(g: Graph, suffix: str = DEFAULT_INVERSION_SUFFIX,
                              aliases: dict[str, str] | None = None,
-                             known_labels: set[str] | None = None,
                              ) -> tuple[Graph, TransformTrace]:
     """Reverse edges whose label (or its alias) ends with the inversion suffix.
 
-    An edge a->b labeled "X-of" becomes b->a labeled "X".  When known_labels
-    is given, labels whose stripped form is not in it are left alone and
-    flagged in the trace instead of being reversed.  A graph with no edge to
-    reverse is returned as it is.
+    An edge a->b labeled "X-of" becomes b->a labeled "X".  A graph with no
+    edge to reverse is returned as it is.
     """
     if not suffix:
         raise TransformError("inversion suffix must be nonempty")
     aliases = DEFAULT_ALIASES if aliases is None else aliases
     edges = []
     deinverted = []
-    flagged = []
     for i, edge in enumerate(g.edges):
         label = aliases.get(edge.label, edge.label)
         if label.endswith(suffix) and len(label) > len(suffix):
-            stripped = label[:-len(suffix)]
-            if known_labels is not None and stripped not in known_labels:
-                flagged.append(i)
-                edges.append(edge)
-                continue
-            edges.append(Edge(source=edge.target, target=edge.source, label=stripped,
+            edges.append(Edge(source=edge.target, target=edge.source,
+                              label=label[:-len(suffix)],
                               attributes=edge.attributes, extras=edge.extras))
             deinverted.append(i)
         else:
             edges.append(edge)
     out = replace(g, edges=tuple(edges)) if deinverted else g
-    return out, TransformTrace(deinverted=tuple(deinverted), flagged=tuple(flagged))
+    return out, TransformTrace(deinverted=tuple(deinverted))
 
 
 def reinvert_edges_for_top(g: Graph, suffix: str = DEFAULT_INVERSION_SUFFIX,
@@ -316,8 +306,7 @@ def preprocess(framework: str, g: Graph,
     if framework == "amr":
         out, trace = nodeify_properties(g)
         out, inv = normalize_inverted_edges(out, config.inversion_suffix, config.alias_map())
-        return out, TransformTrace(nodeified=trace.nodeified, deinverted=inv.deinverted,
-                                   flagged=inv.flagged)
+        return out, TransformTrace(nodeified=trace.nodeified, deinverted=inv.deinverted)
     if framework == "drg":
         out, trace = nodeify_properties(g)
         out = drg_reduce_binary_relations(out, config.drg_relation_labels)

@@ -21,8 +21,8 @@ of comparing tuples.  The reference graph parser is
 the per-node, per-edge and per-token helper version that preceded the
 one-pass parse_graph, kept as it was.
 The brute-force hitting set, the loss bundle, the sentence total loss, the
-one-query label head loss and the per-sentence views of a group pass serve
-only the tests.
+one-query label head loss, the per-sentence views of a group pass and the
+target-row selection and shuffle of an example serve only the tests.
 """
 
 from __future__ import annotations
@@ -105,26 +105,25 @@ def brute_force_assignment(scores: np.ndarray) -> tuple[tuple[int, ...], float]:
     return best_perm, float(best)
 
 
-def reference_build_problem(predictions, targets, config) -> MatchProblem:
+def reference_build_problem(label_probs, anchor_probs, source_tokens, label_targets,
+                            anchored, use_anchor_mask, mask_epsilon) -> MatchProblem:
     """matcher.build_problem written one target column and one token at a time."""
-    num_queries = predictions.label_probs.shape[0]
-    num_tokens = predictions.anchor_probs.shape[1]
-    label_score = np.zeros((num_queries, len(targets)))
-    anchor_score = np.ones((num_queries, len(targets)))
-    for j, target in enumerate(targets):
-        label_score[:, j] = predictions.label_probs @ target.label_target
+    num_queries, num_tokens = anchor_probs.shape
+    label_score = np.zeros((num_queries, len(label_targets)))
+    anchor_score = np.ones((num_queries, len(label_targets)))
+    for j, target in enumerate(label_targets):
+        label_score[:, j] = label_probs @ target
         observed = np.empty((num_queries, num_tokens))
         for t in range(num_tokens):
-            if t in target.anchor_tokens:
-                observed[:, t] = predictions.anchor_probs[:, t]
+            if anchored[j, t]:
+                observed[:, t] = anchor_probs[:, t]
             else:
-                observed[:, t] = 1.0 - predictions.anchor_probs[:, t]
+                observed[:, t] = 1.0 - anchor_probs[:, t]
         anchor_score[:, j] = geomean_anchor(observed)
-        if config.use_anchor_mask:
-            permitted = np.isin(predictions.source_tokens,
-                                sorted(target.anchor_tokens))
+        if use_anchor_mask:
+            permitted = np.isin(source_tokens, np.flatnonzero(anchored[j]))
             anchor_score[:, j] = apply_anchor_mask(anchor_score[:, j], permitted,
-                                                   config.mask_epsilon)
+                                                   mask_epsilon)
     return MatchProblem(label_score=label_score, anchor_score=anchor_score)
 
 
@@ -652,10 +651,36 @@ def total_loss(bundle: LossBundle) -> float:
 
 
 def pairing(example, assignment) -> list:
-    """(query, NodeTarget or None) for every query of one sentence."""
-    num_targets = len(example.targets)
-    return [(query, example.targets[target] if target < num_targets else None)
+    """(query, its gold node's (label, anchor token indices) or None for a
+    null match) for every query of one sentence, in query order."""
+    num_targets = len(example.label_targets)
+    return [(query, (example.pre.nodes[target].label,
+                     tuple(np.flatnonzero(example.anchored[target]).tolist()))
+             if target < num_targets else None)
             for query, target in enumerate(assignment.perm)]
+
+
+def with_targets(example, rows: Sequence[int], **changes):
+    """example with its target rows, and the nodes of its preprocessed graph,
+    taken in the order rows gives (repeats allowed), and the fields in
+    changes replaced."""
+    rows = list(rows)
+    taken = dict(pre=replace(example.pre, nodes=tuple(example.pre.nodes[j] for j in rows)),
+                 label_targets=example.label_targets[rows],
+                 smoothed_targets=example.smoothed_targets[rows],
+                 anchored=example.anchored[rows], is_property=example.is_property[rows])
+    return replace(example, **{**taken, **changes})
+
+
+def shuffle_targets(example, rng):
+    """example with its gold nodes in an order rng draws, the edges and the
+    top renumbered alike."""
+    order = rng.permutation(len(example.label_targets)).tolist()
+    inverse = {old: new for new, old in enumerate(order)}
+    return with_targets(
+        example, order, edges=[(inverse[a], inverse[b], label)
+                               for a, b, label in example.edges],
+        top_index=inverse[example.top_index] if example.top_index is not None else None)
 
 
 def sentence_total_loss(params: dict, config, example,
@@ -690,15 +715,14 @@ def sentence_passes(fwd, params: dict) -> list:
 
 
 def reference_sentence_losses(params: dict, config, example, fwd, assignment,
-                              ) -> tuple[dict[str, float], trainer.SentenceGrads, list]:
+                              ) -> tuple[dict[str, float], trainer.SentenceGrads]:
     """trainer.sentence_losses as it was before the group losses: one
     sentence's 2-D pass (a sentence_passes view), its label and anchor
-    losses and their backward taken on their own.  Returns (losses, grads,
-    pairing), grads.dhidden [tasks, queries, dim]."""
+    losses and their backward taken on their own, the targets taken one
+    query at a time.  Returns (losses, grads), grads.dhidden [tasks,
+    queries, dim]."""
     num_queries = fwd.hidden.shape[0]
-    num_targets = len(example.targets)
-    pairing = [(query, example.targets[target] if target < num_targets else None)
-               for query, target in enumerate(assignment.perm)]
+    num_targets = len(example.label_targets)
 
     losses: dict[str, float] = {}
     head: dict[str, dict[str, np.ndarray]] = {}
@@ -708,8 +732,9 @@ def reference_sentence_losses(params: dict, config, example, fwd, assignment,
     # label loss over every query (null queries get the null class target)
     null_target = rules.build_rule_target((), len(fwd.label_probs[0]) - 1,
                                           config.label_smoothing, is_null=True)
-    target_matrix = np.stack([node.target_smoothed if node is not None else null_target
-                              for _, node in pairing])
+    target_matrix = np.stack([example.smoothed_targets[target]
+                              if target < num_targets else null_target
+                              for target in assignment.perm])
     loss_label, dprob_matrix = heads.label_loss(fwd.label_probs, target_matrix,
                                                 config.focal_gamma)
     losses["label"] = loss_label
@@ -721,44 +746,43 @@ def reference_sentence_losses(params: dict, config, example, fwd, assignment,
     # anchor loss over queries matched to real nodes
     anchor_targets = np.zeros_like(fwd.anchor_probs)
     mask = np.zeros(num_queries, dtype=bool)
-    for query, node in pairing:
-        if node is not None:
+    for query, target in enumerate(assignment.perm):
+        if target < num_targets:
             mask[query] = True
-            anchor_targets[query] = node.anchor_vector
+            anchor_targets[query] = example.anchored[target]
     losses["anchor"], du, dhidden[row["anchor"]], anchor_dmemory = heads.anchor_loss(
         fwd.anchor_cache, anchor_targets, mask)
     head["anchor"] = {"anchor.u": du}
 
-    # the other heads see only the matched queries, sel (no repeats)
-    order, sel, node_pos = trainer._matched_nodes(assignment.perm, num_targets)
+    # the other heads see only the matched queries, sel (no repeats): the
+    # query of each target in turn
+    sel = [assignment.perm.index(j) for j in range(num_targets)]
     states = fwd.hidden[sel]
-    m = len(sel)
 
     for task, (loss, grads, dstates) in trainer._edge_losses(
-            params, config, example, states, node_pos).items():
+            params, config, example, states).items():
         losses[task] = loss
         dhidden[row[task], sel] = dstates
         head[task] = grads
 
-    prop_targets = np.array([1.0 if example.targets[j].is_property else 0.0
-                             for j in order])
+    prop_targets = np.array([1.0 if example.is_property[j] else 0.0
+                             for j in range(num_targets)])
     loss, dw, db, dstates = heads.property_loss(states, params["prop.w"],
                                                 float(params["prop.b"]), prop_targets)
     losses["property"] = loss
     dhidden[row["property"], sel] = dstates
     head["property"] = {"prop.w": dw, "prop.b": np.array(db)}
 
-    if example.top_index is not None and m > 0:
-        gold = node_pos[example.top_index]
+    if example.top_index is not None:
         loss, dw, db, dstates = heads.top_loss(states, params["top.w"],
-                                               float(params["top.b"]), gold)
+                                               float(params["top.b"]), example.top_index)
         losses["top"] = loss
         dhidden[row["top"], sel] = dstates
         head["top"] = {"top.w": dw, "top.b": np.array(db)}
 
     grads = trainer.SentenceGrads(head=head, dhidden=dhidden,
                                   anchor_dmemory=anchor_dmemory)
-    return losses, grads, pairing
+    return losses, grads
 
 
 def label_head_loss(h: np.ndarray, params, target: np.ndarray, gamma: float):

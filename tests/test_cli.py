@@ -473,6 +473,12 @@ class TestTrainPredict:
         assert predict_with_stored_config({name: value}, tmp_path, capsys) == \
             f"checkpoint: {message}"
 
+    @pytest.mark.parametrize("value,shown", [(3, "3"), ({"bleu": 1}, "{'bleu': 1}")])
+    def test_predict_malformed_stored_stop_when(self, value, shown, tmp_path, capsys):
+        assert predict_with_stored_config({"stop_when": value}, tmp_path, capsys) == \
+            (f"checkpoint: stop_when must be a JSON object mapping "
+             f"tops/labels/properties/anchors/edges to finite numbers, got {shown}")
+
     @pytest.mark.parametrize("name", REMOVED_SWITCHES)
     def test_predict_stored_config_with_removed_switch(self, name, tmp_path, capsys):
         # a checkpoint saved while the switch was an option stores its value

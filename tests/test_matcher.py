@@ -4,8 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrparse import matcher
-from mrparse.matcher import (ANCHOR_PROB_FLOOR, CapacityError, MatchConfig, MatchError,
-                             MatchProblem, PredictionSpec, TargetSpec,
+from mrparse.matcher import (ANCHOR_PROB_FLOOR, CapacityError, MatchError, MatchProblem,
                              align_targets, apply_anchor_mask, break_ties,
                              build_problem, geomean_anchor, optimal_assignment)
 from oracles import brute_force_assignment, reference_build_problem, reference_tie_groups
@@ -137,60 +136,67 @@ class TestBreakTies:
         assert len(set(seen)) == 6  # all within-group permutations
 
     def test_oversized_group_falls_back_with_warning(self):
-        n = 8
+        n = matcher.MAX_TIE_GROUP + 2
         problem = _problem(np.full((n, n), 0.4), np.ones((n, n)))
         assignment = optimal_assignment(problem.label_score * problem.anchor_score)
-        out = break_ties(problem, assignment, lambda perm: 0.0,
-                         MatchConfig(max_tie_group=6))
+        out = break_ties(problem, assignment, lambda perm: 0.0)
         assert out.perm == assignment.perm
         assert out.warnings
 
-    def test_combination_cap_falls_back_with_warning(self):
+    def test_combination_cap_falls_back_with_warning(self, monkeypatch):
         # two groups of 4: 24 * 24 = 576 combinations exceed a cap of 100
         label = np.zeros((8, 8))
         label[:, :4] = 0.5
         label[:, 4:] = 0.3
         problem = _problem(label, np.ones((8, 8)))
         assignment = optimal_assignment(problem.label_score * problem.anchor_score)
-        out = break_ties(problem, assignment, lambda perm: 0.0,
-                         MatchConfig(max_tie_group=6, max_tie_combinations=100))
+        monkeypatch.setattr(matcher, "MAX_TIE_COMBINATIONS", 100)
+        out = break_ties(problem, assignment, lambda perm: 0.0)
         assert out.perm == assignment.perm
         assert out.warnings
 
 
-def _prediction(label_probs, anchor_probs, source):
-    return PredictionSpec(label_probs=np.asarray(label_probs, dtype=float),
-                          anchor_probs=np.asarray(anchor_probs, dtype=float),
-                          source_tokens=np.asarray(source))
+def _queries(label_probs, anchor_probs, source):
+    """The prediction arguments of build_problem and align_targets."""
+    return (np.asarray(label_probs, dtype=float), np.asarray(anchor_probs, dtype=float),
+            np.asarray(source))
+
+
+def _targets(label_targets, anchor_sets, num_tokens):
+    """The target arguments: stacked label rows, and each target's anchor
+    token set as a row of anchored."""
+    anchored = np.zeros((len(anchor_sets), num_tokens), dtype=bool)
+    for j, tokens in enumerate(anchor_sets):
+        anchored[j, list(tokens)] = True
+    return np.array(label_targets, dtype=float), anchored
 
 
 class TestAlignTargets:
     def test_pads_with_nulls(self):
-        predictions = _prediction(
-            [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.4, 0.4, 0.2]],
-            np.full((3, 2), 0.5), [0, 0, 1])
-        targets = [TargetSpec(np.array([1.0, 0.0, 0.0]), frozenset({0})),
-                   TargetSpec(np.array([0.0, 1.0, 0.0]), frozenset({0}))]
-        assignment = align_targets(predictions, targets, MatchConfig(use_anchor_mask=False))
+        queries = _queries([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.4, 0.4, 0.2]],
+                           np.full((3, 2), 0.5), [0, 0, 1])
+        targets = _targets([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [{0}, {0}], 2)
+        assignment = align_targets(*queries, *targets, use_anchor_mask=False)
         assert sorted(assignment.perm) == [0, 1, 2]
         null_queries = [q for q, t in enumerate(assignment.perm) if t >= 2]
         assert len(null_queries) == 1
 
     def test_no_targets(self):
-        predictions = _prediction([[0.8, 0.2], [0.3, 0.7], [0.5, 0.5]],
-                                  np.full((3, 2), 0.5), [0, 0, 1])
-        problem = build_problem(predictions, [])
+        queries = _queries([[0.8, 0.2], [0.3, 0.7], [0.5, 0.5]],
+                           np.full((3, 2), 0.5), [0, 0, 1])
+        targets = _targets(np.empty((0, 2)), [], 2)
+        problem = build_problem(*queries, *targets)
         assert problem.label_score.shape == problem.anchor_score.shape == (3, 0)
         assert problem.num_real_targets == 0
-        assignment = align_targets(predictions, [], edge_loglik=lambda perm: 0.0)
+        assignment = align_targets(*queries, *targets, edge_loglik=lambda perm: 0.0)
         assert assignment.perm == (0, 1, 2)
         assert assignment.score == 0.0
 
     def test_capacity_error(self):
-        predictions = _prediction([[1.0, 0.0]], np.full((1, 1), 0.5), [0])
-        targets = [TargetSpec(np.array([1.0, 0.0]), frozenset({0}))] * 2
+        queries = _queries([[1.0, 0.0]], np.full((1, 1), 0.5), [0])
+        targets = _targets([[1.0, 0.0]] * 2, [{0}, {0}], 1)
         with pytest.raises(CapacityError):
-            align_targets(predictions, targets)
+            align_targets(*queries, *targets)
 
     def test_two_queries_per_token_figure_scenario(self):
         # 3 tokens x 2 queries, 4 real nodes: exactly 2 queries become null
@@ -198,14 +204,10 @@ class TestAlignTargets:
         num_queries, num_classes, num_tokens = 6, 5, 3
         label_probs = rng.dirichlet(np.ones(num_classes), size=num_queries)
         anchor_probs = rng.random((num_queries, num_tokens))
-        predictions = _prediction(label_probs, anchor_probs, [0, 0, 1, 1, 2, 2])
-        targets = []
-        for j in range(4):
-            dist = np.zeros(num_classes)
-            dist[j % num_classes] = 1.0
-            targets.append(TargetSpec(dist, frozenset({j % num_tokens})))
-        assignment = align_targets(predictions, targets,
-                                   MatchConfig(use_anchor_mask=False))
+        queries = _queries(label_probs, anchor_probs, [0, 0, 1, 1, 2, 2])
+        targets = _targets(np.eye(num_classes)[[j % num_classes for j in range(4)]],
+                           [{j % num_tokens} for j in range(4)], num_tokens)
+        assignment = align_targets(*queries, *targets, use_anchor_mask=False)
         nulls = [q for q, t in enumerate(assignment.perm) if t >= 4]
         assert len(nulls) == 2
 
@@ -214,31 +216,30 @@ class TestAlignTargets:
         rng = np.random.default_rng(4)
         label_probs = rng.dirichlet(np.ones(3), size=4)
         anchor_probs = np.full((4, 2), 0.5)
-        predictions = _prediction(label_probs, anchor_probs, [0, 0, 1, 1])
-        targets = [TargetSpec(np.array([1.0, 0.0, 0.0]), frozenset({0})),
-                   TargetSpec(np.array([0.0, 1.0, 0.0]), frozenset({1}))]
-        assignment = align_targets(predictions, targets, MatchConfig())
+        queries = _queries(label_probs, anchor_probs, [0, 0, 1, 1])
+        label_targets, anchored = _targets([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                                           [{0}, {1}], 2)
+        assignment = align_targets(*queries, label_targets, anchored)
         for query, target in enumerate(assignment.perm):
             if target < 2:
-                assert predictions.source_tokens[query] in targets[target].anchor_tokens
+                assert anchored[target, queries[2][query]]
 
     def test_permutation_invariance_composition(self):
         rng = np.random.default_rng(6)
         num_queries, num_classes, num_tokens = 6, 7, 3
         label_probs = rng.dirichlet(np.ones(num_classes), size=num_queries)
         anchor_probs = rng.random((num_queries, num_tokens))
-        predictions = _prediction(label_probs, anchor_probs, [0, 0, 1, 1, 2, 2])
-        targets = []
+        queries = _queries(label_probs, anchor_probs, [0, 0, 1, 1, 2, 2])
+        dists, anchor_sets = [], []
         for j in range(4):
-            dist = rng.dirichlet(np.ones(num_classes))
-            targets.append(TargetSpec(dist, frozenset({int(rng.integers(num_tokens))})))
-        base = align_targets(predictions, targets,
-                             MatchConfig(use_anchor_mask=False))
+            dists.append(rng.dirichlet(np.ones(num_classes)))
+            anchor_sets.append({int(rng.integers(num_tokens))})
+        label_targets, anchored = _targets(dists, anchor_sets, num_tokens)
+        base = align_targets(*queries, label_targets, anchored, use_anchor_mask=False)
         base_pairs = {(q, t) for q, t in enumerate(base.perm) if t < 4}
         order = [2, 0, 3, 1]
-        shuffled = [targets[j] for j in order]
-        moved = align_targets(predictions, shuffled,
-                              MatchConfig(use_anchor_mask=False))
+        moved = align_targets(*queries, label_targets[order], anchored[order],
+                              use_anchor_mask=False)
         moved_pairs = {(q, order[t]) for q, t in enumerate(moved.perm) if t < 4}
         assert moved_pairs == base_pairs
         assert moved.score == pytest.approx(base.score, abs=1e-12)
@@ -258,17 +259,14 @@ def test_mask_soundness_property(seed):
     label_probs = rng.dirichlet(np.ones(num_targets + 1), size=num_queries)
     anchor_probs = rng.uniform(0.1, 0.9, (num_queries, num_tokens))
     # one target per distinct token: a perfect unmasked matching exists
-    targets = []
-    for j in range(num_targets):
-        dist = np.zeros(num_targets + 1)
-        dist[j] = 1.0
-        targets.append(TargetSpec(dist, frozenset({j})))
-    predictions = _prediction(label_probs, anchor_probs, source)
-    assignment = align_targets(predictions, targets,
-                               MatchConfig(use_anchor_mask=True, mask_epsilon=1e-8))
+    label_targets, anchored = _targets(np.eye(num_targets + 1)[:num_targets],
+                                       [{j} for j in range(num_targets)], num_tokens)
+    assignment = align_targets(*_queries(label_probs, anchor_probs, source),
+                               label_targets, anchored, use_anchor_mask=True,
+                               mask_epsilon=1e-8)
     for query, target in enumerate(assignment.perm):
         if target < num_targets:
-            assert int(source[query]) in targets[target].anchor_tokens
+            assert anchored[target, source[query]]
 
 
 @settings(max_examples=40, deadline=None)
@@ -295,19 +293,20 @@ def test_build_problem_matches_reference(num_tokens, queries_per_token, use_mask
     num_targets = min(num_targets, num_queries)
     rng = np.random.default_rng(seed)
     num_classes = int(rng.integers(2, 6))
-    predictions = _prediction(rng.dirichlet(np.ones(num_classes), size=num_queries),
-                              rng.uniform(0.0, 1.0, (num_queries, num_tokens)),
-                              np.repeat(np.arange(num_tokens), queries_per_token))
+    queries = _queries(rng.dirichlet(np.ones(num_classes), size=num_queries),
+                       rng.uniform(0.0, 1.0, (num_queries, num_tokens)),
+                       np.repeat(np.arange(num_tokens), queries_per_token))
     # anchor sets of every size, the empty set (no anchor tokens) included
-    targets = [TargetSpec(rng.dirichlet(np.ones(num_classes)),
-                          frozenset(np.flatnonzero(rng.random(num_tokens)
-                                                   < rng.random()).tolist()))
-               for _ in range(num_targets)]
+    dists, anchor_sets = [], []
+    for _ in range(num_targets):
+        dists.append(rng.dirichlet(np.ones(num_classes)))
+        anchor_sets.append(np.flatnonzero(rng.random(num_tokens) < rng.random()))
     if num_targets:
-        targets[0] = TargetSpec(targets[0].label_target, frozenset())
-    config = MatchConfig(use_anchor_mask=use_mask, mask_epsilon=1e-8)
-    built = build_problem(predictions, targets, config)
-    expected = reference_build_problem(predictions, targets, config)
+        anchor_sets[0] = ()
+    targets = _targets(np.reshape(dists, (num_targets, num_classes)), anchor_sets,
+                       num_tokens)
+    built = build_problem(*queries, *targets, use_anchor_mask=use_mask, mask_epsilon=1e-8)
+    expected = reference_build_problem(*queries, *targets, use_mask, 1e-8)
     assert built.num_real_targets == expected.num_real_targets == num_targets
     assert built.label_score.shape == built.anchor_score.shape == (num_queries, num_targets)
     assert np.array_equal(built.label_score, expected.label_score)

@@ -102,17 +102,6 @@ def test_deinvert_idempotent(all_fixture_graphs):
         assert trace.deinverted == ()
 
 
-def test_deinvert_known_labels_flags_rest():
-    g = Graph(id="g", framework="amr", flavor=2, input="x",
-              nodes=(Node(0, "a"), Node(1, "b")),
-              edges=(Edge(0, 1, "ARG0-of"), Edge(0, 1, "self-of")))
-    out, trace = normalize_inverted_edges(g, known_labels={"ARG0"})
-    assert out.edges[0] == Edge(1, 0, "ARG0")
-    assert out.edges[1] == Edge(0, 1, "self-of")
-    assert trace.deinverted == (0,)
-    assert trace.flagged == (1,)
-
-
 def test_ucca_single_node_leaf():
     g = Graph(id="g", framework="ucca", flavor=1, input="hi",
               nodes=(Node(0, anchors=(Anchor(0, 2),)),))
@@ -266,12 +255,12 @@ def test_fold_property_nodes():
 _UNCHANGED = Graph(id="g", framework="eds", flavor=1, input="ab cd",
                    nodes=(Node(0, "x", anchors=(Anchor(0, 2),), is_top=True),
                           Node(1, "y", anchors=(Anchor(3, 5),)), Node(2, "z")),
-                   edges=(Edge(0, 1, "ARG1"), Edge(1, 2, "flag-of")))
+                   edges=(Edge(0, 1, "ARG1"), Edge(1, 2, "flag")))
 
 
 @pytest.mark.parametrize("transform", [
     lambda g: nodeify_properties(g)[0],
-    lambda g: normalize_inverted_edges(g, known_labels={"ARG1"})[0],
+    lambda g: normalize_inverted_edges(g)[0],
     eds_merge_anchors,
     reinvert_edges_for_top,
     lambda g: fold_property_nodes(g, {0}),
