@@ -9,7 +9,7 @@ one.  All computation is double precision numpy; there is no autodiff engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -46,12 +46,14 @@ def bce(logits: np.ndarray, targets: np.ndarray):
     return softplus(logits) - targets * logits, sigmoid(logits) - targets
 
 
-def nll(logits: np.ndarray, gold: int):
-    """Softmax cross-entropy of one gold class: (loss, dloss/dlogits)."""
+def nll(logits: np.ndarray, gold: np.ndarray):
+    """Softmax cross-entropy of the gold class of each row of logits [..., C]:
+    (loss [...], dloss/dlogits)."""
     probs = softmax(logits)
-    loss = float(-np.log(max(probs[gold], 1e-300)))
-    probs[gold] -= 1.0
-    return loss, probs
+    gold = np.asarray(gold)[..., None]
+    picked = np.take_along_axis(probs, gold, axis=-1)
+    np.put_along_axis(probs, gold, picked - 1.0, axis=-1)
+    return -np.log(np.maximum(picked[..., 0], 1e-300)), probs
 
 
 def _check_distribution(p: np.ndarray, name: str):
@@ -202,13 +204,14 @@ def biaffine_forward(x: np.ndarray, y: np.ndarray, u: np.ndarray):
 def biaffine_backward(cache, dlogits: np.ndarray):
     """Returns (du, dx, dy) for upstream gradients on the logits.
 
-    With the forward's leading sentence axes, dx and dy keep them and du is
-    the sum over the sentences of each sentence's du, formed as on its own.
+    With the forward's leading sentence axes, dx and dy keep them and du sums
+    over every node of every sentence in one matmul per class.
     """
     xa, ya, u = cache
     dy_side = dlogits @ ya[..., None, :, :]      # (..., C, Nx, Dy+1)
-    du = (np.swapaxes(xa, -1, -2)[..., None, :, :] @ dy_side
-          ).reshape((-1,) + u.shape).sum(axis=0)  # (C, Dx+1, Dy+1)
+    # (sentence, node) flattened to one contraction axis
+    rows = np.moveaxis(dy_side, -3, 0).reshape(u.shape[0], -1, u.shape[2])
+    du = xa.reshape(-1, u.shape[1]).T @ rows     # (C, Dx+1, Dy+1)
     dxa = (dy_side @ u.transpose(0, 2, 1)).sum(axis=-3)
     dya = (np.swapaxes(dlogits, -1, -2) @ (xa[..., None, :, :] @ u)).sum(axis=-3)
     return du, dxa[..., :-1], dya[..., :-1]
@@ -252,57 +255,74 @@ def anchor_loss(head_cache, targets: np.ndarray,
 # ---------------------------------------------------------------------------
 # edge heads
 
-def edge_presence_loss(head_logits: np.ndarray, cache, targets: np.ndarray):
-    """Mean BCE over all ordered node pairs; returns (loss, du, dstates)."""
-    logits = head_logits[0]
-    n = logits.shape[0]
-    count = n * n
-    if count == 0:
-        return 0.0, np.zeros_like(cache[2]), np.zeros((0, cache[0].shape[1] - 1))
-    loss, dlogits = bce(logits, targets)
-    du, dx, dy = biaffine_backward(cache, dlogits[None, :, :] / count)
-    return float(loss.sum()) / count, du, dx + dy
+def edge_presence_loss(head_logits: np.ndarray, cache, targets: np.ndarray,
+                       node_mask: Optional[np.ndarray] = None):
+    """Mean BCE over the ordered pairs of nodes; returns (loss, du, dstates).
 
-
-def edge_label_loss(head_logits: np.ndarray, cache,
-                    gold_pairs: Sequence[tuple[int, int]],
-                    gold_labels: Sequence, multilabel: bool = False):
-    """Cross-entropy of edge labels on the gold pairs.
-
-    Multi-class mode treats gold_labels as one class index per pair;
-    multi-label mode treats them as sets of class indices scored by
-    independent sigmoids.  Returns (loss, du, dstates).
+    head_logits [..., 1, M, M] and targets [..., M, M] may carry leading
+    sentence axes, with node_mask [..., M] marking each sentence's k nodes
+    (all of them when None): each sentence then takes the mean over its own
+    k*k pairs, a sentence without nodes gives 0, the loss and du sum over the
+    sentences, and dstates keeps the axes, zero on the padding.
     """
-    num_classes = head_logits.shape[0]
-    dlogits = np.zeros_like(head_logits)
-    loss = 0.0
-    if gold_pairs:
-        if multilabel:
-            count = len(gold_pairs) * num_classes
-            for (a, b), labels in zip(gold_pairs, gold_labels):
-                t = np.zeros(num_classes)
-                t[list(labels)] = 1.0
-                pair_loss, grad = bce(head_logits[:, a, b], t)
-                loss += float(pair_loss.sum())
-                dlogits[:, a, b] = grad / count
-            loss /= count
-        else:
-            count = len(gold_pairs)
-            for (a, b), label in zip(gold_pairs, gold_labels):
-                pair_loss, grad = nll(head_logits[:, a, b], label)
-                loss += pair_loss
-                dlogits[:, a, b] = grad / count
-            loss /= count
-    du, dx, dy = biaffine_backward(cache, dlogits)
-    return loss, du, dx + dy
+    logits = head_logits[..., 0, :, :]
+    mask = np.ones(logits.shape[:-1], bool) if node_mask is None else node_mask
+    pairs = mask[..., :, None] & mask[..., None, :]
+    counts = np.maximum(mask.sum(axis=-1) ** 2, 1)
+    loss, dlogits = bce(logits, targets)
+    dlogits = np.where(pairs, dlogits / counts[..., None, None], 0.0)
+    du, dx, dy = biaffine_backward(cache, dlogits[..., None, :, :])
+    loss = np.where(pairs, loss, 0.0).sum(axis=(-2, -1)) / counts
+    return float(loss.sum()), du, dx + dy
+
+
+def edge_label_loss(head_logits: np.ndarray, cache, edges: np.ndarray,
+                    multilabel: bool = False):
+    """Cross-entropy of edge labels on the gold pairs; returns (loss, du, dstates).
+
+    head_logits [..., C, M, M] may carry leading sentence axes.  edges holds
+    one gold edge a row: its sentence's indices on those axes, then source,
+    target and label id.  Multi-class mode takes the softmax cross-entropy
+    of each edge's label, parallel edges of a pair each counted; multi-label
+    mode gathers the labels of a pair's parallel edges into one set scored
+    by independent sigmoids.  Each sentence takes the mean over its own
+    edges (multi-class) or pairs times classes (multi-label); the loss and
+    du sum over the sentences, and dstates keeps the axes.
+    """
+    lead = head_logits.shape[:-3]
+    num_classes, size = head_logits.shape[-3], head_logits.shape[-1]
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, len(lead) + 3)
+    where, labels = edges[:, :-1], edges[:, -1]
+    if multilabel:
+        keys, pair = np.unique(np.ravel_multi_index(where.T, lead + (size, size)),
+                               return_inverse=True)
+        where = np.stack(np.unravel_index(keys, lead + (size, size)), axis=-1)
+        targets = np.zeros((len(keys), num_classes))
+        targets[pair, labels] = 1.0
+    # each gold row's sentence, numbered in the order of the leading axes
+    sentence = (np.ravel_multi_index(tuple(where[:, :-2].T), lead) if lead
+                else np.zeros(len(where), dtype=np.int64))
+    counts = np.bincount(sentence)[sentence]
+    by_pair = np.moveaxis(head_logits, -3, -1)       # (..., M, M, C)
+    index = tuple(where.T)
+    if multilabel:
+        loss, dpair = bce(by_pair[index], targets)
+        loss, counts = loss.sum(axis=-1), counts * num_classes
+    else:
+        loss, dpair = nll(by_pair[index], labels)
+    dlogits = np.zeros(by_pair.shape)
+    np.add.at(dlogits, index, dpair / counts[:, None])
+    du, dx, dy = biaffine_backward(cache, np.moveaxis(dlogits, -1, -3))
+    return float((loss / counts).sum()), du, dx + dy
 
 
 # ---------------------------------------------------------------------------
 # property and top heads
 
 def _linear_backward(node_states: np.ndarray, w: np.ndarray, dlogits: np.ndarray):
-    """(dw, db, dstates) of the linear logits node_states @ w + b."""
-    return node_states.T @ dlogits, float(dlogits.sum()), dlogits[:, None] * w[None, :]
+    """(dw, dstates) of the linear logits node_states @ w (+ b), dw summed
+    over every node of every sentence."""
+    return node_states.reshape(-1, len(w)).T @ dlogits.reshape(-1), dlogits[..., None] * w
 
 
 def property_head(node_states: np.ndarray, w: np.ndarray, b: float):
@@ -312,24 +332,43 @@ def property_head(node_states: np.ndarray, w: np.ndarray, b: float):
 
 
 def property_loss(node_states: np.ndarray, w: np.ndarray, b: float,
-                  targets: np.ndarray):
-    """Mean BCE; returns (loss, dw, db, dstates)."""
+                  targets: np.ndarray, node_mask: Optional[np.ndarray] = None):
+    """Mean BCE; returns (loss, dw, db, dstates).
+
+    node_states [..., M, D] and targets [..., M] may carry leading sentence
+    axes, with node_mask as in edge_presence_loss: each sentence takes the
+    mean over its own nodes, a sentence without nodes gives 0, and the loss
+    and the parameter grads sum over the sentences.
+    """
     _, logits = property_head(node_states, w, b)
-    n = len(logits)
-    if n == 0:
-        return 0.0, np.zeros_like(w), 0.0, np.zeros_like(node_states)
+    mask = np.ones(logits.shape, bool) if node_mask is None else node_mask
+    counts = np.maximum(mask.sum(axis=-1), 1)
     loss, dlogits = bce(logits, targets)
-    return (float(loss.sum()) / n,) + _linear_backward(node_states, w, dlogits / n)
+    dlogits = np.where(mask, dlogits / counts[..., None], 0.0)
+    loss = np.where(mask, loss, 0.0).sum(axis=-1) / counts
+    dw, dstates = _linear_backward(node_states, w, dlogits)
+    return float(loss.sum()), dw, float(dlogits.sum()), dstates
 
 
-def top_head(node_states: np.ndarray, w: np.ndarray, b: float) -> np.ndarray:
-    """Distribution over the accepted nodes of one sentence."""
+def top_head(node_states: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Distribution over the accepted nodes of one sentence.  The softmax is
+    shift-invariant, so the head has no bias."""
     if node_states.shape[0] == 0:
         raise HeadError("top head needs at least one node")
-    return softmax(node_states @ w + b)
+    return softmax(node_states @ w)
 
 
-def top_loss(node_states: np.ndarray, w: np.ndarray, b: float, gold: int):
-    """Cross-entropy against the gold top node; returns (loss, dw, db, dstates)."""
-    loss, dlogits = nll(node_states @ w + b, gold)
-    return (loss,) + _linear_backward(node_states, w, dlogits)
+def top_loss(node_states: np.ndarray, w: np.ndarray, gold,
+             node_mask: Optional[np.ndarray] = None):
+    """Cross-entropy against the gold top node; returns (loss, dw, dstates).
+
+    node_states [..., M, D] and gold [...] may carry leading sentence axes,
+    with node_mask as in edge_presence_loss: each sentence's softmax runs
+    over its own nodes (the padding's logits are -inf), and the loss and dw
+    sum over the sentences.
+    """
+    logits = node_states @ w
+    if node_mask is not None:
+        logits = np.where(node_mask, logits, -np.inf)
+    loss, dlogits = nll(logits, gold)
+    return (float(loss.sum()),) + _linear_backward(node_states, w, dlogits)

@@ -4,8 +4,8 @@ Every batch is worked through one group of equal-length sentences at a time:
 the group runs encoder -> queries -> decoder block -> heads once, each of
 its sentences aligns its queries to the gold nodes with the
 permutation-invariant matcher, the per-task losses are taken against the
-permuted targets (the label and anchor heads' once for the group), and one
-backward takes the group's gradients back through the network.  The batch then balances the task weights by each task's
+permuted targets (every head's once for the group), and one backward takes
+the group's gradients back through the network.  The batch then balances the task weights by each task's
 gradient norm on the last shared layer (the decoder block's ffn.w2 and
 ffn.b2) and takes a decoupled-weight-decay adaptive step with a two-group
 inverse-square-root learning rate schedule.
@@ -117,8 +117,9 @@ class TrainConfig:
 
 
 def _check_stop_when(value, shown: str, where: str = ""):
-    """Raise TrainError unless value maps evaluate() metric names to finite
-    thresholds; the message quotes the value as shown, after where."""
+    """Raise TrainError unless value maps evaluate() metric names to
+    thresholds in [0, 1], the range of an F1; the message quotes the value
+    as shown, after where."""
     # type() rather than isinstance(): a JSON true is not a threshold; an
     # integer too large for a float still compares with inf
     if not isinstance(value, dict) or not all(
@@ -126,13 +127,16 @@ def _check_stop_when(value, shown: str, where: str = ""):
             and abs(threshold) < math.inf for name, threshold in value.items()):
         raise TrainError(f"{where}stop_when must be a JSON object mapping "
                          f"{'/'.join(EVAL_METRICS)} to finite numbers, got {shown}")
+    if not all(0 <= threshold <= 1 for threshold in value.values()):
+        raise TrainError(f"{where}stop_when thresholds must be in [0, 1], where "
+                         f"an F1 lies, got {shown}")
 
 
 def load_train_config(path: str) -> TrainConfig:
     """Key-value config file: one ``name = value`` per line, # comments.
 
     Booleans are 1/0/true/false/yes/no/on/off in any case; stop_when is a JSON
-    object mapping evaluate() metric names to thresholds.
+    object mapping evaluate() metric names to thresholds in [0, 1].
     """
     values = {}
     fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
@@ -196,7 +200,8 @@ class Example:
     distribution, which the matcher scores, and smoothed_targets the one
     the label loss takes; anchored [k, tokens] is True where a node is
     anchored to a token, and is_property [k] marks the nodes made from
-    properties.
+    properties.  edge_array holds the edges as one int array [edges, 3],
+    built with the example, for the group losses.
     """
 
     gold: Graph
@@ -209,6 +214,10 @@ class Example:
     is_property: np.ndarray
     edges: list[tuple[int, int, int]]       # (source node idx, target node idx, label id)
     top_index: Optional[int]
+    edge_array: np.ndarray = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.edge_array = np.array(self.edges, dtype=np.int64).reshape(-1, 3)
 
 
 @dataclass
@@ -324,7 +333,6 @@ def init_model(meta: ModelMeta, rng: np.random.Generator) -> dict:
     params["prop.w"] = rng.normal(0.0, config.init_scale, dim)
     params["prop.b"] = np.zeros(())
     params["top.w"] = rng.normal(0.0, config.init_scale, dim)
-    params["top.b"] = np.zeros(())
     return params
 
 
@@ -428,7 +436,8 @@ def match_queries(config: TrainConfig, fwd: ForwardPass, row: int, example: Exam
 
     def edge_nll(perm: tuple[int, ...]) -> float:
         sel = _target_queries(perm, len(example.label_targets))
-        edge = _edge_losses(params, config, example, hidden[sel])
+        edge = _edge_losses(params, config, _group_edges([example]), hidden[sel][None],
+                            np.ones((1, len(sel)), dtype=bool))
         return edge["edge_presence"][0] + edge["edge_label"][0]
 
     return matcher.align_targets(fwd.label_probs[row], fwd.anchor_probs[row],
@@ -444,42 +453,29 @@ def _target_queries(perm: Sequence[int], num_targets: int) -> np.ndarray:
     return np.argsort(perm)[:num_targets]
 
 
-def _edge_targets(edges, m: int, multilabel: bool):
-    """Presence matrix plus per-pair label targets.
-
-    Multi-class mode yields one (pair, label id) entry per gold edge;
-    multi-label mode groups parallel edges into label sets per pair.
-    """
-    presence = np.zeros((m, m))
-    if multilabel:
-        grouped: dict[tuple[int, int], set] = {}
-        for a, b, label_id in edges:
-            presence[a, b] = 1.0
-            grouped.setdefault((a, b), set()).add(label_id)
-        pairs = sorted(grouped)
-        labels = [grouped[p] for p in pairs]
-    else:
-        pairs = []
-        labels = []
-        for a, b, label_id in edges:
-            presence[a, b] = 1.0
-            pairs.append((a, b))
-            labels.append(label_id)
-    return presence, pairs, labels
+def _group_edges(examples: Sequence[Example]) -> np.ndarray:
+    """The gold edges of a group's examples, one a row: sentence, source,
+    target, label id."""
+    counts = [len(example.edge_array) for example in examples]
+    return np.column_stack((np.repeat(np.arange(len(examples)), counts),
+                            np.concatenate([example.edge_array for example in examples])))
 
 
-def _edge_losses(params: dict, config: TrainConfig, example: Example,
-                 states: np.ndarray,
+def _edge_losses(params: dict, config: TrainConfig, edges: np.ndarray,
+                 states: np.ndarray, node_mask: np.ndarray,
                  ) -> dict[str, tuple[float, dict[str, np.ndarray], np.ndarray]]:
-    """Edge losses over the gold nodes' matched states, one row per target, as
-    task -> (loss, head parameter grads, grad wrt states): presence and label."""
-    presence, pairs, labels = _edge_targets(example.edges, len(states),
-                                            config.edge_multilabel)
+    """Edge losses over a group's matched states [sentences, M, dim], row j
+    of a sentence its target j and node_mask [sentences, M] marking the
+    rows that are targets, given the group's edges (_group_edges), as task
+    -> (loss summed over the sentences, head parameter grads, grad wrt
+    states): presence and label."""
+    presence = np.zeros(node_mask.shape + node_mask.shape[-1:])
+    presence[tuple(edges[:, :-1].T)] = 1.0
     p_logits, p_cache = heads.biaffine_forward(states, states, params["edgep.u"])
-    loss, du, dstates = heads.edge_presence_loss(p_logits, p_cache, presence)
+    loss, du, dstates = heads.edge_presence_loss(p_logits, p_cache, presence, node_mask)
     out = {"edge_presence": (loss, {"edgep.u": du}, dstates)}
     l_logits, l_cache = heads.biaffine_forward(states, states, params["edgel.u"])
-    loss, du, dstates = heads.edge_label_loss(l_logits, l_cache, pairs, labels,
+    loss, du, dstates = heads.edge_label_loss(l_logits, l_cache, edges,
                                               config.edge_multilabel)
     out["edge_label"] = (loss, {"edgel.u": du}, dstates)
     return out
@@ -508,12 +504,12 @@ def sentence_losses(params: dict, config: TrainConfig, examples: Sequence[Exampl
     their gradients, given each sentence's query/node assignment.
 
     examples and assignments follow the pass's sentence axis.  Queries
-    matched to null targets contribute only the label loss.  The label and
-    anchor heads take their losses and backward once for the group, each
-    sentence keeping its own mean; the edge, property and top losses are
-    taken sentence by sentence.  add_head_grads sums grads.head and
-    backward_sentence takes grads.dhidden and grads.anchor_dmemory on
-    through the network.
+    matched to null targets contribute only the label loss.  Every head
+    takes its loss and backward once for the group, each sentence keeping
+    its own mean; the edge, property and top heads see each sentence's
+    matched states padded to the group's largest target count.
+    add_head_grads sums grads.head and backward_sentence takes grads.dhidden
+    and grads.anchor_dmemory on through the network.
     """
     num_sentences, num_queries = fwd.hidden.shape[:2]
     losses: dict[str, float] = {}
@@ -551,28 +547,36 @@ def sentence_losses(params: dict, config: TrainConfig, examples: Sequence[Exampl
         fwd.anchor_cache, anchor_targets, mask)
     head["anchor"] = {"anchor.u": du}
 
-    # the other heads see only a sentence's matched queries, sel (no repeats)
-    def add(task: str, s: int, sel: np.ndarray, loss: float, grads: dict,
-            dstates: np.ndarray):
-        losses[task] = losses.get(task, 0.0) + loss
-        dhidden[row[task], s, sel] = dstates
-        for key, grad in grads.items():
-            model.add_grad(head.setdefault(task, {}), key, grad)
+    # the other heads see each sentence's matched queries, sel (no repeats),
+    # in target order, padded to the group's largest target count
+    counts = np.array([len(sel) for sel in sels])
+    node_mask = np.arange(counts.max()) < counts[:, None]
+    sentence, query = np.repeat(np.arange(num_sentences), counts), np.concatenate(sels)
+    states = np.zeros(node_mask.shape + fwd.hidden.shape[-1:])
+    states[node_mask] = fwd.hidden[sentence, query]
 
-    for s, (example, sel) in enumerate(zip(examples, sels)):
-        states = fwd.hidden[s, sel]
-        for task, (loss, grads, dstates) in _edge_losses(params, config, example,
-                                                         states).items():
-            add(task, s, sel, loss, grads, dstates)
-        loss, dw, db, dstates = heads.property_loss(
-            states, params["prop.w"], float(params["prop.b"]),
-            example.is_property.astype(np.float64))
-        add("property", s, sel, loss, {"prop.w": dw, "prop.b": np.array(db)}, dstates)
-        if example.top_index is not None:
-            loss, dw, db, dstates = heads.top_loss(states, params["top.w"],
-                                                   float(params["top.b"]),
-                                                   example.top_index)
-            add("top", s, sel, loss, {"top.w": dw, "top.b": np.array(db)}, dstates)
+    def add(task: str, loss: float, grads: dict, dstates: np.ndarray):
+        losses[task] = loss
+        head[task] = grads
+        dhidden[row[task], sentence, query] = dstates[node_mask]
+
+    for task, (loss, grads, dstates) in _edge_losses(
+            params, config, _group_edges(examples), states, node_mask).items():
+        add(task, loss, grads, dstates)
+    is_property = np.zeros(node_mask.shape)
+    is_property[node_mask] = np.concatenate([e.is_property for e in examples])
+    loss, dw, db, dstates = heads.property_loss(states, params["prop.w"],
+                                                float(params["prop.b"]), is_property,
+                                                node_mask)
+    add("property", loss, {"prop.w": dw, "prop.b": np.array(db)}, dstates)
+    tops = [s for s, example in enumerate(examples) if example.top_index is not None]
+    if tops:
+        loss, dw, dtop = heads.top_loss(states[tops], params["top.w"],
+                                        [examples[s].top_index for s in tops],
+                                        node_mask[tops])
+        dstates = np.zeros_like(states)
+        dstates[tops] = dtop
+        add("top", loss, {"top.w": dw}, dstates)
 
     return losses, SentenceGrads(head=head, dhidden=dhidden, anchor_dmemory=anchor_dmemory)
 
@@ -890,8 +894,7 @@ def _decode(trained: TrainedModel, sentence: str, tokens: tuple[Token, ...],
     if accepted:
         prop_probs, _ = heads.property_head(hidden[accepted], params["prop.w"],
                                             float(params["prop.b"]))
-        top = int(np.argmax(heads.top_head(hidden[accepted], params["top.w"],
-                                           float(params["top.b"]))))
+        top = int(np.argmax(heads.top_head(hidden[accepted], params["top.w"])))
     for position, (label, anchors) in enumerate(decoded):
         nodes.append(Node(id=position, label=label, anchors=anchors,
                           is_top=position == top))

@@ -14,8 +14,11 @@ layer-norm reference takes its means with ndarray.mean, and the sentence
 backward reference runs the decoder block backward once per task and sums
 the weighted results, and the group backward reference runs the
 per-sentence backward that preceded it once per sentence of the group, and
-the sentence-loss reference takes the label and anchor losses and their
-backward one sentence at a time, as the trainer did before the group losses.
+the sentence-loss reference takes every head's loss and backward one
+sentence at a time, as the trainer did before the group losses, with the
+edge, property and top losses of one sentence kept here as they were (the
+multi-class edge-label gradient summing over parallel edges, and no top
+bias).
 The rule-order key spells the canonical order out field by field instead
 of comparing tuples.  The reference graph parser is
 the per-node, per-edge and per-token helper version that preceded the
@@ -714,6 +717,87 @@ def sentence_passes(fwd, params: dict) -> list:
     return [trainer.ForwardPass(*row) for row in split(arrays)]
 
 
+def reference_edge_losses(params: dict, config, example, states: np.ndarray) -> dict:
+    """The edge losses of one sentence's matched states, one row per target,
+    as task -> (loss, head parameter grads, grad wrt states), with the
+    presence matrix and the per-pair label targets built one edge at a time:
+    multi-class mode one (pair, label id) entry per gold edge, multi-label
+    mode the parallel edges of a pair grouped into one label set."""
+    m = len(states)
+    presence = np.zeros((m, m))
+    grouped: dict[tuple[int, int], set] = {}
+    pairs, labels = [], []
+    for a, b, label_id in example.edges:
+        presence[a, b] = 1.0
+        grouped.setdefault((a, b), set()).add(label_id)
+        pairs.append((a, b))
+        labels.append(label_id)
+    if config.edge_multilabel:
+        pairs = sorted(grouped)
+        labels = [grouped[p] for p in pairs]
+    out = {}
+    logits, cache = heads.biaffine_forward(states, states, params["edgep.u"])
+    loss, du, dstates = reference_edge_presence_loss(logits, cache, presence)
+    out["edge_presence"] = (loss, {"edgep.u": du}, dstates)
+    logits, cache = heads.biaffine_forward(states, states, params["edgel.u"])
+    loss, du, dstates = reference_edge_label_loss(logits, cache, pairs, labels,
+                                                  config.edge_multilabel)
+    out["edge_label"] = (loss, {"edgel.u": du}, dstates)
+    return out
+
+
+def reference_edge_presence_loss(head_logits: np.ndarray, cache, targets: np.ndarray):
+    """Mean BCE over all ordered node pairs of one sentence: (loss, du, dstates)."""
+    logits = head_logits[0]
+    count = logits.size
+    if count == 0:
+        return 0.0, np.zeros_like(cache[2]), np.zeros((0, cache[0].shape[1] - 1))
+    loss, dlogits = heads.bce(logits, targets)
+    du, dx, dy = heads.biaffine_backward(cache, dlogits[None, :, :] / count)
+    return float(loss.sum()) / count, du, dx + dy
+
+
+def reference_edge_label_loss(head_logits: np.ndarray, cache, gold_pairs, gold_labels,
+                              multilabel: bool = False):
+    """Cross-entropy of edge labels on the gold pairs of one sentence, one
+    pair at a time: a class index per pair in multi-class mode, a set of
+    class indices scored by independent sigmoids in multi-label mode.
+    Returns (loss, du, dstates)."""
+    num_classes = head_logits.shape[0]
+    dlogits = np.zeros_like(head_logits)
+    loss = 0.0
+    count = len(gold_pairs) * (num_classes if multilabel else 1)
+    for (a, b), label in zip(gold_pairs, gold_labels):
+        if multilabel:
+            t = np.zeros(num_classes)
+            t[list(label)] = 1.0
+            pair_loss, grad = heads.bce(head_logits[:, a, b], t)
+        else:
+            pair_loss, grad = heads.nll(head_logits[:, a, b], label)
+        loss += float(pair_loss.sum())
+        dlogits[:, a, b] += grad / count
+    du, dx, dy = heads.biaffine_backward(cache, dlogits)
+    return (loss / count if count else 0.0), du, dx + dy
+
+
+def reference_property_loss(states: np.ndarray, w: np.ndarray, b: float,
+                            targets: np.ndarray):
+    """Mean BCE of one sentence's property logits: (loss, dw, db, dstates)."""
+    n = len(states)
+    if n == 0:
+        return 0.0, np.zeros_like(w), 0.0, np.zeros_like(states)
+    loss, dlogits = heads.bce(states @ w + b, targets)
+    dlogits = dlogits / n
+    return float(loss.sum()) / n, states.T @ dlogits, float(dlogits.sum()), \
+        dlogits[:, None] * w[None, :]
+
+
+def reference_top_loss(states: np.ndarray, w: np.ndarray, gold: int):
+    """Cross-entropy of one sentence's gold top node: (loss, dw, dstates)."""
+    loss, dlogits = heads.nll(states @ w, gold)
+    return float(loss), states.T @ dlogits, dlogits[:, None] * w[None, :]
+
+
 def reference_sentence_losses(params: dict, config, example, fwd, assignment,
                               ) -> tuple[dict[str, float], trainer.SentenceGrads]:
     """trainer.sentence_losses as it was before the group losses: one
@@ -759,7 +843,7 @@ def reference_sentence_losses(params: dict, config, example, fwd, assignment,
     sel = [assignment.perm.index(j) for j in range(num_targets)]
     states = fwd.hidden[sel]
 
-    for task, (loss, grads, dstates) in trainer._edge_losses(
+    for task, (loss, grads, dstates) in reference_edge_losses(
             params, config, example, states).items():
         losses[task] = loss
         dhidden[row[task], sel] = dstates
@@ -767,18 +851,18 @@ def reference_sentence_losses(params: dict, config, example, fwd, assignment,
 
     prop_targets = np.array([1.0 if example.is_property[j] else 0.0
                              for j in range(num_targets)])
-    loss, dw, db, dstates = heads.property_loss(states, params["prop.w"],
-                                                float(params["prop.b"]), prop_targets)
+    loss, dw, db, dstates = reference_property_loss(states, params["prop.w"],
+                                                    float(params["prop.b"]), prop_targets)
     losses["property"] = loss
     dhidden[row["property"], sel] = dstates
     head["property"] = {"prop.w": dw, "prop.b": np.array(db)}
 
     if example.top_index is not None:
-        loss, dw, db, dstates = heads.top_loss(states, params["top.w"],
-                                               float(params["top.b"]), example.top_index)
+        loss, dw, dstates = reference_top_loss(states, params["top.w"],
+                                               example.top_index)
         losses["top"] = loss
         dhidden[row["top"], sel] = dstates
-        head["top"] = {"top.w": dw, "top.b": np.array(db)}
+        head["top"] = {"top.w": dw}
 
     grads = trainer.SentenceGrads(head=head, dhidden=dhidden,
                                   anchor_dmemory=anchor_dmemory)

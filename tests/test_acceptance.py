@@ -165,15 +165,14 @@ def test_criterion_05_gradient_suite():
             u = rng.normal(0, 0.5, (classes_, dim + 1, dim + 1))
             states = rng.normal(size=(3, dim))
             presence = rng.integers(0, 2, (3, 3)).astype(float)
-            pairs = [(0, 1), (2, 0)]
-            labels = [int(rng.integers(classes_)) for _ in pairs]
+            edges = [(a, b, int(rng.integers(classes_))) for a, b in [(0, 1), (2, 0)]]
 
             def loss_of(u_, s_):
                 logits, cache = heads.biaffine_forward(s_, s_, u_)
                 if name == "edge presence":
                     return heads.edge_presence_loss(logits, cache, presence)
                 # the attribute head is a multi-class label head
-                return heads.edge_label_loss(logits, cache, pairs, labels)
+                return heads.edge_label_loss(logits, cache, edges)
 
             _, du, dstates = loss_of(u, states)
             errors.append(relative_error(du, finite_difference(
@@ -201,11 +200,11 @@ def test_criterion_05_gradient_suite():
         w = rng.normal(size=dim)
         states = rng.normal(size=(4, dim))
         gold = int(rng.integers(4))
-        _, dw, _, dstates = heads.top_loss(states, w, 0.0, gold)
+        _, dw, dstates = heads.top_loss(states, w, gold)
         errors.append(relative_error(dw, finite_difference(
-            lambda x: heads.top_loss(states, x, 0.0, gold)[0], w)))
+            lambda x: heads.top_loss(states, x, gold)[0], w)))
         errors.append(relative_error(dstates, finite_difference(
-            lambda x: heads.top_loss(x, w, 0.0, gold)[0], states)))
+            lambda x: heads.top_loss(x, w, gold)[0], states)))
     worst["top"] = max(errors)
 
     # decoder block

@@ -389,10 +389,9 @@ class TestTrainPredict:
 
     def test_train_predict_bytes_pinned(self, tmp_path, capsys):
         # recorded with the balance norms on the last shared layer, one
-        # backward and one label and anchor head pass per length group: the
-        # training arithmetic, the checkpoint bytes and decoding, each pinned
-        # on its own; model.ckpt re-recorded when REMOVED_SWITCHES left the
-        # stored config, every parameter array byte-equal to before
+        # backward and one pass of every head per length group and no top
+        # bias: the training arithmetic, the checkpoint bytes and decoding,
+        # each pinned on its own
         config = tmp_path / "pin.cfg"
         config.write_text("corpus_size = 150\nepochs = 2\n")
         paths = {name: tmp_path / name for name in ("m.jsonl", "model.ckpt", "pred.jsonl")}
@@ -411,8 +410,8 @@ class TestTrainPredict:
         digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                    for name, path in paths.items()}
         assert digests == {
-            "m.jsonl": "aef2f7dc15c6dd778a7b1dba9ea88477c202ef8c3ad4f6baf0a37b0d0eca46f0",
-            "model.ckpt": "ccd772e2bc70d21b522793b06950eb1e52f246d4c4cbc216aece7272d28502b7",
+            "m.jsonl": "c92b11d1a9c0789cde920d245cc59b79e9656a1dacd214174c18dfa422dae749",
+            "model.ckpt": "50cacfeef73f30cfd18546b24f47d3104245f6aec3b04bd3b9ca832181e5d9ed",
             "pred.jsonl": "075bd7cdd054e5c5777fc14cc69c869f510e6503a78625cbf06e1270aff95d43"}
 
     @pytest.mark.parametrize("line", ["stop_when = 3", 'stop_when = {"f1": 0.9}',
@@ -478,6 +477,48 @@ class TestTrainPredict:
         assert predict_with_stored_config({"stop_when": value}, tmp_path, capsys) == \
             (f"checkpoint: stop_when must be a JSON object mapping "
              f"tops/labels/properties/anchors/edges to finite numbers, got {shown}")
+
+    @pytest.mark.parametrize("value,shown", [({"labels": 2}, "{'labels': 2}"),
+                                             ({"edges": -1}, "{'edges': -1}")])
+    def test_predict_unreachable_stored_stop_when(self, value, shown, tmp_path, capsys):
+        assert predict_with_stored_config({"stop_when": value}, tmp_path, capsys) == \
+            (f"checkpoint: stop_when thresholds must be in [0, 1], where an F1 lies, "
+             f"got {shown}")
+
+    @pytest.mark.parametrize("value", ['{"labels": 2}', '{"labels": -1}',
+                                       '{"labels": 1%s}' % ("0" * 400)])
+    def test_unreachable_stop_when_rejected_before_training(self, value, tmp_path,
+                                                            capsys):
+        config = tmp_path / "stop.cfg"
+        config.write_text(f"corpus_size = 16\nepochs = 1\nstop_when = {value}\n")
+        out_path = tmp_path / "m.jsonl"
+        code, out, err = run_cli(["train-toy", "--config", str(config),
+                                  "--output", str(out_path)], capsys)
+        assert (code, out, len(err.splitlines())) == (2, "", 1)
+        assert json.loads(err) == {
+            "error": "config", "message": f"{config}:3: stop_when thresholds must be in "
+                                         f"[0, 1], where an F1 lies, got {value}"}
+        assert not out_path.exists()
+
+    def test_predict_checkpoint_with_top_bias(self, tmp_path, capsys):
+        # a checkpoint saved while the top head had its (shift-invariant,
+        # never trained) bias fails the parameter shape check
+        import numpy as np
+        from mrparse import trainer
+        meta = trainer.ModelMeta(vocab={"<unk>": 0, "cat": 1}, rule_table=(),
+                                 edge_labels=("ARG1",),
+                                 config=trainer.TrainConfig(dim=8, ffn_dim=8))
+        params = trainer.init_model(meta, np.random.default_rng(0))
+        params["top.b"] = np.zeros(())
+        ckpt = tmp_path / "old.ckpt"
+        trainer.TrainedModel(params=params, meta=meta).save(str(ckpt))
+        sentences = tmp_path / "s.txt"
+        sentences.write_text("the cat\n")
+        code, out, err = run_cli(["predict", "--checkpoint", str(ckpt),
+                                  "--input", str(sentences)], capsys)
+        assert (code, out, len(err.splitlines())) == (2, "", 1)
+        assert json.loads(err) == {"error": "data", "message": "checkpoint: parameters "
+                                   "differ from what the stored config builds: top.b"}
 
     @pytest.mark.parametrize("name", REMOVED_SWITCHES)
     def test_predict_stored_config_with_removed_switch(self, name, tmp_path, capsys):

@@ -229,7 +229,8 @@ class TestEdgeHeads:
         u = rng.normal(0, 0.5, (3, DIM + 1, DIM + 1))
         states = rng.normal(size=(2, DIM))
         logits, cache = heads.biaffine_forward(states, states, u)
-        loss, _, _ = heads.edge_label_loss(logits, cache, [(0, 1)], [{0, 2}],
+        # the parallel edges 0 -> 1 labelled 0 and 2 form one label set
+        loss, _, _ = heads.edge_label_loss(logits, cache, [(0, 1, 0), (0, 1, 2)],
                                            multilabel=True)
         z = logits[:, 0, 1]
         t = np.array([1.0, 0.0, 1.0])
@@ -245,22 +246,80 @@ class TestEdgeHeads:
             u = rng.normal(0, 0.5, (classes, DIM + 1, DIM + 1))
             states = rng.normal(size=(3, DIM))
             presence = rng.integers(0, 2, (3, 3)).astype(float)
-            pairs = [(0, 1), (2, 0)]
-            # a label set per pair in multi-label mode, the empty set included
-            labels = [set(np.flatnonzero(rng.integers(0, 2, classes)).tolist())
-                      if multilabel else int(rng.integers(classes)) for _ in pairs]
+            # a label set per pair in multi-label mode; an empty set leaves
+            # the pair without a gold edge
+            edges = [(a, b, label) for a, b in [(0, 1), (2, 0)]
+                     for label in (np.flatnonzero(rng.integers(0, 2, classes)).tolist()
+                                   if multilabel else [int(rng.integers(classes))])]
 
             def loss_of(u_, s_):
                 logits, cache = heads.biaffine_forward(s_, s_, u_)
                 if head == "presence":
                     return heads.edge_presence_loss(logits, cache, presence)
-                return heads.edge_label_loss(logits, cache, pairs, labels, multilabel)
+                return heads.edge_label_loss(logits, cache, edges, multilabel)
 
             _, du, dstates = loss_of(u, states)
             assert relative_error(du, finite_difference(
                 lambda x: loss_of(x, states)[0], u)) < TOLERANCE
             assert relative_error(dstates, finite_difference(
                 lambda x: loss_of(u, x)[0], states)) < TOLERANCE
+
+
+    @pytest.mark.parametrize("multilabel", [False, True])
+    def test_parallel_edges_of_one_pair_each_count(self, multilabel):
+        # two gold edges join (0, 1) with labels 2 and 3: multi-class mode
+        # counts both in the loss and in the gradient
+        rng = np.random.default_rng(zlib.crc32(b"parallel") + multilabel)
+        u = rng.normal(0, 0.5, (4, DIM + 1, DIM + 1))
+        states = rng.normal(size=(3, DIM))
+        edges = [(0, 1, 2), (0, 1, 3), (2, 0, 1)]
+
+        def loss_of(u_, s_):
+            logits, cache = heads.biaffine_forward(s_, s_, u_)
+            return heads.edge_label_loss(logits, cache, edges, multilabel)
+
+        _, du, dstates = loss_of(u, states)
+        assert relative_error(du, finite_difference(
+            lambda x: loss_of(x, states)[0], u)) < TOLERANCE
+        assert relative_error(dstates, finite_difference(
+            lambda x: loss_of(u, x)[0], states)) < TOLERANCE
+
+    @pytest.mark.parametrize("head", ["presence", "label", "multilabel"])
+    def test_group_gradients_with_padding(self, head):
+        # three sentences of 3, 1 and 0 nodes padded to 3: each keeps its own
+        # mean, and the padding gets no gradient
+        rng = np.random.default_rng(zlib.crc32(f"group {head}".encode()))
+        classes = 1 if head == "presence" else 4
+        multilabel = head == "multilabel"
+        mask = np.arange(3) < np.array([3, 1, 0])[:, None]
+        u = rng.normal(0, 0.5, (classes, DIM + 1, DIM + 1))
+        states = rng.normal(size=(3, 3, DIM)) * mask[..., None]
+        presence = rng.integers(0, 2, (3, 3, 3)) * (mask[..., :, None] & mask[..., None, :])
+        edges = [(0, 0, 1, 1), (0, 0, 1, 2), (0, 2, 0, 3), (1, 0, 0, 0)]
+
+        def loss_of(u_, s_):
+            logits, cache = heads.biaffine_forward(s_, s_, u_)
+            if head == "presence":
+                return heads.edge_presence_loss(logits, cache, presence, mask)
+            return heads.edge_label_loss(logits, cache, edges, multilabel)
+
+        loss, du, dstates = loss_of(u, states)
+        # the sum of each sentence's loss on its own
+        alone = 0.0
+        for s, count in enumerate(mask.sum(axis=1)):
+            logits, cache = heads.biaffine_forward(states[s, :count], states[s, :count], u)
+            if head == "presence":
+                alone += heads.edge_presence_loss(logits, cache,
+                                                  presence[s, :count, :count])[0]
+            else:
+                alone += heads.edge_label_loss(
+                    logits, cache, [e[1:] for e in edges if e[0] == s], multilabel)[0]
+        assert loss == pytest.approx(alone, rel=1e-12)
+        assert np.abs(dstates[~mask]).max() == 0.0
+        assert relative_error(du, finite_difference(
+            lambda x: loss_of(x, states)[0], u)) < TOLERANCE
+        assert relative_error(dstates, finite_difference(
+            lambda x: loss_of(u, x)[0], states)) < TOLERANCE
 
 
 class TestPropertyHead:
@@ -289,16 +348,16 @@ class TestPropertyHead:
 class TestTopHead:
     def test_single_node_probability_one(self):
         rng = np.random.default_rng(12)
-        probs = heads.top_head(rng.normal(size=(1, DIM)), rng.normal(size=DIM), 0.0)
+        probs = heads.top_head(rng.normal(size=(1, DIM)), rng.normal(size=DIM))
         assert probs[0] == pytest.approx(1.0)
 
     def test_uniform_logits(self):
-        probs = heads.top_head(np.zeros((5, DIM)), np.zeros(DIM), 3.0)
+        probs = heads.top_head(np.zeros((5, DIM)), np.zeros(DIM))
         assert np.abs(probs - 0.2).max() < 1e-12
 
     def test_empty_errors(self):
         with pytest.raises(heads.HeadError):
-            heads.top_head(np.zeros((0, DIM)), np.zeros(DIM), 0.0)
+            heads.top_head(np.zeros((0, DIM)), np.zeros(DIM))
 
     def test_gradients(self):
         rng = np.random.default_rng(13)
@@ -306,11 +365,27 @@ class TestTopHead:
             w = rng.normal(size=DIM)
             states = rng.normal(size=(4, DIM))
             gold = int(rng.integers(4))
-            _, dw, _, dstates = heads.top_loss(states, w, 0.0, gold)
+            _, dw, dstates = heads.top_loss(states, w, gold)
             assert relative_error(dw, finite_difference(
-                lambda x: heads.top_loss(states, x, 0.0, gold)[0], w)) < TOLERANCE
+                lambda x: heads.top_loss(states, x, gold)[0], w)) < TOLERANCE
             assert relative_error(dstates, finite_difference(
-                lambda x: heads.top_loss(x, w, 0.0, gold)[0], states)) < TOLERANCE
+                lambda x: heads.top_loss(x, w, gold)[0], states)) < TOLERANCE
+
+    def test_group_gradients_with_padding(self):
+        # two sentences of 4 and 2 nodes: each softmax runs over its own nodes
+        rng = np.random.default_rng(14)
+        mask = np.arange(4) < np.array([4, 2])[:, None]
+        w = rng.normal(size=DIM)
+        states = rng.normal(size=(2, 4, DIM))
+        gold = np.array([3, 1])
+        loss, dw, dstates = heads.top_loss(states, w, gold, mask)
+        alone = heads.top_loss(states[0], w, 3)[0] + heads.top_loss(states[1, :2], w, 1)[0]
+        assert loss == pytest.approx(alone, rel=1e-12)
+        assert np.abs(dstates[~mask]).max() == 0.0
+        assert relative_error(dw, finite_difference(
+            lambda x: heads.top_loss(states, x, gold, mask)[0], w)) < TOLERANCE
+        assert relative_error(dstates, finite_difference(
+            lambda x: heads.top_loss(x, w, gold, mask)[0], states)) < TOLERANCE
 
 
 class TestLossBundle:

@@ -135,8 +135,6 @@ def assert_group_matches_finite_differences(config, params, group, rng):
             minus[idx] -= step
             numeric = (weighted_loss(key, plus)
                        - weighted_loss(key, minus)) / (2.0 * step)
-            # top.b's analytic grad is exactly 0: the node softmax is
-            # shift-invariant, so numeric there is rounding noise
             assert abs(analytic[idx] - numeric) <= 1e-8 + 1e-5 * abs(numeric), \
                 (key, idx, analytic[idx], numeric)
 
@@ -383,6 +381,7 @@ class TestGroupForward:
             config, corpus.synth_corpus(2, config.corpus_size))
         params = trainer.init_model(meta, np.random.default_rng(0))
         rng = np.random.default_rng(53 + multilabel)
+        padded = parallel = 0
         for size in range(1, 14):
             length = int(rng.integers(1, 9))
             group = [resized_example(examples[int(rng.integers(len(examples)))], length)
@@ -390,6 +389,18 @@ class TestGroupForward:
             if size % 2:
                 # a sentence with no matched query: label loss only
                 group[int(rng.integers(size))] = resized_example(examples[0], length, 0)
+            # a second label on the first gold pair of the first sentence with
+            # an edge, a parallel edge, which the synthetic corpus never has
+            with_edge = [row for row, example in enumerate(group) if example.edges]
+            if with_edge:
+                example = group[with_edge[0]]
+                a, b, label = example.edges[0]
+                group[with_edge[0]] = dataclasses.replace(example, edges=[
+                    *example.edges, (a, b, (label + 1) % len(meta.edge_labels))])
+                parallel += 1
+            # sentences of different target counts pad the edge, property and
+            # top heads' states
+            padded += len({len(e.label_targets) for e in group}) > 1
             fwd = trainer.forward_sentence(params, config,
                                            np.stack([e.token_ids for e in group]))
             assignments = [trainer.match_queries(config, fwd, row, example, params)
@@ -426,6 +437,7 @@ class TestGroupForward:
                 np.testing.assert_allclose(got, want, rtol=1e-12,
                                            atol=1e-12 * np.abs(want).max(),
                                            err_msg=f"{where} {name}")
+        assert padded >= 6 and parallel >= 6
 
     def test_grouped_predict_and_evaluate_equal_per_sentence(self):
         trained, _ = trainer.train(tiny_config())
@@ -506,8 +518,8 @@ class TestTraining:
 
     def test_seed1_records_match_golden(self):
         # recorded with the balance norms on the last shared layer, one
-        # backward and one label and anchor head pass per length group; any
-        # change to the training arithmetic shows up here
+        # backward and one pass of every head per length group and no top
+        # bias; any change to the training arithmetic shows up here
         with open(fixture_path("train_seed1_records.json")) as handle:
             expected = json.load(handle)
         _, records = trainer.train(trainer.TrainConfig(seed=1, epochs=3,
@@ -678,6 +690,20 @@ class TestConfigFile:
                             f"got {value!r}")
         with pytest.raises(trainer.TrainError, match=f"^{message}$"):
             trainer.TrainConfig(stop_when=value)
+
+    @pytest.mark.parametrize("value", [{"labels": 2}, {"labels": -1},
+                                       {"labels": 10**400}, {"edges": 1.5, "tops": 0.5}])
+    def test_unreachable_stop_when_rejected(self, value):
+        # an F1 lies in [0, 1]: before the check, 2 and 10**400 were never
+        # met, so the run trained every epoch without a word
+        message = re.escape(f"stop_when thresholds must be in [0, 1], where an F1 "
+                            f"lies, got {value!r}")
+        with pytest.raises(trainer.TrainError, match=f"^{message}$"):
+            trainer.TrainConfig(stop_when=value)
+
+    def test_stop_when_range_ends_accepted(self):
+        thresholds = {"labels": 0, "edges": 1.0}
+        assert trainer.TrainConfig(stop_when=thresholds).stop_when == thresholds
 
     def test_integer_taken_for_number(self):
         config = trainer.TrainConfig(lr_rest=1, eval_fraction=0)
