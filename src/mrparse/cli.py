@@ -203,18 +203,20 @@ def cmd_match(args) -> int:
     try:
         with _open_input(args.input) as handle:
             rows = [line.split() for line in handle if line.strip()]
-        n = int(rows[0][0])
-        matrix = np.array([[float(x) for x in row] for row in rows[1:n + 1]])
-        if matrix.shape != (n, n):
-            raise ValueError(f"expected {n}x{n} matrix, got {matrix.shape}")
-    except (OSError, ValueError, IndexError) as exc:
+        n = int(rows[0][0]) if rows and len(rows[0]) == 1 else -1
+        if n < 0:
+            raise ValueError("expected a header line holding one non-negative integer n")
+        if len(rows) != n + 1 or any(len(row) != n for row in rows[1:]):
+            raise ValueError(f"expected {n} rows of {n} scores after the header")
+        matrix = np.array([[float(x) for x in row] for row in rows[1:]]).reshape(n, n)
+    except (OSError, ValueError) as exc:
         _fail("data", f"score matrix: {exc}", EXIT_DATA)
     try:
         assignment = matcher.optimal_assignment(matrix)
     except matcher.MatchError as exc:
         _fail("data", str(exc), EXIT_DATA)
     with _open_output(args.output) as out:
-        print(" ".join(str(j) for j in assignment.perm), file=out)
+        print(" ".join(str(j) for j in np.argsort(assignment.queries)), file=out)
         print(f"score {assignment.score:.12g}", file=out)
     return 0
 

@@ -3,9 +3,8 @@
 Queries are matched to target nodes by maximizing the summed match score
 (label score times geometric-mean anchor score) over the [queries x targets]
 block; every target gets its own query and the leftover queries are null
-nodes, numbered after the targets in ascending query order.  Ties between
-interchangeable targets are broken by the edge loss across their within-group
-permutations.
+nodes.  Ties between interchangeable targets are broken by the edge loss
+across their within-group permutations.
 
 Both sides come in as arrays: the heads' label_probs [queries, classes] and
 anchor_probs [queries, tokens] with each query's source token, and the
@@ -54,9 +53,10 @@ class MatchProblem:
 
 @dataclass(frozen=True)
 class Assignment:
-    """Query-to-target permutation and its total match score."""
+    """The query of each target, queries[j] target j's, and the total match
+    score."""
 
-    perm: tuple[int, ...]
+    queries: tuple[int, ...]
     score: float
     warnings: tuple[str, ...] = ()
 
@@ -92,14 +92,12 @@ def optimal_assignment(scores: np.ndarray) -> Assignment:
     """Query-to-target assignment maximizing the summed score.
 
     scores is [queries x targets] with queries >= targets; every target gets
-    its own query.  The result is an optimum of the matrix padded with
-    zero-score null columns up to a square: perm[query] is the query's target,
-    and the queries left over take the null targets k, k+1, ... (k targets) in
-    ascending query order.  A non-square matrix is solved as its transposed
-    targets x queries problem, k augmentations instead of one per query; a
-    square one goes to the kernel as it is.  score is the row-order sum of the
-    per-query gains, zero on the null queries, which is the padded matrix's
-    sum.
+    its own query, queries[j] target j's, and the queries left over match
+    nothing.  A non-square matrix is solved as its transposed targets x
+    queries problem, k augmentations instead of one per query; a square one
+    goes to the kernel as it is, its query-to-target permutation inverted.
+    score is the row-order sum of the per-query gains, zero on the unmatched
+    queries.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[0] < scores.shape[1]:
@@ -109,16 +107,12 @@ def optimal_assignment(scores: np.ndarray) -> Assignment:
         raise MatchError("score matrix entries must be finite")
     num_queries, num_targets = scores.shape
     if num_queries == num_targets:
-        perm = kernels.max_score_assignment(scores)
+        queries = np.argsort(kernels.max_score_assignment(scores))
     else:
-        query_of_target = kernels.max_score_assignment(scores.T)
-        perm = np.full(num_queries, -1, dtype=np.int64)
-        perm[query_of_target] = np.arange(num_targets)
-        perm[perm < 0] = np.arange(num_targets, num_queries)
+        queries = kernels.max_score_assignment(scores.T)
     gains = np.zeros(num_queries)
-    real = np.flatnonzero(perm < num_targets)
-    gains[real] = scores[real, perm[real]]
-    return Assignment(perm=tuple(perm.tolist()), score=float(gains.sum()))
+    gains[queries] = scores[queries, np.arange(num_targets)]
+    return Assignment(queries=tuple(queries.tolist()), score=float(gains.sum()))
 
 
 def _tie_groups(problem: MatchProblem, tolerance: float) -> list[list[int]]:
@@ -149,7 +143,7 @@ def break_ties(problem: MatchProblem, assignment: Assignment,
 
     Targets with identical label and anchor columns are interchangeable for
     the match score; the callback evaluates the edge negative log-likelihood
-    of a candidate permutation, and the within-group permutation minimizing
+    of a candidate's queries, and the within-group permutation minimizing
     it wins.  Oversized tie groups fall back to the first optimum with a
     warning record.
     """
@@ -160,7 +154,7 @@ def break_ties(problem: MatchProblem, assignment: Assignment,
         if len(group) > MAX_TIE_GROUP:
             warning = (f"tie group of {len(group)} targets exceeds bound "
                        f"{MAX_TIE_GROUP}; keeping first optimum")
-            return Assignment(assignment.perm, assignment.score,
+            return Assignment(assignment.queries, assignment.score,
                               assignment.warnings + (warning,))
     total = 1
     for group in groups:
@@ -169,26 +163,26 @@ def break_ties(problem: MatchProblem, assignment: Assignment,
     if total > MAX_TIE_COMBINATIONS:
         warning = (f"{total} tie permutations exceed bound "
                    f"{MAX_TIE_COMBINATIONS}; keeping first optimum")
-        return Assignment(assignment.perm, assignment.score,
+        return Assignment(assignment.queries, assignment.score,
                           assignment.warnings + (warning,))
 
-    target_to_query = {j: i for i, j in enumerate(assignment.perm)}
-    best_perm = assignment.perm
-    best_loss = edge_loglik(assignment.perm)
+    queries = assignment.queries
+    best = queries
+    best_loss = edge_loglik(queries)
     options = [list(itertools.permutations(group)) for group in groups]
     for combo in itertools.product(*options):
-        perm = list(assignment.perm)
+        new = list(queries)
         for group, reordered in zip(groups, combo):
             for original, replacement in zip(group, reordered):
-                perm[target_to_query[original]] = replacement
-        candidate = tuple(perm)
-        if candidate == assignment.perm:
+                new[replacement] = queries[original]
+        candidate = tuple(new)
+        if candidate == queries:
             continue
         loss = edge_loglik(candidate)
         if loss < best_loss - 1e-15:
             best_loss = loss
-            best_perm = candidate
-    return Assignment(best_perm, assignment.score, assignment.warnings)
+            best = candidate
+    return Assignment(best, assignment.score, assignment.warnings)
 
 
 def build_problem(label_probs: np.ndarray, anchor_probs: np.ndarray,
@@ -219,8 +213,7 @@ def align_targets(label_probs: np.ndarray, anchor_probs: np.ndarray,
                   ) -> Assignment:
     """Solve the matching of queries to targets, then break ties.
 
-    Returns the (tie-broken) optimal assignment; perm entries >=
-    len(label_targets) denote null matches, numbered in ascending query order.
+    Returns the (tie-broken) optimal assignment: the query of each target.
     """
     problem = build_problem(label_probs, anchor_probs, source_tokens, label_targets,
                             anchored, use_anchor_mask=use_anchor_mask,

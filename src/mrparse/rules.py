@@ -397,25 +397,14 @@ def load_rule_table(path: str) -> tuple[Rule, ...]:
 # ---------------------------------------------------------------------------
 # targets and decoding
 
-def build_rule_target(applicable_retained: Iterable[int], num_rules: int,
-                      smoothing: float, is_null: bool = False) -> np.ndarray:
-    """Target distribution over the retained rules plus the final null class.
-
-    Real nodes get uniform mass over their applicable retained rules; null
-    nodes get the null class.  Label smoothing mixes with the uniform
-    distribution over all classes at the given rate.
-    """
-    size = num_rules + 1
-    target = np.zeros(size)
-    if is_null:
-        target[num_rules] = 1.0
-    else:
-        indices = sorted(applicable_retained)
-        if not indices:
-            raise InfeasibleEncodingError("real node with no applicable retained rule")
-        target[indices] = 1.0 / len(indices)
-    if smoothing:
-        target = (1.0 - smoothing) * target + smoothing / size
+def build_rule_target(applicable_retained: Iterable[int], num_rules: int) -> np.ndarray:
+    """Target distribution of a real node over the retained rules plus the
+    final null class: uniform mass over its applicable retained rules."""
+    target = np.zeros(num_rules + 1)
+    indices = sorted(applicable_retained)
+    if not indices:
+        raise InfeasibleEncodingError("real node with no applicable retained rule")
+    target[indices] = 1.0 / len(indices)
     return target
 
 

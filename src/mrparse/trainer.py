@@ -197,27 +197,20 @@ class Example:
     """A training sentence and its gold targets, row j for node j of pre.
 
     label_targets [k, classes] holds each node's unsmoothed rule
-    distribution, which the matcher scores, and smoothed_targets the one
-    the label loss takes; anchored [k, tokens] is True where a node is
-    anchored to a token, and is_property [k] marks the nodes made from
-    properties.  edge_array holds the edges as one int array [edges, 3],
-    built with the example, for the group losses.
+    distribution, which the matcher scores and the label loss smooths;
+    anchored [k, tokens] is True where a node is anchored to a token, and
+    is_property [k] marks the nodes made from properties.  edges [edges, 3]
+    holds a row (source node, target node, label id) per edge.
     """
 
     gold: Graph
     pre: Graph
-    tokens: tuple[Token, ...]
     token_ids: np.ndarray
     label_targets: np.ndarray
-    smoothed_targets: np.ndarray
     anchored: np.ndarray
     is_property: np.ndarray
-    edges: list[tuple[int, int, int]]       # (source node idx, target node idx, label id)
+    edges: np.ndarray
     top_index: Optional[int]
-    edge_array: np.ndarray = dataclasses.field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.edge_array = np.array(self.edges, dtype=np.int64).reshape(-1, 3)
 
 
 @dataclass
@@ -272,7 +265,6 @@ def build_example(g: Graph, pre: Graph, trace: transform.TransformTrace,
     tokens = graph_tokens(pre)
     k = len(pre.nodes)
     label_targets = np.empty((k, num_rules + 1))
-    smoothed_targets = np.empty((k, num_rules + 1))
     anchored = np.zeros((k, len(tokens)), dtype=bool)
     for j, node in enumerate(pre.nodes):
         indices = anchored_token_indices(node, tokens)
@@ -284,19 +276,16 @@ def build_example(g: Graph, pre: Graph, trace: transform.TransformTrace,
         if key not in applicable:
             applicable[key] = tuple(r for r, rule in enumerate(meta.rule_table)
                                     if rules.apply_rule(rule, forms, lemmas) == label)
-        label_targets[j] = rules.build_rule_target(applicable[key], num_rules, 0.0)
-        smoothed_targets[j] = rules.build_rule_target(applicable[key], num_rules,
-                                                      meta.config.label_smoothing)
+        label_targets[j] = rules.build_rule_target(applicable[key], num_rules)
     index_of = {node.id: j for j, node in enumerate(pre.nodes)}
     label_index = {l: i for i, l in enumerate(meta.edge_labels)}
-    edges = [(index_of[e.source], index_of[e.target], label_index[e.label])
-             for e in pre.edges]
+    edges = np.array([(index_of[e.source], index_of[e.target], label_index[e.label])
+                      for e in pre.edges], dtype=np.int64).reshape(-1, 3)
     is_property = np.array([n.id in property_ids for n in pre.nodes], dtype=bool)
     top_index = next((j for j, n in enumerate(pre.nodes) if n.is_top), None)
-    return Example(gold=g, pre=pre, tokens=tuple(tokens), token_ids=meta.token_ids(tokens),
-                   label_targets=label_targets, smoothed_targets=smoothed_targets,
-                   anchored=anchored, is_property=is_property, edges=edges,
-                   top_index=top_index)
+    return Example(gold=g, pre=pre, token_ids=meta.token_ids(tokens),
+                   label_targets=label_targets, anchored=anchored,
+                   is_property=is_property, edges=edges, top_index=top_index)
 
 
 def edge_label_vocab(gold: Sequence[tuple[Graph, transform.TransformTrace]],
@@ -431,11 +420,11 @@ def match_queries(config: TrainConfig, fwd: ForwardPass, row: int, example: Exam
                   params: dict) -> matcher.Assignment:
     """Align the queries of sentence row of the group pass to its gold
     nodes, breaking ties by the edge loss: the edge-presence plus edge-label
-    loss sentence_losses computes for a perm."""
+    loss sentence_losses computes for an assignment's queries."""
     hidden = fwd.hidden[row]
 
-    def edge_nll(perm: tuple[int, ...]) -> float:
-        sel = _target_queries(perm, len(example.label_targets))
+    def edge_nll(queries: tuple[int, ...]) -> float:
+        sel = np.array(queries, dtype=np.int64)
         edge = _edge_losses(params, config, _group_edges([example]), hidden[sel][None],
                             np.ones((1, len(sel)), dtype=bool))
         return edge["edge_presence"][0] + edge["edge_label"][0]
@@ -446,19 +435,12 @@ def match_queries(config: TrainConfig, fwd: ForwardPass, row: int, example: Exam
                                  mask_epsilon=config.mask_epsilon, edge_loglik=edge_nll)
 
 
-def _target_queries(perm: Sequence[int], num_targets: int) -> np.ndarray:
-    """The query matched to each target.  perm permutes the queries, so every
-    target has one (build_problem refuses more targets than queries); perm
-    entries >= num_targets are null matches."""
-    return np.argsort(perm)[:num_targets]
-
-
 def _group_edges(examples: Sequence[Example]) -> np.ndarray:
     """The gold edges of a group's examples, one a row: sentence, source,
     target, label id."""
-    counts = [len(example.edge_array) for example in examples]
+    counts = [len(example.edges) for example in examples]
     return np.column_stack((np.repeat(np.arange(len(examples)), counts),
-                            np.concatenate([example.edge_array for example in examples])))
+                            np.concatenate([example.edges for example in examples])))
 
 
 def _edge_losses(params: dict, config: TrainConfig, edges: np.ndarray,
@@ -504,10 +486,10 @@ def sentence_losses(params: dict, config: TrainConfig, examples: Sequence[Exampl
     their gradients, given each sentence's query/node assignment.
 
     examples and assignments follow the pass's sentence axis.  Queries
-    matched to null targets contribute only the label loss.  Every head
-    takes its loss and backward once for the group, each sentence keeping
-    its own mean; the edge, property and top heads see each sentence's
-    matched states padded to the group's largest target count.
+    matched to no target contribute only the label loss, toward the null
+    class.  Every head takes its loss and backward once for the group, each
+    sentence keeping its own mean; the edge, property and top heads see each
+    sentence's matched states padded to the group's largest target count.
     add_head_grads sums grads.head and backward_sentence takes grads.dhidden
     and grads.anchor_dmemory on through the network.
     """
@@ -518,19 +500,20 @@ def sentence_losses(params: dict, config: TrainConfig, examples: Sequence[Exampl
     dhidden = np.zeros((len(TASKS),) + fwd.hidden.shape)
 
     # every query's targets: the query of target j takes row j of its
-    # sentence's, a null query the null class and no anchor loss
-    sels = [_target_queries(assignment.perm, len(example.label_targets))
-            for example, assignment in zip(examples, assignments)]
+    # sentence's, a null query the null class and no anchor loss; then label
+    # smoothing mixes every row with the uniform distribution over the classes
+    sels = [np.array(assignment.queries, dtype=np.int64) for assignment in assignments]
     num_classes = fwd.label_probs.shape[-1]
-    label_targets = np.empty_like(fwd.label_probs)
-    label_targets[...] = rules.build_rule_target((), num_classes - 1,
-                                                 config.label_smoothing, is_null=True)
+    label_targets = np.zeros_like(fwd.label_probs)
+    label_targets[..., -1] = 1.0
     anchor_targets = np.zeros_like(fwd.anchor_probs)
     mask = np.zeros((num_sentences, num_queries), dtype=bool)
     for s, (example, sel) in enumerate(zip(examples, sels)):
         mask[s, sel] = True
-        label_targets[s, sel] = example.smoothed_targets
+        label_targets[s, sel] = example.label_targets
         anchor_targets[s, sel] = example.anchored
+    smoothing = config.label_smoothing
+    label_targets = (1.0 - smoothing) * label_targets + smoothing / num_classes
 
     # label loss over every query: every sentence has num_queries rows, so the
     # mean over the group's rows times the sentences sums each sentence's mean
@@ -928,4 +911,4 @@ def _decode(trained: TrainedModel, sentence: str, tokens: tuple[Token, ...],
     if meta.inverted_labels:
         out = transform.reinvert_edges_for_top(
             out, invertible_labels=set(meta.inverted_labels))
-    return transform.eds_merge_anchors(out)
+    return out

@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from mrparse import heads, model, rules, trainer
+from mrparse import heads, model, trainer
 from mrparse.graph import (FRAMEWORKS, Anchor, Edge, Graph, GraphParseError,
                            GraphSchemaError, Node, Token, graph_tokens)
 from mrparse.heads import HeadError
@@ -653,14 +653,15 @@ def total_loss(bundle: LossBundle) -> float:
     return float(sum(bundle.weights[t] * loss for t, loss in sorted(bundle.losses.items())))
 
 
-def pairing(example, assignment) -> list:
+def pairing(example, assignment, num_queries: int) -> list:
     """(query, its gold node's (label, anchor token indices) or None for a
-    null match) for every query of one sentence, in query order."""
-    num_targets = len(example.label_targets)
-    return [(query, (example.pre.nodes[target].label,
-                     tuple(np.flatnonzero(example.anchored[target]).tolist()))
-             if target < num_targets else None)
-            for query, target in enumerate(assignment.perm)]
+    null match) for every one of the num_queries queries of one sentence, in
+    query order."""
+    target_of = {query: target for target, query in enumerate(assignment.queries)}
+    return [(query, (example.pre.nodes[target_of[query]].label,
+                     tuple(np.flatnonzero(example.anchored[target_of[query]]).tolist()))
+             if query in target_of else None)
+            for query in range(num_queries)]
 
 
 def with_targets(example, rows: Sequence[int], **changes):
@@ -670,7 +671,6 @@ def with_targets(example, rows: Sequence[int], **changes):
     rows = list(rows)
     taken = dict(pre=replace(example.pre, nodes=tuple(example.pre.nodes[j] for j in rows)),
                  label_targets=example.label_targets[rows],
-                 smoothed_targets=example.smoothed_targets[rows],
                  anchored=example.anchored[rows], is_property=example.is_property[rows])
     return replace(example, **{**taken, **changes})
 
@@ -681,8 +681,8 @@ def shuffle_targets(example, rng):
     order = rng.permutation(len(example.label_targets)).tolist()
     inverse = {old: new for new, old in enumerate(order)}
     return with_targets(
-        example, order, edges=[(inverse[a], inverse[b], label)
-                               for a, b, label in example.edges],
+        example, order, edges=np.array([(inverse[a], inverse[b], label) for a, b, label
+                                        in example.edges.tolist()]).reshape(-1, 3),
         top_index=inverse[example.top_index] if example.top_index is not None else None)
 
 
@@ -696,7 +696,7 @@ def sentence_total_loss(params: dict, config, example,
     losses, _ = trainer.sentence_losses(params, config, [example], fwd, [assignment])
     weights = weights or {t: 1.0 for t in losses}
     total = total_loss(LossBundle(losses=losses, weights=weights))
-    return total, pairing(example, assignment)
+    return total, pairing(example, assignment, fwd.hidden.shape[1])
 
 
 def sentence_passes(fwd, params: dict) -> list:
@@ -727,7 +727,7 @@ def reference_edge_losses(params: dict, config, example, states: np.ndarray) -> 
     presence = np.zeros((m, m))
     grouped: dict[tuple[int, int], set] = {}
     pairs, labels = [], []
-    for a, b, label_id in example.edges:
+    for a, b, label_id in example.edges.tolist():
         presence[a, b] = 1.0
         grouped.setdefault((a, b), set()).add(label_id)
         pairs.append((a, b))
@@ -813,12 +813,17 @@ def reference_sentence_losses(params: dict, config, example, fwd, assignment,
     row = {task: k for k, task in enumerate(trainer.TASKS)}
     dhidden = np.zeros((len(trainer.TASKS),) + fwd.hidden.shape)
 
-    # label loss over every query (null queries get the null class target)
-    null_target = rules.build_rule_target((), len(fwd.label_probs[0]) - 1,
-                                          config.label_smoothing, is_null=True)
-    target_matrix = np.stack([example.smoothed_targets[target]
-                              if target < num_targets else null_target
-                              for target in assignment.perm])
+    # label loss over every query (null queries get the null class target),
+    # each query's target smoothed on its own
+    num_classes = fwd.label_probs.shape[-1]
+    target_of = {query: target for target, query in enumerate(assignment.queries)}
+    null_target = np.zeros(num_classes)
+    null_target[-1] = 1.0
+    smoothing = config.label_smoothing
+    target_matrix = np.stack([
+        (1.0 - smoothing) * target + smoothing / num_classes if smoothing else target
+        for target in (example.label_targets[target_of[query]] if query in target_of
+                       else null_target for query in range(num_queries))])
     loss_label, dprob_matrix = heads.label_loss(fwd.label_probs, target_matrix,
                                                 config.focal_gamma)
     losses["label"] = loss_label
@@ -830,17 +835,16 @@ def reference_sentence_losses(params: dict, config, example, fwd, assignment,
     # anchor loss over queries matched to real nodes
     anchor_targets = np.zeros_like(fwd.anchor_probs)
     mask = np.zeros(num_queries, dtype=bool)
-    for query, target in enumerate(assignment.perm):
-        if target < num_targets:
-            mask[query] = True
-            anchor_targets[query] = example.anchored[target]
+    for target, query in enumerate(assignment.queries):
+        mask[query] = True
+        anchor_targets[query] = example.anchored[target]
     losses["anchor"], du, dhidden[row["anchor"]], anchor_dmemory = heads.anchor_loss(
         fwd.anchor_cache, anchor_targets, mask)
     head["anchor"] = {"anchor.u": du}
 
     # the other heads see only the matched queries, sel (no repeats): the
     # query of each target in turn
-    sel = [assignment.perm.index(j) for j in range(num_targets)]
+    sel = list(assignment.queries)
     states = fwd.hidden[sel]
 
     for task, (loss, grads, dstates) in reference_edge_losses(

@@ -253,8 +253,8 @@ def test_criterion_06_degeneracies():
     classes = 9
     for _ in range(100):
         pred = rng.dirichlet(np.ones(classes))
-        plain = rules.build_rule_target([int(rng.integers(classes - 1))],
-                                        classes - 1, 0.1)
+        plain = 0.9 * rules.build_rule_target([int(rng.integers(classes - 1))],
+                                              classes - 1) + 0.1 / classes
         loss, _ = heads.label_loss(pred, plain, 0.0)
         reference = float(-(plain * np.log(pred)).sum())
         assert abs(loss - reference) <= 1e-12

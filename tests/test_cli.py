@@ -1,7 +1,11 @@
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mrparse import cli
 from conftest import fixture_path
@@ -301,6 +305,48 @@ class TestMatch:
         code, _, err = run_cli(["match", "--input", str(matrix)], capsys)
         assert code == 2
         assert json.loads(err)["error"] == "data"
+
+    @pytest.mark.parametrize("text, code, expected", [
+        ("2 2\n0.1 0.9\n0.9 0.1\n", 2, ""),           # two numbers in the header
+        ("2\n0.1 0.9\n0.9 0.1\n0.5 0.5\n", 2, ""),    # a row past the n rows
+        ("0\n", 0, "\nscore 0\n"),                     # the empty matrix
+    ])
+    def test_reads_exactly_header_and_n_rows(self, tmp_path, capsys, text, code,
+                                             expected):
+        matrix = tmp_path / "scores.txt"
+        matrix.write_text(text)
+        got, out, err = run_cli(["match", "--input", str(matrix)], capsys)
+        assert (got, out) == (code, expected)
+        if code:
+            assert json.loads(err)["error"] == "data"
+
+
+# text made of the characters of a score matrix, so that near-valid
+# matrices come up as often as noise
+_MATRIX_TEXT = st.text(alphabet="0123456789 \t\n-+.enaif", max_size=80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | _MATRIX_TEXT)
+@example("2\n1 nan\n0 1\n")
+@example("1\n1e999\n")
+@example("-1\n")
+@example("")
+def test_match_exits_zero_or_two_with_one_json_line(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("match") / "scores.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(["match", "--input", str(path)])
+    if code == 0:
+        lines = out.getvalue().split("\n")
+        assert len(lines) == 3 and lines[1].startswith("score ") and lines[2] == ""
+        assert err.getvalue() == ""
+    else:
+        assert code == 2 and out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "data"
 
 
 class TestEvaluate:

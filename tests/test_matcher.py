@@ -57,12 +57,12 @@ class TestOptimalAssignment:
     def test_identity_dominant(self):
         scores = np.eye(3)
         result = optimal_assignment(scores)
-        assert result.perm == (0, 1, 2)
+        assert result.queries == (0, 1, 2)
         assert result.score == pytest.approx(3.0)
 
     def test_two_by_two(self):
         result = optimal_assignment(np.array([[0.1, 0.9], [0.9, 0.1]]))
-        assert result.perm == (1, 0)
+        assert result.queries == (1, 0)
         assert result.score == pytest.approx(1.8)
 
     def test_random_matches_brute_force(self):
@@ -88,15 +88,15 @@ class TestOptimalAssignment:
     def test_queries_by_targets(self):
         scores = np.array([[0.1, 0.2], [0.9, 0.0], [0.0, 0.0], [0.3, 0.8]])
         result = optimal_assignment(scores)
-        # targets 0 and 1 go to queries 1 and 3; nulls 2, 3 follow query order
-        assert result.perm == (2, 0, 3, 1)
+        # targets 0 and 1 go to queries 1 and 3; queries 0 and 2 match nothing
+        assert result.queries == (1, 3)
         assert result.score == 0.9 + 0.8
 
     def test_no_targets(self):
         result = optimal_assignment(np.zeros((3, 0)))
-        assert result.perm == (0, 1, 2)
+        assert result.queries == ()
         assert result.score == 0.0
-        assert optimal_assignment(np.zeros((0, 0))).perm == ()
+        assert optimal_assignment(np.zeros((0, 0))).queries == ()
 
 
 def _problem(label, anchor):
@@ -108,39 +108,58 @@ class TestBreakTies:
     def test_no_ties_unchanged(self):
         problem = _problem([[0.9, 0.1], [0.1, 0.9]], np.ones((2, 2)))
         assignment = optimal_assignment(problem.label_score * problem.anchor_score)
-        out = break_ties(problem, assignment, lambda perm: 0.0)
-        assert out.perm == assignment.perm
+        out = break_ties(problem, assignment, lambda queries: 0.0)
+        assert out.queries == assignment.queries
 
     def test_swap_when_edge_loss_prefers(self):
         # two identical targets; edge loss prefers the swapped pairing
         problem = _problem([[0.5, 0.5], [0.5, 0.5]], np.ones((2, 2)))
         assignment = optimal_assignment(problem.label_score * problem.anchor_score)
 
-        def edge_loss(perm):
-            return 0.0 if perm == (1, 0) else 1.0
+        def edge_loss(queries):
+            return 0.0 if queries == (1, 0) else 1.0
 
         out = break_ties(problem, assignment, edge_loss)
-        assert out.perm == (1, 0)
+        assert out.queries == (1, 0)
 
     def test_group_of_three_evaluates_all(self):
         problem = _problem(np.full((3, 3), 0.4), np.ones((3, 3)))
         assignment = optimal_assignment(problem.label_score * problem.anchor_score)
         seen = []
 
-        def edge_loss(perm):
-            seen.append(perm)
-            return 0.0 if perm == (2, 0, 1) else 1.0
+        def edge_loss(queries):
+            seen.append(queries)
+            return 0.0 if queries == (1, 2, 0) else 1.0
 
         out = break_ties(problem, assignment, edge_loss)
-        assert out.perm == (2, 0, 1)
+        assert out.queries == (1, 2, 0)
         assert len(set(seen)) == 6  # all within-group permutations
+
+    def test_rectangular_swaps_tied_targets_only(self):
+        # four queries, three targets: targets 0 and 1 tie, target 2 does not
+        label = np.array([[0.9, 0.9, 0.0], [0.8, 0.8, 0.1], [0.1, 0.1, 0.2],
+                          [0.0, 0.0, 0.9]])
+        problem = _problem(label, np.ones((4, 3)))
+        assignment = optimal_assignment(problem.label_score * problem.anchor_score)
+        first = assignment.queries
+        assert sorted(first[:2]) == [0, 1] and first[2] == 3
+        seen = []
+
+        def edge_loss(queries):
+            seen.append(queries)
+            return 0.0 if queries != first else 1.0
+
+        out = break_ties(problem, assignment, edge_loss)
+        assert seen == [first, (first[1], first[0], first[2])]
+        assert out.queries == (first[1], first[0], 3)
+        assert out.score == assignment.score
 
     def test_oversized_group_falls_back_with_warning(self):
         n = matcher.MAX_TIE_GROUP + 2
         problem = _problem(np.full((n, n), 0.4), np.ones((n, n)))
         assignment = optimal_assignment(problem.label_score * problem.anchor_score)
-        out = break_ties(problem, assignment, lambda perm: 0.0)
-        assert out.perm == assignment.perm
+        out = break_ties(problem, assignment, lambda queries: 0.0)
+        assert out.queries == assignment.queries
         assert out.warnings
 
     def test_combination_cap_falls_back_with_warning(self, monkeypatch):
@@ -151,8 +170,8 @@ class TestBreakTies:
         problem = _problem(label, np.ones((8, 8)))
         assignment = optimal_assignment(problem.label_score * problem.anchor_score)
         monkeypatch.setattr(matcher, "MAX_TIE_COMBINATIONS", 100)
-        out = break_ties(problem, assignment, lambda perm: 0.0)
-        assert out.perm == assignment.perm
+        out = break_ties(problem, assignment, lambda queries: 0.0)
+        assert out.queries == assignment.queries
         assert out.warnings
 
 
@@ -177,9 +196,9 @@ class TestAlignTargets:
                            np.full((3, 2), 0.5), [0, 0, 1])
         targets = _targets([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [{0}, {0}], 2)
         assignment = align_targets(*queries, *targets, use_anchor_mask=False)
-        assert sorted(assignment.perm) == [0, 1, 2]
-        null_queries = [q for q, t in enumerate(assignment.perm) if t >= 2]
-        assert len(null_queries) == 1
+        # two distinct queries of three: one is a null node
+        assert len(set(assignment.queries)) == 2
+        assert set(assignment.queries) <= {0, 1, 2}
 
     def test_no_targets(self):
         queries = _queries([[0.8, 0.2], [0.3, 0.7], [0.5, 0.5]],
@@ -188,8 +207,8 @@ class TestAlignTargets:
         problem = build_problem(*queries, *targets)
         assert problem.label_score.shape == problem.anchor_score.shape == (3, 0)
         assert problem.num_real_targets == 0
-        assignment = align_targets(*queries, *targets, edge_loglik=lambda perm: 0.0)
-        assert assignment.perm == (0, 1, 2)
+        assignment = align_targets(*queries, *targets, edge_loglik=lambda queries: 0.0)
+        assert assignment.queries == ()
         assert assignment.score == 0.0
 
     def test_capacity_error(self):
@@ -208,8 +227,7 @@ class TestAlignTargets:
         targets = _targets(np.eye(num_classes)[[j % num_classes for j in range(4)]],
                            [{j % num_tokens} for j in range(4)], num_tokens)
         assignment = align_targets(*queries, *targets, use_anchor_mask=False)
-        nulls = [q for q, t in enumerate(assignment.perm) if t >= 4]
-        assert len(nulls) == 2
+        assert len(set(assignment.queries)) == 4
 
     def test_mask_routes_target_to_anchored_token(self):
         # one-to-one anchoring: each target reachable only from its token
@@ -220,9 +238,8 @@ class TestAlignTargets:
         label_targets, anchored = _targets([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
                                            [{0}, {1}], 2)
         assignment = align_targets(*queries, label_targets, anchored)
-        for query, target in enumerate(assignment.perm):
-            if target < 2:
-                assert anchored[target, queries[2][query]]
+        for target, query in enumerate(assignment.queries):
+            assert anchored[target, queries[2][query]]
 
     def test_permutation_invariance_composition(self):
         rng = np.random.default_rng(6)
@@ -236,11 +253,11 @@ class TestAlignTargets:
             anchor_sets.append({int(rng.integers(num_tokens))})
         label_targets, anchored = _targets(dists, anchor_sets, num_tokens)
         base = align_targets(*queries, label_targets, anchored, use_anchor_mask=False)
-        base_pairs = {(q, t) for q, t in enumerate(base.perm) if t < 4}
+        base_pairs = {(q, t) for t, q in enumerate(base.queries)}
         order = [2, 0, 3, 1]
         moved = align_targets(*queries, label_targets[order], anchored[order],
                               use_anchor_mask=False)
-        moved_pairs = {(q, order[t]) for q, t in enumerate(moved.perm) if t < 4}
+        moved_pairs = {(q, order[t]) for t, q in enumerate(moved.queries)}
         assert moved_pairs == base_pairs
         assert moved.score == pytest.approx(base.score, abs=1e-12)
 
@@ -264,9 +281,8 @@ def test_mask_soundness_property(seed):
     assignment = align_targets(*_queries(label_probs, anchor_probs, source),
                                label_targets, anchored, use_anchor_mask=True,
                                mask_epsilon=1e-8)
-    for query, target in enumerate(assignment.perm):
-        if target < num_targets:
-            assert anchored[target, source[query]]
+    for target, query in enumerate(assignment.queries):
+        assert anchored[target, source[query]]
 
 
 @settings(max_examples=40, deadline=None)
@@ -313,10 +329,6 @@ def test_build_problem_matches_reference(num_tokens, queries_per_token, use_mask
     assert np.array_equal(built.anchor_score, expected.anchor_score)
 
 
-def _real_mapping(perm, num_targets):
-    return {target: query for query, target in enumerate(perm) if target < num_targets}
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=9),
        st.integers(min_value=0, max_value=2**32 - 1))
@@ -326,8 +338,8 @@ def _real_mapping(perm, num_targets):
 @example(num_queries=1, num_targets=1, seed=3)
 def test_rectangular_matches_padded_square(num_queries, num_targets, seed):
     # the [queries x targets] solve equals the square solve of the matrix
-    # padded with zero-score null columns: same score bit for bit, same real
-    # targets on the same queries; nulls go k, k+1, ... in query order
+    # padded with zero-score null columns: same score bit for bit, the real
+    # targets on the same queries
     num_targets = min(num_targets, num_queries)
     rng = np.random.default_rng(seed)
     scores = rng.random((num_queries, num_targets))
@@ -336,10 +348,8 @@ def test_rectangular_matches_padded_square(num_queries, num_targets, seed):
     ours = optimal_assignment(scores)
     square = optimal_assignment(padded)
     assert ours.score == square.score
-    assert _real_mapping(ours.perm, num_targets) == _real_mapping(square.perm, num_targets)
-    assert sorted(ours.perm) == list(range(num_queries))
-    null_targets = [t for t in ours.perm if t >= num_targets]
-    assert null_targets == list(range(num_targets, num_queries))
+    assert ours.queries == square.queries[:num_targets]
+    assert len(set(ours.queries)) == num_targets
 
 
 @settings(max_examples=100, deadline=None)

@@ -277,23 +277,12 @@ class TestRuleOrder:
 
 class TestRuleTarget:
     def test_uniform_over_applicable(self):
-        target = build_rule_target([0, 2], 4, 0.0)
+        target = build_rule_target([0, 2], 4)
         assert target.tolist() == [0.5, 0.0, 0.5, 0.0, 0.0]
-
-    def test_smoothing_mixes_uniform(self):
-        size = 5
-        target = build_rule_target([1], 4, 0.1)
-        assert target[0] == pytest.approx(0.1 / size)
-        assert target[1] == pytest.approx(0.9 + 0.1 / size)
-        assert target.sum() == pytest.approx(1.0)
-
-    def test_null_one_hot(self):
-        target = build_rule_target([], 3, 0.0, is_null=True)
-        assert target.tolist() == [0.0, 0.0, 0.0, 1.0]
 
     def test_empty_applicable_raises(self):
         with pytest.raises(InfeasibleEncodingError):
-            build_rule_target([], 3, 0.0)
+            build_rule_target([], 3)
 
 
 class TestDecode:
@@ -372,7 +361,7 @@ class TestMinimalRuleSet:
         for tokens, lemmas, label in items:
             applicable = [k for k, rule in enumerate(table)
                           if apply_rule(rule, tokens, lemmas) == label]
-            target = build_rule_target(applicable, len(table), 0.0)
+            target = build_rule_target(applicable, len(table))
             assert decode_label(target, tokens, lemmas, table) == label
 
 

@@ -158,7 +158,8 @@ class TestSentencePass:
         assignment = trainer.match_queries(config, fwd, 0, example, params)
         losses, grads = trainer.sentence_losses(params, config, [example], fwd,
                                                 [assignment])
-        null_queries = [q for q, node in oracles.pairing(example, assignment)
+        null_queries = [q for q, node in oracles.pairing(example, assignment,
+                                                         fwd.hidden.shape[1])
                         if node is None]
         assert null_queries, "expected more queries than gold nodes"
         # every head except the label head must have exactly zero gradient
@@ -196,25 +197,25 @@ class TestSentencePass:
         # an extra edge from the copy makes the two orderings differ in edge loss
         copy = len(example.label_targets)
         tied = oracles.with_targets(example, [*range(copy), 0],
-                                    edges=example.edges + [(copy, 1, 0)])
+                                    edges=np.vstack((example.edges, [(copy, 1, 0)])))
         seen = {}
         align_targets = matcher.align_targets
 
         def capture(*args, edge_loglik, **kwargs):
-            def recorded(perm):
-                seen[perm] = edge_loglik(perm)
-                return seen[perm]
+            def recorded(queries):
+                seen[queries] = edge_loglik(queries)
+                return seen[queries]
             return align_targets(*args, edge_loglik=recorded, **kwargs)
 
         monkeypatch.setattr(matcher, "align_targets", capture)
         fwd = trainer.forward_sentence(params, config, tied.token_ids[None])
         kept = trainer.match_queries(config, fwd, 0, tied, params)
         assert len(set(seen.values())) >= 2
-        for perm, loss in seen.items():
+        for queries, loss in seen.items():
             losses, _ = trainer.sentence_losses(
-                params, config, [tied], fwd, [matcher.Assignment(perm, kept.score)])
+                params, config, [tied], fwd, [matcher.Assignment(queries, kept.score)])
             assert loss == losses["edge_presence"] + losses["edge_label"]
-        assert seen[kept.perm] == min(seen.values()) < max(seen.values())
+        assert seen[kept.queries] == min(seen.values()) < max(seen.values())
 
     def test_sentence_backward_matches_finite_differences(self):
         # the composition train runs: sentence_losses, then add_head_grads and
@@ -372,11 +373,14 @@ class TestGroupForward:
                     assert set(got) == set(expected)
                     assert all(np.array_equal(got[key], expected[key]) for key in got)
 
-    @pytest.mark.parametrize("multilabel", [False, True])
-    def test_group_losses_equal_per_sentence_reference(self, multilabel):
+    @pytest.mark.parametrize("multilabel, smoothing", [
+        (False, 0.1), (True, 0.1), (False, 0.0), (True, 0.0)],
+        ids=["False", "True", "False-unsmoothed", "True-unsmoothed"])
+    def test_group_losses_equal_per_sentence_reference(self, multilabel, smoothing):
         # one head pass over a group against the per-sentence losses that
-        # preceded it, run on each sentence's view and summed in group order
-        config = tiny_config(edge_multilabel=multilabel)
+        # preceded it, run on each sentence's view and summed in group order;
+        # the reference smooths each query's label target on its own
+        config = tiny_config(edge_multilabel=multilabel, label_smoothing=smoothing)
         meta, examples, _, _, _ = trainer.prepare(
             config, corpus.synth_corpus(2, config.corpus_size))
         params = trainer.init_model(meta, np.random.default_rng(0))
@@ -391,12 +395,12 @@ class TestGroupForward:
                 group[int(rng.integers(size))] = resized_example(examples[0], length, 0)
             # a second label on the first gold pair of the first sentence with
             # an edge, a parallel edge, which the synthetic corpus never has
-            with_edge = [row for row, example in enumerate(group) if example.edges]
+            with_edge = [row for row, example in enumerate(group) if len(example.edges)]
             if with_edge:
                 example = group[with_edge[0]]
                 a, b, label = example.edges[0]
-                group[with_edge[0]] = dataclasses.replace(example, edges=[
-                    *example.edges, (a, b, (label + 1) % len(meta.edge_labels))])
+                group[with_edge[0]] = dataclasses.replace(example, edges=np.vstack((
+                    example.edges, [(a, b, (label + 1) % len(meta.edge_labels))])))
                 parallel += 1
             # sentences of different target counts pad the edge, property and
             # top heads' states
@@ -467,7 +471,7 @@ def resized_example(example, length, num_targets=None):
     return oracles.with_targets(
         example, range(keep), token_ids=np.resize(example.token_ids, length),
         anchored=example.anchored[:keep, np.arange(length) % num_tokens],
-        edges=[(a, b, l) for a, b, l in example.edges if a < keep and b < keep],
+        edges=example.edges[(example.edges[:, :2] < keep).all(axis=1)],
         top_index=top)
 
 
@@ -553,9 +557,9 @@ class TestTraining:
         break_ties = matcher.break_ties
 
         def counting(problem, assignment, edge_loglik):
-            def counted(perm):
+            def counted(queries):
                 counts["edge losses"] += 1
-                return edge_loglik(perm)
+                return edge_loglik(queries)
             before = counts["edge losses"]
             result = break_ties(problem, assignment, counted)
             counts["tied sentences"] += counts["edge losses"] > before
