@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import graph as graph_mod
-from . import matcher, model, rules, scorer, trainer, transform
+from . import heads, matcher, model, rules, scorer, trainer, transform
 
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -258,15 +258,22 @@ def cmd_predict(args) -> int:
         trained = trainer.TrainedModel.load(args.checkpoint)
     except OSError as exc:
         _fail("io", str(exc), EXIT_DATA)
-    except (model.CheckpointError, KeyError, ValueError, TypeError,
+    except (model.CheckpointError, KeyError, ValueError, TypeError, RecursionError,
             json.JSONDecodeError, rules.RuleError, trainer.TrainError) as exc:
         _fail("data", f"checkpoint: {exc}", EXIT_DATA)
     with _open_output(args.output) as out, _open_input(args.input) as handle:
         sentences = (line.rstrip("\n") for line in handle if line.strip())
         # one chunk at a time, so output streams as the input is read
-        while chunk := list(itertools.islice(sentences, trained.meta.config.batch_size)):
-            for g in trainer.predict_batch(trained, chunk):
-                print(graph_mod.serialize_graph(g), file=out)
+        # finite parameters too large for the arithmetic raise rather than
+        # print garbage graphs and warnings
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                while chunk := list(itertools.islice(sentences,
+                                                     trained.meta.config.batch_size)):
+                    for g in trainer.predict_batch(trained, chunk):
+                        print(graph_mod.serialize_graph(g), file=out)
+        except (heads.HeadError, FloatingPointError) as exc:
+            _fail("data", f"checkpoint: parameters give no prediction ({exc})", EXIT_DATA)
     return 0
 
 

@@ -3,8 +3,9 @@
 Queries are matched to target nodes by maximizing the summed match score
 (label score times geometric-mean anchor score) over the [queries x targets]
 block; every target gets its own query and the leftover queries are null
-nodes.  Ties between interchangeable targets are broken by the edge loss
-across their within-group permutations.
+nodes.  A query scores a target's anchors only from a token the target is
+anchored to.  Targets with equal gold rows are interchangeable, and their
+ties are broken by the edge loss across their within-group permutations.
 
 Both sides come in as arrays: the heads' label_probs [queries, classes] and
 anchor_probs [queries, tokens] with each query's source token, and the
@@ -15,7 +16,8 @@ with anchored [targets, tokens], True where a target is anchored to a token.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -23,12 +25,16 @@ import numpy as np
 from . import kernels
 
 ANCHOR_PROB_FLOOR = 1e-12
-# tie-break bounds: two targets tie when their label and anchor columns agree
-# within TIE_TOLERANCE; a larger group than MAX_TIE_GROUP, or more
-# within-group permutations than MAX_TIE_COMBINATIONS, keeps the first optimum
-TIE_TOLERANCE = 1e-12
+# the anchor factor of a query paired with a target not anchored to its token
+MASK_EPSILON = 1e-8
+# tie-break bounds: a larger group than MAX_TIE_GROUP, or more within-group
+# permutations than MAX_TIE_COMBINATIONS, keeps the first optimum
 MAX_TIE_GROUP = 6
 MAX_TIE_COMBINATIONS = 5040
+# a score matrix with an entry of 2**MAX_SCORE_EXPONENT or more in magnitude
+# is solved scaled down by a power of two, which is exact, so that the
+# solver's potentials and the score sum stay finite
+MAX_SCORE_EXPONENT = 1000
 
 
 class MatchError(Exception):
@@ -74,20 +80,6 @@ def geomean_anchor(probs) -> float | np.ndarray:
     return float(score) if score.ndim == 0 else score
 
 
-def apply_anchor_mask(scores: np.ndarray, anchoring: np.ndarray,
-                      epsilon: float = 1e-8) -> np.ndarray:
-    """Replace anchor factors by epsilon where the pairing is not permitted.
-
-    anchoring[i, j] is True when target j is anchored to query i's source
-    token; every other entry gets the small positive constant.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    anchoring = np.asarray(anchoring, dtype=bool)
-    if scores.shape != anchoring.shape:
-        raise MatchError(f"shape mismatch {scores.shape} vs {anchoring.shape}")
-    return np.where(anchoring, scores, epsilon)
-
-
 def optimal_assignment(scores: np.ndarray) -> Assignment:
     """Query-to-target assignment maximizing the summed score.
 
@@ -106,65 +98,53 @@ def optimal_assignment(scores: np.ndarray) -> Assignment:
     if scores.size and not np.isfinite(scores).all():
         raise MatchError("score matrix entries must be finite")
     num_queries, num_targets = scores.shape
+    shift = max(int(np.frexp(np.abs(scores).max(initial=0.0))[1]) - MAX_SCORE_EXPONENT, 0)
+    if shift:
+        scores = scores * 2.0 ** -shift
     if num_queries == num_targets:
         queries = np.argsort(kernels.max_score_assignment(scores))
     else:
         queries = kernels.max_score_assignment(scores.T)
     gains = np.zeros(num_queries)
     gains[queries] = scores[queries, np.arange(num_targets)]
-    return Assignment(queries=tuple(queries.tolist()), score=float(gains.sum()))
+    # a Python float product: a sum past the float range is inf, with no warning
+    return Assignment(queries=tuple(queries.tolist()),
+                      score=float(gains.sum()) * 2.0 ** shift)
 
 
-def _tie_groups(problem: MatchProblem, tolerance: float) -> list[list[int]]:
-    """Group real targets whose label and anchor columns coincide.
+def tie_groups(label_targets: np.ndarray, anchored: np.ndarray) -> list[list[int]]:
+    """Targets whose label_targets and anchored rows are both equal, in
+    groups of two or more ordered by first member, members ascending.
 
-    Each target joins the first group whose first member it matches within
-    tolerance in both matrices, or starts a new group.
+    Equal rows give bit-identical score columns, so the match score cannot
+    tell a group's members apart.
     """
-    k = problem.num_real_targets
-    # label rows over anchor rows: one max covers both matrices
-    columns = np.concatenate((problem.label_score, problem.anchor_score))
-    same = (np.abs(columns[:, :, None] - columns[:, None, :]).max(axis=0, initial=0.0)
-            <= tolerance).tolist()
-    groups: list[list[int]] = []
-    for j in range(k):
-        for group in groups:
-            if same[j][group[0]]:
-                group.append(j)
-                break
-        else:
-            groups.append([j])
-    return [g for g in groups if len(g) > 1]
+    groups: dict[tuple, list[int]] = {}
+    for j, row in enumerate(np.hstack((label_targets, anchored)).tolist()):
+        groups.setdefault(tuple(row), []).append(j)
+    return [g for g in groups.values() if len(g) > 1]
 
 
-def break_ties(problem: MatchProblem, assignment: Assignment,
+def break_ties(groups: list[list[int]], assignment: Assignment,
                edge_loglik: Callable[[tuple[int, ...]], float]) -> Assignment:
     """Among score-equivalent assignments, minimize the edge loss.
 
-    Targets with identical label and anchor columns are interchangeable for
-    the match score; the callback evaluates the edge negative log-likelihood
-    of a candidate's queries, and the within-group permutation minimizing
-    it wins.  Oversized tie groups fall back to the first optimum with a
+    The targets of each group (tie_groups) are interchangeable for the match
+    score; the callback evaluates the edge negative log-likelihood of a
+    candidate's queries, and the within-group permutation minimizing it
+    wins.  Oversized tie groups fall back to the first optimum with a
     warning record.
     """
-    groups = _tie_groups(problem, TIE_TOLERANCE)
     if not groups:
         return assignment
-    for group in groups:
-        if len(group) > MAX_TIE_GROUP:
-            warning = (f"tie group of {len(group)} targets exceeds bound "
-                       f"{MAX_TIE_GROUP}; keeping first optimum")
-            return Assignment(assignment.queries, assignment.score,
-                              assignment.warnings + (warning,))
-    total = 1
-    for group in groups:
-        for k in range(2, len(group) + 1):
-            total *= k
-    if total > MAX_TIE_COMBINATIONS:
-        warning = (f"{total} tie permutations exceed bound "
-                   f"{MAX_TIE_COMBINATIONS}; keeping first optimum")
-        return Assignment(assignment.queries, assignment.score,
-                          assignment.warnings + (warning,))
+    oversized = [len(group) for group in groups if len(group) > MAX_TIE_GROUP]
+    total = math.prod(math.factorial(len(group)) for group in groups)
+    if oversized or total > MAX_TIE_COMBINATIONS:
+        warning = (f"tie group of {oversized[0]} targets exceeds bound {MAX_TIE_GROUP}"
+                   if oversized else
+                   f"{total} tie permutations exceed bound {MAX_TIE_COMBINATIONS}")
+        return replace(assignment, warnings=assignment.warnings
+                       + (f"{warning}; keeping first optimum",))
 
     queries = assignment.queries
     best = queries
@@ -187,9 +167,10 @@ def break_ties(problem: MatchProblem, assignment: Assignment,
 
 def build_problem(label_probs: np.ndarray, anchor_probs: np.ndarray,
                   source_tokens: np.ndarray, label_targets: np.ndarray,
-                  anchored: np.ndarray, *, use_anchor_mask: bool = True,
-                  mask_epsilon: float = 1e-8) -> MatchProblem:
-    """Score every query against every target: [queries x targets] matrices."""
+                  anchored: np.ndarray) -> MatchProblem:
+    """Score every query against every target: [queries x targets] matrices,
+    the anchor factor MASK_EPSILON where the target is not anchored to the
+    query's source token."""
     num_queries = label_probs.shape[0]
     if len(label_targets) > num_queries:
         raise CapacityError(f"{len(label_targets)} target nodes exceed {num_queries} "
@@ -199,16 +180,13 @@ def build_problem(label_probs: np.ndarray, anchor_probs: np.ndarray,
     label_score = (label_probs @ label_targets[:, :, None])[:, :, 0].T
     anchor_score = geomean_anchor(np.where(anchored[:, None, :], anchor_probs,
                                            1.0 - anchor_probs)).T
-    if use_anchor_mask:
-        anchor_score = apply_anchor_mask(anchor_score, anchored[:, source_tokens].T,
-                                         mask_epsilon)
+    anchor_score = np.where(anchored[:, source_tokens].T, anchor_score, MASK_EPSILON)
     return MatchProblem(label_score=label_score, anchor_score=anchor_score)
 
 
 def align_targets(label_probs: np.ndarray, anchor_probs: np.ndarray,
                   source_tokens: np.ndarray, label_targets: np.ndarray,
-                  anchored: np.ndarray, *, use_anchor_mask: bool = True,
-                  mask_epsilon: float = 1e-8,
+                  anchored: np.ndarray, *,
                   edge_loglik: Callable[[tuple[int, ...]], float] | None = None,
                   ) -> Assignment:
     """Solve the matching of queries to targets, then break ties.
@@ -216,9 +194,9 @@ def align_targets(label_probs: np.ndarray, anchor_probs: np.ndarray,
     Returns the (tie-broken) optimal assignment: the query of each target.
     """
     problem = build_problem(label_probs, anchor_probs, source_tokens, label_targets,
-                            anchored, use_anchor_mask=use_anchor_mask,
-                            mask_epsilon=mask_epsilon)
+                            anchored)
     assignment = optimal_assignment(problem.label_score * problem.anchor_score)
     if edge_loglik is not None:
-        assignment = break_ties(problem, assignment, edge_loglik)
+        assignment = break_ties(tie_groups(label_targets, anchored), assignment,
+                                edge_loglik)
     return assignment

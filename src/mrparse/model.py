@@ -355,11 +355,12 @@ def save_params(params: dict, path: str):
 
 
 def _read_exact(stream: io.BytesIO, size: int, what: str) -> bytes:
-    data = stream.read(size)
-    if len(data) != size:
+    # checked before reading: a size past the index range cannot be read at all
+    left = stream.getbuffer().nbytes - stream.tell()
+    if size > left:
         raise CheckpointError(f"truncated checkpoint: {what} needs {size} bytes, "
-                              f"{len(data)} left")
-    return data
+                              f"{left} left")
+    return stream.read(size)
 
 
 def load_params(path: str) -> dict:
@@ -385,6 +386,8 @@ def load_params(path: str) -> dict:
         numel = math.prod(shape)
         raw = _read_exact(stream, numel * 8, f"array {name!r}")
         params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(params[name]).all():
+            raise CheckpointError(f"array {name!r} holds values that are not finite")
     trailing = len(data) - stream.tell()
     if trailing:
         raise CheckpointError(f"{trailing} trailing bytes after the last array")
@@ -397,4 +400,10 @@ def pack_text(text: str) -> np.ndarray:
 
 
 def unpack_text(array: np.ndarray) -> str:
-    return bytes(int(round(b)) for b in np.asarray(array).ravel()).decode("utf-8")
+    """Decode a pack_text array; a value that is not a byte raises CheckpointError."""
+    values = np.asarray(array, dtype=np.float64).ravel()
+    wrong = values[~((values >= 0) & (values <= 255) & (values == np.floor(values)))]
+    if wrong.size:
+        raise CheckpointError(f"text array holds {float(wrong[0])}, which is not "
+                              f"a byte 0..255")
+    return values.astype(np.uint8).tobytes().decode("utf-8")

@@ -58,8 +58,7 @@ _CONFIG_RANGES = (
     ("epochs", 0, None), ("batch_size", 1, None), ("corpus_size", 1, None),
     ("eval_fraction", 0.0, 1.0), ("lr_encoder", 0.0, None), ("lr_rest", 0.0, None),
     ("warmup_steps", 1, None), ("freeze_steps", 0, None), ("weight_decay", 0.0, None),
-    ("focal_gamma", 0.0, None), ("label_smoothing", 0.0, 1.0),
-    ("mask_epsilon", 0.0, None), ("layer_dropout", 0.0, 1.0),
+    ("focal_gamma", 0.0, None), ("label_smoothing", 0.0, 1.0), ("layer_dropout", 0.0, 1.0),
     ("balance_alpha", 0.0, None), ("balance_lr", 0.0, None), ("init_scale", 0.0, None),
 )
 
@@ -90,8 +89,6 @@ class TrainConfig:
     weight_decay: float = 1e-6
     focal_gamma: float = 2.0
     label_smoothing: float = 0.1
-    mask_epsilon: float = 1e-8
-    use_anchor_mask: bool = True
     layer_dropout: float = 0.1
     balance_alpha: float = 1.5
     balance_lr: float = 0.025
@@ -108,7 +105,9 @@ class TrainConfig:
                                  f"got {value!r}")
         for name, low, high in _CONFIG_RANGES:
             value = getattr(self, name)
-            if not (math.isfinite(value) and low <= value
+            # abs() < inf rather than math.isfinite, which cannot take an
+            # integer too large for a float
+            if not (abs(value) < math.inf and low <= value
                     and (high is None or value < high)):
                 bounds = f"at least {low}" if high is None else f"in [{low}, {high})"
                 raise TrainError(f"{name} must be {bounds}, got {value}")
@@ -165,7 +164,7 @@ def load_train_config(path: str) -> TrainConfig:
             else:  # stop_when, the one non-scalar option
                 try:
                     values[name] = json.loads(text)
-                except ValueError:
+                except (ValueError, RecursionError):  # RecursionError: deep nesting
                     values[name] = None  # reported with the other malformed values
                 _check_stop_when(values[name], text, f"{path}:{lineno}: ")
     try:
@@ -431,8 +430,7 @@ def match_queries(config: TrainConfig, fwd: ForwardPass, row: int, example: Exam
 
     return matcher.align_targets(fwd.label_probs[row], fwd.anchor_probs[row],
                                  fwd.source_tokens, example.label_targets,
-                                 example.anchored, use_anchor_mask=config.use_anchor_mask,
-                                 mask_epsilon=config.mask_epsilon, edge_loglik=edge_nll)
+                                 example.anchored, edge_loglik=edge_nll)
 
 
 def _group_edges(examples: Sequence[Example]) -> np.ndarray:

@@ -42,7 +42,7 @@ from mrparse.graph import (FRAMEWORKS, Anchor, Edge, Graph, GraphParseError,
                            GraphSchemaError, Node, Token, graph_tokens)
 from mrparse.heads import HeadError
 from mrparse.hitting import InfeasibleError
-from mrparse.matcher import MatchProblem, apply_anchor_mask, geomean_anchor
+from mrparse.matcher import MASK_EPSILON, MatchProblem, geomean_anchor
 from mrparse.model import LN_EPS
 from mrparse.rules import (ABSOLUTE, LEMMA, NUMBER, TOKEN, AbsoluteRule, LemmaRule,
                            NumberRule, RuleSetProblem, RuleSpaceBounds, TokenRule,
@@ -109,7 +109,7 @@ def brute_force_assignment(scores: np.ndarray) -> tuple[tuple[int, ...], float]:
 
 
 def reference_build_problem(label_probs, anchor_probs, source_tokens, label_targets,
-                            anchored, use_anchor_mask, mask_epsilon) -> MatchProblem:
+                            anchored) -> MatchProblem:
     """matcher.build_problem written one target column and one token at a time."""
     num_queries, num_tokens = anchor_probs.shape
     label_score = np.zeros((num_queries, len(label_targets)))
@@ -123,15 +123,17 @@ def reference_build_problem(label_probs, anchor_probs, source_tokens, label_targ
             else:
                 observed[:, t] = 1.0 - anchor_probs[:, t]
         anchor_score[:, j] = geomean_anchor(observed)
-        if use_anchor_mask:
-            permitted = np.isin(source_tokens, np.flatnonzero(anchored[j]))
-            anchor_score[:, j] = apply_anchor_mask(anchor_score[:, j], permitted,
-                                                   mask_epsilon)
+        permitted = np.isin(source_tokens, np.flatnonzero(anchored[j]))
+        anchor_score[:, j] = np.where(permitted, anchor_score[:, j], MASK_EPSILON)
     return MatchProblem(label_score=label_score, anchor_score=anchor_score)
 
 
 def reference_tie_groups(problem: MatchProblem, tolerance: float) -> list[list[int]]:
-    """matcher._tie_groups written as one column comparison at a time."""
+    """Targets grouped by their score columns, one column comparison at a
+    time: each joins the first group whose first member's label and anchor
+    columns it matches within tolerance, or starts a new one; groups of two
+    or more are kept.  At tolerance 0 this is the tie rule of
+    matcher.tie_groups, read from the problem instead of the gold rows."""
     groups: list[list[int]] = []
     for j in range(problem.num_real_targets):
         for group in groups:

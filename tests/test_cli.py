@@ -1,19 +1,23 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mrparse import cli
+from mrparse import cli, model, trainer
 from conftest import fixture_path
+from oracles import brute_force_assignment
 
 
 # TrainConfig options that have been taken out of the code
 REMOVED_SWITCHES = ("use_attribute_head", "use_top_head", "use_property_head",
-                    "deinvert_edges")
+                    "deinvert_edges", "use_anchor_mask", "mask_epsilon")
 
 
 def run_cli(args, capsys):
@@ -22,14 +26,12 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
-def predict_with_stored_config(changes, tmp_path, capsys):
+def predict_with_stored_config(changes, tmp_path, capsys, vocab_json='{"<unk>": 0}'):
     """predict on a parameterless checkpoint whose stored config is the
     default one with changes; asserts the one-line data error and returns its
     message."""
-    import dataclasses
-    from mrparse import model, trainer
     config = {**dataclasses.asdict(trainer.TrainConfig()), **changes}
-    meta = {"config_json": json.dumps(config), "vocab_json": '{"<unk>": 0}',
+    meta = {"config_json": json.dumps(config), "vocab_json": vocab_json,
             "rules_text": 'absolute\t"x"', "edge_labels_json": "[]",
             "inverted_labels_json": "[]"}
     ckpt = tmp_path / "stored.ckpt"
@@ -320,6 +322,34 @@ class TestMatch:
         if code:
             assert json.loads(err)["error"] == "data"
 
+    def test_scores_near_float_range(self, tmp_path, capsys):
+        # the solver's potentials overflowed on this matrix, which printed
+        # "1 0" and "score -1e+308" with RuntimeWarnings on stderr
+        matrix = tmp_path / "scores.txt"
+        matrix.write_text("2\n-1.5e308 5e307\n-1.5e308 1.5e308\n")
+        assert run_cli(["match", "--input", str(matrix)], capsys) == (
+            0, "0 1\nscore 0\n", "")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**32 - 1))
+def test_match_score_near_float_range_equals_brute_force(tmp_path_factory, n, seed):
+    # the oracle enumerates the matrix scaled by 1/8, so that no partial sum of
+    # five entries overflows, and scales its optimum back
+    rng = np.random.default_rng(seed)
+    scores = rng.choice([-1.0, 1.0], (n, n)) * rng.uniform(1.4e308, 1.6e308, (n, n))
+    path = tmp_path_factory.mktemp("match") / "scores.txt"
+    path.write_text(f"{n}\n" + "".join(" ".join(map(repr, row.tolist())) + "\n"
+                                       for row in scores))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.run(["match", "--input", str(path)])
+    _, best = brute_force_assignment(scores / 8.0)
+    assert (code, err.getvalue(), caught) == (0, "", [])
+    assert out.getvalue().splitlines()[1] == f"score {best * 8.0:.12g}"
+
 
 # text made of the characters of a score matrix, so that near-valid
 # matrices come up as often as noise
@@ -435,9 +465,9 @@ class TestTrainPredict:
 
     def test_train_predict_bytes_pinned(self, tmp_path, capsys):
         # recorded with the balance norms on the last shared layer, one
-        # backward and one pass of every head per length group and no top
-        # bias: the training arithmetic, the checkpoint bytes and decoding,
-        # each pinned on its own
+        # backward and one pass of every head per length group, no top bias
+        # and no anchor-mask options in the stored config: the training
+        # arithmetic, the checkpoint bytes and decoding, each pinned on its own
         config = tmp_path / "pin.cfg"
         config.write_text("corpus_size = 150\nepochs = 2\n")
         paths = {name: tmp_path / name for name in ("m.jsonl", "model.ckpt", "pred.jsonl")}
@@ -457,7 +487,7 @@ class TestTrainPredict:
                    for name, path in paths.items()}
         assert digests == {
             "m.jsonl": "c92b11d1a9c0789cde920d245cc59b79e9656a1dacd214174c18dfa422dae749",
-            "model.ckpt": "50cacfeef73f30cfd18546b24f47d3104245f6aec3b04bd3b9ca832181e5d9ed",
+            "model.ckpt": "3c224f67af10c5c6ac99006b4c5bebb5926d81d058183d818b88f8116fcd4c3e",
             "pred.jsonl": "075bd7cdd054e5c5777fc14cc69c869f510e6503a78625cbf06e1270aff95d43"}
 
     @pytest.mark.parametrize("line", ["stop_when = 3", 'stop_when = {"f1": 0.9}',
@@ -694,6 +724,89 @@ class TestTrainPredict:
         assert code == 2
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "data"
+
+    def test_predict_deeply_nested_meta_json(self, tmp_path, capsys):
+        # json.loads raised RecursionError, a traceback with exit 1
+        message = predict_with_stored_config({}, tmp_path, capsys, vocab_json="[" * 100000)
+        assert message.startswith("checkpoint: maximum recursion depth exceeded")
+
+    @pytest.mark.parametrize("value, message", [
+        (np.inf, "array 'meta.config_json' holds values that are not finite"),
+        (np.nan, "array 'meta.config_json' holds values that are not finite"),
+        (65.5, "text array holds 65.5, which is not a byte 0..255"),
+        (-1.0, "text array holds -1.0, which is not a byte 0..255"),
+        (256.0, "text array holds 256.0, which is not a byte 0..255")])
+    def test_predict_text_array_value_not_a_byte(self, value, message, tmp_path, capsys):
+        # inf died with an OverflowError traceback; 65.5 was read as "B"
+        config = json.dumps(dataclasses.asdict(trainer.TrainConfig()))
+        text = model.pack_text(config)
+        text[1] = value
+        ckpt = tmp_path / "bad.ckpt"
+        model.save_params({"meta.config_json": text}, str(ckpt))
+        sentences = tmp_path / "s.txt"
+        sentences.write_text("hello\n")
+        code, out, err = run_cli(["predict", "--checkpoint", str(ckpt),
+                                  "--input", str(sentences)], capsys)
+        assert (code, out, len(err.splitlines())) == (2, "", 1)
+        assert json.loads(err) == {"error": "data", "message": f"checkpoint: {message}"}
+
+    @pytest.mark.parametrize("value, message", [
+        (np.nan, "array 'emb' holds values that are not finite"),
+        (1e200, "parameters give no prediction (overflow encountered in multiply)")])
+    def test_predict_extreme_parameters(self, value, message, tiny_checkpoint,
+                                        tmp_path, capsys):
+        # 1e200 used to print graphs and RuntimeWarnings, exiting 0
+        original, sentences = tiny_checkpoint
+        ckpt = tmp_path / "model.ckpt"
+        ckpt.write_bytes(original)
+        trained = trainer.TrainedModel.load(str(ckpt))
+        trained.params["emb"][:, 0] = value
+        trained.save(str(ckpt))
+        code, out, err = run_cli(["predict", "--checkpoint", str(ckpt),
+                                  "--input", str(sentences)], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "data", "message": f"checkpoint: {message}"}
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """The bytes of a small trained checkpoint, and a sentence file."""
+    from test_trainer import tiny_config
+    trained, _ = trainer.train(tiny_config(dim=4, ffn_dim=4, corpus_size=8,
+                                           encoder_layers=0, mos_components=1))
+    root = tmp_path_factory.mktemp("tiny")
+    trained.save(str(root / "model.ckpt"))
+    sentences = root / "s.txt"
+    sentences.write_text("the cat is diving\nforty two birds are singing\n")
+    return (root / "model.ckpt").read_bytes(), sentences
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=255))
+@example(position=12, value=0)  # a name length that makes the next shape unreadable
+def test_predict_byte_replaced_checkpoint_exits_zero_or_two(tiny_checkpoint,
+                                                          tmp_path_factory,
+                                                          position, value):
+    # one byte replaced, never inserted, so that no stored size can grow past
+    # the file: every corrupted checkpoint parses or is a one-line data error
+    original, sentences = tiny_checkpoint
+    position %= len(original)
+    mutated = bytearray(original)
+    mutated[position] = value
+    ckpt = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+    ckpt.write_bytes(bytes(mutated))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a RuntimeWarning would print on stderr
+        code = cli.run(["predict", "--checkpoint", str(ckpt), "--input", str(sentences)])
+    assert not caught
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 2 and out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "data"
 
 
 class TestUsage:

@@ -1,12 +1,16 @@
 """No functions nothing calls: every module-level def and class of the package
 is named somewhere in src/, tests/ or perfbench/ outside its own definition,
 and, but for a listed few, somewhere in src/ or perfbench/: the package holds
-no API that only the tests use."""
+no API that only the tests use.  No options nothing reads: every TrainConfig
+field is read as an attribute in src/ outside the TrainConfig class."""
 
 import ast
+import dataclasses
 import re
 from collections import Counter
 from pathlib import Path
+
+from mrparse.trainer import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "mrparse").glob("*.py"))
@@ -67,3 +71,25 @@ def test_every_module_level_definition_is_named_elsewhere():
 def test_no_module_level_definition_is_named_only_by_the_tests():
     test_only = unnamed_definitions(PROGRAM, TEST_ONLY)
     assert not test_only, f"named only under tests/: {test_only}"
+
+
+def attributes_read(tree: ast.AST, skip: str) -> set[str]:
+    """Attribute names a tree loads, outside the class named skip."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.ClassDef) and node.name == skip:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_train_config_field_is_read():
+    # the range table names its options as strings, not attributes, so an
+    # option that only it and the class mention counts as unread
+    read = set().union(*(attributes_read(parse(path), "TrainConfig") for path in PACKAGE))
+    unread = [f.name for f in dataclasses.fields(TrainConfig) if f.name not in read]
+    assert not unread, f"TrainConfig options nothing reads: {unread}"

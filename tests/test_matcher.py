@@ -4,9 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrparse import matcher
-from mrparse.matcher import (ANCHOR_PROB_FLOOR, CapacityError, MatchError, MatchProblem,
-                             align_targets, apply_anchor_mask, break_ties,
-                             build_problem, geomean_anchor, optimal_assignment)
+from mrparse.matcher import (ANCHOR_PROB_FLOOR, MASK_EPSILON, CapacityError, MatchError,
+                             align_targets, break_ties,
+                             build_problem, geomean_anchor, optimal_assignment,
+                             tie_groups)
 from oracles import brute_force_assignment, reference_build_problem, reference_tie_groups
 
 
@@ -41,16 +42,21 @@ class TestGeomean:
 
 class TestAnchorMask:
     def test_fully_permitted_identity(self):
-        scores = np.random.default_rng(0).random((3, 3))
-        out = apply_anchor_mask(scores, np.ones((3, 3), dtype=bool))
-        assert (out == scores).all()
+        # every target anchored to every token: no anchor factor is masked
+        rng = np.random.default_rng(0)
+        anchor_probs = rng.random((3, 2))
+        anchored = np.ones((3, 2), dtype=bool)
+        problem = build_problem(rng.dirichlet(np.ones(2), size=3), anchor_probs,
+                                np.array([0, 0, 1]), np.eye(2)[[0, 1, 1]], anchored)
+        assert (problem.anchor_score == geomean_anchor(anchor_probs)[:, None]).all()
 
     def test_forbidden_row_gets_epsilon(self):
-        scores = np.full((2, 2), 0.5)
-        mask = np.array([[False, False], [True, True]])
-        out = apply_anchor_mask(scores, mask, epsilon=1e-8)
-        assert (out[0] == 1e-8).all()
-        assert (out[1] == 0.5).all()
+        # both targets anchored to token 1: the queries of token 0 are masked
+        anchored = np.array([[False, True], [False, True]])
+        problem = build_problem(np.full((2, 2), 0.5), np.full((2, 2), 0.5),
+                                np.array([0, 1]), np.eye(2), anchored)
+        assert (problem.anchor_score[0] == MASK_EPSILON).all()
+        assert (problem.anchor_score[1] == 0.5).all()
 
 
 class TestOptimalAssignment:
@@ -99,48 +105,39 @@ class TestOptimalAssignment:
         assert optimal_assignment(np.zeros((0, 0))).queries == ()
 
 
-def _problem(label, anchor):
-    return MatchProblem(label_score=np.asarray(label, dtype=float),
-                        anchor_score=np.asarray(anchor, dtype=float))
-
-
 class TestBreakTies:
     def test_no_ties_unchanged(self):
-        problem = _problem([[0.9, 0.1], [0.1, 0.9]], np.ones((2, 2)))
-        assignment = optimal_assignment(problem.label_score * problem.anchor_score)
-        out = break_ties(problem, assignment, lambda queries: 0.0)
+        assignment = optimal_assignment(np.array([[0.9, 0.1], [0.1, 0.9]]))
+        out = break_ties([], assignment, lambda queries: 0.0)
         assert out.queries == assignment.queries
 
     def test_swap_when_edge_loss_prefers(self):
         # two identical targets; edge loss prefers the swapped pairing
-        problem = _problem([[0.5, 0.5], [0.5, 0.5]], np.ones((2, 2)))
-        assignment = optimal_assignment(problem.label_score * problem.anchor_score)
+        assignment = optimal_assignment(np.full((2, 2), 0.5))
 
         def edge_loss(queries):
             return 0.0 if queries == (1, 0) else 1.0
 
-        out = break_ties(problem, assignment, edge_loss)
+        out = break_ties([[0, 1]], assignment, edge_loss)
         assert out.queries == (1, 0)
 
     def test_group_of_three_evaluates_all(self):
-        problem = _problem(np.full((3, 3), 0.4), np.ones((3, 3)))
-        assignment = optimal_assignment(problem.label_score * problem.anchor_score)
+        assignment = optimal_assignment(np.full((3, 3), 0.4))
         seen = []
 
         def edge_loss(queries):
             seen.append(queries)
             return 0.0 if queries == (1, 2, 0) else 1.0
 
-        out = break_ties(problem, assignment, edge_loss)
+        out = break_ties([[0, 1, 2]], assignment, edge_loss)
         assert out.queries == (1, 2, 0)
         assert len(set(seen)) == 6  # all within-group permutations
 
     def test_rectangular_swaps_tied_targets_only(self):
         # four queries, three targets: targets 0 and 1 tie, target 2 does not
-        label = np.array([[0.9, 0.9, 0.0], [0.8, 0.8, 0.1], [0.1, 0.1, 0.2],
-                          [0.0, 0.0, 0.9]])
-        problem = _problem(label, np.ones((4, 3)))
-        assignment = optimal_assignment(problem.label_score * problem.anchor_score)
+        scores = np.array([[0.9, 0.9, 0.0], [0.8, 0.8, 0.1], [0.1, 0.1, 0.2],
+                           [0.0, 0.0, 0.9]])
+        assignment = optimal_assignment(scores)
         first = assignment.queries
         assert sorted(first[:2]) == [0, 1] and first[2] == 3
         seen = []
@@ -149,28 +146,26 @@ class TestBreakTies:
             seen.append(queries)
             return 0.0 if queries != first else 1.0
 
-        out = break_ties(problem, assignment, edge_loss)
+        out = break_ties([[0, 1]], assignment, edge_loss)
         assert seen == [first, (first[1], first[0], first[2])]
         assert out.queries == (first[1], first[0], 3)
         assert out.score == assignment.score
 
     def test_oversized_group_falls_back_with_warning(self):
         n = matcher.MAX_TIE_GROUP + 2
-        problem = _problem(np.full((n, n), 0.4), np.ones((n, n)))
-        assignment = optimal_assignment(problem.label_score * problem.anchor_score)
-        out = break_ties(problem, assignment, lambda queries: 0.0)
+        assignment = optimal_assignment(np.full((n, n), 0.4))
+        out = break_ties([list(range(n))], assignment, lambda queries: 0.0)
         assert out.queries == assignment.queries
         assert out.warnings
 
     def test_combination_cap_falls_back_with_warning(self, monkeypatch):
         # two groups of 4: 24 * 24 = 576 combinations exceed a cap of 100
-        label = np.zeros((8, 8))
-        label[:, :4] = 0.5
-        label[:, 4:] = 0.3
-        problem = _problem(label, np.ones((8, 8)))
-        assignment = optimal_assignment(problem.label_score * problem.anchor_score)
+        scores = np.zeros((8, 8))
+        scores[:, :4] = 0.5
+        scores[:, 4:] = 0.3
+        assignment = optimal_assignment(scores)
         monkeypatch.setattr(matcher, "MAX_TIE_COMBINATIONS", 100)
-        out = break_ties(problem, assignment, lambda queries: 0.0)
+        out = break_ties([[0, 1, 2, 3], [4, 5, 6, 7]], assignment, lambda queries: 0.0)
         assert out.queries == assignment.queries
         assert out.warnings
 
@@ -195,7 +190,7 @@ class TestAlignTargets:
         queries = _queries([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.4, 0.4, 0.2]],
                            np.full((3, 2), 0.5), [0, 0, 1])
         targets = _targets([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [{0}, {0}], 2)
-        assignment = align_targets(*queries, *targets, use_anchor_mask=False)
+        assignment = align_targets(*queries, *targets)
         # two distinct queries of three: one is a null node
         assert len(set(assignment.queries)) == 2
         assert set(assignment.queries) <= {0, 1, 2}
@@ -226,7 +221,7 @@ class TestAlignTargets:
         queries = _queries(label_probs, anchor_probs, [0, 0, 1, 1, 2, 2])
         targets = _targets(np.eye(num_classes)[[j % num_classes for j in range(4)]],
                            [{j % num_tokens} for j in range(4)], num_tokens)
-        assignment = align_targets(*queries, *targets, use_anchor_mask=False)
+        assignment = align_targets(*queries, *targets)
         assert len(set(assignment.queries)) == 4
 
     def test_mask_routes_target_to_anchored_token(self):
@@ -252,11 +247,10 @@ class TestAlignTargets:
             dists.append(rng.dirichlet(np.ones(num_classes)))
             anchor_sets.append({int(rng.integers(num_tokens))})
         label_targets, anchored = _targets(dists, anchor_sets, num_tokens)
-        base = align_targets(*queries, label_targets, anchored, use_anchor_mask=False)
+        base = align_targets(*queries, label_targets, anchored)
         base_pairs = {(q, t) for t, q in enumerate(base.queries)}
         order = [2, 0, 3, 1]
-        moved = align_targets(*queries, label_targets[order], anchored[order],
-                              use_anchor_mask=False)
+        moved = align_targets(*queries, label_targets[order], anchored[order])
         moved_pairs = {(q, order[t]) for t, q in enumerate(moved.queries)}
         assert moved_pairs == base_pairs
         assert moved.score == pytest.approx(base.score, abs=1e-12)
@@ -279,8 +273,7 @@ def test_mask_soundness_property(seed):
     label_targets, anchored = _targets(np.eye(num_targets + 1)[:num_targets],
                                        [{j} for j in range(num_targets)], num_tokens)
     assignment = align_targets(*_queries(label_probs, anchor_probs, source),
-                               label_targets, anchored, use_anchor_mask=True,
-                               mask_epsilon=1e-8)
+                               label_targets, anchored)
     for target, query in enumerate(assignment.queries):
         assert anchored[target, source[query]]
 
@@ -298,13 +291,11 @@ def test_assignment_permutation_invariance_property(n, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=3),
-       st.booleans(), st.integers(min_value=0, max_value=24),
-       st.integers(min_value=0, max_value=2**32 - 1))
-@example(num_tokens=3, queries_per_token=2, use_mask=True, num_targets=0, seed=0)
-@example(num_tokens=3, queries_per_token=2, use_mask=False, num_targets=6, seed=1)
-@example(num_tokens=4, queries_per_token=2, use_mask=True, num_targets=8, seed=2)
-def test_build_problem_matches_reference(num_tokens, queries_per_token, use_mask,
-                                         num_targets, seed):
+       st.integers(min_value=0, max_value=24), st.integers(min_value=0, max_value=2**32 - 1))
+@example(num_tokens=3, queries_per_token=2, num_targets=0, seed=0)
+@example(num_tokens=3, queries_per_token=2, num_targets=6, seed=1)
+@example(num_tokens=4, queries_per_token=2, num_targets=8, seed=2)
+def test_build_problem_matches_reference(num_tokens, queries_per_token, num_targets, seed):
     num_queries = num_tokens * queries_per_token
     num_targets = min(num_targets, num_queries)
     rng = np.random.default_rng(seed)
@@ -321,8 +312,8 @@ def test_build_problem_matches_reference(num_tokens, queries_per_token, use_mask
         anchor_sets[0] = ()
     targets = _targets(np.reshape(dists, (num_targets, num_classes)), anchor_sets,
                        num_tokens)
-    built = build_problem(*queries, *targets, use_anchor_mask=use_mask, mask_epsilon=1e-8)
-    expected = reference_build_problem(*queries, *targets, use_mask, 1e-8)
+    built = build_problem(*queries, *targets)
+    expected = reference_build_problem(*queries, *targets)
     assert built.num_real_targets == expected.num_real_targets == num_targets
     assert built.label_score.shape == built.anchor_score.shape == (num_queries, num_targets)
     assert np.array_equal(built.label_score, expected.label_score)
@@ -353,26 +344,25 @@ def test_rectangular_matches_padded_square(num_queries, num_targets, seed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=8),
-       st.sampled_from([0.0, 2.0 ** -20, 1e-12]),
-       st.integers(min_value=0, max_value=2**32 - 1))
-@example(num_queries=1, num_targets=0, tolerance=1e-12, seed=0)
-@example(num_queries=6, num_targets=6, tolerance=2.0 ** -20, seed=1)
-def test_tie_groups_match_reference(num_queries, num_targets, tolerance, seed):
-    # each target copies one of three prototype column pairs, and half of them
-    # move one entry by 0, tolerance / 2, tolerance, the next float past it or
-    # 2 * tolerance, so pairs sit on both sides of the tolerance edge (eighths
-    # plus multiples of 2^-20 add exactly)
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=2**32 - 1))
+@example(num_tokens=1, queries_per_token=1, num_targets=0, seed=0)
+@example(num_tokens=3, queries_per_token=2, num_targets=6, seed=1)
+def test_tie_groups_match_reference(num_tokens, queries_per_token, num_targets, seed):
+    # each target copies one of three label prototype rows and one of three
+    # anchor prototype rows, so equal rows recur; grouping by equal rows
+    # equals grouping by equal score columns (tolerance 0) on the problem
+    # the rows build
+    num_queries = num_tokens * queries_per_token
     num_targets = min(num_targets, num_queries)
     rng = np.random.default_rng(seed)
-    offsets = [0.0, tolerance / 2, tolerance, np.nextafter(tolerance, 1.0), 2 * tolerance]
-    picks = rng.integers(0, 3, num_targets)
-    label = (rng.integers(0, 8, (num_queries, 3)) / 8.0)[:, picks]
-    anchor = (rng.integers(1, 9, (num_queries, 3)) / 8.0)[:, picks]
-    for j in range(num_targets):
-        if rng.random() < 0.5:
-            scores = label if rng.random() < 0.5 else anchor
-            scores[rng.integers(num_queries), j] += offsets[rng.integers(len(offsets))]
-    problem = MatchProblem(label_score=label, anchor_score=anchor)
-    assert (matcher._tie_groups(problem, tolerance)
-            == reference_tie_groups(problem, tolerance))
+    num_classes = int(rng.integers(2, 6))
+    queries = _queries(rng.dirichlet(np.ones(num_classes), size=num_queries),
+                       rng.uniform(0.0, 1.0, (num_queries, num_tokens)),
+                       np.repeat(np.arange(num_tokens), queries_per_token))
+    label_rows = rng.dirichlet(np.ones(num_classes), size=3)
+    anchor_rows = rng.random((3, num_tokens)) < 0.5
+    label_targets = label_rows[rng.integers(0, 3, num_targets)]
+    anchored = anchor_rows[rng.integers(0, 3, num_targets)]
+    problem = build_problem(*queries, label_targets, anchored)
+    assert tie_groups(label_targets, anchored) == reference_tie_groups(problem, 0.0)

@@ -253,3 +253,8 @@ class TestCheckpoint:
     def test_text_packing(self):
         text = "héllo ☃ world"
         assert model.unpack_text(model.pack_text(text)) == text
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 65.5, -1.0, 256.0])
+    def test_text_value_not_a_byte(self, value):
+        with pytest.raises(model.CheckpointError, match="not a byte 0..255"):
+            model.unpack_text(np.array([72.0, value]))

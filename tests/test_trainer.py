@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mrparse import corpus, model, scorer, trainer
 from mrparse.graph import Graph, serialize_graph
@@ -85,6 +87,30 @@ def tiny_config(**overrides):
                     warmup_steps=10, freeze_steps=2)
     defaults.update(overrides)
     return trainer.TrainConfig(**defaults)
+
+
+def twin_node_graphs():
+    """40 synthetic graphs, each with a twin of node 0 (same label and
+    anchors), which the match score cannot tell apart from it, and an edge
+    from node 0 to the twin, which the edge loss can."""
+    from mrparse.graph import Edge
+    graphs = []
+    for g in corpus.synth_corpus(3, 40):
+        twin = dataclasses.replace(g.nodes[0], id=g.next_node_id(), is_top=False)
+        graphs.append(dataclasses.replace(
+            g, nodes=g.nodes + (twin,),
+            edges=g.edges + (Edge(g.nodes[0].id, twin.id, "twin"),)))
+    return graphs
+
+
+def oversized_tie_graphs():
+    """24 synthetic graphs, each with MAX_TIE_GROUP copies of node 0: one tie
+    group past the bound, which needs 5 queries a token."""
+    from mrparse import matcher
+    return [dataclasses.replace(g, nodes=g.nodes + tuple(
+                dataclasses.replace(g.nodes[0], id=g.next_node_id() + k, is_top=False)
+                for k in range(matcher.MAX_TIE_GROUP)))
+            for g in corpus.synth_corpus(3, 24)]
 
 
 @pytest.fixture(scope="module")
@@ -543,25 +569,16 @@ class TestTraining:
 
     def test_tie_break_runs_inside_training(self, monkeypatch):
         from mrparse import matcher
-        from mrparse.graph import Edge
-        # each graph gets a twin of node 0 (same label and anchors), which the
-        # match score cannot tell apart from it, and an edge that the edge
-        # loss can
-        graphs = []
-        for g in corpus.synth_corpus(3, 40):
-            twin = dataclasses.replace(g.nodes[0], id=g.next_node_id(), is_top=False)
-            graphs.append(dataclasses.replace(
-                g, nodes=g.nodes + (twin,),
-                edges=g.edges + (Edge(g.nodes[0].id, twin.id, "twin"),)))
+        graphs = twin_node_graphs()
         counts = {"tied sentences": 0, "edge losses": 0}
         break_ties = matcher.break_ties
 
-        def counting(problem, assignment, edge_loglik):
+        def counting(groups, assignment, edge_loglik):
             def counted(queries):
                 counts["edge losses"] += 1
                 return edge_loglik(queries)
             before = counts["edge losses"]
-            result = break_ties(problem, assignment, counted)
+            result = break_ties(groups, assignment, counted)
             counts["tied sentences"] += counts["edge losses"] > before
             return result
 
@@ -583,15 +600,11 @@ class TestTraining:
 
     def test_record_lists_tie_group_fallback(self):
         from mrparse import matcher
-        # node 0 and its copies have equal label and anchor columns: one tie
+        # node 0 and its copies have equal label and anchor rows: one tie
         # group larger than the bound, so the matcher keeps its first optimum
         bound = matcher.MAX_TIE_GROUP
-        graphs = []
-        for g in corpus.synth_corpus(3, 24):
-            twins = tuple(dataclasses.replace(g.nodes[0], id=g.next_node_id() + k,
-                                              is_top=False) for k in range(bound))
-            graphs.append(dataclasses.replace(g, nodes=g.nodes + twins))
-        _, records = trainer.train(tiny_config(queries_per_token=5), graphs=graphs)
+        _, records = trainer.train(tiny_config(queries_per_token=5),
+                                   graphs=oversized_tie_graphs())
         assert records[0]["warnings"] == sorted(set(records[0]["warnings"]))
         assert (f"tie group of {bound + 1} targets exceeds bound {bound}; "
                 f"keeping first optimum") in records[0]["warnings"]
@@ -628,15 +641,34 @@ class TestTraining:
         assert trainer.predict(loaded, sentence) == trainer.predict(trained, sentence)
 
 
+# config lines: arbitrary text, and option names with arbitrary values
+_OPTIONS = st.sampled_from([f.name for f in dataclasses.fields(trainer.TrainConfig)])
+_CONFIG_LINES = st.lists(st.text() | st.builds("{} = {}".format, _OPTIONS, st.text()),
+                         max_size=4).map("\n".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CONFIG_LINES)
+@example("dim = " + "1" * 400)  # math.isfinite raised OverflowError on it
+@example("stop_when = " + "[" * 100000)  # json.loads raised RecursionError
+def test_load_train_config_returns_or_raises_train_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("config") / "toy.cfg"
+    path.write_text(text, encoding="utf-8")
+    try:
+        assert isinstance(trainer.load_train_config(str(path)), trainer.TrainConfig)
+    except trainer.TrainError:
+        pass
+
+
 class TestConfigFile:
     def test_parse(self, tmp_path):
         path = tmp_path / "toy.cfg"
         path.write_text("# toy settings\nepochs = 3\nlr_rest = 0.001\n"
-                        "use_anchor_mask = false\nstop_when = {\"labels\": 0.9}\n")
+                        "balance_losses = false\nstop_when = {\"labels\": 0.9}\n")
         config = trainer.load_train_config(str(path))
         assert config.epochs == 3
         assert config.lr_rest == 0.001
-        assert config.use_anchor_mask is False
+        assert config.balance_losses is False
         assert config.stop_when == {"labels": 0.9}
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -650,8 +682,8 @@ class TestConfigFile:
         ("0", False), ("off", False), ("NO", False), ("False", False)])
     def test_boolean_spellings(self, tmp_path, text, expected):
         path = tmp_path / "toy.cfg"
-        path.write_text(f"use_anchor_mask = {text}\n")
-        assert trainer.load_train_config(str(path)).use_anchor_mask is expected
+        path.write_text(f"balance_losses = {text}\n")
+        assert trainer.load_train_config(str(path)).balance_losses is expected
 
     @pytest.mark.parametrize("line", [
         "use_anchor_mask = flase",
@@ -675,7 +707,7 @@ class TestConfigFile:
             trainer.load_train_config(str(path))
 
     @pytest.mark.parametrize("name,value,noun", [
-        ("edge_multilabel", "false", "a boolean"), ("use_anchor_mask", 1, "a boolean"),
+        ("edge_multilabel", "false", "a boolean"), ("balance_losses", 1, "a boolean"),
         ("dim", True, "an integer"), ("queries_per_token", 2.5, "an integer"),
         ("seed", "1", "an integer"), ("lr_rest", False, "a number"),
         ("eval_fraction", None, "a number")])

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrparse.graph import Anchor, Edge, Graph, Node, load_graphs
 from mrparse.transform import (FrameworkConfig, GraphStructureError,
-                               InconsistentTraceError, TransformTrace,
+                               InconsistentTraceError, TransformError, TransformTrace,
                                denodeify_properties, drg_reduce_binary_relations,
                                eds_merge_anchors, fold_property_nodes,
                                load_framework_config, nodeify_properties,
@@ -217,6 +219,21 @@ def test_framework_config_file(tmp_path):
     assert config.inversion_suffix == "-of"
     assert config.alias_map()["mod"] == "domain-of"
     assert config.drg_relation_labels == {"Agent", "Theme"}
+
+
+_KEYS = st.sampled_from(["inversion_suffix", "alias.mod", "drg_relations"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text() | st.builds("{} = {}".format, _KEYS, st.text()),
+                max_size=4).map("\n".join))
+def test_load_framework_config_returns_or_raises_transform_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("config") / "fw.cfg"
+    path.write_text(text, encoding="utf-8")
+    try:
+        assert isinstance(load_framework_config(str(path)), FrameworkConfig)
+    except TransformError:
+        pass
 
 
 def test_reinvert_restores_tree_direction():
