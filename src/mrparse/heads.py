@@ -96,7 +96,8 @@ def mos_forward_batch(h: np.ndarray, params: MoSParams):
     over gate logits.  h may carry leading sentence axes, which every
     result keeps; each stack is computed exactly as on its own.
     """
-    x = np.tanh(np.einsum("kde,...ne->...nkd", params.proj_w, h) + params.proj_b)
+    pre = h @ params.proj_w.reshape(-1, h.shape[-1]).T
+    x = np.tanh(pre.reshape(h.shape[:-1] + params.proj_b.shape) + params.proj_b)
     gate_logits = h @ params.gate_w.T + params.gate_b
     gates = sigmoid(gate_logits)
     totals = gates.sum(axis=-1)
@@ -125,13 +126,14 @@ def mos_backward_batch(cache, dprobs: np.ndarray):
     dweights = np.einsum("nkv,nv->nk", components, dprobs)
     dlogits = components * (dcomponents
                             - (dcomponents * components).sum(axis=-1, keepdims=True))
-    dout_w = np.einsum("nkd,nkv->dv", x, dlogits)
+    dout_w = x.reshape(-1, x.shape[-1]).T @ dlogits.reshape(-1, dlogits.shape[-1])
     dout_b = dlogits.sum(axis=(0, 1))
     dx = dlogits @ params.out_w.T
     dpre = (1.0 - x * x) * dx
-    dproj_w = np.einsum("nkd,ne->kde", dpre, h)
+    flat = dpre.reshape(len(dpre), -1)
+    dproj_w = (flat.T @ h).reshape(params.proj_w.shape)
     dproj_b = dpre.sum(axis=0)
-    dh = np.einsum("nkd,kde->ne", dpre, params.proj_w)
+    dh = flat @ params.proj_w.reshape(flat.shape[1], -1)
     totals = gates.sum(axis=-1, keepdims=True)
     dgates = (dweights - (dweights * weights).sum(axis=-1, keepdims=True)) / totals
     dgate_logits = gates * (1.0 - gates) * dgates

@@ -301,7 +301,8 @@ def queries_forward(params: dict, e: np.ndarray):
     w, b = params["query.w"], params["query.b"]
     num_slots = w.shape[0]
     num_tokens = e.shape[-2]
-    q = np.tanh(np.einsum("tde,...ne->...ntd", w, e) + b)
+    pre = e @ w.reshape(-1, e.shape[-1]).T
+    q = np.tanh(pre.reshape(e.shape[:-1] + b.shape) + b)
     states = q.reshape(e.shape[:-2] + (num_tokens * num_slots, -1))
     source = np.repeat(np.arange(num_tokens), num_slots)
     return states, source, (e, q)
@@ -314,9 +315,10 @@ def queries_backward(params: dict, cache, dstates: np.ndarray, grads: dict):
     w = params["query.w"]
     dpre = (1.0 - q * q) * dstates.reshape(q.shape)
     rows = dpre.reshape((-1,) + q.shape[-2:])
-    add_grad(grads, "query.w", np.einsum("ntd,ne->tde", rows, e.reshape(-1, e.shape[-1])))
+    flat = rows.reshape(len(rows), -1)
+    add_grad(grads, "query.w", (flat.T @ e.reshape(len(rows), -1)).reshape(w.shape))
     add_grad(grads, "query.b", rows.sum(axis=0))
-    return np.einsum("...ntd,tde->...ne", dpre, w)
+    return (flat @ w.reshape(flat.shape[1], -1)).reshape(e.shape)
 
 
 # ---------------------------------------------------------------------------

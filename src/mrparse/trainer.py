@@ -49,13 +49,16 @@ class DivergenceError(TrainError):
     pass
 
 
-# (option, lowest accepted value, first value past the range or None): a
-# value outside crashes a run, hangs it (layer_dropout 1 redraws the dropout
-# mask forever) or trains a model of nothing (dim 0, eval_fraction past 1)
+# (option, lowest accepted value, upper bound or None): a value outside
+# crashes a run (batch_size past sys.maxsize in predict), hangs it
+# (layer_dropout 1 redraws the dropout mask forever), trains a model of
+# nothing (dim 0, eval_fraction past 1) or asks for more memory than a
+# machine holds (dim or corpus_size 10**30).  An integer bound is the highest
+# value accepted, a float bound the first value past the range.
 _CONFIG_RANGES = (
-    ("dim", 1, None), ("ffn_dim", 1, None), ("queries_per_token", 1, None),
-    ("encoder_layers", 0, None), ("mos_components", 1, None), ("seed", 0, None),
-    ("epochs", 0, None), ("batch_size", 1, None), ("corpus_size", 1, None),
+    ("dim", 1, 512), ("ffn_dim", 1, 2048), ("queries_per_token", 1, 8),
+    ("encoder_layers", 0, 8), ("mos_components", 1, 8), ("seed", 0, None),
+    ("epochs", 0, None), ("batch_size", 1, 1024), ("corpus_size", 1, 100000),
     ("eval_fraction", 0.0, 1.0), ("lr_encoder", 0.0, None), ("lr_rest", 0.0, None),
     ("warmup_steps", 1, None), ("freeze_steps", 0, None), ("weight_decay", 0.0, None),
     ("focal_gamma", 0.0, None), ("label_smoothing", 0.0, 1.0), ("layer_dropout", 0.0, 1.0),
@@ -107,9 +110,11 @@ class TrainConfig:
             value = getattr(self, name)
             # abs() < inf rather than math.isfinite, which cannot take an
             # integer too large for a float
+            closed = type(high) is int
             if not (abs(value) < math.inf and low <= value
-                    and (high is None or value < high)):
-                bounds = f"at least {low}" if high is None else f"in [{low}, {high})"
+                    and (high is None or (value <= high if closed else value < high))):
+                bounds = (f"at least {low}" if high is None
+                          else f"in [{low}, {high}{']' if closed else ')'}")
                 raise TrainError(f"{name} must be {bounds}, got {value}")
         if self.stop_when is not None:
             _check_stop_when(self.stop_when, repr(self.stop_when))

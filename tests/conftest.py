@@ -7,6 +7,11 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
+# (option, lowest and highest accepted value) of every bounded size option
+SIZE_BOUNDS = [("dim", 1, 512), ("ffn_dim", 1, 2048), ("queries_per_token", 1, 8),
+               ("encoder_layers", 0, 8), ("mos_components", 1, 8), ("batch_size", 1, 1024),
+               ("corpus_size", 1, 100000)]
+
 
 @pytest.fixture(scope="session")
 def fixture_dir():

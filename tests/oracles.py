@@ -18,7 +18,9 @@ the sentence-loss reference takes every head's loss and backward one
 sentence at a time, as the trainer did before the group losses, with the
 edge, property and top losses of one sentence kept here as they were (the
 multi-class edge-label gradient summing over parallel edges, and no top
-bias).
+bias), and the mixture-of-softmaxes and query layer references form their
+model-dimension contractions with np.einsum, as the layers did before they
+used matmul.
 The rule-order key spells the canonical order out field by field instead
 of comparing tuples.  The reference graph parser is
 the per-node, per-edge and per-token helper version that preceded the
@@ -882,6 +884,63 @@ def label_head_loss(h: np.ndarray, params, target: np.ndarray, gamma: float):
     loss, dprobs = heads.label_loss(probs, target, gamma)
     grads, dh = heads.mos_backward_batch(cache, dprobs)
     return loss, dh[0], grads
+
+
+def reference_mos_forward(h: np.ndarray, params):
+    """heads.mos_forward_batch with the component projection as an einsum;
+    the same (probs, cache)."""
+    x = np.tanh(np.einsum("kde,...ne->...nkd", params.proj_w, h) + params.proj_b)
+    gates = heads.sigmoid(h @ params.gate_w.T + params.gate_b)
+    weights = gates / gates.sum(axis=-1)[..., None]
+    components = heads.softmax(x @ params.out_w + params.out_b, axis=-1)
+    probs = np.einsum("...nk,...nkv->...nv", weights, components)
+    return probs, (h, params, x, gates, weights, components)
+
+
+def reference_mos_backward(cache, dprobs: np.ndarray):
+    """heads.mos_backward_batch with the output, projection and input
+    gradients as einsums; the same (grads, dh)."""
+    lead = dprobs.shape[:-1]
+    h, params, x, gates, weights, components = cache
+    h, x, gates, weights, components, dprobs = (
+        a.reshape((-1,) + a.shape[len(lead):])
+        for a in (h, x, gates, weights, components, dprobs))
+    dcomponents = weights[:, :, None] * dprobs[:, None, :]
+    dweights = np.einsum("nkv,nv->nk", components, dprobs)
+    dlogits = components * (dcomponents
+                            - (dcomponents * components).sum(axis=-1, keepdims=True))
+    dx = dlogits @ params.out_w.T
+    dpre = (1.0 - x * x) * dx
+    totals = gates.sum(axis=-1, keepdims=True)
+    dgates = (dweights - (dweights * weights).sum(axis=-1, keepdims=True)) / totals
+    dgate_logits = gates * (1.0 - gates) * dgates
+    grads = heads.MoSParams(
+        proj_w=np.einsum("nkd,ne->kde", dpre, h), proj_b=dpre.sum(axis=0),
+        gate_w=dgate_logits.T @ h, gate_b=dgate_logits.sum(axis=0),
+        out_w=np.einsum("nkd,nkv->dv", x, dlogits), out_b=dlogits.sum(axis=(0, 1)))
+    dh = np.einsum("nkd,kde->ne", dpre, params.proj_w) + dgate_logits @ params.gate_w
+    return grads, dh.reshape(lead + dh.shape[-1:])
+
+
+def reference_queries_forward(params: dict, e: np.ndarray):
+    """model.queries_forward with the slot projection as an einsum; the same
+    (states, source, cache)."""
+    w, b = params["query.w"], params["query.b"]
+    num_tokens = e.shape[-2]
+    q = np.tanh(np.einsum("tde,...ne->...ntd", w, e) + b)
+    states = q.reshape(e.shape[:-2] + (num_tokens * w.shape[0], -1))
+    return states, np.repeat(np.arange(num_tokens), w.shape[0]), (e, q)
+
+
+def reference_queries_backward(params: dict, cache, dstates: np.ndarray, grads: dict):
+    """model.queries_backward with the weight and input gradients as einsums."""
+    e, q = cache
+    dpre = (1.0 - q * q) * dstates.reshape(q.shape)
+    rows = dpre.reshape((-1,) + q.shape[-2:])
+    model.add_grad(grads, "query.w",
+                   np.einsum("ntd,ne->tde", rows, e.reshape(-1, e.shape[-1])))
+    model.add_grad(grads, "query.b", rows.sum(axis=0))
+    return np.einsum("...ntd,tde->...ne", dpre, params["query.w"])
 
 
 def reference_backward_sentence(params: dict, fwd, grads, weights: dict,

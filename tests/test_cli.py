@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrparse import cli, model, trainer
-from conftest import fixture_path
+from conftest import SIZE_BOUNDS, fixture_path
 from oracles import brute_force_assignment
 
 
@@ -465,9 +465,10 @@ class TestTrainPredict:
 
     def test_train_predict_bytes_pinned(self, tmp_path, capsys):
         # recorded with the balance norms on the last shared layer, one
-        # backward and one pass of every head per length group, no top bias
-        # and no anchor-mask options in the stored config: the training
-        # arithmetic, the checkpoint bytes and decoding, each pinned on its own
+        # backward and one pass of every head per length group, no top bias,
+        # no anchor-mask options in the stored config and the mixture and
+        # query contractions as matmuls: the training arithmetic, the
+        # checkpoint bytes and decoding, each pinned on its own
         config = tmp_path / "pin.cfg"
         config.write_text("corpus_size = 150\nepochs = 2\n")
         paths = {name: tmp_path / name for name in ("m.jsonl", "model.ckpt", "pred.jsonl")}
@@ -486,8 +487,8 @@ class TestTrainPredict:
         digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                    for name, path in paths.items()}
         assert digests == {
-            "m.jsonl": "c92b11d1a9c0789cde920d245cc59b79e9656a1dacd214174c18dfa422dae749",
-            "model.ckpt": "3c224f67af10c5c6ac99006b4c5bebb5926d81d058183d818b88f8116fcd4c3e",
+            "m.jsonl": "bd71c5bde1ec7ceab98a0ba21fad06e14c8f2a03d477b9faceac3d6427901f0d",
+            "model.ckpt": "f39a7ba4337ad9197434ab30e455f69bb123e3f5c255f2ccf108c50d888f945a",
             "pred.jsonl": "075bd7cdd054e5c5777fc14cc69c869f510e6503a78625cbf06e1270aff95d43"}
 
     @pytest.mark.parametrize("line", ["stop_when = 3", 'stop_when = {"f1": 0.9}',
@@ -526,6 +527,30 @@ class TestTrainPredict:
         assert record["error"] == "config"
         assert record["message"].startswith(f"{config}: {line.split()[0]} must be ")
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("name,low,high", SIZE_BOUNDS)
+    def test_oversized_config_rejected_before_allocation(self, name, low, high,
+                                                         tmp_path, capsys, monkeypatch):
+        # dim 10**30 used to pass the config checks and die in
+        # model.init_encoder with a traceback
+        def no_model(*args, **kwargs):
+            raise AssertionError("a model was built")
+
+        monkeypatch.setattr(trainer, "prepare", no_model)
+        monkeypatch.setattr(trainer, "init_model", no_model)
+        config = tmp_path / "size.cfg"
+        out_path = tmp_path / "m.jsonl"
+        for value in (high + 1, 10**30):
+            config.write_text(f"epochs = 1\n{name} = {value}\n")
+            code, _, err = run_cli(["train-toy", "--config", str(config),
+                                    "--output", str(out_path)], capsys)
+            assert (code, len(err.splitlines())) == (2, 1)
+            assert json.loads(err) == {
+                "error": "config",
+                "message": f"{config}: {name} must be in [{low}, {high}], got {value}"}
+            assert not out_path.exists()
+            assert predict_with_stored_config({name: value}, tmp_path, capsys) == \
+                f"checkpoint: {name} must be in [{low}, {high}], got {value}"
 
     def test_negative_seed_rejected(self, short_config, tmp_path, capsys):
         code, _, err = run_cli(["train-toy", "--seed", "-1", "--config", short_config,

@@ -96,6 +96,39 @@ class TestMoS:
             assert relative_error(getattr(grads, field), numeric) < TOLERANCE
 
 
+class TestMoSContractions:
+    # none, one and two leading sentence axes
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=len)
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_matches_einsum_reference(self, lead, rows):
+        rng = np.random.default_rng(zlib.crc32(f"{lead} {rows}".encode()))
+        params = heads.init_mos(rng, DIM, CLASSES, COMPONENTS, 0.5)
+        h = rng.normal(size=lead + (rows, DIM))
+        probs, cache = heads.mos_forward_batch(h, params)
+        want_probs, want_cache = oracles.reference_mos_forward(h, params)
+        dprobs = rng.normal(size=probs.shape)
+        grads, dh = heads.mos_backward_batch(cache, dprobs)
+        want_grads, want_dh = oracles.reference_mos_backward(want_cache, dprobs)
+        arrays = [("probs", probs, want_probs), ("dh", dh, want_dh)]
+        arrays += [(f.name, getattr(grads, f.name), getattr(want_grads, f.name))
+                   for f in dataclasses.fields(heads.MoSParams)]
+        for name, got, want in arrays:
+            assert got.shape == want.shape, name
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max(), err_msg=name)
+
+    def test_stack_equals_separate_sentences(self):
+        # every sentence of a group stays its own product, bit for bit
+        rng = np.random.default_rng(11)
+        params = heads.init_mos(rng, 64, CLASSES, 2, 0.1)
+        h = rng.normal(size=(5, 7, 64))
+        probs, (_, _, x, *_) = heads.mos_forward_batch(h, params)
+        for s in range(len(h)):
+            alone, (_, _, alone_x, *_) = heads.mos_forward_batch(h[s:s + 1], params)
+            assert np.array_equal(probs[s:s + 1], alone), s
+            assert np.array_equal(x[s:s + 1], alone_x), s
+
+
 class TestLabelLoss:
     def test_gamma_zero_is_cross_entropy(self):
         rng = np.random.default_rng(5)

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from mrparse import model
 from oracles import (finite_difference, reference_layer_norm_backward,
-                     reference_layer_norm_forward, relative_error)
+                     reference_layer_norm_forward, reference_queries_backward,
+                     reference_queries_forward, relative_error)
 
 DIM, FFN = 6, 9
 
@@ -192,6 +193,40 @@ class TestQueries:
             return float((states * downstream).sum())
 
         assert relative_error(de, finite_difference(loss_of, e)) < 1e-5
+
+    # none, one and two leading sentence axes
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=len)
+    @pytest.mark.parametrize("tokens", [1, 4])
+    def test_matches_einsum_reference(self, lead, tokens):
+        rng = np.random.default_rng(10 * len(lead) + tokens)
+        params = {"query.w": rng.normal(size=(3, DIM, DIM)),
+                  "query.b": rng.normal(size=(3, DIM))}
+        e = rng.normal(size=lead + (tokens, DIM))
+        states, source, cache = model.queries_forward(params, e)
+        want_states, want_source, want_cache = reference_queries_forward(params, e)
+        dstates = rng.normal(size=states.shape)
+        grads, want_grads = {}, {}
+        de = model.queries_backward(params, cache, dstates, grads)
+        want_de = reference_queries_backward(params, want_cache, dstates, want_grads)
+        assert source.tolist() == want_source.tolist()
+        arrays = [("states", states, want_states), ("de", de, want_de)]
+        arrays += [(key, grads[key], want) for key, want in want_grads.items()]
+        for name, got, want in arrays:
+            assert got.shape == want.shape, name
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max(), err_msg=name)
+
+    def test_stack_equals_separate_sentences(self):
+        # every sentence of a group stays its own product, bit for bit
+        rng = np.random.default_rng(12)
+        params = {"query.w": rng.normal(0.0, 0.1, size=(2, 64, 64)),
+                  "query.b": rng.normal(0.0, 0.1, size=(2, 64))}
+        e = rng.normal(size=(5, 7, 64))
+        states, _, (_, q) = model.queries_forward(params, e)
+        for s in range(len(e)):
+            alone, _, (_, alone_q) = model.queries_forward(params, e[s:s + 1])
+            assert np.array_equal(states[s:s + 1], alone), s
+            assert np.array_equal(q[s:s + 1], alone_q), s
 
 
 class TestCheckpoint:

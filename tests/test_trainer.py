@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mrparse import corpus, model, scorer, trainer
 from mrparse.graph import Graph, serialize_graph
-from conftest import fixture_path
+from conftest import SIZE_BOUNDS, fixture_path
 import oracles
 
 GOLDEN_SEED1_SIZE1 = (
@@ -548,8 +548,9 @@ class TestTraining:
 
     def test_seed1_records_match_golden(self):
         # recorded with the balance norms on the last shared layer, one
-        # backward and one pass of every head per length group and no top
-        # bias; any change to the training arithmetic shows up here
+        # backward and one pass of every head per length group, no top bias
+        # and the mixture and query contractions as matmuls; any change to
+        # the training arithmetic shows up here
         with open(fixture_path("train_seed1_records.json")) as handle:
             expected = json.load(handle)
         _, records = trainer.train(trainer.TrainConfig(seed=1, epochs=3,
@@ -715,6 +716,16 @@ class TestConfigFile:
         message = re.escape(f"{name} must be {noun}, got {value!r}")
         with pytest.raises(trainer.TrainError, match=f"^{message}$"):
             trainer.TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name,low,high", SIZE_BOUNDS)
+    def test_size_bounds(self, name, low, high):
+        # a size past its bound used to pass here and die allocating the
+        # model; the bound itself is accepted
+        assert getattr(trainer.TrainConfig(**{name: high}), name) == high
+        for value in (high + 1, 10**30):
+            message = re.escape(f"{name} must be in [{low}, {high}], got {value}")
+            with pytest.raises(trainer.TrainError, match=f"^{message}$"):
+                trainer.TrainConfig(**{name: value})
 
     @pytest.mark.parametrize("value", [3, [0.9], {"bleu": 1}, {"labels": "0.9"},
                                        {"labels": True}, {"labels": float("nan")}])
