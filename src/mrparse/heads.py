@@ -327,12 +327,6 @@ def _linear_backward(node_states: np.ndarray, w: np.ndarray, dlogits: np.ndarray
     return node_states.reshape(-1, len(w)).T @ dlogits.reshape(-1), dlogits[..., None] * w
 
 
-def property_head(node_states: np.ndarray, w: np.ndarray, b: float):
-    """Per-node probability of being folded back into a property."""
-    logits = node_states @ w + b
-    return sigmoid(logits), logits
-
-
 def property_loss(node_states: np.ndarray, w: np.ndarray, b: float,
                   targets: np.ndarray, node_mask: Optional[np.ndarray] = None):
     """Mean BCE; returns (loss, dw, db, dstates).
@@ -342,7 +336,7 @@ def property_loss(node_states: np.ndarray, w: np.ndarray, b: float,
     mean over its own nodes, a sentence without nodes gives 0, and the loss
     and the parameter grads sum over the sentences.
     """
-    _, logits = property_head(node_states, w, b)
+    logits = node_states @ w + b
     mask = np.ones(logits.shape, bool) if node_mask is None else node_mask
     counts = np.maximum(mask.sum(axis=-1), 1)
     loss, dlogits = bce(logits, targets)
@@ -350,14 +344,6 @@ def property_loss(node_states: np.ndarray, w: np.ndarray, b: float,
     loss = np.where(mask, loss, 0.0).sum(axis=-1) / counts
     dw, dstates = _linear_backward(node_states, w, dlogits)
     return float(loss.sum()), dw, float(dlogits.sum()), dstates
-
-
-def top_head(node_states: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Distribution over the accepted nodes of one sentence.  The softmax is
-    shift-invariant, so the head has no bias."""
-    if node_states.shape[0] == 0:
-        raise HeadError("top head needs at least one node")
-    return softmax(node_states @ w)
 
 
 def top_loss(node_states: np.ndarray, w: np.ndarray, gold,

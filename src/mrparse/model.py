@@ -90,18 +90,17 @@ def layer_norm_backward(cache, dy: np.ndarray):
 
 def attention_forward(params: dict, prefix: str, queries_in: np.ndarray,
                       keys_in: np.ndarray):
-    """Scaled dot-product attention; returns (out, cache).
+    """Scaled dot-product attention; returns (out, cache).  The keys take no
+    bias: q . bk would shift a whole row of scores, which the softmax ignores.
 
     Inputs may share leading axes (one per sentence of a group); each
     slice is computed exactly as the 2-D call on that slice.
     """
-    wq, bq = params[f"{prefix}.wq"], params[f"{prefix}.bq"]
-    wk, bk = params[f"{prefix}.wk"], params[f"{prefix}.bk"]
-    wv, bv = params[f"{prefix}.wv"], params[f"{prefix}.bv"]
-    wo, bo = params[f"{prefix}.wo"], params[f"{prefix}.bo"]
+    wq, wk, wv, wo, bq, bv, bo = (params[f"{prefix}.{name}"] for name in (
+        "wq", "wk", "wv", "wo", "bq", "bv", "bo"))
     scale = 1.0 / np.sqrt(wq.shape[1])
     q = queries_in @ wq + bq
-    k = keys_in @ wk + bk
+    k = keys_in @ wk
     v = keys_in @ wv + bv
     weights = heads.softmax((q @ np.swapaxes(k, -1, -2)) * scale)
     mixed = weights @ v
@@ -124,7 +123,8 @@ def attention_backward(params: dict, cache, dout: np.ndarray, grads: dict):
     dq = dscores @ k * scale
     dk = np.swapaxes(dscores, -1, -2) @ q * scale
     _add_affine_grads(grads, f"{prefix}.wq", f"{prefix}.bq", queries_in, dq)
-    _add_affine_grads(grads, f"{prefix}.wk", f"{prefix}.bk", keys_in, dk)
+    add_grad(grads, f"{prefix}.wk",
+             keys_in.reshape(-1, keys_in.shape[-1]).T @ dk.reshape(-1, dk.shape[-1]))
     _add_affine_grads(grads, f"{prefix}.wv", f"{prefix}.bv", keys_in, dv)
     dqueries_in = dq @ wq.T
     dkeys_in = dk @ wk.T + dv @ wv.T
@@ -210,7 +210,7 @@ def init_block(rng: np.random.Generator, params: dict, prefix: str, dim: int,
     def attn(sub):
         for name in ("wq", "wk", "wv", "wo"):
             params[f"{prefix}.{sub}.{name}"] = rng.normal(0.0, scale, (dim, dim))
-        for name in ("bq", "bk", "bv", "bo"):
+        for name in ("bq", "bv", "bo"):
             params[f"{prefix}.{sub}.{name}"] = np.zeros(dim)
 
     for ln in ("ln1", "ln3") + (("ln2",) if cross else ()):

@@ -466,6 +466,19 @@ def _edge_losses(params: dict, config: TrainConfig, edges: np.ndarray,
     return out
 
 
+def _node_states(hidden: np.ndarray, sels: Sequence[np.ndarray]):
+    """Rows sels[s] of each sentence s of hidden [sentences, queries, dim], in
+    order, padded to the largest count: (states [sentences, M, dim],
+    node_mask [sentences, M] marking the real rows, and the sentence and
+    query of each real row in mask order)."""
+    counts = np.array([len(sel) for sel in sels])
+    node_mask = np.arange(counts.max()) < counts[:, None]
+    sentence, query = np.repeat(np.arange(len(sels)), counts), np.concatenate(sels)
+    states = np.zeros(node_mask.shape + hidden.shape[-1:])
+    states[node_mask] = hidden[sentence, query]
+    return states, node_mask, sentence, query
+
+
 @dataclass
 class SentenceGrads:
     """Per-task gradients of a group pass, tasks in TASKS order.
@@ -535,11 +548,7 @@ def sentence_losses(params: dict, config: TrainConfig, examples: Sequence[Exampl
 
     # the other heads see each sentence's matched queries, sel (no repeats),
     # in target order, padded to the group's largest target count
-    counts = np.array([len(sel) for sel in sels])
-    node_mask = np.arange(counts.max()) < counts[:, None]
-    sentence, query = np.repeat(np.arange(num_sentences), counts), np.concatenate(sels)
-    states = np.zeros(node_mask.shape + fwd.hidden.shape[-1:])
-    states[node_mask] = fwd.hidden[sentence, query]
+    states, node_mask, sentence, query = _node_states(fwd.hidden, sels)
 
     def add(task: str, loss: float, grads: dict, dstates: np.ndarray):
         losses[task] = loss
@@ -834,84 +843,72 @@ def predict_batch(trained: TrainedModel, sentences: Sequence[str]) -> list[Graph
                 continue
             fwd = forward_sentence(trained.params, config, np.stack(
                 [trained.meta.token_ids(tokens[p]) for p in group]))
-            for row, position in enumerate(group):
-                parsed[position] = _decode(trained, chunk[position], tokens[position],
-                                           fwd.hidden[row], fwd.label_probs[row],
-                                           fwd.anchor_probs[row])
+            for position, graph in zip(group, _decode(
+                    trained, [chunk[p] for p in group], [tokens[p] for p in group], fwd)):
+                parsed[position] = graph
         graphs.extend(parsed)
     return graphs
 
 
-def _decode(trained: TrainedModel, sentence: str, tokens: tuple[Token, ...],
-            hidden: np.ndarray, label_probs: np.ndarray,
-            anchor_probs: np.ndarray) -> Graph:
-    """The graph of one sentence from its decoder states and head outputs."""
-    params = trained.params
-    meta = trained.meta
-    config = meta.config
-    null_class = len(meta.rule_table)
-    candidates = [q for q in range(hidden.shape[0])
-                  if int(np.argmax(label_probs[q])) != null_class]
+def _decode(trained: TrainedModel, sentences: Sequence[str],
+            tokens: Sequence[tuple[Token, ...]], fwd: ForwardPass) -> list[Graph]:
+    """The graphs of the sentences of a group pass.  Labels, anchors and the
+    (label, anchors) de-duplication go query by query; the property, top
+    and edge heads then run once for the group on each sentence's accepted
+    queries, padded as in sentence_losses."""
+    params, meta = trained.params, trained.meta
+    candidates = fwd.label_probs.argmax(axis=-1) != len(meta.rule_table)
+    anchored = fwd.anchor_probs >= 0.5
 
     # decode labels/anchors, dropping duplicate (label, anchors) realizations
-    accepted = []
-    decoded = []
-    seen = set()
-    for query in candidates:
-        anchored = [t for t in range(len(tokens))
-                    if anchor_probs[query, t] >= 0.5]
-        forms = [tokens[t].form for t in anchored]
-        lemmas = [tokens[t].lemma for t in anchored]
-        label = rules.decode_label(label_probs[query], forms, lemmas,
-                                   meta.rule_table)
-        anchors = ()
-        if anchored:
-            anchors = (Anchor(min(tokens[t].start for t in anchored),
-                              max(tokens[t].end for t in anchored)),)
-        signature = (label, anchors)
-        if signature in seen:
-            continue
-        seen.add(signature)
-        accepted.append(query)
-        decoded.append((label, anchors))
+    accepted, decoded = [], []
+    for s, sentence_tokens in enumerate(tokens):
+        queries, nodes, seen = [], [], set()
+        for query in np.flatnonzero(candidates[s]):
+            picked = [sentence_tokens[t] for t in np.flatnonzero(anchored[s, query])]
+            label = rules.decode_label(fwd.label_probs[s, query],
+                                       [t.form for t in picked],
+                                       [t.lemma for t in picked], meta.rule_table)
+            anchors = (Anchor(min(t.start for t in picked),
+                              max(t.end for t in picked)),) if picked else ()
+            if (label, anchors) not in seen:
+                seen.add((label, anchors))
+                queries.append(query)
+                nodes.append((label, anchors))
+        accepted.append(np.array(queries, dtype=np.int64))
+        decoded.append(nodes)
 
-    nodes = []
-    property_flags = set()
-    if accepted:
-        prop_probs, _ = heads.property_head(hidden[accepted], params["prop.w"],
-                                            float(params["prop.b"]))
-        top = int(np.argmax(heads.top_head(hidden[accepted], params["top.w"])))
-    for position, (label, anchors) in enumerate(decoded):
-        nodes.append(Node(id=position, label=label, anchors=anchors,
-                          is_top=position == top))
-        if prop_probs[position] >= 0.5:
-            property_flags.add(position)
+    states, node_mask, _, _ = _node_states(fwd.hidden, accepted)
+    is_property = heads.sigmoid(states @ params["prop.w"] + float(params["prop.b"])) >= 0.5
+    top_logits = np.where(node_mask, states @ params["top.w"], -np.inf)
+    # a group in which no sentence accepted a query has no top to take
+    tops = top_logits.argmax(axis=-1).tolist() if top_logits.size else [0] * len(tokens)
+    p_logits, _ = heads.biaffine_forward(states, states, params["edgep.u"])
+    l_logits, _ = heads.biaffine_forward(states, states, params["edgel.u"])
+    present = ((heads.sigmoid(p_logits[:, 0]) >= 0.5) & node_mask[:, :, None]
+               & node_mask[:, None, :] & ~np.eye(node_mask.shape[1], dtype=bool))
+    # each present pair's best label, and in multi-label mode every label
+    # whose sigmoid reaches 0.5 (the best one is among them if any is)
+    multilabel = meta.config.edge_multilabel
+    by_pair = np.moveaxis(heads.sigmoid(l_logits) if multilabel else l_logits, 1, -1)
+    chosen = np.arange(by_pair.shape[-1]) == by_pair.argmax(axis=-1)[..., None]
+    chosen |= (by_pair >= 0.5) & multilabel
+    edges: list[list[Edge]] = [[] for _ in tokens]
+    for s, a, b, label_id in np.argwhere(present[..., None] & chosen).tolist():
+        edges[s].append(Edge(source=a, target=b, label=meta.edge_labels[label_id]))
 
-    edges = []
-    if accepted:
-        states = hidden[accepted]
-        p_logits, _ = heads.biaffine_forward(states, states, params["edgep.u"])
-        presence = heads.sigmoid(p_logits[0])
-        l_logits, _ = heads.biaffine_forward(states, states, params["edgel.u"])
-        for a in range(len(accepted)):
-            for b in range(len(accepted)):
-                if a != b and presence[a, b] >= 0.5:
-                    if config.edge_multilabel:
-                        scores = heads.sigmoid(l_logits[:, a, b])
-                        chosen = [i for i, p in enumerate(scores) if p >= 0.5]
-                        if not chosen:
-                            chosen = [int(np.argmax(scores))]
-                    else:
-                        chosen = [int(np.argmax(l_logits[:, a, b]))]
-                    for label_id in chosen:
-                        edges.append(Edge(source=a, target=b,
-                                          label=meta.edge_labels[label_id]))
-
-    out = Graph(id="pred-0", framework="eds", flavor=1, input=sentence,
-                nodes=tuple(nodes), edges=tuple(edges), tokens=tokens)
-    if property_flags:
-        out = transform.fold_property_nodes(out, property_flags)
-    if meta.inverted_labels:
-        out = transform.reinvert_edges_for_top(
-            out, invertible_labels=set(meta.inverted_labels))
-    return out
+    graphs = []
+    for s, sentence in enumerate(sentences):
+        nodes = tuple(Node(id=position, label=label, anchors=anchors,
+                           is_top=position == tops[s])
+                      for position, (label, anchors) in enumerate(decoded[s]))
+        out = Graph(id="pred-0", framework="eds", flavor=1, input=sentence,
+                    nodes=nodes, edges=tuple(edges[s]), tokens=tokens[s])
+        property_flags = set(np.flatnonzero(is_property[s, :len(nodes)]).tolist())
+        if property_flags:
+            out = transform.fold_property_nodes(out, property_flags)
+        if meta.inverted_labels:
+            out = transform.reinvert_edges_for_top(
+                out, invertible_labels=set(meta.inverted_labels))
+        graphs.append(out)
+    return graphs

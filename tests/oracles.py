@@ -20,7 +20,9 @@ edge, property and top losses of one sentence kept here as they were (the
 multi-class edge-label gradient summing over parallel edges, and no top
 bias), and the mixture-of-softmaxes and query layer references form their
 model-dimension contractions with np.einsum, as the layers did before they
-used matmul.
+used matmul, and the decode reference parses one sentence at a time, with
+its own property, top and edge head calls and a loop over every query pair,
+as predict_batch did before it decoded a group at once.
 The rule-order key spells the canonical order out field by field instead
 of comparing tuples.  The reference graph parser is
 the per-node, per-edge and per-token helper version that preceded the
@@ -39,9 +41,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from mrparse import heads, model, trainer
+from mrparse import heads, model, rules, trainer, transform
 from mrparse.graph import (FRAMEWORKS, Anchor, Edge, Graph, GraphParseError,
-                           GraphSchemaError, Node, Token, graph_tokens)
+                           GraphSchemaError, Node, Token, graph_tokens,
+                           whitespace_tokens)
 from mrparse.heads import HeadError
 from mrparse.hitting import InfeasibleError
 from mrparse.matcher import MASK_EPSILON, MatchProblem, geomean_anchor
@@ -1004,3 +1007,83 @@ def reference_group_backward(params: dict, fwd, dhidden: np.ndarray,
         per_sentence_backward(params, sentence, grads, weights, scale,
                               total, task_sums)
     return total, task_sums
+
+
+def reference_decode(trained, sentence: str) -> Graph:
+    """trainer.predict as it was before it decoded a group at once: the
+    forward of the one sentence, then its graph from the 2-D decoder states
+    and head outputs."""
+    params = trained.params
+    meta = trained.meta
+    config = meta.config
+    tokens = whitespace_tokens(sentence)
+    if not tokens:
+        return Graph(id="pred-0", framework="eds", flavor=1, input=sentence, tokens=tokens)
+    fwd = trainer.forward_sentence(params, config, meta.token_ids(tokens)[None])
+    hidden, label_probs, anchor_probs = fwd.hidden[0], fwd.label_probs[0], fwd.anchor_probs[0]
+    null_class = len(meta.rule_table)
+    candidates = [q for q in range(hidden.shape[0])
+                  if int(np.argmax(label_probs[q])) != null_class]
+
+    # decode labels/anchors, dropping duplicate (label, anchors) realizations
+    accepted = []
+    decoded = []
+    seen = set()
+    for query in candidates:
+        anchored = [t for t in range(len(tokens))
+                    if anchor_probs[query, t] >= 0.5]
+        forms = [tokens[t].form for t in anchored]
+        lemmas = [tokens[t].lemma for t in anchored]
+        label = rules.decode_label(label_probs[query], forms, lemmas,
+                                   meta.rule_table)
+        anchors = ()
+        if anchored:
+            anchors = (Anchor(min(tokens[t].start for t in anchored),
+                              max(tokens[t].end for t in anchored)),)
+        signature = (label, anchors)
+        if signature in seen:
+            continue
+        seen.add(signature)
+        accepted.append(query)
+        decoded.append((label, anchors))
+
+    nodes = []
+    property_flags = set()
+    if accepted:
+        prop_probs = heads.sigmoid(hidden[accepted] @ params["prop.w"]
+                                   + float(params["prop.b"]))
+        top = int(np.argmax(heads.softmax(hidden[accepted] @ params["top.w"])))
+    for position, (label, anchors) in enumerate(decoded):
+        nodes.append(Node(id=position, label=label, anchors=anchors,
+                          is_top=position == top))
+        if prop_probs[position] >= 0.5:
+            property_flags.add(position)
+
+    edges = []
+    if accepted:
+        states = hidden[accepted]
+        p_logits, _ = heads.biaffine_forward(states, states, params["edgep.u"])
+        presence = heads.sigmoid(p_logits[0])
+        l_logits, _ = heads.biaffine_forward(states, states, params["edgel.u"])
+        for a in range(len(accepted)):
+            for b in range(len(accepted)):
+                if a != b and presence[a, b] >= 0.5:
+                    if config.edge_multilabel:
+                        scores = heads.sigmoid(l_logits[:, a, b])
+                        chosen = [i for i, p in enumerate(scores) if p >= 0.5]
+                        if not chosen:
+                            chosen = [int(np.argmax(scores))]
+                    else:
+                        chosen = [int(np.argmax(l_logits[:, a, b]))]
+                    for label_id in chosen:
+                        edges.append(Edge(source=a, target=b,
+                                          label=meta.edge_labels[label_id]))
+
+    out = Graph(id="pred-0", framework="eds", flavor=1, input=sentence,
+                nodes=tuple(nodes), edges=tuple(edges), tokens=tokens)
+    if property_flags:
+        out = transform.fold_property_nodes(out, property_flags)
+    if meta.inverted_labels:
+        out = transform.reinvert_edges_for_top(
+            out, invertible_labels=set(meta.inverted_labels))
+    return out

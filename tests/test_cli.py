@@ -463,12 +463,37 @@ class TestTrainPredict:
                            for line in lines if line)
         assert out_path.read_text() == expected
 
+    def test_predict_without_accepted_queries(self, short_config, tmp_path, capsys):
+        # a null-biased label head accepts no query, so every group decodes
+        # to graphs without nodes
+        from mrparse import graph, trainer
+        ckpt = tmp_path / "model.ckpt"
+        code, _, _ = run_cli(["train-toy", "--seed", "3", "--config", short_config,
+                              "--checkpoint", str(ckpt),
+                              "--output", str(tmp_path / "m.jsonl")], capsys)
+        assert code == 0
+        trained = trainer.TrainedModel.load(str(ckpt))
+        trained.params["label.out_b"][-1] = 1e3
+        trained.save(str(ckpt))
+        lines = ["the cat is diving", "dog", "Alice is taking the box", "",
+                 "the dog of Carol is jumping", "frogs"]
+        sentences = tmp_path / "sentences.txt"
+        sentences.write_text("".join(line + "\n" for line in lines))
+        out_path = tmp_path / "pred.jsonl"
+        code, _, err = run_cli(["predict", "--checkpoint", str(ckpt),
+                                "--input", str(sentences),
+                                "--output", str(out_path)], capsys)
+        assert (code, err) == (0, "")
+        graphs = graph.load_graphs(str(out_path))
+        assert [g.input for g in graphs] == [line for line in lines if line]
+        assert all(not g.nodes and not g.edges for g in graphs)
+
     def test_train_predict_bytes_pinned(self, tmp_path, capsys):
         # recorded with the balance norms on the last shared layer, one
         # backward and one pass of every head per length group, no top bias,
-        # no anchor-mask options in the stored config and the mixture and
-        # query contractions as matmuls: the training arithmetic, the
-        # checkpoint bytes and decoding, each pinned on its own
+        # no anchor-mask options in the stored config, the mixture and query
+        # contractions as matmuls and no attention key biases: the training
+        # arithmetic, the checkpoint bytes and decoding, each pinned on its own
         config = tmp_path / "pin.cfg"
         config.write_text("corpus_size = 150\nepochs = 2\n")
         paths = {name: tmp_path / name for name in ("m.jsonl", "model.ckpt", "pred.jsonl")}
@@ -487,8 +512,8 @@ class TestTrainPredict:
         digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                    for name, path in paths.items()}
         assert digests == {
-            "m.jsonl": "bd71c5bde1ec7ceab98a0ba21fad06e14c8f2a03d477b9faceac3d6427901f0d",
-            "model.ckpt": "f39a7ba4337ad9197434ab30e455f69bb123e3f5c255f2ccf108c50d888f945a",
+            "m.jsonl": "18831e4a394d945483c32863a3403272c7103d77b32e1fbf5ee32d635eb977e0",
+            "model.ckpt": "6e2daa85b5ea0eabdbbe6e62e9b0dd45e524b625a1f91304dd492df8c93e4059",
             "pred.jsonl": "075bd7cdd054e5c5777fc14cc69c869f510e6503a78625cbf06e1270aff95d43"}
 
     @pytest.mark.parametrize("line", ["stop_when = 3", 'stop_when = {"f1": 0.9}',
@@ -620,6 +645,28 @@ class TestTrainPredict:
         assert (code, out, len(err.splitlines())) == (2, "", 1)
         assert json.loads(err) == {"error": "data", "message": "checkpoint: parameters "
                                    "differ from what the stored config builds: top.b"}
+
+    def test_predict_checkpoint_with_key_biases(self, tmp_path, capsys):
+        # a checkpoint saved while the attention keys had their (shift-
+        # invariant, never trained) biases fails the parameter shape check
+        import numpy as np
+        from mrparse import trainer
+        meta = trainer.ModelMeta(vocab={"<unk>": 0, "cat": 1}, rule_table=(),
+                                 edge_labels=("ARG1",),
+                                 config=trainer.TrainConfig(dim=8, ffn_dim=8))
+        params = trainer.init_model(meta, np.random.default_rng(0))
+        for prefix in ("enc0.self", "enc1.self", "dec.self", "dec.cross"):
+            params[f"{prefix}.bk"] = np.zeros(8)
+        ckpt = tmp_path / "old.ckpt"
+        trainer.TrainedModel(params=params, meta=meta).save(str(ckpt))
+        sentences = tmp_path / "s.txt"
+        sentences.write_text("the cat\n")
+        code, out, err = run_cli(["predict", "--checkpoint", str(ckpt),
+                                  "--input", str(sentences)], capsys)
+        assert (code, out, len(err.splitlines())) == (2, "", 1)
+        assert json.loads(err) == {
+            "error": "data", "message": "checkpoint: parameters differ from what the "
+            "stored config builds: dec.cross.bk, dec.self.bk, enc0.self.bk, enc1.self.bk"}
 
     @pytest.mark.parametrize("name", REMOVED_SWITCHES)
     def test_predict_stored_config_with_removed_switch(self, name, tmp_path, capsys):

@@ -297,8 +297,8 @@ class TestSentencePass:
                     head=grads.head, dhidden=grads.dhidden[:, 0],
                     anchor_dmemory=grads.anchor_dmemory[0]), weights, scale)
             assert set(total_grads) == set(want) == set(params)
-            # the key biases' grads are zero up to rounding (softmax is
-            # shift-invariant), so they are held to the largest entry
+            # entries near zero differ by the rounding of the larger terms
+            # they sum, so they are held to the largest entry
             largest = max(np.abs(grad).max() for grad in want.values())
             for key, grad in want.items():
                 np.testing.assert_allclose(total_grads[key], grad, rtol=1e-12,
@@ -381,7 +381,7 @@ class TestGroupForward:
             assert set(total_grads) == set(want) == {
                 k for k in params if k.startswith(("emb", "mix", "enc", "query", "dec"))}
             assert set(task_sums) == set(want_sums) == {"dec.ffn.w2", "dec.ffn.b2"}
-            # the key biases' grads are zero up to rounding, as in
+            # entries near zero held to the largest entry, as in
             # test_one_decoder_backward_matches_per_task_reference
             for got, expected in ((total_grads, want), (task_sums, want_sums)):
                 largest = max(np.abs(grad).max() for grad in expected.values())
@@ -483,6 +483,32 @@ class TestGroupForward:
         assert trainer.evaluate(trained, graphs) == \
             {name: total.metrics[name].f1 for name in trainer.EVAL_METRICS}
 
+    @pytest.mark.parametrize("multilabel", [False, True])
+    def test_group_decode_equals_per_sentence_reference(self, multilabel):
+        # every head once per group against the decode that preceded it,
+        # one sentence and one query pair at a time
+        trained, _ = trainer.train(tiny_config(edge_multilabel=multilabel))
+        # more than batch_size (8) sentences, mixed lengths, one token and none
+        sentences = [g.input for g in corpus.synth_corpus(4, 20)] + ["dog", "", "frogs"]
+        graphs = trainer.predict_batch(trained, sentences)
+        assert [serialize_graph(g) for g in graphs] == \
+            [serialize_graph(oracles.reference_decode(trained, s)) for s in sentences]
+        # the group heads decided something: tops and edges, parallel edges
+        # in multi-label mode and folded properties in multi-class mode
+        pairs = [(row, e.source, e.target) for row, g in enumerate(graphs) for e in g.edges]
+        assert pairs and any(n.is_top for g in graphs for n in g.nodes)
+        assert (len(set(pairs)) < len(pairs)) if multilabel else \
+            any(n.properties for g in graphs for n in g.nodes)
+
+    def test_group_without_accepted_queries_decodes_empty_graphs(self):
+        # a null-biased label head accepts no query in any sentence of a group
+        trained, _ = trainer.train(tiny_config())
+        trained.params["label.out_b"][-1] = 1e3
+        sentences = [g.input for g in corpus.synth_corpus(4, 12)] + ["dog", ""]
+        graphs = trainer.predict_batch(trained, sentences)
+        assert [g.input for g in graphs] == sentences
+        assert all(not g.nodes and not g.edges for g in graphs)
+
 
 def resized_example(example, length, num_targets=None):
     """example with its tokens cut or repeated to length, keeping its first
@@ -548,9 +574,9 @@ class TestTraining:
 
     def test_seed1_records_match_golden(self):
         # recorded with the balance norms on the last shared layer, one
-        # backward and one pass of every head per length group, no top bias
-        # and the mixture and query contractions as matmuls; any change to
-        # the training arithmetic shows up here
+        # backward and one pass of every head per length group, no top bias,
+        # the mixture and query contractions as matmuls and no attention key
+        # biases; any change to the training arithmetic shows up here
         with open(fixture_path("train_seed1_records.json")) as handle:
             expected = json.load(handle)
         _, records = trainer.train(trainer.TrainConfig(seed=1, epochs=3,
