@@ -8,12 +8,12 @@ lexicographically smallest one takes each class's smallest member, so the
 search runs on bitmasks over classes, a few hundred bits where the universe
 has thousands of elements.  Constraints sharing a class form one connected
 component, and each component, a few dozen constraints where the problem has
-over a hundred, is solved on its own: a branch-and-bound on the hitting-set
-formulation with unit propagation of forced singletons and dominance
-pruning, followed by a lexicographic refinement pass over the component's
-classes in order of their smallest member.  The sorted union of the
-component answers is the lexicographically smallest among all
-minimum-cardinality solutions.
+over a hundred, is solved on its own: a branch-and-bound that branches on
+the smallest constraint and prunes when pairwise-disjoint constraints, each
+needing its own class, exceed the budget, followed by a lexicographic
+refinement pass over the component's classes in order of their smallest
+member.  The sorted union of the component answers is the lexicographically
+smallest among all minimum-cardinality solutions.
 """
 
 from __future__ import annotations
@@ -36,34 +36,6 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _dedupe_and_prune(masks: list[int]) -> list[int]:
-    # drop duplicate constraints and supersets of other constraints
-    unique = sorted(set(masks), key=lambda m: (m.bit_count(), m))
-    kept: list[int] = []
-    for mask in unique:
-        for k in kept:
-            if k & mask == k:
-                break
-        else:
-            kept.append(mask)
-    return kept
-
-
-def _greedy_cover(masks: list[int]) -> list[int]:
-    remaining = list(masks)
-    chosen = []
-    while remaining:
-        counts: dict[int, int] = {}
-        for mask in remaining:
-            for e in _bits(mask):
-                counts[e] = counts.get(e, 0) + 1
-        best = max(sorted(counts), key=lambda e: counts[e])
-        chosen.append(best)
-        bit = 1 << best
-        remaining = [m for m in remaining if not m & bit]
-    return chosen
-
-
 def _packing_bound(masks: list[int]) -> int:
     # pairwise-disjoint constraints each need their own element
     packed = 0
@@ -78,69 +50,20 @@ def _packing_bound(masks: list[int]) -> int:
 def _min_size(masks: list[int], allowed: int, budget: int) -> int | None:
     """Smallest hitting set size within budget using allowed elements, else None."""
     masks = [m & allowed for m in masks]
-    if any(m == 0 for m in masks):
+    if not all(masks):
         return None
-    masks = _dedupe_and_prune(masks)
-    if not masks:
-        return 0
-    if budget <= 0 or _packing_bound(masks) > budget:
-        return None
-
-    # forced singletons
-    forced = 0
-    while True:
-        singles = [m for m in masks if m.bit_count() == 1]
-        if not singles:
-            break
-        for m in singles:
-            forced |= m
-        masks = [m for m in masks if not m & forced]
-        if not masks:
-            break
-    n_forced = forced.bit_count()
-    if n_forced > budget:
-        return None
-    if not masks:
-        return n_forced
-
-    # element dominance: drop e when its constraint set is a subset of f's
-    coverage: dict[int, int] = {}
-    for i, mask in enumerate(masks):
-        for e in _bits(mask):
-            coverage[e] = coverage.get(e, 0) | (1 << i)
-    elems = sorted(coverage)
-    dominated = set()
-    for e in elems:
-        for f in elems:
-            if f == e or f in dominated:
-                continue
-            if coverage[e] != coverage[f]:
-                if coverage[e] & coverage[f] == coverage[e]:
-                    dominated.add(e)
-                    break
-            elif f < e:
-                dominated.add(e)
-                break
-    keep = [e for e in elems if e not in dominated]
-    allowed_mask = 0
-    for e in keep:
-        allowed_mask |= 1 << e
-    masks = [m & allowed_mask for m in masks]
-
     best: int | None = None
-    upper = len(_greedy_cover(masks))
-    if n_forced + min(upper, budget + 1) <= budget:
-        best = upper
 
     def search(current: list[int], used: int) -> None:
         nonlocal best
-        if not current:
-            if best is None or used < best:
-                best = used
-            return
-        limit = budget - n_forced if best is None else min(best - 1, budget - n_forced)
+        limit = budget if best is None else best - 1
         if used + _packing_bound(current) > limit:
             return
+        if not current:
+            best = used
+            return
+        # every solution hits the smallest constraint: branch on its elements,
+        # those hitting the most constraints first
         pivot = min(current, key=lambda m: (m.bit_count(), m))
         bit_gain = {e: sum(1 for m in current if m & (1 << e)) for e in _bits(pivot)}
         for e in sorted(bit_gain, key=lambda e: (-bit_gain[e], e)):
@@ -148,7 +71,7 @@ def _min_size(masks: list[int], allowed: int, budget: int) -> int | None:
             search([m for m in current if not m & bit], used + 1)
 
     search(masks, 0)
-    return None if best is None else n_forced + best
+    return best
 
 
 def _coverage_classes(sets: Sequence[frozenset[int]],
@@ -233,14 +156,14 @@ def minimal_hitting_set(sets: Sequence[frozenset[int]],
     """Lexicographically smallest minimum-cardinality hitting set.
 
     Every returned index set intersects all input sets; cardinality is
-    provably minimum (branch-and-bound with propagation and dominance
-    pruning, cross-checked against brute force in the test suite).  The
-    search runs over coverage classes, one connected component at a time,
-    and returns each picked class's smallest member.  The union of the
-    component answers is the answer: every minimum hitting set is a union of
-    component minima, and of two equal-size sets the one holding the
-    smallest element of their symmetric difference sorts first; that element
-    lies in one component, whose lexicographically smallest minimum wins.
+    provably minimum (branch-and-bound under a packing bound, cross-checked
+    against brute force in the test suite).  The search runs over coverage
+    classes, one connected component at a time, and returns each picked
+    class's smallest member.  The union of the component answers is the
+    answer: every minimum hitting set is a union of component minima, and of
+    two equal-size sets the one holding the smallest element of their
+    symmetric difference sorts first; that element lies in one component,
+    whose lexicographically smallest minimum wins.
     """
     masks, members = _coverage_classes(sets, universe_size)
     return tuple(sorted(members[c] for group, union in _components(masks)

@@ -232,7 +232,7 @@ class RuleSetProblem:
 
     universe: tuple[Rule, ...]
     per_node: tuple[frozenset[int], ...]
-    node_names: tuple[str, ...] = ()
+    node_names: tuple[str, ...]
 
 
 def label_items(graphs: Sequence[Graph]) -> tuple[list[tuple], list[str]]:
@@ -305,10 +305,6 @@ def minimal_rule_set(problem: RuleSetProblem,
     content hash when cache_dir is given; an unreadable cache entry, or one
     that is not a hitting set of this problem, is solved again and replaced.
     """
-    for i, subset in enumerate(problem.per_node):
-        if not subset:
-            name = problem.node_names[i] if i < len(problem.node_names) else f"node {i}"
-            raise InfeasibleEncodingError(f"{name} has no applicable rules")
     cache_path = None
     if cache_dir is not None:
         os.makedirs(cache_dir, exist_ok=True)

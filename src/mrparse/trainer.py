@@ -885,8 +885,10 @@ def _decode(trained: TrainedModel, sentences: Sequence[str],
     tops = top_logits.argmax(axis=-1).tolist() if top_logits.size else [0] * len(tokens)
     p_logits, _ = heads.biaffine_forward(states, states, params["edgep.u"])
     l_logits, _ = heads.biaffine_forward(states, states, params["edgel.u"])
+    # edgel.u keeps one class when the corpus has no edge label: no edge then
     present = ((heads.sigmoid(p_logits[:, 0]) >= 0.5) & node_mask[:, :, None]
-               & node_mask[:, None, :] & ~np.eye(node_mask.shape[1], dtype=bool))
+               & node_mask[:, None, :] & ~np.eye(node_mask.shape[1], dtype=bool)
+               & bool(meta.edge_labels))
     # each present pair's best label, and in multi-label mode every label
     # whose sigmoid reaches 0.5 (the best one is among them if any is)
     multilabel = meta.config.edge_multilabel

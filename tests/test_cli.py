@@ -488,6 +488,33 @@ class TestTrainPredict:
         assert [g.input for g in graphs] == [line for line in lines if line]
         assert all(not g.nodes and not g.edges for g in graphs)
 
+    def test_corpus_without_edges_trains_and_parses(self, tmp_path, capsys):
+        # edgel.u keeps one label class when the corpus has no edge label,
+        # and a pair the presence head accepts must not decode to it
+        from mrparse import graph
+        from mrparse.corpus import synth_corpus
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(graph.serialize_graph(dataclasses.replace(
+            g, edges=(), nodes=tuple(dataclasses.replace(n, properties=())
+                                     for n in g.nodes))) + "\n"
+            for g in synth_corpus(2, 24)))
+        config = tmp_path / "toy.cfg"
+        config.write_text("dim = 16\nffn_dim = 24\nepochs = 1\n")
+        ckpt = tmp_path / "model.ckpt"
+        code, _, _ = run_cli(["train-toy", "--input", str(corpus), "--config", str(config),
+                              "--checkpoint", str(ckpt),
+                              "--output", str(tmp_path / "m.jsonl")], capsys)
+        assert code == 0
+        sentences = tmp_path / "sentences.txt"
+        sentences.write_text("the cat is diving\nAlice is taking the box\n")
+        out_path = tmp_path / "pred.jsonl"
+        code, _, err = run_cli(["predict", "--checkpoint", str(ckpt),
+                                "--input", str(sentences),
+                                "--output", str(out_path)], capsys)
+        assert (code, err) == (0, "")
+        graphs = graph.load_graphs(str(out_path))
+        assert len(graphs) == 2 and all(not g.edges for g in graphs)
+
     def test_train_predict_bytes_pinned(self, tmp_path, capsys):
         # recorded with the balance norms on the last shared layer, one
         # backward and one pass of every head per length group, no top bias,

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from mrparse import hitting
 from mrparse.hitting import InfeasibleError, minimal_hitting_set
-from oracles import (UniverseTooLargeError, _ref_dedupe_and_prune,
-                     brute_force_min_hitting_set, reference_minimal_hitting_set)
+from oracles import (UniverseTooLargeError, brute_force_min_hitting_set,
+                     reference_minimal_hitting_set)
 
 
 def random_instance(rng, max_rules=12, max_nodes=8):
@@ -176,9 +176,43 @@ def test_each_component_searches_only_its_own_classes(monkeypatch):
     assert all(any(allowed & ~union == 0 for union in unions) for allowed in allowed_seen)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(1, (1 << 12) - 1), max_size=40))
-def test_prune_keeps_minimal_constraints_in_order(masks):
-    kept = hitting._dedupe_and_prune(masks)
-    assert kept == _ref_dedupe_and_prune(masks)
-    assert not any(k & m == k for i, m in enumerate(kept) for k in kept[:i])
+def test_min_size_within_budget_else_none():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        masks = [int(m) for m in rng.integers(1, 1 << n, size=int(rng.integers(0, 8)))]
+        allowed = int(rng.integers(0, 1 << n))
+        # the smallest number of allowed elements hitting every mask, by brute force
+        sizes = [subset.bit_count() for subset in range(1 << n)
+                 if subset & ~allowed == 0 and all(m & subset for m in masks)]
+        optimum = min(sizes) if sizes else None
+        if any(m & allowed == 0 for m in masks):
+            assert optimum is None  # allowed empties a constraint
+        for budget in range(n + 1):
+            expected = optimum if optimum is not None and optimum <= budget else None
+            assert hitting._min_size(masks, allowed, budget) == expected
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_corpus_sized_problems_match_element_mask_reference(seed):
+    """The rules-infer and artificial anchoring problems of a 125-graph
+    corpus: hundreds of sets over thousands of rules, the size of the
+    problems rules-infer, amr preprocessing and training solve."""
+    from dataclasses import replace
+
+    from mrparse import rules, transform
+    from mrparse.corpus import synth_corpus
+
+    graphs = synth_corpus(seed, 125)
+    items, names = rules.label_items([transform.preprocess("eds", g)[0] for g in graphs])
+    eds = rules.build_problem(items, names=names)
+    unanchored = [replace(g, framework="amr", flavor=2,
+                          nodes=tuple(replace(n, anchors=()) for n in g.nodes))
+                  for g in graphs]
+    _, amr, amr_solution = rules.anchor_flavor2_corpus(
+        [transform.preprocess("amr", g)[0] for g in unanchored])
+    assert len(eds.universe) > 3000 and len(amr.universe) > 1500
+    for problem, solution in ((eds, rules.minimal_rule_set(eds)), (amr, amr_solution)):
+        assert len(problem.per_node) > 400
+        assert solution == reference_minimal_hitting_set(problem.per_node,
+                                                         len(problem.universe))

@@ -340,6 +340,16 @@ class TestMinimalRuleSet:
             rules.minimal_rule_set(problem)
         assert "graph g9 node 3" in str(err.value)
 
+    def test_infeasible_with_cache_names_first_empty_node_and_caches_nothing(self, tmp_path):
+        problem = rules.RuleSetProblem(universe=(AbsoluteRule("x"),),
+                                       per_node=(frozenset({0}), frozenset(), frozenset()),
+                                       node_names=("graph g1 node 0", "graph g1 node 1",
+                                                   "graph g2 node 0"))
+        with pytest.raises(InfeasibleEncodingError) as err:
+            rules.minimal_rule_set(problem, cache_dir=str(tmp_path))
+        assert str(err.value) == "graph g1 node 1 has no applicable rules"
+        assert not list(tmp_path.iterdir())
+
     def test_seed1_solution_pinned(self):
         # recorded with the element-mask solver (tests/oracles.py reference)
         from mrparse import trainer
