@@ -2,14 +2,13 @@
 
 Every head comes as a forward/backward pair with analytically derived
 gradients (checked against central finite differences in the test suite).
-The label head and focal loss take stacks of rows; one query is a batch of
-one.  All computation is double precision numpy; there is no autodiff engine.
+The label head and focal loss take stacks of rows.  All computation is
+double precision numpy; there is no autodiff engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -57,7 +56,7 @@ def nll(logits: np.ndarray, gold: np.ndarray):
 
 
 def _check_distribution(p: np.ndarray, name: str):
-    if (p.ndim not in (1, 2) or (p < -1e-12).any()
+    if (p.ndim != 2 or (p < -1e-12).any()
             or (np.abs(p.sum(axis=-1) - 1.0) > 1e-6).any()):
         raise ValidationError(f"{name} is not a probability distribution")
 
@@ -153,27 +152,24 @@ def label_loss(pred: np.ndarray, target: np.ndarray, gamma: float):
 
     loss = (1 - p_t)^gamma * H(target, pred) with p_t the predicted mass on
     the target distribution; gamma = 0 recovers the plain (smoothed)
-    cross-entropy.  pred and target are (N, V) rows or one (V,) row.
+    cross-entropy.  pred and target are (N, V) stacks of rows.
     Returns (mean loss over rows, per-row dloss/dpred not divided by N).
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
     _check_distribution(pred, "pred")
     _check_distribution(target, "target")
-    rows, targets = np.atleast_2d(pred, target)
-    safe = np.maximum(rows, 1e-300)
-    entropy = -(targets * np.log(safe)).sum(axis=-1)
-    p_t = (targets * rows).sum(axis=-1)
+    safe = np.maximum(pred, 1e-300)
+    entropy = -(target * np.log(safe)).sum(axis=-1)
+    p_t = (target * pred).sum(axis=-1)
     one_minus = np.maximum(1.0 - p_t, 0.0)
     factor = one_minus ** gamma
-    loss = float((factor * entropy).sum()) / rows.shape[0]
-    dpred = -factor[:, None] * targets / safe
+    loss = float((factor * entropy).sum()) / pred.shape[0]
+    dpred = -factor[:, None] * target / safe
     if gamma > 0.0:
         slope = np.zeros_like(one_minus)
         positive = one_minus > 0.0
         slope[positive] = gamma * one_minus[positive] ** (gamma - 1.0) * entropy[positive]
-        dpred = dpred - slope[:, None] * targets
-    return loss, dpred.reshape(pred.shape)
+        dpred = dpred - slope[:, None] * target
+    return loss, dpred
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +227,8 @@ def anchor_head(query_states: np.ndarray, token_states: np.ndarray,
     return sigmoid(logits), (logits, cache)
 
 
-def anchor_loss(head_cache, targets: np.ndarray,
-                query_mask: Optional[np.ndarray] = None):
-    """Mean binary cross-entropy over the (masked) query/token grid.
+def anchor_loss(head_cache, targets: np.ndarray, query_mask: np.ndarray):
+    """Mean binary cross-entropy over the masked query/token grid.
 
     Returns (loss, du, dquery_states, dtoken_states).  query_mask selects the
     rows that participate (queries matched to real nodes).  The grid may
@@ -242,14 +237,12 @@ def anchor_loss(head_cache, targets: np.ndarray,
     and du sum over the sentences, and the state grads keep the axes.
     """
     logits, cache = head_cache
-    targets = np.asarray(targets, dtype=np.float64)
-    mask = np.ones(logits.shape[:-1], dtype=bool) if query_mask is None else query_mask
     # each masked row's divisor: its sentence's masked entries
-    counts = np.broadcast_to(mask.sum(axis=-1, keepdims=True) * logits.shape[-1],
-                             mask.shape)[mask]
-    loss, dmasked = bce(logits[mask], targets[mask])
+    counts = np.broadcast_to(query_mask.sum(axis=-1, keepdims=True) * logits.shape[-1],
+                             query_mask.shape)[query_mask]
+    loss, dmasked = bce(logits[query_mask], targets[query_mask])
     dlogits = np.zeros_like(logits)
-    dlogits[mask] = dmasked / counts[:, None]
+    dlogits[query_mask] = dmasked / counts[:, None]
     du, dx, dy = biaffine_backward(cache, dlogits[..., None, :, :])
     return float((loss.sum(axis=-1) / counts).sum()), du, dx, dy
 
@@ -258,19 +251,18 @@ def anchor_loss(head_cache, targets: np.ndarray,
 # edge heads
 
 def edge_presence_loss(head_logits: np.ndarray, cache, targets: np.ndarray,
-                       node_mask: Optional[np.ndarray] = None):
+                       node_mask: np.ndarray):
     """Mean BCE over the ordered pairs of nodes; returns (loss, du, dstates).
 
     head_logits [..., 1, M, M] and targets [..., M, M] may carry leading
-    sentence axes, with node_mask [..., M] marking each sentence's k nodes
-    (all of them when None): each sentence then takes the mean over its own
-    k*k pairs, a sentence without nodes gives 0, the loss and du sum over the
-    sentences, and dstates keeps the axes, zero on the padding.
+    sentence axes, with node_mask [..., M] marking each sentence's k nodes:
+    each sentence then takes the mean over its own k*k pairs, a sentence
+    without nodes gives 0, the loss and du sum over the sentences, and
+    dstates keeps the axes, zero on the padding.
     """
     logits = head_logits[..., 0, :, :]
-    mask = np.ones(logits.shape[:-1], bool) if node_mask is None else node_mask
-    pairs = mask[..., :, None] & mask[..., None, :]
-    counts = np.maximum(mask.sum(axis=-1) ** 2, 1)
+    pairs = node_mask[..., :, None] & node_mask[..., None, :]
+    counts = np.maximum(node_mask.sum(axis=-1) ** 2, 1)
     loss, dlogits = bce(logits, targets)
     dlogits = np.where(pairs, dlogits / counts[..., None, None], 0.0)
     du, dx, dy = biaffine_backward(cache, dlogits[..., None, :, :])
@@ -328,7 +320,7 @@ def _linear_backward(node_states: np.ndarray, w: np.ndarray, dlogits: np.ndarray
 
 
 def property_loss(node_states: np.ndarray, w: np.ndarray, b: float,
-                  targets: np.ndarray, node_mask: Optional[np.ndarray] = None):
+                  targets: np.ndarray, node_mask: np.ndarray):
     """Mean BCE; returns (loss, dw, db, dstates).
 
     node_states [..., M, D] and targets [..., M] may carry leading sentence
@@ -337,17 +329,15 @@ def property_loss(node_states: np.ndarray, w: np.ndarray, b: float,
     and the parameter grads sum over the sentences.
     """
     logits = node_states @ w + b
-    mask = np.ones(logits.shape, bool) if node_mask is None else node_mask
-    counts = np.maximum(mask.sum(axis=-1), 1)
+    counts = np.maximum(node_mask.sum(axis=-1), 1)
     loss, dlogits = bce(logits, targets)
-    dlogits = np.where(mask, dlogits / counts[..., None], 0.0)
-    loss = np.where(mask, loss, 0.0).sum(axis=-1) / counts
+    dlogits = np.where(node_mask, dlogits / counts[..., None], 0.0)
+    loss = np.where(node_mask, loss, 0.0).sum(axis=-1) / counts
     dw, dstates = _linear_backward(node_states, w, dlogits)
     return float(loss.sum()), dw, float(dlogits.sum()), dstates
 
 
-def top_loss(node_states: np.ndarray, w: np.ndarray, gold,
-             node_mask: Optional[np.ndarray] = None):
+def top_loss(node_states: np.ndarray, w: np.ndarray, gold, node_mask: np.ndarray):
     """Cross-entropy against the gold top node; returns (loss, dw, dstates).
 
     node_states [..., M, D] and gold [...] may carry leading sentence axes,
@@ -355,8 +345,6 @@ def top_loss(node_states: np.ndarray, w: np.ndarray, gold,
     over its own nodes (the padding's logits are -inf), and the loss and dw
     sum over the sentences.
     """
-    logits = node_states @ w
-    if node_mask is not None:
-        logits = np.where(node_mask, logits, -np.inf)
+    logits = np.where(node_mask, node_states @ w, -np.inf)
     loss, dlogits = nll(logits, gold)
     return (float(loss.sum()),) + _linear_backward(node_states, w, dlogits)

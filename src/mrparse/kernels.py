@@ -71,7 +71,5 @@ def max_score_assignment(scores: np.ndarray) -> np.ndarray:
         raise ValueError(f"score matrix must have rows <= columns, got shape {scores.shape}")
     if scores.size and not np.isfinite(scores).all():
         raise ValueError("score matrix entries must be finite")
-    if scores.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
     # the negation, in C order since the solver scans whole rows
     return _assignment_numpy(np.negative(scores, order="C"))

@@ -67,7 +67,7 @@ class Assignment:
     warnings: tuple[str, ...] = ()
 
 
-def geomean_anchor(probs) -> float | np.ndarray:
+def geomean_anchor(probs) -> np.ndarray:
     """Geometric mean of per-token anchor probabilities, in log space.
 
     Reduces over the last axis, so a (queries, tokens) matrix gives one
@@ -76,8 +76,7 @@ def geomean_anchor(probs) -> float | np.ndarray:
     ANCHOR_PROB_FLOOR before the log.
     """
     arr = np.maximum(np.asarray(probs, dtype=np.float64), ANCHOR_PROB_FLOOR)
-    score = np.exp(np.log(arr).sum(axis=-1) / max(arr.shape[-1], 1))
-    return float(score) if score.ndim == 0 else score
+    return np.exp(np.log(arr).sum(axis=-1) / max(arr.shape[-1], 1))
 
 
 def optimal_assignment(scores: np.ndarray) -> Assignment:
@@ -85,11 +84,9 @@ def optimal_assignment(scores: np.ndarray) -> Assignment:
 
     scores is [queries x targets] with queries >= targets; every target gets
     its own query, queries[j] target j's, and the queries left over match
-    nothing.  A non-square matrix is solved as its transposed targets x
-    queries problem, k augmentations instead of one per query; a square one
-    goes to the kernel as it is, its query-to-target permutation inverted.
-    score is the row-order sum of the per-query gains, zero on the unmatched
-    queries.
+    nothing.  The matrix, square or not, is solved as its transposed
+    targets x queries problem, one augmentation per target.  score is the
+    row-order sum of the per-query gains, zero on the unmatched queries.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[0] < scores.shape[1]:
@@ -101,10 +98,7 @@ def optimal_assignment(scores: np.ndarray) -> Assignment:
     shift = max(int(np.frexp(np.abs(scores).max(initial=0.0))[1]) - MAX_SCORE_EXPONENT, 0)
     if shift:
         scores = scores * 2.0 ** -shift
-    if num_queries == num_targets:
-        queries = np.argsort(kernels.max_score_assignment(scores))
-    else:
-        queries = kernels.max_score_assignment(scores.T)
+    queries = kernels.max_score_assignment(scores.T)
     gains = np.zeros(num_queries)
     gains[queries] = scores[queries, np.arange(num_targets)]
     # a Python float product: a sum past the float range is inf, with no warning
@@ -187,16 +181,13 @@ def build_problem(label_probs: np.ndarray, anchor_probs: np.ndarray,
 def align_targets(label_probs: np.ndarray, anchor_probs: np.ndarray,
                   source_tokens: np.ndarray, label_targets: np.ndarray,
                   anchored: np.ndarray, *,
-                  edge_loglik: Callable[[tuple[int, ...]], float] | None = None,
-                  ) -> Assignment:
-    """Solve the matching of queries to targets, then break ties.
+                  edge_loglik: Callable[[tuple[int, ...]], float]) -> Assignment:
+    """Solve the matching of queries to targets, then break ties by
+    edge_loglik.
 
-    Returns the (tie-broken) optimal assignment: the query of each target.
+    Returns the tie-broken optimal assignment: the query of each target.
     """
     problem = build_problem(label_probs, anchor_probs, source_tokens, label_targets,
                             anchored)
     assignment = optimal_assignment(problem.label_score * problem.anchor_score)
-    if edge_loglik is not None:
-        assignment = break_ties(tie_groups(label_targets, anchored), assignment,
-                                edge_loglik)
-    return assignment
+    return break_ties(tie_groups(label_targets, anchored), assignment, edge_loglik)

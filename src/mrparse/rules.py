@@ -253,11 +253,12 @@ def label_items(graphs: Sequence[Graph]) -> tuple[list[tuple], list[str]]:
 
 
 def build_problem(items: Sequence[tuple[Sequence[str], Sequence[str], str]],
-                  bounds: RuleSpaceBounds = RuleSpaceBounds(),
-                  names: Sequence[str] | None = None) -> RuleSetProblem:
+                  bounds: RuleSpaceBounds = RuleSpaceBounds(), *,
+                  names: Sequence[str]) -> RuleSetProblem:
     """Enumerate the rule set of each distinct item once and index the shared
     universe; rules are tuples in canonical order, a total order, so the
-    universe does not depend on which items repeat."""
+    universe does not depend on which items repeat.  names[i] names item i
+    in infeasibility messages."""
     keys = [(tuple(tokens), tuple(lemmas), label) for tokens, lemmas, label in items]
     found = {key: enumerate_applicable_rules(*key, bounds) for key in dict.fromkeys(keys)}
     universe = sorted(set().union(*found.values()))
@@ -265,10 +266,8 @@ def build_problem(items: Sequence[tuple[Sequence[str], Sequence[str], str]],
     indexed = {key: frozenset(map(index.__getitem__, rules))
                for key, rules in found.items()}
     per_node = tuple(indexed[key] for key in keys)
-    node_names = tuple(names) if names is not None else tuple(
-        f"node {i}" for i in range(len(items)))
     return RuleSetProblem(universe=tuple(universe), per_node=per_node,
-                          node_names=node_names)
+                          node_names=tuple(names))
 
 
 def _problem_digest(problem: RuleSetProblem) -> str:
@@ -407,10 +406,11 @@ def build_rule_target(applicable_retained: Iterable[int], num_rules: int) -> np.
 def decode_label(rule_probs: np.ndarray, tokens: Sequence[str],
                  lemmas: Sequence[str],
                  rules: Sequence[Rule]) -> Optional[str]:
-    """Invert the encoding: best applicable rule wins, None when null wins.
+    """Invert the encoding: the most probable applicable rule's label.
 
-    Inapplicable rules are skipped in probability order; when every rule is
-    inapplicable the highest-probability absolute rule is the fallback.
+    Inapplicable rules are skipped in probability order.  None when the null
+    class is the most probable, or when no rule applies (a table without an
+    absolute rule can fail to realize a label from the anchored tokens).
     """
     if len(rule_probs) != len(rules) + 1:
         raise DecodeError(f"got {len(rule_probs)} probabilities for {len(rules)} rules")
@@ -423,10 +423,7 @@ def decode_label(rule_probs: np.ndarray, tokens: Sequence[str],
         label = apply_rule(rules[index], tokens, lemmas)
         if label is not None:
             return label
-    for index in order:
-        if index != len(rules) and rules[index].kind == ABSOLUTE:
-            return rules[index].label
-    raise DecodeError("no applicable rule and no absolute fallback")
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -871,7 +871,8 @@ def _decode(trained: TrainedModel, sentences: Sequence[str],
                                        [t.lemma for t in picked], meta.rule_table)
             anchors = (Anchor(min(t.start for t in picked),
                               max(t.end for t in picked)),) if picked else ()
-            if (label, anchors) not in seen:
+            # no rule realizes a label from the anchored tokens: a null
+            if label is not None and (label, anchors) not in seen:
                 seen.add((label, anchors))
                 queries.append(query)
                 nodes.append((label, anchors))

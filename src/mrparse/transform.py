@@ -159,21 +159,17 @@ def normalize_inverted_edges(g: Graph, suffix: str = DEFAULT_INVERSION_SUFFIX,
     return out, TransformTrace(deinverted=tuple(deinverted))
 
 
-def reinvert_edges_for_top(g: Graph, suffix: str = DEFAULT_INVERSION_SUFFIX,
-                           aliases: dict[str, str] | None = None,
-                           invertible_labels: set[str] | None = None) -> Graph:
+def reinvert_edges_for_top(g: Graph, invertible_labels: set[str]) -> Graph:
     """Restore inverted edge labels where needed for top-rooted reachability.
 
     Walks the graph from its top nodes treating edges as undirected; an
-    eligible edge first reached against its direction is emitted reversed
-    with the suffix appended (or its alias when the inverted label has one).
-    invertible_labels limits eligibility to labels that were de-inverted
-    during preprocessing (None means every label is eligible, the fully
-    top-rooted case).  Other edges keep their normalized direction, and a
-    graph with no edge to reverse is returned as it is.
+    edge with one of invertible_labels (the labels de-inverted during
+    preprocessing) first reached against its direction is emitted reversed
+    with DEFAULT_INVERSION_SUFFIX appended, or its DEFAULT_ALIASES alias
+    when the inverted label has one.  Other edges keep their normalized
+    direction, and a graph with no edge to reverse is returned as it is.
     """
-    aliases = DEFAULT_ALIASES if aliases is None else aliases
-    inverse_alias = {inverted: plain for plain, inverted in aliases.items()}
+    inverse_alias = {inverted: plain for plain, inverted in DEFAULT_ALIASES.items()}
     outgoing: dict[int, list[int]] = {n.id: [] for n in g.nodes}
     incoming: dict[int, list[int]] = {n.id: [] for n in g.nodes}
     for i, edge in enumerate(g.edges):
@@ -195,8 +191,7 @@ def reinvert_edges_for_top(g: Graph, suffix: str = DEFAULT_INVERSION_SUFFIX,
             if other not in visited:
                 visited.add(other)
                 queue.append(other)
-                if (invertible_labels is None
-                        or g.edges[i].label in invertible_labels):
+                if g.edges[i].label in invertible_labels:
                     to_invert.add(i)
     if not to_invert:
         return g
@@ -204,7 +199,7 @@ def reinvert_edges_for_top(g: Graph, suffix: str = DEFAULT_INVERSION_SUFFIX,
     edges = []
     for i, edge in enumerate(g.edges):
         if i in to_invert:
-            inverted = edge.label + suffix
+            inverted = edge.label + DEFAULT_INVERSION_SUFFIX
             inverted = inverse_alias.get(inverted, inverted)
             edges.append(Edge(source=edge.target, target=edge.source, label=inverted,
                               attributes=edge.attributes, extras=edge.extras))

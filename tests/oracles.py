@@ -240,8 +240,8 @@ def reference_enumerate_applicable_rules(tokens, lemmas, label,
     return found
 
 
-def reference_rule_problem(items, bounds: RuleSpaceBounds = RuleSpaceBounds(),
-                           names=None) -> RuleSetProblem:
+def reference_rule_problem(items, bounds: RuleSpaceBounds = RuleSpaceBounds(), *,
+                           names) -> RuleSetProblem:
     """rules.build_problem with one rule enumeration per item."""
     per_node_rules = [enumerate_applicable_rules(tokens, lemmas, label, bounds)
                       for tokens, lemmas, label in items]
@@ -249,10 +249,8 @@ def reference_rule_problem(items, bounds: RuleSpaceBounds = RuleSpaceBounds(),
                       key=reference_rule_key)
     index = {rule: i for i, rule in enumerate(universe)}
     per_node = tuple(frozenset(index[r] for r in rules) for rules in per_node_rules)
-    node_names = tuple(names) if names is not None else tuple(
-        f"node {i}" for i in range(len(items)))
     return RuleSetProblem(universe=tuple(universe), per_node=per_node,
-                          node_names=node_names)
+                          node_names=tuple(names))
 
 
 def reference_anchor_flavor2_corpus(graphs, bounds: RuleSpaceBounds = RuleSpaceBounds(),
@@ -884,7 +882,7 @@ def label_head_loss(h: np.ndarray, params, target: np.ndarray, gamma: float):
     """Focal label loss of one query through the mixture head, composed from
     the batch forward, the loss and the batch backward: (loss, dh, grads)."""
     probs, cache = heads.mos_forward_batch(h[None, :], params)
-    loss, dprobs = heads.label_loss(probs, target, gamma)
+    loss, dprobs = heads.label_loss(probs, target[None, :], gamma)
     grads, dh = heads.mos_backward_batch(cache, dprobs)
     return loss, dh[0], grads
 
@@ -1036,6 +1034,9 @@ def reference_decode(trained, sentence: str) -> Graph:
         lemmas = [tokens[t].lemma for t in anchored]
         label = rules.decode_label(label_probs[query], forms, lemmas,
                                    meta.rule_table)
+        if label is None:
+            # no rule realizes a label from the anchored tokens: a null
+            continue
         anchors = ()
         if anchored:
             anchors = (Anchor(min(tokens[t].start for t in anchored),

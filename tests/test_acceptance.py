@@ -129,8 +129,8 @@ def test_criterion_05_gradient_suite():
     # where finite differences at step 1e-5 lose accuracy
     errors = []
     for _ in range(draws):
-        pred = heads.softmax(0.7 * rng.normal(size=classes))
-        target = heads.softmax(0.7 * rng.normal(size=classes))
+        pred = heads.softmax(0.7 * rng.normal(size=(1, classes)))
+        target = heads.softmax(0.7 * rng.normal(size=(1, classes)))
         _, dpred = heads.label_loss(pred, target, 2.0)
 
         def raw(p):
@@ -148,13 +148,14 @@ def test_criterion_05_gradient_suite():
         tokens = rng.normal(size=(4, dim))
         targets = rng.integers(0, 2, (3, 4)).astype(float)
         cache = heads.anchor_head(queries, tokens, u)[1]
-        _, du, dq, dt = heads.anchor_loss(cache, targets)
+        mask = np.ones(3, bool)
+        _, du, dq, dt = heads.anchor_loss(cache, targets, mask)
         loss_of = lambda u_: heads.anchor_loss(
-            heads.anchor_head(queries, tokens, u_)[1], targets)[0]
+            heads.anchor_head(queries, tokens, u_)[1], targets, mask)[0]
         errors.append(relative_error(du, finite_difference(loss_of, u)))
         errors.append(relative_error(dq, finite_difference(
             lambda q: heads.anchor_loss(
-                heads.anchor_head(q, tokens, u)[1], targets)[0], queries)))
+                heads.anchor_head(q, tokens, u)[1], targets, mask)[0], queries)))
     worst["anchor"] = max(errors)
 
     # three edge heads
@@ -170,7 +171,8 @@ def test_criterion_05_gradient_suite():
             def loss_of(u_, s_):
                 logits, cache = heads.biaffine_forward(s_, s_, u_)
                 if name == "edge presence":
-                    return heads.edge_presence_loss(logits, cache, presence)
+                    return heads.edge_presence_loss(logits, cache, presence,
+                                                    np.ones(3, bool))
                 # the attribute head is a multi-class label head
                 return heads.edge_label_loss(logits, cache, edges)
 
@@ -187,11 +189,12 @@ def test_criterion_05_gradient_suite():
         w = rng.normal(size=dim)
         states = rng.normal(size=(4, dim))
         targets = rng.integers(0, 2, 4).astype(float)
-        _, dw, _, dstates = heads.property_loss(states, w, 0.1, targets)
+        mask = np.ones(4, bool)
+        _, dw, _, dstates = heads.property_loss(states, w, 0.1, targets, mask)
         errors.append(relative_error(dw, finite_difference(
-            lambda x: heads.property_loss(states, x, 0.1, targets)[0], w)))
+            lambda x: heads.property_loss(states, x, 0.1, targets, mask)[0], w)))
         errors.append(relative_error(dstates, finite_difference(
-            lambda x: heads.property_loss(x, w, 0.1, targets)[0], states)))
+            lambda x: heads.property_loss(x, w, 0.1, targets, mask)[0], states)))
     worst["property"] = max(errors)
 
     # top head
@@ -200,11 +203,12 @@ def test_criterion_05_gradient_suite():
         w = rng.normal(size=dim)
         states = rng.normal(size=(4, dim))
         gold = int(rng.integers(4))
-        _, dw, dstates = heads.top_loss(states, w, gold)
+        mask = np.ones(4, bool)
+        _, dw, dstates = heads.top_loss(states, w, gold, mask)
         errors.append(relative_error(dw, finite_difference(
-            lambda x: heads.top_loss(states, x, gold)[0], w)))
+            lambda x: heads.top_loss(states, x, gold, mask)[0], w)))
         errors.append(relative_error(dstates, finite_difference(
-            lambda x: heads.top_loss(x, w, gold)[0], states)))
+            lambda x: heads.top_loss(x, w, gold, mask)[0], states)))
     worst["top"] = max(errors)
 
     # decoder block
@@ -255,7 +259,7 @@ def test_criterion_06_degeneracies():
         pred = rng.dirichlet(np.ones(classes))
         plain = 0.9 * rules.build_rule_target([int(rng.integers(classes - 1))],
                                               classes - 1) + 0.1 / classes
-        loss, _ = heads.label_loss(pred, plain, 0.0)
+        loss, _ = heads.label_loss(pred[None], plain[None], 0.0)
         reference = float(-(plain * np.log(pred)).sum())
         assert abs(loss - reference) <= 1e-12
     dim = 6

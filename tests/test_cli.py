@@ -288,18 +288,22 @@ class TestMatch:
 
     @pytest.mark.parametrize("text, expected", [
         ("3\n0 0 0\n0 0 0\n0 0 0\n", "0 1 2\nscore 0\n"),
-        ("4\n2 1 1 1\n2 1 1 1\n1 1 1 1\n2 2 0 1\n", "0 3 2 1\nscore 6\n"),
+        ("4\n2 1 1 1\n2 1 1 1\n1 1 1 1\n2 2 0 1\n", "0 2 3 1\nscore 6\n"),
         ("5\n2 1 1 2 1\n1 0 1 2 0\n0 2 1 2 0\n2 0 1 2 0\n1 2 1 0 1\n",
-         "0 3 1 2 4\nscore 8\n"),
+         "0 2 1 3 4\nscore 8\n"),
     ])
     def test_square_ties_keep_permutation(self, tmp_path, capsys, text, expected):
-        # tie-laden matrices with several optimal permutations; solving the
-        # transpose of either integer one picks another optimum
+        # tie-laden matrices with several optimal permutations: the printed
+        # one is pinned, and it reaches the exhaustive optimum
         matrix = tmp_path / "scores.txt"
         matrix.write_text(text)
         code, out, _ = run_cli(["match", "--input", str(matrix)], capsys)
         assert code == 0
         assert out == expected
+        scores = np.array([row.split() for row in text.splitlines()[1:]], dtype=float)
+        permutation = [int(j) for j in out.splitlines()[0].split()]
+        _, optimum = brute_force_assignment(scores)
+        assert scores[np.arange(len(scores)), permutation].sum() == optimum
 
     def test_bad_matrix_exit_two(self, tmp_path, capsys):
         matrix = tmp_path / "scores.txt"
@@ -514,6 +518,46 @@ class TestTrainPredict:
         assert (code, err) == (0, "")
         graphs = graph.load_graphs(str(out_path))
         assert len(graphs) == 2 and all(not g.edges for g in graphs)
+
+    def test_rule_table_without_absolute_rule_trains_and_parses(self, tmp_path, capsys):
+        # every label is the lowercased first anchored token form, so the
+        # table holds a token and a lemma rule and no absolute one; a query
+        # whose anchored tokens realize no label then decodes as a null
+        from mrparse import graph
+        from mrparse.corpus import synth_corpus
+        graphs = []
+        for g in synth_corpus(3, 60):
+            tokens = graph.graph_tokens(g)
+            graphs.append(dataclasses.replace(g, nodes=tuple(
+                dataclasses.replace(n, properties=(), label=tokens[
+                    graph.anchored_token_indices(n, tokens)[0]].form.lower())
+                for n in g.nodes)))
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(graph.serialize_graph(g) + "\n" for g in graphs))
+        code, _, _ = run_cli(["rules-infer", "--input", str(corpus), "--framework", "eds",
+                              "--rule-table", str(tmp_path / "rules.txt")], capsys)
+        assert code == 0
+        assert [line.split("\t")[0] for line in
+                (tmp_path / "rules.txt").read_text().splitlines()] == ["token", "lemma"]
+        # on the 0-epoch model the third sentence has a query whose anchored
+        # tokens no rule of the table realizes
+        sentences = tmp_path / "sentences.txt"
+        sentences.write_text("the cat is diving\nAlice is taking the box\n"
+                             "sixty seven frogs are diving\n")
+        for epochs in (1, 0):
+            config = tmp_path / "toy.cfg"
+            config.write_text(f"dim = 16\nffn_dim = 24\nepochs = {epochs}\n")
+            ckpt = tmp_path / f"model{epochs}.ckpt"
+            code, out, _ = run_cli(["train-toy", "--input", str(corpus), "--config",
+                                    str(config), "--checkpoint", str(ckpt)], capsys)
+            assert code == 0
+            records = [json.loads(line) for line in out.splitlines()]
+            assert [record["epoch"] for record in records] == list(range(1, epochs + 1))
+        code, out, err = run_cli(["predict", "--checkpoint", str(ckpt),
+                                  "--input", str(sentences)], capsys)
+        assert (code, err) == (0, "")
+        assert [json.loads(line)["input"] for line in out.splitlines()] == [
+            "the cat is diving", "Alice is taking the box", "sixty seven frogs are diving"]
 
     def test_train_predict_bytes_pinned(self, tmp_path, capsys):
         # recorded with the balance norms on the last shared layer, one

@@ -135,19 +135,19 @@ class TestLabelLoss:
         for _ in range(100):
             pred = random_distribution(rng, CLASSES)
             target = random_distribution(rng, CLASSES)
-            loss, _ = heads.label_loss(pred, target, 0.0)
+            loss, _ = heads.label_loss(pred[None], target[None], 0.0)
             reference = float(-(target * np.log(pred)).sum())
             assert abs(loss - reference) < 1e-12
 
     def test_perfect_one_hot_zero_loss(self):
-        one_hot = np.zeros(CLASSES)
-        one_hot[2] = 1.0
+        one_hot = np.zeros((1, CLASSES))
+        one_hot[0, 2] = 1.0
         loss, _ = heads.label_loss(one_hot, one_hot, 2.0)
         assert loss == 0.0
 
     def test_focal_downweights_easy_examples(self):
-        pred = np.array([0.9, 0.05, 0.05])
-        target = np.array([1.0, 0.0, 0.0])
+        pred = np.array([[0.9, 0.05, 0.05]])
+        target = np.array([[1.0, 0.0, 0.0]])
         plain, _ = heads.label_loss(pred, target, 0.0)
         focal, _ = heads.label_loss(pred, target, 2.0)
         assert focal < plain
@@ -158,8 +158,8 @@ class TestLabelLoss:
         # components away from the high-curvature region near zero
         rng = np.random.default_rng(6)
         for _ in range(20):
-            pred = heads.softmax(0.7 * rng.normal(size=CLASSES))
-            target = heads.softmax(0.7 * rng.normal(size=CLASSES))
+            pred = heads.softmax(0.7 * rng.normal(size=(1, CLASSES)))
+            target = heads.softmax(0.7 * rng.normal(size=(1, CLASSES)))
             _, dpred = heads.label_loss(pred, target, 2.0)
             numeric = finite_difference(lambda p: _raw_focal(p, target, 2.0), pred)
             assert relative_error(dpred, numeric) < TOLERANCE
@@ -169,17 +169,17 @@ class TestLabelLoss:
         pred = rng.dirichlet(np.ones(CLASSES), size=5)
         target = rng.dirichlet(np.ones(CLASSES), size=5)
         loss, dpred = heads.label_loss(pred, target, 2.0)
-        singles = [heads.label_loss(p, t, 2.0) for p, t in zip(pred, target)]
+        singles = [heads.label_loss(p[None], t[None], 2.0) for p, t in zip(pred, target)]
         assert loss == pytest.approx(np.mean([single for single, _ in singles]),
                                      abs=1e-12)
-        assert np.abs(dpred - np.stack([d for _, d in singles])).max() < 1e-12
+        assert np.abs(dpred - np.concatenate([d for _, d in singles])).max() < 1e-12
 
     def test_validation_errors(self):
-        good = np.full(4, 0.25)
+        good = np.full((1, 4), 0.25)
         with pytest.raises(heads.ValidationError):
-            heads.label_loss(np.array([0.5, 0.9]), np.array([0.5, 0.5]), 0.0)
+            heads.label_loss(np.array([[0.5, 0.9]]), np.array([[0.5, 0.5]]), 0.0)
         with pytest.raises(heads.ValidationError):
-            heads.label_loss(good, np.array([0.7, 0.7, -0.2, -0.2]), 0.0)
+            heads.label_loss(good, np.array([[0.7, 0.7, -0.2, -0.2]]), 0.0)
         rows = np.full((3, 4), 0.25)
         bad_row = rows.copy()
         bad_row[1] = [0.7, 0.7, -0.2, -0.2]
@@ -211,13 +211,13 @@ class TestAnchorHead:
             tokens = rng.normal(size=(4, DIM))
             targets = rng.integers(0, 2, (3, 4)).astype(float)
             cache = heads.anchor_head(queries, tokens, u)[1]
-            _, du, dq, dt = heads.anchor_loss(cache, targets)
+            _, du, dq, dt = heads.anchor_loss(cache, targets, np.ones(3, bool))
 
             def loss_of(u_=None, q_=None, t_=None):
                 c = heads.anchor_head(q_ if q_ is not None else queries,
                                       t_ if t_ is not None else tokens,
                                       u_ if u_ is not None else u)[1]
-                return heads.anchor_loss(c, targets)[0]
+                return heads.anchor_loss(c, targets, np.ones(3, bool))[0]
 
             assert relative_error(du, finite_difference(
                 lambda x: loss_of(u_=x), u)) < TOLERANCE
@@ -288,7 +288,8 @@ class TestEdgeHeads:
             def loss_of(u_, s_):
                 logits, cache = heads.biaffine_forward(s_, s_, u_)
                 if head == "presence":
-                    return heads.edge_presence_loss(logits, cache, presence)
+                    return heads.edge_presence_loss(logits, cache, presence,
+                                                    np.ones(3, bool))
                 return heads.edge_label_loss(logits, cache, edges, multilabel)
 
             _, du, dstates = loss_of(u, states)
@@ -343,7 +344,8 @@ class TestEdgeHeads:
             logits, cache = heads.biaffine_forward(states[s, :count], states[s, :count], u)
             if head == "presence":
                 alone += heads.edge_presence_loss(logits, cache,
-                                                  presence[s, :count, :count])[0]
+                                                  presence[s, :count, :count],
+                                                  np.ones(count, bool))[0]
             else:
                 alone += heads.edge_label_loss(
                     logits, cache, [e[1:] for e in edges if e[0] == s], multilabel)[0]
@@ -363,13 +365,16 @@ class TestPropertyHead:
             b = float(rng.normal())
             states = rng.normal(size=(4, DIM))
             targets = rng.integers(0, 2, 4).astype(float)
-            _, dw, db, dstates = heads.property_loss(states, w, b, targets)
+            mask = np.ones(4, bool)
+            _, dw, db, dstates = heads.property_loss(states, w, b, targets, mask)
             assert relative_error(dw, finite_difference(
-                lambda x: heads.property_loss(states, x, b, targets)[0], w)) < TOLERANCE
+                lambda x: heads.property_loss(states, x, b, targets, mask)[0],
+                w)) < TOLERANCE
             assert relative_error(dstates, finite_difference(
-                lambda x: heads.property_loss(x, w, b, targets)[0], states)) < TOLERANCE
+                lambda x: heads.property_loss(x, w, b, targets, mask)[0],
+                states)) < TOLERANCE
             numeric_b = finite_difference(
-                lambda x: heads.property_loss(states, w, float(x), targets)[0],
+                lambda x: heads.property_loss(states, w, float(x), targets, mask)[0],
                 np.array(b))
             assert relative_error(np.array(db), numeric_b) < TOLERANCE
 
@@ -381,11 +386,12 @@ class TestTopHead:
             w = rng.normal(size=DIM)
             states = rng.normal(size=(4, DIM))
             gold = int(rng.integers(4))
-            _, dw, dstates = heads.top_loss(states, w, gold)
+            mask = np.ones(4, bool)
+            _, dw, dstates = heads.top_loss(states, w, gold, mask)
             assert relative_error(dw, finite_difference(
-                lambda x: heads.top_loss(states, x, gold)[0], w)) < TOLERANCE
+                lambda x: heads.top_loss(states, x, gold, mask)[0], w)) < TOLERANCE
             assert relative_error(dstates, finite_difference(
-                lambda x: heads.top_loss(x, w, gold)[0], states)) < TOLERANCE
+                lambda x: heads.top_loss(x, w, gold, mask)[0], states)) < TOLERANCE
 
     def test_group_gradients_with_padding(self):
         # two sentences of 4 and 2 nodes: each softmax runs over its own nodes
@@ -395,7 +401,8 @@ class TestTopHead:
         states = rng.normal(size=(2, 4, DIM))
         gold = np.array([3, 1])
         loss, dw, dstates = heads.top_loss(states, w, gold, mask)
-        alone = heads.top_loss(states[0], w, 3)[0] + heads.top_loss(states[1, :2], w, 1)[0]
+        alone = (heads.top_loss(states[0], w, 3, np.ones(4, bool))[0]
+                 + heads.top_loss(states[1, :2], w, 1, np.ones(2, bool))[0])
         assert loss == pytest.approx(alone, rel=1e-12)
         assert np.abs(dstates[~mask]).max() == 0.0
         assert relative_error(dw, finite_difference(

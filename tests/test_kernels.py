@@ -24,6 +24,8 @@ def test_rejects_non_finite():
 
 def test_empty_matrix():
     assert kernels.max_score_assignment(-np.zeros((0, 0))).size == 0
+    empty = kernels.max_score_assignment(np.zeros((0, 3)))
+    assert empty.shape == (0,) and empty.dtype == np.int64
 
 
 def test_negative_costs_supported():

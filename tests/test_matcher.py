@@ -176,6 +176,12 @@ def _queries(label_probs, anchor_probs, source):
             np.asarray(source))
 
 
+def _flat_edge_loss(queries):
+    """An edge loss equal on every candidate: break_ties keeps the first
+    optimum."""
+    return 0.0
+
+
 def _targets(label_targets, anchor_sets, num_tokens):
     """The target arguments: stacked label rows, and each target's anchor
     token set as a row of anchored."""
@@ -190,7 +196,7 @@ class TestAlignTargets:
         queries = _queries([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.4, 0.4, 0.2]],
                            np.full((3, 2), 0.5), [0, 0, 1])
         targets = _targets([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [{0}, {0}], 2)
-        assignment = align_targets(*queries, *targets)
+        assignment = align_targets(*queries, *targets, edge_loglik=_flat_edge_loss)
         # two distinct queries of three: one is a null node
         assert len(set(assignment.queries)) == 2
         assert set(assignment.queries) <= {0, 1, 2}
@@ -202,7 +208,7 @@ class TestAlignTargets:
         problem = build_problem(*queries, *targets)
         assert problem.label_score.shape == problem.anchor_score.shape == (3, 0)
         assert problem.num_real_targets == 0
-        assignment = align_targets(*queries, *targets, edge_loglik=lambda queries: 0.0)
+        assignment = align_targets(*queries, *targets, edge_loglik=_flat_edge_loss)
         assert assignment.queries == ()
         assert assignment.score == 0.0
 
@@ -210,7 +216,7 @@ class TestAlignTargets:
         queries = _queries([[1.0, 0.0]], np.full((1, 1), 0.5), [0])
         targets = _targets([[1.0, 0.0]] * 2, [{0}, {0}], 1)
         with pytest.raises(CapacityError):
-            align_targets(*queries, *targets)
+            align_targets(*queries, *targets, edge_loglik=_flat_edge_loss)
 
     def test_two_queries_per_token_figure_scenario(self):
         # 3 tokens x 2 queries, 4 real nodes: exactly 2 queries become null
@@ -221,7 +227,7 @@ class TestAlignTargets:
         queries = _queries(label_probs, anchor_probs, [0, 0, 1, 1, 2, 2])
         targets = _targets(np.eye(num_classes)[[j % num_classes for j in range(4)]],
                            [{j % num_tokens} for j in range(4)], num_tokens)
-        assignment = align_targets(*queries, *targets)
+        assignment = align_targets(*queries, *targets, edge_loglik=_flat_edge_loss)
         assert len(set(assignment.queries)) == 4
 
     def test_mask_routes_target_to_anchored_token(self):
@@ -232,7 +238,8 @@ class TestAlignTargets:
         queries = _queries(label_probs, anchor_probs, [0, 0, 1, 1])
         label_targets, anchored = _targets([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
                                            [{0}, {1}], 2)
-        assignment = align_targets(*queries, label_targets, anchored)
+        assignment = align_targets(*queries, label_targets, anchored,
+                                   edge_loglik=_flat_edge_loss)
         for target, query in enumerate(assignment.queries):
             assert anchored[target, queries[2][query]]
 
@@ -247,10 +254,12 @@ class TestAlignTargets:
             dists.append(rng.dirichlet(np.ones(num_classes)))
             anchor_sets.append({int(rng.integers(num_tokens))})
         label_targets, anchored = _targets(dists, anchor_sets, num_tokens)
-        base = align_targets(*queries, label_targets, anchored)
+        base = align_targets(*queries, label_targets, anchored,
+                             edge_loglik=_flat_edge_loss)
         base_pairs = {(q, t) for t, q in enumerate(base.queries)}
         order = [2, 0, 3, 1]
-        moved = align_targets(*queries, label_targets[order], anchored[order])
+        moved = align_targets(*queries, label_targets[order], anchored[order],
+                              edge_loglik=_flat_edge_loss)
         moved_pairs = {(q, order[t]) for t, q in enumerate(moved.queries)}
         assert moved_pairs == base_pairs
         assert moved.score == pytest.approx(base.score, abs=1e-12)
@@ -273,7 +282,7 @@ def test_mask_soundness_property(seed):
     label_targets, anchored = _targets(np.eye(num_targets + 1)[:num_targets],
                                        [{j} for j in range(num_targets)], num_tokens)
     assignment = align_targets(*_queries(label_probs, anchor_probs, source),
-                               label_targets, anchored)
+                               label_targets, anchored, edge_loglik=_flat_edge_loss)
     for target, query in enumerate(assignment.queries):
         assert anchored[target, source[query]]
 

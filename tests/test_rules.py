@@ -15,6 +15,11 @@ from oracles import (enumerate_rules_oracle, reference_anchor_flavor2_corpus,
                      reference_rule_problem)
 
 
+def _names(items):
+    """A name for each item, as build_problem requires."""
+    return [f"n{k}" for k in range(len(items))]
+
+
 class TestApplyRule:
     def test_multiword_affix_rule(self):
         rule = TokenRule(0, 1, "+", 0, 0, "_", "_a_1")
@@ -301,10 +306,15 @@ class TestDecode:
         probs = np.array([0.1, 0.2, 0.1, 0.6])
         assert decode_label(probs, ["diving"], ["diving"], self.table) is None
 
-    def test_no_absolute_fallback_raises(self):
+    def test_no_applicable_rule_returns_none(self):
+        # a table without an absolute rule cannot always realize a label:
+        # the query decodes as a null
         table = (TokenRule(0, 0, "", 0, 3, "", "e"),)
+        assert decode_label(np.array([0.9, 0.1]), ["ab"], ["ab"], table) is None
+
+    def test_probability_count_mismatch_raises(self):
         with pytest.raises(DecodeError):
-            decode_label(np.array([0.9, 0.1]), ["ab"], ["ab"], table)
+            decode_label(np.array([0.9, 0.1]), ["ab"], ["ab"], self.table)
 
     def test_all_inapplicable_uses_best_absolute(self):
         table = (NumberRule(), AbsoluteRule("low"), AbsoluteRule("high"))
@@ -318,7 +328,7 @@ class TestMinimalRuleSet:
                  (["taking"], ["taking"], "take"),
                  (["xyz"], ["xyz"], "person"),
                  (["abc"], ["abc"], "person")]
-        problem = build_problem(items)
+        problem = build_problem(items, names=_names(items))
         solution = rules.minimal_rule_set(problem)
         labels = {label for _, _, label in items}
         assert len(solution) <= len(labels)
@@ -326,7 +336,7 @@ class TestMinimalRuleSet:
 
     def test_cache_round_trip(self, tmp_path):
         items = [(["diving"], ["diving"], "dive")]
-        problem = build_problem(items)
+        problem = build_problem(items, names=_names(items))
         first = rules.minimal_rule_set(problem, cache_dir=str(tmp_path))
         second = rules.minimal_rule_set(problem, cache_dir=str(tmp_path))
         assert first == second
@@ -365,7 +375,7 @@ class TestMinimalRuleSet:
                  (["cats"], ["cat"], "_cat_n"),
                  (["forty", "two"], ["forty", "two"], "42"),
                  (["bob"], ["bob"], "person")]
-        problem = build_problem(items)
+        problem = build_problem(items, names=_names(items))
         solution = rules.minimal_rule_set(problem)
         table = [problem.universe[i] for i in solution]
         for tokens, lemmas, label in items:
@@ -396,19 +406,19 @@ def _assert_same_problem(got, expected):
 class TestBuildProblem:
     @settings(max_examples=40, deadline=None)
     @given(pool=_ITEM_POOL, picks=st.lists(st.integers(0, 3), max_size=10),
-           bounds=_BOUNDS, named=st.booleans())
-    def test_matches_per_item_reference(self, pool, picks, bounds, named):
+           bounds=_BOUNDS)
+    def test_matches_per_item_reference(self, pool, picks, bounds):
         # items drawn with repetition from a small pool; lists and tuples mix
         items = [pool[k % len(pool)] for k in picks]
         items = [(tuple(f), l, label) if k % 2 else (f, l, label)
                  for k, (f, l, label) in enumerate(items)]
-        names = [f"n{k}" for k in range(len(items))] if named else None
-        _assert_same_problem(build_problem(items, bounds, names),
-                             reference_rule_problem(items, bounds, names))
+        _assert_same_problem(build_problem(items, bounds, names=_names(items)),
+                             reference_rule_problem(items, bounds, names=_names(items)))
 
     def test_empty_corpus(self):
-        _assert_same_problem(build_problem([]), reference_rule_problem([]))
-        assert build_problem([]).universe == ()
+        _assert_same_problem(build_problem([], names=[]),
+                             reference_rule_problem([], names=[]))
+        assert build_problem([], names=[]).universe == ()
 
     def test_one_enumeration_per_distinct_item(self, monkeypatch):
         items = [(["diving"], ["diving"], "dive"), (("diving",), ("diving",), "dive"),
@@ -422,14 +432,17 @@ class TestBuildProblem:
             return original(*args)
 
         monkeypatch.setattr(rules, "enumerate_applicable_rules", counted)
-        assert build_problem(items) == reference_rule_problem(items)
+        assert (build_problem(items, names=_names(items))
+                == reference_rule_problem(items, names=_names(items)))
         assert len(calls) == len(set(calls)) == 3
         # a second call enumerates again under its own bounds: the memo is call-local
         narrow = RuleSpaceBounds(max_token_drop=0, max_char_strip=1,
                                  separators=("",), max_affix_len=1)
-        assert build_problem(items, narrow) == reference_rule_problem(items, narrow)
+        assert (build_problem(items, narrow, names=_names(items))
+                == reference_rule_problem(items, narrow, names=_names(items)))
         assert len(calls) == 6
-        assert reference_rule_problem(items, narrow) != reference_rule_problem(items)
+        assert (reference_rule_problem(items, narrow, names=_names(items))
+                != reference_rule_problem(items, names=_names(items)))
 
 
 def assert_matches_all_separator_reference(graphs, bounds=RuleSpaceBounds()):

@@ -251,7 +251,7 @@ def test_reinvert_alias_restored():
     g = Graph(id="g", framework="amr", flavor=2, input="x",
               nodes=(Node(0, "duo", is_top=True), Node(1, "comedy")),
               edges=(Edge(1, 0, "domain"),))
-    out = reinvert_edges_for_top(g)
+    out = reinvert_edges_for_top(g, invertible_labels={"domain"})
     assert out.edges == (Edge(0, 1, "mod"),)
 
 
@@ -279,7 +279,8 @@ _UNCHANGED = Graph(id="g", framework="eds", flavor=1, input="ab cd",
     lambda g: nodeify_properties(g)[0],
     lambda g: normalize_inverted_edges(g)[0],
     eds_merge_anchors,
-    reinvert_edges_for_top,
+    # every label of the graph eligible
+    lambda g: reinvert_edges_for_top(g, invertible_labels={"ARG1", "flag"}),
     lambda g: fold_property_nodes(g, {0}),
 ], ids=["nodeify", "deinvert", "eds_merge", "reinvert", "fold"])
 def test_nothing_to_change_returns_the_input(transform):
