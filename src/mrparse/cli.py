@@ -14,7 +14,6 @@ import dataclasses
 import functools
 import itertools
 import json
-import os
 import sys
 
 import numpy as np
@@ -128,8 +127,7 @@ def cmd_preprocess(args) -> int:
     try:
         processed = [transform.preprocess(args.framework, g, config)[0] for g in graphs]
         if args.framework == "amr":
-            processed, _, _ = rules.anchor_flavor2_corpus(processed,
-                                                          cache_dir=args.cache_dir)
+            processed, _, _ = rules.anchor_flavor2_corpus(processed)
     except transform.TransformError as exc:
         _fail("data", str(exc), EXIT_DATA)
     except rules.InfeasibleEncodingError as exc:
@@ -153,7 +151,7 @@ def cmd_rules_infer(args) -> int:
     items, names = _corpus_items(graphs, args.framework, config)
     problem = rules.build_problem(items, names=names)
     try:
-        solution = rules.minimal_rule_set(problem, cache_dir=args.cache_dir)
+        solution = rules.minimal_rule_set(problem)
     except rules.InfeasibleEncodingError as exc:
         _fail("infeasible", str(exc), EXIT_INFEASIBLE)
     table = [problem.universe[i] for i in solution]
@@ -237,13 +235,17 @@ def cmd_train_toy(args) -> int:
         def emit(record):
             print(json.dumps(record, sort_keys=True), file=out, flush=True)
 
+        # overflow raises, as in predict: a diverging run fails with one error
+        # line instead of warnings and a checkpoint that predict rejects
         try:
-            trained, _ = trainer.train(config, graphs=graphs, on_epoch=emit,
-                                       cache_dir=args.cache_dir)
+            with np.errstate(over="raise", invalid="raise"):
+                trained, _ = trainer.train(config, graphs=graphs, on_epoch=emit)
         except rules.InfeasibleEncodingError as exc:
             _fail("infeasible", str(exc), EXIT_INFEASIBLE)
         except (trainer.TrainError, matcher.MatchError) as exc:
             _fail("data", str(exc), EXIT_DATA)
+        except (heads.HeadError, FloatingPointError) as exc:
+            _fail("data", f"training diverged ({exc})", EXIT_DATA)
     if args.checkpoint:
         trained.save(args.checkpoint)
     if args.rule_table:
@@ -311,16 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", default=None, help="framework config path")
         if "rule_table" in options:
             p.add_argument("--rule-table", dest="rule_table", default=None)
-        if "cache_dir" in options:
-            p.add_argument("--cache-dir", dest="cache_dir", default=None,
-                           help="rule-set cache (default: MRPARSE_CACHE_DIR)")
         return p
 
     common(sub.add_parser("validate", help="check graphs against the schema"))
     common(sub.add_parser("preprocess", help="framework canonicalization"),
-           "cache_dir", framework=True)
+           framework=True)
     common(sub.add_parser("rules-infer", help="solve the minimal rule set"),
-           "rule_table", "cache_dir", framework=True)
+           "rule_table", framework=True)
     common(sub.add_parser("rules-apply", help="encode nodes with a rule table"),
            "rule_table", framework=True)
     common(sub.add_parser("rules-stats", help="label/rule counts"),
@@ -334,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     train_p.add_argument("--config", default=None)
     train_p.add_argument("--seed", type=int, default=None)
     train_p.add_argument("--rule-table", dest="rule_table", default=None)
-    train_p.add_argument("--cache-dir", dest="cache_dir", default=None)
     train_p.add_argument("--checkpoint", default=None)
 
     predict_p = sub.add_parser("predict", help="parse plain-text sentences")
@@ -365,10 +363,6 @@ def run(argv) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if "cache_dir" in vars(args):
-        # an empty directory, from the flag or the environment, means no cache
-        flag = args.cache_dir
-        args.cache_dir = (os.environ.get("MRPARSE_CACHE_DIR") if flag is None else flag) or None
     try:
         return _COMMANDS[args.command](args)
     except CliError as exc:

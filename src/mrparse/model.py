@@ -173,30 +173,26 @@ def block_backward(params: dict, prefix: str, cache, dy: np.ndarray, grads: dict
     any leading sentence axes; parameter grads, summed over those axes,
     accumulate into grads."""
     c_ln1, c_self, c_ln2, c_cross, c_ln3, ln3, hidden, has_cross = cache
-    dh = dy.copy()
-    dffn_out = dy
-    for key, grad in ffn_out_grads(prefix, cache, dffn_out).items():
+    for key, grad in ffn_out_grads(prefix, cache, dy).items():
         add_grad(grads, key, grad)
-    dhidden = dffn_out @ params[f"{prefix}.ffn.w2"].T
+    dhidden = dy @ params[f"{prefix}.ffn.w2"].T
     dpre = (1.0 - hidden * hidden) * dhidden
     _add_affine_grads(grads, f"{prefix}.ffn.w1", f"{prefix}.ffn.b1", ln3, dpre)
     dln3 = dpre @ params[f"{prefix}.ffn.w1"].T
     dx3, dgain, dbias = layer_norm_backward(c_ln3, dln3)
     add_grad(grads, f"{prefix}.ln3.gain", dgain)
     add_grad(grads, f"{prefix}.ln3.bias", dbias)
-    dh = dh + dx3
+    dh = dy + dx3
 
     dmemory = None
     if has_cross:
-        dcross_out = dh
-        dln2, dmemory = attention_backward(params, c_cross, dcross_out, grads)
+        dln2, dmemory = attention_backward(params, c_cross, dh, grads)
         dx2, dgain, dbias = layer_norm_backward(c_ln2, dln2)
         add_grad(grads, f"{prefix}.ln2.gain", dgain)
         add_grad(grads, f"{prefix}.ln2.bias", dbias)
         dh = dh + dx2
 
-    dself_out = dh
-    dln1_q, dln1_kv = attention_backward(params, c_self, dself_out, grads)
+    dln1_q, dln1_kv = attention_backward(params, c_self, dh, grads)
     dln1 = dln1_q + dln1_kv
     dx1, dgain, dbias = layer_norm_backward(c_ln1, dln1)
     add_grad(grads, f"{prefix}.ln1.gain", dgain)

@@ -14,9 +14,7 @@ applicable-rule set.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -270,58 +268,17 @@ def build_problem(items: Sequence[tuple[Sequence[str], Sequence[str], str]],
                           node_names=tuple(names))
 
 
-def _problem_digest(problem: RuleSetProblem) -> str:
-    payload = json.dumps([[rule_to_line(r) for r in problem.universe],
-                          [sorted(s) for s in problem.per_node]],
-                         ensure_ascii=False)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _cached_solution(path: str, problem: RuleSetProblem) -> tuple[int, ...] | None:
-    """The entry at path if it is strictly increasing in-range rule indices
-    hitting every node's applicable set, else None."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            cached = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    if not isinstance(cached, list) or any(type(i) is not int for i in cached):
-        return None
-    solution = tuple(cached)
-    bounded = zip((-1,) + solution, solution + (len(problem.universe),))
-    if all(a < b for a, b in bounded) and not any(
-            subset.isdisjoint(solution) for subset in set(problem.per_node)):
-        return solution
-    return None
-
-
-def minimal_rule_set(problem: RuleSetProblem,
-                     cache_dir: str | None = None) -> tuple[int, ...]:
+def minimal_rule_set(problem: RuleSetProblem) -> tuple[int, ...]:
     """Exact minimum rule subset hitting every node's applicable set.
 
     Deterministic: ties between minimum-cardinality solutions break to the
-    lexicographically smallest index set.  Solutions are cached per problem
-    content hash when cache_dir is given; an unreadable cache entry, or one
-    that is not a hitting set of this problem, is solved again and replaced.
+    lexicographically smallest index set.
     """
-    cache_path = None
-    if cache_dir is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        cache_path = os.path.join(cache_dir, _problem_digest(problem) + ".json")
-        cached = _cached_solution(cache_path, problem)
-        if cached is not None:
-            return cached
     try:
-        solution = hitting.minimal_hitting_set(problem.per_node, len(problem.universe))
+        return hitting.minimal_hitting_set(problem.per_node, len(problem.universe))
     except hitting.InfeasibleError as exc:
         name = problem.node_names[exc.constraint_index]
         raise InfeasibleEncodingError(f"{name} has no applicable rules") from None
-    if cache_path is not None:
-        tmp = cache_path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(list(solution), handle)
-        os.replace(tmp, cache_path)
-    return solution
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +403,6 @@ def assign_artificial_anchors(candidate_rule_sets: Sequence[Sequence[frozenset[i
 
 def anchor_flavor2_corpus(graphs: Sequence[Graph],
                           bounds: RuleSpaceBounds = RuleSpaceBounds(),
-                          cache_dir: str | None = None,
                           ) -> tuple[list[Graph], RuleSetProblem, tuple[int, ...]]:
     """Create one-to-one artificial anchors for unanchored graphs.
 
@@ -462,7 +418,7 @@ def anchor_flavor2_corpus(graphs: Sequence[Graph],
     smallest-separator variant (the fourth tuple field).  The lexicographically
     smallest minimum hitting set takes only class minima (see hitting), which
     dropping the other variants keeps in order, so the chosen rules and
-    anchors are unchanged; the universe, its indices and cache keys shrink.
+    anchors are unchanged; the universe and its indices shrink.
     """
     entries = []  # (graph idx, node idx, per-candidate (form, lemma, label) keys)
     per_graph_tokens = []
@@ -495,7 +451,7 @@ def anchor_flavor2_corpus(graphs: Sequence[Graph],
 
     problem = RuleSetProblem(universe=tuple(universe), per_node=tuple(per_node),
                              node_names=tuple(names))
-    solution = minimal_rule_set(problem, cache_dir=cache_dir)
+    solution = minimal_rule_set(problem)
     kept = assign_artificial_anchors(candidate_indices, solution)
 
     anchored: dict[int, list] = {}  # graph idx -> its nodes, anchored ones replaced

@@ -241,14 +241,11 @@ def preprocess_gold(g: Graph) -> tuple[Graph, transform.TransformTrace]:
                                          deinverted=inv.deinverted)
 
 
-def compile_rule_table(pre_graphs: Sequence[Graph], cache_dir: str | None = None,
-                       ) -> tuple[tuple[rules.Rule, ...], rules.RuleSetProblem]:
+def compile_rule_table(pre_graphs: Sequence[Graph]) -> tuple[rules.Rule, ...]:
     """Solve the minimal encoding rule set over preprocessed gold graphs."""
     items, names = rules.label_items(pre_graphs)
     problem = rules.build_problem(items, names=names)
-    solution = rules.minimal_rule_set(problem, cache_dir=cache_dir)
-    table = tuple(problem.universe[i] for i in solution)
-    return table, problem
+    return tuple(problem.universe[i] for i in rules.minimal_rule_set(problem))
 
 
 def build_vocab(graphs: Sequence[Graph]) -> dict[str, int]:
@@ -705,9 +702,9 @@ def split_corpus(graphs: Sequence[Graph], eval_fraction: float,
     return list(graphs[:-held_out]), list(graphs[-held_out:])
 
 
-def prepare(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
-            cache_dir: str | None = None):
-    """Corpus, vocabulary, rule table and examples for a training run."""
+def prepare(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None):
+    """Vocabulary, rule table and examples for a training run; returns
+    (meta, training examples, held-out graphs)."""
     if graphs is None:
         graphs = synth_corpus(config.seed, config.corpus_size)
     train_graphs, eval_graphs = split_corpus(graphs, config.eval_fraction)
@@ -715,7 +712,7 @@ def prepare(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
         raise TrainError(f"eval_fraction {config.eval_fraction} holds out every graph "
                          f"of a {len(graphs)}-graph corpus, leaving none to train on")
     gold = [preprocess_gold(g) for g in train_graphs]
-    table, problem = compile_rule_table([pre for pre, _ in gold], cache_dir=cache_dir)
+    table = compile_rule_table([pre for pre, _ in gold])
     edge_labels, inverted_labels = edge_label_vocab(gold)
     meta = ModelMeta(vocab=build_vocab(train_graphs), rule_table=table,
                      edge_labels=edge_labels, config=config,
@@ -727,7 +724,7 @@ def prepare(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
         if not len(example.token_ids):
             raise TrainError(f"training graph {example.gold.id} has no tokens, so no "
                              f"queries to train on")
-    return meta, examples, train_graphs, eval_graphs, problem
+    return meta, examples, eval_graphs
 
 
 def evaluate(trained: TrainedModel, graphs: Sequence[Graph]) -> dict[str, float]:
@@ -740,9 +737,9 @@ def evaluate(trained: TrainedModel, graphs: Sequence[Graph]) -> dict[str, float]
 
 def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
           on_epoch: Optional[Callable[[dict], None]] = None,
-          cache_dir: str | None = None) -> tuple[TrainedModel, list[dict]]:
+          ) -> tuple[TrainedModel, list[dict]]:
     """Train the toy parser; returns the model and per-epoch metric records."""
-    meta, examples, _, eval_graphs, _ = prepare(config, graphs, cache_dir)
+    meta, examples, eval_graphs = prepare(config, graphs)
     rng = np.random.default_rng(config.seed)
     params = init_model(meta, rng)
     trained = TrainedModel(params=params, meta=meta)

@@ -27,13 +27,15 @@ The rule-order key spells the canonical order out field by field instead
 of comparing tuples.  The reference graph parser is
 the per-node, per-edge and per-token helper version that preceded the
 one-pass parse_graph, kept as it was.
-The brute-force hitting set, the loss bundle, the sentence total loss, the
-one-query label head loss, the per-sentence views of a group pass and the
-target-row selection and shuffle of an example serve only the tests.
+The rule-problem digest, the brute-force hitting set, the loss bundle, the
+sentence total loss, the one-query label head loss, the per-sentence views
+of a group pass and the target-row selection and shuffle of an example
+serve only the tests.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 from dataclasses import dataclass, fields, replace
@@ -53,7 +55,7 @@ from mrparse.rules import (ABSOLUTE, LEMMA, NUMBER, TOKEN, AbsoluteRule, LemmaRu
                            NumberRule, RuleSetProblem, RuleSpaceBounds, TokenRule,
                            apply_rule, assign_artificial_anchors,
                            enumerate_applicable_rules, minimal_rule_set,
-                           words_to_number)
+                           rule_to_line, words_to_number)
 
 
 def finite_difference(fn, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -253,8 +255,15 @@ def reference_rule_problem(items, bounds: RuleSpaceBounds = RuleSpaceBounds(), *
                           node_names=tuple(names))
 
 
-def reference_anchor_flavor2_corpus(graphs, bounds: RuleSpaceBounds = RuleSpaceBounds(),
-                                    cache_dir=None):
+def problem_digest(problem: RuleSetProblem) -> str:
+    """sha256 of a rule problem's universe (as table lines) and node sets."""
+    payload = json.dumps([[rule_to_line(r) for r in problem.universe],
+                          [sorted(s) for s in problem.per_node]],
+                         ensure_ascii=False)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def reference_anchor_flavor2_corpus(graphs, bounds: RuleSpaceBounds = RuleSpaceBounds()):
     """rules.anchor_flavor2_corpus with one rule enumeration per (node, token)."""
     entries = []
     all_rules = set()
@@ -292,7 +301,7 @@ def reference_anchor_flavor2_corpus(graphs, bounds: RuleSpaceBounds = RuleSpaceB
 
     problem = RuleSetProblem(universe=tuple(universe), per_node=tuple(per_node),
                              node_names=tuple(names))
-    solution = minimal_rule_set(problem, cache_dir=cache_dir)
+    solution = minimal_rule_set(problem)
     kept = assign_artificial_anchors(candidate_indices, solution)
 
     out = list(graphs)

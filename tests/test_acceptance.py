@@ -74,7 +74,7 @@ def test_criterion_02_hitting_set_oracle():
 def test_criterion_03_permutation_invariance():
     config = trainer.TrainConfig()
     graphs = corpus.synth_corpus(1, 70)
-    meta, examples, _, _, _ = trainer.prepare(config, graphs)
+    meta, examples, _ = trainer.prepare(config, graphs)
     params = trainer.init_model(meta, np.random.default_rng(123))
     rng = np.random.default_rng(321)
     checked = 0

@@ -229,51 +229,20 @@ class TestRules:
         stats = json.loads(out.strip())
         assert stats["labels"] > 0 and stats["nodes"] >= stats["labels"]
 
-    def test_cache_dir_env_key(self, tmp_path, capsys, monkeypatch):
-        # the variable is read per run, not when the parser is first built
-        infer = ["rules-infer", "--framework", "eds", "--input", fixture_path("eds.jsonl")]
-        monkeypatch.delenv("MRPARSE_CACHE_DIR", raising=False)
-        assert run_cli(infer, capsys)[0] == 0
-        cache = tmp_path / "cache"
-        monkeypatch.setenv("MRPARSE_CACHE_DIR", str(cache))
-        assert run_cli(infer, capsys)[0] == 0
-        assert list(cache.glob("*.json"))
-
-    def test_explicit_cache_dir_beats_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MRPARSE_CACHE_DIR", str(tmp_path / "env"))
-        code, _, _ = run_cli(["rules-infer", "--framework", "eds",
-                              "--input", fixture_path("eds.jsonl"),
-                              "--cache-dir", str(tmp_path / "flag")], capsys)
-        assert code == 0
-        assert list((tmp_path / "flag").glob("*.json"))
-        assert not (tmp_path / "env").exists()
-
-    def test_empty_cache_dir_flag_disables_cache(self, tmp_path, capsys, monkeypatch):
-        # as MRPARSE_CACHE_DIR="" does, and the flag beats the variable
-        monkeypatch.setenv("MRPARSE_CACHE_DIR", str(tmp_path / "env"))
-        monkeypatch.chdir(tmp_path)
-        code, _, err = run_cli(["rules-infer", "--framework", "eds",
-                                "--input", fixture_path("eds.jsonl"),
-                                "--cache-dir", ""], capsys)
-        assert (code, err) == (0, "")
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("entry", ["[1, 2", "[999999]", "[0]"])
-    def test_corrupt_cache_entry_is_solved_again(self, entry, tmp_path, capsys):
-        def infer(cache, table):
-            code, out, _ = run_cli(["rules-infer", "--framework", "eds",
-                                    "--input", fixture_path("eds.jsonl"),
-                                    "--cache-dir", str(cache),
-                                    "--rule-table", str(table)], capsys)
-            assert code == 0
+    def test_cache_dir_env_is_ignored(self, tmp_path, capsys, monkeypatch):
+        def infer(table):
+            code, out, err = run_cli(["rules-infer", "--framework", "eds",
+                                      "--input", fixture_path("eds.jsonl"),
+                                      "--rule-table", str(table)], capsys)
+            assert (code, err) == (0, "")
             return out, table.read_bytes()
 
-        cold = infer(tmp_path / "cold", tmp_path / "cold.txt")
-        (entry_path,) = (tmp_path / "cold").glob("*.json")
-        solved = entry_path.read_text()
-        entry_path.write_text(entry)
-        assert infer(tmp_path / "cold", tmp_path / "warm.txt") == cold
-        assert entry_path.read_text() == solved
+        monkeypatch.delenv("MRPARSE_CACHE_DIR", raising=False)
+        unset = infer(tmp_path / "unset.txt")
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("MRPARSE_CACHE_DIR", str(cache))
+        assert infer(tmp_path / "set.txt") == unset
+        assert not cache.exists()
 
 
 class TestMatch:
@@ -774,6 +743,21 @@ class TestTrainPredict:
         assert error == {"error": "data", "message": "5 target nodes exceed 4 queries; "
                                                      "increase the per-token query budget"}
 
+    @pytest.mark.parametrize("corpus_size", [20, 60])
+    def test_diverging_training_is_data_error(self, corpus_size, tmp_path, capsys):
+        # overflow fails the run at once: no warnings, no checkpoint
+        config = tmp_path / "toy.cfg"
+        config.write_text(f"lr_rest = 1e300\ncorpus_size = {corpus_size}\n"
+                          f"epochs = 1\ndim = 8\nffn_dim = 8\n")
+        ckpt = tmp_path / "m.ckpt"
+        code, _, err = run_cli(["train-toy", "--config", str(config),
+                                "--checkpoint", str(ckpt)], capsys)
+        assert (code, len(err.splitlines())) == (2, 1)
+        error = json.loads(err)
+        assert error["error"] == "data"
+        assert error["message"].startswith("training diverged (")
+        assert not ckpt.exists()
+
     def test_empty_training_split_is_data_error(self, tmp_path, capsys):
         # the one graph of the corpus is held out for evaluation
         config = tmp_path / "toy.cfg"
@@ -971,6 +955,9 @@ class TestUsage:
         ["validate", "--seed", "1"],
         ["match", "--jobs", "2"],
         ["rules-stats", "--framework", "eds", "--cache-dir", "cache"],
+        ["rules-infer", "--framework", "eds", "--cache-dir", "x"],
+        ["preprocess", "--framework", "eds", "--cache-dir", "x"],
+        ["train-toy", "--cache-dir", "x"],
         ["evaluate", "--gold", fixture_path("eds.jsonl"), "--rule-table", "t"],
         ["train-toy", "--jobs", "2"],
         ["preprocess", "--framework", "eds", "--jobs", "2"],

@@ -10,7 +10,8 @@ from mrparse.rules import (AbsoluteRule, DecodeError, InfeasibleEncodingError,
                            decode_label, enumerate_applicable_rules,
                            load_rule_table, rule_from_line, rule_to_line,
                            save_rule_table, words_to_number)
-from oracles import (enumerate_rules_oracle, reference_anchor_flavor2_corpus,
+from oracles import (enumerate_rules_oracle, problem_digest,
+                     reference_anchor_flavor2_corpus,
                      reference_enumerate_applicable_rules, reference_rule_key,
                      reference_rule_problem)
 
@@ -334,14 +335,6 @@ class TestMinimalRuleSet:
         assert len(solution) <= len(labels)
         assert len(solution) < len(labels)  # shared verb rule compresses
 
-    def test_cache_round_trip(self, tmp_path):
-        items = [(["diving"], ["diving"], "dive")]
-        problem = build_problem(items, names=_names(items))
-        first = rules.minimal_rule_set(problem, cache_dir=str(tmp_path))
-        second = rules.minimal_rule_set(problem, cache_dir=str(tmp_path))
-        assert first == second
-        assert list(tmp_path.glob("*.json"))
-
     def test_infeasible_names_node(self):
         problem = rules.RuleSetProblem(universe=(AbsoluteRule("x"),),
                                        per_node=(frozenset(),),
@@ -350,25 +343,31 @@ class TestMinimalRuleSet:
             rules.minimal_rule_set(problem)
         assert "graph g9 node 3" in str(err.value)
 
-    def test_infeasible_with_cache_names_first_empty_node_and_caches_nothing(self, tmp_path):
+    def test_infeasible_names_first_empty_node(self):
         problem = rules.RuleSetProblem(universe=(AbsoluteRule("x"),),
                                        per_node=(frozenset({0}), frozenset(), frozenset()),
                                        node_names=("graph g1 node 0", "graph g1 node 1",
                                                    "graph g2 node 0"))
         with pytest.raises(InfeasibleEncodingError) as err:
-            rules.minimal_rule_set(problem, cache_dir=str(tmp_path))
+            rules.minimal_rule_set(problem)
         assert str(err.value) == "graph g1 node 1 has no applicable rules"
-        assert not list(tmp_path.iterdir())
 
     def test_seed1_solution_pinned(self):
         # recorded with the element-mask solver (tests/oracles.py reference)
-        from mrparse import trainer
-        problem = trainer.prepare(trainer.TrainConfig(seed=1, corpus_size=500))[-1]
+        from mrparse import corpus, trainer
+        config = trainer.TrainConfig(seed=1, corpus_size=500)
+        train_graphs, _ = trainer.split_corpus(
+            corpus.synth_corpus(config.seed, config.corpus_size), config.eval_fraction)
+        items, names = rules.label_items(
+            [trainer.preprocess_gold(g)[0] for g in train_graphs])
+        problem = build_problem(items, names=names)
         assert (len(problem.per_node), len(problem.universe)) == (1439, 4547)
-        assert rules._problem_digest(problem) == (
+        assert problem_digest(problem) == (
             "fc6a1be680f18b0fc336294cf7a58becdd1a349d1ac777087aa56e2a3ceb926d")
-        assert rules.minimal_rule_set(problem) == (
-            0, 1, 2, 44, 45, 4450, 4532, 4533, 4534)
+        solution = rules.minimal_rule_set(problem)
+        assert solution == (0, 1, 2, 44, 45, 4450, 4532, 4533, 4534)
+        meta = trainer.prepare(config)[0]
+        assert meta.rule_table == tuple(problem.universe[i] for i in solution)
 
     def test_encode_decode_consistency(self):
         items = [(["diving"], ["diving"], "dive"),
@@ -400,7 +399,7 @@ def _assert_same_problem(got, expected):
     assert got.universe == expected.universe
     assert got.per_node == expected.per_node
     assert got.node_names == expected.node_names
-    assert rules._problem_digest(got) == rules._problem_digest(expected)
+    assert problem_digest(got) == problem_digest(expected)
 
 
 class TestBuildProblem:

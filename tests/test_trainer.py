@@ -68,7 +68,7 @@ class TestCorpus:
     def test_size_500_vocabulary_and_compression(self):
         graphs = corpus.synth_corpus(1, 500)
         pre_graphs = [trainer.preprocess_gold(g)[0] for g in graphs]
-        table, problem = trainer.compile_rule_table(pre_graphs)
+        table = trainer.compile_rule_table(pre_graphs)
         labels = {n.label for pre in pre_graphs for n in pre.nodes if n.label is not None}
         assert len(labels) > 50
         assert len(table) < len(labels) / 5
@@ -117,7 +117,7 @@ def oversized_tie_graphs():
 def tiny_setup():
     config = tiny_config()
     graphs = corpus.synth_corpus(2, config.corpus_size)
-    meta, examples, train_g, eval_g, _ = trainer.prepare(config, graphs)
+    meta, examples, _ = trainer.prepare(config, graphs)
     rng = np.random.default_rng(0)
     params = trainer.init_model(meta, rng)
     return config, meta, examples, params
@@ -248,7 +248,7 @@ class TestSentencePass:
         # backward_sentence, against central differences of sum_t w_t loss_t
         # over the fixed assignment, on the evaluation forward of a group of one
         config = tiny_config(dim=8, ffn_dim=12)
-        meta, examples, _, _, _ = trainer.prepare(
+        meta, examples, _ = trainer.prepare(
             config, corpus.synth_corpus(2, config.corpus_size))
         params = trainer.init_model(meta, np.random.default_rng(0))
         example = next(e for e in examples if e.top_index is not None)
@@ -259,7 +259,7 @@ class TestSentencePass:
         # the same check on a group, so the sentence axis of the group losses
         # is held to numbers, not only to the per-sentence reference
         config = tiny_config(dim=8, ffn_dim=12)
-        meta, examples, _, _, _ = trainer.prepare(
+        meta, examples, _ = trainer.prepare(
             config, corpus.synth_corpus(2, config.corpus_size))
         params = trainer.init_model(meta, np.random.default_rng(0))
         lengths = [len(e.token_ids) for e in examples]
@@ -274,7 +274,7 @@ class TestSentencePass:
         # the weighted sum of per-task decoder backwards up to rounding, and
         # the balance sums are each task's own last-layer grads
         config = tiny_config()
-        meta, examples, _, _, _ = trainer.prepare(
+        meta, examples, _ = trainer.prepare(
             config, corpus.synth_corpus(2, config.corpus_size))
         params = trainer.init_model(meta, np.random.default_rng(0))
         tasks = trainer.TASKS
@@ -354,7 +354,7 @@ class TestGroupForward:
         # one backward over a group pass against the backward that preceded
         # it, run on each sentence's view and summed in group order
         config = tiny_config()
-        meta, examples, _, _, _ = trainer.prepare(
+        meta, examples, _ = trainer.prepare(
             config, corpus.synth_corpus(2, config.corpus_size))
         params = trainer.init_model(meta, np.random.default_rng(0))
         tasks = trainer.TASKS
@@ -407,7 +407,7 @@ class TestGroupForward:
         # preceded it, run on each sentence's view and summed in group order;
         # the reference smooths each query's label target on its own
         config = tiny_config(edge_multilabel=multilabel, label_smoothing=smoothing)
-        meta, examples, _, _, _ = trainer.prepare(
+        meta, examples, _ = trainer.prepare(
             config, corpus.synth_corpus(2, config.corpus_size))
         params = trainer.init_model(meta, np.random.default_rng(0))
         rng = np.random.default_rng(53 + multilabel)
