@@ -3,10 +3,14 @@
 The solver is the shortest-augmenting-path algorithm with row/column
 potentials (Kuhn-Munkres family), with the inner column scan vectorized in
 numpy.  It takes any matrix with rows <= columns and assigns every row a
-distinct column: one augmentation per row, each scanning all columns, so k
-rows over n columns cost O(k^2 n) work (O(n^3) for a square matrix).  A
-k x n rectangle is the square problem padded with n - k rows of zeros, solved
-without the padding (Crouse 2016, "On implementing 2D rectangular assignment
+distinct column.  It starts from the row reduction of Jonker and Volgenant
+(Computing 38, 1987): each row's potential is its minimum cost, and a row
+whose cheapest column no earlier row took is assigned that column.  Only the
+rows left over run an augmentation, each scanning all columns, so k rows over
+n columns cost O(k^2 n) work in the worst case (O(n^3) for a square matrix)
+and far less when most rows' cheapest columns differ.  A k x n rectangle is
+the square problem padded with n - k rows of zeros, solved without the
+padding (Crouse 2016, "On implementing 2D rectangular assignment
 algorithms", IEEE TAES).
 """
 
@@ -21,14 +25,29 @@ HAS_NUMBA = False
 def _assignment_numpy(cost):
     """Shortest-augmenting-path assignment of n rows to m >= n columns.
 
-    Column m is the virtual start column of each augmentation.
+    The row-reduced start sets u to the row minima, which keeps every reduced
+    cost non-negative and v at 0 on the free columns, and gives each row, in
+    order, its first cheapest column while that column is free; the rows left
+    over are augmented one at a time.  Column m is the virtual start column
+    of each augmentation.  When several assignments are optimal (tied
+    scores), the start can reach a different one of them than augmenting
+    every row would; untied matrices have one optimum, and it is reached.
     """
     n, m = cost.shape
-    u = np.zeros(n)
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    best = cost.argmin(axis=1)
+    u = cost[np.arange(n), best]
     v = np.zeros(m + 1)
     col_row = np.full(m + 1, -1, dtype=np.int64)
     way = np.zeros(m + 1, dtype=np.int64)
-    for i in range(n):
+    left = []
+    for i, j in enumerate(best.tolist()):
+        if col_row[j] == -1:
+            col_row[j] = i
+        else:
+            left.append(i)
+    for i in left:
         col_row[m] = i
         j0 = m
         minv = np.full(m + 1, np.inf)

@@ -711,6 +711,10 @@ def prepare(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None):
     if not train_graphs:
         raise TrainError(f"eval_fraction {config.eval_fraction} holds out every graph "
                          f"of a {len(graphs)}-graph corpus, leaving none to train on")
+    other = next((g for g in graphs if g.framework != "eds"), None)
+    if other is not None:
+        raise TrainError(f"graph {other.id} is {other.framework}; training takes eds "
+                         f"graphs only")
     gold = [preprocess_gold(g) for g in train_graphs]
     table = compile_rule_table([pre for pre, _ in gold])
     edge_labels, inverted_labels = edge_label_vocab(gold)

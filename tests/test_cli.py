@@ -794,6 +794,38 @@ class TestTrainPredict:
                                    "has no tokens, so no queries to train on"}
         assert out_path.read_text() == ""
 
+    @pytest.mark.parametrize("framework", ["amr", "drg", "ptg", "ucca"])
+    def test_non_eds_corpus_is_data_error(self, framework, tmp_path, capsys):
+        # training runs the eds pipeline and writes eds graphs, so a graph of
+        # any other framework is refused before anything is trained
+        with open(fixture_path(f"{framework}.jsonl")) as handle:
+            line = handle.readline()
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(line * 2)
+        config = tmp_path / "toy.cfg"
+        config.write_text("dim = 16\nffn_dim = 24\nepochs = 1\n")
+        ckpt = tmp_path / "m.ckpt"
+        code, out, err = run_cli(["train-toy", "--input", str(corpus), "--config",
+                                  str(config), "--checkpoint", str(ckpt)], capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        graph_id = json.loads(line)["id"]
+        assert json.loads(err) == {"error": "data", "message": f"graph {graph_id} is "
+                                   f"{framework}; training takes eds graphs only"}
+        assert not ckpt.exists()
+
+    def test_mixed_framework_corpus_is_data_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        with open(fixture_path("eds.jsonl")) as eds, open(fixture_path("amr.jsonl")) as amr:
+            corpus.write_text(eds.read() + amr.read())
+        config = tmp_path / "toy.cfg"
+        config.write_text("dim = 16\nffn_dim = 24\nepochs = 1\n")
+        code, out, err = run_cli(["train-toy", "--input", str(corpus), "--config",
+                                  str(config)], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "data", "message": "graph amr-fig is amr; "
+                                   "training takes eds graphs only"}
+
     def test_predict_requires_checkpoint(self, tmp_path, capsys):
         sentences = tmp_path / "s.txt"
         sentences.write_text("hello\n")

@@ -59,3 +59,28 @@ def test_rectangular_matches_brute_force():
         total = float(scores[np.arange(n), cols].sum())
         _, oracle_total = brute_force_assignment(scores)
         assert total == oracle_total
+
+
+def test_long_shape_matches_scipy():
+    # the shapes of the long-sentence match problems: up to 24 targets
+    # against 48 queries
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(31)
+    for _ in range(150):
+        n = int(rng.integers(1, 49))
+        k = int(rng.integers(1, min(24, n) + 1))
+        scores = rng.random((k, n))
+        _, cols = optimize.linear_sum_assignment(scores, maximize=True)
+        assert kernels.max_score_assignment(scores).tolist() == cols.tolist()
+
+
+def test_untied_matches_brute_force_permutation():
+    # continuous random scores have one optimum, so the columns themselves,
+    # not only their total, must be the exhaustive argmax
+    rng = np.random.default_rng(23)
+    for _ in range(120):
+        m = int(rng.integers(1, 8))
+        n = int(rng.integers(1, min(6, m) + 1))
+        scores = rng.random((n, m))
+        perm, _ = brute_force_assignment(scores)
+        assert tuple(kernels.max_score_assignment(scores).tolist()) == perm
