@@ -270,40 +270,26 @@ def edge_presence_loss(head_logits: np.ndarray, cache, targets: np.ndarray,
     return float(loss.sum()), du, dx + dy
 
 
-def edge_label_loss(head_logits: np.ndarray, cache, edges: np.ndarray,
-                    multilabel: bool = False):
+def edge_label_loss(head_logits: np.ndarray, cache, edges: np.ndarray):
     """Cross-entropy of edge labels on the gold pairs; returns (loss, du, dstates).
 
     head_logits [..., C, M, M] may carry leading sentence axes.  edges holds
     one gold edge a row: its sentence's indices on those axes, then source,
-    target and label id.  Multi-class mode takes the softmax cross-entropy
-    of each edge's label, parallel edges of a pair each counted; multi-label
-    mode gathers the labels of a pair's parallel edges into one set scored
-    by independent sigmoids.  Each sentence takes the mean over its own
-    edges (multi-class) or pairs times classes (multi-label); the loss and
-    du sum over the sentences, and dstates keeps the axes.
+    target and label id.  Each edge's label takes the softmax cross-entropy,
+    parallel edges of a pair each counted.  Each sentence takes the mean
+    over its own edges; the loss and du sum over the sentences, and dstates
+    keeps the axes.
     """
     lead = head_logits.shape[:-3]
-    num_classes, size = head_logits.shape[-3], head_logits.shape[-1]
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, len(lead) + 3)
     where, labels = edges[:, :-1], edges[:, -1]
-    if multilabel:
-        keys, pair = np.unique(np.ravel_multi_index(where.T, lead + (size, size)),
-                               return_inverse=True)
-        where = np.stack(np.unravel_index(keys, lead + (size, size)), axis=-1)
-        targets = np.zeros((len(keys), num_classes))
-        targets[pair, labels] = 1.0
     # each gold row's sentence, numbered in the order of the leading axes
     sentence = (np.ravel_multi_index(tuple(where[:, :-2].T), lead) if lead
                 else np.zeros(len(where), dtype=np.int64))
     counts = np.bincount(sentence)[sentence]
     by_pair = np.moveaxis(head_logits, -3, -1)       # (..., M, M, C)
     index = tuple(where.T)
-    if multilabel:
-        loss, dpair = bce(by_pair[index], targets)
-        loss, counts = loss.sum(axis=-1), counts * num_classes
-    else:
-        loss, dpair = nll(by_pair[index], labels)
+    loss, dpair = nll(by_pair[index], labels)
     dlogits = np.zeros(by_pair.shape)
     np.add.at(dlogits, index, dpair / counts[:, None])
     du, dx, dy = biaffine_backward(cache, np.moveaxis(dlogits, -1, -3))

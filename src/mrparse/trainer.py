@@ -31,14 +31,11 @@ UNK_TOKEN = "<unk>"
 MOS_FIELDS = tuple(f.name for f in dataclasses.fields(heads.MoSParams))
 # the held-out F1 metrics evaluate() reports, which stop_when may name
 EVAL_METRICS = ("tops", "labels", "properties", "anchors", "edges")
-_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
-             "0": False, "false": False, "no": False, "off": False}
 # the heads' tasks, in the order backward_sentence sums their weighted grads
 TASKS = ("label", "anchor", "edge_presence", "edge_label", "property", "top")
 # a scalar option's annotation -> the exact types it takes (bool is an int, but
 # not a count or a rate) and how a message names them
-_KINDS = {"bool": ((bool,), "a boolean"), "int": ((int,), "an integer"),
-          "float": ((int, float), "a number")}
+_KINDS = {"int": ((int,), "an integer"), "float": ((int, float), "a number")}
 
 
 class TrainError(Exception):
@@ -95,8 +92,6 @@ class TrainConfig:
     layer_dropout: float = 0.1
     balance_alpha: float = 1.5
     balance_lr: float = 0.025
-    balance_losses: bool = True
-    edge_multilabel: bool = False
     init_scale: float = 0.1
     stop_when: Optional[dict] = None
 
@@ -139,8 +134,8 @@ def _check_stop_when(value, shown: str, where: str = ""):
 def load_train_config(path: str) -> TrainConfig:
     """Key-value config file: one ``name = value`` per line, # comments.
 
-    Booleans are 1/0/true/false/yes/no/on/off in any case; stop_when is a JSON
-    object mapping evaluate() metric names to thresholds in [0, 1].
+    Counts are integers and rates numbers; stop_when is a JSON object
+    mapping evaluate() metric names to thresholds in [0, 1].
     """
     values = {}
     fields = {f.name: f for f in dataclasses.fields(TrainConfig)}
@@ -155,12 +150,7 @@ def load_train_config(path: str) -> TrainConfig:
             if name not in fields:
                 raise TrainError(f"{path}:{lineno}: unknown option {name!r}")
             kind = fields[name].type
-            if kind == "bool":
-                if text.lower() not in _BOOLEANS:
-                    raise TrainError(f"{path}:{lineno}: {name} must be one of "
-                                     f"{'/'.join(_BOOLEANS)}, got {text!r}")
-                values[name] = _BOOLEANS[text.lower()]
-            elif kind in ("int", "float"):
+            if kind in _KINDS:
                 try:
                     values[name] = int(text) if kind == "int" else float(text)
                 except ValueError:
@@ -272,7 +262,7 @@ def build_example(g: Graph, pre: Graph, trace: transform.TransformTrace,
         anchored[j, indices] = True
         forms = tuple(tokens[i].form for i in indices)
         lemmas = tuple(tokens[i].lemma for i in indices)
-        label = node.label or ""
+        label = node.label
         key = (forms, lemmas, label)
         if key not in applicable:
             applicable[key] = tuple(r for r, rule in enumerate(meta.rule_table)
@@ -417,7 +407,7 @@ def _cache_token_budget(params: dict, config: TrainConfig, token_ids: np.ndarray
     return moments * len(token_ids) / cache
 
 
-def match_queries(config: TrainConfig, fwd: ForwardPass, row: int, example: Example,
+def match_queries(fwd: ForwardPass, row: int, example: Example,
                   params: dict) -> matcher.Assignment:
     """Align the queries of sentence row of the group pass to its gold
     nodes, breaking ties by the edge loss: the edge-presence plus edge-label
@@ -426,7 +416,7 @@ def match_queries(config: TrainConfig, fwd: ForwardPass, row: int, example: Exam
 
     def edge_nll(queries: tuple[int, ...]) -> float:
         sel = np.array(queries, dtype=np.int64)
-        edge = _edge_losses(params, config, _group_edges([example]), hidden[sel][None],
+        edge = _edge_losses(params, _group_edges([example]), hidden[sel][None],
                             np.ones((1, len(sel)), dtype=bool))
         return edge["edge_presence"][0] + edge["edge_label"][0]
 
@@ -443,8 +433,8 @@ def _group_edges(examples: Sequence[Example]) -> np.ndarray:
                             np.concatenate([example.edges for example in examples])))
 
 
-def _edge_losses(params: dict, config: TrainConfig, edges: np.ndarray,
-                 states: np.ndarray, node_mask: np.ndarray,
+def _edge_losses(params: dict, edges: np.ndarray, states: np.ndarray,
+                 node_mask: np.ndarray,
                  ) -> dict[str, tuple[float, dict[str, np.ndarray], np.ndarray]]:
     """Edge losses over a group's matched states [sentences, M, dim], row j
     of a sentence its target j and node_mask [sentences, M] marking the
@@ -457,8 +447,7 @@ def _edge_losses(params: dict, config: TrainConfig, edges: np.ndarray,
     loss, du, dstates = heads.edge_presence_loss(p_logits, p_cache, presence, node_mask)
     out = {"edge_presence": (loss, {"edgep.u": du}, dstates)}
     l_logits, l_cache = heads.biaffine_forward(states, states, params["edgel.u"])
-    loss, du, dstates = heads.edge_label_loss(l_logits, l_cache, edges,
-                                              config.edge_multilabel)
+    loss, du, dstates = heads.edge_label_loss(l_logits, l_cache, edges)
     out["edge_label"] = (loss, {"edgel.u": du}, dstates)
     return out
 
@@ -553,7 +542,7 @@ def sentence_losses(params: dict, config: TrainConfig, examples: Sequence[Exampl
         dhidden[row[task], sentence, query] = dstates[node_mask]
 
     for task, (loss, grads, dstates) in _edge_losses(
-            params, config, _group_edges(examples), states, node_mask).items():
+            params, _group_edges(examples), states, node_mask).items():
         add(task, loss, grads, dstates)
     is_property = np.zeros(node_mask.shape)
     is_property[node_mask] = np.concatenate([e.is_property for e in examples])
@@ -613,13 +602,13 @@ def backward_sentence(params: dict, fwd: ForwardPass, dhidden: np.ndarray,
 class AdamW:
     """Adaptive moments with decoupled weight decay, two learning-rate groups."""
 
-    def __init__(self, params: dict, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: dict):
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
 
     @staticmethod
@@ -715,6 +704,11 @@ def prepare(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None):
     if other is not None:
         raise TrainError(f"graph {other.id} is {other.framework}; training takes eds "
                          f"graphs only")
+    unlabeled = next(((g, n) for g in train_graphs for n in g.nodes if n.label is None),
+                     None)
+    if unlabeled is not None:
+        raise TrainError(f"training graph {unlabeled[0].id} node {unlabeled[1].id} has "
+                         f"no label; every training node needs one to learn")
     gold = [preprocess_gold(g) for g in train_graphs]
     table = compile_rule_table([pre for pre, _ in gold])
     edge_labels, inverted_labels = edge_label_vocab(gold)
@@ -772,7 +766,7 @@ def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
                 fwd = forward_sentence(
                     params, config, np.stack([e.token_ids for e in group]),
                     None if masks is None else np.stack([masks[p] for p in chunk]))
-                assignments = [match_queries(config, fwd, row, example, params)
+                assignments = [match_queries(fwd, row, example, params)
                                for row, example in enumerate(group)]
                 for assignment in assignments:
                     epoch_warnings.update(assignment.warnings)
@@ -791,14 +785,13 @@ def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
                 raise DivergenceError(f"non-finite loss at step {step}")
             if state.initial_losses is None:
                 state.initial_losses = dict(task_losses)
-            if config.balance_losses:
-                grad_norms = {t: state.weights[t] * float(np.sqrt(sum(
-                    (g[row] * g[row]).sum() for g in task_sums.values())))
-                    for row, t in enumerate(TASKS)}
-                state.weights, warnings = balance.update_loss_weights(
-                    grad_norms, task_losses, state.initial_losses, state.weights,
-                    config.balance_alpha, config.balance_lr)
-                epoch_warnings.update(warnings)
+            grad_norms = {t: state.weights[t] * float(np.sqrt(sum(
+                (g[row] * g[row]).sum() for g in task_sums.values())))
+                for row, t in enumerate(TASKS)}
+            state.weights, warnings = balance.update_loss_weights(
+                grad_norms, task_losses, state.initial_losses, state.weights,
+                config.balance_alpha, config.balance_lr)
+            epoch_warnings.update(warnings)
             for t in TASKS:
                 epoch_losses[t] += task_losses[t]
             num_batches += 1
@@ -891,15 +884,11 @@ def _decode(trained: TrainedModel, sentences: Sequence[str],
     present = ((heads.sigmoid(p_logits[:, 0]) >= 0.5) & node_mask[:, :, None]
                & node_mask[:, None, :] & ~np.eye(node_mask.shape[1], dtype=bool)
                & bool(meta.edge_labels))
-    # each present pair's best label, and in multi-label mode every label
-    # whose sigmoid reaches 0.5 (the best one is among them if any is)
-    multilabel = meta.config.edge_multilabel
-    by_pair = np.moveaxis(heads.sigmoid(l_logits) if multilabel else l_logits, 1, -1)
-    chosen = np.arange(by_pair.shape[-1]) == by_pair.argmax(axis=-1)[..., None]
-    chosen |= (by_pair >= 0.5) & multilabel
+    # one edge per present pair, with the pair's best label
+    best = l_logits.argmax(axis=1)
     edges: list[list[Edge]] = [[] for _ in tokens]
-    for s, a, b, label_id in np.argwhere(present[..., None] & chosen).tolist():
-        edges[s].append(Edge(source=a, target=b, label=meta.edge_labels[label_id]))
+    for s, a, b in np.argwhere(present).tolist():
+        edges[s].append(Edge(source=a, target=b, label=meta.edge_labels[best[s, a, b]]))
 
     graphs = []
     for s, sentence in enumerate(sentences):

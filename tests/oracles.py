@@ -706,7 +706,7 @@ def sentence_total_loss(params: dict, config, example,
     """Total loss of one sentence through a group of one, gradients
     discarded; used by invariance checks."""
     fwd = trainer.forward_sentence(params, config, example.token_ids[None])
-    assignment = trainer.match_queries(config, fwd, 0, example, params)
+    assignment = trainer.match_queries(fwd, 0, example, params)
     losses, _ = trainer.sentence_losses(params, config, [example], fwd, [assignment])
     weights = weights or {t: 1.0 for t in losses}
     total = total_loss(LossBundle(losses=losses, weights=weights))
@@ -731,31 +731,24 @@ def sentence_passes(fwd, params: dict) -> list:
     return [trainer.ForwardPass(*row) for row in split(arrays)]
 
 
-def reference_edge_losses(params: dict, config, example, states: np.ndarray) -> dict:
+def reference_edge_losses(params: dict, example, states: np.ndarray) -> dict:
     """The edge losses of one sentence's matched states, one row per target,
     as task -> (loss, head parameter grads, grad wrt states), with the
-    presence matrix and the per-pair label targets built one edge at a time:
-    multi-class mode one (pair, label id) entry per gold edge, multi-label
-    mode the parallel edges of a pair grouped into one label set."""
+    presence matrix and the label targets built one edge at a time, one
+    (pair, label id) entry per gold edge."""
     m = len(states)
     presence = np.zeros((m, m))
-    grouped: dict[tuple[int, int], set] = {}
     pairs, labels = [], []
     for a, b, label_id in example.edges.tolist():
         presence[a, b] = 1.0
-        grouped.setdefault((a, b), set()).add(label_id)
         pairs.append((a, b))
         labels.append(label_id)
-    if config.edge_multilabel:
-        pairs = sorted(grouped)
-        labels = [grouped[p] for p in pairs]
     out = {}
     logits, cache = heads.biaffine_forward(states, states, params["edgep.u"])
     loss, du, dstates = reference_edge_presence_loss(logits, cache, presence)
     out["edge_presence"] = (loss, {"edgep.u": du}, dstates)
     logits, cache = heads.biaffine_forward(states, states, params["edgel.u"])
-    loss, du, dstates = reference_edge_label_loss(logits, cache, pairs, labels,
-                                                  config.edge_multilabel)
+    loss, du, dstates = reference_edge_label_loss(logits, cache, pairs, labels)
     out["edge_label"] = (loss, {"edgel.u": du}, dstates)
     return out
 
@@ -771,23 +764,15 @@ def reference_edge_presence_loss(head_logits: np.ndarray, cache, targets: np.nda
     return float(loss.sum()) / count, du, dx + dy
 
 
-def reference_edge_label_loss(head_logits: np.ndarray, cache, gold_pairs, gold_labels,
-                              multilabel: bool = False):
-    """Cross-entropy of edge labels on the gold pairs of one sentence, one
-    pair at a time: a class index per pair in multi-class mode, a set of
-    class indices scored by independent sigmoids in multi-label mode.
-    Returns (loss, du, dstates)."""
-    num_classes = head_logits.shape[0]
+def reference_edge_label_loss(head_logits: np.ndarray, cache, gold_pairs, gold_labels):
+    """Softmax cross-entropy of edge labels on the gold pairs of one
+    sentence, one pair and class index at a time.  Returns (loss, du,
+    dstates)."""
     dlogits = np.zeros_like(head_logits)
     loss = 0.0
-    count = len(gold_pairs) * (num_classes if multilabel else 1)
+    count = len(gold_pairs)
     for (a, b), label in zip(gold_pairs, gold_labels):
-        if multilabel:
-            t = np.zeros(num_classes)
-            t[list(label)] = 1.0
-            pair_loss, grad = heads.bce(head_logits[:, a, b], t)
-        else:
-            pair_loss, grad = heads.nll(head_logits[:, a, b], label)
+        pair_loss, grad = heads.nll(head_logits[:, a, b], label)
         loss += float(pair_loss.sum())
         dlogits[:, a, b] += grad / count
     du, dx, dy = heads.biaffine_backward(cache, dlogits)
@@ -862,7 +847,7 @@ def reference_sentence_losses(params: dict, config, example, fwd, assignment,
     states = fwd.hidden[sel]
 
     for task, (loss, grads, dstates) in reference_edge_losses(
-            params, config, example, states).items():
+            params, example, states).items():
         losses[task] = loss
         dhidden[row[task], sel] = dstates
         head[task] = grads
@@ -1078,16 +1063,9 @@ def reference_decode(trained, sentence: str) -> Graph:
         for a in range(len(accepted)):
             for b in range(len(accepted)):
                 if a != b and presence[a, b] >= 0.5:
-                    if config.edge_multilabel:
-                        scores = heads.sigmoid(l_logits[:, a, b])
-                        chosen = [i for i, p in enumerate(scores) if p >= 0.5]
-                        if not chosen:
-                            chosen = [int(np.argmax(scores))]
-                    else:
-                        chosen = [int(np.argmax(l_logits[:, a, b]))]
-                    for label_id in chosen:
-                        edges.append(Edge(source=a, target=b,
-                                          label=meta.edge_labels[label_id]))
+                    label_id = int(np.argmax(l_logits[:, a, b]))
+                    edges.append(Edge(source=a, target=b,
+                                      label=meta.edge_labels[label_id]))
 
     out = Graph(id="pred-0", framework="eds", flavor=1, input=sentence,
                 nodes=tuple(nodes), edges=tuple(edges), tokens=tokens)

@@ -17,7 +17,8 @@ from oracles import brute_force_assignment
 
 # TrainConfig options that have been taken out of the code
 REMOVED_SWITCHES = ("use_attribute_head", "use_top_head", "use_property_head",
-                    "deinvert_edges", "use_anchor_mask", "mask_epsilon")
+                    "deinvert_edges", "use_anchor_mask", "mask_epsilon",
+                    "balance_losses", "edge_multilabel")
 
 
 def run_cli(args, capsys):
@@ -531,9 +532,10 @@ class TestTrainPredict:
     def test_train_predict_bytes_pinned(self, tmp_path, capsys):
         # recorded with the balance norms on the last shared layer, one
         # backward and one pass of every head per length group, no top bias,
-        # no anchor-mask options in the stored config, the mixture and query
-        # contractions as matmuls and no attention key biases: the training
-        # arithmetic, the checkpoint bytes and decoding, each pinned on its own
+        # no anchor-mask, balancing or edge-label switches in the stored
+        # config, the mixture and query contractions as matmuls and no
+        # attention key biases: the training arithmetic, the checkpoint bytes
+        # and decoding, each pinned on its own
         config = tmp_path / "pin.cfg"
         config.write_text("corpus_size = 150\nepochs = 2\n")
         paths = {name: tmp_path / name for name in ("m.jsonl", "model.ckpt", "pred.jsonl")}
@@ -553,7 +555,7 @@ class TestTrainPredict:
                    for name, path in paths.items()}
         assert digests == {
             "m.jsonl": "18831e4a394d945483c32863a3403272c7103d77b32e1fbf5ee32d635eb977e0",
-            "model.ckpt": "6e2daa85b5ea0eabdbbe6e62e9b0dd45e524b625a1f91304dd492df8c93e4059",
+            "model.ckpt": "7d813cec496b1290de9e5e4b72443fed06205946c6780ea01797be26896b31b6",
             "pred.jsonl": "075bd7cdd054e5c5777fc14cc69c869f510e6503a78625cbf06e1270aff95d43"}
 
     @pytest.mark.parametrize("line", ["stop_when = 3", 'stop_when = {"f1": 0.9}',
@@ -629,7 +631,7 @@ class TestTrainPredict:
             "checkpoint: layer_dropout must be in [0.0, 1.0), got 1.0"
 
     @pytest.mark.parametrize("name,value,message", [
-        ("edge_multilabel", "false", "edge_multilabel must be a boolean, got 'false'"),
+        ("epochs", "30", "epochs must be an integer, got '30'"),
         ("dim", True, "dim must be an integer, got True"),
         ("queries_per_token", 2.5, "queries_per_token must be an integer, got 2.5"),
         ("lr_rest", "0.003", "lr_rest must be a number, got '0.003'")])
@@ -825,6 +827,29 @@ class TestTrainPredict:
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "data", "message": "graph amr-fig is amr; "
                                    "training takes eds graphs only"}
+
+    def test_unlabeled_training_node_is_data_error(self, tmp_path, capsys):
+        # rules-infer skips an unlabeled node; training used to exit 3 with a
+        # message that named no graph or node
+        with open(fixture_path("eds.jsonl")) as handle:
+            graph = json.loads(handle.readline())
+        copies = [dict(graph, id=f"eds-copy-{i}") for i in range(8)]
+        copies[0]["nodes"] = [{k: v for k, v in node.items() if k != "label"}
+                              if node["id"] == 0 else node for node in graph["nodes"]]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(g) + "\n" for g in copies))
+        config = tmp_path / "toy.cfg"
+        config.write_text("dim = 16\nffn_dim = 24\nepochs = 1\n")
+        ckpt = tmp_path / "m.ckpt"
+        assert run_cli(["rules-infer", "--framework", "eds", "--input", str(corpus),
+                        "--output", str(tmp_path / "rules.txt")], capsys)[0] == 0
+        code, out, err = run_cli(["train-toy", "--input", str(corpus), "--config",
+                                  str(config), "--checkpoint", str(ckpt)], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "data", "message": "training graph "
+                                   "eds-copy-0 node 0 has no label; every training "
+                                   "node needs one to learn"}
+        assert not ckpt.exists()
 
     def test_predict_requires_checkpoint(self, tmp_path, capsys):
         sentences = tmp_path / "s.txt"

@@ -2,7 +2,10 @@
 is named somewhere in src/, tests/ or perfbench/ outside its own definition,
 and, but for a listed few, somewhere in src/ or perfbench/: the package holds
 no API that only the tests use.  No options nothing reads: every TrainConfig
-field is read as an attribute in src/ outside the TrainConfig class."""
+field is read as an attribute in src/ outside the TrainConfig class.  No
+switches: no TrainConfig field is a boolean, since each boolean option forks
+training into a second configuration that no workload runs, and the parser
+has one training configuration."""
 
 import ast
 import dataclasses
@@ -93,3 +96,9 @@ def test_every_train_config_field_is_read():
     read = set().union(*(attributes_read(parse(path), "TrainConfig") for path in PACKAGE))
     unread = [f.name for f in dataclasses.fields(TrainConfig) if f.name not in read]
     assert not unread, f"TrainConfig options nothing reads: {unread}"
+
+
+def test_no_train_config_field_is_a_switch():
+    # annotations are strings under `from __future__ import annotations`
+    switches = [f.name for f in dataclasses.fields(TrainConfig) if f.type in ("bool", bool)]
+    assert not switches, f"TrainConfig boolean switches: {switches}"

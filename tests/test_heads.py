@@ -257,40 +257,22 @@ class TestEdgeHeads:
         presence[0, 1] = 1.0
         assert presence.tolist() == [[0.0, 1.0], [0.0, 0.0]]
 
-    def test_multilabel_mode_targets(self):
-        rng = np.random.default_rng(9)
-        u = rng.normal(0, 0.5, (3, DIM + 1, DIM + 1))
-        states = rng.normal(size=(2, DIM))
-        logits, cache = heads.biaffine_forward(states, states, u)
-        # the parallel edges 0 -> 1 labelled 0 and 2 form one label set
-        loss, _, _ = heads.edge_label_loss(logits, cache, [(0, 1, 0), (0, 1, 2)],
-                                           multilabel=True)
-        z = logits[:, 0, 1]
-        t = np.array([1.0, 0.0, 1.0])
-        expected = float((heads.softplus(z) - t * z).sum()) / 3
-        assert loss == pytest.approx(expected)
-
-    @pytest.mark.parametrize("head", ["presence", "label", "multilabel"])
+    @pytest.mark.parametrize("head", ["presence", "label"])
     def test_gradients(self, head):
         rng = np.random.default_rng(zlib.crc32(head.encode()))
         classes = 1 if head == "presence" else 4
-        multilabel = head == "multilabel"
         for _ in range(20):
             u = rng.normal(0, 0.5, (classes, DIM + 1, DIM + 1))
             states = rng.normal(size=(3, DIM))
             presence = rng.integers(0, 2, (3, 3)).astype(float)
-            # a label set per pair in multi-label mode; an empty set leaves
-            # the pair without a gold edge
-            edges = [(a, b, label) for a, b in [(0, 1), (2, 0)]
-                     for label in (np.flatnonzero(rng.integers(0, 2, classes)).tolist()
-                                   if multilabel else [int(rng.integers(classes))])]
+            edges = [(a, b, int(rng.integers(classes))) for a, b in [(0, 1), (2, 0)]]
 
             def loss_of(u_, s_):
                 logits, cache = heads.biaffine_forward(s_, s_, u_)
                 if head == "presence":
                     return heads.edge_presence_loss(logits, cache, presence,
                                                     np.ones(3, bool))
-                return heads.edge_label_loss(logits, cache, edges, multilabel)
+                return heads.edge_label_loss(logits, cache, edges)
 
             _, du, dstates = loss_of(u, states)
             assert relative_error(du, finite_difference(
@@ -299,18 +281,17 @@ class TestEdgeHeads:
                 lambda x: loss_of(u, x)[0], states)) < TOLERANCE
 
 
-    @pytest.mark.parametrize("multilabel", [False, True])
-    def test_parallel_edges_of_one_pair_each_count(self, multilabel):
-        # two gold edges join (0, 1) with labels 2 and 3: multi-class mode
-        # counts both in the loss and in the gradient
-        rng = np.random.default_rng(zlib.crc32(b"parallel") + multilabel)
+    def test_parallel_edges_of_one_pair_each_count(self):
+        # two gold edges join (0, 1) with labels 2 and 3: both count in the
+        # loss and in the gradient
+        rng = np.random.default_rng(zlib.crc32(b"parallel"))
         u = rng.normal(0, 0.5, (4, DIM + 1, DIM + 1))
         states = rng.normal(size=(3, DIM))
         edges = [(0, 1, 2), (0, 1, 3), (2, 0, 1)]
 
         def loss_of(u_, s_):
             logits, cache = heads.biaffine_forward(s_, s_, u_)
-            return heads.edge_label_loss(logits, cache, edges, multilabel)
+            return heads.edge_label_loss(logits, cache, edges)
 
         _, du, dstates = loss_of(u, states)
         assert relative_error(du, finite_difference(
@@ -318,13 +299,12 @@ class TestEdgeHeads:
         assert relative_error(dstates, finite_difference(
             lambda x: loss_of(u, x)[0], states)) < TOLERANCE
 
-    @pytest.mark.parametrize("head", ["presence", "label", "multilabel"])
+    @pytest.mark.parametrize("head", ["presence", "label"])
     def test_group_gradients_with_padding(self, head):
         # three sentences of 3, 1 and 0 nodes padded to 3: each keeps its own
         # mean, and the padding gets no gradient
         rng = np.random.default_rng(zlib.crc32(f"group {head}".encode()))
         classes = 1 if head == "presence" else 4
-        multilabel = head == "multilabel"
         mask = np.arange(3) < np.array([3, 1, 0])[:, None]
         u = rng.normal(0, 0.5, (classes, DIM + 1, DIM + 1))
         states = rng.normal(size=(3, 3, DIM)) * mask[..., None]
@@ -335,7 +315,7 @@ class TestEdgeHeads:
             logits, cache = heads.biaffine_forward(s_, s_, u_)
             if head == "presence":
                 return heads.edge_presence_loss(logits, cache, presence, mask)
-            return heads.edge_label_loss(logits, cache, edges, multilabel)
+            return heads.edge_label_loss(logits, cache, edges)
 
         loss, du, dstates = loss_of(u, states)
         # the sum of each sentence's loss on its own
@@ -348,7 +328,7 @@ class TestEdgeHeads:
                                                   np.ones(count, bool))[0]
             else:
                 alone += heads.edge_label_loss(
-                    logits, cache, [e[1:] for e in edges if e[0] == s], multilabel)[0]
+                    logits, cache, [e[1:] for e in edges if e[0] == s])[0]
         assert loss == pytest.approx(alone, rel=1e-12)
         assert np.abs(dstates[~mask]).max() == 0.0
         assert relative_error(du, finite_difference(
