@@ -127,7 +127,7 @@ def cmd_preprocess(args) -> int:
     try:
         processed = [transform.preprocess(args.framework, g, config)[0] for g in graphs]
         if args.framework == "amr":
-            processed, _, _ = rules.anchor_flavor2_corpus(processed)
+            processed = rules.anchor_flavor2_corpus(processed)
     except transform.TransformError as exc:
         _fail("data", str(exc), EXIT_DATA)
     except rules.InfeasibleEncodingError as exc:

@@ -21,10 +21,11 @@ class ValidationError(HeadError):
     pass
 
 
-def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = z - z.max(axis=axis, keepdims=True)
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -77,7 +78,7 @@ class MoSParams:
 
 
 def init_mos(rng: np.random.Generator, dim: int, num_classes: int,
-             components: int, scale: float = 0.1) -> MoSParams:
+             components: int, scale: float) -> MoSParams:
     return MoSParams(
         proj_w=rng.normal(0.0, scale, (components, dim, dim)),
         proj_b=np.zeros((components, dim)),
@@ -104,7 +105,7 @@ def mos_forward_batch(h: np.ndarray, params: MoSParams):
         raise HeadError("all mixture gates underflowed to zero")
     weights = gates / totals[..., None]
     logits = x @ params.out_w + params.out_b
-    components = softmax(logits, axis=-1)
+    components = softmax(logits)
     probs = np.einsum("...nk,...nkv->...nv", weights, components)
     return probs, (h, params, x, gates, weights, components)
 
@@ -176,7 +177,7 @@ def label_loss(pred: np.ndarray, target: np.ndarray, gamma: float):
 # biaffine scoring
 
 def init_biaffine(rng: np.random.Generator, num_classes: int, dim_x: int,
-                  dim_y: int, scale: float = 0.1) -> np.ndarray:
+                  dim_y: int, scale: float) -> np.ndarray:
     return rng.normal(0.0, scale, (num_classes, dim_x + 1, dim_y + 1))
 
 

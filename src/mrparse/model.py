@@ -202,7 +202,7 @@ def block_backward(params: dict, prefix: str, cache, dy: np.ndarray, grads: dict
 
 
 def init_block(rng: np.random.Generator, params: dict, prefix: str, dim: int,
-               ffn_dim: int, cross: bool, scale: float = 0.1):
+               ffn_dim: int, cross: bool, scale: float):
     def attn(sub):
         for name in ("wq", "wk", "wv", "wo"):
             params[f"{prefix}.{sub}.{name}"] = rng.normal(0.0, scale, (dim, dim))
@@ -321,7 +321,7 @@ def queries_backward(params: dict, cache, dstates: np.ndarray, grads: dict):
 # parameter initialization and checkpointing
 
 def init_encoder(rng: np.random.Generator, params: dict, vocab_size: int,
-                 dim: int, ffn_dim: int, num_layers: int, scale: float = 0.1):
+                 dim: int, ffn_dim: int, num_layers: int, scale: float):
     params["emb"] = rng.normal(0.0, scale, (vocab_size, dim))
     for layer in range(num_layers):
         init_block(rng, params, f"enc{layer}", dim, ffn_dim, cross=False, scale=scale)
@@ -331,7 +331,7 @@ def init_encoder(rng: np.random.Generator, params: dict, vocab_size: int,
 
 
 def init_queries(rng: np.random.Generator, params: dict, num_slots: int,
-                 dim: int, scale: float = 0.1):
+                 dim: int, scale: float):
     params["query.w"] = rng.normal(0.0, scale, (num_slots, dim, dim))
     params["query.b"] = np.zeros((num_slots, dim))
 

@@ -76,15 +76,12 @@ def AbsoluteRule(label: str) -> Rule:
     return _new(Rule, (ABSOLUTE, 0, 0, "", 0, 0, "", "", label))
 
 
-@dataclass(frozen=True)
-class RuleSpaceBounds:
-    """Finite search space for rule enumeration."""
-
-    max_token_drop: int = 2
-    max_char_strip: int = 4
-    separators: tuple[str, ...] = ("", "+", "-", "_", " ")
-    max_affix_len: int = 6
-    number_rule: bool = True
+# the finite rule space: tokens dropped per end, characters stripped per end,
+# token separators (smallest first) and the longest prefix or suffix
+MAX_TOKEN_DROP = 2
+MAX_CHAR_STRIP = 4
+SEPARATORS = ("", "+", "-", "_", " ")
+MAX_AFFIX_LEN = 6
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +158,14 @@ def apply_rule(rule: Rule, tokens: Sequence[str],
 
 def enumerate_applicable_rules(tokens: Sequence[str], lemmas: Sequence[str],
                                label: str,
-                               bounds: RuleSpaceBounds = RuleSpaceBounds(),
-                               ) -> set[Rule]:
-    """All rules within bounds that map the anchoring onto the label.
+                               separators: Sequence[str] = SEPARATORS) -> set[Rule]:
+    """All rules of the rule space, token and lemma rules joined with one of
+    separators, that map the anchoring onto the label.
 
     The absolute rule for the label is always included; the number rule is
     included when the tokens parse to exactly the label.
 
-    With M = len(label) and A = max_affix_len, a core of length c fits only
+    With M = len(label) and A = MAX_AFFIX_LEN, a core of length c fits only
     at positions max(0, M - A - c) .. A, so strip pairs whose core length
     lies outside [M - 2A, M] are skipped and the label is searched only in
     that window.  A call-local memo keeps the (strip_left, strip_right,
@@ -176,21 +173,20 @@ def enumerate_applicable_rules(tokens: Sequence[str], lemmas: Sequence[str],
     drops, separator) that joins to it reuses them.
     """
     found: set[Rule] = {AbsoluteRule(label)}
-    if (bounds.number_rule and tokens and label.isdigit()
-            and words_to_number(tokens) == label):
+    if tokens and label.isdigit() and words_to_number(tokens) == label:
         found.add(NumberRule())
     size = len(label)
-    affix = bounds.max_affix_len
-    strip = bounds.max_char_strip
+    affix = MAX_AFFIX_LEN
+    strip = MAX_CHAR_STRIP
     matches: dict[str, list[tuple[int, int, str, str, str]]] = {}
     for kind, source in ((TOKEN, tokens), (LEMMA, lemmas)):
         if not source:
             continue
         n = len(source)
-        for drop_left in range(min(bounds.max_token_drop, n - 1) + 1):
-            for drop_right in range(min(bounds.max_token_drop, n - 1 - drop_left) + 1):
+        for drop_left in range(min(MAX_TOKEN_DROP, n - 1) + 1):
+            for drop_right in range(min(MAX_TOKEN_DROP, n - 1 - drop_left) + 1):
                 surviving = source[drop_left:n - drop_right]
-                for sep in bounds.separators:
+                for sep in separators:
                     joined = sep.join(surviving)
                     hits = matches.get(joined)
                     if hits is None:
@@ -250,15 +246,14 @@ def label_items(graphs: Sequence[Graph]) -> tuple[list[tuple], list[str]]:
     return items, names
 
 
-def build_problem(items: Sequence[tuple[Sequence[str], Sequence[str], str]],
-                  bounds: RuleSpaceBounds = RuleSpaceBounds(), *,
+def build_problem(items: Sequence[tuple[Sequence[str], Sequence[str], str]], *,
                   names: Sequence[str]) -> RuleSetProblem:
     """Enumerate the rule set of each distinct item once and index the shared
     universe; rules are tuples in canonical order, a total order, so the
     universe does not depend on which items repeat.  names[i] names item i
     in infeasibility messages."""
     keys = [(tuple(tokens), tuple(lemmas), label) for tokens, lemmas, label in items]
-    found = {key: enumerate_applicable_rules(*key, bounds) for key in dict.fromkeys(keys)}
+    found = {key: enumerate_applicable_rules(*key) for key in dict.fromkeys(keys)}
     universe = sorted(set().union(*found.values()))
     index = {rule: i for i, rule in enumerate(universe)}
     indexed = {key: frozenset(map(index.__getitem__, rules))
@@ -401,10 +396,8 @@ def assign_artificial_anchors(candidate_rule_sets: Sequence[Sequence[frozenset[i
             for candidates in candidate_rule_sets]
 
 
-def anchor_flavor2_corpus(graphs: Sequence[Graph],
-                          bounds: RuleSpaceBounds = RuleSpaceBounds(),
-                          ) -> tuple[list[Graph], RuleSetProblem, tuple[int, ...]]:
-    """Create one-to-one artificial anchors for unanchored graphs.
+def anchor_flavor2_corpus(graphs: Sequence[Graph]) -> list[Graph]:
+    """The graphs with one-to-one artificial anchors on their nodes.
 
     For every node, each single token of the sentence is a candidate anchor;
     a candidate contributes the non-absolute rules deriving the label from
@@ -412,9 +405,9 @@ def anchor_flavor2_corpus(graphs: Sequence[Graph],
     minimal rule set is solved over the union sets and anchors keep exactly
     the candidates compatible with it.
 
-    Candidates use only the smallest separator of bounds: a separator never
-    changes what a rule derives from one token, so its variants lie in the
-    same sets and form one coverage class whose minimum is the
+    Candidates use only the smallest separator, SEPARATORS[0]: a separator
+    never changes what a rule derives from one token, so its variants lie in
+    the same sets and form one coverage class whose minimum is the
     smallest-separator variant (the fourth tuple field).  The lexicographically
     smallest minimum hitting set takes only class minima (see hitting), which
     dropping the other variants keeps in order, so the chosen rules and
@@ -428,10 +421,9 @@ def anchor_flavor2_corpus(graphs: Sequence[Graph],
         for ni, node in enumerate(g.nodes):
             if node.label is not None:
                 entries.append((gi, ni, [(t.form, t.lemma, node.label) for t in tokens]))
-    one_separator = replace(bounds, separators=tuple(sorted(bounds.separators))[:1])
     candidates = {
         (form, lemma, label): frozenset(
-            enumerate_applicable_rules([form], [lemma], label, one_separator)
+            enumerate_applicable_rules([form], [lemma], label, SEPARATORS[:1])
             - {AbsoluteRule(label)})
         for form, lemma, label in dict.fromkeys(k for _, _, keys in entries for k in keys)}
     absolute = {AbsoluteRule(graphs[gi].nodes[ni].label) for gi, ni, _ in entries}
@@ -449,9 +441,8 @@ def anchor_flavor2_corpus(graphs: Sequence[Graph],
         names.append(f"graph {graphs[gi].id} node {node.id}")
         candidate_indices.append(sets)
 
-    problem = RuleSetProblem(universe=tuple(universe), per_node=tuple(per_node),
-                             node_names=tuple(names))
-    solution = minimal_rule_set(problem)
+    solution = minimal_rule_set(RuleSetProblem(
+        universe=tuple(universe), per_node=tuple(per_node), node_names=tuple(names)))
     kept = assign_artificial_anchors(candidate_indices, solution)
 
     anchored: dict[int, list] = {}  # graph idx -> its nodes, anchored ones replaced
@@ -465,4 +456,4 @@ def anchor_flavor2_corpus(graphs: Sequence[Graph],
     out = list(graphs)
     for gi, nodes in anchored.items():
         out[gi] = replace(graphs[gi], nodes=tuple(nodes))
-    return out, problem, solution
+    return out

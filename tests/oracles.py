@@ -51,8 +51,9 @@ from mrparse.heads import HeadError
 from mrparse.hitting import InfeasibleError
 from mrparse.matcher import MASK_EPSILON, MatchProblem, geomean_anchor
 from mrparse.model import LN_EPS
-from mrparse.rules import (ABSOLUTE, LEMMA, NUMBER, TOKEN, AbsoluteRule, LemmaRule,
-                           NumberRule, RuleSetProblem, RuleSpaceBounds, TokenRule,
+from mrparse.rules import (ABSOLUTE, LEMMA, MAX_AFFIX_LEN, MAX_CHAR_STRIP,
+                           MAX_TOKEN_DROP, NUMBER, SEPARATORS, TOKEN, AbsoluteRule,
+                           LemmaRule, NumberRule, RuleSetProblem, TokenRule,
                            apply_rule, assign_artificial_anchors,
                            enumerate_applicable_rules, minimal_rule_set,
                            rule_to_line, words_to_number)
@@ -173,26 +174,25 @@ def reference_rule_key(rule):
     return (_REFERENCE_KIND_RANK[rule.kind], fields)
 
 
-def enumerate_rules_oracle(tokens, lemmas, label,
-                           bounds: RuleSpaceBounds = RuleSpaceBounds()):
-    """Exhaustive sweep of the bounded rule space filtered by apply_rule.
+def enumerate_rules_oracle(tokens, lemmas, label):
+    """Exhaustive sweep of the rule space filtered by apply_rule.
 
-    Candidate affixes are all label prefixes/suffixes up to the bound, so the
-    sweep covers every seven-tuple whose application could possibly equal the
-    label; membership is decided solely by apply_rule.
+    Candidate affixes are all label prefixes/suffixes up to MAX_AFFIX_LEN, so
+    the sweep covers every seven-tuple whose application could possibly equal
+    the label; membership is decided solely by apply_rule.
     """
     found = {AbsoluteRule(label)}
-    if bounds.number_rule and tokens and words_to_number(tokens) == label:
+    if tokens and words_to_number(tokens) == label:
         found.add(NumberRule())
-    prefixes = {label[:k] for k in range(min(bounds.max_affix_len, len(label)) + 1)}
+    prefixes = {label[:k] for k in range(min(MAX_AFFIX_LEN, len(label)) + 1)}
     suffixes = {label[-k:] if k else "" for k in
-                range(min(bounds.max_affix_len, len(label)) + 1)}
+                range(min(MAX_AFFIX_LEN, len(label)) + 1)}
     for kind in (TokenRule, LemmaRule):
-        for drop_left in range(bounds.max_token_drop + 1):
-            for drop_right in range(bounds.max_token_drop + 1):
-                for sep in bounds.separators:
-                    for strip_left in range(bounds.max_char_strip + 1):
-                        for strip_right in range(bounds.max_char_strip + 1):
+        for drop_left in range(MAX_TOKEN_DROP + 1):
+            for drop_right in range(MAX_TOKEN_DROP + 1):
+                for sep in SEPARATORS:
+                    for strip_left in range(MAX_CHAR_STRIP + 1):
+                        for strip_right in range(MAX_CHAR_STRIP + 1):
                             for prefix in prefixes:
                                 for suffix in suffixes:
                                     rule = kind(drop_left, drop_right, sep,
@@ -203,26 +203,25 @@ def enumerate_rules_oracle(tokens, lemmas, label,
     return found
 
 
-def reference_enumerate_applicable_rules(tokens, lemmas, label,
-                                         bounds: RuleSpaceBounds = RuleSpaceBounds()):
+def reference_enumerate_applicable_rules(tokens, lemmas, label):
     """rules.enumerate_applicable_rules searching the whole label once per
     (kind, drops, separator, strip pair), with no sharing between equal
     joined strings and no affix window."""
     found = {AbsoluteRule(label)}
-    if bounds.number_rule and tokens and words_to_number(tokens) == label:
+    if tokens and words_to_number(tokens) == label:
         found.add(NumberRule())
     for kind, source in ((TokenRule, tokens), (LemmaRule, lemmas)):
         if not source:
             continue
         n = len(source)
-        for drop_left in range(min(bounds.max_token_drop, n - 1) + 1):
-            for drop_right in range(min(bounds.max_token_drop, n - 1 - drop_left) + 1):
+        for drop_left in range(min(MAX_TOKEN_DROP, n - 1) + 1):
+            for drop_right in range(min(MAX_TOKEN_DROP, n - 1 - drop_left) + 1):
                 surviving = source[drop_left:n - drop_right]
-                for sep in bounds.separators:
+                for sep in SEPARATORS:
                     joined = sep.join(surviving)
-                    max_left = min(bounds.max_char_strip, len(joined) - 1)
+                    max_left = min(MAX_CHAR_STRIP, len(joined) - 1)
                     for strip_left in range(max_left + 1):
-                        max_right = min(bounds.max_char_strip,
+                        max_right = min(MAX_CHAR_STRIP,
                                         len(joined) - 1 - strip_left)
                         for strip_right in range(max_right + 1):
                             core = joined[strip_left:len(joined) - strip_right]
@@ -233,8 +232,8 @@ def reference_enumerate_applicable_rules(tokens, lemmas, label,
                                     break
                                 prefix = label[:pos]
                                 suffix = label[pos + len(core):]
-                                if (len(prefix) <= bounds.max_affix_len
-                                        and len(suffix) <= bounds.max_affix_len):
+                                if (len(prefix) <= MAX_AFFIX_LEN
+                                        and len(suffix) <= MAX_AFFIX_LEN):
                                     found.add(kind(drop_left, drop_right, sep,
                                                    strip_left, strip_right,
                                                    prefix, suffix))
@@ -242,10 +241,9 @@ def reference_enumerate_applicable_rules(tokens, lemmas, label,
     return found
 
 
-def reference_rule_problem(items, bounds: RuleSpaceBounds = RuleSpaceBounds(), *,
-                           names) -> RuleSetProblem:
+def reference_rule_problem(items, *, names) -> RuleSetProblem:
     """rules.build_problem with one rule enumeration per item."""
-    per_node_rules = [enumerate_applicable_rules(tokens, lemmas, label, bounds)
+    per_node_rules = [enumerate_applicable_rules(tokens, lemmas, label)
                       for tokens, lemmas, label in items]
     universe = sorted({r for rules in per_node_rules for r in rules},
                       key=reference_rule_key)
@@ -263,8 +261,9 @@ def problem_digest(problem: RuleSetProblem) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def reference_anchor_flavor2_corpus(graphs, bounds: RuleSpaceBounds = RuleSpaceBounds()):
-    """rules.anchor_flavor2_corpus with one rule enumeration per (node, token)."""
+def reference_anchor_flavor2_corpus(graphs):
+    """rules.anchor_flavor2_corpus with one rule enumeration per (node, token)
+    and every separator; returns (anchored graphs, problem, solution)."""
     entries = []
     all_rules = set()
     per_graph_tokens = []
@@ -278,7 +277,7 @@ def reference_anchor_flavor2_corpus(graphs, bounds: RuleSpaceBounds = RuleSpaceB
             for token in tokens:
                 rules_here = {
                     r for r in enumerate_applicable_rules([token.form], [token.lemma],
-                                                          node.label, bounds)
+                                                          node.label)
                     if r.kind != ABSOLUTE}
                 candidates.append(rules_here)
                 all_rules |= rules_here
@@ -887,7 +886,7 @@ def reference_mos_forward(h: np.ndarray, params):
     x = np.tanh(np.einsum("kde,...ne->...nkd", params.proj_w, h) + params.proj_b)
     gates = heads.sigmoid(h @ params.gate_w.T + params.gate_b)
     weights = gates / gates.sum(axis=-1)[..., None]
-    components = heads.softmax(x @ params.out_w + params.out_b, axis=-1)
+    components = heads.softmax(x @ params.out_w + params.out_b)
     probs = np.einsum("...nk,...nkv->...nv", weights, components)
     return probs, (h, params, x, gates, weights, components)
 

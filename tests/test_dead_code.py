@@ -5,7 +5,11 @@ no API that only the tests use.  No options nothing reads: every TrainConfig
 field is read as an attribute in src/ outside the TrainConfig class.  No
 switches: no TrainConfig field is a boolean, since each boolean option forks
 training into a second configuration that no workload runs, and the parser
-has one training configuration."""
+has one training configuration.  No parameter forms nothing uses: every
+defaulted parameter of a package function is passed by some call in src/ or
+perfbench/, calls resolved by module so that rules.build_problem and
+matcher.build_problem are told apart; a default that every caller keeps is
+a constant, and a parameter only the tests set is a second call form."""
 
 import ast
 import dataclasses
@@ -102,3 +106,85 @@ def test_no_train_config_field_is_a_switch():
     # annotations are strings under `from __future__ import annotations`
     switches = [f.name for f in dataclasses.fields(TrainConfig) if f.type in ("bool", bool)]
     assert not switches, f"TrainConfig boolean switches: {switches}"
+
+
+def imported_modules(tree: ast.AST) -> dict[str, tuple[str, str | None]]:
+    """Local name -> (package module, definition), or (package module, None)
+    where the name is the module itself, for what a tree imports from the
+    package."""
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = (".".join(filter(None, ("mrparse", node.module))) if node.level
+                      else node.module or "")
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if source == "mrparse":
+                    found[local] = (alias.name, None)
+                elif source.startswith("mrparse."):
+                    found[local] = (source.split(".")[1], alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("mrparse.") and alias.asname:
+                    found[alias.asname] = (alias.name.split(".")[1], None)
+    return found
+
+
+def callee(call: ast.Call, imports: dict, module: str | None):
+    """(package module, function name) a call resolves to, or None."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        target = imports.get(func.id)
+        if target is not None and target[1] is not None:
+            return target
+        return (module, func.id) if module is not None else None
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        target = imports.get(func.value.id)
+        if target is not None and target[1] is None:
+            return (target[0], func.attr)
+    return None
+
+
+def unpassed_defaults() -> list[str]:
+    """Defaulted parameters of module-level package functions that no call
+    in src/ or perfbench/ passes, by position or by keyword."""
+    functions = {}
+    for path in PACKAGE:
+        for node in parse(path).body:
+            if isinstance(node, ast.FunctionDef):
+                functions[(path.stem, node.name)] = (path.name, node)
+    passed = {key: set() for key in functions}
+    for path in PROGRAM:
+        tree = parse(path)
+        module = path.stem if path in PACKAGE else None
+        imports = imported_modules(tree)
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            key = callee(call, imports, module)
+            if key not in functions:
+                continue
+            args = functions[key][1].args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            if any(isinstance(a, ast.Starred) for a in call.args):
+                passed[key].update(positional)
+            else:
+                passed[key].update(positional[:len(call.args)])
+            for keyword in call.keywords:
+                passed[key].update([keyword.arg] if keyword.arg else
+                                   positional + [a.arg for a in args.kwonlyargs])
+    unpassed = []
+    for key, (filename, node) in functions.items():
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaulted = positional[len(positional) - len(args.defaults):] + [
+            a for a, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None]
+        unpassed += [f"{filename}:{node.lineno} {node.name}({a.arg}=...)"
+                     for a in defaulted if a.arg not in passed[key]]
+    return unpassed
+
+
+def test_every_defaulted_parameter_is_passed():
+    unpassed = unpassed_defaults()
+    assert not unpassed, f"defaulted parameters no caller passes: {unpassed}"

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from mrparse import hitting
 from mrparse.hitting import InfeasibleError, minimal_hitting_set
 from oracles import (UniverseTooLargeError, brute_force_min_hitting_set,
-                     reference_minimal_hitting_set)
+                     reference_anchor_flavor2_corpus, reference_minimal_hitting_set)
 
 
 def random_instance(rng, max_rules=12, max_nodes=8):
@@ -195,9 +195,10 @@ def test_min_size_within_budget_else_none():
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_corpus_sized_problems_match_element_mask_reference(seed):
-    """The rules-infer and artificial anchoring problems of a 125-graph
-    corpus: hundreds of sets over thousands of rules, the size of the
-    problems rules-infer, amr preprocessing and training solve."""
+    """The rules-infer problem and the all-separator artificial anchoring
+    problem of a 125-graph corpus: hundreds of sets over thousands of rules,
+    the size of the problems rules-infer, amr preprocessing and training
+    solve."""
     from dataclasses import replace
 
     from mrparse import rules, transform
@@ -209,8 +210,9 @@ def test_corpus_sized_problems_match_element_mask_reference(seed):
     unanchored = [replace(g, framework="amr", flavor=2,
                           nodes=tuple(replace(n, anchors=()) for n in g.nodes))
                   for g in graphs]
-    _, amr, amr_solution = rules.anchor_flavor2_corpus(
-        [transform.preprocess("amr", g)[0] for g in unanchored])
+    amr_graphs = [transform.preprocess("amr", g)[0] for g in unanchored]
+    anchored, amr, amr_solution = reference_anchor_flavor2_corpus(amr_graphs)
+    assert rules.anchor_flavor2_corpus(amr_graphs) == anchored
     assert len(eds.universe) > 3000 and len(amr.universe) > 1500
     for problem, solution in ((eds, rules.minimal_rule_set(eds)), (amr, amr_solution)):
         assert len(problem.per_node) > 400

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from mrparse import rules
 from mrparse.rules import (AbsoluteRule, DecodeError, InfeasibleEncodingError,
-                           LemmaRule, NumberRule, RuleSpaceBounds, TokenRule,
+                           LemmaRule, NumberRule, TokenRule,
                            apply_rule, build_problem, build_rule_target,
                            decode_label, enumerate_applicable_rules,
                            load_rule_table, rule_from_line, rule_to_line,
@@ -105,24 +105,21 @@ class TestEnumerate:
         (["forty", "two"], ["forty", "two"], "42"),
     ])
     def test_completeness_against_oracle(self, tokens, lemmas, label):
-        bounds = RuleSpaceBounds(separators=("", "+", "_"))
-        ours = enumerate_applicable_rules(tokens, lemmas, label, bounds)
-        oracle = enumerate_rules_oracle(tokens, lemmas, label, bounds)
-        assert ours == oracle
+        ours = enumerate_applicable_rules(tokens, lemmas, label)
+        assert ours == enumerate_rules_oracle(tokens, lemmas, label)
 
     def test_matches_at_both_window_edges(self):
-        # "ab" fits "xxxxxxab" (prefix of exactly max_affix_len) and
-        # "abxxxxxx" (suffix of exactly max_affix_len), not one character further
-        bounds = RuleSpaceBounds(max_affix_len=6)
+        # "ab" fits "xxxxxxab" (prefix of exactly MAX_AFFIX_LEN) and
+        # "abxxxxxx" (suffix of exactly MAX_AFFIX_LEN), not one character further
+        assert rules.MAX_AFFIX_LEN == 6
         assert TokenRule(0, 0, "", 0, 0, "x" * 6, "") in \
-            enumerate_applicable_rules(["ab"], ["ab"], "x" * 6 + "ab", bounds)
+            enumerate_applicable_rules(["ab"], ["ab"], "x" * 6 + "ab")
         assert TokenRule(0, 0, "", 0, 0, "", "x" * 6) in \
-            enumerate_applicable_rules(["ab"], ["ab"], "ab" + "x" * 6, bounds)
-        assert enumerate_applicable_rules(["ab"], ["ab"], "x" * 7 + "ab", bounds) == \
+            enumerate_applicable_rules(["ab"], ["ab"], "ab" + "x" * 6)
+        assert enumerate_applicable_rules(["ab"], ["ab"], "x" * 7 + "ab") == \
             {AbsoluteRule("x" * 7 + "ab")}
         # the occurrence at 0 leaves an 8-character suffix; the one at 2 fits
-        assert {r for r in enumerate_applicable_rules(["ab"], ["ab"], "abab" + "x" * 6,
-                                                      bounds)
+        assert {r for r in enumerate_applicable_rules(["ab"], ["ab"], "abab" + "x" * 6)
                 if r.kind == rules.TOKEN and r.separator == ""
                 and r.strip_left == r.strip_right == 0} == \
             {TokenRule(0, 0, "", 0, 0, "ab", "x" * 6)}
@@ -134,14 +131,12 @@ class TestEnumerate:
         assert enumerate_applicable_rules(tokens, lemmas, label) == \
             reference_enumerate_applicable_rules(tokens, lemmas, label)
 
-    @settings(max_examples=150, deadline=None)
+    # the oracle applies up to 110 250 token and lemma rules a case
+    @settings(max_examples=30, deadline=None)
     @given(st.data())
-    def test_matches_oracle_under_small_bounds(self, data):
-        bounds = data.draw(_small_bounds())
-        tokens, lemmas, label = data.draw(
-            _enumeration_cases(affix_room=bounds.max_affix_len + 2))
-        assert enumerate_applicable_rules(tokens, lemmas, label, bounds) == \
-            enumerate_rules_oracle(tokens, lemmas, label, bounds)
+    def test_matches_exhaustive_oracle(self, data):
+        case = data.draw(_enumeration_cases(affix_room=rules.MAX_AFFIX_LEN + 2))
+        assert enumerate_applicable_rules(*case) == enumerate_rules_oracle(*case)
 
     def test_fixture_items_match_reference(self):
         from mrparse import transform
@@ -195,19 +190,6 @@ def _enumeration_cases(draw, affix_room):
         affix = st.text(alphabet="abé", max_size=affix_room)
         label = draw(affix) + core + draw(affix)
     return tokens, lemmas, label
-
-
-@st.composite
-def _small_bounds(draw):
-    """Bounds small enough for the exhaustive oracle, zeros and duplicate
-    separators included."""
-    return RuleSpaceBounds(
-        max_token_drop=draw(st.integers(0, 1)),
-        max_char_strip=draw(st.integers(0, 2)),
-        separators=tuple(draw(st.lists(st.sampled_from(["", "+", "a", "é"]),
-                                       min_size=1, max_size=3))),
-        max_affix_len=draw(st.integers(0, 2)),
-        number_rule=draw(st.booleans()))
 
 
 class TestRuleTable:
@@ -389,10 +371,6 @@ _ITEM_POOL = st.lists(
     st.tuples(st.lists(_WORDS, max_size=3), st.lists(_WORDS, max_size=3),
               st.sampled_from(["dive", "_cat_n", "42", "ab", "take", "x"])),
     min_size=1, max_size=4)
-_BOUNDS = st.builds(RuleSpaceBounds, max_token_drop=st.integers(0, 2),
-                    max_char_strip=st.integers(0, 4),
-                    separators=st.sampled_from([("",), ("", "+"), ("", "+", "-", "_", " ")]),
-                    max_affix_len=st.integers(0, 6), number_rule=st.booleans())
 
 
 def _assert_same_problem(got, expected):
@@ -404,15 +382,14 @@ def _assert_same_problem(got, expected):
 
 class TestBuildProblem:
     @settings(max_examples=40, deadline=None)
-    @given(pool=_ITEM_POOL, picks=st.lists(st.integers(0, 3), max_size=10),
-           bounds=_BOUNDS)
-    def test_matches_per_item_reference(self, pool, picks, bounds):
+    @given(pool=_ITEM_POOL, picks=st.lists(st.integers(0, 3), max_size=10))
+    def test_matches_per_item_reference(self, pool, picks):
         # items drawn with repetition from a small pool; lists and tuples mix
         items = [pool[k % len(pool)] for k in picks]
         items = [(tuple(f), l, label) if k % 2 else (f, l, label)
                  for k, (f, l, label) in enumerate(items)]
-        _assert_same_problem(build_problem(items, bounds, names=_names(items)),
-                             reference_rule_problem(items, bounds, names=_names(items)))
+        _assert_same_problem(build_problem(items, names=_names(items)),
+                             reference_rule_problem(items, names=_names(items)))
 
     def test_empty_corpus(self):
         _assert_same_problem(build_problem([], names=[]),
@@ -431,41 +408,21 @@ class TestBuildProblem:
             return original(*args)
 
         monkeypatch.setattr(rules, "enumerate_applicable_rules", counted)
-        assert (build_problem(items, names=_names(items))
-                == reference_rule_problem(items, names=_names(items)))
+        expected = reference_rule_problem(items, names=_names(items))
+        assert build_problem(items, names=_names(items)) == expected
         assert len(calls) == len(set(calls)) == 3
-        # a second call enumerates again under its own bounds: the memo is call-local
-        narrow = RuleSpaceBounds(max_token_drop=0, max_char_strip=1,
-                                 separators=("",), max_affix_len=1)
-        assert (build_problem(items, narrow, names=_names(items))
-                == reference_rule_problem(items, narrow, names=_names(items)))
-        assert len(calls) == 6
-        assert (reference_rule_problem(items, narrow, names=_names(items))
-                != reference_rule_problem(items, names=_names(items)))
+        # a second call enumerates the same items again: the memo is call-local
+        assert build_problem(items, names=_names(items)) == expected
+        assert len(calls) == 6 and set(calls[3:]) == set(calls[:3])
 
 
-def assert_matches_all_separator_reference(graphs, bounds=RuleSpaceBounds()):
-    # The reference enumerates every separator; the anchoring keeps only
-    # the smallest one for token and lemma rules, which changes indices
-    # but not the anchors, the chosen rules or the node sets.
-    anchored, problem, solution = rules.anchor_flavor2_corpus(graphs, bounds)
-    ref_anchored, ref_problem, ref_solution = reference_anchor_flavor2_corpus(
-        graphs, bounds)
-    kept_separators = sorted(bounds.separators)[:1]
-
-    def project(found):
-        return [r for r in found if r.kind not in (rules.TOKEN, rules.LEMMA)
-                or r.separator in kept_separators]
-
-    assert anchored == ref_anchored
-    assert ([problem.universe[i] for i in solution]
-            == [ref_problem.universe[i] for i in ref_solution])
-    assert problem.universe == tuple(project(ref_problem.universe))
-    assert problem.node_names == ref_problem.node_names
-    assert ([{problem.universe[i] for i in s} for s in problem.per_node]
-            == [set(project(ref_problem.universe[i] for i in s))
-                for s in ref_problem.per_node])
-    return problem
+def assert_matches_all_separator_reference(graphs):
+    """The reference enumerates every separator; the anchoring keeps only
+    the smallest one for token and lemma rules, which leaves the anchors
+    unchanged.  Returns the reference's (problem, solution)."""
+    anchored, problem, solution = reference_anchor_flavor2_corpus(graphs)
+    assert rules.anchor_flavor2_corpus(graphs) == anchored
+    return problem, solution
 
 
 def flavor2_synth(seed, size):
@@ -498,7 +455,7 @@ class TestArtificialAnchoring:
             Graph(id="d", framework="amr", flavor=2, input="sue was waving",
                   nodes=(Node(0, "wave", is_top=True), Node(1, "xyzzy"))),
         ]
-        anchored, problem, solution = rules.anchor_flavor2_corpus(graphs)
+        anchored = rules.anchor_flavor2_corpus(graphs)
         # verbs anchored to their gerund token via a shared strip rule
         dive = anchored[0].node_by_id(0)
         assert len(dive.anchors) >= 1
@@ -519,21 +476,14 @@ class TestArtificialAnchoring:
     def test_flavor2_corpus_matches_per_token_reference(self, seed):
         assert_matches_all_separator_reference(flavor2_synth(seed, 20))
 
-    def test_flavor2_without_separators_matches_reference(self):
-        # no separator: only number and absolute rules exist
-        bounds = RuleSpaceBounds(separators=())
-        problem = assert_matches_all_separator_reference(
-            flavor2_synth(1, 20), bounds)
-        assert {r.kind for r in problem.universe} <= {rules.NUMBER, rules.ABSOLUTE}
-
     def test_flavor2_solution_pinned(self):
         # the same 13 rules the element-mask solver (tests/oracles.py
         # reference) chose over the all-separator universe of 6181 rules
-        graphs = flavor2_synth(3, 60)
-        _, problem, solution = rules.anchor_flavor2_corpus(graphs)
-        assert (len(problem.per_node), len(problem.universe)) == (205, 1273)
+        problem, solution = assert_matches_all_separator_reference(
+            flavor2_synth(3, 60))
+        assert (len(problem.per_node), len(problem.universe)) == (205, 6181)
         assert solution == (0, 1, 11, 66, 67, 137, 218,
-                            1227, 1228, 1229, 1230, 1231, 1232)
+                            6135, 6136, 6137, 6138, 6139, 6140)
         assert [rule_to_line(problem.universe[i]) for i in solution] == [
             'token\t0\t0\t""\t0\t0\t"_"\t"_n"',
             'token\t0\t0\t""\t0\t0\t"_"\t"_q"',
@@ -563,15 +513,14 @@ class TestArtificialAnchoring:
                                                    separators):
         # the premise of the one-separator anchoring: expanding each token or
         # lemma rule to every separator gives the all-separator enumeration
-        bounds = RuleSpaceBounds(separators=tuple(separators))
-        one = enumerate_applicable_rules(
-            [form], [lemma], label,
-            RuleSpaceBounds(separators=tuple(sorted(separators))[:1]))
+        one = enumerate_applicable_rules([form], [lemma], label,
+                                         separators=sorted(separators)[:1])
         expanded = {r._replace(separator=sep) if r.kind in (rules.TOKEN, rules.LEMMA)
                     else r for r in one for sep in separators or [""]}
         if not separators:
             assert all(r.kind in (rules.NUMBER, rules.ABSOLUTE) for r in one)
-        assert expanded == enumerate_applicable_rules([form], [lemma], label, bounds)
+        assert expanded == enumerate_applicable_rules([form], [lemma], label,
+                                                      separators=separators)
 
 
 @settings(max_examples=40, deadline=None)

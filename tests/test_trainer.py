@@ -686,9 +686,9 @@ class TestConfigFile:
             trainer.load_train_config(str(path))
 
     @pytest.mark.parametrize("line", [
-        "use_anchor_mask = flase",
-        "balance_losses = 2",
-        "edge_multilabel =",
+        "queries_per_token = two",
+        "seed = 1e3",
+        "label_smoothing = 0..1",
         "stop_when = 3",
         "stop_when = [0.9]",
         "stop_when = null",
@@ -705,7 +705,8 @@ class TestConfigFile:
     def test_malformed_values_rejected(self, tmp_path, line):
         path = tmp_path / "bad.cfg"
         path.write_text(f"epochs = 1\n{line}\n")
-        with pytest.raises(trainer.TrainError, match=r"bad\.cfg:2: "):
+        # a removed option fails as unknown before its value is parsed
+        with pytest.raises(trainer.TrainError, match=r"bad\.cfg:2: (?!unknown option)"):
             trainer.load_train_config(str(path))
 
     @pytest.mark.parametrize("name,value,noun", [
