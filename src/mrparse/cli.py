@@ -75,14 +75,15 @@ def _load_graphs(path: str) -> list[graph_mod.Graph]:
         _fail("io", str(exc), EXIT_DATA)
 
 
-def _framework_config(args) -> transform.FrameworkConfig:
+def _framework_config(args) -> frozenset[str]:
+    """The DRG relation labels of --config, the one framework setting."""
     if args.config:
         try:
             with _decoding(args.config):
                 return transform.load_framework_config(args.config)
         except (OSError, transform.TransformError) as exc:
             _fail("config", str(exc), EXIT_DATA)
-    return transform.FrameworkConfig()
+    return frozenset()
 
 
 def _load_rule_table(path: str) -> tuple[rules.Rule, ...]:
@@ -122,10 +123,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
-    config = _framework_config(args)
+    drg_relations = _framework_config(args)
     graphs = _load_graphs(args.input)
     try:
-        processed = [transform.preprocess(args.framework, g, config)[0] for g in graphs]
+        processed = [transform.preprocess(args.framework, g, drg_relations)[0]
+                     for g in graphs]
         if args.framework == "amr":
             processed = rules.anchor_flavor2_corpus(processed)
     except transform.TransformError as exc:
@@ -138,28 +140,33 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _corpus_items(graphs, framework, config):
-    return rules.label_items([transform.preprocess(framework, g, config)[0]
-                              for g in graphs])
+def _corpus_items(args):
+    """The labeled nodes of --input after the --framework transform; a graph
+    the transform rejects is a data error, as in preprocess."""
+    drg_relations = _framework_config(args)
+    graphs = _load_graphs(args.input)
+    try:
+        return rules.label_items([transform.preprocess(args.framework, g, drg_relations)[0]
+                                  for g in graphs])
+    except transform.TransformError as exc:
+        _fail("data", str(exc), EXIT_DATA)
 
 
 def cmd_rules_infer(args) -> int:
-    """Solve the minimal rule set; table to --rule-table (or --output),
-    label/rule counts to stdout."""
-    config = _framework_config(args)
-    graphs = _load_graphs(args.input)
-    items, names = _corpus_items(graphs, args.framework, config)
+    """Solve the minimal rule set; table to --rule-table, label/rule counts
+    to --output."""
+    items, names = _corpus_items(args)
     problem = rules.build_problem(items, names=names)
     try:
         solution = rules.minimal_rule_set(problem)
     except rules.InfeasibleEncodingError as exc:
         _fail("infeasible", str(exc), EXIT_INFEASIBLE)
     table = [problem.universe[i] for i in solution]
-    table_path = args.rule_table or args.output
-    if table_path and table_path != "-":
-        rules.save_rule_table(table, table_path)
+    if args.rule_table:
+        rules.save_rule_table(table, args.rule_table)
     labels = {label for _, _, label in items}
-    print(json.dumps({"labels": len(labels), "rules": len(table)}))
+    with _open_output(args.output) as out:
+        print(json.dumps({"labels": len(labels), "rules": len(table)}), file=out)
     return 0
 
 
@@ -167,9 +174,7 @@ def cmd_rules_apply(args) -> int:
     if not args.rule_table:
         _fail("usage", "--rule-table is required", EXIT_USAGE)
     table = _load_rule_table(args.rule_table)
-    config = _framework_config(args)
-    graphs = _load_graphs(args.input)
-    items, names = _corpus_items(graphs, args.framework, config)
+    items, names = _corpus_items(args)
     with _open_output(args.output) as out:
         records = []
         for (tokens, lemmas, label), name in zip(items, names):
@@ -185,9 +190,7 @@ def cmd_rules_apply(args) -> int:
 
 
 def cmd_rules_stats(args) -> int:
-    config = _framework_config(args)
-    graphs = _load_graphs(args.input)
-    items, _ = _corpus_items(graphs, args.framework, config)
+    items, _ = _corpus_items(args)
     labels = {label for _, _, label in items}
     payload = {"labels": len(labels), "nodes": len(items)}
     if args.rule_table:

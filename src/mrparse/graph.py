@@ -197,19 +197,21 @@ _GRAPH_KEYS = {"id", "flavor", "framework", "input", "tops", "nodes", "edges", "
 def parse_graph(line: str) -> Graph:
     """Parse one JSON Lines object into a Graph.
 
-    Raises GraphParseError (with byte offset) on malformed JSON and
-    GraphSchemaError (naming the field) on schema violations, including edges
-    citing nonexistent node ids.  tops, nodes and edges must be arrays when
-    present; an absent or null one is empty.  The checks run in field order:
-    graph fields, tops, then each node, edge and token in one pass.  The
-    dataclasses are built with positional arguments, which cost less per
-    call than keywords.
+    Raises GraphParseError on malformed JSON (with byte offset) or JSON
+    nested too deeply for the parser, and GraphSchemaError (naming the
+    field) on schema violations, including edges citing nonexistent node
+    ids.  tops, nodes and edges must be arrays when present; an absent or
+    null one is empty.  The checks run in field order: graph fields, tops,
+    then each node, edge and token in one pass.  The dataclasses are built
+    with positional arguments, which cost less per call than keywords.
     """
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         byte_offset = len(line[:exc.pos].encode("utf-8"))
         raise GraphParseError(exc.msg, byte_offset) from None
+    except RecursionError:
+        raise GraphParseError("nested too deeply") from None
     if not isinstance(obj, dict):
         raise GraphSchemaError("top-level value must be an object", "<root>")
     if type(obj.get("id")) not in (str, int):

@@ -12,8 +12,10 @@ from dataclasses import dataclass, replace
 
 from .graph import Anchor, Edge, Graph, Node
 
-DEFAULT_INVERSION_SUFFIX = "-of"
-DEFAULT_ALIASES = {"mod": "domain-of"}
+INVERSION_SUFFIX = "-of"
+INVERSION_ALIASES = {"mod": "domain-of"}
+# inverted label -> the alias emitted for it, the inverse of INVERSION_ALIASES
+_ALIASED = {inverted: plain for plain, inverted in INVERSION_ALIASES.items()}
 
 
 class TransformError(Exception):
@@ -41,27 +43,14 @@ class TransformTrace:
     deinverted: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class FrameworkConfig:
-    """Per-framework transform settings, loadable from a key-value file."""
+def load_framework_config(path: str) -> frozenset[str]:
+    """Read a framework config file and return its DRG relation labels.
 
-    inversion_suffix: str = DEFAULT_INVERSION_SUFFIX
-    aliases: tuple[tuple[str, str], ...] = tuple(sorted(DEFAULT_ALIASES.items()))
-    drg_relation_labels: frozenset[str] = frozenset()
-
-    def alias_map(self) -> dict[str, str]:
-        return dict(self.aliases)
-
-
-def load_framework_config(path: str) -> FrameworkConfig:
-    """Read a framework config file.
-
-    Format: one ``key = value`` pair per line, ``#`` comments.  Keys:
-    ``inversion_suffix``, ``alias.<label> = <inverted-label>`` (repeatable)
-    and ``drg_relations`` (comma-separated label list).
+    Format: one ``key = value`` pair per line, ``#`` comments.  The one key
+    is ``drg_relations`` (comma-separated label list, repeatable); any other
+    key raises TransformError.  The inverted-edge convention (suffix ``-of``,
+    ``mod`` for ``domain-of``) is fixed, not configured.
     """
-    suffix = DEFAULT_INVERSION_SUFFIX
-    aliases = dict(DEFAULT_ALIASES)
     relations: set[str] = set()
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -71,17 +60,10 @@ def load_framework_config(path: str) -> FrameworkConfig:
             if "=" not in line:
                 raise TransformError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key == "inversion_suffix":
-                suffix = value
-            elif key.startswith("alias."):
-                aliases[key[len("alias."):]] = value
-            elif key == "drg_relations":
-                relations.update(v.strip() for v in value.split(",") if v.strip())
-            else:
+            if key != "drg_relations":
                 raise TransformError(f"{path}:{lineno}: unknown key {key!r}")
-    return FrameworkConfig(inversion_suffix=suffix,
-                           aliases=tuple(sorted(aliases.items())),
-                           drg_relation_labels=frozenset(relations))
+            relations.update(v.strip() for v in value.split(",") if v.strip())
+    return frozenset(relations)
 
 
 def nodeify_properties(g: Graph) -> tuple[Graph, TransformTrace]:
@@ -133,24 +115,21 @@ def denodeify_properties(g: Graph, trace: TransformTrace) -> Graph:
     return replace(g, nodes=nodes, edges=edges)
 
 
-def normalize_inverted_edges(g: Graph, suffix: str = DEFAULT_INVERSION_SUFFIX,
-                             aliases: dict[str, str] | None = None,
-                             ) -> tuple[Graph, TransformTrace]:
-    """Reverse edges whose label (or its alias) ends with the inversion suffix.
+def normalize_inverted_edges(g: Graph) -> tuple[Graph, TransformTrace]:
+    """Reverse edges whose label (or its INVERSION_ALIASES alias) ends with
+    INVERSION_SUFFIX.
 
-    An edge a->b labeled "X-of" becomes b->a labeled "X".  A graph with no
-    edge to reverse is returned as it is.
+    An edge a->b labeled "X-of" becomes b->a labeled "X", and one labeled
+    "mod" becomes b->a labeled "domain".  A graph with no edge to reverse is
+    returned as it is.
     """
-    if not suffix:
-        raise TransformError("inversion suffix must be nonempty")
-    aliases = DEFAULT_ALIASES if aliases is None else aliases
     edges = []
     deinverted = []
     for i, edge in enumerate(g.edges):
-        label = aliases.get(edge.label, edge.label)
-        if label.endswith(suffix) and len(label) > len(suffix):
+        label = INVERSION_ALIASES.get(edge.label, edge.label)
+        if label.endswith(INVERSION_SUFFIX) and len(label) > len(INVERSION_SUFFIX):
             edges.append(Edge(source=edge.target, target=edge.source,
-                              label=label[:-len(suffix)],
+                              label=label[:-len(INVERSION_SUFFIX)],
                               attributes=edge.attributes, extras=edge.extras))
             deinverted.append(i)
         else:
@@ -165,11 +144,10 @@ def reinvert_edges_for_top(g: Graph, invertible_labels: set[str]) -> Graph:
     Walks the graph from its top nodes treating edges as undirected; an
     edge with one of invertible_labels (the labels de-inverted during
     preprocessing) first reached against its direction is emitted reversed
-    with DEFAULT_INVERSION_SUFFIX appended, or its DEFAULT_ALIASES alias
-    when the inverted label has one.  Other edges keep their normalized
-    direction, and a graph with no edge to reverse is returned as it is.
+    with INVERSION_SUFFIX appended, or its INVERSION_ALIASES alias when the
+    inverted label has one.  Other edges keep their normalized direction,
+    and a graph with no edge to reverse is returned as it is.
     """
-    inverse_alias = {inverted: plain for plain, inverted in DEFAULT_ALIASES.items()}
     outgoing: dict[int, list[int]] = {n.id: [] for n in g.nodes}
     incoming: dict[int, list[int]] = {n.id: [] for n in g.nodes}
     for i, edge in enumerate(g.edges):
@@ -199,8 +177,8 @@ def reinvert_edges_for_top(g: Graph, invertible_labels: set[str]) -> Graph:
     edges = []
     for i, edge in enumerate(g.edges):
         if i in to_invert:
-            inverted = edge.label + DEFAULT_INVERSION_SUFFIX
-            inverted = inverse_alias.get(inverted, inverted)
+            inverted = edge.label + INVERSION_SUFFIX
+            inverted = _ALIASED.get(inverted, inverted)
             edges.append(Edge(source=edge.target, target=edge.source, label=inverted,
                               attributes=edge.attributes, extras=edge.extras))
         else:
@@ -219,25 +197,28 @@ def ucca_augment(g: Graph) -> Graph:
     for edge in g.edges:
         children[edge.source].append(edge.target)
 
+    own = {node.id: node.anchors for node in g.nodes}
     anchors: dict[int, frozenset[Anchor]] = {}
-    state: dict[int, int] = {}  # 1 = on stack, 2 = done
-
-    def collect(node_id: int) -> frozenset[Anchor]:
-        if state.get(node_id) == 1:
-            raise GraphStructureError(f"cycle through node {node_id}")
-        if state.get(node_id) == 2:
-            return anchors[node_id]
-        state[node_id] = 1
-        node = g.node_by_id(node_id)
-        result = frozenset(node.anchors)
-        for child in children[node_id]:
-            result |= collect(child)
-        state[node_id] = 2
-        anchors[node_id] = result
-        return result
-
-    for node in g.nodes:
-        collect(node.id)
+    for root in g.nodes:
+        if root.id in anchors:
+            continue
+        # explicit-stack post-order walk: (node id, index of its next child)
+        stack, on_stack = [(root.id, 0)], {root.id}
+        while stack:
+            node_id, i = stack[-1]
+            if i < len(children[node_id]):
+                stack[-1] = (node_id, i + 1)
+                child = children[node_id][i]
+                if child in on_stack:
+                    raise GraphStructureError(f"cycle through node {child}")
+                if child not in anchors:
+                    stack.append((child, 0))
+                    on_stack.add(child)
+                continue
+            stack.pop()
+            on_stack.discard(node_id)
+            anchors[node_id] = frozenset(own[node_id]).union(
+                *(anchors[child] for child in children[node_id]))
     nodes = tuple(
         replace(node,
                 label="leaf" if not children[node.id] else "inner",
@@ -289,22 +270,22 @@ def eds_merge_anchors(g: Graph) -> Graph:
 
 
 def preprocess(framework: str, g: Graph,
-               config: FrameworkConfig | None = None) -> tuple[Graph, TransformTrace]:
+               drg_relations: frozenset[str] = frozenset()) -> tuple[Graph, TransformTrace]:
     """Apply a framework's canonicalization pipeline.
 
-    amr: nodeify + de-invert (artificial anchoring is a corpus-level step,
-    see rules.anchor_flavor2_corpus); drg: nodeify + binary-relation
-    reduction; eds: nodeify + anchor merge; ptg: properties kept native,
-    identity; ucca: leaf/inner augmentation.
+    amr: nodeify + de-invert with the fixed convention of
+    normalize_inverted_edges (artificial anchoring is a corpus-level step,
+    see rules.anchor_flavor2_corpus); drg: nodeify + reduction of the nodes
+    labeled with one of drg_relations; eds: nodeify + anchor merge; ptg:
+    properties kept native, identity; ucca: leaf/inner augmentation.
     """
-    config = config or FrameworkConfig()
     if framework == "amr":
         out, trace = nodeify_properties(g)
-        out, inv = normalize_inverted_edges(out, config.inversion_suffix, config.alias_map())
+        out, inv = normalize_inverted_edges(out)
         return out, TransformTrace(nodeified=trace.nodeified, deinverted=inv.deinverted)
     if framework == "drg":
         out, trace = nodeify_properties(g)
-        out = drg_reduce_binary_relations(out, config.drg_relation_labels)
+        out = drg_reduce_binary_relations(out, drg_relations)
         return out, trace
     if framework == "eds":
         out, trace = nodeify_properties(g)

@@ -71,6 +71,15 @@ class TestValidate:
         assert "parse" in out
 
 
+    def test_deeply_nested_line_reported(self, tmp_path, capsys):
+        deep = tmp_path / "deep.jsonl"
+        deep.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+        code, out, err = run_cli(["validate", "--input", str(deep)], capsys)
+        assert (code, err) == (2, "")
+        assert out.splitlines() == ["line 1: parse: nested too deeply",
+                                    "validated 0 graphs, 1 violations"]
+
+
 class TestPreprocess:
     def test_eds_output_parses(self, tmp_path, capsys):
         out_path = tmp_path / "out.jsonl"
@@ -101,6 +110,26 @@ class TestPreprocess:
         assert code == 0
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
             "52f308b60148eb098f77232e321acf40288a8f0df851c2c870c2280c0ad36fc3")
+
+    @pytest.mark.parametrize("line", ["inversion_suffix = -on", "alias.mod = domain-of"])
+    def test_removed_config_key_is_config_error(self, line, tmp_path, capsys):
+        # the inverted-edge convention is fixed: the keys that set it are unknown
+        config = tmp_path / "fw.cfg"
+        config.write_text(line + "\n")
+        code, out, err = run_cli(["preprocess", "--framework", "amr", "--config",
+                                  str(config), "--input", fixture_path("amr.jsonl")],
+                                 capsys)
+        assert (code, out, len(err.splitlines())) == (2, "", 1)
+        assert json.loads(err) == {"error": "config", "message": f"{config}:1: unknown "
+                                   f"key {line.split(' = ')[0]!r}"}
+
+    def test_deeply_nested_line_is_data_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.jsonl"
+        deep.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+        code, out, err = run_cli(["preprocess", "--framework", "eds",
+                                  "--input", str(deep)], capsys)
+        assert (code, out, len(err.splitlines())) == (2, "", 1)
+        assert json.loads(err) == {"error": "data", "message": "line 1: nested too deeply"}
 
     def test_byte_identical_runs(self, tmp_path, capsys):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -182,6 +211,47 @@ class TestRules:
             "1606d8bddf1d5a3eeff6678a7f138929f2608235d55f929fa308b919f0d86c5b")
         assert hashlib.sha256(table.read_bytes()).hexdigest() == (
             "eda7a5d7f3ecf5b762418269c1b96a814c80e51f1a32c384d818c707e2f34335")
+
+    def test_infer_output_takes_counts_and_rule_table_the_table(self, tmp_path, capsys):
+        table, counts = tmp_path / "rules.txt", tmp_path / "counts.json"
+        code, out, _ = run_cli(["rules-infer", "--framework", "eds",
+                                "--input", fixture_path("eds.jsonl"),
+                                "--rule-table", str(table)], capsys)
+        assert code == 0
+        pinned = table.read_bytes()
+        table.unlink()
+        assert run_cli(["rules-infer", "--framework", "eds",
+                        "--input", fixture_path("eds.jsonl"), "--rule-table", str(table),
+                        "--output", str(counts)], capsys) == (0, "", "")
+        assert counts.read_text() == out
+        assert table.read_bytes() == pinned
+
+    @pytest.mark.parametrize("command", ["rules-infer", "rules-apply", "rules-stats"])
+    @pytest.mark.parametrize("framework, graph, config, message", [
+        ("ucca", '"nodes":[{"id":0},{"id":1}],"edges":[{"source":0,"target":1,'
+                 '"label":"A"},{"source":1,"target":0,"label":"B"}]',
+         None, "cycle through node 0"),
+        ("drg", '"nodes":[{"id":0,"label":"sleep"},{"id":1,"label":"Agent"}],'
+                '"edges":[{"source":0,"target":1,"label":"arg1"}]',
+         "drg_relations = Agent\n", "relation node 1 has in-degree 1 and "
+                                     "out-degree 0, expected 1 and 1"),
+    ], ids=["ucca-cycle", "drg-dangling-relation"])
+    def test_transform_failure_is_data_error(self, command, framework, graph, config,
+                                             message, tmp_path, capsys):
+        corpus = tmp_path / "g.jsonl"
+        corpus.write_text(f'{{"id":"g","flavor":1,"framework":"{framework}",'
+                          f'"input":"a b",{graph}}}\n')
+        table = tmp_path / "rules.txt"
+        table.write_text('absolute\t"x"\n')
+        argv = [command, "--framework", framework, "--input", str(corpus)]
+        if command != "rules-infer":
+            argv += ["--rule-table", str(table)]
+        if config:
+            (tmp_path / "fw.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "fw.cfg")]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, len(err.splitlines())) == (2, "", 1)
+        assert json.loads(err) == {"error": "data", "message": message}
 
     def test_apply_encodes_each_node(self, tmp_path, capsys):
         table = tmp_path / "rules.txt"
@@ -842,7 +912,7 @@ class TestTrainPredict:
         config.write_text("dim = 16\nffn_dim = 24\nepochs = 1\n")
         ckpt = tmp_path / "m.ckpt"
         assert run_cli(["rules-infer", "--framework", "eds", "--input", str(corpus),
-                        "--output", str(tmp_path / "rules.txt")], capsys)[0] == 0
+                        "--rule-table", str(tmp_path / "rules.txt")], capsys)[0] == 0
         code, out, err = run_cli(["train-toy", "--input", str(corpus), "--config",
                                   str(config), "--checkpoint", str(ckpt)], capsys)
         assert (code, out) == (2, "")

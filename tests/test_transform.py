@@ -1,10 +1,12 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrparse.graph import Anchor, Edge, Graph, Node, load_graphs
-from mrparse.transform import (FrameworkConfig, GraphStructureError,
-                               InconsistentTraceError, TransformError, TransformTrace,
+from mrparse.transform import (GraphStructureError, InconsistentTraceError,
+                               TransformError, TransformTrace,
                                denodeify_properties, drg_reduce_binary_relations,
                                eds_merge_anchors, fold_property_nodes,
                                load_framework_config, nodeify_properties,
@@ -83,8 +85,9 @@ def test_deinvert_alias():
     g = Graph(id="g", framework="amr", flavor=2, input="x",
               nodes=(Node(0, "a"), Node(1, "b")),
               edges=(Edge(0, 1, "mod"),))
-    out, _ = normalize_inverted_edges(g, aliases={"mod": "domain-of"})
+    out, trace = normalize_inverted_edges(g)
     assert out.edges == (Edge(1, 0, "domain"),)
+    assert trace.deinverted == (0,)
 
 
 def test_deinvert_no_suffix_identity():
@@ -138,8 +141,31 @@ def test_ucca_cycle_error():
     g = Graph(id="g", framework="ucca", flavor=1, input="ab",
               nodes=(Node(0), Node(1)),
               edges=(Edge(0, 1, "A"), Edge(1, 0, "B")))
-    with pytest.raises(GraphStructureError):
+    with pytest.raises(GraphStructureError, match="cycle through node 0"):
         ucca_augment(g)
+
+
+def test_ucca_chain_deeper_than_recursion_limit():
+    depth = sys.getrecursionlimit() + 500
+    g = Graph(id="g", framework="ucca", flavor=1, input="abc",
+              nodes=tuple(Node(i) for i in range(depth))
+              + (Node(depth, anchors=(Anchor(0, 3),)),),
+              edges=tuple(Edge(i, i + 1, "A") for i in range(depth)))
+    out, _ = preprocess("ucca", g)
+    assert all(n.label == "inner" and n.anchors == (Anchor(0, 3),)
+               for n in out.nodes[:depth])
+    assert out.nodes[depth].label == "leaf"
+
+
+def test_ucca_shared_child_anchors_every_parent():
+    # a node reached from two parents is walked once and feeds both
+    g = Graph(id="g", framework="ucca", flavor=1, input="ab cd",
+              nodes=(Node(0), Node(1), Node(2), Node(3, anchors=(Anchor(0, 2),)),
+                     Node(4, anchors=(Anchor(3, 5),))),
+              edges=(Edge(0, 2, "A"), Edge(1, 2, "A"), Edge(2, 3, "B"), Edge(1, 4, "C")))
+    out = ucca_augment(g)
+    assert [out.node_by_id(i).anchors for i in range(3)] == [
+        (Anchor(0, 2),), (Anchor(0, 2), Anchor(3, 5)), (Anchor(0, 2),)]
 
 
 def test_drg_reduce_path():
@@ -200,8 +226,7 @@ def test_preprocess_ucca():
 
 def test_preprocess_drg_uses_config():
     g = load_graphs(fixture_path("drg.jsonl"))[0]
-    config = FrameworkConfig(drg_relation_labels=frozenset({"Agent"}))
-    out, _ = preprocess("drg", g, config)
+    out, _ = preprocess("drg", g, frozenset({"Agent"}))
     assert Edge(0, 1, "Agent") in out.edges
 
 
@@ -213,15 +238,11 @@ def test_preprocess_eds_merges():
 
 def test_framework_config_file(tmp_path):
     path = tmp_path / "fw.cfg"
-    path.write_text("# demo\ninversion_suffix = -of\nalias.mod = domain-of\n"
-                    "drg_relations = Agent, Theme\n")
-    config = load_framework_config(str(path))
-    assert config.inversion_suffix == "-of"
-    assert config.alias_map()["mod"] == "domain-of"
-    assert config.drg_relation_labels == {"Agent", "Theme"}
+    path.write_text("# demo\ndrg_relations = Agent, Theme\n\ndrg_relations = Cause\n")
+    assert load_framework_config(str(path)) == frozenset({"Agent", "Theme", "Cause"})
 
 
-_KEYS = st.sampled_from(["inversion_suffix", "alias.mod", "drg_relations"])
+_KEYS = st.sampled_from(["alias.mod", "drg_relations"])
 
 
 @settings(max_examples=200, deadline=None)
@@ -231,7 +252,7 @@ def test_load_framework_config_returns_or_raises_transform_error(tmp_path_factor
     path = tmp_path_factory.mktemp("config") / "fw.cfg"
     path.write_text(text, encoding="utf-8")
     try:
-        assert isinstance(load_framework_config(str(path)), FrameworkConfig)
+        assert isinstance(load_framework_config(str(path)), frozenset)
     except TransformError:
         pass
 
