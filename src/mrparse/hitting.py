@@ -1,24 +1,28 @@
-"""Exact minimum hitting set over indexed rule sets.
+"""Exact minimum hitting set over rule sets given as universe indices.
 
-The input is first reduced to coverage classes: duplicate sets and sets
-containing another set are dropped, and elements lying in exactly the same
-remaining sets form one class (elements in none of them are never useful).
-A minimum hitting set never holds two members of one class, and the
-lexicographically smallest one takes each class's smallest member, so the
-search runs on bitmasks over classes, a few hundred bits where the universe
-has thousands of elements.  Constraints sharing a class form one connected
-component, and each component, a few dozen constraints where the problem has
-over a hundred, is solved on its own: a branch-and-bound that branches on
-the smallest constraint and prunes when pairwise-disjoint constraints, each
+Elements are ordered by their values in the universe (for rule problems,
+canonical rule order; range(n) gives index order), not by their indices, so
+the answer does not depend on how the elements were numbered.  The input is
+first reduced to coverage classes: duplicate sets and sets containing
+another set are dropped, and elements lying in exactly the same remaining
+sets form one class (elements in none of them are never useful).  A minimum
+hitting set never holds two members of one class, and the lexicographically
+smallest one takes each class's smallest member, so only those minima are
+ordered, and the search runs on bitmasks over classes numbered in their
+minima's order, a few hundred bits where the universe has thousands of
+elements.  Constraints sharing a class form one connected component, and
+each component, a few dozen constraints where the problem has over a
+hundred, is solved on its own: a branch-and-bound that branches on the
+smallest constraint and prunes when pairwise-disjoint constraints, each
 needing its own class, exceed the budget, followed by a lexicographic
-refinement pass over the component's classes in order of their smallest
-member.  The sorted union of the component answers is the lexicographically
-smallest among all minimum-cardinality solutions.
+refinement pass over the component's classes in order.  The union of the
+component answers, in class order, is the lexicographically smallest among
+all minimum-cardinality solutions.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Sequence
 
 
 class InfeasibleError(Exception):
@@ -75,12 +79,13 @@ def _min_size(masks: list[int], allowed: int, budget: int) -> int | None:
 
 
 def _coverage_classes(sets: Sequence[frozenset[int]],
-                      universe_size: int) -> tuple[list[int], list[int]]:
+                      universe: Sequence[Any]) -> tuple[list[int], list[int]]:
     """Constraint masks over coverage classes, and each class's smallest member.
 
     Distinct sets that contain no other set are the kept constraints; elements
-    lying in exactly the same kept constraints form one class.  Classes are
-    numbered in increasing order of their smallest member.
+    lying in exactly the same kept constraints form one class.  A member is
+    smaller when its value in universe is, and classes are numbered in
+    increasing order of their smallest member.
     """
     distinct = dict.fromkeys(sets)
     if frozenset() in distinct:
@@ -96,9 +101,10 @@ def _coverage_classes(sets: Sequence[frozenset[int]],
             cover[e] = cover.get(e, 0) | bit
     first: dict[int, int] = {}
     for e, constraints in cover.items():
-        if e < first.get(constraints, universe_size):
+        least = first.get(constraints)
+        if least is None or universe[e] < universe[least]:
             first[constraints] = e
-    members = sorted(first.values())
+    members = sorted(first.values(), key=universe.__getitem__)
     masks = [0] * len(kept)
     for c, e in enumerate(members):
         for j in _bits(cover[e]):
@@ -152,9 +158,12 @@ def _lexicographic_min(masks: list[int], allowed: int) -> list[int]:
 
 
 def minimal_hitting_set(sets: Sequence[frozenset[int]],
-                        universe_size: int) -> tuple[int, ...]:
+                        universe: Sequence[Any]) -> tuple[int, ...]:
     """Lexicographically smallest minimum-cardinality hitting set.
 
+    sets hold indices into universe, whose values are distinct and totally
+    ordered; the answer lists indices in increasing order of value, and of
+    two equal-size answers the one holding the smaller value first wins.
     Every returned index set intersects all input sets; cardinality is
     provably minimum (branch-and-bound under a packing bound, cross-checked
     against brute force in the test suite).  The search runs over coverage
@@ -165,6 +174,6 @@ def minimal_hitting_set(sets: Sequence[frozenset[int]],
     symmetric difference sorts first; that element lies in one component,
     whose lexicographically smallest minimum wins.
     """
-    masks, members = _coverage_classes(sets, universe_size)
-    return tuple(sorted(members[c] for group, union in _components(masks)
-                        for c in _lexicographic_min(group, union)))
+    masks, members = _coverage_classes(sets, universe)
+    return tuple(members[c] for c in sorted(c for group, union in _components(masks)
+                                            for c in _lexicographic_min(group, union)))

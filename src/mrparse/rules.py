@@ -9,19 +9,22 @@ kind rank (TOKEN, LEMMA, NUMBER, ABSOLUTE), the seven-tuple fields, then the
 absolute label, with 0 or "" where a kind has no field, so plain tuple order
 is the canonical order that indexes the classifier output.  The retained
 rule inventory is the exact minimum subset hitting every node's
-applicable-rule set.
+applicable-rule set.  A rule-set problem numbers its rules in the order the
+enumeration first finds them, and the solver breaks ties in canonical rule
+order through the smallest rule of each coverage class (see hitting), so
+the chosen rules do not depend on that numbering.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import hitting
-from .graph import Anchor, Graph, anchored_token_indices, graph_tokens
+from .graph import Anchor, Graph, Node, anchored_token_indices, graph_tokens
 
 
 class RuleError(Exception):
@@ -157,11 +160,13 @@ def apply_rule(rule: Rule, tokens: Sequence[str],
 
 
 def enumerate_applicable_rules(tokens: Sequence[str], lemmas: Sequence[str],
-                               label: str,
-                               separators: Sequence[str] = SEPARATORS) -> set[Rule]:
-    """All rules of the rule space, token and lemma rules joined with one of
-    separators, that map the anchoring onto the label.
+                               label: str, ids: dict[Rule, int],
+                               separators: Sequence[str] = SEPARATORS) -> frozenset[int]:
+    """The ids of all rules of the rule space, token and lemma rules joined
+    with one of separators, that map the anchoring onto the label.
 
+    ids is the problem's rule table: a rule found for the first time gets
+    the next id, len(ids), so the table lists the rules in first-found order.
     The absolute rule for the label is always included; the number rule is
     included when the tokens parse to exactly the label.
 
@@ -172,9 +177,9 @@ def enumerate_applicable_rules(tokens: Sequence[str], lemmas: Sequence[str],
     prefix, suffix) matches of each distinct joined string; every (kind,
     drops, separator) that joins to it reuses them.
     """
-    found: set[Rule] = {AbsoluteRule(label)}
+    found = {ids.setdefault(AbsoluteRule(label), len(ids))}
     if tokens and label.isdigit() and words_to_number(tokens) == label:
-        found.add(NumberRule())
+        found.add(ids.setdefault(NumberRule(), len(ids)))
     size = len(label)
     affix = MAX_AFFIX_LEN
     strip = MAX_CHAR_STRIP
@@ -213,8 +218,9 @@ def enumerate_applicable_rules(tokens: Sequence[str], lemmas: Sequence[str],
                                 c += 1
                     head = (kind, drop_left, drop_right, sep)
                     for hit in hits:
-                        found.add(_new(Rule, head + hit))
-    return found
+                        rule = _new(Rule, head + hit)
+                        found.add(ids.setdefault(rule, len(ids)))
+    return frozenset(found)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +228,8 @@ def enumerate_applicable_rules(tokens: Sequence[str], lemmas: Sequence[str],
 
 @dataclass(frozen=True)
 class RuleSetProblem:
-    """Indexed rule universe plus each node's applicable subset."""
+    """Rule universe in first-found order plus each node's applicable subset
+    of its indices."""
 
     universe: tuple[Rule, ...]
     per_node: tuple[frozenset[int], ...]
@@ -248,29 +255,27 @@ def label_items(graphs: Sequence[Graph]) -> tuple[list[tuple], list[str]]:
 
 def build_problem(items: Sequence[tuple[Sequence[str], Sequence[str], str]], *,
                   names: Sequence[str]) -> RuleSetProblem:
-    """Enumerate the rule set of each distinct item once and index the shared
-    universe; rules are tuples in canonical order, a total order, so the
-    universe does not depend on which items repeat.  names[i] names item i
-    in infeasibility messages."""
+    """Enumerate the rule set of each distinct item once into one rule table;
+    the universe lists the rules in the order they were first found, which
+    the solution does not depend on (see minimal_rule_set).  names[i] names
+    item i in infeasibility messages."""
+    ids: dict[Rule, int] = {}
     keys = [(tuple(tokens), tuple(lemmas), label) for tokens, lemmas, label in items]
-    found = {key: enumerate_applicable_rules(*key) for key in dict.fromkeys(keys)}
-    universe = sorted(set().union(*found.values()))
-    index = {rule: i for i, rule in enumerate(universe)}
-    indexed = {key: frozenset(map(index.__getitem__, rules))
-               for key, rules in found.items()}
-    per_node = tuple(indexed[key] for key in keys)
-    return RuleSetProblem(universe=tuple(universe), per_node=per_node,
+    found = {key: enumerate_applicable_rules(*key, ids) for key in dict.fromkeys(keys)}
+    return RuleSetProblem(universe=tuple(ids), per_node=tuple(found[key] for key in keys),
                           node_names=tuple(names))
 
 
 def minimal_rule_set(problem: RuleSetProblem) -> tuple[int, ...]:
-    """Exact minimum rule subset hitting every node's applicable set.
+    """Exact minimum rule subset hitting every node's applicable set, as
+    universe indices sorted by rule.
 
     Deterministic: ties between minimum-cardinality solutions break to the
-    lexicographically smallest index set.
+    smallest rule set in canonical rule order, compared lexicographically,
+    whatever order the universe lists the rules in.
     """
     try:
-        return hitting.minimal_hitting_set(problem.per_node, len(problem.universe))
+        return hitting.minimal_hitting_set(problem.per_node, problem.universe)
     except hitting.InfeasibleError as exc:
         name = problem.node_names[exc.constraint_index]
         raise InfeasibleEncodingError(f"{name} has no applicable rules") from None
@@ -411,8 +416,11 @@ def anchor_flavor2_corpus(graphs: Sequence[Graph]) -> list[Graph]:
     smallest-separator variant (the fourth tuple field).  The lexicographically
     smallest minimum hitting set takes only class minima (see hitting), which
     dropping the other variants keeps in order, so the chosen rules and
-    anchors are unchanged; the universe and its indices shrink.
+    anchors are unchanged; the universe shrinks.  All candidates share one
+    rule table, so the universe is in first-found order; the solver orders
+    the rules canonically.
     """
+    ids: dict[Rule, int] = {}
     entries = []  # (graph idx, node idx, per-candidate (form, lemma, label) keys)
     per_graph_tokens = []
     for gi, g in enumerate(graphs):
@@ -421,28 +429,24 @@ def anchor_flavor2_corpus(graphs: Sequence[Graph]) -> list[Graph]:
         for ni, node in enumerate(g.nodes):
             if node.label is not None:
                 entries.append((gi, ni, [(t.form, t.lemma, node.label) for t in tokens]))
-    candidates = {
-        (form, lemma, label): frozenset(
-            enumerate_applicable_rules([form], [lemma], label, SEPARATORS[:1])
-            - {AbsoluteRule(label)})
-        for form, lemma, label in dict.fromkeys(k for _, _, keys in entries for k in keys)}
-    absolute = {AbsoluteRule(graphs[gi].nodes[ni].label) for gi, ni, _ in entries}
-    universe = sorted(absolute.union(*candidates.values()))
-    index = {rule: i for i, rule in enumerate(universe)}
-    indexed = {found: frozenset(map(index.__getitem__, found))
-               for found in set(candidates.values())}
+    candidates = {}
+    for key in dict.fromkeys(k for _, _, keys in entries for k in keys):
+        form, lemma, label = key
+        found = enumerate_applicable_rules([form], [lemma], label, ids, SEPARATORS[:1])
+        candidates[key] = found - {ids[AbsoluteRule(label)]}
     per_node = []
     names = []
     candidate_indices = []
     for gi, ni, keys in entries:
         node = graphs[gi].nodes[ni]
-        sets = [indexed[candidates[key]] for key in keys]
-        per_node.append(frozenset().union(*sets) | {index[AbsoluteRule(node.label)]})
+        sets = [candidates[key] for key in keys]
+        absolute = ids.setdefault(AbsoluteRule(node.label), len(ids))
+        per_node.append(frozenset().union(*sets) | {absolute})
         names.append(f"graph {graphs[gi].id} node {node.id}")
         candidate_indices.append(sets)
 
     solution = minimal_rule_set(RuleSetProblem(
-        universe=tuple(universe), per_node=tuple(per_node), node_names=tuple(names)))
+        universe=tuple(ids), per_node=tuple(per_node), node_names=tuple(names)))
     kept = assign_artificial_anchors(candidate_indices, solution)
 
     anchored: dict[int, list] = {}  # graph idx -> its nodes, anchored ones replaced
@@ -451,9 +455,13 @@ def anchor_flavor2_corpus(graphs: Sequence[Graph]) -> list[Graph]:
         nodes = anchored.get(gi)
         if nodes is None:
             nodes = anchored[gi] = list(graphs[gi].nodes)
-        nodes[ni] = replace(nodes[ni], anchors=tuple(
-            Anchor(tokens[a].start, tokens[a].end) for a in kept_candidates))
+        n = nodes[ni]
+        nodes[ni] = Node(n.id, n.label, n.properties, tuple(
+            Anchor(tokens[a].start, tokens[a].end) for a in kept_candidates),
+            n.is_top, n.extras)
     out = list(graphs)
     for gi, nodes in anchored.items():
-        out[gi] = replace(graphs[gi], nodes=tuple(nodes))
+        g = graphs[gi]
+        out[gi] = Graph(g.id, g.framework, g.flavor, g.input, tuple(nodes), g.edges,
+                        g.tokens, g.extras)
     return out

@@ -27,6 +27,11 @@ The rule-order key spells the canonical order out field by field instead
 of comparing tuples.  The reference graph parser is
 the per-node, per-edge and per-token helper version that preceded the
 one-pass parse_graph, kept as it was.
+The rule-problem references take rule sets from enumerate_applicable_rules
+here, which runs rules.enumerate_applicable_rules on a rule table of its own
+and returns the rules its ids stand for.  canonical_problem re-indexes a rule
+problem, whose universe is in first-found order, into canonical rule order,
+so index-level pins and references compare against one fixed numbering.
 The rule-problem digest, the brute-force hitting set, the loss bundle, the
 sentence total loss, the one-query label head loss, the per-sentence views
 of a group pass and the target-row selection and shuffle of an example
@@ -54,8 +59,7 @@ from mrparse.model import LN_EPS
 from mrparse.rules import (ABSOLUTE, LEMMA, MAX_AFFIX_LEN, MAX_CHAR_STRIP,
                            MAX_TOKEN_DROP, NUMBER, SEPARATORS, TOKEN, AbsoluteRule,
                            LemmaRule, NumberRule, RuleSetProblem, TokenRule,
-                           apply_rule, assign_artificial_anchors,
-                           enumerate_applicable_rules, minimal_rule_set,
+                           apply_rule, assign_artificial_anchors, minimal_rule_set,
                            rule_to_line, words_to_number)
 
 
@@ -239,6 +243,27 @@ def reference_enumerate_applicable_rules(tokens, lemmas, label):
                                                    prefix, suffix))
                                 start = pos + 1
     return found
+
+
+def enumerate_applicable_rules(tokens, lemmas, label, separators=SEPARATORS):
+    """The set of rules rules.enumerate_applicable_rules finds, read off the
+    ids it returns through a rule table of this call's own."""
+    ids = {}
+    found = rules.enumerate_applicable_rules(tokens, lemmas, label, ids, separators)
+    universe = list(ids)
+    return {universe[i] for i in found}
+
+
+def canonical_problem(problem: RuleSetProblem, solution: Sequence[int] = ()):
+    """(problem, solution) re-indexed so that the universe is in canonical
+    rule order: the node sets and the solution name the same rules."""
+    universe = sorted(problem.universe, key=reference_rule_key)
+    index = {rule: i for i, rule in enumerate(universe)}
+    old_to_new = [index[rule] for rule in problem.universe]
+    per_node = tuple(frozenset(old_to_new[i] for i in s) for s in problem.per_node)
+    return (RuleSetProblem(universe=tuple(universe), per_node=per_node,
+                           node_names=problem.node_names),
+            tuple(sorted(old_to_new[i] for i in solution)))
 
 
 def reference_rule_problem(items, *, names) -> RuleSetProblem:

@@ -57,14 +57,14 @@ def test_criterion_02_hitting_set_oracle():
             size = int(rng.integers(1, num_rules + 1))
             sets.append(frozenset(int(x) for x in
                                   rng.choice(num_rules, size=size, replace=False)))
-        exact = hitting.minimal_hitting_set(sets, num_rules)
+        exact = hitting.minimal_hitting_set(sets, range(num_rules))
         brute = oracles.brute_force_min_hitting_set(sets, num_rules)
         assert len(exact) == len(brute)
         assert exact == brute
     assert hitting.minimal_hitting_set(
-        [frozenset({0, 1}), frozenset({1, 2})], 3) == (1,)
+        [frozenset({0, 1}), frozenset({1, 2})], range(3)) == (1,)
     assert hitting.minimal_hitting_set(
-        [frozenset({0}), frozenset({1})], 2) == (0, 1)
+        [frozenset({0}), frozenset({1})], range(2)) == (0, 1)
     elapsed = time.time() - start
     assert elapsed < 10.0, f"hitting-set oracle took {elapsed:.2f}s"
     report(2, f"minimal_rule_set cardinality equals brute force on 200 random "

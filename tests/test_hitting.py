@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,8 @@ from hypothesis import strategies as st
 from mrparse import hitting
 from mrparse.hitting import InfeasibleError, minimal_hitting_set
 from oracles import (UniverseTooLargeError, brute_force_min_hitting_set,
-                     reference_anchor_flavor2_corpus, reference_minimal_hitting_set)
+                     canonical_problem, reference_anchor_flavor2_corpus,
+                     reference_minimal_hitting_set)
 
 
 def random_instance(rng, max_rules=12, max_nodes=8):
@@ -21,24 +24,24 @@ def random_instance(rng, max_rules=12, max_nodes=8):
 
 
 def test_unique_singleton():
-    assert minimal_hitting_set([frozenset({0, 1}), frozenset({1, 2})], 3) == (1,)
+    assert minimal_hitting_set([frozenset({0, 1}), frozenset({1, 2})], range(3)) == (1,)
 
 
 def test_disjoint_needs_both():
-    assert minimal_hitting_set([frozenset({0}), frozenset({1})], 2) == (0, 1)
+    assert minimal_hitting_set([frozenset({0}), frozenset({1})], range(2)) == (0, 1)
 
 
 def test_empty_problem():
-    assert minimal_hitting_set([], 4) == ()
+    assert minimal_hitting_set([], range(4)) == ()
 
 
 def test_empty_set_infeasible():
     with pytest.raises(InfeasibleError) as err:
-        minimal_hitting_set([frozenset({0}), frozenset()], 2)
+        minimal_hitting_set([frozenset({0}), frozenset()], range(2))
     assert err.value.constraint_index == 1
     # the reported index is the input position, not a position after dedupe
     with pytest.raises(InfeasibleError) as err:
-        minimal_hitting_set([frozenset({0}), frozenset({0}), frozenset()], 2)
+        minimal_hitting_set([frozenset({0}), frozenset({0}), frozenset()], range(2))
     assert err.value.constraint_index == 2
 
 
@@ -51,21 +54,58 @@ def test_matches_brute_force_cardinality_and_ties():
     rng = np.random.default_rng(7)
     for _ in range(200):
         sets, n = random_instance(rng)
-        exact = minimal_hitting_set(sets, n)
+        exact = minimal_hitting_set(sets, range(n))
         brute = brute_force_min_hitting_set(sets, n)
         assert exact == brute  # same minimum AND same lexicographic tie-break
+
+
+def _minimum_solutions(sets, n):
+    """Every minimum-cardinality hitting set, by subset enumeration."""
+    for size in range(n + 1):
+        found = [combo for combo in itertools.combinations(range(n), size)
+                 if all(s.intersection(combo) for s in sets)]
+        if found:
+            return found
+    return []
+
+
+def test_orders_elements_by_universe_value():
+    # elements carry shuffled distinct values; the answer is the brute-force
+    # answer of the instance relabeled into value order, mapped back
+    rng = np.random.default_rng(41)
+    ties = 0
+    for _ in range(200):
+        sets, n = random_instance(rng)
+        values = [int(v) for v in rng.choice(1000, size=n, replace=False)]
+        rank = {e: r for r, e in enumerate(sorted(range(n), key=values.__getitem__))}
+        by_rank = sorted(range(n), key=values.__getitem__)
+        relabeled = [frozenset(rank[e] for e in s) for s in sets]
+        expected = tuple(by_rank[r] for r in brute_force_min_hitting_set(relabeled, n))
+        assert minimal_hitting_set(sets, values) == expected
+        ties += len(_minimum_solutions(sets, n)) > 1
+    assert ties >= 20  # many instances have several minimum sets to choose from
+
+
+def test_value_order_overrides_index_order():
+    # {0, 3} and {1, 2} are both minimum; index order picks {0, 3}, but
+    # with 0 and 1 swapping values {1, 2} holds the smallest value, 1's
+    sets = [frozenset({0, 1}), frozenset({0, 2}), frozenset({3, 1}), frozenset({3, 2})]
+    assert minimal_hitting_set(sets, range(4)) == (0, 3)
+    assert minimal_hitting_set(sets, [1, 0, 2, 3]) == (1, 2)
+    assert minimal_hitting_set(sets, "badc") == (1, 2)
+    assert minimal_hitting_set(sets, [3, 2, 1, 0]) == (3, 0)  # listed in value order
 
 
 def test_lexicographic_tie_break():
     # both {0,3} and {1,2} are minimum; lexicographically smaller wins
     sets = [frozenset({0, 1}), frozenset({0, 2}), frozenset({3, 1}), frozenset({3, 2})]
-    assert minimal_hitting_set(sets, 4) == brute_force_min_hitting_set(sets, 4) == (0, 3)
+    assert minimal_hitting_set(sets, range(4)) == brute_force_min_hitting_set(sets, 4) == (0, 3)
 
 
 def test_deterministic():
     rng = np.random.default_rng(11)
     sets, n = random_instance(rng, max_rules=10, max_nodes=6)
-    results = {minimal_hitting_set(sets, n) for _ in range(5)}
+    results = {minimal_hitting_set(sets, range(n)) for _ in range(5)}
     assert len(results) == 1
 
 
@@ -73,7 +113,7 @@ def test_solution_hits_every_set_property():
     rng = np.random.default_rng(23)
     for _ in range(100):
         sets, n = random_instance(rng, max_rules=16, max_nodes=12)
-        solution = set(minimal_hitting_set(sets, n))
+        solution = set(minimal_hitting_set(sets, range(n)))
         assert all(solution & s for s in sets)
 
 
@@ -81,7 +121,7 @@ def test_class_with_members_around_earlier_pick():
     # 0 and 5 lie in the same sets and so form one class, with members on
     # both sides of the forced pick 1
     sets = [frozenset({1}), frozenset({0, 3, 5}), frozenset({3})]
-    assert minimal_hitting_set(sets, 6) == brute_force_min_hitting_set(sets, 6) == (1, 3)
+    assert minimal_hitting_set(sets, range(6)) == brute_force_min_hitting_set(sets, 6) == (1, 3)
 
 
 @st.composite
@@ -114,7 +154,7 @@ def class_instances(draw, max_universe=200):
 @given(class_instances())
 def test_matches_element_mask_reference(instance):
     sets, universe = instance
-    assert minimal_hitting_set(sets, universe) == reference_minimal_hitting_set(
+    assert minimal_hitting_set(sets, range(universe)) == reference_minimal_hitting_set(
         sets, universe)
 
 
@@ -137,7 +177,7 @@ def component_instances(draw):
 @given(component_instances())
 def test_components_match_element_mask_reference(instance):
     sets, universe = instance
-    result = minimal_hitting_set(sets, universe)
+    result = minimal_hitting_set(sets, range(universe))
     assert result == reference_minimal_hitting_set(sets, universe)
     if universe <= 20:
         assert result == brute_force_min_hitting_set(sets, universe)
@@ -146,7 +186,7 @@ def test_components_match_element_mask_reference(instance):
 def test_disjoint_tie_breaks_each_take_their_smallest():
     tie = [frozenset({0, 1}), frozenset({0, 2}), frozenset({3, 1}), frozenset({3, 2})]
     sets = [frozenset(e + offset for e in s) for offset in (8, 0, 4) for s in tie]
-    assert minimal_hitting_set(sets, 12) == (0, 3, 4, 7, 8, 11)
+    assert minimal_hitting_set(sets, range(12)) == (0, 3, 4, 7, 8, 11)
 
 
 # {0, 5} and {2, 3} are the smallest minima of two separate components
@@ -155,12 +195,12 @@ INTERLEAVED = [frozenset({0, 6}), frozenset({2, 8}), frozenset({0, 7}), frozense
 
 
 def test_interleaved_components_are_merged_in_order():
-    assert minimal_hitting_set(INTERLEAVED, 10) == brute_force_min_hitting_set(
+    assert minimal_hitting_set(INTERLEAVED, range(10)) == brute_force_min_hitting_set(
         INTERLEAVED, 10) == (0, 2, 3, 5)
 
 
 def test_each_component_searches_only_its_own_classes(monkeypatch):
-    masks, _ = hitting._coverage_classes(INTERLEAVED, 10)
+    masks, _ = hitting._coverage_classes(INTERLEAVED, range(10))
     unions = [union for _, union in hitting._components(masks)]
     assert len(unions) == 2
     allowed_seen = []
@@ -171,7 +211,7 @@ def test_each_component_searches_only_its_own_classes(monkeypatch):
         return min_size(masks, allowed, budget)
 
     monkeypatch.setattr(hitting, "_min_size", spy)
-    assert minimal_hitting_set(INTERLEAVED, 10) == (0, 2, 3, 5)
+    assert minimal_hitting_set(INTERLEAVED, range(10)) == (0, 2, 3, 5)
     assert allowed_seen
     assert all(any(allowed & ~union == 0 for union in unions) for allowed in allowed_seen)
 
@@ -214,7 +254,9 @@ def test_corpus_sized_problems_match_element_mask_reference(seed):
     anchored, amr, amr_solution = reference_anchor_flavor2_corpus(amr_graphs)
     assert rules.anchor_flavor2_corpus(amr_graphs) == anchored
     assert len(eds.universe) > 3000 and len(amr.universe) > 1500
-    for problem, solution in ((eds, rules.minimal_rule_set(eds)), (amr, amr_solution)):
+    # the eds universe is in first-found order: compare in canonical indices
+    eds, eds_solution = canonical_problem(eds, rules.minimal_rule_set(eds))
+    for problem, solution in ((eds, eds_solution), (amr, amr_solution)):
         assert len(problem.per_node) > 400
         assert solution == reference_minimal_hitting_set(problem.per_node,
                                                          len(problem.universe))

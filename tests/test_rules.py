@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,10 @@ from mrparse import rules
 from mrparse.rules import (AbsoluteRule, DecodeError, InfeasibleEncodingError,
                            LemmaRule, NumberRule, TokenRule,
                            apply_rule, build_problem, build_rule_target,
-                           decode_label, enumerate_applicable_rules,
-                           load_rule_table, rule_from_line, rule_to_line,
-                           save_rule_table, words_to_number)
-from oracles import (enumerate_rules_oracle, problem_digest,
+                           decode_label, load_rule_table, rule_from_line,
+                           rule_to_line, save_rule_table, words_to_number)
+from oracles import (canonical_problem, enumerate_applicable_rules,
+                     enumerate_rules_oracle, problem_digest,
                      reference_anchor_flavor2_corpus,
                      reference_enumerate_applicable_rules, reference_rule_key,
                      reference_rule_problem)
@@ -19,6 +21,16 @@ from oracles import (enumerate_rules_oracle, problem_digest,
 def _names(items):
     """A name for each item, as build_problem requires."""
     return [f"n{k}" for k in range(len(items))]
+
+
+@functools.cache
+def _seed1_training_items():
+    """The labelled nodes of the seed-1 training graphs, and their names."""
+    from mrparse import corpus, trainer
+    config = trainer.TrainConfig(seed=1, corpus_size=500)
+    train_graphs, _ = trainer.split_corpus(
+        corpus.synth_corpus(config.seed, config.corpus_size), config.eval_fraction)
+    return rules.label_items([trainer.preprocess_gold(g)[0] for g in train_graphs])
 
 
 class TestApplyRule:
@@ -76,6 +88,22 @@ class TestNumerals:
 
 
 class TestEnumerate:
+    def test_ids_number_rules_in_first_found_order(self):
+        ids = {}
+        dive = rules.enumerate_applicable_rules(["diving"], ["dive"], "dive", ids)
+        # the absolute rule is found first; ids are the table positions
+        assert list(ids)[0] == AbsoluteRule("dive")
+        assert dive == frozenset(range(len(ids)))
+        before = dict(ids)
+        take = rules.enumerate_applicable_rules(["taking"], ["take"], "take", ids)
+        assert dict(list(ids.items())[:len(before)]) == before  # earlier ids kept
+        universe = list(ids)
+        assert {universe[i] for i in take} == enumerate_applicable_rules(
+            ["taking"], ["take"], "take")
+        shared = LemmaRule(0, 0, "", 0, 0, "", "")
+        assert ids[shared] in dive & take and ids[shared] < len(before)
+        assert set(take) - set(dive) == set(range(len(before), len(ids)))
+
     def test_diving_contains_expected_rules(self):
         found = enumerate_applicable_rules(["diving"], ["dive"], "dive")
         assert LemmaRule(0, 0, "", 0, 0, "", "") in found
@@ -335,21 +363,36 @@ class TestMinimalRuleSet:
         assert str(err.value) == "graph g1 node 1 has no applicable rules"
 
     def test_seed1_solution_pinned(self):
-        # recorded with the element-mask solver (tests/oracles.py reference)
-        from mrparse import corpus, trainer
-        config = trainer.TrainConfig(seed=1, corpus_size=500)
-        train_graphs, _ = trainer.split_corpus(
-            corpus.synth_corpus(config.seed, config.corpus_size), config.eval_fraction)
-        items, names = rules.label_items(
-            [trainer.preprocess_gold(g)[0] for g in train_graphs])
+        # recorded with the element-mask solver (tests/oracles.py reference),
+        # indices in canonical rule order
+        from mrparse import trainer
+        items, names = _seed1_training_items()
         problem = build_problem(items, names=names)
-        assert (len(problem.per_node), len(problem.universe)) == (1439, 4547)
-        assert problem_digest(problem) == (
-            "fc6a1be680f18b0fc336294cf7a58becdd1a349d1ac777087aa56e2a3ceb926d")
         solution = rules.minimal_rule_set(problem)
-        assert solution == (0, 1, 2, 44, 45, 4450, 4532, 4533, 4534)
-        meta = trainer.prepare(config)[0]
-        assert meta.rule_table == tuple(problem.universe[i] for i in solution)
+        canonical, canonical_solution = canonical_problem(problem, solution)
+        assert (len(canonical.per_node), len(canonical.universe)) == (1439, 4547)
+        assert problem_digest(canonical) == (
+            "fc6a1be680f18b0fc336294cf7a58becdd1a349d1ac777087aa56e2a3ceb926d")
+        assert canonical_solution == (0, 1, 2, 44, 45, 4450, 4532, 4533, 4534)
+        table = tuple(problem.universe[i] for i in solution)
+        assert table == tuple(canonical.universe[i] for i in canonical_solution)
+        meta = trainer.prepare(trainer.TrainConfig(seed=1, corpus_size=500))[0]
+        assert meta.rule_table == table
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_solution_independent_of_item_order(self, order):
+        # the universe is numbered in first-found order, so reordering the
+        # items renumbers the rules; the chosen rules stay the same
+        items, names = _seed1_training_items()
+        problem = build_problem(items, names=names)
+        expected = [problem.universe[i] for i in rules.minimal_rule_set(problem)]
+        perm = list(range(len(items)))[::-1]
+        if order == "shuffled":
+            perm = [int(k) for k in np.random.default_rng(1).permutation(len(items))]
+        moved = build_problem([items[k] for k in perm], names=[names[k] for k in perm])
+        assert moved.universe != problem.universe
+        assert sorted(moved.universe) == sorted(problem.universe)
+        assert [moved.universe[i] for i in rules.minimal_rule_set(moved)] == expected
 
     def test_encode_decode_consistency(self):
         items = [(["diving"], ["diving"], "dive"),
@@ -374,6 +417,7 @@ _ITEM_POOL = st.lists(
 
 
 def _assert_same_problem(got, expected):
+    got, _ = canonical_problem(got)
     assert got.universe == expected.universe
     assert got.per_node == expected.per_node
     assert got.node_names == expected.node_names
@@ -402,18 +446,19 @@ class TestBuildProblem:
                  (["diving"], ["diving"], "dive")]
         calls = []
         original = rules.enumerate_applicable_rules
+        expected = reference_rule_problem(items, names=_names(items))
 
         def counted(*args):
             calls.append(args[:3])
             return original(*args)
 
         monkeypatch.setattr(rules, "enumerate_applicable_rules", counted)
-        expected = reference_rule_problem(items, names=_names(items))
-        assert build_problem(items, names=_names(items)) == expected
+        first = build_problem(items, names=_names(items))
+        _assert_same_problem(first, expected)
         assert len(calls) == len(set(calls)) == 3
         # a second call enumerates the same items again: the memo is call-local
-        assert build_problem(items, names=_names(items)) == expected
-        assert len(calls) == 6 and set(calls[3:]) == set(calls[:3])
+        assert build_problem(items, names=_names(items)) == first
+        assert len(calls) == 6 and calls[3:] == calls[:3]
 
 
 def assert_matches_all_separator_reference(graphs):
@@ -493,6 +538,27 @@ class TestArtificialAnchoring:
             'token\t0\t0\t""\t1\t0\t"per"\t"on"',
             'token\t0\t0\t""\t1\t2\t"plac"\t""',
         ] + [f'absolute\t"{n}"' for n in ("27", "54", "58", "62", "77", "99")]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_anchors_independent_of_graph_order(self, seed, monkeypatch):
+        # reversing the graphs renumbers the rule table; every graph keeps
+        # its anchors
+        from mrparse import transform
+        graphs = [transform.preprocess("amr", g)[0] for g in flavor2_synth(seed, 60)]
+        universes = []
+        solve = rules.minimal_rule_set
+
+        def spy(problem):
+            universes.append(problem.universe)
+            return solve(problem)
+
+        monkeypatch.setattr(rules, "minimal_rule_set", spy)
+        forward = rules.anchor_flavor2_corpus(graphs)
+        backward = rules.anchor_flavor2_corpus(graphs[::-1])
+        assert universes[0] != universes[1]
+        assert sorted(universes[0]) == sorted(universes[1])
+        assert backward[::-1] == forward
+        assert any(node.anchors for g in forward for node in g.nodes)
 
     def test_amr_fixture_matches_per_token_reference(self):
         from mrparse import transform
