@@ -13,6 +13,15 @@ applicable-rule set.  A rule-set problem numbers its rules in the order the
 enumeration first finds them, and the solver breaks ties in canonical rule
 order through the smallest rule of each coverage class (see hitting), so
 the chosen rules do not depend on that numbering.
+
+A join that leaves one token is the same string whatever the separator, so
+its rules are enumerated with the smallest separator, SEPARATORS[0], only:
+every other separator variant derives exactly what this twin derives, and
+the twin sorts first, so the lexicographically smallest minimum rule set
+never needs the variant.  Where a join of two or more tokens does derive a
+variant, build_problem adds it back to every item whose twin derives the
+label from one token, so the chosen rules are those of the all-separator
+problem.
 """
 
 from __future__ import annotations
@@ -160,10 +169,10 @@ def apply_rule(rule: Rule, tokens: Sequence[str],
 
 
 def enumerate_applicable_rules(tokens: Sequence[str], lemmas: Sequence[str],
-                               label: str, ids: dict[Rule, int],
-                               separators: Sequence[str] = SEPARATORS) -> frozenset[int]:
-    """The ids of all rules of the rule space, token and lemma rules joined
-    with one of separators, that map the anchoring onto the label.
+                               label: str, ids: dict[Rule, int]) -> frozenset[int]:
+    """The ids of the rules of the rule space that map the anchoring onto
+    the label; token and lemma rules that leave one token take the separator
+    SEPARATORS[0] only (see the module docstring).
 
     ids is the problem's rule table: a rule found for the first time gets
     the next id, len(ids), so the table lists the rules in first-found order.
@@ -191,7 +200,7 @@ def enumerate_applicable_rules(tokens: Sequence[str], lemmas: Sequence[str],
         for drop_left in range(min(MAX_TOKEN_DROP, n - 1) + 1):
             for drop_right in range(min(MAX_TOKEN_DROP, n - 1 - drop_left) + 1):
                 surviving = source[drop_left:n - drop_right]
-                for sep in separators:
+                for sep in SEPARATORS if len(surviving) > 1 else SEPARATORS[:1]:
                     joined = sep.join(surviving)
                     hits = matches.get(joined)
                     if hits is None:
@@ -228,8 +237,8 @@ def enumerate_applicable_rules(tokens: Sequence[str], lemmas: Sequence[str],
 
 @dataclass(frozen=True)
 class RuleSetProblem:
-    """Rule universe in first-found order plus each node's applicable subset
-    of its indices."""
+    """The rules that can be chosen, in first-found order, plus each node's
+    applicable subset of their indices."""
 
     universe: tuple[Rule, ...]
     per_node: tuple[frozenset[int], ...]
@@ -258,10 +267,29 @@ def build_problem(items: Sequence[tuple[Sequence[str], Sequence[str], str]], *,
     """Enumerate the rule set of each distinct item once into one rule table;
     the universe lists the rules in the order they were first found, which
     the solution does not depend on (see minimal_rule_set).  names[i] names
-    item i in infeasibility messages."""
+    item i in infeasibility messages.
+
+    Every separator variant in the table came from a join of two or more
+    tokens; one pass adds it to each item whose set holds its SEPARATORS[0]
+    twin through a one-token join (see the module docstring).
+    """
     ids: dict[Rule, int] = {}
     keys = [(tuple(tokens), tuple(lemmas), label) for tokens, lemmas, label in items]
     found = {key: enumerate_applicable_rules(*key, ids) for key in dict.fromkeys(keys)}
+    variants: dict[int, list[tuple[int, Rule]]] = {}  # twin id -> (id, variant)
+    for rule, i in ids.items():
+        if rule.separator:
+            twin = ids.get(rule._replace(separator=SEPARATORS[0]))
+            if twin is not None:
+                variants.setdefault(twin, []).append((i, rule))
+    if variants:
+        for key, rule_ids in found.items():
+            # key[rule.kind] is the rule's source: forms for TOKEN, lemmas for LEMMA
+            added = [i for twin in rule_ids if twin in variants
+                     for i, rule in variants[twin]
+                     if len(key[rule.kind]) - rule.drop_left - rule.drop_right == 1]
+            if added:
+                found[key] = rule_ids.union(added)
     return RuleSetProblem(universe=tuple(ids), per_node=tuple(found[key] for key in keys),
                           node_names=tuple(names))
 
@@ -410,15 +438,11 @@ def anchor_flavor2_corpus(graphs: Sequence[Graph]) -> list[Graph]:
     minimal rule set is solved over the union sets and anchors keep exactly
     the candidates compatible with it.
 
-    Candidates use only the smallest separator, SEPARATORS[0]: a separator
-    never changes what a rule derives from one token, so its variants lie in
-    the same sets and form one coverage class whose minimum is the
-    smallest-separator variant (the fourth tuple field).  The lexicographically
-    smallest minimum hitting set takes only class minima (see hitting), which
-    dropping the other variants keeps in order, so the chosen rules and
-    anchors are unchanged; the universe shrinks.  All candidates share one
-    rule table, so the universe is in first-found order; the solver orders
-    the rules canonically.
+    Candidates are single tokens, so their token and lemma rules carry the
+    separator SEPARATORS[0] only (see the module docstring) and no separator
+    variant needs adding back.  All candidates share one rule table, so the
+    universe is in first-found order; the solver orders the rules
+    canonically.
     """
     ids: dict[Rule, int] = {}
     entries = []  # (graph idx, node idx, per-candidate (form, lemma, label) keys)
@@ -432,7 +456,7 @@ def anchor_flavor2_corpus(graphs: Sequence[Graph]) -> list[Graph]:
     candidates = {}
     for key in dict.fromkeys(k for _, _, keys in entries for k in keys):
         form, lemma, label = key
-        found = enumerate_applicable_rules([form], [lemma], label, ids, SEPARATORS[:1])
+        found = enumerate_applicable_rules([form], [lemma], label, ids)
         candidates[key] = found - {ids[AbsoluteRule(label)]}
     per_node = []
     names = []

@@ -28,8 +28,13 @@ of comparing tuples.  The reference graph parser is
 the per-node, per-edge and per-token helper version that preceded the
 one-pass parse_graph, kept as it was.
 The rule-problem references take rule sets from enumerate_applicable_rules
-here, which runs rules.enumerate_applicable_rules on a rule table of its own
-and returns the rules its ids stand for.  canonical_problem re-indexes a rule
+here, which runs rules.enumerate_applicable_rules on a rule table of its own,
+reads back the rules its ids stand for and expands each token or lemma rule
+of a one-token join, which the package enumerates with the first separator
+only, to every separator, so the references stay all-separator.
+without_one_token_separator_variants removes from such a reference problem
+the separator variants no multi-token item derives, which the package never
+puts in a problem.  canonical_problem re-indexes a rule
 problem, whose universe is in first-found order, into canonical rule order,
 so index-level pins and references compare against one fixed numbering.
 The rule-problem digest, the brute-force hitting set, the loss bundle, the
@@ -245,13 +250,49 @@ def reference_enumerate_applicable_rules(tokens, lemmas, label):
     return found
 
 
-def enumerate_applicable_rules(tokens, lemmas, label, separators=SEPARATORS):
+def enumerate_applicable_rules(tokens, lemmas, label):
     """The set of rules rules.enumerate_applicable_rules finds, read off the
-    ids it returns through a rule table of this call's own."""
+    ids it returns through a rule table of this call's own, with each token
+    or lemma rule of a one-token join expanded to every separator: the
+    all-separator rule set."""
     ids = {}
-    found = rules.enumerate_applicable_rules(tokens, lemmas, label, ids, separators)
+    found = rules.enumerate_applicable_rules(tokens, lemmas, label, ids)
     universe = list(ids)
-    return {universe[i] for i in found}
+    expanded = set()
+    for rule in (universe[i] for i in found):
+        if rule.kind in (TOKEN, LEMMA) and one_token_join(rule, tokens, lemmas):
+            expanded.update(rule._replace(separator=sep) for sep in SEPARATORS)
+        else:
+            expanded.add(rule)
+    return expanded
+
+
+def one_token_join(rule, tokens, lemmas) -> bool:
+    """Whether a token or lemma rule's drops leave one token of its source."""
+    source = tokens if rule.kind == TOKEN else lemmas
+    return len(source) - rule.drop_left - rule.drop_right == 1
+
+
+def without_one_token_separator_variants(problem: RuleSetProblem,
+                                         items) -> RuleSetProblem:
+    """A problem with one rule set per item, less every separator variant
+    (token or lemma rule, separator other than SEPARATORS[0]) that no item
+    derives through a join of two or more tokens; the universe keeps its
+    order."""
+    keep = set()
+    for (tokens, lemmas, _), found in zip(items, problem.per_node):
+        for i in found:
+            rule = problem.universe[i]
+            if rule.separator == SEPARATORS[0] or \
+                    not one_token_join(rule, tokens, lemmas):
+                keep.add(i)
+    kept = sorted(keep)
+    index = {old: new for new, old in enumerate(kept)}
+    return RuleSetProblem(
+        universe=tuple(problem.universe[i] for i in kept),
+        per_node=tuple(frozenset(index[i] for i in found if i in index)
+                       for found in problem.per_node),
+        node_names=problem.node_names)
 
 
 def canonical_problem(problem: RuleSetProblem, solution: Sequence[int] = ()):

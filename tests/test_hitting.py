@@ -9,7 +9,8 @@ from mrparse import hitting
 from mrparse.hitting import InfeasibleError, minimal_hitting_set
 from oracles import (UniverseTooLargeError, brute_force_min_hitting_set,
                      canonical_problem, reference_anchor_flavor2_corpus,
-                     reference_minimal_hitting_set)
+                     reference_minimal_hitting_set, reference_rule_problem,
+                     without_one_token_separator_variants)
 
 
 def random_instance(rng, max_rules=12, max_nodes=8):
@@ -236,9 +237,10 @@ def test_min_size_within_budget_else_none():
 @pytest.mark.parametrize("seed", [1, 2])
 def test_corpus_sized_problems_match_element_mask_reference(seed):
     """The rules-infer problem and the all-separator artificial anchoring
-    problem of a 125-graph corpus: hundreds of sets over thousands of rules,
-    the size of the problems rules-infer, amr preprocessing and training
-    solve."""
+    problem of a 125-graph corpus, the size of the problems rules-infer, amr
+    preprocessing and training solve: hundreds of sets over about a thousand
+    rules (eds, less the one-token separator variants) and thousands (amr);
+    the all-separator eds problem picks the same rules."""
     from dataclasses import replace
 
     from mrparse import rules, transform
@@ -247,16 +249,23 @@ def test_corpus_sized_problems_match_element_mask_reference(seed):
     graphs = synth_corpus(seed, 125)
     items, names = rules.label_items([transform.preprocess("eds", g)[0] for g in graphs])
     eds = rules.build_problem(items, names=names)
+    reference = reference_rule_problem(items, names=names)
     unanchored = [replace(g, framework="amr", flavor=2,
                           nodes=tuple(replace(n, anchors=()) for n in g.nodes))
                   for g in graphs]
     amr_graphs = [transform.preprocess("amr", g)[0] for g in unanchored]
     anchored, amr, amr_solution = reference_anchor_flavor2_corpus(amr_graphs)
     assert rules.anchor_flavor2_corpus(amr_graphs) == anchored
-    assert len(eds.universe) > 3000 and len(amr.universe) > 1500
+    assert len(reference.universe) > 3000 and len(amr.universe) > 1500
     # the eds universe is in first-found order: compare in canonical indices
     eds, eds_solution = canonical_problem(eds, rules.minimal_rule_set(eds))
+    assert eds == without_one_token_separator_variants(reference, items)
+    assert len(eds.universe) > 500
     for problem, solution in ((eds, eds_solution), (amr, amr_solution)):
         assert len(problem.per_node) > 400
         assert solution == reference_minimal_hitting_set(problem.per_node,
                                                          len(problem.universe))
+    all_separator = reference_minimal_hitting_set(reference.per_node,
+                                                  len(reference.universe))
+    assert [reference.universe[i] for i in all_separator] == \
+        [eds.universe[i] for i in eds_solution]

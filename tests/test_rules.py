@@ -12,10 +12,10 @@ from mrparse.rules import (AbsoluteRule, DecodeError, InfeasibleEncodingError,
                            decode_label, load_rule_table, rule_from_line,
                            rule_to_line, save_rule_table, words_to_number)
 from oracles import (canonical_problem, enumerate_applicable_rules,
-                     enumerate_rules_oracle, problem_digest,
+                     enumerate_rules_oracle, one_token_join, problem_digest,
                      reference_anchor_flavor2_corpus,
                      reference_enumerate_applicable_rules, reference_rule_key,
-                     reference_rule_problem)
+                     reference_rule_problem, without_one_token_separator_variants)
 
 
 def _names(items):
@@ -98,8 +98,10 @@ class TestEnumerate:
         take = rules.enumerate_applicable_rules(["taking"], ["take"], "take", ids)
         assert dict(list(ids.items())[:len(before)]) == before  # earlier ids kept
         universe = list(ids)
-        assert {universe[i] for i in take} == enumerate_applicable_rules(
-            ["taking"], ["take"], "take")
+        # one token: every token and lemma rule joins with the first separator
+        assert {universe[i] for i in take} == {
+            r for r in enumerate_applicable_rules(["taking"], ["take"], "take")
+            if r.separator == rules.SEPARATORS[0]}
         shared = LemmaRule(0, 0, "", 0, 0, "", "")
         assert ids[shared] in dive & take and ids[shared] < len(before)
         assert set(take) - set(dive) == set(range(len(before), len(ids)))
@@ -363,19 +365,24 @@ class TestMinimalRuleSet:
         assert str(err.value) == "graph g1 node 1 has no applicable rules"
 
     def test_seed1_solution_pinned(self):
-        # recorded with the element-mask solver (tests/oracles.py reference),
-        # indices in canonical rule order
+        # recorded with the element-mask solver (tests/oracles.py reference)
+        # on the all-separator reference problem, indices in canonical rule
+        # order; the package solves the same problem less the one-token
+        # separator variants and picks the same rules
         from mrparse import trainer
         items, names = _seed1_training_items()
+        reference = reference_rule_problem(items, names=names)
+        assert (len(reference.per_node), len(reference.universe)) == (1439, 4547)
+        assert problem_digest(reference) == (
+            "fc6a1be680f18b0fc336294cf7a58becdd1a349d1ac777087aa56e2a3ceb926d")
+        reference_solution = rules.minimal_rule_set(reference)
+        assert reference_solution == (0, 1, 2, 44, 45, 4450, 4532, 4533, 4534)
         problem = build_problem(items, names=names)
         solution = rules.minimal_rule_set(problem)
-        canonical, canonical_solution = canonical_problem(problem, solution)
-        assert (len(canonical.per_node), len(canonical.universe)) == (1439, 4547)
-        assert problem_digest(canonical) == (
-            "fc6a1be680f18b0fc336294cf7a58becdd1a349d1ac777087aa56e2a3ceb926d")
-        assert canonical_solution == (0, 1, 2, 44, 45, 4450, 4532, 4533, 4534)
+        _assert_same_problem(problem, reference, items)
+        assert (len(problem.per_node), len(problem.universe)) == (1439, 987)
         table = tuple(problem.universe[i] for i in solution)
-        assert table == tuple(canonical.universe[i] for i in canonical_solution)
+        assert table == tuple(reference.universe[i] for i in reference_solution)
         meta = trainer.prepare(trainer.TrainConfig(seed=1, corpus_size=500))[0]
         assert meta.rule_table == table
 
@@ -416,7 +423,10 @@ _ITEM_POOL = st.lists(
     min_size=1, max_size=4)
 
 
-def _assert_same_problem(got, expected):
+def _assert_same_problem(got, reference, items):
+    """got is the all-separator reference problem of items less the
+    separator variants that no multi-token item derives."""
+    expected = without_one_token_separator_variants(reference, items)
     got, _ = canonical_problem(got)
     assert got.universe == expected.universe
     assert got.per_node == expected.per_node
@@ -433,17 +443,19 @@ class TestBuildProblem:
         items = [(tuple(f), l, label) if k % 2 else (f, l, label)
                  for k, (f, l, label) in enumerate(items)]
         _assert_same_problem(build_problem(items, names=_names(items)),
-                             reference_rule_problem(items, names=_names(items)))
+                             reference_rule_problem(items, names=_names(items)), items)
 
     def test_empty_corpus(self):
         _assert_same_problem(build_problem([], names=[]),
-                             reference_rule_problem([], names=[]))
+                             reference_rule_problem([], names=[]), [])
         assert build_problem([], names=[]).universe == ()
 
     def test_one_enumeration_per_distinct_item(self, monkeypatch):
+        # the last two items make build_problem add a separator variant back
         items = [(["diving"], ["diving"], "dive"), (("diving",), ("diving",), "dive"),
                  ([], [], "x"), ([], [], "x"), (["cats"], ["cat"], "_cat_n"),
-                 (["diving"], ["diving"], "dive")]
+                 (["diving"], ["diving"], "dive"),
+                 (["b", "b"], ["b", "b"], "b b"), (["a"], ["a"], "a")]
         calls = []
         original = rules.enumerate_applicable_rules
         expected = reference_rule_problem(items, names=_names(items))
@@ -452,13 +464,55 @@ class TestBuildProblem:
             calls.append(args[:3])
             return original(*args)
 
+        def no_apply(*args):
+            raise AssertionError("build_problem applied a rule")
+
         monkeypatch.setattr(rules, "enumerate_applicable_rules", counted)
+        monkeypatch.setattr(rules, "apply_rule", no_apply)
         first = build_problem(items, names=_names(items))
-        _assert_same_problem(first, expected)
-        assert len(calls) == len(set(calls)) == 3
+        _assert_same_problem(first, expected, items)
+        assert len(calls) == len(set(calls)) == 5
         # a second call enumerates the same items again: the memo is call-local
         assert build_problem(items, names=_names(items)) == first
-        assert len(calls) == 6 and calls[3:] == calls[:3]
+        assert len(calls) == 10 and calls[5:] == calls[:5]
+
+    def test_one_token_item_takes_a_multi_token_separator_variant(self):
+        # "b b" joins two tokens with " "; "a" is one token, which every
+        # separator joins alike, so one rule derives both labels
+        items = [(["b", "b"], ["b", "b"], "b b"), (["a"], ["a"], "a")]
+        problem = build_problem(items, names=_names(items))
+        assert [problem.universe[i] for i in rules.minimal_rule_set(problem)] == \
+            [TokenRule(0, 0, " ", 0, 0, "", "")]
+
+    def test_separator_joined_labels_choose_all_separator_rules(self):
+        # labels joined from 1-3 tokens or lemmas with a random separator,
+        # between optional eds-style affixes: the package's problem picks
+        # the rules of the all-separator reference problem
+        rng = np.random.default_rng(37)
+        pool = ["a", "b", "ab", "ba", "c"]
+        added = 0
+        for _ in range(300):
+            items = []
+            for _ in range(int(rng.integers(2, 6))):
+                tokens = [str(t) for t in rng.choice(pool, size=int(rng.integers(1, 4)))]
+                lemmas = list(tokens) if rng.random() < 0.6 else \
+                    [t + "e" if rng.random() < 0.5 else t for t in tokens]
+                source = tokens if rng.random() < 0.5 else lemmas
+                label = str(rng.choice(rules.SEPARATORS)).join(source)
+                if rng.random() < 0.3:
+                    label = "_" + label + "_n"
+                items.append((tokens, lemmas, label))
+            names = _names(items)
+            problem = build_problem(items, names=names)
+            reference = reference_rule_problem(items, names=names)
+            assert [problem.universe[i] for i in rules.minimal_rule_set(problem)] == \
+                [reference.universe[i] for i in rules.minimal_rule_set(reference)]
+            # the enumerator gives a one-token join no separator variant, so
+            # such a variant in a set was added back by build_problem
+            added += any(rule.separator and one_token_join(rule, tokens, lemmas)
+                         for (tokens, lemmas, _), found in zip(items, problem.per_node)
+                         for rule in (problem.universe[i] for i in found))
+        assert added >= 50
 
 
 def assert_matches_all_separator_reference(graphs):
@@ -573,20 +627,16 @@ class TestArtificialAnchoring:
            | st.sampled_from(["one", "twelve", "twenty-one"]),
            st.text(alphabet="abcé-", min_size=1, max_size=6),
            st.text(alphabet="abcé-_ 12", min_size=1, max_size=10)
-           | st.sampled_from(["1", "12", "21"]),
-           st.lists(st.sampled_from(["", "+", "-", "_", " ", "ab"]), max_size=4))
-    def test_separator_never_matters_for_one_token(self, form, lemma, label,
-                                                   separators):
-        # the premise of the one-separator anchoring: expanding each token or
-        # lemma rule to every separator gives the all-separator enumeration
-        one = enumerate_applicable_rules([form], [lemma], label,
-                                         separators=sorted(separators)[:1])
-        expanded = {r._replace(separator=sep) if r.kind in (rules.TOKEN, rules.LEMMA)
-                    else r for r in one for sep in separators or [""]}
-        if not separators:
-            assert all(r.kind in (rules.NUMBER, rules.ABSOLUTE) for r in one)
-        assert expanded == enumerate_applicable_rules([form], [lemma], label,
-                                                      separators=separators)
+           | st.sampled_from(["1", "12", "21"]))
+    def test_separator_never_matters_for_one_token(self, form, lemma, label):
+        # the package joins one token with the first separator only;
+        # expanding each token or lemma rule to every separator gives the
+        # all-separator enumeration
+        ids = {}
+        rules.enumerate_applicable_rules([form], [lemma], label, ids)
+        assert all(r.separator == rules.SEPARATORS[0] for r in ids)
+        assert enumerate_applicable_rules([form], [lemma], label) == \
+            reference_enumerate_applicable_rules([form], [lemma], label)
 
 
 @settings(max_examples=40, deadline=None)
