@@ -4,13 +4,15 @@ Elements are ordered by their values in the universe (for rule problems,
 canonical rule order; range(n) gives index order), not by their indices, so
 the answer does not depend on how the elements were numbered.  The input is
 first reduced to coverage classes: duplicate sets and sets containing
-another set are dropped, and elements lying in exactly the same remaining
-sets form one class (elements in none of them are never useful).  A minimum
-hitting set never holds two members of one class, and the lexicographically
-smallest one takes each class's smallest member, so only those minima are
-ordered, and the search runs on bitmasks over classes numbered in their
-minima's order, a few hundred bits where the universe has thousands of
-elements.  Constraints sharing a class form one connected component, and
+another set are dropped (each kept set is filed under its smallest element,
+so a set is checked only against the kept sets filed under its own
+elements, not against all of them), and elements lying in exactly the same
+remaining sets form one class (elements in none of them are never useful).
+A minimum hitting set never holds two members of one class, and the
+lexicographically smallest one takes each class's smallest member, so only
+those minima are ordered, and the search runs on bitmasks over classes
+numbered in their minima's order, a few hundred bits where the universe has
+thousands of elements.  Constraints sharing a class form one connected component, and
 each component, a few dozen constraints where the problem has over a
 hundred, is solved on its own: a branch-and-bound that branches on the
 smallest constraint and prunes when pairwise-disjoint constraints, each
@@ -78,22 +80,38 @@ def _min_size(masks: list[int], allowed: int, budget: int) -> int | None:
     return best
 
 
-def _coverage_classes(sets: Sequence[frozenset[int]],
-                      universe: Sequence[Any]) -> tuple[list[int], list[int]]:
-    """Constraint masks over coverage classes, and each class's smallest member.
+def _kept_constraints(sets: Sequence[frozenset[int]]) -> list[frozenset[int]]:
+    """The distinct sets that contain no other set, shortest first (ties in
+    input order).
 
-    Distinct sets that contain no other set are the kept constraints; elements
-    lying in exactly the same kept constraints form one class.  A member is
-    smaller when its value in universe is, and classes are numbered in
-    increasing order of their smallest member.
+    Each kept set is filed under its smallest index, and a set is tested
+    against only the kept sets filed under its own elements: a kept k <= s
+    holds min(k), an element of s, so no subset is missed and the pairwise
+    scan over all kept sets is avoided.
     """
     distinct = dict.fromkeys(sets)
     if frozenset() in distinct:
         raise InfeasibleError(list(sets).index(frozenset()))
     kept: list[frozenset[int]] = []
+    by_least: dict[int, list[frozenset[int]]] = {}
     for s in sorted(distinct, key=len):
-        if not any(k <= s for k in kept):
+        if not any(k <= s for e in s if e in by_least for k in by_least[e]):
             kept.append(s)
+            by_least.setdefault(min(s), []).append(s)
+    return kept
+
+
+def _coverage_classes(sets: Sequence[frozenset[int]],
+                      universe: Sequence[Any]) -> tuple[list[int], list[int]]:
+    """Constraint masks over coverage classes, and each class's smallest member.
+
+    The kept constraints (_kept_constraints) are the distinct sets that
+    contain no other set, found through an index on their smallest elements;
+    elements lying in exactly the same kept constraints form one class.  A
+    member is smaller when its value in universe is, and classes are
+    numbered in increasing order of their smallest member.
+    """
+    kept = _kept_constraints(sets)
     cover: dict[int, int] = {}
     for j, s in enumerate(kept):
         bit = 1 << j

@@ -22,6 +22,11 @@ never needs the variant.  Where a join of two or more tokens does derive a
 variant, build_problem adds it back to every item whose twin derives the
 label from one token, so the chosen rules are those of the all-separator
 problem.
+
+Which strips and affixes map a string onto a label is searched in one
+place, _core_hits, once per distinct joined string in an enumeration and
+once per distinct (form or lemma, label) in an artificial anchoring problem,
+whose one-token candidates take no drops and the separator SEPARATORS[0].
 """
 
 from __future__ import annotations
@@ -99,11 +104,10 @@ MAX_AFFIX_LEN = 6
 # ---------------------------------------------------------------------------
 # word numerals
 
-_UNITS = {"zero": 0, "one": 1, "two": 2, "three": 3, "four": 4, "five": 5,
-          "six": 6, "seven": 7, "eight": 8, "nine": 9, "ten": 10,
-          "eleven": 11, "twelve": 12, "thirteen": 13, "fourteen": 14,
-          "fifteen": 15, "sixteen": 16, "seventeen": 17, "eighteen": 18,
-          "nineteen": 19}
+_UNITS = {"one": 1, "two": 2, "three": 3, "four": 4, "five": 5, "six": 6,
+          "seven": 7, "eight": 8, "nine": 9, "ten": 10, "eleven": 11,
+          "twelve": 12, "thirteen": 13, "fourteen": 14, "fifteen": 15,
+          "sixteen": 16, "seventeen": 17, "eighteen": 18, "nineteen": 19}
 _TENS = {"twenty": 20, "thirty": 30, "forty": 40, "fifty": 50, "sixty": 60,
          "seventy": 70, "eighty": 80, "ninety": 90}
 
@@ -112,7 +116,11 @@ def words_to_number(tokens: Sequence[str]) -> Optional[str]:
     """Parse an English cardinal phrase (up to 999,999) into digits.
 
     Compound forms with hyphens and "and" are accepted; returns None when the
-    phrase is not a recognized numeral.
+    phrase is not a recognized numeral.  "thousand" splits the phrase into
+    two groups and appears at most once; within a group each word fills
+    lower decimal places than the word before it ("ten" to "nineteen" fill
+    the tens and the units), and "hundred" multiplies at most one unit word
+    before it.  "zero" is a numeral only on its own.
     """
     words = []
     for token in tokens:
@@ -121,24 +129,31 @@ def words_to_number(tokens: Sequence[str]) -> Optional[str]:
                 words.append(part)
     if not words:
         return None
+    if words == ["zero"]:
+        return "0"
     total = 0
     current = 0
+    place = 1000  # the lowest place filled so far in this group
     for word in words:
-        if word in _UNITS:
-            current += _UNITS[word]
-        elif word in _TENS:
-            current += _TENS[word]
+        if word == "thousand":
+            if total:
+                return None
+            total = max(current, 1) * 1000
+            current, place = 0, 1000
         elif word == "hundred":
+            if current > 9:
+                return None
             current = max(current, 1) * 100
-        elif word == "thousand":
-            total += max(current, 1) * 1000
-            current = 0
+            place = 100
         else:
-            return None
-    value = total + current
-    if value == 0 and words != ["zero"]:
-        return None
-    return str(value)
+            value = _UNITS.get(word) or _TENS.get(word)
+            # a word fills the tens place from "ten" up and the units place
+            # below "twenty"; the highest it fills must lie below place
+            if value is None or (10 if value >= 10 else 1) >= place:
+                return None
+            current += value
+            place = 10 if value >= 20 else 1
+    return str(total + current)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +183,44 @@ def apply_rule(rule: Rule, tokens: Sequence[str],
     return prefix + joined[strip_left:len(joined) - strip_right] + suffix
 
 
+def _core_hits(joined: str, label: str) -> list[tuple[int, int, str, str, str]]:
+    """The (strip_left, strip_right, prefix, suffix, "") Rule fields that map
+    joined onto label: the one search for which strips and affixes derive a
+    label from a string.
+
+    With M = len(label) and A = MAX_AFFIX_LEN, a core of length c fits only
+    at positions max(0, M - A - c) .. A, so strip pairs whose core length
+    lies outside [M - 2A, M] are skipped and the label is searched only in
+    that window.  Every core is a non-empty substring of joined, so a string
+    that shares no character with the label has no hits.
+    """
+    hits: list[tuple[int, int, str, str, str]] = []
+    if set(joined).isdisjoint(label):
+        return hits
+    size = len(label)
+    affix = MAX_AFFIX_LEN
+    strip = MAX_CHAR_STRIP
+    for strip_left in range(min(strip, len(joined) - 1) + 1):
+        rest = len(joined) - strip_left
+        # core length c = rest - strip_right, shortest first: a core absent
+        # from label[:A + c] is a prefix of every longer core, so those are
+        # absent too
+        c = max(rest - strip, 1, size - 2 * affix)
+        while c <= rest and c <= size:
+            core = joined[strip_left:strip_left + c]
+            end = affix + c
+            pos = label.find(core, 0, end)
+            if pos < 0:
+                break
+            if pos < size - affix - c:
+                pos = label.find(core, size - affix - c, end)
+            while pos >= 0:
+                hits.append((strip_left, rest - c, label[:pos], label[pos + c:], ""))
+                pos = label.find(core, pos + 1, end)
+            c += 1
+    return hits
+
+
 def enumerate_applicable_rules(tokens: Sequence[str], lemmas: Sequence[str],
                                label: str, ids: dict[Rule, int]) -> frozenset[int]:
     """The ids of the rules of the rule space that map the anchoring onto
@@ -177,21 +230,13 @@ def enumerate_applicable_rules(tokens: Sequence[str], lemmas: Sequence[str],
     ids is the problem's rule table: a rule found for the first time gets
     the next id, len(ids), so the table lists the rules in first-found order.
     The absolute rule for the label is always included; the number rule is
-    included when the tokens parse to exactly the label.
-
-    With M = len(label) and A = MAX_AFFIX_LEN, a core of length c fits only
-    at positions max(0, M - A - c) .. A, so strip pairs whose core length
-    lies outside [M - 2A, M] are skipped and the label is searched only in
-    that window.  A call-local memo keeps the (strip_left, strip_right,
-    prefix, suffix) matches of each distinct joined string; every (kind,
-    drops, separator) that joins to it reuses them.
+    included when the tokens parse to exactly the label.  Each distinct
+    joined string is searched once (_core_hits); every (kind, drops,
+    separator) that joins to it reuses the hits.
     """
     found = {ids.setdefault(AbsoluteRule(label), len(ids))}
     if tokens and label.isdigit() and words_to_number(tokens) == label:
         found.add(ids.setdefault(NumberRule(), len(ids)))
-    size = len(label)
-    affix = MAX_AFFIX_LEN
-    strip = MAX_CHAR_STRIP
     matches: dict[str, list[tuple[int, int, str, str, str]]] = {}
     for kind, source in ((TOKEN, tokens), (LEMMA, lemmas)):
         if not source:
@@ -204,27 +249,7 @@ def enumerate_applicable_rules(tokens: Sequence[str], lemmas: Sequence[str],
                     joined = sep.join(surviving)
                     hits = matches.get(joined)
                     if hits is None:
-                        hits = matches[joined] = []
-                        for strip_left in range(min(strip, len(joined) - 1) + 1):
-                            rest = len(joined) - strip_left
-                            # core length c = rest - strip_right, shortest first:
-                            # a core absent from label[:A + c] is a prefix of every
-                            # longer core, so those are absent too
-                            c = max(rest - strip, 1, size - 2 * affix)
-                            while c <= rest and c <= size:
-                                core = joined[strip_left:strip_left + c]
-                                end = affix + c
-                                pos = label.find(core, 0, end)
-                                if pos < 0:
-                                    break
-                                if pos < size - affix - c:
-                                    pos = label.find(core, size - affix - c, end)
-                                while pos >= 0:
-                                    # Rule fields after kind, drops, separator
-                                    hits.append((strip_left, rest - c,
-                                                 label[:pos], label[pos + c:], ""))
-                                    pos = label.find(core, pos + 1, end)
-                                c += 1
+                        hits = matches[joined] = _core_hits(joined, label)
                     head = (kind, drop_left, drop_right, sep)
                     for hit in hits:
                         rule = _new(Rule, head + hit)
@@ -430,34 +455,47 @@ def assign_artificial_anchors(candidate_rule_sets: Sequence[Sequence[frozenset[i
 
 
 def anchor_flavor2_corpus(graphs: Sequence[Graph]) -> list[Graph]:
-    """The graphs with one-to-one artificial anchors on their nodes.
+    """The graphs with one-to-one artificial anchors on the nodes of their
+    flavor-2 (unanchored) graphs; graphs of other flavors pass through
+    unchanged and take no part in the rule problem.
 
     For every node, each single token of the sentence is a candidate anchor;
     a candidate contributes the non-absolute rules deriving the label from
-    that token alone, enumerated once per distinct (form, lemma, label).  The
-    minimal rule set is solved over the union sets and anchors keep exactly
-    the candidates compatible with it.
-
-    Candidates are single tokens, so their token and lemma rules carry the
-    separator SEPARATORS[0] only (see the module docstring) and no separator
-    variant needs adding back.  All candidates share one rule table, so the
-    universe is in first-found order; the solver orders the rules
-    canonically.
+    that token alone.  A candidate is one token, so its token and lemma rules
+    are the hits of its form and of its lemma (_core_hits) under no drops and
+    the separator SEPARATORS[0] (see the module docstring), no separator
+    variant needs adding back, and the number rule is added where the form
+    parses to the label; each distinct (string, label) is searched once per
+    problem.  The minimal rule set is solved over the union sets and anchors
+    keep exactly the candidates compatible with it.  All candidates share one
+    rule table, so the universe is in first-found order; the solver orders
+    the rules canonically.
     """
     ids: dict[Rule, int] = {}
     entries = []  # (graph idx, node idx, per-candidate (form, lemma, label) keys)
-    per_graph_tokens = []
+    per_graph_tokens = {}
     for gi, g in enumerate(graphs):
-        tokens = graph_tokens(g)
-        per_graph_tokens.append(tokens)
+        if g.flavor != 2:
+            continue
+        tokens = per_graph_tokens[gi] = graph_tokens(g)
         for ni, node in enumerate(g.nodes):
             if node.label is not None:
                 entries.append((gi, ni, [(t.form, t.lemma, node.label) for t in tokens]))
+    hits: dict[tuple[str, str], list[tuple[int, int, str, str, str]]] = {}
     candidates = {}
     for key in dict.fromkeys(k for _, _, keys in entries for k in keys):
         form, lemma, label = key
-        found = enumerate_applicable_rules([form], [lemma], label, ids)
-        candidates[key] = found - {ids[AbsoluteRule(label)]}
+        found = set()
+        if label.isdigit() and words_to_number([form]) == label:
+            found.add(ids.setdefault(NumberRule(), len(ids)))
+        for kind, source in ((TOKEN, form), (LEMMA, lemma)):
+            source_hits = hits.get((source, label))
+            if source_hits is None:
+                source_hits = hits[source, label] = _core_hits(source, label)
+            head = (kind, 0, 0, SEPARATORS[0])
+            for hit in source_hits:
+                found.add(ids.setdefault(_new(Rule, head + hit), len(ids)))
+        candidates[key] = frozenset(found)
     per_node = []
     names = []
     candidate_indices = []

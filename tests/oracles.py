@@ -383,6 +383,16 @@ def reference_anchor_flavor2_corpus(graphs):
 # ---------------------------------------------------------------------------
 # hitting set over element masks
 
+def reference_kept_constraints(sets: Sequence[frozenset[int]]) -> list[frozenset[int]]:
+    """hitting._kept_constraints by the pairwise scan: each distinct set,
+    shortest first, is kept unless some kept set is inside it."""
+    kept: list[frozenset[int]] = []
+    for s in sorted(dict.fromkeys(sets), key=len):
+        if not any(k <= s for k in kept):
+            kept.append(s)
+    return kept
+
+
 def _ref_to_masks(sets: Sequence[frozenset[int]]) -> list[int]:
     masks = []
     for i, s in enumerate(sets):

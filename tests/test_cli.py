@@ -111,6 +111,31 @@ class TestPreprocess:
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
             "52f308b60148eb098f77232e321acf40288a8f0df851c2c870c2280c0ad36fc3")
 
+    def test_amr_keeps_gold_anchors_of_flavor1_lines(self, tmp_path, capsys):
+        # a flavor-1 line comes out as it went in; the flavor-2 lines come
+        # out as they do without it
+        gold = json.dumps({"id": "amr-gold", "flavor": 1, "framework": "amr",
+                           "input": "the dog of Frank is hiding", "tops": [1],
+                           "nodes": [{"id": 0, "label": "person",
+                                      "anchors": [{"from": 11, "to": 16}]},
+                                     {"id": 1, "label": "hide",
+                                      "anchors": [{"from": 20, "to": 26}]}],
+                           "edges": [{"source": 1, "target": 0, "label": "ARG0"}]})
+        with open(fixture_path("amr.jsonl")) as handle:
+            unanchored = handle.read()
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text(gold + "\n" + unanchored)
+        outputs = []
+        for path in (mixed, fixture_path("amr.jsonl")):
+            out_path = tmp_path / "out.jsonl"
+            code, _, _ = run_cli(["preprocess", "--framework", "amr", "--input",
+                                  str(path), "--output", str(out_path)], capsys)
+            assert code == 0
+            outputs.append(out_path.read_text().splitlines())
+        from mrparse.graph import parse_graph, serialize_graph
+        assert outputs[0][0] == serialize_graph(parse_graph(gold))
+        assert outputs[0][1:] == outputs[1]
+
     @pytest.mark.parametrize("line", ["inversion_suffix = -on", "alias.mod = domain-of"])
     def test_removed_config_key_is_config_error(self, line, tmp_path, capsys):
         # the inverted-edge convention is fixed: the keys that set it are unknown

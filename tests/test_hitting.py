@@ -9,8 +9,8 @@ from mrparse import hitting
 from mrparse.hitting import InfeasibleError, minimal_hitting_set
 from oracles import (UniverseTooLargeError, brute_force_min_hitting_set,
                      canonical_problem, reference_anchor_flavor2_corpus,
-                     reference_minimal_hitting_set, reference_rule_problem,
-                     without_one_token_separator_variants)
+                     reference_kept_constraints, reference_minimal_hitting_set,
+                     reference_rule_problem, without_one_token_separator_variants)
 
 
 def random_instance(rng, max_rules=12, max_nodes=8):
@@ -159,6 +159,24 @@ def test_matches_element_mask_reference(instance):
         sets, universe)
 
 
+@settings(max_examples=200, deadline=None)
+@given(class_instances(max_universe=40)
+       | st.lists(st.frozensets(st.integers(0, 9), min_size=1, max_size=5),
+                  max_size=40).map(lambda sets: (sets, 10)))
+def test_kept_constraints_match_pairwise_scan(instance):
+    # the index on smallest elements finds the same kept sets, in the same
+    # order, as testing every set against every kept set
+    sets, _ = instance
+    assert hitting._kept_constraints(sets) == reference_kept_constraints(sets)
+
+
+def test_kept_constraint_filed_under_an_element_the_set_lacks():
+    # {1, 5} is filed under 1; {2, 5} holds 5 but not 1, so it is kept, and
+    # {1, 2, 5} holds 1 and is dropped
+    sets = [frozenset({1, 2, 5}), frozenset({2, 5}), frozenset({1, 5})]
+    assert hitting._kept_constraints(sets) == [frozenset({2, 5}), frozenset({1, 5})]
+
+
 @st.composite
 def component_instances(draw):
     """Two to five class_instances blocks over disjoint element ranges, their
@@ -263,6 +281,8 @@ def test_corpus_sized_problems_match_element_mask_reference(seed):
     assert len(eds.universe) > 500
     for problem, solution in ((eds, eds_solution), (amr, amr_solution)):
         assert len(problem.per_node) > 400
+        assert hitting._kept_constraints(problem.per_node) == \
+            reference_kept_constraints(problem.per_node)
         assert solution == reference_minimal_hitting_set(problem.per_node,
                                                          len(problem.universe))
     all_separator = reference_minimal_hitting_set(reference.per_node,

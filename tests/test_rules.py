@@ -2,7 +2,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrparse import rules
@@ -82,7 +82,12 @@ class TestNumerals:
     def test_recognized(self, phrase, expected):
         assert words_to_number(phrase) == expected
 
-    @pytest.mark.parametrize("phrase", [["cat"], ["and"], [], ["forty", "cats"]])
+    @pytest.mark.parametrize("phrase", [
+        ["cat"], ["and"], [], ["forty", "cats"],
+        # numeral words out of order
+        ["one", "two"], ["twenty", "thirty"], ["seven", "eleven"], ["ten", "five"],
+        ["hundred", "hundred"], ["thousand", "thousand"],
+    ])
     def test_unrecognized(self, phrase):
         assert words_to_number(phrase) is None
 
@@ -621,6 +626,58 @@ class TestArtificialAnchoring:
         graphs = [transform.preprocess("amr", g)[0]
                   for g in load_graphs(fixture_path("amr.jsonl"))]
         assert_matches_all_separator_reference(graphs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.text(alphabet="abcé-", min_size=1, max_size=6)
+                              | st.sampled_from(["one", "twelve", "sixty", "Seven"]),
+                              st.none() | st.text(alphabet="abcé-", min_size=1,
+                                                  max_size=6)),
+                    min_size=1, max_size=4),
+           st.lists(st.text(alphabet="abcé-_ 12", min_size=1, max_size=10)
+                    | st.sampled_from(["1", "12", "60", "7", "xyz", "_cab_n"]),
+                    min_size=1, max_size=3))
+    @example([("sixty", None), ("Seven", "seven"), ("abc", "xbz")], ["60", "7", "xyz"])
+    def test_candidate_sets_are_one_token_enumerations(self, words, labels):
+        # each candidate's rules are those the enumerator finds for its form
+        # and lemma alone, less the absolute rule: a lemma unlike the form,
+        # labels sharing no character with the token ("xyz"), and number
+        # words whose digits share none ("sixty" -> "60") included
+        from unittest import mock
+
+        from mrparse.graph import Graph, Node, Token
+        tokens, start = [], 0
+        for form, lemma in words:
+            tokens.append(Token(form, start, start + len(form),
+                                form if lemma is None else lemma))
+            start += len(form) + 1
+        graph = Graph(id="g", framework="amr", flavor=2,
+                      input=" ".join(form for form, _ in words),
+                      nodes=tuple(Node(i, label) for i, label in enumerate(labels)),
+                      tokens=tuple(tokens))
+        seen = {}
+        solve, assign = rules.minimal_rule_set, rules.assign_artificial_anchors
+
+        def spy_solve(problem):
+            seen["universe"] = problem.universe
+            return solve(problem)
+
+        def spy_assign(candidate_rule_sets, minimal_set):
+            seen["candidates"] = candidate_rule_sets
+            return assign(candidate_rule_sets, minimal_set)
+
+        with mock.patch.object(rules, "minimal_rule_set", spy_solve), \
+                mock.patch.object(rules, "assign_artificial_anchors", spy_assign):
+            rules.anchor_flavor2_corpus([graph])
+        universe = seen["universe"]
+        for label, candidates in zip(labels, seen["candidates"]):
+            assert len(candidates) == len(tokens)
+            for token, found in zip(tokens, candidates):
+                ids = {}
+                expected = rules.enumerate_applicable_rules(
+                    [token.form], [token.lemma], label, ids)
+                table = list(ids)
+                assert {universe[i] for i in found} == \
+                    {table[i] for i in expected} - {AbsoluteRule(label)}
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(alphabet="abcé-", min_size=1, max_size=6)
