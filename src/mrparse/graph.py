@@ -357,29 +357,31 @@ def validate(g: Graph) -> list[Violation]:
     """Check all type invariants; violations are data, never exceptions."""
     violations = []
     seen: set[int] = set()
+    # subjects are formatted only for the violations found
     for node in g.nodes:
-        subject = f"node {node.id}"
         if node.id in seen:
-            violations.append(Violation("node id unique", subject, "duplicate node id"))
+            violations.append(Violation("node id unique", f"node {node.id}",
+                                        "duplicate node id"))
         seen.add(node.id)
-        attrs = [k for k, _ in node.properties]
-        for name in sorted(set(a for a in attrs if attrs.count(a) > 1)):
-            violations.append(Violation("property attribute unique", subject,
-                                        f"duplicate property attribute {name!r}"))
+        if len(node.properties) > 1:
+            attrs = [k for k, _ in node.properties]
+            for name in sorted(set(a for a in attrs if attrs.count(a) > 1)):
+                violations.append(Violation("property attribute unique", f"node {node.id}",
+                                            f"duplicate property attribute {name!r}"))
         for anchor in node.anchors:
             if not (0 <= anchor.start < anchor.end):
-                violations.append(Violation("anchor range", subject,
+                violations.append(Violation("anchor range", f"node {node.id}",
                                             f"bad anchor [{anchor.start},{anchor.end})"))
             elif g.flavor == 1 and anchor.end > len(g.input):
-                violations.append(Violation("anchor bounds", subject,
+                violations.append(Violation("anchor bounds", f"node {node.id}",
                                             f"anchor [{anchor.start},{anchor.end}) "
                                             f"exceeds input length {len(g.input)}"))
     node_ids = {n.id for n in g.nodes}
     for i, edge in enumerate(g.edges):
-        subject = f"edge {i} ({edge.source}->{edge.target})"
         for endpoint in (edge.source, edge.target):
             if endpoint not in node_ids:
-                violations.append(Violation("edge endpoints exist", subject,
+                violations.append(Violation("edge endpoints exist",
+                                            f"edge {i} ({edge.source}->{edge.target})",
                                             f"unknown node id {endpoint}"))
     # token spans follow the anchor rules, but a token may be empty
     for i, token in enumerate(g.tokens or ()):

@@ -231,13 +231,6 @@ def preprocess_gold(g: Graph) -> tuple[Graph, transform.TransformTrace]:
                                          deinverted=inv.deinverted)
 
 
-def compile_rule_table(pre_graphs: Sequence[Graph]) -> tuple[rules.Rule, ...]:
-    """Solve the minimal encoding rule set over preprocessed gold graphs."""
-    items, names = rules.label_items(pre_graphs)
-    problem = rules.build_problem(items, names=names)
-    return tuple(problem.universe[i] for i in rules.minimal_rule_set(problem))
-
-
 def build_vocab(graphs: Sequence[Graph]) -> dict[str, int]:
     vocab = {UNK_TOKEN: 0}
     for g in graphs:
@@ -248,9 +241,10 @@ def build_vocab(graphs: Sequence[Graph]) -> dict[str, int]:
 
 
 def build_example(g: Graph, pre: Graph, trace: transform.TransformTrace,
-                  meta: ModelMeta, applicable: dict) -> Example:
-    """Targets of one preprocessed gold graph; applicable maps each
-    (forms, lemmas, label) to its retained rules and is shared across calls."""
+                  meta: ModelMeta, node_rows: Sequence[Sequence[int]]) -> Example:
+    """Targets of one preprocessed gold graph; node_rows[j] lists the
+    rule-table rows that derive node j's label, as the solved rule-set
+    problem found them."""
     num_rules = len(meta.rule_table)
     property_ids = {node_id for _, _, node_id in trace.nodeified}
     tokens = graph_tokens(pre)
@@ -260,14 +254,7 @@ def build_example(g: Graph, pre: Graph, trace: transform.TransformTrace,
     for j, node in enumerate(pre.nodes):
         indices = anchored_token_indices(node, tokens)
         anchored[j, indices] = True
-        forms = tuple(tokens[i].form for i in indices)
-        lemmas = tuple(tokens[i].lemma for i in indices)
-        label = node.label
-        key = (forms, lemmas, label)
-        if key not in applicable:
-            applicable[key] = tuple(r for r, rule in enumerate(meta.rule_table)
-                                    if rules.apply_rule(rule, forms, lemmas) == label)
-        label_targets[j] = rules.build_rule_target(applicable[key], num_rules)
+        label_targets[j] = rules.build_rule_target(node_rows[j], num_rules)
     index_of = {node.id: j for j, node in enumerate(pre.nodes)}
     label_index = {l: i for i, l in enumerate(meta.edge_labels)}
     edges = np.array([(index_of[e.source], index_of[e.target], label_index[e.label])
@@ -710,13 +697,22 @@ def prepare(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None):
         raise TrainError(f"training graph {unlabeled[0].id} node {unlabeled[1].id} has "
                          f"no label; every training node needs one to learn")
     gold = [preprocess_gold(g) for g in train_graphs]
-    table = compile_rule_table([pre for pre, _ in gold])
+    # preprocessing labels every node, so label_items lists them all, graph
+    # by graph in node order
+    items, names = rules.label_items([pre for pre, _ in gold])
+    problem = rules.build_problem(items, names=names)
+    solution = rules.minimal_rule_set(problem)
+    row_of = {u: row for row, u in enumerate(solution)}
+    retained = frozenset(solution)
+    node_rows = iter([sorted(row_of[u] for u in applicable & retained)
+                      for applicable in problem.per_node])
+    table = tuple(problem.universe[u] for u in solution)
+    del items, names, problem  # not held while the examples are built: a lower peak
     edge_labels, inverted_labels = edge_label_vocab(gold)
     meta = ModelMeta(vocab=build_vocab(train_graphs), rule_table=table,
                      edge_labels=edge_labels, config=config,
                      inverted_labels=inverted_labels)
-    applicable = {}
-    examples = [build_example(g, pre, trace, meta, applicable)
+    examples = [build_example(g, pre, trace, meta, [next(node_rows) for _ in pre.nodes])
                 for g, (pre, trace) in zip(train_graphs, gold)]
     for example in examples:
         if not len(example.token_ids):

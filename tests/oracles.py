@@ -27,6 +27,9 @@ The rule-order key spells the canonical order out field by field instead
 of comparing tuples.  The reference graph parser is
 the per-node, per-edge and per-token helper version that preceded the
 one-pass parse_graph, kept as it was.
+The label-target reference applies every rule of the table to every
+node's anchored tokens, as the trainer did before it read the targets off
+the solved rule-set problem.
 The rule-problem references take rule sets from enumerate_applicable_rules
 here, which runs rules.enumerate_applicable_rules on a rule table of its own,
 reads back the rules its ids stand for and expands each token or lemma rule
@@ -55,8 +58,8 @@ import numpy as np
 
 from mrparse import heads, model, rules, trainer, transform
 from mrparse.graph import (FRAMEWORKS, Anchor, Edge, Graph, GraphParseError,
-                           GraphSchemaError, Node, Token, graph_tokens,
-                           whitespace_tokens)
+                           GraphSchemaError, Node, Token, anchored_token_indices,
+                           graph_tokens, whitespace_tokens)
 from mrparse.heads import HeadError
 from mrparse.hitting import InfeasibleError
 from mrparse.matcher import MASK_EPSILON, MatchProblem, geomean_anchor
@@ -378,6 +381,22 @@ def reference_anchor_flavor2_corpus(graphs):
         nodes[ni] = replace(nodes[ni], anchors=anchors)
         out[gi] = replace(g, nodes=tuple(nodes))
     return out, problem, solution
+
+
+def reference_label_targets(pre: Graph, table: Sequence) -> np.ndarray:
+    """trainer.build_example's label targets [nodes, rules + 1] as it derived
+    them before it took them from the solved rule-set problem: every rule of
+    the table applied to each node's anchored forms and lemmas."""
+    tokens = graph_tokens(pre)
+    rows = np.empty((len(pre.nodes), len(table) + 1))
+    for j, node in enumerate(pre.nodes):
+        indices = anchored_token_indices(node, tokens)
+        forms = [tokens[i].form for i in indices]
+        lemmas = [tokens[i].lemma for i in indices]
+        rows[j] = rules.build_rule_target(
+            [r for r, rule in enumerate(table)
+             if apply_rule(rule, forms, lemmas) == node.label], len(table))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mrparse import corpus, model, scorer, trainer
-from mrparse.graph import Graph, serialize_graph
+from mrparse import corpus, model, rules, scorer, trainer
+from mrparse.graph import Graph, load_graphs, serialize_graph
 from conftest import SIZE_BOUNDS, fixture_path
 import oracles
 
@@ -68,7 +68,8 @@ class TestCorpus:
     def test_size_500_vocabulary_and_compression(self):
         graphs = corpus.synth_corpus(1, 500)
         pre_graphs = [trainer.preprocess_gold(g)[0] for g in graphs]
-        table = trainer.compile_rule_table(pre_graphs)
+        items, names = rules.label_items(pre_graphs)
+        table = rules.minimal_rule_set(rules.build_problem(items, names=names))
         labels = {n.label for pre in pre_graphs for n in pre.nodes if n.label is not None}
         assert len(labels) > 50
         assert len(table) < len(labels) / 5
@@ -80,6 +81,25 @@ class TestCorpus:
         has_numeral = any((n.label or "").isdigit() for g in graphs for n in g.nodes)
         has_absolute = any(n.label == "person" for g in graphs for n in g.nodes)
         assert has_property and has_inverted and has_numeral and has_absolute
+
+
+class TestLabelTargets:
+    @pytest.mark.parametrize("source", ["seed1", "seed2", "seed3", "eds"])
+    def test_targets_equal_table_rules_applied(self, source):
+        # the targets come from the solved rule-set problem; applying every
+        # table rule to each node's anchored tokens must give the same rows
+        if source == "eds":
+            # the fixture's two graphs train; a synthetic graph is held out
+            graphs = load_graphs(fixture_path("eds.jsonl")) + corpus.synth_corpus(1, 1)
+            config = trainer.TrainConfig(eval_fraction=0.1)
+        else:
+            config = trainer.TrainConfig(seed=int(source[-1]), corpus_size=500)
+            graphs = None
+        meta, examples, _ = trainer.prepare(config, graphs)
+        assert len(examples) == (2 if source == "eds" else 400)
+        for example in examples:
+            expected = oracles.reference_label_targets(example.pre, meta.rule_table)
+            assert np.array_equal(example.label_targets, expected), example.gold.id
 
 
 def tiny_config(**overrides):

@@ -14,8 +14,9 @@ first in even ones, reads each run's
 ``.perfbench_out/report-*.json`` and appends one row to
 ``BENCH_<workload>.json``: both revisions, every run's end-to-end metrics,
 calibration readings and checks (on ``short`` also its epochs to target and
-final F1), and per side the median and quartiles of each end-to-end metric,
-with the number of pairs in which the change was better.
+final F1), each side's ``wc -l src/mrparse/*.py`` total, and per side the
+median and quartiles of each end-to-end metric, with the numbers of pairs in
+which the change was strictly better and strictly worse.
 
 It then runs the acceptance configuration (500 synthetic sentences, stop at
 held-out labels/anchors F1 >= 0.95 and edges >= 0.90, at most 30 epochs) for
@@ -110,7 +111,19 @@ def _side(label: str, revision: str | None, work: str) -> dict:
     else:
         _archive(revision, path)
         described = _git("rev-parse", revision)
-    return {"label": label, "revision": described, "path": path}
+    return {"label": label, "revision": described, "path": path,
+            "src_lines": _src_lines(path)}
+
+
+def _src_lines(checkout: str) -> int:
+    """What ``wc -l src/mrparse/*.py`` totals in the checkout: its newlines."""
+    package = os.path.join(checkout, "src", "mrparse")
+    total = 0
+    for name in os.listdir(package):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as handle:
+                total += handle.read().count(b"\n")
+    return total
 
 
 def _environment() -> dict:
@@ -163,16 +176,19 @@ def _quartiles(values: list[float]) -> dict:
 
 def _summary(pairs: list[dict], metrics: list[dict]) -> dict:
     """Median and quartiles of every end-to-end metric on each side, and the
-    pairs in which the change was better."""
+    pairs in which the change was strictly better and strictly worse; a tie
+    counts for neither side."""
     out = {}
     for metric in metrics:
         name = metric["name"]
         base = [pair["base"]["metrics"][name] for pair in pairs]
         change = [pair["change"]["metrics"][name] for pair in pairs]
-        higher = metric["better"] == "higher"
-        better = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
+        sign = 1 if metric["better"] == "higher" else -1
+        better = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+        worse = sum(sign * (c - b) < 0 for b, c in zip(base, change))
         out[name] = {"base": _quartiles(base), "change": _quartiles(change),
-                     "change_better_pairs": better, "pairs": len(pairs)}
+                     "change_better_pairs": better, "change_worse_pairs": worse,
+                     "pairs": len(pairs)}
     return out
 
 
@@ -208,6 +224,7 @@ def main() -> int:
         with open(os.path.join(change["path"], "BENCHMARK.json")) as handle:
             metrics = json.load(handle)["end_to_end"]
         revisions = {side["label"]: side["revision"] for side in (base, change)}
+        src_lines = {side["label"]: side["src_lines"] for side in (base, change)}
         started = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
         for workload in WORKLOADS:
             pairs = []
@@ -218,7 +235,8 @@ def main() -> int:
                     pair[side["label"]] = _perfbench_run(side, workload)
                 pairs.append(pair)
             _append(os.path.join(ROOT, f"BENCH_{workload}.json"), {
-                "revisions": revisions, "started": started, "host": _host(),
+                "revisions": revisions, "src_lines": src_lines, "started": started,
+                "host": _host(),
                 "command": f"perfbench/run.py --workload {workload} --seed {SEED} "
                            f"--seconds {SECONDS} --trace 0",
                 "summary": _summary(pairs, metrics), "pairs": pairs})
@@ -230,7 +248,8 @@ def main() -> int:
                 run[side["label"]] = _acceptance_run(side, seed)
             runs.append(run)
         _append(os.path.join(ROOT, "BENCH_acceptance.json"), {
-            "revisions": revisions, "started": started, "host": _host(),
+            "revisions": revisions, "src_lines": src_lines, "started": started,
+            "host": _host(),
             "config": "TrainConfig(seed=s, epochs=30, corpus_size=500, stop_when="
                       "{labels: 0.95, anchors: 0.95, edges: 0.90})",
             "runs": runs})
