@@ -828,8 +828,8 @@ def predict_batch(trained: TrainedModel, sentences: Sequence[str]) -> list[Graph
         for length, group in _length_groups([len(t) for t in tokens]).items():
             if length == 0:
                 for position in group:
-                    parsed[position] = Graph(id="pred-0", framework="eds", flavor=1,
-                                             input=chunk[position], tokens=tokens[position])
+                    parsed[position] = decoded_graph(trained.meta, chunk[position],
+                                                     tokens[position], (), (), None, set())
                 continue
             fwd = forward_sentence(trained.params, config, np.stack(
                 [trained.meta.token_ids(tokens[p]) for p in group]))
@@ -886,18 +886,25 @@ def _decode(trained: TrainedModel, sentences: Sequence[str],
     for s, a, b in np.argwhere(present).tolist():
         edges[s].append(Edge(source=a, target=b, label=meta.edge_labels[best[s, a, b]]))
 
-    graphs = []
-    for s, sentence in enumerate(sentences):
-        nodes = tuple(Node(id=position, label=label, anchors=anchors,
-                           is_top=position == tops[s])
-                      for position, (label, anchors) in enumerate(decoded[s]))
-        out = Graph(id="pred-0", framework="eds", flavor=1, input=sentence,
-                    nodes=nodes, edges=tuple(edges[s]), tokens=tokens[s])
-        property_flags = set(np.flatnonzero(is_property[s, :len(nodes)]).tolist())
-        if property_flags:
-            out = transform.fold_property_nodes(out, property_flags)
-        if meta.inverted_labels:
-            out = transform.reinvert_edges_for_top(
-                out, invertible_labels=set(meta.inverted_labels))
-        graphs.append(out)
-    return graphs
+    return [decoded_graph(meta, sentence, tokens[s], decoded[s], edges[s], tops[s],
+                          set(np.flatnonzero(is_property[s, :len(decoded[s])]).tolist()))
+            for s, sentence in enumerate(sentences)]
+
+
+def decoded_graph(meta: ModelMeta, sentence: str, tokens: tuple[Token, ...],
+                  nodes: Sequence[tuple[str, tuple[Anchor, ...]]], edges: Sequence[Edge],
+                  top: Optional[int], property_flags: set[int]) -> Graph:
+    """One parsed sentence's graph, built as the inverse of preprocess_gold:
+    node j is nodes[j], a (label, anchors) pair, with id j; edges, top and
+    property_flags name such ids.  Flagged nodes fold back into properties,
+    then de-inverted labels re-invert where the walk from the top needs it."""
+    out = Graph(id="pred-0", framework="eds", flavor=1, input=sentence,
+                nodes=tuple(Node(id=j, label=label, anchors=anchors, is_top=j == top)
+                            for j, (label, anchors) in enumerate(nodes)),
+                edges=tuple(edges), tokens=tokens)
+    if property_flags:
+        out = transform.fold_property_nodes(out, property_flags)
+    if meta.inverted_labels:
+        out = transform.reinvert_edges_for_top(
+            out, invertible_labels=set(meta.inverted_labels))
+    return out

@@ -2,8 +2,9 @@
 
 Pre-processing turns property pairs into nodes, normalizes inverted edge
 labels, reduces binary-relation nodes (DRG), merges anchors into one
-continuous span (EDS) and augments unlabeled UCCA nodes.  Every lossy step
-records a trace so the emission side can restore the original shape.
+continuous span (EDS) and augments unlabeled UCCA nodes.  Decoding undoes
+the first two without a trace (fold_property_nodes, reinvert_edges_for_top);
+merged anchors stay merged.
 """
 
 from __future__ import annotations
@@ -22,17 +23,13 @@ class TransformError(Exception):
     pass
 
 
-class InconsistentTraceError(TransformError):
-    pass
-
-
 class GraphStructureError(TransformError):
     pass
 
 
 @dataclass(frozen=True)
 class TransformTrace:
-    """What a pre-processing pass changed, enough to undo it.
+    """What a pre-processing pass changed, which training reads its targets from.
 
     nodeified: (parent node id, attribute, created node id) per converted
     property; deinverted: indices of edges (in the transformed graph) whose
@@ -93,26 +90,6 @@ def nodeify_properties(g: Graph) -> tuple[Graph, TransformTrace]:
         nodes.append(replace(node, properties=()))
     out = replace(g, nodes=tuple(nodes) + tuple(new_nodes), edges=g.edges + tuple(new_edges))
     return out, TransformTrace(nodeified=tuple(trace))
-
-
-def denodeify_properties(g: Graph, trace: TransformTrace) -> Graph:
-    """Fold traced property nodes back into their parents; inverse of nodeify."""
-    traced = {node_id: (parent, attribute) for parent, attribute, node_id in trace.nodeified}
-    by_id = {n.id: n for n in g.nodes}
-    for node_id, (parent, _) in traced.items():
-        if node_id not in by_id:
-            raise InconsistentTraceError(f"traced node {node_id} missing from graph")
-        if parent not in by_id:
-            raise InconsistentTraceError(f"traced parent {parent} missing from graph")
-    restored: dict[int, list[tuple[str, str]]] = {n.id: [] for n in g.nodes}
-    for parent, attribute, node_id in trace.nodeified:
-        value = by_id[node_id].label
-        restored[parent].append((attribute, "" if value is None else value))
-    nodes = tuple(replace(n, properties=n.properties + tuple(restored[n.id]))
-                  for n in g.nodes if n.id not in traced)
-    edges = tuple(e for e in g.edges
-                  if not (e.target in traced and traced[e.target] == (e.source, e.label)))
-    return replace(g, nodes=nodes, edges=edges)
 
 
 def normalize_inverted_edges(g: Graph) -> tuple[Graph, TransformTrace]:
@@ -303,7 +280,9 @@ def fold_property_nodes(g: Graph, property_node_ids: set[int]) -> Graph:
     Each flagged node with exactly one incoming edge is folded back into a
     property of that edge's source (attribute = edge label, value = node
     label); flagged nodes with any other in-degree are kept as nodes.  A
-    graph with nothing to fold is returned as it is.
+    folded node's outgoing edges, which nodeify never creates but a decoded
+    graph may have, are dropped with it.  A graph with nothing to fold is
+    returned as it is.
     """
     incoming: dict[int, list[Edge]] = {}
     for edge in g.edges:

@@ -24,7 +24,7 @@ PACKAGE = sorted((ROOT / "src" / "mrparse").glob("*.py"))
 PROGRAM = sorted({*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")})
 SEARCHED = sorted({*PROGRAM, *(ROOT / "tests").rglob("*.py")})
 # package definitions that only the tests name, on purpose
-TEST_ONLY = ("load_graphs", "denodeify_properties")
+TEST_ONLY = ("load_graphs",)
 
 
 def parse(path: Path) -> ast.Module:

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mrparse import corpus, model, rules, scorer, trainer
-from mrparse.graph import Graph, load_graphs, serialize_graph
+from mrparse.graph import (Anchor, Edge, Graph, anchored_token_indices, graph_tokens,
+                           load_graphs, serialize_graph)
 from conftest import SIZE_BOUNDS, fixture_path
 import oracles
 
@@ -537,6 +538,50 @@ def resized_example(example, length, num_targets=None):
         anchored=example.anchored[:keep, np.arange(length) % num_tokens],
         edges=example.edges[(example.edges[:, :2] < keep).all(axis=1)],
         top_index=top)
+
+
+class TestDecodeCeiling:
+    @pytest.mark.parametrize("source", ["eds", "seed1", "seed2", "seed3"])
+    def test_decoded_gold_preprocessing_scores_as_gold(self, source):
+        # decoded_graph fed what preprocess_gold gives, each node anchored to
+        # the hull of its tokens as _decode anchors it: the best any decoder
+        # can do, scored against the gold graph before preprocessing
+        graphs = (load_graphs(fixture_path("eds.jsonl")) if source == "eds"
+                  else corpus.synth_corpus(int(source[-1]), 500))
+        gold = [trainer.preprocess_gold(g) for g in graphs]
+        edge_labels, inverted = trainer.edge_label_vocab(gold)
+        meta = trainer.ModelMeta(vocab={}, rule_table=(), edge_labels=edge_labels,
+                                 config=trainer.TrainConfig(), inverted_labels=inverted)
+        decoded, reports = {}, []
+        for g, (pre, trace) in zip(graphs, gold):
+            tokens = graph_tokens(pre)
+            nodes = []
+            for node in pre.nodes:
+                picked = [tokens[t] for t in anchored_token_indices(node, tokens)]
+                nodes.append((node.label, (Anchor(min(t.start for t in picked),
+                                                  max(t.end for t in picked)),)
+                              if picked else ()))
+            position = {node.id: j for j, node in enumerate(pre.nodes)}
+            edges = [Edge(position[e.source], position[e.target], e.label)
+                     for e in pre.edges]
+            top = next((j for j, node in enumerate(pre.nodes) if node.is_top), None)
+            flags = {position[node_id] for _, _, node_id in trace.nodeified}
+            decoded[g.id] = trainer.decoded_graph(meta, g.input, tokens, nodes, edges,
+                                                  top, flags)
+            reports.append((g.id, scorer.score_pair(g, decoded[g.id])))
+        inexact = {(graph_id, name) for graph_id, report in reports
+                   for name, c in report.metrics.items()
+                   if not c.gold == c.predicted == c.correct}
+        if source == "eds":
+            # the one loss: "forty two" is anchored to (0,5)+(6,9), which
+            # preprocessing merges into their hull and decoding, one anchor a
+            # node, gives back as (0,9), one wrong anchor tuple of six
+            assert inexact == {("eds-2", "anchors")}
+            assert decoded["eds-2"].node_by_id(0).anchors == (Anchor(0, 9),)
+            total = scorer.aggregate(report for _, report in reports)
+            assert total.metrics["anchors"].f1 == pytest.approx(5 / 6)
+        else:
+            assert inexact == set()
 
 
 class TestTraining:

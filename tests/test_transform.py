@@ -5,13 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrparse.graph import Anchor, Edge, Graph, Node, load_graphs
-from mrparse.transform import (GraphStructureError, InconsistentTraceError,
-                               TransformError, TransformTrace,
-                               denodeify_properties, drg_reduce_binary_relations,
-                               eds_merge_anchors, fold_property_nodes,
-                               load_framework_config, nodeify_properties,
-                               normalize_inverted_edges, preprocess,
-                               reinvert_edges_for_top, ucca_augment)
+from mrparse.transform import (GraphStructureError, TransformError, TransformTrace,
+                               drg_reduce_binary_relations, eds_merge_anchors,
+                               fold_property_nodes, load_framework_config,
+                               nodeify_properties, normalize_inverted_edges,
+                               preprocess, reinvert_edges_for_top, ucca_augment)
 from conftest import fixture_path
 
 
@@ -53,23 +51,9 @@ def test_nodeify_counts():
     assert after == (before[0] + 3, before[1] + 3, 0)
 
 
-def test_denodeify_round_trip(amr_fig):
+def test_fold_round_trip(amr_fig):
     out, trace = nodeify_properties(amr_fig)
-    assert denodeify_properties(out, trace) == amr_fig
-
-
-def test_denodeify_empty_trace_identity(amr_fig):
-    assert denodeify_properties(amr_fig, TransformTrace()) == amr_fig
-
-
-def test_denodeify_missing_node_errors(amr_fig):
-    out, trace = nodeify_properties(amr_fig)
-    broken = Graph(id=out.id, framework=out.framework, flavor=out.flavor,
-                   input=out.input,
-                   nodes=tuple(n for n in out.nodes if n.id != 5),
-                   edges=tuple(e for e in out.edges if e.target != 5))
-    with pytest.raises(InconsistentTraceError):
-        denodeify_properties(broken, trace)
+    assert fold_property_nodes(out, {node_id for _, _, node_id in trace.nodeified}) == amr_fig
 
 
 def test_deinvert_basic():
@@ -303,7 +287,8 @@ _UNCHANGED = Graph(id="g", framework="eds", flavor=1, input="ab cd",
     # every label of the graph eligible
     lambda g: reinvert_edges_for_top(g, invertible_labels={"ARG1", "flag"}),
     lambda g: fold_property_nodes(g, {0}),
-], ids=["nodeify", "deinvert", "eds_merge", "reinvert", "fold"])
+    lambda g: fold_property_nodes(g, set()),
+], ids=["nodeify", "deinvert", "eds_merge", "reinvert", "fold", "fold_no_flags"])
 def test_nothing_to_change_returns_the_input(transform):
     assert transform(_UNCHANGED) is _UNCHANGED
 
