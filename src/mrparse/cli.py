@@ -24,6 +24,8 @@ from . import heads, matcher, model, rules, scorer, trainer, transform
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INFEASIBLE = 3
+# input lines predict reads before it parses them as one predict_batch
+PREDICT_READ_AHEAD = 256
 
 
 class CliError(Exception):
@@ -268,13 +270,12 @@ def cmd_predict(args) -> int:
         _fail("data", f"checkpoint: {exc}", EXIT_DATA)
     with _open_output(args.output) as out, _open_input(args.input) as handle:
         sentences = (line.rstrip("\n") for line in handle if line.strip())
-        # one chunk at a time, so output streams as the input is read
+        # one window at a time, so output streams as the input is read
         # finite parameters too large for the arithmetic raise rather than
         # print garbage graphs and warnings
         try:
             with np.errstate(over="raise", invalid="raise"):
-                while chunk := list(itertools.islice(sentences,
-                                                     trained.meta.config.batch_size)):
+                while chunk := list(itertools.islice(sentences, PREDICT_READ_AHEAD)):
                     for g in trainer.predict_batch(trained, chunk):
                         print(graph_mod.serialize_graph(g), file=out)
         except (heads.HeadError, FloatingPointError) as exc:

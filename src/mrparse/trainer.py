@@ -14,6 +14,7 @@ inverse-square-root learning rate schedule.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -47,11 +48,11 @@ class DivergenceError(TrainError):
 
 
 # (option, lowest accepted value, upper bound or None): a value outside
-# crashes a run (batch_size past sys.maxsize in predict), hangs it
-# (layer_dropout 1 redraws the dropout mask forever), trains a model of
-# nothing (dim 0, eval_fraction past 1) or asks for more memory than a
-# machine holds (dim or corpus_size 10**30).  An integer bound is the highest
-# value accepted, a float bound the first value past the range.
+# hangs a run (layer_dropout 1 redraws the dropout mask forever), trains a
+# model of nothing (dim 0, eval_fraction past 1), asks for more memory than a
+# machine holds (dim or corpus_size 10**30) or leaves too few steps to schedule
+# (batch_size past 1024: under 100 an epoch, half the default warmup).  An
+# integer bound is the highest value accepted, a float bound the first past it.
 _CONFIG_RANGES = (
     ("dim", 1, 512), ("ffn_dim", 1, 2048), ("queries_per_token", 1, 8),
     ("encoder_layers", 0, 8), ("mos_components", 1, 8), ("seed", 0, None),
@@ -365,19 +366,15 @@ def forward_sentence(params: dict, config: TrainConfig, token_ids: np.ndarray,
                        anchor_cache=anchor_cache)
 
 
-def _length_groups(lengths: Sequence[int]) -> dict[int, list[int]]:
-    """Length -> the positions of that length, in order."""
+def _length_chunks(lengths: Sequence[int], max_tokens: float) -> Iterator[list[int]]:
+    """The positions of each length group, in order, in chunks of as many
+    sentences as keep a chunk within max_tokens tokens (at least one; an
+    empty sentence counts as one token)."""
     groups: dict[int, list[int]] = {}
     for position, length in enumerate(lengths):
         groups.setdefault(length, []).append(position)
-    return groups
-
-
-def _length_chunks(lengths: Sequence[int], max_tokens: float) -> Iterator[list[int]]:
-    """The positions of each length group, in order, in chunks of as many
-    sentences as keep a chunk within max_tokens tokens (at least one)."""
-    for length, positions in _length_groups(lengths).items():
-        room = max(int(max_tokens // length), 1)
+    for length, positions in groups.items():
+        room = max(int(max_tokens // max(length, 1)), 1)
         for first in range(0, len(positions), room):
             yield positions[first:first + room]
 
@@ -671,6 +668,14 @@ class TrainedModel:
                                         f"config builds: {', '.join(wrong)}")
         return cls(params=payload, meta=meta)
 
+    @functools.cached_property
+    def max_tokens(self) -> float:
+        """The cache-token budget (_cache_token_budget) that cuts predict_batch's
+        length groups, measured once per model on a one-token forward; train
+        sets it from its first example, which fixes the training chunks."""
+        return _cache_token_budget(self.params, self.meta.config,
+                                   np.array([self.meta.vocab[UNK_TOKEN]]))
+
 
 def split_corpus(graphs: Sequence[Graph], eval_fraction: float,
                  ) -> tuple[list[Graph], list[Graph]]:
@@ -740,7 +745,8 @@ def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
     optimizer = AdamW(params)
     state = balance.BalanceState.uniform(TASKS)
     metrics: list[dict] = []
-    max_tokens = _cache_token_budget(params, config, examples[0].token_ids)
+    max_tokens = trained.max_tokens = _cache_token_budget(params, config,
+                                                          examples[0].token_ids)
     step = 0
     for epoch in range(config.epochs):
         order = rng.permutation(len(examples))
@@ -816,37 +822,30 @@ def predict(trained: TrainedModel, sentence: str) -> Graph:
 
 
 def predict_batch(trained: TrainedModel, sentences: Sequence[str]) -> list[Graph]:
-    """Parse sentences in chunks of config.batch_size, running the forward of
-    a chunk once per group of equal token count; each graph equals what
-    predict gives for its sentence alone."""
-    config = trained.meta.config
-    graphs: list[Optional[Graph]] = []
-    for start in range(0, len(sentences), config.batch_size):
-        chunk = sentences[start:start + config.batch_size]
-        tokens = [whitespace_tokens(sentence) for sentence in chunk]
-        parsed: list[Optional[Graph]] = [None] * len(chunk)
-        for length, group in _length_groups([len(t) for t in tokens]).items():
-            if length == 0:
-                for position in group:
-                    parsed[position] = decoded_graph(trained.meta, chunk[position],
-                                                     tokens[position], (), (), None, set())
-                continue
-            fwd = forward_sentence(trained.params, config, np.stack(
-                [trained.meta.token_ids(tokens[p]) for p in group]))
-            for position, graph in zip(group, _decode(
-                    trained, [chunk[p] for p in group], [tokens[p] for p in group], fwd)):
-                parsed[position] = graph
-        graphs.extend(parsed)
+    """Parse sentences, one forward per length-group chunk as training cuts
+    them (by trained.max_tokens); each graph equals predict of its sentence."""
+    meta = trained.meta
+    tokens = [whitespace_tokens(sentence) for sentence in sentences]
+    # a sentence without tokens has no queries: its graph takes no forward
+    graphs = [None if t else decoded_graph(meta, sentence, t, (), (), None, set())
+              for sentence, t in zip(sentences, tokens)]
+    for chunk in _length_chunks([len(t) for t in tokens], trained.max_tokens):
+        if tokens[chunk[0]]:
+            for position, graph in zip(chunk, _decode(trained, [sentences[p] for p in chunk],
+                                                      [tokens[p] for p in chunk])):
+                graphs[position] = graph
     return graphs
 
 
 def _decode(trained: TrainedModel, sentences: Sequence[str],
-            tokens: Sequence[tuple[Token, ...]], fwd: ForwardPass) -> list[Graph]:
-    """The graphs of the sentences of a group pass.  Labels, anchors and the
-    (label, anchors) de-duplication go query by query; the property, top
-    and edge heads then run once for the group on each sentence's accepted
-    queries, padded as in sentence_losses."""
+            tokens: Sequence[tuple[Token, ...]]) -> list[Graph]:
+    """The graphs of a group of equal-length sentences, from one forward
+    that is freed on return.  Labels, anchors and the (label, anchors)
+    de-duplication go query by query; the property, top and edge heads then
+    run once for the group on each sentence's accepted queries, padded as in
+    sentence_losses."""
     params, meta = trained.params, trained.meta
+    fwd = forward_sentence(params, meta.config, np.stack([meta.token_ids(t) for t in tokens]))
     candidates = fwd.label_probs.argmax(axis=-1) != len(meta.rule_table)
     anchored = fwd.anchor_probs >= 0.5
 

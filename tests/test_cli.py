@@ -508,14 +508,16 @@ class TestTrainPredict:
         assert graphs[0].input == "the cat is diving"
 
     def test_predict_groups_equal_per_sentence_predict(self, short_config, tmp_path,
-                                                       capsys):
+                                                       capsys, monkeypatch):
         from mrparse import graph, trainer
         ckpt = tmp_path / "model.ckpt"
         code, _, _ = run_cli(["train-toy", "--seed", "3", "--config", short_config,
                               "--checkpoint", str(ckpt),
                               "--output", str(tmp_path / "m.jsonl")], capsys)
         assert code == 0
-        # more lines than batch_size (8), mixed lengths, a one-token and a blank line
+        # read-ahead windows of 4 over 10 sentences: 4, 4, 2 (the blank line is
+        # skipped); mixed lengths, a one-token line, a length met twice in a window
+        monkeypatch.setattr(cli, "PREDICT_READ_AHEAD", 4)
         lines = ["the cat is diving", "dog", "Alice is taking the box", "",
                  "forty two birds are singing", "the dog of Carol is jumping",
                  "the cat is diving", "Dave is walking near Paris", "frogs",

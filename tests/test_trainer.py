@@ -488,7 +488,8 @@ class TestGroupForward:
     def test_grouped_predict_and_evaluate_equal_per_sentence(self):
         trained, _ = trainer.train(tiny_config())
         graphs = corpus.synth_corpus(4, 20)
-        # more than batch_size (8) sentences, mixed lengths, one token and none
+        # mixed lengths, one token and none; length groups of more tokens than
+        # tiny_config's budget (about 20) take several forwards
         sentences = [g.input for g in graphs[:6]] + ["dog", ""] + \
             [g.input for g in graphs[6:]] + ["frogs"]
         grouped = trainer.predict_batch(trained, sentences)
@@ -503,7 +504,7 @@ class TestGroupForward:
         # every head once per group against the decode that preceded it,
         # one sentence and one query pair at a time
         trained, _ = trainer.train(tiny_config())
-        # more than batch_size (8) sentences, mixed lengths, one token and none
+        # mixed lengths, one token and none; length groups past one forward
         sentences = [g.input for g in corpus.synth_corpus(4, 20)] + ["dog", "", "frogs"]
         graphs = trainer.predict_batch(trained, sentences)
         assert [serialize_graph(g) for g in graphs] == \
@@ -512,6 +513,41 @@ class TestGroupForward:
         assert any(g.edges for g in graphs)
         assert any(n.is_top for g in graphs for n in g.nodes)
         assert any(n.properties for g in graphs for n in g.nodes)
+
+    def test_predict_cuts_length_groups_by_the_token_budget(self, monkeypatch):
+        # one rule for every forward: a length group splits by max_tokens
+        # alone, whatever batch_size is, and each graph is still its own parse
+        trained, _ = trainer.train(tiny_config())
+        trained.max_tokens = 10.0  # two sentences of 4 or 5 tokens, one of 6
+        sentences = [g.input for g in corpus.synth_corpus(4, 20)] + \
+            ["dog", "", "frogs", "", "cats"]
+        grouped = [serialize_graph(g) for g in trainer.predict_batch(trained, sentences)]
+        assert grouped == [serialize_graph(trainer.predict(trained, s)) for s in sentences]
+        assert grouped == [serialize_graph(oracles.reference_decode(trained, s))
+                           for s in sentences]
+
+        forwards = []
+        forward = trainer.forward_sentence
+        monkeypatch.setattr(trainer, "forward_sentence", lambda params, config, token_ids:
+                            forwards.append(len(token_ids)) or
+                            forward(params, config, token_ids))
+        same = ["the cat is diving"] * 13
+        for batch_size in (1, 8, 1024):
+            config = dataclasses.replace(trained.meta.config, batch_size=batch_size)
+            configured = trainer.TrainedModel(
+                trained.params, dataclasses.replace(trained.meta, config=config))
+            configured.max_tokens = 12.0  # three sentences of 4 tokens a forward
+            forwards.clear()
+            trainer.predict_batch(configured, same)
+            assert forwards == [3, 3, 3, 3, 1], batch_size
+
+        # a model without a training run measures its budget once, on a
+        # one-token forward, and not once a call
+        loaded = trainer.TrainedModel(trained.params, trained.meta)
+        forwards.clear()
+        trainer.predict(loaded, "dog")
+        trainer.predict(loaded, "cats")
+        assert forwards == [1, 1, 1]
 
     def test_group_without_accepted_queries_decodes_empty_graphs(self):
         # a null-biased label head accepts no query in any sentence of a group

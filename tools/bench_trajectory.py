@@ -23,7 +23,9 @@ held-out labels/anchors F1 >= 0.95 and edges >= 0.90, at most 30 epochs) for
 each of ``ACCEPTANCE_SEEDS`` in both checkouts, again alternating the
 order, and appends one row to ``BENCH_acceptance.json`` with the epochs, the
 wall seconds, the calibration readings around the run and all five final F1
-of each run.
+of each run, and the rate in sentences/s at which ``mrparse predict``, run in
+process, parses ``PARSE_SENTENCES`` parse-set sentences with the trained
+model (best of ``PARSE_REPEATS``).
 
 Rows are only ever appended; numbers are never copied by hand.
 """
@@ -50,30 +52,48 @@ SEED = 1
 SECONDS = 15
 ACCEPTANCE_SEEDS = (1, 2, 3, 4, 5)
 
-# Runs inside a checkout: train with the acceptance config and print one JSON
-# line.  The calibration loop is perfbench's, so the wall seconds can be set
-# against the host's speed the way the benchmark does it.
+# Runs inside a checkout: train with the acceptance config, then parse
+# PARSE_SENTENCES parse-set sentences with ``mrparse predict`` in process (best
+# of PARSE_REPEATS), and print one JSON line.  The calibration loop is
+# perfbench's, so the wall seconds can be set against the host's speed the way
+# the benchmark does it.
+PARSE_SENTENCES = 1200
+PARSE_REPEATS = 3
 ACCEPTANCE_SCRIPT = r"""
-import json, os, sys, time
+import json, os, sys, tempfile, time
 sys.path[:0] = [os.path.join(os.getcwd(), "src"), os.path.join(os.getcwd(), "perfbench")]
-from mrparse import trainer
+from mrparse import cli, trainer
+import inputs
 from workloads import Calibration
-seed = int(sys.argv[1])
+seed, sentences, repeats = (int(arg) for arg in sys.argv[1:4])
 config = trainer.TrainConfig(seed=seed, epochs=30, corpus_size=500,
                              stop_when={"labels": 0.95, "anchors": 0.95, "edges": 0.90})
 calibration = Calibration()
 before = calibration.read()
 start = time.perf_counter()
-_, records = trainer.train(config)
+trained, records = trainer.train(config)
 wall = time.perf_counter() - start
 after = calibration.read()
 final = records[-1]["f1"]
+with tempfile.TemporaryDirectory() as work:
+    checkpoint, text = os.path.join(work, "model.ckpt"), os.path.join(work, "input.txt")
+    trained.save(checkpoint)
+    with open(text, "w", encoding="utf-8") as handle:
+        handle.writelines(g.input + "\n" for g in inputs.parse_set(seed, sentences))
+    parse_s = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        code = cli.run(["predict", "--checkpoint", checkpoint, "--input", text,
+                        "--output", os.devnull])
+        parse_s.append(time.perf_counter() - start)
+        if code:
+            raise SystemExit(f"predict exited {code}")
 print(json.dumps({
     "seed": seed, "epochs": len(records), "wall_s": wall,
     "reference_s": calibration.reference_s(wall, before, after),
     "calibration_ms": [1000.0 * r for r in calibration.readings],
     "reached": all(final[k] >= v for k, v in config.stop_when.items()),
-    "f1": final}))
+    "f1": final, "parse_sentences_per_s": sentences / min(parse_s)}))
 """
 
 
@@ -158,7 +178,8 @@ def _perfbench_run(side: dict, workload: str) -> dict:
 
 
 def _acceptance_run(side: dict, seed: int) -> dict:
-    done = subprocess.run([sys.executable, "-c", ACCEPTANCE_SCRIPT, str(seed)],
+    done = subprocess.run([sys.executable, "-c", ACCEPTANCE_SCRIPT, str(seed),
+                           str(PARSE_SENTENCES), str(PARSE_REPEATS)],
                           cwd=side["path"], env=_environment(), capture_output=True,
                           text=True)
     if done.returncode:
