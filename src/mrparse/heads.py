@@ -8,8 +8,6 @@ double precision numpy; there is no autodiff engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -26,6 +24,12 @@ def softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
+    """Gradient wrt the logits of probs = softmax(logits), given dprobs, the
+    gradient wrt probs; any leading axes."""
+    return probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -65,53 +69,45 @@ def _check_distribution(p: np.ndarray, name: str):
 # ---------------------------------------------------------------------------
 # mixture of softmaxes
 
-@dataclass
-class MoSParams:
-    """K-component mixture of softmaxes over the rule classes."""
-
-    proj_w: np.ndarray   # (K, D, D)
-    proj_b: np.ndarray   # (K, D)
-    gate_w: np.ndarray   # (K, D)
-    gate_b: np.ndarray   # (K,)
-    out_w: np.ndarray    # (D, V)
-    out_b: np.ndarray    # (V,)
-
-
-def init_mos(rng: np.random.Generator, dim: int, num_classes: int,
-             components: int, scale: float) -> MoSParams:
-    return MoSParams(
-        proj_w=rng.normal(0.0, scale, (components, dim, dim)),
-        proj_b=np.zeros((components, dim)),
-        gate_w=rng.normal(0.0, scale, (components, dim)),
-        gate_b=np.zeros(components),
-        out_w=rng.normal(0.0, scale, (dim, num_classes)),
-        out_b=np.zeros(num_classes))
+def init_mos(rng: np.random.Generator, params: dict, dim: int, num_classes: int,
+             components: int, scale: float):
+    """The K-component mixture of softmaxes over the rule classes, as the
+    label.* arrays of params."""
+    params["label.proj_w"] = rng.normal(0.0, scale, (components, dim, dim))
+    params["label.proj_b"] = np.zeros((components, dim))
+    params["label.gate_w"] = rng.normal(0.0, scale, (components, dim))
+    params["label.gate_b"] = np.zeros(components)
+    params["label.out_w"] = rng.normal(0.0, scale, (dim, num_classes))
+    params["label.out_b"] = np.zeros(num_classes)
 
 
-def mos_forward_batch(h: np.ndarray, params: MoSParams):
-    """Mixture distributions for a stack of query vectors (N, D).
+def mos_forward_batch(h: np.ndarray, params: dict):
+    """Mixture distributions for a stack of query vectors (N, D), from the
+    label.* arrays of params (init_mos).
 
     Returns (probs (N, V), cache).  Gates are sigmoid-normalized (each gate
     squashed independently, then divided by the gate sum), not a softmax
     over gate logits.  h may carry leading sentence axes, which every
     result keeps; each stack is computed exactly as on its own.
     """
-    pre = h @ params.proj_w.reshape(-1, h.shape[-1]).T
-    x = np.tanh(pre.reshape(h.shape[:-1] + params.proj_b.shape) + params.proj_b)
-    gate_logits = h @ params.gate_w.T + params.gate_b
+    proj_b = params["label.proj_b"]
+    pre = h @ params["label.proj_w"].reshape(-1, h.shape[-1]).T
+    x = np.tanh(pre.reshape(h.shape[:-1] + proj_b.shape) + proj_b)
+    gate_logits = h @ params["label.gate_w"].T + params["label.gate_b"]
     gates = sigmoid(gate_logits)
     totals = gates.sum(axis=-1)
     if (totals < 1e-300).any():
         raise HeadError("all mixture gates underflowed to zero")
     weights = gates / totals[..., None]
-    logits = x @ params.out_w + params.out_b
+    logits = x @ params["label.out_w"] + params["label.out_b"]
     components = softmax(logits)
     probs = np.einsum("...nk,...nkv->...nv", weights, components)
     return probs, (h, params, x, gates, weights, components)
 
 
 def mos_backward_batch(cache, dprobs: np.ndarray):
-    """Gradient of a scalar through the mixture; returns (grads summed over rows, dh).
+    """Gradient of a scalar through the mixture; returns (grads summed over
+    rows, keyed as in params, dh).
 
     The cache and dprobs may carry the forward's leading sentence axes: every
     sentence's rows then go through as one stack, the grads sum over all of
@@ -119,29 +115,29 @@ def mos_backward_batch(cache, dprobs: np.ndarray):
     """
     lead = dprobs.shape[:-1]
     h, params, x, gates, weights, components = cache
+    proj_w = params["label.proj_w"]
     h, x, gates, weights, components, dprobs = (
         a.reshape((-1,) + a.shape[len(lead):])
         for a in (h, x, gates, weights, components, dprobs))
     dcomponents = weights[:, :, None] * dprobs[:, None, :]
     dweights = np.einsum("nkv,nv->nk", components, dprobs)
-    dlogits = components * (dcomponents
-                            - (dcomponents * components).sum(axis=-1, keepdims=True))
+    dlogits = softmax_backward(components, dcomponents)
     dout_w = x.reshape(-1, x.shape[-1]).T @ dlogits.reshape(-1, dlogits.shape[-1])
     dout_b = dlogits.sum(axis=(0, 1))
-    dx = dlogits @ params.out_w.T
+    dx = dlogits @ params["label.out_w"].T
     dpre = (1.0 - x * x) * dx
     flat = dpre.reshape(len(dpre), -1)
-    dproj_w = (flat.T @ h).reshape(params.proj_w.shape)
+    dproj_w = (flat.T @ h).reshape(proj_w.shape)
     dproj_b = dpre.sum(axis=0)
-    dh = flat @ params.proj_w.reshape(flat.shape[1], -1)
+    dh = flat @ proj_w.reshape(flat.shape[1], -1)
     totals = gates.sum(axis=-1, keepdims=True)
     dgates = (dweights - (dweights * weights).sum(axis=-1, keepdims=True)) / totals
     dgate_logits = gates * (1.0 - gates) * dgates
     dgate_w = dgate_logits.T @ h
     dgate_b = dgate_logits.sum(axis=0)
-    dh = dh + dgate_logits @ params.gate_w
-    grads = MoSParams(proj_w=dproj_w, proj_b=dproj_b, gate_w=dgate_w,
-                      gate_b=dgate_b, out_w=dout_w, out_b=dout_b)
+    dh = dh + dgate_logits @ params["label.gate_w"]
+    grads = {"label.proj_w": dproj_w, "label.proj_b": dproj_b, "label.gate_w": dgate_w,
+             "label.gate_b": dgate_b, "label.out_w": dout_w, "label.out_b": dout_b}
     return grads, dh.reshape(lead + dh.shape[-1:])
 
 

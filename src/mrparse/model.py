@@ -23,11 +23,7 @@ CHECKPOINT_VERSION = 1
 LN_EPS = 1e-5
 
 
-class ModelError(Exception):
-    pass
-
-
-class CheckpointError(ModelError):
+class CheckpointError(Exception):
     pass
 
 
@@ -119,7 +115,7 @@ def attention_backward(params: dict, cache, dout: np.ndarray, grads: dict):
     dmixed = dout @ wo.T
     dweights = dmixed @ np.swapaxes(v, -1, -2)
     dv = np.swapaxes(weights, -1, -2) @ dmixed
-    dscores = weights * (dweights - (dweights * weights).sum(axis=-1, keepdims=True))
+    dscores = heads.softmax_backward(weights, dweights)
     dq = dscores @ k * scale
     dk = np.swapaxes(dscores, -1, -2) @ q * scale
     _add_affine_grads(grads, f"{prefix}.wq", f"{prefix}.bq", queries_in, dq)
@@ -272,7 +268,7 @@ def encode_backward(params: dict, cache, de: np.ndarray, grads: dict):
     per_sentence = token_ids.shape[:-1] + (-1,)
     dalpha = np.stack([(dmixed * s).reshape(per_sentence).sum(axis=-1) for s in states],
                       axis=-1)
-    dlogits = alpha * (dalpha - (dalpha * alpha).sum(axis=-1, keepdims=True))
+    dlogits = heads.softmax_backward(alpha, dalpha)
     add_grad(grads, "mix", dlogits.reshape(-1, len(states)).sum(axis=0))
     dstates = [alpha[..., k, None, None] * dmixed for k in range(len(states))]
     for layer in range(len(block_caches) - 1, -1, -1):

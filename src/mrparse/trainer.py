@@ -28,8 +28,6 @@ from .graph import (Anchor, Edge, Graph, Node, Token, anchored_token_indices,
 from .corpus import synth_corpus
 
 UNK_TOKEN = "<unk>"
-# the mixture-of-softmaxes parameters, stored as "label.<name>"
-MOS_FIELDS = tuple(f.name for f in dataclasses.fields(heads.MoSParams))
 # the held-out F1 metrics evaluate() reports, which stop_when may name
 EVAL_METRICS = ("tops", "labels", "properties", "anchors", "edges")
 # the heads' tasks, in the order backward_sentence sums their weighted grads
@@ -189,7 +187,8 @@ def lr_schedule(step: int, config: TrainConfig) -> tuple[float, float]:
 
 @dataclass
 class Example:
-    """A training sentence and its gold targets, row j for node j of pre.
+    """A training sentence and its gold targets, row j for node j of its
+    preprocessed graph (preprocess_gold).
 
     label_targets [k, classes] holds each node's unsmoothed rule
     distribution, which the matcher scores and the label loss smooths;
@@ -199,7 +198,6 @@ class Example:
     """
 
     gold: Graph
-    pre: Graph
     token_ids: np.ndarray
     label_targets: np.ndarray
     anchored: np.ndarray
@@ -262,7 +260,7 @@ def build_example(g: Graph, pre: Graph, trace: transform.TransformTrace,
                       for e in pre.edges], dtype=np.int64).reshape(-1, 3)
     is_property = np.array([n.id in property_ids for n in pre.nodes], dtype=bool)
     top_index = next((j for j, n in enumerate(pre.nodes) if n.is_top), None)
-    return Example(gold=g, pre=pre, token_ids=meta.token_ids(tokens),
+    return Example(gold=g, token_ids=meta.token_ids(tokens),
                    label_targets=label_targets, anchored=anchored,
                    is_property=is_property, edges=edges, top_index=top_index)
 
@@ -292,8 +290,7 @@ def init_model(meta: ModelMeta, rng: np.random.Generator) -> dict:
     model.init_block(rng, params, "dec", dim, config.ffn_dim, cross=True,
                      scale=config.init_scale)
     num_classes = len(meta.rule_table) + 1
-    mos = heads.init_mos(rng, dim, num_classes, config.mos_components, config.init_scale)
-    params.update({f"label.{name}": getattr(mos, name) for name in MOS_FIELDS})
+    heads.init_mos(rng, params, dim, num_classes, config.mos_components, config.init_scale)
     params["anchor.u"] = heads.init_biaffine(rng, 1, dim, dim, config.init_scale)
     params["edgep.u"] = heads.init_biaffine(rng, 1, dim, dim, config.init_scale)
     params["edgel.u"] = heads.init_biaffine(rng, max(len(meta.edge_labels), 1),
@@ -304,10 +301,6 @@ def init_model(meta: ModelMeta, rng: np.random.Generator) -> dict:
     return params
 
 
-def mos_params_view(params: dict) -> heads.MoSParams:
-    return heads.MoSParams(**{name: params[f"label.{name}"] for name in MOS_FIELDS})
-
-
 @dataclass
 class ForwardPass:
     """Everything one forward leaves for matching, the losses and the backward.
@@ -316,9 +309,7 @@ class ForwardPass:
     leading sentence axis (source_tokens, the same for all, excepted).
     """
 
-    embeddings: np.ndarray
     enc_cache: tuple
-    query_states: np.ndarray
     source_tokens: np.ndarray
     query_cache: tuple
     hidden: np.ndarray
@@ -357,11 +348,10 @@ def forward_sentence(params: dict, config: TrainConfig, token_ids: np.ndarray,
                                         dropped)
     qstates, source, q_cache = model.queries_forward(params, e)
     hidden, dec_cache = model.block_forward(params, "dec", qstates, memory=e)
-    label_probs, mos_cache = heads.mos_forward_batch(hidden, mos_params_view(params))
+    label_probs, mos_cache = heads.mos_forward_batch(hidden, params)
     anchor_probs, anchor_cache = heads.anchor_head(hidden, e, params["anchor.u"])
-    return ForwardPass(embeddings=e, enc_cache=enc_cache, query_states=qstates,
-                       source_tokens=source, query_cache=q_cache, hidden=hidden,
-                       dec_cache=dec_cache, label_probs=label_probs,
+    return ForwardPass(enc_cache=enc_cache, source_tokens=source, query_cache=q_cache,
+                       hidden=hidden, dec_cache=dec_cache, label_probs=label_probs,
                        mos_cache=mos_cache, anchor_probs=anchor_probs,
                        anchor_cache=anchor_cache)
 
@@ -507,9 +497,8 @@ def sentence_losses(params: dict, config: TrainConfig, examples: Sequence[Exampl
                                     label_targets.reshape(-1, num_classes),
                                     config.focal_gamma)
     losses["label"] = loss * num_sentences
-    mos_grads, dhidden[row["label"]] = heads.mos_backward_batch(
+    head["label"], dhidden[row["label"]] = heads.mos_backward_batch(
         fwd.mos_cache, dprobs.reshape(fwd.label_probs.shape) / num_queries)
-    head["label"] = {f"label.{name}": getattr(mos_grads, name) for name in MOS_FIELDS}
 
     # anchor loss over queries matched to real nodes
     losses["anchor"], du, dhidden[row["anchor"]], anchor_dmemory = heads.anchor_loss(
@@ -778,6 +767,9 @@ def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
                     task_losses[task] += loss * scale
                 backward_sentence(params, fwd, grads.dhidden, grads.anchor_dmemory,
                                   state.weights, scale, total_grads, task_sums)
+                # freed before the next chunk's forward, the optimizer step and
+                # evaluate: the cache-token budget counts one chunk's caches
+                del fwd, assignments, losses, grads
             if not all(np.isfinite(v).all() for v in total_grads.values()):
                 raise DivergenceError(f"non-finite gradients at step {step}")
             lr_encoder, lr_rest = lr_schedule(step, config)

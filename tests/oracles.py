@@ -762,23 +762,22 @@ def total_loss(bundle: LossBundle) -> float:
 
 
 def pairing(example, assignment, num_queries: int) -> list:
-    """(query, its gold node's (label, anchor token indices) or None for a
-    null match) for every one of the num_queries queries of one sentence, in
-    query order."""
+    """(query, its gold node's (rule target row, anchor token indices) or
+    None for a null match) for every one of the num_queries queries of one
+    sentence, in query order; the rules of the row derive the node's label
+    from its anchored tokens, so the pair stands for (label, anchors)."""
     target_of = {query: target for target, query in enumerate(assignment.queries)}
-    return [(query, (example.pre.nodes[target_of[query]].label,
+    return [(query, (tuple(example.label_targets[target_of[query]].tolist()),
                      tuple(np.flatnonzero(example.anchored[target_of[query]]).tolist()))
              if query in target_of else None)
             for query in range(num_queries)]
 
 
 def with_targets(example, rows: Sequence[int], **changes):
-    """example with its target rows, and the nodes of its preprocessed graph,
-    taken in the order rows gives (repeats allowed), and the fields in
-    changes replaced."""
+    """example with its target rows taken in the order rows gives (repeats
+    allowed), and the fields in changes replaced."""
     rows = list(rows)
-    taken = dict(pre=replace(example.pre, nodes=tuple(example.pre.nodes[j] for j in rows)),
-                 label_targets=example.label_targets[rows],
+    taken = dict(label_targets=example.label_targets[rows],
                  anchored=example.anchored[rows], is_property=example.is_property[rows])
     return replace(example, **{**taken, **changes})
 
@@ -920,10 +919,8 @@ def reference_sentence_losses(params: dict, config, example, fwd, assignment,
     loss_label, dprob_matrix = heads.label_loss(fwd.label_probs, target_matrix,
                                                 config.focal_gamma)
     losses["label"] = loss_label
-    mos_grads, dhidden[row["label"]] = heads.mos_backward_batch(
+    head["label"], dhidden[row["label"]] = heads.mos_backward_batch(
         fwd.mos_cache, dprob_matrix / num_queries)
-    head["label"] = {f"label.{name}": getattr(mos_grads, name)
-                     for name in trainer.MOS_FIELDS}
 
     # anchor loss over queries matched to real nodes
     anchor_targets = np.zeros_like(fwd.anchor_probs)
@@ -975,13 +972,14 @@ def label_head_loss(h: np.ndarray, params, target: np.ndarray, gamma: float):
     return loss, dh[0], grads
 
 
-def reference_mos_forward(h: np.ndarray, params):
+def reference_mos_forward(h: np.ndarray, params: dict):
     """heads.mos_forward_batch with the component projection as an einsum;
     the same (probs, cache)."""
-    x = np.tanh(np.einsum("kde,...ne->...nkd", params.proj_w, h) + params.proj_b)
-    gates = heads.sigmoid(h @ params.gate_w.T + params.gate_b)
+    x = np.tanh(np.einsum("kde,...ne->...nkd", params["label.proj_w"], h)
+                + params["label.proj_b"])
+    gates = heads.sigmoid(h @ params["label.gate_w"].T + params["label.gate_b"])
     weights = gates / gates.sum(axis=-1)[..., None]
-    components = heads.softmax(x @ params.out_w + params.out_b)
+    components = heads.softmax(x @ params["label.out_w"] + params["label.out_b"])
     probs = np.einsum("...nk,...nkv->...nv", weights, components)
     return probs, (h, params, x, gates, weights, components)
 
@@ -998,16 +996,18 @@ def reference_mos_backward(cache, dprobs: np.ndarray):
     dweights = np.einsum("nkv,nv->nk", components, dprobs)
     dlogits = components * (dcomponents
                             - (dcomponents * components).sum(axis=-1, keepdims=True))
-    dx = dlogits @ params.out_w.T
+    dx = dlogits @ params["label.out_w"].T
     dpre = (1.0 - x * x) * dx
     totals = gates.sum(axis=-1, keepdims=True)
     dgates = (dweights - (dweights * weights).sum(axis=-1, keepdims=True)) / totals
     dgate_logits = gates * (1.0 - gates) * dgates
-    grads = heads.MoSParams(
-        proj_w=np.einsum("nkd,ne->kde", dpre, h), proj_b=dpre.sum(axis=0),
-        gate_w=dgate_logits.T @ h, gate_b=dgate_logits.sum(axis=0),
-        out_w=np.einsum("nkd,nkv->dv", x, dlogits), out_b=dlogits.sum(axis=(0, 1)))
-    dh = np.einsum("nkd,kde->ne", dpre, params.proj_w) + dgate_logits @ params.gate_w
+    grads = {"label.proj_w": np.einsum("nkd,ne->kde", dpre, h),
+             "label.proj_b": dpre.sum(axis=0),
+             "label.gate_w": dgate_logits.T @ h, "label.gate_b": dgate_logits.sum(axis=0),
+             "label.out_w": np.einsum("nkd,nkv->dv", x, dlogits),
+             "label.out_b": dlogits.sum(axis=(0, 1))}
+    dh = (np.einsum("nkd,kde->ne", dpre, params["label.proj_w"])
+          + dgate_logits @ params["label.gate_w"])
     return grads, dh.reshape(lead + dh.shape[-1:])
 
 
@@ -1043,8 +1043,8 @@ def reference_backward_sentence(params: dict, fwd, grads, weights: dict,
     """
     total: dict = {}
     per_task = []
-    dquery_total = np.zeros_like(fwd.query_states)
-    dmemory_total = np.zeros_like(fwd.embeddings)
+    dquery_total = np.zeros_like(fwd.hidden)
+    dmemory_total = np.zeros_like(grads.anchor_dmemory)
     for row, task in enumerate(trainer.TASKS):
         decoder: dict = {}
         dquery, dmemory = model.block_backward(params, "dec", fwd.dec_cache,

@@ -3,6 +3,9 @@ is named somewhere in src/, tests/ or perfbench/ outside its own definition,
 and, but for a listed few, somewhere in src/ or perfbench/: the package holds
 no API that only the tests use.  No options nothing reads: every TrainConfig
 field is read as an attribute in src/ outside the TrainConfig class.  No
+record fields nothing reads: every field of a package dataclass is read as
+an attribute somewhere in src/ or perfbench/ (rules.Rule, a NamedTuple read
+by position, is not a dataclass).  No
 switches: no TrainConfig field is a boolean, since each boolean option forks
 training into a second configuration that no workload runs, and the parser
 has one training configuration.  No parameter forms nothing uses: every
@@ -80,7 +83,7 @@ def test_no_module_level_definition_is_named_only_by_the_tests():
     assert not test_only, f"named only under tests/: {test_only}"
 
 
-def attributes_read(tree: ast.AST, skip: str) -> set[str]:
+def attributes_read(tree: ast.AST, skip: str | None = None) -> set[str]:
     """Attribute names a tree loads, outside the class named skip."""
     found = set()
     stack = [tree]
@@ -100,6 +103,30 @@ def test_every_train_config_field_is_read():
     read = set().union(*(attributes_read(parse(path), "TrainConfig") for path in PACKAGE))
     unread = [f.name for f in dataclasses.fields(TrainConfig) if f.name not in read]
     assert not unread, f"TrainConfig options nothing reads: {unread}"
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether the class is decorated with dataclass, called or not, by name
+    or as dataclasses.dataclass."""
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if (target.attr if isinstance(target, ast.Attribute)
+                else getattr(target, "id", None)) == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    # read anywhere, the class's own methods included, under any receiver:
+    # a field whose name nothing loads as an attribute is stored and never used
+    read = set().union(*(attributes_read(parse(path)) for path in PROGRAM))
+    unread = [f"{path.name} {node.name}.{statement.target.id}"
+              for path in PACKAGE for node in parse(path).body
+              if isinstance(node, ast.ClassDef) and is_dataclass(node)
+              for statement in node.body
+              if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name)
+              and statement.target.id not in read]
+    assert not unread, f"dataclass fields nothing reads: {unread}"
 
 
 def test_no_train_config_field_is_a_switch():

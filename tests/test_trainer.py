@@ -99,7 +99,8 @@ class TestLabelTargets:
         meta, examples, _ = trainer.prepare(config, graphs)
         assert len(examples) == (2 if source == "eds" else 400)
         for example in examples:
-            expected = oracles.reference_label_targets(example.pre, meta.rule_table)
+            pre, _ = trainer.preprocess_gold(example.gold)
+            expected = oracles.reference_label_targets(pre, meta.rule_table)
             assert np.array_equal(example.label_targets, expected), example.gold.id
 
 
@@ -389,7 +390,7 @@ class TestGroupForward:
             fwd = trainer.forward_sentence(params, config, token_ids, dropped)
             # the backward is linear in these, so any values check it
             dhidden = rng.normal(size=(len(tasks),) + fwd.hidden.shape)
-            anchor_dmemory = rng.normal(size=fwd.embeddings.shape)
+            anchor_dmemory = rng.normal(size=token_ids.shape + (config.dim,))
             total_grads, task_sums = {}, {}
             trainer.backward_sentence(params, fwd, dhidden, anchor_dmemory,
                                       weights, scale, total_grads, task_sums)
