@@ -43,7 +43,10 @@ class GraphSchemaError(GraphError):
         self.field_name = field_name
 
 
-@dataclass(frozen=True, order=True)
+# The graph records are slotted value dataclasses, not frozen ones, so building
+# one calls no object.__setattr__. They compare and hash by field, and nothing
+# changes one in place (tests/test_dead_code.py checks): use dataclasses.replace.
+@dataclass(slots=True, unsafe_hash=True, order=True)
 class Anchor:
     """Character span [start, end) of the input sentence."""
 
@@ -51,7 +54,7 @@ class Anchor:
     end: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Token:
     """Surface token with its character span and lemma."""
 
@@ -61,7 +64,7 @@ class Token:
     lemma: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Node:
     id: int
     label: Optional[str] = None
@@ -75,10 +78,10 @@ class Node:
         # tuple of at most one anchor is already in that order
         anchors = self.anchors
         if type(anchors) is not tuple or len(anchors) > 1:
-            object.__setattr__(self, "anchors", tuple(sorted(anchors)))
+            self.anchors = tuple(sorted(anchors))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Edge:
     source: int
     target: int
@@ -87,7 +90,7 @@ class Edge:
     extras: tuple[tuple[str, Any], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Graph:
     id: str
     framework: str
@@ -202,8 +205,9 @@ def parse_graph(line: str) -> Graph:
     field) on schema violations, including edges citing nonexistent node
     ids.  tops, nodes and edges must be arrays when present; an absent or
     null one is empty.  The checks run in field order: graph fields, tops,
-    then each node, edge and token in one pass.  The dataclasses are built
-    with positional arguments, which cost less per call than keywords.
+    then each node, edge and token in one pass.  The records are built
+    with positional arguments, which cost less per call than keywords, and
+    being slotted and not frozen, each costs about a plain class's __init__.
     """
     try:
         obj = json.loads(line)
@@ -396,14 +400,16 @@ def validate(g: Graph) -> list[Violation]:
 
 
 def read_graphs(lines: Iterable[str]) -> Iterator[Graph]:
-    """Parse a JSONL stream, skipping blank lines; errors carry line numbers."""
+    """Parse a JSONL stream, skipping blank lines; an error is parse_graph's,
+    its message prefixed with the line number."""
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
             yield parse_graph(line)
         except GraphError as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from None
+            exc.args = (f"line {lineno}: {exc}",)
+            raise exc from None
 
 
 def load_graphs(path: str) -> list[Graph]:

@@ -12,7 +12,11 @@ has one training configuration.  No parameter forms nothing uses: every
 defaulted parameter of a package function is passed by some call in src/ or
 perfbench/, calls resolved by module so that rules.build_problem and
 matcher.build_problem are told apart; a default that every caller keeps is
-a constant, and a parameter only the tests set is a second call form."""
+a constant, and a parameter only the tests set is a second call form.  No
+graph record changed in place: Anchor, Token, Node, Edge and Graph are
+slotted value dataclasses, not frozen, so src/ and perfbench/ store to no
+attribute named like one of their fields and call no object.__setattr__,
+but for Node.__post_init__ putting its own anchors in canonical order."""
 
 import ast
 import dataclasses
@@ -20,6 +24,7 @@ import re
 from collections import Counter
 from pathlib import Path
 
+from mrparse.graph import Anchor, Edge, Graph, Node, Token
 from mrparse.trainer import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -127,6 +132,39 @@ def test_every_dataclass_field_is_read():
               if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name)
               and statement.target.id not in read]
     assert not unread, f"dataclass fields nothing reads: {unread}"
+
+
+RECORD_FIELDS = {f.name for record in (Anchor, Token, Node, Edge, Graph)
+                 for f in dataclasses.fields(record)}
+
+
+def in_place_stores(tree: ast.AST) -> list[ast.AST]:
+    """Stores and deletes of an attribute named like a graph record field, and
+    object.__setattr__ calls, outside Node.__post_init__'s self.anchors."""
+    post_inits = [method for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "Node"
+                  for method in cls.body
+                  if isinstance(method, ast.FunctionDef) and method.name == "__post_init__"]
+    allowed = {id(node) for method in post_inits for node in ast.walk(method)
+               if isinstance(node, ast.Attribute) and ast.unparse(node) == "self.anchors"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load) \
+                and node.attr in RECORD_FIELDS and id(node) not in allowed:
+            found.append(node)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "__setattr__" \
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "object":
+            found.append(node)
+    return found
+
+
+def test_no_graph_record_is_changed_in_place():
+    # frozen=True guarded this at run time, at the price of object.__setattr__
+    # in every construction; plain and augmented assignments count alike
+    stores = [f"{path.relative_to(ROOT)}:{node.lineno} {ast.unparse(node)}"
+              for path in PROGRAM for node in in_place_stores(parse(path))]
+    assert not stores, f"graph record fields stored in place: {stores}"
 
 
 def test_no_train_config_field_is_a_switch():

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from mrparse import cli
 from mrparse.graph import (Anchor, Edge, Graph, GraphError, GraphParseError,
-                           GraphSchemaError, Node, Token, parse_graph, serialize_graph,
-                           validate, whitespace_tokens)
+                           GraphSchemaError, Node, Token, parse_graph, read_graphs,
+                           serialize_graph, validate, whitespace_tokens)
 from oracles import reference_parse_graph
 
 
@@ -78,6 +79,45 @@ def test_anchors_emitted_sorted():
     node = Node(0, "x", anchors=(Anchor(5, 9), Anchor(0, 2)))
     assert node.anchors == (Anchor(0, 2), Anchor(5, 9))
     assert Node(0, anchors=[Anchor(1, 2)]).anchors == (Anchor(1, 2),)
+
+
+def test_records_are_values():
+    # equal records hash equal, by the hash of their field tuple
+    assert hash(Anchor(1, 2)) == hash(Anchor(1, 2)) == hash((1, 2))
+    nodes = [Node(0, "x", anchors=(Anchor(3, 4), Anchor(0, 1))),
+             Node(0, "x", anchors=(Anchor(0, 1), Anchor(3, 4)))]
+    assert nodes[0] == nodes[1] and hash(nodes[0]) == hash(nodes[1])
+    assert len(set(nodes)) == 1 and {nodes[0]: "a"}[nodes[1]] == "a"
+    edges = {Edge(0, 1, "A"), Edge(0, 1, "A"), Edge(0, 1, "B")}
+    assert edges == {Edge(0, 1, "A"), Edge(0, 1, "B")}
+    assert sorted([Anchor(2, 3), Anchor(0, 5), Anchor(0, 1)]) == [
+        Anchor(0, 1), Anchor(0, 5), Anchor(2, 3)]
+
+    token = Token("Hi", 0, 2, "hi")
+    node = Node(0, "x", anchors=(Anchor(0, 2),))
+    edge = Edge(0, 1, "A")
+    g = Graph("g", "eds", 1, "Hi", (node, Node(1)), (edge,), (token,))
+    assert dataclasses.replace(Anchor(0, 2), end=3) == Anchor(0, 3)
+    assert dataclasses.replace(token, start=1, end=3) == Token("Hi", 1, 3, "hi")
+    assert dataclasses.replace(edge, target=0) == Edge(0, 0, "A")
+    assert dataclasses.replace(g, framework="amr", flavor=2).nodes == g.nodes
+    # replace runs __post_init__, so the anchors come back in canonical order
+    moved = dataclasses.replace(node, anchors=(Anchor(5, 6), Anchor(0, 2)))
+    assert moved.anchors == (Anchor(0, 2), Anchor(5, 6))
+    assert node.anchors == (Anchor(0, 2),)
+
+
+def test_read_graphs_keeps_the_error_attributes():
+    with pytest.raises(GraphParseError) as err:
+        list(read_graphs(["\n", '{"id": 1, bad']))
+    assert str(err.value) == ("line 2: Expecting property name enclosed in double "
+                              "quotes (byte offset 10)")
+    assert err.value.byte_offset == 10
+    line = '{"id":"g","flavor":1,"framework":"eds","input":"s","nodes":[{"id":"q"}]}'
+    with pytest.raises(GraphSchemaError) as err:
+        list(read_graphs([line]))
+    assert str(err.value) == "line 1: nodes.id: must be an integer"
+    assert err.value.field_name == "nodes.id"
 
 
 @pytest.mark.parametrize("field", ["tops", "nodes", "edges"])

@@ -16,7 +16,11 @@ first in even ones, reads each run's
 calibration readings and checks (on ``short`` also its epochs to target and
 final F1), each side's ``wc -l src/mrparse/*.py`` total, and per side the
 median and quartiles of each end-to-end metric, with the numbers of pairs in
-which the change was strictly better and strictly worse.
+which the change was strictly better and strictly worse and two verdicts:
+``gain_shown`` (better in at least nine tenths of the pairs, and the medians
+apart by more than the base's interquartile range) and ``worse_than_bound``
+(the change's median worse than the base's by more than the metric's
+``bound`` in ``BENCHMARK.json``, relative to the base).
 
 It then runs the acceptance configuration (500 synthetic sentences, stop at
 held-out labels/anchors F1 >= 0.95 and edges >= 0.90, at most 30 epochs) for
@@ -196,9 +200,10 @@ def _quartiles(values: list[float]) -> dict:
 
 
 def _summary(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Median and quartiles of every end-to-end metric on each side, and the
-    pairs in which the change was strictly better and strictly worse; a tie
-    counts for neither side."""
+    """Median and quartiles of every end-to-end metric on each side, the
+    pairs in which the change was strictly better and strictly worse (a tie
+    counts for neither side), and the two verdicts on the medians: a gain is
+    shown, and the change is worse than the metric's bound."""
     out = {}
     for metric in metrics:
         name = metric["name"]
@@ -207,9 +212,14 @@ def _summary(pairs: list[dict], metrics: list[dict]) -> dict:
         sign = 1 if metric["better"] == "higher" else -1
         better = sum(sign * (c - b) > 0 for b, c in zip(base, change))
         worse = sum(sign * (c - b) < 0 for b, c in zip(base, change))
-        out[name] = {"base": _quartiles(base), "change": _quartiles(change),
+        base_q, change_q = _quartiles(base), _quartiles(change)
+        gain = sign * (change_q["median"] - base_q["median"])
+        out[name] = {"base": base_q, "change": change_q,
                      "change_better_pairs": better, "change_worse_pairs": worse,
-                     "pairs": len(pairs)}
+                     "pairs": len(pairs),
+                     "gain_shown": better >= 0.9 * len(pairs)
+                     and gain > base_q["q3"] - base_q["q1"],
+                     "worse_than_bound": -gain > metric["bound"] * abs(base_q["median"])}
     return out
 
 
