@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import gc
 import itertools
 import json
 import sys
@@ -269,15 +270,20 @@ def cmd_predict(args) -> int:
             json.JSONDecodeError, rules.RuleError, trainer.TrainError) as exc:
         _fail("data", f"checkpoint: {exc}", EXIT_DATA)
     with _open_output(args.output) as out, _open_input(args.input) as handle:
-        sentences = (line.rstrip("\n") for line in handle if line.strip())
+        # each graph's id is the number of its input line, blank lines counted,
+        # since the MRP scorer pairs graphs by id
+        numbered = ((str(lineno), line.rstrip("\n"))
+                    for lineno, line in enumerate(handle, start=1) if line.strip())
         # one window at a time, so output streams as the input is read
         # finite parameters too large for the arithmetic raise rather than
         # print garbage graphs and warnings
         try:
             with np.errstate(over="raise", invalid="raise"):
-                while chunk := list(itertools.islice(sentences, PREDICT_READ_AHEAD)):
-                    for g in trainer.predict_batch(trained, chunk):
-                        print(graph_mod.serialize_graph(g), file=out)
+                while chunk := list(itertools.islice(numbered, PREDICT_READ_AHEAD)):
+                    ids, sentences = zip(*chunk)
+                    for graph_id, g in zip(ids, trainer.predict_batch(trained, sentences)):
+                        print(graph_mod.serialize_graph(dataclasses.replace(g, id=graph_id)),
+                              file=out)
         except (heads.HeadError, FloatingPointError) as exc:
             _fail("data", f"checkpoint: parameters give no prediction ({exc})", EXIT_DATA)
     return 0
@@ -367,6 +373,10 @@ def run(argv) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    # commands allocate no reference cycle, so the cyclic collector would only
+    # rescan the live corpora, rule tables and candidate sets: pause it
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return _COMMANDS[args.command](args)
     except CliError as exc:
@@ -377,6 +387,9 @@ def run(argv) -> int:
     except OSError as exc:
         print(json.dumps({"error": "io", "message": str(exc)}), file=sys.stderr)
         return EXIT_DATA
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def main():

@@ -53,31 +53,31 @@ def _packing_bound(masks: list[int]) -> int:
     return count
 
 
+def _search(current: list[int], used: int, budget: int, best: int | None) -> int | None:
+    """best, or the size of a smaller hitting set of current found under it
+    with used elements already taken; a module-level function, since a
+    recursive closure is a reference cycle that only the collector frees."""
+    limit = budget if best is None else best - 1
+    if used + _packing_bound(current) > limit:
+        return best
+    if not current:
+        return used
+    # every solution hits the smallest constraint: branch on its elements,
+    # those hitting the most constraints first
+    pivot = min(current, key=lambda m: (m.bit_count(), m))
+    bit_gain = {e: sum(1 for m in current if m & (1 << e)) for e in _bits(pivot)}
+    for e in sorted(bit_gain, key=lambda e: (-bit_gain[e], e)):
+        bit = 1 << e
+        best = _search([m for m in current if not m & bit], used + 1, budget, best)
+    return best
+
+
 def _min_size(masks: list[int], allowed: int, budget: int) -> int | None:
     """Smallest hitting set size within budget using allowed elements, else None."""
     masks = [m & allowed for m in masks]
     if not all(masks):
         return None
-    best: int | None = None
-
-    def search(current: list[int], used: int) -> None:
-        nonlocal best
-        limit = budget if best is None else best - 1
-        if used + _packing_bound(current) > limit:
-            return
-        if not current:
-            best = used
-            return
-        # every solution hits the smallest constraint: branch on its elements,
-        # those hitting the most constraints first
-        pivot = min(current, key=lambda m: (m.bit_count(), m))
-        bit_gain = {e: sum(1 for m in current if m & (1 << e)) for e in _bits(pivot)}
-        for e in sorted(bit_gain, key=lambda e: (-bit_gain[e], e)):
-            bit = 1 << e
-            search([m for m in current if not m & bit], used + 1)
-
-    search(masks, 0)
-    return best
+    return _search(masks, 0, budget, None)
 
 
 def _kept_constraints(sets: Sequence[frozenset[int]]) -> list[frozenset[int]]:

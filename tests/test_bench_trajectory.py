@@ -1,4 +1,5 @@
-"""The verdicts tools/bench_trajectory.py writes into each trajectory row."""
+"""The verdicts and summaries tools/bench_trajectory.py writes into each
+trajectory row."""
 
 import importlib.util
 from pathlib import Path
@@ -50,3 +51,38 @@ def test_a_gain_inside_the_base_spread_is_not_shown():
         {"items_per_s": [101, 81, 121, 91, 111], "peak_rss_mb": [50] * 5}), METRICS)
     items = summary["items_per_s"]
     assert items["change_better_pairs"] == 5 and not items["gain_shown"]
+
+
+def acceptance_side(seed, epochs, reached, f1, rate):
+    return {"seed": seed, "epochs": epochs, "reached": reached,
+            "f1": {"labels": f1, "edges": f1 - 0.1}, "parse_sentences_per_s": rate}
+
+
+def test_acceptance_summary_per_side():
+    # seeds 1-5: the base reaches on 1, 2 and 3, the change on 1, 2 and 4, so
+    # the epoch medians are taken over seeds 1 and 2 only
+    runs = [{"seed": seed, "first": "base" if seed % 2 else "change",
+             "base": acceptance_side(seed, *base), "change": acceptance_side(seed, *change)}
+            for seed, base, change in [
+                (1, (19, True, 0.96, 3000.0), (17, True, 0.95, 3500.0)),
+                (2, (16, True, 0.97, 3100.0), (20, True, 0.96, 3600.0)),
+                (3, (21, True, 0.95, 2900.0), (30, False, 0.90, 3400.0)),
+                (4, (30, False, 0.91, 3050.0), (25, True, 0.95, 3550.0)),
+                (5, (30, False, 0.80, 2950.0), (30, False, 0.85, 3450.0))]]
+    summary = bench_trajectory._acceptance_summary(runs)
+    assert summary["base"] == {
+        "reached": 3, "median_epochs_both_reached": 17.5,
+        "median_f1": {"labels": 0.95, "edges": 0.95 - 0.1},
+        "median_parse_sentences_per_s": 3000.0}
+    assert summary["change"] == {
+        "reached": 3, "median_epochs_both_reached": 18.5,
+        "median_f1": {"labels": 0.95, "edges": 0.95 - 0.1},
+        "median_parse_sentences_per_s": 3500.0}
+
+
+def test_acceptance_summary_without_a_seed_both_sides_reach():
+    runs = [{"seed": 1, "first": "base", "base": acceptance_side(1, 19, True, 0.96, 3000.0),
+             "change": acceptance_side(1, 30, False, 0.90, 3100.0)}]
+    summary = bench_trajectory._acceptance_summary(runs)
+    assert summary["base"]["median_epochs_both_reached"] is None
+    assert (summary["base"]["reached"], summary["change"]["reached"]) == (1, 0)

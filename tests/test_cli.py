@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -530,9 +531,15 @@ class TestTrainPredict:
                               "--output", str(out_path)], capsys)
         assert code == 0
         trained = trainer.TrainedModel.load(str(ckpt))
-        expected = "".join(graph.serialize_graph(trainer.predict(trained, line)) + "\n"
-                           for line in lines if line)
-        assert out_path.read_text() == expected
+        # each graph is predict's but for its id, the number of its input line:
+        # the blank fourth line is counted, and the numbering runs on across
+        # the windows
+        numbered = [(str(k), line) for k, line in enumerate(lines, start=1) if line]
+        expected = [graph.serialize_graph(dataclasses.replace(
+            trainer.predict(trained, line), id=graph_id)) for graph_id, line in numbered]
+        assert out_path.read_text().splitlines() == expected
+        assert [g.id for g in graph.load_graphs(str(out_path))] == [
+            "1", "2", "3", "5", "6", "7", "8", "9", "10", "11"]
 
     def test_predict_without_accepted_queries(self, short_config, tmp_path, capsys):
         # a null-biased label head accepts no query, so every group decodes
@@ -632,7 +639,8 @@ class TestTrainPredict:
         # no anchor-mask, balancing or edge-label switches in the stored
         # config, the mixture and query contractions as matmuls and no
         # attention key biases: the training arithmetic, the checkpoint bytes
-        # and decoding, each pinned on its own
+        # and decoding, each pinned on its own; pred.jsonl re-pinned when each
+        # graph's id became the number of its input line (was "pred-0")
         config = tmp_path / "pin.cfg"
         config.write_text("corpus_size = 150\nepochs = 2\n")
         paths = {name: tmp_path / name for name in ("m.jsonl", "model.ckpt", "pred.jsonl")}
@@ -653,7 +661,7 @@ class TestTrainPredict:
         assert digests == {
             "m.jsonl": "18831e4a394d945483c32863a3403272c7103d77b32e1fbf5ee32d635eb977e0",
             "model.ckpt": "7d813cec496b1290de9e5e4b72443fed06205946c6780ea01797be26896b31b6",
-            "pred.jsonl": "075bd7cdd054e5c5777fc14cc69c869f510e6503a78625cbf06e1270aff95d43"}
+            "pred.jsonl": "c5122b357c1938bdcb974050f97ae44debc08801ed1b81a2b669f76cb4b5cb0d"}
 
     @pytest.mark.parametrize("line", ["stop_when = 3", 'stop_when = {"f1": 0.9}',
                                       "use_anchor_mask = flase", "epochs = three",
@@ -1153,3 +1161,76 @@ class TestUsage:
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"] == "data"
         assert json.loads(err)["message"].startswith(f"{bad}: not UTF-8 text: ")
+
+
+@contextlib.contextmanager
+def collector_disabled():
+    """The cyclic collector off for the block, as it was found after it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestCollector:
+    """run pauses the cyclic collector for a command, so a command must leave
+    no reference cycle behind: the paused collector would hold it until the
+    command ends, and one left for a later collection costs a full pass."""
+
+    @pytest.fixture(scope="class")
+    def files(self, short_config, tmp_path_factory):
+        work = tmp_path_factory.mktemp("collector")
+        files = {"EDS": fixture_path("eds.jsonl"), "AMR": fixture_path("amr.jsonl"),
+                 "CONFIG": short_config, "OUT": str(work / "out.txt"),
+                 "TABLE": str(work / "rules.txt"), "CKPT": str(work / "model.ckpt"),
+                 "MATRIX": str(work / "scores.txt"), "TEXT": str(work / "sentences.txt")}
+        (work / "scores.txt").write_text("3\n0.1 0.9 0.2\n0.9 0.1 0.3\n0.5 0.5 0.5\n")
+        (work / "sentences.txt").write_text("the cat is diving\n\nAlice is taking the box\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(["rules-infer", "--framework", "eds", "--input", files["EDS"],
+                            "--rule-table", files["TABLE"]]) == 0
+            assert cli.run(["train-toy", "--seed", "3", "--config", short_config,
+                            "--checkpoint", files["CKPT"]]) == 0
+        return files
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--input", "EDS"],
+        ["preprocess", "--framework", "eds", "--input", "EDS"],
+        ["preprocess", "--framework", "amr", "--input", "AMR"],
+        ["rules-infer", "--framework", "eds", "--input", "EDS", "--rule-table", "OUT"],
+        ["rules-apply", "--framework", "eds", "--input", "EDS", "--rule-table", "TABLE"],
+        ["rules-stats", "--framework", "eds", "--input", "EDS", "--rule-table", "TABLE"],
+        ["match", "--input", "MATRIX"],
+        ["train-toy", "--seed", "3", "--config", "CONFIG", "--checkpoint", "OUT"],
+        ["predict", "--checkpoint", "CKPT", "--input", "TEXT"],
+        ["evaluate", "--input", "EDS", "--gold", "EDS"],
+    ], ids=["validate", "preprocess-eds", "preprocess-amr", "rules-infer", "rules-apply",
+            "rules-stats", "match", "train-toy", "predict", "evaluate"])
+    def test_command_leaves_no_cycle(self, argv, files, capsys):
+        cli.build_parser()  # the parser's own cycles are built once per process
+        with collector_disabled():
+            gc.collect()
+            code = cli.run([files.get(a, a) for a in argv])
+            unreachable = gc.collect()
+        assert (code, unreachable) == (0, 0)
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["validate", "--input", fixture_path("eds.jsonl")], 0),
+        (["evaluate", "--input", fixture_path("eds.jsonl"),
+          "--gold", fixture_path("ucca.jsonl")], 2),
+        (["validate", "--input", "/nonexistent.jsonl"], 2),
+        (["rules-apply", "--framework", "eds", "--input", fixture_path("eds.jsonl")], 1),
+        (["validate"], 1),
+    ], ids=["ok", "data-error", "io-error", "command-usage-error", "parser-usage-error"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_run_restores_the_collector_state(self, argv, expected, enabled, capsys):
+        was_enabled = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            code = cli.run(argv)
+            assert (code, gc.isenabled()) == (expected, enabled)
+        finally:
+            (gc.enable if was_enabled else gc.disable)()

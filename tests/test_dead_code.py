@@ -16,7 +16,10 @@ a constant, and a parameter only the tests set is a second call form.  No
 graph record changed in place: Anchor, Token, Node, Edge and Graph are
 slotted value dataclasses, not frozen, so src/ and perfbench/ store to no
 attribute named like one of their fields and call no object.__setattr__,
-but for Node.__post_init__ putting its own anchors in canonical order."""
+but for Node.__post_init__ putting its own anchors in canonical order.  No
+recursive closures: a function nested in a package function does not name
+itself, since such a function and its cell form a reference cycle, and
+cli.run pauses the cyclic collector for the length of a command."""
 
 import ast
 import dataclasses
@@ -165,6 +168,29 @@ def test_no_graph_record_is_changed_in_place():
     stores = [f"{path.relative_to(ROOT)}:{node.lineno} {ast.unparse(node)}"
               for path in PROGRAM for node in in_place_stores(parse(path))]
     assert not stores, f"graph record fields stored in place: {stores}"
+
+
+def recursive_closures(tree: ast.AST) -> list[str]:
+    """Functions nested in a function that name themselves, as
+    outer.inner."""
+    found = []
+    for outer in ast.walk(tree):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for inner in ast.walk(outer):
+            if inner is not outer and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and any(isinstance(node, ast.Name) and node.id == inner.name
+                            for statement in inner.body for node in ast.walk(statement)):
+                found.append(f"{outer.name}.{inner.name}")
+    return found
+
+
+def test_no_nested_function_is_recursive():
+    # a nested function that calls itself holds its own cell: one cycle per
+    # call of the outer function, which only the collector frees
+    recursive = [f"{path.stem}.{name}" for path in PACKAGE
+                 for name in recursive_closures(parse(path))]
+    assert not recursive, f"recursive closures: {recursive}"
 
 
 def test_no_train_config_field_is_a_switch():

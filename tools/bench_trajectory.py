@@ -29,7 +29,10 @@ order, and appends one row to ``BENCH_acceptance.json`` with the epochs, the
 wall seconds, the calibration readings around the run and all five final F1
 of each run, and the rate in sentences/s at which ``mrparse predict``, run in
 process, parses ``PARSE_SENTENCES`` parse-set sentences with the trained
-model (best of ``PARSE_REPEATS``).
+model (best of ``PARSE_REPEATS``).  The row's summary gives per side the
+number of seeds that reach the target, the median epochs over the seeds
+both sides reach, the median of each final F1 and the median parse rate, so
+a change that trades learning for speed shows in the row.
 
 Rows are only ever appended; numbers are never copied by hand.
 """
@@ -223,6 +226,25 @@ def _summary(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def _acceptance_summary(runs: list[dict]) -> dict:
+    """Per side: the seeds that reach the target, the median epochs over the
+    seeds both sides reach (None when there is none), the median of each
+    final F1 and the median parse rate."""
+    both = [run for run in runs if run["base"]["reached"] and run["change"]["reached"]]
+    out = {}
+    for label in ("base", "change"):
+        sides = [run[label] for run in runs]
+        out[label] = {
+            "reached": sum(side["reached"] for side in sides),
+            "median_epochs_both_reached":
+                statistics.median(run[label]["epochs"] for run in both) if both else None,
+            "median_f1": {name: statistics.median(side["f1"][name] for side in sides)
+                          for name in sides[0]["f1"]},
+            "median_parse_sentences_per_s":
+                statistics.median(side["parse_sentences_per_s"] for side in sides)}
+    return out
+
+
 def _append(path: str, row: dict):
     rows = []
     if os.path.exists(path):
@@ -283,7 +305,7 @@ def main() -> int:
             "host": _host(),
             "config": "TrainConfig(seed=s, epochs=30, corpus_size=500, stop_when="
                       "{labels: 0.95, anchors: 0.95, edges: 0.90})",
-            "runs": runs})
+            "summary": _acceptance_summary(runs), "runs": runs})
     finally:
         shutil.rmtree(work, ignore_errors=True)
     return 0
