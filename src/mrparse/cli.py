@@ -129,7 +129,7 @@ def cmd_preprocess(args) -> int:
     drg_relations = _framework_config(args)
     graphs = _load_graphs(args.input)
     try:
-        processed = [transform.preprocess(args.framework, g, drg_relations)[0]
+        processed = [transform.preprocess(args.framework, g, drg_relations)
                      for g in graphs]
         if args.framework == "amr":
             processed = rules.anchor_flavor2_corpus(processed)
@@ -149,7 +149,7 @@ def _corpus_items(args):
     drg_relations = _framework_config(args)
     graphs = _load_graphs(args.input)
     try:
-        return rules.label_items([transform.preprocess(args.framework, g, drg_relations)[0]
+        return rules.label_items([transform.preprocess(args.framework, g, drg_relations)
                                   for g in graphs])
     except transform.TransformError as exc:
         _fail("data", str(exc), EXIT_DATA)
@@ -236,6 +236,11 @@ def cmd_train_toy(args) -> int:
     except (OSError, trainer.TrainError, ValueError) as exc:
         _fail("config", str(exc), EXIT_DATA)
     graphs = _load_graphs(args.input) if args.input else None
+    # a graph validate rejects would train silently wrong targets (a repeated
+    # node id sends both nodes' edges to the later one)
+    for g in graphs or ():
+        for v in graph_mod.validate(g)[:1]:
+            _fail("data", f"graph {g.id}: {v.subject}: {v.rule}: {v.message}", EXIT_DATA)
     with _open_output(args.output) as out:
 
         def emit(record):
@@ -314,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *options, framework=False):
+    def common(p, run, *options, framework=False):
+        p.set_defaults(run=run)
         p.add_argument("--input", required=True, help="JSONL path or - for stdin")
         p.add_argument("--output", default=None, help="output path, default stdout")
         if framework:
@@ -325,18 +331,19 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--rule-table", dest="rule_table", default=None)
         return p
 
-    common(sub.add_parser("validate", help="check graphs against the schema"))
+    common(sub.add_parser("validate", help="check graphs against the schema"), cmd_validate)
     common(sub.add_parser("preprocess", help="framework canonicalization"),
-           framework=True)
+           cmd_preprocess, framework=True)
     common(sub.add_parser("rules-infer", help="solve the minimal rule set"),
-           "rule_table", framework=True)
+           cmd_rules_infer, "rule_table", framework=True)
     common(sub.add_parser("rules-apply", help="encode nodes with a rule table"),
-           "rule_table", framework=True)
+           cmd_rules_apply, "rule_table", framework=True)
     common(sub.add_parser("rules-stats", help="label/rule counts"),
-           "rule_table", framework=True)
-    common(sub.add_parser("match", help="solve an assignment score matrix"))
+           cmd_rules_stats, "rule_table", framework=True)
+    common(sub.add_parser("match", help="solve an assignment score matrix"), cmd_match)
 
     train_p = sub.add_parser("train-toy", help="train on the synthetic corpus")
+    train_p.set_defaults(run=cmd_train_toy)
     train_p.add_argument("--input", default=None,
                          help="optional gold JSONL corpus; default is synthetic")
     train_p.add_argument("--output", default=None, help="metrics stream, default stdout")
@@ -346,26 +353,13 @@ def build_parser() -> argparse.ArgumentParser:
     train_p.add_argument("--checkpoint", default=None)
 
     predict_p = sub.add_parser("predict", help="parse plain-text sentences")
-    common(predict_p)
+    common(predict_p, cmd_predict)
     predict_p.add_argument("--checkpoint", default=None)
 
     eval_p = sub.add_parser("evaluate", help="score predictions against gold")
-    common(eval_p)
+    common(eval_p, cmd_evaluate)
     eval_p.add_argument("--gold", required=True, help="gold JSONL path")
     return parser
-
-
-_COMMANDS = {
-    "validate": cmd_validate,
-    "preprocess": cmd_preprocess,
-    "rules-infer": cmd_rules_infer,
-    "rules-apply": cmd_rules_apply,
-    "rules-stats": cmd_rules_stats,
-    "match": cmd_match,
-    "train-toy": cmd_train_toy,
-    "predict": cmd_predict,
-    "evaluate": cmd_evaluate,
-}
 
 
 def run(argv) -> int:
@@ -378,7 +372,7 @@ def run(argv) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code

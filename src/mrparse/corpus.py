@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Anchor, Edge, Graph, Node, Token
+from .graph import Anchor, Edge, Graph, Node, whitespace_tokens
 
 PERSON_NAMES = ("Alice", "Bob", "Carol", "Dave", "Erin", "Frank",
                 "Grace", "Henry", "Ivy", "Jack")
@@ -46,14 +46,7 @@ def _noun_label(token: str) -> str:
 def _sentence(graph_id: str, words: list[str], nodes: list[dict],
               edges: list[tuple[int, int, str]], top: int) -> Graph:
     text = " ".join(words)
-    tokens = []
-    pos = 0
-    for word in words:
-        start = text.index(word, pos)
-        tokens.append(Token(form=word, start=start, end=start + len(word),
-                            lemma=word.lower()))
-        pos = start + len(word)
-
+    tokens = whitespace_tokens(text)
     built = []
     for i, spec in enumerate(nodes):
         token_span = spec["tokens"]
@@ -66,7 +59,7 @@ def _sentence(graph_id: str, words: list[str], nodes: list[dict],
     return Graph(id=graph_id, framework="eds", flavor=1, input=text,
                  nodes=tuple(built),
                  edges=tuple(Edge(source=s, target=t, label=l) for s, t, l in edges),
-                 tokens=tuple(tokens))
+                 tokens=tokens)
 
 
 def _template_intransitive(rng, graph_id):

@@ -222,12 +222,10 @@ class ModelMeta:
         return np.array([self.vocab.get(t.form, unk) for t in tokens], dtype=np.int64)
 
 
-def preprocess_gold(g: Graph) -> tuple[Graph, transform.TransformTrace]:
-    """Nodeify, de-invert, and merge anchors; merged trace."""
-    pre, trace = transform.preprocess("eds", g)
-    pre, inv = transform.normalize_inverted_edges(pre)
-    return pre, transform.TransformTrace(nodeified=trace.nodeified,
-                                         deinverted=inv.deinverted)
+def preprocess_gold(g: Graph) -> tuple[Graph, tuple[int, ...]]:
+    """Nodeify, merge anchors and de-invert; the graph and the indices of
+    its de-inverted edges."""
+    return transform.normalize_inverted_edges(transform.preprocess("eds", g))
 
 
 def build_vocab(graphs: Sequence[Graph]) -> dict[str, int]:
@@ -239,13 +237,15 @@ def build_vocab(graphs: Sequence[Graph]) -> dict[str, int]:
     return vocab
 
 
-def build_example(g: Graph, pre: Graph, trace: transform.TransformTrace,
-                  meta: ModelMeta, node_rows: Sequence[Sequence[int]]) -> Example:
-    """Targets of one preprocessed gold graph; node_rows[j] lists the
-    rule-table rows that derive node j's label, as the solved rule-set
-    problem found them."""
+def build_example(g: Graph, pre: Graph, meta: ModelMeta,
+                  node_rows: Sequence[Sequence[int]]) -> Example:
+    """Targets of gold graph g from pre, its preprocess_gold graph;
+    node_rows[j] lists the rule-table rows that derive node j's label, as
+    the solved rule-set problem found them.  The property nodes are the
+    nodes of pre whose ids g lacks, which holds as long as preprocessing
+    keeps every id of g and gives each node it creates a new one."""
     num_rules = len(meta.rule_table)
-    property_ids = {node_id for _, _, node_id in trace.nodeified}
+    property_ids = {n.id for n in pre.nodes} - {n.id for n in g.nodes}
     tokens = graph_tokens(pre)
     k = len(pre.nodes)
     label_targets = np.empty((k, num_rules + 1))
@@ -265,15 +265,15 @@ def build_example(g: Graph, pre: Graph, trace: transform.TransformTrace,
                    is_property=is_property, edges=edges, top_index=top_index)
 
 
-def edge_label_vocab(gold: Sequence[tuple[Graph, transform.TransformTrace]],
+def edge_label_vocab(gold: Sequence[tuple[Graph, tuple[int, ...]]],
                      ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Edge-label inventory plus the labels produced by de-inversion, over
     preprocess_gold results."""
     labels = set()
     inverted = set()
-    for pre, trace in gold:
+    for pre, deinverted in gold:
         labels.update(e.label for e in pre.edges)
-        inverted.update(pre.edges[i].label for i in trace.deinverted)
+        inverted.update(pre.edges[i].label for i in deinverted)
     return tuple(sorted(labels)), tuple(sorted(inverted))
 
 
@@ -367,18 +367,6 @@ def _length_chunks(lengths: Sequence[int], max_tokens: float) -> Iterator[list[i
         room = max(int(max_tokens // max(length, 1)), 1)
         for first in range(0, len(positions), room):
             yield positions[first:first + room]
-
-
-def _cache_token_budget(params: dict, config: TrainConfig, token_ids: np.ndarray,
-                        ) -> float:
-    """Tokens of forward caches that take the bytes of AdamW's two moments,
-    twice the parameters, at the cache bytes per token of the forward of
-    token_ids, one sentence.  A training step holds the parameters, their
-    gradient sum and the moments anyway, so one group chunk's caches, and
-    the gradients its backward forms from them, stay about that size."""
-    moments = 2 * sum(value.nbytes for value in params.values())
-    cache = forward_sentence(params, config, token_ids[None]).nbytes(params)
-    return moments * len(token_ids) / cache
 
 
 def match_queries(fwd: ForwardPass, row: int, example: Example,
@@ -659,11 +647,17 @@ class TrainedModel:
 
     @functools.cached_property
     def max_tokens(self) -> float:
-        """The cache-token budget (_cache_token_budget) that cuts predict_batch's
-        length groups, measured once per model on a one-token forward; train
-        sets it from its first example, which fixes the training chunks."""
-        return _cache_token_budget(self.params, self.meta.config,
-                                   np.array([self.meta.vocab[UNK_TOKEN]]))
+        """The cache-token budget that cuts every length group (_length_chunks)
+        of train, evaluate and predict_batch: the tokens of forward caches
+        that take the bytes of AdamW's two moments, twice the parameters, at
+        the cache bytes per token of a one-token forward, measured once per
+        model.  A training step holds the parameters, their gradient sum and
+        the moments anyway, so one group chunk's caches, and the gradients
+        its backward forms from them, stay about that size."""
+        moments = 2 * sum(value.nbytes for value in self.params.values())
+        one_token = np.zeros((1, 1), dtype=np.int64)
+        return moments / forward_sentence(self.params, self.meta.config,
+                                          one_token).nbytes(self.params)
 
 
 def split_corpus(graphs: Sequence[Graph], eval_fraction: float,
@@ -706,8 +700,8 @@ def prepare(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None):
     meta = ModelMeta(vocab=build_vocab(train_graphs), rule_table=table,
                      edge_labels=edge_labels, config=config,
                      inverted_labels=inverted_labels)
-    examples = [build_example(g, pre, trace, meta, [next(node_rows) for _ in pre.nodes])
-                for g, (pre, trace) in zip(train_graphs, gold)]
+    examples = [build_example(g, pre, meta, [next(node_rows) for _ in pre.nodes])
+                for g, (pre, _) in zip(train_graphs, gold)]
     for example in examples:
         if not len(example.token_ids):
             raise TrainError(f"training graph {example.gold.id} has no tokens, so no "
@@ -734,8 +728,6 @@ def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
     optimizer = AdamW(params)
     state = balance.BalanceState.uniform(TASKS)
     metrics: list[dict] = []
-    max_tokens = trained.max_tokens = _cache_token_budget(params, config,
-                                                          examples[0].token_ids)
     step = 0
     for epoch in range(config.epochs):
         order = rng.permutation(len(examples))
@@ -752,7 +744,7 @@ def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
             masks = [model.draw_layer_dropout(rng, config.encoder_layers + 1,
                                               config.layer_dropout)
                      for _ in batch] if config.layer_dropout > 0.0 else None
-            for chunk in _length_chunks([len(e.token_ids) for e in batch], max_tokens):
+            for chunk in _length_chunks([len(e.token_ids) for e in batch], trained.max_tokens):
                 group = [batch[p] for p in chunk]
                 fwd = forward_sentence(
                     params, config, np.stack([e.token_ids for e in group]),

@@ -9,7 +9,7 @@ merged anchors stay merged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .graph import Anchor, Edge, Graph, Node
 
@@ -25,19 +25,6 @@ class TransformError(Exception):
 
 class GraphStructureError(TransformError):
     pass
-
-
-@dataclass(frozen=True)
-class TransformTrace:
-    """What a pre-processing pass changed, which training reads its targets from.
-
-    nodeified: (parent node id, attribute, created node id) per converted
-    property; deinverted: indices of edges (in the transformed graph) whose
-    label had the inversion suffix stripped.
-    """
-
-    nodeified: tuple[tuple[int, str, int], ...] = ()
-    deinverted: tuple[int, ...] = ()
 
 
 def load_framework_config(path: str) -> frozenset[str]:
@@ -63,19 +50,20 @@ def load_framework_config(path: str) -> frozenset[str]:
     return frozenset(relations)
 
 
-def nodeify_properties(g: Graph) -> tuple[Graph, TransformTrace]:
+def nodeify_properties(g: Graph) -> Graph:
     """Convert every (attribute, value) property into a child node.
 
     The new node takes the value as its label and a copy of the parent's
     anchors, and is connected by a parent->child edge labeled with the
-    attribute.  A graph without properties is returned as it is.
+    attribute.  Created nodes take ids above every id of g, so they are
+    the nodes whose ids g lacks.  A graph without properties is returned
+    as it is.
     """
     if not any(node.properties for node in g.nodes):
-        return g, TransformTrace()
+        return g
     nodes = []
     new_nodes = []
     new_edges = []
-    trace = []
     next_id = g.next_node_id()
     for node in g.nodes:
         if not node.properties:
@@ -85,16 +73,14 @@ def nodeify_properties(g: Graph) -> tuple[Graph, TransformTrace]:
             created = Node(id=next_id, label=value, anchors=node.anchors)
             new_nodes.append(created)
             new_edges.append(Edge(source=node.id, target=created.id, label=attribute))
-            trace.append((node.id, attribute, created.id))
             next_id += 1
         nodes.append(replace(node, properties=()))
-    out = replace(g, nodes=tuple(nodes) + tuple(new_nodes), edges=g.edges + tuple(new_edges))
-    return out, TransformTrace(nodeified=tuple(trace))
+    return replace(g, nodes=tuple(nodes) + tuple(new_nodes), edges=g.edges + tuple(new_edges))
 
 
-def normalize_inverted_edges(g: Graph) -> tuple[Graph, TransformTrace]:
+def normalize_inverted_edges(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     """Reverse edges whose label (or its INVERSION_ALIASES alias) ends with
-    INVERSION_SUFFIX.
+    INVERSION_SUFFIX; returns the graph and the indices of the reversed edges.
 
     An edge a->b labeled "X-of" becomes b->a labeled "X", and one labeled
     "mod" becomes b->a labeled "domain".  A graph with no edge to reverse is
@@ -111,8 +97,7 @@ def normalize_inverted_edges(g: Graph) -> tuple[Graph, TransformTrace]:
             deinverted.append(i)
         else:
             edges.append(edge)
-    out = replace(g, edges=tuple(edges)) if deinverted else g
-    return out, TransformTrace(deinverted=tuple(deinverted))
+    return (replace(g, edges=tuple(edges)) if deinverted else g), tuple(deinverted)
 
 
 def reinvert_edges_for_top(g: Graph, invertible_labels: set[str]) -> Graph:
@@ -247,7 +232,7 @@ def eds_merge_anchors(g: Graph) -> Graph:
 
 
 def preprocess(framework: str, g: Graph,
-               drg_relations: frozenset[str] = frozenset()) -> tuple[Graph, TransformTrace]:
+               drg_relations: frozenset[str] = frozenset()) -> Graph:
     """Apply a framework's canonicalization pipeline.
 
     amr: nodeify + de-invert with the fixed convention of
@@ -257,20 +242,15 @@ def preprocess(framework: str, g: Graph,
     properties kept native, identity; ucca: leaf/inner augmentation.
     """
     if framework == "amr":
-        out, trace = nodeify_properties(g)
-        out, inv = normalize_inverted_edges(out)
-        return out, TransformTrace(nodeified=trace.nodeified, deinverted=inv.deinverted)
+        return normalize_inverted_edges(nodeify_properties(g))[0]
     if framework == "drg":
-        out, trace = nodeify_properties(g)
-        out = drg_reduce_binary_relations(out, drg_relations)
-        return out, trace
+        return drg_reduce_binary_relations(nodeify_properties(g), drg_relations)
     if framework == "eds":
-        out, trace = nodeify_properties(g)
-        return eds_merge_anchors(out), trace
+        return eds_merge_anchors(nodeify_properties(g))
     if framework == "ptg":
-        return g, TransformTrace()
+        return g
     if framework == "ucca":
-        return ucca_augment(g), TransformTrace()
+        return ucca_augment(g)
     raise TransformError(f"unknown framework {framework!r}")
 
 

@@ -299,20 +299,21 @@ def test_criterion_07_loss_balancing():
 def test_criterion_08_transform_laws(all_fixture_graphs):
     amr_fig = load_graphs(fixture_path("amr.jsonl"))[0]
     for g in [*all_fixture_graphs, *corpus.synth_corpus(1, 500)]:
-        nodeified, trace = transform.nodeify_properties(g)
-        created = {node_id for _, _, node_id in trace.nodeified}
+        nodeified = transform.nodeify_properties(g)
+        created = {n.id for n in nodeified.nodes} - {n.id for n in g.nodes}
         assert transform.fold_property_nodes(nodeified, created) == g
         once, _ = transform.normalize_inverted_edges(g)
         twice, again = transform.normalize_inverted_edges(once)
         assert once == twice
-        assert again.deinverted == ()
-    out, trace = transform.preprocess("amr", amr_fig)
+        assert again == ()
+    out = transform.preprocess("amr", amr_fig)
     created = out.node_by_id(5)
     assert created.label == "2"
     assert any(e.source == 0 and e.target == 5 and e.label == "quant"
                for e in out.edges)
     assert any(e.label == "domain" for e in out.edges)  # "mod" alias reversed
-    assert trace.nodeified == ((0, "quant", 5),)
+    # (0, "quant", 5): node 5 is the one node nodeify created
+    assert {n.id for n in out.nodes} - {n.id for n in amr_fig.nodes} == {5}
     report(8, "folding the created nodes of nodeify is the identity and "
               "de-inversion is idempotent on all fixtures, including the "
               "two-person example, and on the 500 graphs of synth_corpus seed 1")

@@ -901,6 +901,29 @@ class TestTrainPredict:
                                    "has no tokens, so no queries to train on"}
         assert out_path.read_text() == ""
 
+    def test_graph_validate_rejects_is_data_error(self, tmp_path, capsys):
+        # a repeated node id trained with exit 0, every edge of either node
+        # pointed at the later one
+        from mrparse.corpus import synth_corpus
+        from mrparse.graph import serialize_graph
+        lines = [serialize_graph(g) for g in synth_corpus(1, 12)]
+        first = json.loads(lines[0])
+        first["nodes"].append(dict(first["nodes"][0], label="_again_n"))
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+        code, out, _ = run_cli(["validate", "--input", str(corpus)], capsys)
+        assert code == 2 and "line 1: node 0: node id unique: duplicate node id" in out
+        config = tmp_path / "toy.cfg"
+        config.write_text("dim = 16\nffn_dim = 24\nepochs = 1\n")
+        ckpt = tmp_path / "m.ckpt"
+        code, out, err = run_cli(["train-toy", "--input", str(corpus), "--config",
+                                  str(config), "--checkpoint", str(ckpt)], capsys)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "data", "message": f"graph {first['id']}: "
+                                   "node 0: node id unique: duplicate node id"}
+        assert not ckpt.exists()
+
     @pytest.mark.parametrize("framework", ["amr", "drg", "ptg", "ucca"])
     def test_non_eds_corpus_is_data_error(self, framework, tmp_path, capsys):
         # training runs the eds pipeline and writes eds graphs, so a graph of

@@ -265,13 +265,13 @@ def test_corpus_sized_problems_match_element_mask_reference(seed):
     from mrparse.corpus import synth_corpus
 
     graphs = synth_corpus(seed, 125)
-    items, names = rules.label_items([transform.preprocess("eds", g)[0] for g in graphs])
+    items, names = rules.label_items([transform.preprocess("eds", g) for g in graphs])
     eds = rules.build_problem(items, names=names)
     reference = reference_rule_problem(items, names=names)
     unanchored = [replace(g, framework="amr", flavor=2,
                           nodes=tuple(replace(n, anchors=()) for n in g.nodes))
                   for g in graphs]
-    amr_graphs = [transform.preprocess("amr", g)[0] for g in unanchored]
+    amr_graphs = [transform.preprocess("amr", g) for g in unanchored]
     anchored, amr, amr_solution = reference_anchor_flavor2_corpus(amr_graphs)
     assert rules.anchor_flavor2_corpus(amr_graphs) == anchored
     assert len(reference.universe) > 3000 and len(amr.universe) > 1500

@@ -180,14 +180,14 @@ class TestEnumerate:
         from conftest import fixture_path
         items = []
         for name in ("eds", "amr", "ucca"):
-            graphs = [transform.preprocess(name, g)[0]
+            graphs = [transform.preprocess(name, g)
                       for g in load_graphs(fixture_path(f"{name}.jsonl"))]
             items += rules.label_items(graphs)[0]
             # the single-token candidates of flavor-2 anchoring
             items += [([t.form], [t.lemma], node.label) for g in graphs
                       for t in graph_tokens(g) for node in g.nodes
                       if node.label is not None]
-        synth = [transform.preprocess("eds", g)[0] for g in synth_corpus(1, 500)]
+        synth = [transform.preprocess("eds", g) for g in synth_corpus(1, 500)]
         items += rules.label_items(synth)[0]
         distinct = dict.fromkeys((tuple(t), tuple(l), label) for t, l, label in items)
         assert len(distinct) > 100
@@ -603,7 +603,7 @@ class TestArtificialAnchoring:
         # reversing the graphs renumbers the rule table; every graph keeps
         # its anchors
         from mrparse import transform
-        graphs = [transform.preprocess("amr", g)[0] for g in flavor2_synth(seed, 60)]
+        graphs = [transform.preprocess("amr", g) for g in flavor2_synth(seed, 60)]
         universes = []
         solve = rules.minimal_rule_set
 
@@ -623,7 +623,7 @@ class TestArtificialAnchoring:
         from mrparse import transform
         from mrparse.graph import load_graphs
         from conftest import fixture_path
-        graphs = [transform.preprocess("amr", g)[0]
+        graphs = [transform.preprocess("amr", g)
                   for g in load_graphs(fixture_path("amr.jsonl"))]
         assert_matches_all_separator_reference(graphs)
 

@@ -590,7 +590,7 @@ class TestDecodeCeiling:
         meta = trainer.ModelMeta(vocab={}, rule_table=(), edge_labels=edge_labels,
                                  config=trainer.TrainConfig(), inverted_labels=inverted)
         decoded, reports = {}, []
-        for g, (pre, trace) in zip(graphs, gold):
+        for g, (pre, _) in zip(graphs, gold):
             tokens = graph_tokens(pre)
             nodes = []
             for node in pre.nodes:
@@ -602,7 +602,8 @@ class TestDecodeCeiling:
             edges = [Edge(position[e.source], position[e.target], e.label)
                      for e in pre.edges]
             top = next((j for j, node in enumerate(pre.nodes) if node.is_top), None)
-            flags = {position[node_id] for _, _, node_id in trace.nodeified}
+            # the nodes preprocessing created, the ones whose ids g lacks
+            flags = {position[i] for i in position.keys() - {n.id for n in g.nodes}}
             decoded[g.id] = trainer.decoded_graph(meta, g.input, tokens, nodes, edges,
                                                   top, flags)
             reports.append((g.id, scorer.score_pair(g, decoded[g.id])))

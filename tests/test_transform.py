@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrparse.graph import Anchor, Edge, Graph, Node, load_graphs
-from mrparse.transform import (GraphStructureError, TransformError, TransformTrace,
+from mrparse.transform import (GraphStructureError, TransformError,
                                drg_reduce_binary_relations, eds_merge_anchors,
                                fold_property_nodes, load_framework_config,
                                nodeify_properties, normalize_inverted_edges,
@@ -18,27 +18,34 @@ def count_nodes_edges_props(g):
     return (len(g.nodes), len(g.edges), sum(len(n.properties) for n in g.nodes))
 
 
+def created_ids(before, after):
+    """The ids of the nodes a transform added: those before lacks."""
+    return {n.id for n in after.nodes} - {n.id for n in before.nodes}
+
+
 @pytest.fixture
 def amr_fig():
     return load_graphs(fixture_path("amr.jsonl"))[0]
 
 
 def test_nodeify_figure_example(amr_fig):
-    out, trace = nodeify_properties(amr_fig)
+    out = nodeify_properties(amr_fig)
     created = out.node_by_id(5)
     assert created.label == "2"
     assert created.anchors == amr_fig.node_by_id(0).anchors
     assert Edge(source=0, target=5, label="quant") in out.edges
     assert out.node_by_id(0).properties == ()
-    assert trace.nodeified == ((0, "quant", 5),)
+    # (0, "quant", 5): node 5 is the one created node, and 0 -> 5 quant its one edge
+    assert created_ids(amr_fig, out) == {5}
+    assert [e for e in out.edges if 5 in (e.source, e.target)] == [Edge(0, 5, "quant")]
 
 
 def test_nodeify_no_properties_identity():
     g = Graph(id="g", framework="eds", flavor=1, input="x",
               nodes=(Node(0, "a"),))
-    out, trace = nodeify_properties(g)
+    out = nodeify_properties(g)
     assert out == g
-    assert trace.nodeified == ()
+    assert created_ids(g, out) == set()
 
 
 def test_nodeify_counts():
@@ -46,49 +53,51 @@ def test_nodeify_counts():
               nodes=(Node(0, "a", properties=(("p", "1"), ("q", "2"), ("r", "3"))),
                      Node(1, "b")))
     before = count_nodes_edges_props(g)
-    out, _ = nodeify_properties(g)
+    out = nodeify_properties(g)
     after = count_nodes_edges_props(out)
     assert after == (before[0] + 3, before[1] + 3, 0)
+    # created ids lie above every id of g, so they are the ids g lacks
+    assert sorted(created_ids(g, out)) == [2, 3, 4]
 
 
 def test_fold_round_trip(amr_fig):
-    out, trace = nodeify_properties(amr_fig)
-    assert fold_property_nodes(out, {node_id for _, _, node_id in trace.nodeified}) == amr_fig
+    out = nodeify_properties(amr_fig)
+    assert fold_property_nodes(out, created_ids(amr_fig, out)) == amr_fig
 
 
 def test_deinvert_basic():
     g = Graph(id="g", framework="amr", flavor=2, input="x",
               nodes=(Node(0, "a"), Node(1, "b")),
               edges=(Edge(0, 1, "ARG0-of"),))
-    out, trace = normalize_inverted_edges(g)
+    out, deinverted = normalize_inverted_edges(g)
     assert out.edges == (Edge(1, 0, "ARG0"),)
-    assert trace.deinverted == (0,)
+    assert deinverted == (0,)
 
 
 def test_deinvert_alias():
     g = Graph(id="g", framework="amr", flavor=2, input="x",
               nodes=(Node(0, "a"), Node(1, "b")),
               edges=(Edge(0, 1, "mod"),))
-    out, trace = normalize_inverted_edges(g)
+    out, deinverted = normalize_inverted_edges(g)
     assert out.edges == (Edge(1, 0, "domain"),)
-    assert trace.deinverted == (0,)
+    assert deinverted == (0,)
 
 
 def test_deinvert_no_suffix_identity():
     g = Graph(id="g", framework="amr", flavor=2, input="x",
               nodes=(Node(0, "a"), Node(1, "b")),
               edges=(Edge(0, 1, "ARG0"),))
-    out, trace = normalize_inverted_edges(g)
+    out, deinverted = normalize_inverted_edges(g)
     assert out == g
-    assert trace.deinverted == ()
+    assert deinverted == ()
 
 
 def test_deinvert_idempotent(all_fixture_graphs):
     for g in all_fixture_graphs:
         once, _ = normalize_inverted_edges(g)
-        twice, trace = normalize_inverted_edges(once)
+        twice, deinverted = normalize_inverted_edges(once)
         assert once == twice
-        assert trace.deinverted == ()
+        assert deinverted == ()
 
 
 def test_ucca_single_node_leaf():
@@ -135,7 +144,7 @@ def test_ucca_chain_deeper_than_recursion_limit():
               nodes=tuple(Node(i) for i in range(depth))
               + (Node(depth, anchors=(Anchor(0, 3),)),),
               edges=tuple(Edge(i, i + 1, "A") for i in range(depth)))
-    out, _ = preprocess("ucca", g)
+    out = preprocess("ucca", g)
     assert all(n.label == "inner" and n.anchors == (Anchor(0, 3),)
                for n in out.nodes[:depth])
     assert out.nodes[depth].label == "leaf"
@@ -188,36 +197,43 @@ def test_eds_merge_anchors():
 
 
 def test_preprocess_amr_figure(amr_fig):
-    out, trace = preprocess("amr", amr_fig)
+    out = preprocess("amr", amr_fig)
     labels = sorted(e.label for e in out.edges)
     assert labels == ["ARG1", "domain", "domain", "domain", "quant"]
-    assert len(trace.deinverted) == 4  # three inverted + one alias in fixture
+    # the fixture's three inverted edges and one alias, each reversed
+    assert set(out.edges) == {Edge(1, 0, "domain"), Edge(2, 1, "domain"),
+                              Edge(3, 1, "ARG1"), Edge(4, 0, "domain"),
+                              Edge(0, 5, "quant")}
     assert out.node_by_id(5).label == "2"
 
 
 def test_preprocess_ptg_keeps_properties():
     g = load_graphs(fixture_path("ptg.jsonl"))[0]
-    out, trace = preprocess("ptg", g)
-    assert out == g
-    assert trace == TransformTrace()
+    assert preprocess("ptg", g) is g
 
 
 def test_preprocess_ucca():
     g = load_graphs(fixture_path("ucca.jsonl"))[0]
-    out, _ = preprocess("ucca", g)
+    out = preprocess("ucca", g)
     assert {n.label for n in out.nodes} == {"leaf", "inner"}
 
 
 def test_preprocess_drg_uses_config():
     g = load_graphs(fixture_path("drg.jsonl"))[0]
-    out, _ = preprocess("drg", g, frozenset({"Agent"}))
+    out = preprocess("drg", g, frozenset({"Agent"}))
     assert Edge(0, 1, "Agent") in out.edges
 
 
 def test_preprocess_eds_merges():
     g = load_graphs(fixture_path("eds.jsonl"))[1]
-    out, _ = preprocess("eds", g)
+    out = preprocess("eds", g)
     assert out.node_by_id(0).anchors == (Anchor(0, 9),)
+
+
+@pytest.mark.parametrize("framework", ["amr", "drg", "eds", "ptg", "ucca"])
+def test_preprocess_returns_a_graph(framework):
+    for g in load_graphs(fixture_path(f"{framework}.jsonl")):
+        assert type(preprocess(framework, g)) is Graph
 
 
 def test_framework_config_file(tmp_path):
@@ -281,7 +297,7 @@ _UNCHANGED = Graph(id="g", framework="eds", flavor=1, input="ab cd",
 
 
 @pytest.mark.parametrize("transform", [
-    lambda g: nodeify_properties(g)[0],
+    nodeify_properties,
     lambda g: normalize_inverted_edges(g)[0],
     eds_merge_anchors,
     # every label of the graph eligible
