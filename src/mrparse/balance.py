@@ -10,21 +10,7 @@ are renormalized to sum to the task count after every update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 MIN_WEIGHT = 1e-4
-
-
-@dataclass
-class BalanceState:
-    """Mutable balancing state carried across training steps."""
-
-    weights: dict[str, float]
-    initial_losses: dict[str, float] | None = None
-
-    @classmethod
-    def uniform(cls, tasks) -> "BalanceState":
-        return cls(weights={t: 1.0 for t in tasks})
 
 
 def update_loss_weights(grad_norms: dict[str, float], losses: dict[str, float],

@@ -80,15 +80,12 @@ def _assignment_numpy(cost):
 
 
 def max_score_assignment(scores: np.ndarray) -> np.ndarray:
-    """Distinct column per row maximizing the total score; needs rows <= columns.
+    """Distinct column per row maximizing the total score.
 
-    A square matrix gives a row-to-column permutation.  Minimizing a cost
-    matrix is maximizing its negation.
+    scores is a 2-D float64 matrix of finite entries with rows <= columns;
+    matcher.optimal_assignment, the one caller, checks that before it
+    passes the transpose.  A square matrix gives a row-to-column
+    permutation.  Minimizing a cost matrix is maximizing its negation.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2 or scores.shape[0] > scores.shape[1]:
-        raise ValueError(f"score matrix must have rows <= columns, got shape {scores.shape}")
-    if scores.size and not np.isfinite(scores).all():
-        raise ValueError("score matrix entries must be finite")
     # the negation, in C order since the solver scans whole rows
     return _assignment_numpy(np.negative(scores, order="C"))

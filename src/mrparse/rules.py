@@ -46,11 +46,7 @@ class RuleError(Exception):
 
 
 class InfeasibleEncodingError(RuleError):
-    """A node has no applicable retained rule."""
-
-
-class DecodeError(RuleError):
-    pass
+    """A node has no applicable rule, so no rule set covers it."""
 
 
 class Rule(NamedTuple):
@@ -404,11 +400,11 @@ def load_rule_table(path: str) -> tuple[Rule, ...]:
 
 def build_rule_target(applicable_retained: Iterable[int], num_rules: int) -> np.ndarray:
     """Target distribution of a real node over the retained rules plus the
-    final null class: uniform mass over its applicable retained rules."""
+    final null class: uniform mass over its applicable retained rules, of
+    which there is one at least: trainer.prepare, the one caller, retains a
+    minimum hitting set of every node's applicable rules."""
     target = np.zeros(num_rules + 1)
     indices = sorted(applicable_retained)
-    if not indices:
-        raise InfeasibleEncodingError("real node with no applicable retained rule")
     target[indices] = 1.0 / len(indices)
     return target
 
@@ -421,9 +417,10 @@ def decode_label(rule_probs: np.ndarray, tokens: Sequence[str],
     Inapplicable rules are skipped in probability order.  None when the null
     class is the most probable, or when no rule applies (a table without an
     absolute rule can fail to realize a label from the anchored tokens).
+    rule_probs holds len(rules) + 1 probabilities, the null class last:
+    trainer._decode, the one caller, passes a label head row, whose size
+    TrainedModel.load checks against the stored rule table.
     """
-    if len(rule_probs) != len(rules) + 1:
-        raise DecodeError(f"got {len(rule_probs)} probabilities for {len(rules)} rules")
     order = np.argsort(-rule_probs, kind="stable")
     if order[0] == len(rules):
         return None

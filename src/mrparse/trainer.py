@@ -131,7 +131,7 @@ def _check_stop_when(value, shown: str, where: str = ""):
 
 
 def load_train_config(path: str) -> TrainConfig:
-    """Key-value config file: one ``name = value`` per line, # comments.
+    """Key-value config file: one ``name = value`` per line, each name once, # comments.
 
     Counts are integers and rates numbers; stop_when is a JSON object
     mapping evaluate() metric names to thresholds in [0, 1].
@@ -151,16 +151,19 @@ def load_train_config(path: str) -> TrainConfig:
             kind = fields[name].type
             if kind in _KINDS:
                 try:
-                    values[name] = int(text) if kind == "int" else float(text)
+                    value = int(text) if kind == "int" else float(text)
                 except ValueError:
                     raise TrainError(f"{path}:{lineno}: {name} must be "
                                      f"{_KINDS[kind][1]}, got {text!r}") from None
             else:  # stop_when, the one non-scalar option
                 try:
-                    values[name] = json.loads(text)
+                    value = json.loads(text)
                 except (ValueError, RecursionError):  # RecursionError: deep nesting
-                    values[name] = None  # reported with the other malformed values
-                _check_stop_when(values[name], text, f"{path}:{lineno}: ")
+                    value = None  # reported with the other malformed values
+                _check_stop_when(value, text, f"{path}:{lineno}: ")
+            if name in values:
+                raise TrainError(f"{path}:{lineno}: {name} is set twice")
+            values[name] = value
     try:
         return TrainConfig(**values)
     except TrainError as exc:
@@ -454,8 +457,8 @@ def sentence_losses(params: dict, config: TrainConfig, examples: Sequence[Exampl
     class.  Every head takes its loss and backward once for the group, each
     sentence keeping its own mean; the edge, property and top heads see each
     sentence's matched states padded to the group's largest target count.
-    add_head_grads sums grads.head and backward_sentence takes grads.dhidden
-    and grads.anchor_dmemory on through the network.
+    backward_sentence sums grads.head and takes grads.dhidden and
+    grads.anchor_dmemory on through the network.
     """
     num_sentences, num_queries = fwd.hidden.shape[:2]
     losses: dict[str, float] = {}
@@ -523,36 +526,29 @@ def sentence_losses(params: dict, config: TrainConfig, examples: Sequence[Exampl
     return losses, SentenceGrads(head=head, dhidden=dhidden, anchor_dmemory=anchor_dmemory)
 
 
-def add_head_grads(grads: SentenceGrads, weights: dict[str, float], scale: float,
-                   total_grads: dict[str, np.ndarray]):
-    """weights[t] * scale times each head-parameter grad of task t, into
-    total_grads."""
-    for task, head in grads.head.items():
-        for key, grad in head.items():
-            model.add_grad(total_grads, key, weights[task] * scale * grad)
-
-
-def backward_sentence(params: dict, fwd: ForwardPass, dhidden: np.ndarray,
-                      anchor_dmemory: np.ndarray, weights: dict[str, float], scale: float,
+def backward_sentence(params: dict, fwd: ForwardPass, grads: SentenceGrads,
+                      weights: dict[str, float], scale: float,
                       total_grads: dict[str, np.ndarray],
                       task_sums: dict[str, np.ndarray]):
-    """The backward of forward_sentence below the heads: every parameter
-    grad of sum_t weights[t] * loss_t that is not a head's own, times scale,
-    into total_grads, through one decoder backward on the weighted sum of
-    the task gradients.
+    """Every parameter grad of sum_t weights[t] * loss_t, times scale, into
+    total_grads: first each head's own grads of grads.head, then the rest
+    through one decoder backward on the weighted sum of the task gradients.
 
-    fwd is a group pass (or one sentence's 2-D slice of one).  dhidden and
-    anchor_dmemory (the SentenceGrads fields) carry the pass's sentence axis
+    fwd is a group pass (or one sentence's 2-D slice of one).
+    grads.dhidden and grads.anchor_dmemory carry the pass's sentence axis
     after the task axis, and every grad sums over the sentences.  Each
     task's unweighted grads of the last shared layer (model.ffn_out_grads,
     [tasks, *shape] per key), times scale, go into task_sums for the balance
     norms."""
-    for key, grad in model.ffn_out_grads("dec", fwd.dec_cache, dhidden).items():
+    for task, head in grads.head.items():
+        for key, grad in head.items():
+            model.add_grad(total_grads, key, weights[task] * scale * grad)
+    for key, grad in model.ffn_out_grads("dec", fwd.dec_cache, grads.dhidden).items():
         model.add_grad(task_sums, key, grad, scale)
-    dy = sum(weights[task] * dhidden[row] for row, task in enumerate(TASKS))
+    dy = sum(weights[task] * grads.dhidden[row] for row, task in enumerate(TASKS))
     dquery, dmemory = model.block_backward(params, "dec", fwd.dec_cache, scale * dy,
                                            total_grads)
-    dmemory += (scale * weights["anchor"]) * anchor_dmemory
+    dmemory += (scale * weights["anchor"]) * grads.anchor_dmemory
     de = model.queries_backward(params, fwd.query_cache, dquery, total_grads)
     model.encode_backward(params, fwd.enc_cache, de + dmemory, total_grads)
 
@@ -726,7 +722,8 @@ def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
     params = init_model(meta, rng)
     trained = TrainedModel(params=params, meta=meta)
     optimizer = AdamW(params)
-    state = balance.BalanceState.uniform(TASKS)
+    weights = dict.fromkeys(TASKS, 1.0)
+    initial_losses = None
     metrics: list[dict] = []
     step = 0
     for epoch in range(config.epochs):
@@ -754,11 +751,10 @@ def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
                 for assignment in assignments:
                     epoch_warnings.update(assignment.warnings)
                 losses, grads = sentence_losses(params, config, group, fwd, assignments)
-                add_head_grads(grads, state.weights, scale, total_grads)
                 for task, loss in losses.items():
                     task_losses[task] += loss * scale
-                backward_sentence(params, fwd, grads.dhidden, grads.anchor_dmemory,
-                                  state.weights, scale, total_grads, task_sums)
+                backward_sentence(params, fwd, grads, weights, scale, total_grads,
+                                  task_sums)
                 # freed before the next chunk's forward, the optimizer step and
                 # evaluate: the cache-token budget counts one chunk's caches
                 del fwd, assignments, losses, grads
@@ -769,13 +765,13 @@ def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
                            config.weight_decay)
             if any(not np.isfinite(v) for v in task_losses.values()):
                 raise DivergenceError(f"non-finite loss at step {step}")
-            if state.initial_losses is None:
-                state.initial_losses = dict(task_losses)
-            grad_norms = {t: state.weights[t] * float(np.sqrt(sum(
+            if initial_losses is None:
+                initial_losses = dict(task_losses)
+            grad_norms = {t: weights[t] * float(np.sqrt(sum(
                 (g[row] * g[row]).sum() for g in task_sums.values())))
                 for row, t in enumerate(TASKS)}
-            state.weights, warnings = balance.update_loss_weights(
-                grad_norms, task_losses, state.initial_losses, state.weights,
+            weights, warnings = balance.update_loss_weights(
+                grad_norms, task_losses, initial_losses, weights,
                 config.balance_alpha, config.balance_lr)
             epoch_warnings.update(warnings)
             for t in TASKS:
@@ -785,7 +781,7 @@ def train(config: TrainConfig, graphs: Optional[Sequence[Graph]] = None,
         f1 = evaluate(trained, eval_graphs)
         record = {"epoch": epoch + 1,
                   "losses": {t: epoch_losses[t] / max(num_batches, 1) for t in TASKS},
-                  "weights": {t: state.weights[t] for t in TASKS},
+                  "weights": {t: weights[t] for t in TASKS},
                   "f1": f1,
                   "warnings": sorted(epoch_warnings)}
         metrics.append(record)

@@ -1,4 +1,4 @@
-from mrparse.balance import BalanceState, update_loss_weights
+from mrparse.balance import update_loss_weights
 
 
 def test_identical_tasks_stay_uniform():
@@ -56,8 +56,3 @@ def test_clamp_keeps_weights_positive():
     assert all(w > 0 for w in new.values())
     assert abs(sum(new.values()) - 2.0) < 1e-12
 
-
-def test_uniform_state_constructor():
-    state = BalanceState.uniform(("x", "y"))
-    assert state.weights == {"x": 1.0, "y": 1.0}
-    assert state.initial_losses is None

@@ -392,6 +392,12 @@ class TestMatch:
         if code:
             assert json.loads(err)["error"] == "data"
 
+    def test_non_finite_entry_exit_two(self, tmp_path, capsys):
+        matrix = tmp_path / "scores.txt"
+        matrix.write_text("2\n1 nan\n0 1\n")
+        assert run_cli(["match", "--input", str(matrix)], capsys) == (
+            2, "", '{"error": "data", "message": "score matrix entries must be finite"}\n')
+
     def test_scores_near_float_range(self, tmp_path, capsys):
         # the solver's potentials overflowed on this matrix, which printed
         # "1 0" and "score -1e+308" with RuntimeWarnings on stderr
@@ -689,7 +695,10 @@ class TestTrainPredict:
     def test_out_of_range_config_rejected_before_training(self, line, tmp_path,
                                                           capsys):
         config = tmp_path / "range.cfg"
-        config.write_text(f"corpus_size = 16\nepochs = 1\n{line}\n")
+        # corpus_size 16 keeps the run short should a check miss; an option
+        # may be set once, so the corpus_size case sets only its own value
+        small = "" if line.startswith("corpus_size ") else "corpus_size = 16\n"
+        config.write_text(f"{small}epochs = 1\n{line}\n")
         out_path = tmp_path / "m.jsonl"
         code, _, err = run_cli(["train-toy", "--config", str(config),
                                 "--output", str(out_path)], capsys)
@@ -831,6 +840,18 @@ class TestTrainPredict:
         assert code == 2
         assert json.loads(err) == {"error": "config",
                                    "message": f"{config}:2: unknown option {name!r}"}
+        assert not out_path.exists()
+
+    def test_config_with_repeated_option_rejected(self, tmp_path, capsys):
+        # the last value used to win: this file trained with dim 32
+        config = tmp_path / "twice.cfg"
+        config.write_text("dim = 16\nffn_dim = 24\ndim = 32\n")
+        out_path = tmp_path / "m.jsonl"
+        code, _, err = run_cli(["train-toy", "--config", str(config),
+                                "--output", str(out_path)], capsys)
+        assert code == 2
+        assert json.loads(err) == {"error": "config",
+                                   "message": f"{config}:3: dim is set twice"}
         assert not out_path.exists()
 
     def test_nodes_over_query_capacity_is_data_error(self, tmp_path, capsys):

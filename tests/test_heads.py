@@ -191,18 +191,6 @@ class TestLabelLoss:
                                      abs=1e-12)
         assert np.abs(dpred - np.concatenate([d for _, d in singles])).max() < 1e-12
 
-    def test_validation_errors(self):
-        good = np.full((1, 4), 0.25)
-        with pytest.raises(heads.ValidationError):
-            heads.label_loss(np.array([[0.5, 0.9]]), np.array([[0.5, 0.5]]), 0.0)
-        with pytest.raises(heads.ValidationError):
-            heads.label_loss(good, np.array([[0.7, 0.7, -0.2, -0.2]]), 0.0)
-        rows = np.full((3, 4), 0.25)
-        bad_row = rows.copy()
-        bad_row[1] = [0.7, 0.7, -0.2, -0.2]
-        with pytest.raises(heads.ValidationError):
-            heads.label_loss(rows, bad_row, 0.0)
-
 
 def _raw_focal(pred, target, gamma):
     entropy = float(-(target * np.log(np.maximum(pred, 1e-300))).sum())

@@ -91,6 +91,13 @@ class TestOptimalAssignment:
         with pytest.raises(MatchError):
             optimal_assignment(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # the one finiteness check on a score matrix: the solver behind it
+        # takes the matrix as given
+        with pytest.raises(MatchError, match="must be finite"):
+            optimal_assignment(np.array([[1.0, bad], [0.0, 1.0]]))
+
     def test_queries_by_targets(self):
         scores = np.array([[0.1, 0.2], [0.9, 0.0], [0.0, 0.0], [0.3, 0.8]])
         result = optimal_assignment(scores)

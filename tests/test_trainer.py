@@ -146,7 +146,7 @@ def tiny_setup():
 
 
 def assert_group_matches_finite_differences(config, params, group, rng):
-    """sentence_losses, add_head_grads and backward_sentence on the
+    """sentence_losses and backward_sentence on the
     evaluation forward of group against central differences of the weighted
     total loss sum_t w_t loss_t, at fixed assignments."""
     tasks = trainer.TASKS
@@ -158,9 +158,7 @@ def assert_group_matches_finite_differences(config, params, group, rng):
     losses, grads = trainer.sentence_losses(params, config, group, fwd, assignments)
     assert set(losses) == set(tasks)
     total_grads = {}
-    trainer.add_head_grads(grads, weights, 1.0, total_grads)
-    trainer.backward_sentence(params, fwd, grads.dhidden, grads.anchor_dmemory,
-                              weights, 1.0, total_grads, {})
+    trainer.backward_sentence(params, fwd, grads, weights, 1.0, total_grads, {})
     assert set(total_grads) == set(params)
 
     def weighted_loss(key, value):
@@ -263,9 +261,9 @@ class TestSentencePass:
         assert seen[kept.queries] == min(seen.values()) < max(seen.values())
 
     def test_sentence_backward_matches_finite_differences(self):
-        # the composition train runs: sentence_losses, then add_head_grads and
-        # backward_sentence, against central differences of sum_t w_t loss_t
-        # over the fixed assignment, on the evaluation forward of a group of one
+        # the composition train runs: sentence_losses, then backward_sentence,
+        # against central differences of sum_t w_t loss_t over the fixed
+        # assignment, on the evaluation forward of a group of one
         config = tiny_config(dim=8, ffn_dim=12)
         meta, examples, _ = trainer.prepare(
             config, corpus.synth_corpus(2, config.corpus_size))
@@ -306,9 +304,8 @@ class TestSentencePass:
             _, grads = trainer.sentence_losses(params, config, [example], fwd,
                                                [assignment])
             total_grads, task_sums = {}, {}
-            trainer.add_head_grads(grads, weights, scale, total_grads)
-            trainer.backward_sentence(params, fwd, grads.dhidden, grads.anchor_dmemory,
-                                      weights, scale, total_grads, task_sums)
+            trainer.backward_sentence(params, fwd, grads, weights, scale, total_grads,
+                                      task_sums)
             # the reference takes the sentence's 2-D pass and grads
             sentence = oracles.sentence_passes(fwd, params)[0]
             want, per_task = oracles.reference_backward_sentence(
@@ -392,11 +389,12 @@ class TestGroupForward:
             dhidden = rng.normal(size=(len(tasks),) + fwd.hidden.shape)
             anchor_dmemory = rng.normal(size=token_ids.shape + (config.dim,))
             total_grads, task_sums = {}, {}
-            trainer.backward_sentence(params, fwd, dhidden, anchor_dmemory,
+            trainer.backward_sentence(params, fwd,
+                                      trainer.SentenceGrads({}, dhidden, anchor_dmemory),
                                       weights, scale, total_grads, task_sums)
             want, want_sums = oracles.reference_group_backward(
                 params, fwd, dhidden, anchor_dmemory, weights, scale)
-            # every parameter but the heads', whose grads add_head_grads sums
+            # every parameter but the heads', as the head grads are empty
             assert set(total_grads) == set(want) == {
                 k for k in params if k.startswith(("emb", "mix", "enc", "query", "dec"))}
             assert set(task_sums) == set(want_sums) == {"dec.ffn.w2", "dec.ffn.b2"}
@@ -412,8 +410,9 @@ class TestGroupForward:
                 # a group of one is the 2-D call on its one sentence, bit for bit
                 alone, alone_sums = {}, {}
                 trainer.backward_sentence(params, oracles.sentence_passes(fwd, params)[0],
-                                          dhidden[:, 0], anchor_dmemory[0], weights,
-                                          scale, alone, alone_sums)
+                                          trainer.SentenceGrads({}, dhidden[:, 0],
+                                                                anchor_dmemory[0]),
+                                          weights, scale, alone, alone_sums)
                 for got, expected in ((total_grads, alone), (task_sums, alone_sums)):
                     assert set(got) == set(expected)
                     assert all(np.array_equal(got[key], expected[key]) for key in got)
